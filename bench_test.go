@@ -1,7 +1,7 @@
 package activitytraj_test
 
 // One testing.B benchmark per table and figure of the paper's evaluation
-// (Section VII), plus the design-choice ablations from DESIGN.md. These run
+// (Section VII), plus the design-choice ablations. These run
 // on small preset scales so `go test -bench=. -benchmem` finishes in
 // minutes; cmd/atsqbench runs the same experiments at publication scale
 // with full sweeps and table output.
@@ -16,6 +16,7 @@ import (
 
 	"activitytraj/internal/dataset"
 	"activitytraj/internal/delta"
+	"activitytraj/internal/evaluate"
 	"activitytraj/internal/gat"
 	"activitytraj/internal/harness"
 	"activitytraj/internal/matcher"
@@ -160,6 +161,28 @@ func BenchmarkGATSearchAllocs(b *testing.B) {
 		pages += e.LastStats().PageReads
 	}
 	b.ReportMetric(float64(pages)/float64(len(qs)), "pages/search")
+}
+
+// BenchmarkGATBuild measures building the GAT index over an existing
+// trajectory store on LA at scale 0.125 — the corpus of the repository
+// benchmark. Every compaction of a dynamic index pays this cost for its
+// shard, so ns/op, B/op and allocs/op are diffed against the baseline.
+func BenchmarkGATBuild(b *testing.B) {
+	ds, err := dataset.Generate(dataset.LA(0.125))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := evaluate.BuildTrajStore(ds, evaluate.TrajStoreConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gat.Build(ts, gat.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSubtrajectorySearch measures the subtrajectory query mode on the

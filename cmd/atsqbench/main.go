@@ -11,7 +11,7 @@
 //
 // Absolute times depend on hardware and the synthetic data scale; the
 // shapes (method ranking, trends along each sweep) are the reproduction
-// target. See EXPERIMENTS.md.
+// target.
 package main
 
 import (

@@ -9,7 +9,11 @@
 //	    -query "12.0,30.5:act000001,act000004;14.2,31.0:act000002"
 //
 // With -random N, the tool instead generates N workload queries (Table V
-// parameters) and prints per-query results and statistics.
+// parameters) and prints per-query results and statistics. In the
+// statistics line, "decoded-cache hit/miss" counts lookups in the decoded-
+// structure caches: one per APL or coordinate fetch, and one per disk-level
+// HICL list a search resolves — once per search for each (level, query
+// point activity) it reaches, not once per cell popped.
 //
 // With -stream N, the tool exercises the dynamic index: the last N
 // trajectories are held out of the base build and ingested online through
@@ -242,7 +246,7 @@ func main() {
 			describeQuery(qi, q, ds.Vocab)
 			printResults(resps[qi].Results, resps[qi].Spans, ds, *verbose)
 		}
-		banner("%d queries on %d workers in %s (%.0f queries/sec; candidates=%d scored=%d hdr-rejects=%d pages=%d decoded=%dKB cache hit/miss=%d/%d)\n",
+		banner("%d queries on %d workers in %s (%.0f queries/sec; candidates=%d scored=%d hdr-rejects=%d pages=%d decoded=%dKB decoded-cache hit/miss=%d/%d)\n",
 			len(qs), pe.Workers(), elapsed.Round(time.Microsecond),
 			float64(len(qs))/elapsed.Seconds(),
 			stats.Candidates, stats.Scored, stats.HeaderOnlyRejects, stats.PageReads,
@@ -268,7 +272,7 @@ func main() {
 		}
 		describeQuery(qi, q, ds.Vocab)
 		stats := resp.Stats
-		fmt.Printf("  %d results in %s (candidates=%d scored=%d hdr-rejects=%d pages=%d decoded=%dKB cache hit/miss=%d/%d)\n",
+		fmt.Printf("  %d results in %s (candidates=%d scored=%d hdr-rejects=%d pages=%d decoded=%dKB decoded-cache hit/miss=%d/%d)\n",
 			len(resp.Results), elapsed.Round(time.Microsecond), stats.Candidates, stats.Scored,
 			stats.HeaderOnlyRejects, stats.PageReads, stats.BytesDecoded/1024,
 			stats.CacheHits, stats.CacheMisses)

@@ -33,8 +33,8 @@
 //	resp, _ := engine.Search(ctx, activitytraj.Request{Query: q, K: 10})
 //	for _, r := range resp.Results { ... }
 //
-// See the examples directory for complete programs and DESIGN.md /
-// EXPERIMENTS.md for the reproduction methodology.
+// See the examples directory for complete programs and ARCHITECTURE.md
+// for how the layers fit together.
 //
 // # The query API: Search(ctx, Request) -> Response
 //
@@ -326,7 +326,10 @@
 // any mutation, so a write-heavy corpus wants a small cache or none).
 //
 // Decoded-structure cache traffic is reported per search in
-// SearchStats.CacheHits and SearchStats.CacheMisses, result-cache traffic
+// SearchStats.CacheHits and SearchStats.CacheMisses — one lookup per APL
+// or coordinate fetch and one per disk-level HICL list resolved, which a
+// GAT search does once for each (level, query point activity) it reaches,
+// not once per cell it pops — result-cache traffic
 // in SearchStats.ResultCacheHits and ResultCacheMisses; simulated page
 // reads in SearchStats.PageReads drop as the caches warm. Engines
 // measured by the experiment harness reset the caches between workloads

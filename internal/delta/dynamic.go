@@ -10,6 +10,7 @@ import (
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/gat"
 	"activitytraj/internal/geo"
+	"activitytraj/internal/invindex"
 	"activitytraj/internal/query"
 	"activitytraj/internal/sketch"
 	"activitytraj/internal/trajectory"
@@ -73,18 +74,18 @@ func (v *view) Empty() bool {
 	return true
 }
 
-func (v *view) CellHasAct(level int, z uint32, a trajectory.ActivityID) bool {
+func (v *view) AppendCellSets(dst []*invindex.Set, level int, a trajectory.ActivityID) []*invindex.Set {
 	for _, l := range v.layers {
-		if l.cellHasAct(level, z, a) {
-			return true
+		if set := l.hicl[level][a]; set != nil {
+			dst = append(dst, set)
 		}
 	}
-	return false
+	return dst
 }
 
 func (v *view) AppendCellTrajs(dst []uint32, z uint32, a trajectory.ActivityID) []uint32 {
 	for _, l := range v.layers {
-		dst = l.appendCellTrajs(dst, z, a)
+		dst = append(dst, l.itl[z][a]...)
 	}
 	return dst
 }

@@ -263,8 +263,9 @@ func (l *Layer) memBytes() int64 {
 		}
 	}
 	for _, cell := range l.itl {
+		n += 4 // the cell's Z, then per list its activity and postings
 		for _, pl := range cell {
-			n += 16 + pl.MemBytes()
+			n += 4 + pl.MemBytes()
 		}
 	}
 	for _, lev := range l.hicl {
@@ -289,17 +290,6 @@ func entryOverflows(e *entry, region geo.Rect) bool {
 
 // --- read side (caller holds mu.RLock via the generation's search path;
 // frozen layers are immutable and read lock-free) ---
-
-func (l *Layer) cellHasAct(level int, z uint32, a trajectory.ActivityID) bool {
-	if level < 1 || level >= len(l.hicl) {
-		return false
-	}
-	return l.hicl[level][a].Contains(z)
-}
-
-func (l *Layer) appendCellTrajs(dst []uint32, z uint32, a trajectory.ActivityID) []uint32 {
-	return append(dst, l.itl[z][a]...)
-}
 
 func (l *Layer) tombstoned(id trajectory.TrajID) bool {
 	_, ok := l.tombs[id]

@@ -38,12 +38,9 @@ func (e *Engine) WarmSuperbatch(reqs []query.Request) {
 	var ids []trajectory.TrajID
 	for _, req := range reqs {
 		for _, p := range req.Query.Pts {
-			cell, ok := e.idx.itl[e.idx.g.LeafAt(p.Loc).Z]
-			if !ok {
-				continue
-			}
+			z := e.idx.g.LeafAt(p.Loc).Z
 			for _, a := range p.Acts {
-				for _, id := range cell.lists[a] {
+				for _, id := range e.idx.itl.postings(z, a) {
 					ids = append(ids, trajectory.TrajID(id))
 				}
 			}

@@ -2,6 +2,8 @@ package gat
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"activitytraj/internal/dataset"
@@ -59,37 +61,79 @@ func TestHICLHierarchyConsistency(t *testing.T) {
 			}
 		}
 	}
-	// Leaf level vs ITL.
+	// Leaf level vs ITL: the same (cell, activity) pairs, both ways.
 	leaf := idx.hiclMem[idx.cfg.Depth]
-	for z, cell := range idx.itl {
-		for a := range cell.lists {
+	pairs := 0
+	for i, z := range idx.itl.cells {
+		for _, a := range idx.itl.acts[idx.itl.cellOff[i]:idx.itl.cellOff[i+1]] {
+			pairs++
 			if !leaf[a].Contains(z) {
 				t.Fatalf("leaf HICL missing cell %d for act %d", z, a)
 			}
 		}
 	}
+	for _, set := range leaf {
+		pairs -= set.Len()
+	}
+	if pairs != 0 {
+		t.Fatalf("leaf HICL and ITL disagree by %d (cell, activity) pairs", pairs)
+	}
 }
 
-// TestITLCompleteness: every (trajectory, activity, leaf cell) triple in
-// the dataset must appear in the ITL.
+// TestITLCompleteness: for random datasets at depths 3..8, with the HICL
+// both fully in memory and split across the disk store, every (leaf,
+// activity) slice of the arena equals a brute-force scan of the dataset —
+// nothing missing, nothing extra, ascending, no duplicates — and the arena
+// holds no list the scan does not.
 func TestITLCompleteness(t *testing.T) {
-	ds, _, idx := buildSmall(t, Config{Depth: 6, MemLevels: 6})
-	for ti := range ds.Trajs {
-		tr := &ds.Trajs[ti]
-		for _, p := range tr.Pts {
-			z := idx.g.LeafAt(p.Loc).Z
-			cell := idx.itl[z]
-			if cell == nil {
-				t.Fatalf("no ITL for cell %d", z)
-			}
-			for _, a := range p.Acts {
-				if !cell.lists[a].Contains(uint32(tr.ID)) {
-					t.Fatalf("ITL cell %d act %d missing traj %d", z, a, tr.ID)
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 12; trial++ {
+		depth := 3 + trial%6
+		cfg := Config{Depth: depth, MemLevels: depth}
+		if trial >= 6 {
+			cfg.MemLevels = 1 + rng.Intn(depth-1)
+		}
+		ds, err := dataset.Generate(dataset.Config{
+			Name: "itl-prop", Seed: rng.Int63(), NumTrajectories: 20 + rng.Intn(120), NumVenues: 60 + rng.Intn(300),
+			VocabSize: 10 + rng.Intn(150), RegionW: 30, RegionH: 30, Clusters: 1 + rng.Intn(5), TrajLenMean: float64(3 + rng.Intn(12)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := evaluate.BuildTrajStore(ds, evaluate.TrajStoreConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := Build(ts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type key struct {
+			z uint32
+			a trajectory.ActivityID
+		}
+		want := map[key][]uint32{}
+		for ti := range ds.Trajs { // ascending IDs, so each scan list is too
+			tr := &ds.Trajs[ti]
+			for _, p := range tr.Pts {
+				for _, a := range p.Acts {
+					k := key{idx.g.LeafAt(p.Loc).Z, a}
+					if l := want[k]; len(l) == 0 || l[len(l)-1] != uint32(tr.ID) {
+						want[k] = append(l, uint32(tr.ID))
+					}
 				}
-				if !cell.acts.Contains(a) {
-					t.Fatalf("cell %d act union missing %d", z, a)
-				}
 			}
+		}
+		for k, list := range want {
+			if got := idx.itl.postings(k.z, k.a); !slices.Equal(got, list) {
+				t.Fatalf("trial %d (%+v): ITL cell %d act %d = %v, scan says %v", trial, cfg, k.z, k.a, got, list)
+			}
+		}
+		if len(idx.itl.acts) != len(want) {
+			t.Fatalf("trial %d (%+v): arena holds %d lists, scan says %d", trial, cfg, len(idx.itl.acts), len(want))
+		}
+		if !slices.IsSorted(idx.itl.cells) || len(slices.Compact(slices.Clone(idx.itl.cells))) != len(idx.itl.cells) {
+			t.Fatalf("trial %d: arena cells not strictly ascending", trial)
 		}
 	}
 }
@@ -184,6 +228,16 @@ func TestMemBreakdown(t *testing.T) {
 	}
 	if coarse.MemBytes() != bc.Total {
 		t.Fatal("MemBytes != Breakdown().Total")
+	}
+	// The ITL is reported from the arena's real slice lengths, 4 bytes an
+	// element: a sentinel-terminated offset per cell and per list, the cell
+	// codes, the activities and one posting per (cell, activity, trajectory).
+	for _, idx := range []*Index{coarse, fine} {
+		a := &idx.itl
+		elems := len(a.cells) + (len(a.cells) + 1) + len(a.acts) + (len(a.acts) + 1) + len(a.posts)
+		if got := idx.Breakdown().ITL; got != 4*int64(elems) || len(a.posts) == 0 {
+			t.Fatalf("ITL bytes = %d, want 4 x %d arena elements", got, elems)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package gat
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"activitytraj/internal/cache"
 	"activitytraj/internal/evaluate"
@@ -17,12 +19,62 @@ type hiclKey struct {
 	act   trajectory.ActivityID
 }
 
-// cellITL is the Inverted Trajectory List of one leaf cell: per activity,
-// the trajectories having a point with that activity inside the cell, plus
-// the cell's activity union (used for virtual points in the lower bound).
-type cellITL struct {
-	lists map[trajectory.ActivityID]invindex.PostingList
-	acts  trajectory.ActivitySet
+// itlArena is the Inverted Trajectory List in compressed-sparse-row form:
+// per occupied leaf cell and activity, the trajectories having a point with
+// that activity inside the cell. Everything lives in five flat slices: a
+// lookup is two binary searches and no pointer chase.
+//
+//	cells[i]                          occupied leaf Z codes, ascending
+//	acts[cellOff[i]:cellOff[i+1]]     cell i's activities, ascending
+//	posts[postOff[j]:postOff[j+1]]    trajectory IDs of list j, ascending
+//
+// where list j pairs with acts[j]. It is filled in (cell, activity) order
+// through startCell/startList and appends to posts, then sealed.
+type itlArena struct {
+	cells   []uint32
+	cellOff []uint32
+	acts    []trajectory.ActivityID
+	postOff []uint32
+	posts   []uint32
+}
+
+func (t *itlArena) startCell(z uint32) {
+	t.cells = append(t.cells, z)
+	t.cellOff = append(t.cellOff, uint32(len(t.acts)))
+}
+
+func (t *itlArena) startList(a trajectory.ActivityID) {
+	t.acts = append(t.acts, a)
+	t.postOff = append(t.postOff, uint32(len(t.posts)))
+}
+
+// seal closes the last cell and list; the arena is immutable afterwards.
+func (t *itlArena) seal() {
+	t.cellOff = append(t.cellOff, uint32(len(t.acts)))
+	t.postOff = append(t.postOff, uint32(len(t.posts)))
+}
+
+// cellLists returns leaf z's activities and the index of its first list
+// (list first+k pairs with acts[k]); acts is empty for an unoccupied cell.
+func (t *itlArena) cellLists(z uint32) (acts []trajectory.ActivityID, first int) {
+	i, ok := slices.BinarySearch(t.cells, z)
+	if !ok {
+		return nil, 0
+	}
+	lo, hi := t.cellOff[i], t.cellOff[i+1]
+	return t.acts[lo:hi], int(lo)
+}
+
+// list returns the trajectories of list j.
+func (t *itlArena) list(j int) []uint32 { return t.posts[t.postOff[j]:t.postOff[j+1]] }
+
+// postings returns the trajectories with an a-point in leaf z (nil if none).
+func (t *itlArena) postings(z uint32, a trajectory.ActivityID) []uint32 {
+	acts, first := t.cellLists(z)
+	if k, ok := slices.BinarySearch(acts, a); ok {
+		return t.list(first + k)
+	}
+	return nil
 }
 
 // Index is a built GAT index over a TrajStore.
@@ -42,7 +94,7 @@ type Index struct {
 	// across every engine clone sharing this index (concurrency-safe).
 	// Absent lists are cached as nil so repeated probes stay cheap.
 	hicl *cache.Sharded[hiclKey, *invindex.Set]
-	itl  map[uint32]*cellITL
+	itl  itlArena
 }
 
 func newHICLCache(entries int) *cache.Sharded[hiclKey, *invindex.Set] {
@@ -74,78 +126,123 @@ func Build(ts *evaluate.TrajStore, cfg Config) (*Index, error) {
 		hiclDir:   make(map[hiclKey]storage.SegRef),
 		hiclStore: storage.NewMemStore(cfg.PoolPages),
 		hicl:      newHICLCache(cfg.HICLCacheEntries),
-		itl:       make(map[uint32]*cellITL),
+		itl:       buildITL(ds, g),
 	}
+	if err := idx.buildHICL(); err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
 
-	// ITL: trajectory IDs arrive in ascending order, so PostingList.Append
-	// keeps each per-cell list sorted and deduplicated for free.
+// itlTriple is one (leaf cell, activity, trajectory) incidence, keyed so
+// that sorting groups the ITL's lists in arena order.
+type itlTriple struct {
+	cellAct uint64 // leaf Z << 32 | activity
+	traj    uint32
+}
+
+// buildITL sorts every incidence of the dataset once and lays the runs out
+// as the arena; a trajectory visiting a (cell, activity) twice collapses to
+// one posting.
+func buildITL(ds *trajectory.Dataset, g *grid.Grid) itlArena {
+	n := 0
+	for ti := range ds.Trajs {
+		for _, p := range ds.Trajs[ti].Pts {
+			n += len(p.Acts)
+		}
+	}
+	triples := make([]itlTriple, 0, n)
 	for ti := range ds.Trajs {
 		tr := &ds.Trajs[ti]
 		for _, p := range tr.Pts {
 			if len(p.Acts) == 0 {
 				continue
 			}
-			z := g.LeafAt(p.Loc).Z
-			cell := idx.itl[z]
-			if cell == nil {
-				cell = &cellITL{lists: make(map[trajectory.ActivityID]invindex.PostingList)}
-				idx.itl[z] = cell
-			}
+			z := uint64(g.LeafAt(p.Loc).Z) << 32
 			for _, a := range p.Acts {
-				cell.lists[a] = cell.lists[a].Append(uint32(tr.ID))
+				triples = append(triples, itlTriple{cellAct: z | uint64(a), traj: uint32(tr.ID)})
 			}
-			cell.acts = cell.acts.Union(p.Acts)
 		}
 	}
-
-	// HICL: the leaf level is derived from the ITL cells; each coarser
-	// level aggregates children into parents.
-	levels := make([]map[trajectory.ActivityID][]uint32, cfg.Depth+1)
-	leaf := make(map[trajectory.ActivityID][]uint32)
-	for z, cell := range idx.itl {
-		for a := range cell.lists {
-			leaf[a] = append(leaf[a], z)
+	slices.SortFunc(triples, func(a, b itlTriple) int {
+		if c := cmp.Compare(a.cellAct, b.cellAct); c != 0 {
+			return c
 		}
-	}
-	levels[cfg.Depth] = leaf
-	for l := cfg.Depth - 1; l >= 1; l-- {
-		cur := make(map[trajectory.ActivityID][]uint32, len(levels[l+1]))
-		for a, zs := range levels[l+1] {
-			parents := make([]uint32, len(zs))
-			for i, z := range zs {
-				parents[i] = z >> 2
-			}
-			cur[a] = parents
-		}
-		levels[l] = cur
-	}
-
-	memTop := min(cfg.MemLevels, cfg.Depth)
-	idx.hiclMem = make([]map[trajectory.ActivityID]*invindex.Set, memTop+1)
-	var buf []byte
-	for l := 1; l <= cfg.Depth; l++ {
-		if l <= memTop {
-			m := make(map[trajectory.ActivityID]*invindex.Set, len(levels[l]))
-			for a, zs := range levels[l] {
-				m[a] = invindex.SetFromUnsorted(zs)
-			}
-			idx.hiclMem[l] = m
+		return cmp.Compare(a.traj, b.traj)
+	})
+	var t itlArena
+	for i, tp := range triples {
+		if i > 0 && tp == triples[i-1] {
 			continue
 		}
-		for a, zs := range levels[l] {
-			set := invindex.SetFromUnsorted(zs)
+		z, a := uint32(tp.cellAct>>32), trajectory.ActivityID(tp.cellAct)
+		newCell := len(t.cells) == 0 || t.cells[len(t.cells)-1] != z
+		if newCell {
+			t.startCell(z)
+		}
+		if newCell || t.acts[len(t.acts)-1] != a {
+			t.startList(a)
+		}
+		t.posts = append(t.posts, tp.traj)
+	}
+	t.seal()
+	return t
+}
+
+// buildHICL derives every HICL level from the ITL: one (activity, leaf
+// cell) pair per ITL list, sorted, is the leaf level grouped by activity
+// with ascending cells; z>>2 of an ascending run is ascending, so each
+// coarser level is the previous one shifted and de-duplicated in place — no
+// level is ever re-sorted. Levels above MemLevels go to the disk store in
+// (level, activity) order, so equal inputs build byte-equal indexes.
+func (idx *Index) buildHICL() error {
+	t := &idx.itl
+	pairs := make([]uint64, 0, len(t.acts)) // activity << 32 | cell Z
+	for i, z := range t.cells {
+		for _, a := range t.acts[t.cellOff[i]:t.cellOff[i+1]] {
+			pairs = append(pairs, uint64(a)<<32|uint64(z))
+		}
+	}
+	slices.Sort(pairs)
+
+	memTop := min(idx.cfg.MemLevels, idx.cfg.Depth)
+	idx.hiclMem = make([]map[trajectory.ActivityID]*invindex.Set, memTop+1)
+	var zs []uint32
+	var buf []byte
+	for l := idx.cfg.Depth; l >= 1; l-- {
+		if l <= memTop {
+			idx.hiclMem[l] = make(map[trajectory.ActivityID]*invindex.Set)
+		}
+		for lo := 0; lo < len(pairs); {
+			a := trajectory.ActivityID(pairs[lo] >> 32)
+			zs = zs[:0]
+			hi := lo
+			for ; hi < len(pairs) && trajectory.ActivityID(pairs[hi]>>32) == a; hi++ {
+				zs = append(zs, uint32(pairs[hi]))
+			}
+			lo = hi
+			set := invindex.SetFromSorted(zs)
+			if l <= memTop {
+				idx.hiclMem[l][a] = set
+				continue
+			}
 			buf = set.AppendEncoded(buf[:0])
 			ref, err := idx.hiclStore.Append(buf)
 			if err != nil {
-				return nil, fmt.Errorf("gat: write HICL level %d: %w", l, err)
+				return fmt.Errorf("gat: write HICL level %d: %w", l, err)
 			}
 			idx.hiclDir[hiclKey{level: uint8(l), act: a}] = ref
 		}
+		parents := pairs[:0]
+		for _, p := range pairs {
+			p = p&^0xFFFFFFFF | uint64(uint32(p)>>2)
+			if len(parents) == 0 || parents[len(parents)-1] != p {
+				parents = append(parents, p)
+			}
+		}
+		pairs = parents
 	}
-	if err := idx.hiclStore.Seal(); err != nil {
-		return nil, err
-	}
-	return idx, nil
+	return idx.hiclStore.Seal()
 }
 
 // Grid exposes the index's grid (used by tests and the index report tool).
@@ -177,13 +274,8 @@ func (idx *Index) Breakdown() MemBreakdown {
 			b.HICL += 16 + s.MemBytes()
 		}
 	}
-	for _, cell := range idx.itl {
-		b.ITL += 48
-		for _, l := range cell.lists {
-			b.ITL += 16 + l.MemBytes()
-		}
-		b.ITL += int64(len(cell.acts)) * 4
-	}
+	t := &idx.itl // five slices of 4-byte elements
+	b.ITL = 4 * int64(len(t.cells)+len(t.cellOff)+len(t.acts)+len(t.postOff)+len(t.posts))
 	b.Directories = int64(len(idx.hiclDir)) * 24
 	b.TAS = idx.ts.MemBytes()
 	b.Total = b.HICL + b.ITL + b.TAS + b.Directories

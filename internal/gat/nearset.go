@@ -36,7 +36,9 @@ func nearLess(a, b nearCell) bool {
 //
 // Unlike the paper's truncated cellsn list we retain every unvisited cell
 // and cap the bound with the (m+1)-th cell instead of the m-th — same
-// intent, provably sound under any expansion order (see DESIGN.md §3).
+// intent, sound under any expansion order: an unseen trajectory's match uses
+// only points in the m nearest unvisited cells, which the virtual points
+// bound, or some point in a cell no nearer than the (m+1)-th.
 type pointQueue struct {
 	h []nearCell
 }

@@ -2,6 +2,7 @@ package gat
 
 import (
 	"activitytraj/internal/evaluate"
+	"activitytraj/internal/invindex"
 	"activitytraj/internal/trajectory"
 )
 
@@ -29,9 +30,12 @@ type DeltaOverlay interface {
 	// and skips every overlay probe when true, so a dynamic index whose
 	// delta has just been compacted away searches at static-index cost.
 	Empty() bool
-	// CellHasAct reports whether the delta layer has a point with activity
-	// a inside cell (level, z) — the overlay side of the HICL probe.
-	CellHasAct(level int, z uint32, a trajectory.ActivityID) bool
+	// AppendCellSets appends, for each delta layer that has one, the set of
+	// level-`level` cells holding a point with activity a — the overlay
+	// side of the HICL. The searcher resolves it once per search per
+	// (level, activity) and probes the sets directly afterwards, so they
+	// must stay unchanged until the search ends.
+	AppendCellSets(dst []*invindex.Set, level int, a trajectory.ActivityID) []*invindex.Set
 	// AppendCellTrajs appends the IDs of delta trajectories having a point
 	// with activity a inside leaf cell z — the overlay side of the ITL.
 	AppendCellTrajs(dst []uint32, z uint32, a trajectory.ActivityID) []uint32

@@ -45,30 +45,23 @@ var ErrBadIndexFormat = errors.New("gat: bad index format")
 
 // WriteTo serializes the index. It returns the number of bytes written.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
+	// A bufio.Writer keeps its first write error and returns it from every
+	// later call, Flush included, so only the final Flush is checked.
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var n int64
-	put := func(p []byte) error {
-		m, err := bw.Write(p)
+	put := func(p []byte) {
+		m, _ := bw.Write(p)
 		n += int64(m)
-		return err
 	}
 	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		m := binary.PutUvarint(scratch[:], v)
-		return put(scratch[:m])
-	}
-	putF := func(f float64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		return put(b[:])
+	putU := func(vs ...uint64) {
+		for _, v := range vs {
+			put(scratch[:binary.PutUvarint(scratch[:], v)])
+		}
 	}
 
-	if err := put([]byte(persistMagic)); err != nil {
-		return n, err
-	}
-	if err := put([]byte{persistVersion}); err != nil {
-		return n, err
-	}
+	put([]byte(persistMagic))
+	put([]byte{persistVersion})
 	cfg := idx.cfg
 	flags := uint64(0)
 	if cfg.DisableTAS {
@@ -77,96 +70,52 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	if cfg.LooseLowerBound {
 		flags |= 2
 	}
-	for _, v := range []uint64{
-		uint64(cfg.Depth), uint64(cfg.MemLevels), uint64(cfg.Lambda),
-		uint64(cfg.NearCells), uint64(cfg.PoolPages), flags,
-	} {
-		if err := putU(v); err != nil {
-			return n, err
-		}
-	}
+	putU(uint64(cfg.Depth), uint64(cfg.MemLevels), uint64(cfg.Lambda),
+		uint64(cfg.NearCells), uint64(cfg.PoolPages), flags)
 	region := idx.g.Region()
 	for _, f := range []float64{region.MinX, region.MinY, idx.g.Side()} {
-		if err := putF(f); err != nil {
-			return n, err
-		}
+		put(binary.LittleEndian.AppendUint64(scratch[:0], math.Float64bits(f)))
 	}
 
 	// In-memory HICL levels: per activity a length-prefixed Set blob.
-	if err := putU(uint64(len(idx.hiclMem))); err != nil {
-		return n, err
-	}
+	putU(uint64(len(idx.hiclMem)))
 	var buf []byte
 	for _, level := range idx.hiclMem {
-		if err := putU(uint64(len(level))); err != nil {
-			return n, err
-		}
+		putU(uint64(len(level)))
 		for _, a := range sortedActs(level) {
-			if err := putU(uint64(a)); err != nil {
-				return n, err
-			}
 			buf = level[a].AppendEncoded(buf[:0])
-			if err := putU(uint64(len(buf))); err != nil {
-				return n, err
-			}
-			if err := put(buf); err != nil {
-				return n, err
-			}
+			putU(uint64(a), uint64(len(buf)))
+			put(buf)
 		}
 	}
 
-	// ITL.
-	if err := putU(uint64(len(idx.itl))); err != nil {
-		return n, err
-	}
-	zs := make([]uint32, 0, len(idx.itl))
-	for z := range idx.itl {
-		zs = append(zs, z)
-	}
-	slices.Sort(zs)
-	for _, z := range zs {
-		cell := idx.itl[z]
-		if err := putU(uint64(z)); err != nil {
-			return n, err
-		}
-		if err := putU(uint64(len(cell.lists))); err != nil {
-			return n, err
-		}
-		for _, a := range sortedActs(cell.lists) {
-			if err := putU(uint64(a)); err != nil {
-				return n, err
-			}
-			buf = cell.lists[a].AppendEncoded(buf[:0])
-			if err := put(buf); err != nil {
-				return n, err
-			}
+	// ITL: the arena's cells, activities and lists stream out in order.
+	itl := &idx.itl
+	putU(uint64(len(itl.cells)))
+	for i, z := range itl.cells {
+		lo, hi := int(itl.cellOff[i]), int(itl.cellOff[i+1])
+		putU(uint64(z), uint64(hi-lo))
+		for j := lo; j < hi; j++ {
+			putU(uint64(itl.acts[j]))
+			buf = invindex.PostingList(itl.list(j)).AppendEncoded(buf[:0])
+			put(buf)
 		}
 	}
 
 	// HICL disk directory + raw store pages.
-	if err := putU(uint64(len(idx.hiclDir))); err != nil {
-		return n, err
-	}
+	putU(uint64(len(idx.hiclDir)))
 	for _, k := range sortedHiclKeys(idx.hiclDir) {
 		ref := idx.hiclDir[k]
-		for _, v := range []uint64{uint64(k.level), uint64(k.act), uint64(ref.Page), uint64(ref.Off), uint64(ref.Len)} {
-			if err := putU(v); err != nil {
-				return n, err
-			}
-		}
+		putU(uint64(k.level), uint64(k.act), uint64(ref.Page), uint64(ref.Off), uint64(ref.Len))
 	}
 	pages := idx.hiclStore.Pages()
-	if err := putU(uint64(pages)); err != nil {
-		return n, err
-	}
+	putU(uint64(pages))
 	for p := uint32(0); p < pages; p++ {
 		blob, err := idx.hiclStore.Read(storage.SegRef{Page: p, Off: 0, Len: storage.PageSize})
 		if err != nil {
 			return n, fmt.Errorf("gat: dump page %d: %w", p, err)
 		}
-		if err := put(blob); err != nil {
-			return n, err
-		}
+		put(blob)
 	}
 	return n, bw.Flush()
 }
@@ -190,20 +139,25 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	if ver != 1 && ver != persistVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadIndexFormat, ver)
 	}
-	getU := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getF := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
+	// Reads keep the first error: after it get and getU return zeros, every
+	// count-driven loop below stops (each tests rerr), and the error is
+	// returned at the end of the section that hit it.
+	var rerr error
+	get := func(p []byte) {
+		if rerr == nil {
+			_, rerr = io.ReadFull(br, p)
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	}
+	getU := func() (v uint64) {
+		if rerr == nil {
+			v, rerr = binary.ReadUvarint(br)
+		}
+		return v
 	}
 
 	var vals [6]uint64
 	for i := range vals {
-		if vals[i], err = getU(); err != nil {
-			return nil, err
-		}
+		vals[i] = getU()
 	}
 	cfg := Config{
 		Depth:           int(vals[0]),
@@ -214,17 +168,16 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 		DisableTAS:      vals[5]&1 != 0,
 		LooseLowerBound: vals[5]&2 != 0,
 	}
-	var ox, oy, side float64
-	if ox, err = getF(); err != nil {
-		return nil, err
+	var geom [3]float64 // origin X, origin Y, side
+	for i := range geom {
+		var b [8]byte
+		get(b[:])
+		geom[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 	}
-	if oy, err = getF(); err != nil {
-		return nil, err
+	if rerr != nil {
+		return nil, rerr
 	}
-	if side, err = getF(); err != nil {
-		return nil, err
-	}
-	g, err := grid.New(geo.Point{X: ox, Y: oy}, side, cfg.Depth)
+	g, err := grid.New(geo.Point{X: geom[0], Y: geom[1]}, geom[2], cfg.Depth)
 	if err != nil {
 		return nil, err
 	}
@@ -239,143 +192,94 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 		hiclDir:   make(map[hiclKey]storage.SegRef),
 		hiclStore: storage.NewMemStore(cfg.PoolPages),
 		hicl:      newHICLCache(cfg.HICLCacheEntries),
-		itl:       make(map[uint32]*cellITL),
 	}
 
-	readPostings := func() (invindex.PostingList, error) {
-		// Mirror of invindex.AppendEncoded: uvarint count, first element,
-		// then gaps — decoded straight off the buffered reader.
-		count, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		out := make(invindex.PostingList, 0, count)
+	// readPostings mirrors invindex.AppendEncoded: uvarint count, first
+	// element, then gaps — decoded straight off the reader onto dst.
+	readPostings := func(dst []uint32) []uint32 {
+		count := getU()
 		prev := uint64(0)
-		for i := uint64(0); i < count; i++ {
-			d, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				prev = d
-			} else {
-				prev += d
-			}
-			out = append(out, uint32(prev))
+		for i := uint64(0); i < count && rerr == nil; i++ {
+			prev += getU() // the first "gap" is the first element itself
+			dst = append(dst, uint32(prev))
 		}
-		return out, nil
+		return dst
 	}
 	var blob []byte
-	readSet := func() (*invindex.Set, error) {
+	readSet := func() *invindex.Set {
 		if ver == 1 {
 			// Migrate: the v1 stream holds a flat list.
-			list, err := readPostings()
-			if err != nil {
-				return nil, err
-			}
-			return invindex.SetFromSorted(list), nil
+			return invindex.SetFromSorted(readPostings(nil))
 		}
-		n, err := getU()
-		if err != nil {
-			return nil, err
+		n := getU()
+		if rerr == nil && n > 1<<30 {
+			rerr = fmt.Errorf("%w: set blob of %d bytes", ErrBadIndexFormat, n)
 		}
-		if n > 1<<30 {
-			return nil, fmt.Errorf("%w: set blob of %d bytes", ErrBadIndexFormat, n)
+		if rerr != nil {
+			return nil
 		}
-		if uint64(cap(blob)) < n {
-			blob = make([]byte, n)
-		}
-		blob = blob[:n]
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return nil, err
+		blob = slices.Grow(blob[:0], int(n))[:n]
+		if get(blob); rerr != nil {
+			return nil
 		}
 		set, used, err := invindex.DecodeSet(blob)
-		if err != nil {
-			return nil, err
+		if err == nil && used != len(blob) {
+			err = fmt.Errorf("%w: set blob has %d trailing bytes", ErrBadIndexFormat, len(blob)-used)
 		}
-		if used != len(blob) {
-			return nil, fmt.Errorf("%w: set blob has %d trailing bytes", ErrBadIndexFormat, len(blob)-used)
-		}
-		return set, nil
+		rerr = err
+		return set
 	}
 
-	nLevels, err := getU()
-	if err != nil {
-		return nil, err
+	nLevels := getU()
+	if nLevels > uint64(cfg.Depth)+1 {
+		return nil, fmt.Errorf("%w: %d in-memory HICL levels at depth %d", ErrBadIndexFormat, nLevels, cfg.Depth)
 	}
 	idx.hiclMem = make([]map[trajectory.ActivityID]*invindex.Set, nLevels)
 	for l := range idx.hiclMem {
-		nActs, err := getU()
-		if err != nil {
-			return nil, err
+		nActs := getU()
+		if rerr != nil {
+			return nil, rerr
 		}
 		if l == 0 && nActs == 0 {
 			continue // level 0 is the unused slot
 		}
 		m := make(map[trajectory.ActivityID]*invindex.Set, nActs)
-		for i := uint64(0); i < nActs; i++ {
-			a, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			set, err := readSet()
-			if err != nil {
-				return nil, err
-			}
-			m[trajectory.ActivityID(a)] = set
+		for i := uint64(0); i < nActs && rerr == nil; i++ {
+			a := trajectory.ActivityID(getU())
+			m[a] = readSet()
 		}
 		idx.hiclMem[l] = m
 	}
 
-	nCells, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nCells; i++ {
-		z, err := getU()
-		if err != nil {
-			return nil, err
+	// ITL: WriteTo emits cells and each cell's activities ascending — the
+	// arena's own layout, so lists append straight into it; no other order loads.
+	itl := &idx.itl
+	nCells := getU()
+	for i := uint64(0); i < nCells && rerr == nil; i++ {
+		z, nActs := uint32(getU()), getU()
+		if rerr == nil && i > 0 && z <= itl.cells[i-1] {
+			return nil, fmt.Errorf("%w: ITL cell %d out of order", ErrBadIndexFormat, z)
 		}
-		nActs, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		cell := &cellITL{lists: make(map[trajectory.ActivityID]invindex.PostingList, nActs)}
-		var acts trajectory.ActivitySet
-		for j := uint64(0); j < nActs; j++ {
-			a, err := getU()
-			if err != nil {
-				return nil, err
+		itl.startCell(z)
+		for j := uint64(0); j < nActs && rerr == nil; j++ {
+			a := trajectory.ActivityID(getU())
+			if rerr == nil && j > 0 && a <= itl.acts[len(itl.acts)-1] {
+				return nil, fmt.Errorf("%w: ITL activity %d of cell %d out of order", ErrBadIndexFormat, a, z)
 			}
-			list, err := readPostings()
-			if err != nil {
-				return nil, err
-			}
-			cell.lists[trajectory.ActivityID(a)] = list
-			acts = append(acts, trajectory.ActivityID(a))
+			itl.startList(a)
+			itl.posts = readPostings(itl.posts)
 		}
-		acts.Normalize()
-		cell.acts = acts
-		idx.itl[uint32(z)] = cell
 	}
+	itl.seal()
 
-	nDir, err := getU()
-	if err != nil {
-		return nil, err
+	nDir := getU()
+	for i := uint64(0); i < nDir && rerr == nil; i++ {
+		k := hiclKey{level: uint8(getU()), act: trajectory.ActivityID(getU())}
+		idx.hiclDir[k] = storage.SegRef{Page: uint32(getU()), Off: uint32(getU()), Len: uint32(getU())}
 	}
-	for i := uint64(0); i < nDir; i++ {
-		var vs [5]uint64
-		for j := range vs {
-			if vs[j], err = getU(); err != nil {
-				return nil, err
-			}
-		}
-		idx.hiclDir[hiclKey{level: uint8(vs[0]), act: trajectory.ActivityID(vs[1])}] =
-			storage.SegRef{Page: uint32(vs[2]), Off: uint32(vs[3]), Len: uint32(vs[4])}
-	}
-	nPages, err := getU()
-	if err != nil {
-		return nil, err
+	nPages := getU()
+	if rerr != nil {
+		return nil, rerr
 	}
 	loaded := idx.hiclStore
 	if ver == 1 {
@@ -385,8 +289,8 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	}
 	page := make([]byte, storage.PageSize)
 	for p := uint64(0); p < nPages; p++ {
-		if _, err := io.ReadFull(br, page); err != nil {
-			return nil, fmt.Errorf("gat: load page %d: %w", p, err)
+		if get(page); rerr != nil {
+			return nil, fmt.Errorf("gat: load page %d: %w", p, rerr)
 		}
 		if _, err := loaded.Append(page); err != nil {
 			return nil, err

@@ -2,13 +2,17 @@ package gat
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"math"
-	"slices"
+	"os"
 	"testing"
 
 	"activitytraj/internal/invindex"
 	"activitytraj/internal/queries"
+	"activitytraj/internal/query"
 	"activitytraj/internal/storage"
 )
 
@@ -34,9 +38,9 @@ func TestPersistRoundTrip(t *testing.T) {
 	if loaded.g.Region() != idx.g.Region() || loaded.g.Depth() != idx.g.Depth() {
 		t.Fatal("grid mismatch")
 	}
-	if len(loaded.itl) != len(idx.itl) || len(loaded.hiclDir) != len(idx.hiclDir) {
+	if len(loaded.itl.cells) != len(idx.itl.cells) || len(loaded.hiclDir) != len(idx.hiclDir) {
 		t.Fatalf("structure counts differ: itl %d/%d dir %d/%d",
-			len(loaded.itl), len(idx.itl), len(loaded.hiclDir), len(idx.hiclDir))
+			len(loaded.itl.cells), len(idx.itl.cells), len(loaded.hiclDir), len(idx.hiclDir))
 	}
 	bd1, bd2 := idx.Breakdown(), loaded.Breakdown()
 	if bd1.HICL != bd2.HICL || bd1.ITL != bd2.ITL {
@@ -95,6 +99,78 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistGoldenV2 pins the version-2 stream across the change of the
+// in-memory ITL from per-cell maps to the arena. testdata/parent_v2.gatx was
+// written by the last commit with the map ITL (bf4f0db) for buildSmall's
+// dataset; it must load, re-serialize to the same bytes, and answer a fixed
+// query set exactly as a fresh build does — and exactly as that commit did:
+// goldenChecksum is its FNV-1a over every result's (ID, distance bits) and
+// each search's PQPops, Candidates and Batches.
+func TestPersistGoldenV2(t *testing.T) {
+	const goldenChecksum = 0x8732bbd3bdd7b496
+	golden, err := os.ReadFile("testdata/parent_v2.gatx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, ts, fresh := buildSmall(t, Config{Depth: 7, MemLevels: 4, Lambda: 16, NearCells: 5})
+	loaded, err := Load(bytes.NewReader(golden), ts)
+	if err != nil {
+		t.Fatalf("load golden: %v", err)
+	}
+	var out bytes.Buffer
+	if _, err := loaded.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), golden) {
+		t.Fatalf("re-serialized golden differs: %d bytes vs %d", out.Len(), len(golden))
+	}
+
+	qs, err := queries.Generate(ds, queries.Config{NumQueries: 8, NumPoints: 3, ActsPerPoint: 2, DiameterKm: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	eLoaded, eFresh := NewEngine(loaded), NewEngine(fresh)
+	for qi, q := range qs {
+		for _, ordered := range []bool{false, true} {
+			req := query.Request{Query: q, K: 5, Ordered: ordered}
+			got, err := eLoaded.Search(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eFresh.Search(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Results) != len(want.Results) {
+				t.Fatalf("q%d ordered=%v: %d results vs %d", qi, ordered, len(got.Results), len(want.Results))
+			}
+			for i, r := range got.Results {
+				if r != want.Results[i] {
+					t.Fatalf("q%d ordered=%v result %d: golden %+v, fresh build %+v", qi, ordered, i, r, want.Results[i])
+				}
+				put(uint64(r.ID))
+				put(math.Float64bits(r.Dist))
+			}
+			gs, ws := got.Stats, want.Stats
+			if gs.PQPops != ws.PQPops || gs.Candidates != ws.Candidates || gs.Batches != ws.Batches {
+				t.Fatalf("q%d ordered=%v: golden expanded %+v, fresh build %+v", qi, ordered, gs, ws)
+			}
+			put(uint64(gs.PQPops))
+			put(uint64(gs.Candidates))
+			put(uint64(gs.Batches))
+		}
+	}
+	if got := h.Sum64(); got != goldenChecksum {
+		t.Fatalf("results/expansion checksum %#x, the parent commit's was %#x", got, uint64(goldenChecksum))
+	}
+}
+
 // writeV1 serializes idx in the legacy version-1 format (flat delta+varint
 // posting lists, in memory and on the disk pages), so the migration path in
 // Load can be exercised against a stream produced exactly the way PR 2's
@@ -143,19 +219,14 @@ func writeV1(t *testing.T, idx *Index) []byte {
 		}
 	}
 
-	putU(uint64(len(idx.itl)))
-	zs := make([]uint32, 0, len(idx.itl))
-	for z := range idx.itl {
-		zs = append(zs, z)
-	}
-	slices.Sort(zs)
-	for _, z := range zs {
-		cell := idx.itl[z]
+	putU(uint64(len(idx.itl.cells)))
+	for i, z := range idx.itl.cells {
+		lo, hi := int(idx.itl.cellOff[i]), int(idx.itl.cellOff[i+1])
 		putU(uint64(z))
-		putU(uint64(len(cell.lists)))
-		for _, a := range sortedActs(cell.lists) {
-			putU(uint64(a))
-			buf = cell.lists[a].AppendEncoded(buf[:0])
+		putU(uint64(hi - lo))
+		for j := lo; j < hi; j++ {
+			putU(uint64(idx.itl.acts[j]))
+			buf = invindex.PostingList(idx.itl.list(j)).AppendEncoded(buf[:0])
 			put(buf)
 		}
 	}
@@ -214,9 +285,9 @@ func TestPersistV1Migration(t *testing.T) {
 	if loaded.cfg != idx.cfg {
 		t.Fatalf("config mismatch: %+v vs %+v", loaded.cfg, idx.cfg)
 	}
-	if len(loaded.itl) != len(idx.itl) || len(loaded.hiclDir) != len(idx.hiclDir) {
+	if len(loaded.itl.cells) != len(idx.itl.cells) || len(loaded.hiclDir) != len(idx.hiclDir) {
 		t.Fatalf("structure counts differ: itl %d/%d dir %d/%d",
-			len(loaded.itl), len(idx.itl), len(loaded.hiclDir), len(idx.hiclDir))
+			len(loaded.itl.cells), len(idx.itl.cells), len(loaded.hiclDir), len(idx.hiclDir))
 	}
 	// Every migrated disk list must decode as a Set with the same elements.
 	for _, k := range sortedHiclKeys(idx.hiclDir) {
@@ -272,13 +343,45 @@ func TestPersistV1Migration(t *testing.T) {
 	}
 }
 
+var errDiskFull = errors.New("disk full")
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	_, ts, _ := buildSmall(t, Config{Depth: 5, MemLevels: 5})
+	_, ts, idx := buildSmall(t, Config{Depth: 6, MemLevels: 3})
 	if _, err := Load(bytes.NewReader([]byte("bogus")), ts); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
 	if _, err := Load(bytes.NewReader(nil), ts); err == nil {
 		t.Fatal("empty stream must be rejected")
+	}
+	// No proper prefix of a stream loads, and none panics: the reader keeps
+	// its first error and every count-driven loop must stop on it.
+	var whole bytes.Buffer
+	if _, err := idx.WriteTo(&whole); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < whole.Len(); cut += 1 + cut/16 {
+		if _, err := Load(bytes.NewReader(whole.Bytes()[:cut]), ts); err == nil {
+			t.Fatalf("stream truncated at %d of %d bytes loaded", cut, whole.Len())
+		}
+	}
+	// WriteTo checks the writer once, at the final flush: the error of a
+	// write that failed early must still come out.
+	if _, err := idx.WriteTo(failingWriter{}); !errors.Is(err, errDiskFull) {
+		t.Fatalf("WriteTo on a failing writer: err = %v", err)
+	}
+	// The arena is searched by bisection, so a stream whose ITL cells do not
+	// ascend must not load.
+	idx.itl.cells[0], idx.itl.cells[1] = idx.itl.cells[1], idx.itl.cells[0]
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, ts); !errors.Is(err, ErrBadIndexFormat) {
+		t.Fatalf("out-of-order ITL cells: err = %v, want ErrBadIndexFormat", err)
 	}
 }
 

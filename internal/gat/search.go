@@ -3,6 +3,8 @@ package gat
 import (
 	"context"
 	"math"
+	"math/bits"
+	"slices"
 
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/geo"
@@ -103,7 +105,13 @@ func (e *Engine) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
 //     interface{} boxing;
 //   - seen replaces the per-search map[TrajID]struct{} with a dense
 //     generation-stamped array: seen[id] == gen marks id as retrieved this
-//     search, and bumping gen invalidates the whole array in O(1).
+//     search, and bumping gen invalidates the whole array in O(1);
+//   - handles resolves the HICL once per search: entry (query point,
+//     activity bit, level) holds the cell sets — the base list, then one
+//     per delta layer that has any — whose union says which cells of that
+//     level carry the activity. A pop is then table lookups and Mask4
+//     probes; the map lookups and the shared cache's lock, LRU bump and
+//     page decode happen when an entry is first needed, not on every pop.
 type searcher struct {
 	e *Engine
 	q query.Query
@@ -116,16 +124,27 @@ type searcher struct {
 	// trajectories with an in-region relevant point are retrieved — exact
 	// under the filter's semantics because the evaluator drops out-of-
 	// region points from every candidate row before matching.
-	region    *geo.Rect
-	pqs       []pointQueue
-	seen      []uint32
-	gen       uint32
+	region *geo.Rect
+	pqs    []pointQueue
+	seen   []uint32
+	gen    uint32
+	// handles is indexed (actOff[qi]+b)*Depth + level-1; an entry's sets
+	// alias setBuf. Both are wiped by begin, so no set outlives its search.
+	handles   []hiclHandle
+	actOff    []int
+	setBuf    []*invindex.Set
 	cands     []trajectory.TrajID
 	virtual   []matcher.WeightedPoint
 	nearBuf   []nearCell
 	deltaBuf  []uint32
 	overflown bool
 	exhausted bool
+}
+
+// hiclHandle is one HICL entry; sets stays empty if no layer has a list.
+type hiclHandle struct {
+	sets     []*invindex.Set
+	resolved bool
 }
 
 // begin readies the scratch for a new search.
@@ -160,6 +179,17 @@ func (s *searcher) begin(q query.Query) {
 	for i := range s.pqs {
 		s.pqs[i].reset()
 	}
+	s.actOff = s.actOff[:0]
+	nActs := 0
+	for _, p := range q.Pts {
+		s.actOff = append(s.actOff, nActs)
+		nActs += len(p.Acts)
+	}
+	nHandles := nActs * s.e.idx.cfg.Depth
+	s.handles = slices.Grow(s.handles[:0], nHandles)[:nHandles]
+	clear(s.handles)
+	clear(s.setBuf)
+	s.setBuf = s.setBuf[:0]
 	s.cands = s.cands[:0]
 	s.overflown = false
 	s.exhausted = false
@@ -313,19 +343,22 @@ func (s *searcher) cellVisible(cell grid.Cell) bool {
 }
 
 // initQueue seeds each query point's frontier with every level-1 cell
-// containing any of its activities (the "highest level of HICL").
+// containing any of its activities (the "highest level of HICL"): the
+// expansion of the root cell under the full activity mask.
 func (s *searcher) initQueue() {
-	g := s.e.idx.g
 	for qi, qp := range s.q.Pts {
-		for _, cell := range g.TopCells() {
-			if !s.cellVisible(cell) {
-				continue
-			}
-			mask := s.cellMask(cell, qp.Acts)
-			if mask == 0 {
-				continue
-			}
-			s.pqs[qi].push(nearCell{dist: g.MinDist(qp.Loc, cell), cell: cell, mask: mask})
+		s.expand(qi, nearCell{mask: 1<<uint(len(qp.Acts)) - 1})
+	}
+}
+
+// expand pushes onto query point qi's frontier the children of c's cell
+// that carry any of c.mask's activities and that the region filter admits.
+func (s *searcher) expand(qi int, c nearCell) {
+	g, loc := s.e.idx.g, s.q.Pts[qi].Loc
+	masks := s.childMasks(qi, c)
+	for ci, child := range c.cell.Children() {
+		if masks[ci] != 0 && s.cellVisible(child) {
+			s.pqs[qi].push(nearCell{dist: g.MinDist(loc, child), cell: child, mask: masks[ci]})
 		}
 	}
 }
@@ -346,14 +379,32 @@ func (s *searcher) minQueue() int {
 	return best
 }
 
-// hiclList fetches the HICL cell set for (level, act): the in-memory
-// levels are consulted directly; disk-level sets go through the index's
-// shared decoded-set cache, so across queries (and across engine clones)
-// each set is read and decoded once while resident. Page and cache
+// hicl returns the resolved cell sets of query point qi's b-th activity at
+// level, resolving them on first use.
+func (s *searcher) hicl(qi, b, level int) []*invindex.Set {
+	h := &s.handles[(s.actOff[qi]+b)*s.e.idx.cfg.Depth+level-1]
+	if !h.resolved {
+		a := s.q.Pts[qi].Acts[b]
+		start := len(s.setBuf)
+		if set := s.baseHICL(level, a); set != nil {
+			s.setBuf = append(s.setBuf, set)
+		}
+		if s.ov != nil {
+			s.setBuf = s.ov.AppendCellSets(s.setBuf, level, a)
+		}
+		h.sets, h.resolved = s.setBuf[start:len(s.setBuf):len(s.setBuf)], true
+	}
+	return h.sets
+}
+
+// baseHICL fetches the index's HICL cell set for (level, act): the
+// in-memory levels are consulted directly; disk-level sets go through the
+// index's shared decoded-set cache, so across queries (and across engine
+// clones) each set is read and decoded once while resident. Page and cache
 // traffic is charged to the engine's stats at the point of the fetch so
 // per-search accounting stays exact under concurrent serving; absent lists
 // are cached as nil so repeated probes stay cheap.
-func (s *searcher) hiclList(level int, a trajectory.ActivityID) *invindex.Set {
+func (s *searcher) baseHICL(level int, a trajectory.ActivityID) *invindex.Set {
 	idx := s.e.idx
 	if level <= len(idx.hiclMem)-1 {
 		return idx.hiclMem[level][a]
@@ -364,71 +415,43 @@ func (s *searcher) hiclList(level int, a trajectory.ActivityID) *invindex.Set {
 		return set
 	}
 	s.e.stats.CacheMisses++
-	ref, ok := idx.hiclDir[key]
-	if !ok {
-		idx.hicl.Put(key, nil)
-		return nil
+	// The store is sealed and append-only; a read or decode failure means
+	// corruption, which Build would have surfaced. Treat as absent.
+	var set *invindex.Set
+	if ref, ok := idx.hiclDir[key]; ok {
+		s.e.stats.PageReads += ref.PageSpan()
+		if blob, err := idx.hiclStore.Read(ref); err == nil {
+			if decoded, _, err := invindex.DecodeSet(blob); err == nil {
+				set = decoded
+				s.e.stats.BytesDecoded += int64(len(blob))
+			}
+		}
 	}
-	s.e.stats.PageReads += ref.PageSpan()
-	blob, err := idx.hiclStore.Read(ref)
-	if err != nil {
-		// The store is sealed and append-only; a read failure indicates
-		// corruption, which Build would have surfaced. Treat as absent.
-		idx.hicl.Put(key, nil)
-		return nil
-	}
-	set, _, err := invindex.DecodeSet(blob)
-	if err != nil {
-		idx.hicl.Put(key, nil)
-		return nil
-	}
-	s.e.stats.BytesDecoded += int64(len(blob))
 	idx.hicl.Put(key, set)
 	return set
 }
 
-// cellMask returns which of acts are present in cell, per the HICL merged
-// with the delta overlay (if any).
-func (s *searcher) cellMask(cell grid.Cell, acts trajectory.ActivitySet) uint32 {
-	ov := s.ov
-	var mask uint32
-	for b, a := range acts {
-		if s.hiclList(int(cell.Level), a).Contains(cell.Z) ||
-			(ov != nil && ov.CellHasAct(int(cell.Level), cell.Z, a)) {
-			mask |= 1 << uint(b)
-		}
-	}
-	return mask
-}
-
-// childMasks returns, for each of the four children of cell, the bitmask of
-// query activities present (0 when the child can be pruned), merging the
-// base HICL with the delta overlay. The four siblings share one container
-// (and in bitmap form one word), so each activity costs a single Mask4
-// probe.
-func (s *searcher) childMasks(cell grid.Cell, acts trajectory.ActivitySet) [4]uint32 {
+// childMasks returns, for each of the four children of c's cell, the
+// bitmask of query point qi's activities present (0 when the child can be
+// pruned). Only the activities in c.mask are probed: every layer lists a
+// cell for an activity exactly when it lists one of its children, so a
+// child cannot carry what its parent lacks. The four siblings share one
+// container (and in bitmap form one word), so each activity costs one
+// Mask4 probe per layer.
+func (s *searcher) childMasks(qi int, c nearCell) [4]uint32 {
 	var masks [4]uint32
-	base := cell.Z << 2
-	childLevel := int(cell.Level) + 1
-	for b, a := range acts {
-		m4 := s.hiclList(childLevel, a).Mask4(base)
-		if m4 == 0 {
-			continue
+	base := c.cell.Z << 2
+	childLevel := int(c.cell.Level) + 1
+	for m := c.mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros32(m)
+		var m4 uint32
+		for _, set := range s.hicl(qi, b, childLevel) {
+			m4 |= set.Mask4(base)
 		}
 		bit := uint32(1) << uint(b)
-		for ci := uint32(0); ci < 4; ci++ {
-			if m4&(1<<ci) != 0 {
+		for ci := uint32(0); m4 != 0; ci, m4 = ci+1, m4>>1 {
+			if m4&1 != 0 {
 				masks[ci] |= bit
-			}
-		}
-	}
-	if ov := s.ov; ov != nil {
-		for b, a := range acts {
-			bit := uint32(1) << uint(b)
-			for ci := uint32(0); ci < 4; ci++ {
-				if masks[ci]&bit == 0 && ov.CellHasAct(childLevel, base+ci, a) {
-					masks[ci] |= bit
-				}
 			}
 		}
 	}
@@ -459,7 +482,6 @@ func (s *searcher) emit(out []trajectory.TrajID, tid uint32, tombs bool) []traje
 // outside the grid region — whose clamped cells cannot bound their true
 // distance — are retrieved unconditionally in the first batch.
 func (s *searcher) retrieveBatch(lambda int) []trajectory.TrajID {
-	g := s.e.idx.g
 	depth := s.e.idx.cfg.Depth
 	ov := s.ov
 	tombs := ov != nil && ov.HasTombstones()
@@ -481,29 +503,17 @@ func (s *searcher) retrieveBatch(lambda int) []trajectory.TrajID {
 		s.e.stats.PQPops++
 		qp := s.q.Pts[qi]
 		if int(c.cell.Level) < depth {
-			masks := s.childMasks(c.cell, qp.Acts)
-			children := c.cell.Children()
-			for ci, mask := range masks {
-				if mask == 0 {
-					continue
-				}
-				child := children[ci]
-				if !s.cellVisible(child) {
-					continue
-				}
-				s.pqs[qi].push(nearCell{dist: g.MinDist(qp.Loc, child), cell: child, mask: mask})
-			}
+			s.expand(qi, c)
 			continue
 		}
-		// Leaf cell: pull matching trajectories from its ITL, merged with
-		// the delta overlay's list for the same (cell, activity).
-		itl := s.e.idx.itl[c.cell.Z]
-		if itl == nil && ov == nil {
-			continue
-		}
-		for _, a := range qp.Acts {
-			if itl != nil {
-				for _, tid := range itl.lists[a] {
+		// Leaf cell: pull the trajectories of the activities its mask says
+		// are present from its ITL lists, merged with the delta overlay's
+		// list for the same (cell, activity).
+		acts, first := s.e.idx.itl.cellLists(c.cell.Z)
+		for m := c.mask; m != 0; m &= m - 1 {
+			a := qp.Acts[bits.TrailingZeros32(m)]
+			if k, ok := slices.BinarySearch(acts, a); ok {
+				for _, tid := range s.e.idx.itl.list(first + k) {
 					out = s.emit(out, tid, tombs)
 				}
 			}

@@ -118,11 +118,6 @@ func (g *Grid) MinDist(p geo.Point, c Cell) float64 {
 	return g.CellRect(c).MinDist(p)
 }
 
-// TopCells returns all cells of the coarsest (level-1) grid.
-func (g *Grid) TopCells() [4]Cell {
-	return [4]Cell{{1, 0}, {1, 1}, {1, 2}, {1, 3}}
-}
-
 func clampIndex(f float64, n uint32) uint32 {
 	if f < 0 || math.IsNaN(f) {
 		return 0

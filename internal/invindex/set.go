@@ -504,6 +504,9 @@ func DecodeSet(buf []byte) (*Set, int, error) {
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("invindex: truncated set header")
 	}
+	if nc > 1<<16 { // keys are distinct uint16s; the count sizes two slices
+		return nil, 0, fmt.Errorf("invindex: set claims %d containers", nc)
+	}
 	off := used
 	s := &Set{
 		keys:  make([]uint16, 0, nc),

@@ -85,6 +85,12 @@ type Result struct {
 }
 
 // SearchStats records where a query's work went. Engines reset it per search.
+//
+// CacheHits and CacheMisses count decoded-structure cache lookups: one per
+// APL or coordinate fetch, and one per disk-level HICL list resolved. GAT
+// resolves a list once per search for each (level, query point activity)
+// its expansion reaches and probes the resolved set directly afterwards, so
+// the HICL's share does not scale with PQPops.
 type SearchStats struct {
 	Candidates      int // distinct trajectories retrieved as candidates
 	SketchRejected  int // candidates rejected by the TAS check
@@ -95,7 +101,7 @@ type SearchStats struct {
 	Batches         int // λ-batches of Algorithm 1
 	PageReads       int // simulated disk pages read
 	NodesVisited    int // R-tree / IR-tree nodes visited (baselines)
-	CacheHits       int // decoded-structure cache hits (HICL lists, APLs)
+	CacheHits       int // decoded-structure cache hits (HICL lists resolved, APLs)
 	CacheMisses     int // decoded-structure cache misses
 	DeltaCandidates int // candidates served by the dynamic index's delta layer
 
