@@ -128,27 +128,49 @@ func main() {
 	log.Printf("dataset %s: %d trajectories, %d points, %d distinct activities",
 		ds.Name, st.Trajectories, st.Points, st.DistinctActs)
 
+	// Every serving mode builds the one server type over its own backend;
+	// closeIndex seals the WALs (sync + close) so the next boot sees a clean
+	// tail — a no-op for volatile serving stacks.
+	var srv *server.Server
+	var closeIndex func() error
+	opts := server.Options{Workers: *workers, Vocab: ds.Vocab}
 	switch {
 	case *planTopo != "":
 		runPlanTopology(ds, *planTopo, *shardURLs)
+		return
 	case *clusterShard >= 0:
-		runNode(ds, *topoPath, *clusterShard, *dataDir, *syncMode, *compactAt, *workers, *addr, *drainTimeout)
+		srv, closeIndex = openNode(ds, loadTopology(*topoPath), *clusterShard, *dataDir, *syncMode, *compactAt, opts)
 	case *routerMode:
-		runRouter(ds, *topoPath, *probeEvery, *catchupEvery, *addr, *drainTimeout)
+		srv, closeIndex = openRouter(loadTopology(*topoPath), *probeEvery, *catchupEvery, opts)
 	default:
-		runSingle(ds, *shards, *compactAt, *dataDir, *syncMode, *workers, *resultCache, *addr, *drainTimeout)
+		opts.ResultCacheEntries = *resultCache
+		srv, closeIndex = openSingle(ds, *shards, *compactAt, *dataDir, *syncMode, opts)
 	}
+	log.Printf("serving on %s", *addr)
+	// Stop the subscription hub before the index: live streams end, then
+	// the index closes under no observers.
+	serve(*addr, srv.Handler(), *drainTimeout, func() error { srv.Close(); return closeIndex() })
 }
 
-// runSingle is the original single-process sharded server.
-func runSingle(ds *trajectory.Dataset, shards, compactAt int, dataDir, syncMode string, workers, resultCache int, addr string, drain time.Duration) {
+func loadTopology(path string) cluster.Topology {
+	if path == "" {
+		log.Fatalf("-shard and -router require -topology")
+	}
+	topo, err := cluster.LoadTopology(path)
+	if err != nil {
+		log.Fatalf("topology: %v", err)
+	}
+	return topo
+}
+
+// openSingle builds the original single-process sharded server.
+func openSingle(ds *trajectory.Dataset, shards, compactAt int, dataDir, syncMode string, opts server.Options) (*server.Server, func() error) {
 	buildStart := time.Now()
 	cfg := activitytraj.ShardedConfig{
 		Shards: shards,
 		Delta:  activitytraj.DynamicConfig{CompactThreshold: compactAt},
 	}
 	var router *activitytraj.ShardedRouter
-	var recovery *activitytraj.ShardedRecoveryInfo
 	if dataDir != "" {
 		mode, err := activitytraj.ParseSyncMode(syncMode)
 		if err != nil {
@@ -160,7 +182,7 @@ func runSingle(ds *trajectory.Dataset, shards, compactAt int, dataDir, syncMode 
 			log.Fatalf("open %s: %v", dataDir, err)
 		}
 		router = r
-		recovery = &ri
+		opts.Recovery = &ri
 		var replayed int64
 		for _, sri := range ri.Shards {
 			replayed += sri.Replayed
@@ -178,27 +200,16 @@ func runSingle(ds *trajectory.Dataset, shards, compactAt int, dataDir, syncMode 
 		}
 		router = r
 	}
-	srv := server.New(router, server.Options{Workers: workers, Vocab: ds.Vocab, Recovery: recovery, ResultCacheEntries: resultCache})
-	log.Printf("%d shards built in %s (mutation epoch %d); serving on %s", router.NumShards(),
-		time.Since(buildStart).Round(time.Millisecond), router.Epoch(), addr)
-	serve(addr, srv.Handler(), drain, func() error {
-		// Stop the subscription hub before the router: live streams end,
-		// then the index closes under no observers.
-		srv.Close()
+	log.Printf("%d shards built in %s (mutation epoch %d)", router.NumShards(),
+		time.Since(buildStart).Round(time.Millisecond), router.Epoch())
+	return server.New(router, opts), func() error {
 		log.Printf("final mutation epoch %d", router.Epoch())
 		return router.Close()
-	})
+	}
 }
 
-// runNode serves one cluster shard replica.
-func runNode(ds *trajectory.Dataset, topoPath string, si int, dataDir, syncMode string, compactAt, workers int, addr string, drain time.Duration) {
-	if topoPath == "" {
-		log.Fatalf("-shard requires -topology")
-	}
-	topo, err := cluster.LoadTopology(topoPath)
-	if err != nil {
-		log.Fatalf("topology: %v", err)
-	}
+// openNode builds one cluster shard replica's server.
+func openNode(ds *trajectory.Dataset, topo cluster.Topology, si int, dataDir, syncMode string, compactAt int, opts server.Options) (*server.Server, func() error) {
 	layout, err := topo.Layout()
 	if err != nil {
 		log.Fatalf("topology layout: %v", err)
@@ -223,21 +234,13 @@ func runNode(ds *trajectory.Dataset, topoPath string, si int, dataDir, syncMode 
 	} else {
 		log.Printf("volatile replica (no -data-dir): mutations will not survive a restart")
 	}
-	ns := cluster.NewNodeServer(node, cluster.NodeServerOptions{Workers: workers, Vocab: ds.Vocab, Recovery: &rec})
-	log.Printf("shard %d/%d replica built in %s (%d trajectories); serving on %s",
-		si, layout.NumShards(), time.Since(buildStart).Round(time.Millisecond), node.Trajectories(), addr)
-	serve(addr, ns.Handler(), drain, node.Close)
+	log.Printf("shard %d/%d replica built in %s (%d trajectories)",
+		si, layout.NumShards(), time.Since(buildStart).Round(time.Millisecond), node.Trajectories())
+	return cluster.NewNodeServer(node, opts), node.Close
 }
 
-// runRouter serves the cluster's failing-over router tier.
-func runRouter(ds *trajectory.Dataset, topoPath string, probeEvery, catchupEvery time.Duration, addr string, drain time.Duration) {
-	if topoPath == "" {
-		log.Fatalf("-router requires -topology")
-	}
-	topo, err := cluster.LoadTopology(topoPath)
-	if err != nil {
-		log.Fatalf("topology: %v", err)
-	}
+// openRouter builds the cluster's failing-over router tier.
+func openRouter(topo cluster.Topology, probeEvery, catchupEvery time.Duration, opts server.Options) (*server.Server, func() error) {
 	r, err := cluster.NewRouter(cluster.RouterConfig{
 		Topology:        topo,
 		ProbeInterval:   probeEvery,
@@ -246,9 +249,8 @@ func runRouter(ds *trajectory.Dataset, topoPath string, probeEvery, catchupEvery
 	if err != nil {
 		log.Fatalf("router boot: %v", err)
 	}
-	rs := cluster.NewRouterServer(r, cluster.RouterServerOptions{Vocab: ds.Vocab})
-	log.Printf("routing %d shards; serving on %s", r.NumShards(), addr)
-	serve(addr, rs.Handler(), drain, r.Close)
+	log.Printf("routing %d shards", r.NumShards())
+	return cluster.NewRouterServer(r, opts), r.Close
 }
 
 // runPlanTopology plans the partition layout and writes the topology file.
@@ -304,7 +306,7 @@ func (t *inflightHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains in-flight
 // requests for up to drain before closing the serving stack.
-func serve(addr string, handler http.Handler, drain time.Duration, closers ...func() error) {
+func serve(addr string, handler http.Handler, drain time.Duration, closeStack func() error) {
 	tracked := &inflightHandler{h: handler}
 	httpSrv := &http.Server{
 		Addr:              addr,
@@ -338,12 +340,8 @@ func serve(addr string, handler http.Handler, drain time.Duration, closers ...fu
 			log.Fatalf("shutdown: %v", err)
 		}
 	}
-	// Seal WALs (sync + close) so the next boot sees a clean tail; a no-op
-	// for volatile serving stacks.
-	for _, c := range closers {
-		if err := c(); err != nil {
-			log.Fatalf("close: %v", err)
-		}
+	if err := closeStack(); err != nil {
+		log.Fatalf("close: %v", err)
 	}
 	log.Printf("bye")
 }

@@ -14,6 +14,7 @@ import (
 
 	"activitytraj/internal/delta"
 	"activitytraj/internal/query"
+	"activitytraj/internal/server"
 	"activitytraj/internal/shard"
 	"activitytraj/internal/trajectory"
 )
@@ -83,11 +84,11 @@ func startCluster(t *testing.T, ds *trajectory.Dataset, shards, nReplicas int, d
 			if dirs != nil {
 				cfg.Dir = dirs[si][ri]
 			}
-			n, rec, err := OpenNode(ds, l, cfg)
+			n, _, err := OpenNode(ds, l, cfg)
 			if err != nil {
 				t.Fatalf("shard %d replica %d: %v", si, ri, err)
 			}
-			ns := NewNodeServer(n, NodeServerOptions{Workers: 2, Vocab: ds.Vocab, Recovery: &rec})
+			ns := NewNodeServer(n, server.Options{Workers: 2, Vocab: ds.Vocab})
 			fh := &flakyHandler{h: ns.Handler()}
 			srv := httptest.NewServer(fh)
 			group = append(group, &testReplica{node: n, flaky: fh, srv: srv})
@@ -152,6 +153,17 @@ func TestClusterMatchesSingleIndex(t *testing.T) {
 			}
 			requireSameResults(t, "healthy cluster", want.Results, got.Results)
 		}
+		// K < 1 is K = 1 on every tier (the query.Request.K contract): the
+		// router neither rejects it nor lets nodes default it to DefaultK.
+		want, err := ref.Search(context.Background(), query.Request{Query: q, K: 1})
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		got, err := tc.router.Search(context.Background(), query.Request{Query: q, K: 0})
+		if err != nil {
+			t.Fatalf("query %d (k=0): %v", qi, err)
+		}
+		requireSameResults(t, "k=0", want.Results, got.Results)
 	}
 
 	// Matches survive the network round-trip.
@@ -455,7 +467,7 @@ func TestClusterMutationsAndCatchup(t *testing.T) {
 func TestRouterServerWire(t *testing.T) {
 	ds := testDataset(t, 200)
 	tc := startCluster(t, ds, 2, 1, nil)
-	rs := NewRouterServer(tc.router, RouterServerOptions{Vocab: ds.Vocab})
+	rs := NewRouterServer(tc.router, server.Options{Vocab: ds.Vocab})
 	front := httptest.NewServer(rs.Handler())
 	defer front.Close()
 

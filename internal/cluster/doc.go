@@ -13,5 +13,7 @@
 // circuit breaker fed by passive request outcomes and periodic /healthz
 // probes), Node (one replica of one shard: a dynamic index over the
 // layout-derived sub-corpus with a gid-carrying replication WAL), and
-// Router (topology, planning, failover, degraded mode).
+// Router (topology, failover, degraded mode; its search is shard.Planner
+// over HTTP legs). Both serve HTTP through internal/server's one handler
+// set: NewNodeServer and NewRouterServer only supply the backends.
 package cluster

@@ -72,16 +72,19 @@ type Node struct {
 	shardIdx int
 	d        *delta.Dynamic
 
-	// mu guards the ID mappings and bounds. Searches hold the read lock for
-	// their whole duration (like shard.Shard) so every trajectory they can
-	// observe has its global mapping in place.
+	// mu guards the ID mappings. Searches hold the read lock for their whole
+	// duration (like shard.Shard) so every trajectory they can observe has
+	// its global mapping in place.
 	mu        sync.RWMutex
 	globalIDs []trajectory.TrajID
 	localOf   map[trajectory.TrajID]trajectory.TrajID
-	bounds    geo.Rect
-	hasPoints bool
 	maxGID    trajectory.TrajID
 	anyGID    bool
+	bounds    shard.Bounds
+
+	// recovery is what OpenNode rebuilt from the WAL (nil for a volatile
+	// node); /healthz reports it.
+	recovery *NodeRecovery
 
 	// wmu serializes mutations: the WAL append and the index apply happen
 	// under it, so WAL order equals apply order equals local-ID order.
@@ -122,7 +125,7 @@ func OpenNode(base *trajectory.Dataset, layout *shard.Layout, cfg NodeConfig) (*
 		if !n.anyGID || gid > n.maxGID {
 			n.maxGID, n.anyGID = gid, true
 		}
-		n.extend(base.Trajs[gid].Pts)
+		n.bounds.Extend(base.Trajs[gid].Pts)
 	}
 
 	if cfg.Dir == "" {
@@ -166,19 +169,8 @@ func OpenNode(base *trajectory.Dataset, layout *shard.Layout, cfg NodeConfig) (*
 		return nil, ri, fmt.Errorf("%w: node wal resumes at seq %d but replay recovered %d", wal.ErrCorrupt, got+1, ri.LastSeq)
 	}
 	n.log = l
+	n.recovery = &ri
 	return n, ri, nil
-}
-
-// extend grows the bounds; callers hold wmu or are still single-goroutine.
-func (n *Node) extend(pts []trajectory.Point) {
-	for _, p := range pts {
-		if !n.hasPoints {
-			n.bounds = geo.RectFromPoint(p.Loc)
-			n.hasPoints = true
-			continue
-		}
-		n.bounds = n.bounds.ExtendPoint(p.Loc)
-	}
 }
 
 // Shard returns the layout shard index this node replicates.
@@ -206,11 +198,7 @@ func (n *Node) NextGID() trajectory.TrajID {
 
 // Bounds returns the bounding rectangle of every point the shard has ever
 // held here and whether any point exists.
-func (n *Node) Bounds() (geo.Rect, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.bounds, n.hasPoints
-}
+func (n *Node) Bounds() (geo.Rect, bool) { return n.bounds.Rect() }
 
 // Trajectories returns the number of gids mapped on this node (tombstoned
 // ones included).
@@ -322,7 +310,7 @@ func (n *Node) applyInsert(gid trajectory.TrajID, pts []trajectory.Point) error 
 	if !n.anyGID || gid > n.maxGID {
 		n.maxGID, n.anyGID = gid, true
 	}
-	n.extend(pts)
+	n.bounds.Extend(pts)
 	return nil
 }
 

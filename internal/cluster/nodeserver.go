@@ -4,14 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
-	"runtime"
 	"strconv"
-	"sync/atomic"
-	"time"
 
-	"activitytraj/internal/delta"
 	"activitytraj/internal/query"
 	"activitytraj/internal/server"
 	"activitytraj/internal/trajectory"
@@ -22,15 +17,8 @@ import (
 // single-process server; the types below exist only on node endpoints the
 // router calls.
 
-// NodeInsertRequest is a node's /v1/insert body: unlike the public insert,
-// the GLOBAL trajectory ID is assigned upstream (by the router) and fanned
-// out to every replica, so it travels in the body.
-type NodeInsertRequest struct {
-	GID    uint32                  `json:"gid"`
-	Points []server.QueryPointJSON `json:"points"`
-}
-
-// NodeInsertResponse acknowledges a replicated insert. Applied is false
+// NodeInsertResponse acknowledges a replicated insert (the request is
+// server.InsertRequest with the router-assigned GID set). Applied is false
 // when the node already knew the gid (an idempotent re-send).
 type NodeInsertResponse struct {
 	Applied bool   `json:"applied"`
@@ -75,309 +63,148 @@ type OwnsResponse struct {
 // bounded by the WAL rotation size, but a catch-up may ship several.
 const catchupMaxBodyBytes = 512 << 20
 
-// NodeServerOptions tunes a NodeServer.
-type NodeServerOptions struct {
-	// Workers sizes the engine pool (<= 0 selects GOMAXPROCS).
-	Workers int
-	// Vocab resolves activity names in requests; nil restricts requests to
-	// numeric activity IDs.
-	Vocab *trajectory.Vocabulary
-	// Recovery, when the node was opened from a data directory, is that
-	// boot's replay summary; /healthz reports it.
-	Recovery *NodeRecovery
-	// ErrorLog receives the server-side detail of 5xx faults (wire bodies
-	// are sanitized). Nil uses the standard logger.
-	ErrorLog *log.Logger
-}
-
-// NodeServer is the HTTP face of one shard replica. It serves the same
-// /v1/search dialect as the single-process server (plus the router's
-// ?bound= pruning hint), replica-aware mutations, and the WAL catch-up
-// endpoints.
-type NodeServer struct {
-	node    *Node
-	vocab   *trajectory.Vocabulary
-	engines chan *delta.Engine
-	workers int
-	started time.Time
-	rec     *NodeRecovery
-	errlog  *log.Logger
-
-	searches atomic.Int64
-	inserts  atomic.Int64
-	deletes  atomic.Int64
+// nodeBackend is one shard replica behind the common HTTP face: the same
+// /v1 dialect as the single-process server, plus what only a replica has —
+// the router's ?bound= pruning hint, upstream-assigned insert gids, deletes
+// that 404 when the trajectory lives on another shard, and the WAL catch-up
+// routes.
+type nodeBackend struct {
+	*Node // Epoch
+	pool  server.EnginePool
+	srv   *server.Server
 }
 
 // NewNodeServer builds the HTTP server over n.
-func NewNodeServer(n *Node, opts NodeServerOptions) *NodeServer {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	errlog := opts.ErrorLog
-	if errlog == nil {
-		errlog = log.Default()
-	}
-	s := &NodeServer{
-		node:    n,
-		vocab:   opts.Vocab,
-		engines: make(chan *delta.Engine, w),
-		workers: w,
-		started: time.Now(),
-		rec:     opts.Recovery,
-		errlog:  errlog,
-	}
-	for i := 0; i < w; i++ {
-		s.engines <- n.Dynamic().NewEngine()
-	}
-	return s
+func NewNodeServer(n *Node, opts server.Options) *server.Server {
+	b := &nodeBackend{Node: n}
+	b.pool = server.NewEnginePool(opts.Workers, func() server.SearchFunc {
+		e := n.Dynamic().NewEngine()
+		return func(ctx context.Context, req query.Request) (query.Response, error) { return n.Search(ctx, e, req) }
+	})
+	b.srv = server.NewServer(b, opts)
+	b.srv.HandleFunc("GET /v1/cluster/meta", b.handleMeta)
+	b.srv.HandleFunc("GET /v1/cluster/wal", b.handleWAL)
+	b.srv.HandleFunc("GET /v1/cluster/owns", b.handleOwns)
+	b.srv.HandleFunc("/v1/cluster/catchup", b.handleCatchup)
+	return b.srv
 }
 
-// Handler returns the node's route table.
-func (s *NodeServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/v1/search", s.handleSearch)
-	mux.HandleFunc("/v1/insert", s.handleInsert)
-	mux.HandleFunc("/v1/delete", s.handleDelete)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/cluster/meta", s.handleMeta)
-	mux.HandleFunc("/v1/cluster/wal", s.handleWAL)
-	mux.HandleFunc("/v1/cluster/catchup", s.handleCatchup)
-	mux.HandleFunc("/v1/cluster/owns", s.handleOwns)
-	return mux
+func (b *nodeBackend) Search(ctx context.Context, req query.Request) (query.Response, error) {
+	return b.pool.Search(ctx, req)
 }
 
-func (s *NodeServer) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{
-		"status":   "ok",
-		"shard":    s.node.Shard(),
-		"last_seq": s.node.LastSeq(),
+// TuneSearch applies ?bound=, the router's cross-shard pruning hint: the
+// running global k-th distance at dispatch time. It composes with the
+// body's own InitialBound by taking the minimum — both mean "results
+// strictly farther are already beaten elsewhere", so the hint can only
+// prune, never change what the surviving results are.
+func (b *nodeBackend) TuneSearch(r *http.Request, req *query.Request) error {
+	bstr := r.URL.Query().Get("bound")
+	if bstr == "" {
+		return nil
 	}
-	if s.rec != nil {
-		resp["recovery"] = s.rec
+	hint, err := strconv.ParseFloat(bstr, 64)
+	if err != nil || hint < 0 {
+		return fmt.Errorf("bad bound %q: want a non-negative float", bstr)
 	}
-	if err := s.node.Dynamic().LastCompactErr(); err != nil {
+	if hint > 0 && (req.InitialBound <= 0 || hint < req.InitialBound) {
+		req.InitialBound = hint
+	}
+	return nil
+}
+
+func (b *nodeBackend) Insert(_ context.Context, gid *uint32, pts []trajectory.Point) (any, error) {
+	if gid == nil {
+		return nil, &server.StatusError{Status: http.StatusBadRequest, Err: errors.New("shard replicas take inserts from the router: gid required")}
+	}
+	applied, err := b.Node.Insert(trajectory.TrajID(*gid), pts)
+	return NodeInsertResponse{Applied: applied, LastSeq: b.LastSeq()}, err
+}
+
+func (b *nodeBackend) Delete(_ context.Context, gid trajectory.TrajID) error {
+	if !b.Owns(gid) {
+		return &server.StatusError{Status: http.StatusNotFound, Err: fmt.Errorf("trajectory %d not on this shard", gid)}
+	}
+	return b.Node.Delete(gid)
+}
+
+func (b *nodeBackend) Health() (map[string]any, bool) {
+	body := map[string]any{"status": "ok", "shard": b.Shard(), "last_seq": b.LastSeq()}
+	if b.recovery != nil {
+		body["recovery"] = b.recovery
+	}
+	err := b.Dynamic().LastCompactErr()
+	if err != nil {
 		// A node that silently stopped compacting serves stale generations
 		// with a growing delta: flip load balancers away until it heals.
-		resp["status"] = "compaction-failed"
-		resp["compact_error"] = err.Error()
-		server.WriteJSON(w, http.StatusServiceUnavailable, resp)
-		return
+		body["status"] = "compaction-failed"
+		body["compact_error"] = err.Error()
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	return body, err == nil
 }
 
-func (s *NodeServer) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req server.SearchRequest
-	if !s.readJSON(w, r, &req, 0) {
-		return
-	}
-	sreq, err := server.ToQueryRequest(s.vocab, req)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// ?bound= is the router's cross-shard pruning hint: the running global
-	// k-th distance at dispatch time. It composes with the body's own
-	// InitialBound by taking the minimum — both mean "results strictly
-	// farther are already beaten elsewhere", so the hint can only prune,
-	// never change what the surviving results are.
-	if bstr := r.URL.Query().Get("bound"); bstr != "" {
-		b, err := strconv.ParseFloat(bstr, 64)
-		if err != nil || b < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad bound %q: want a non-negative float", bstr))
-			return
-		}
-		if b > 0 && (sreq.InitialBound <= 0 || b < sreq.InitialBound) {
-			sreq.InitialBound = b
-		}
-	}
-	ctx := r.Context()
-	if tstr := r.URL.Query().Get("timeout"); tstr != "" {
-		d, err := time.ParseDuration(tstr)
-		if err != nil || d <= 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q: want a positive Go duration", tstr))
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	var e *delta.Engine
-	select {
-	case e = <-s.engines:
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			server.WriteJSON(w, http.StatusGatewayTimeout, server.SearchResponseJSON(query.Response{Truncated: true}, 0))
-		} else {
-			s.writeError(w, server.StatusClientClosedRequest, ctx.Err())
-		}
-		return
-	}
-	start := time.Now()
-	qresp, err := s.node.Search(ctx, e, sreq)
-	took := time.Since(start)
-	s.engines <- e
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			server.WriteJSON(w, http.StatusGatewayTimeout, server.SearchResponseJSON(qresp, took))
-		case errors.Is(err, context.Canceled):
-			s.writeError(w, server.StatusClientClosedRequest, err)
-		default:
-			s.writeError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	s.searches.Add(1)
-	server.WriteJSON(w, http.StatusOK, server.SearchResponseJSON(qresp, took))
+func (b *nodeBackend) Stats(body map[string]any) {
+	body["shard"] = b.Shard()
+	body["last_seq"] = b.LastSeq()
+	body["workers"] = cap(b.pool)
+	body["trajectories"] = b.Trajectories()
+	body["index"] = b.Dynamic().Stats()
 }
 
-func (s *NodeServer) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req NodeInsertRequest
-	if !s.readJSON(w, r, &req, 0) {
-		return
-	}
-	pts, err := server.ToInsertPoints(s.vocab, req.Points)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	applied, err := s.node.Insert(trajectory.TrajID(req.GID), pts)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.inserts.Add(1)
-	server.WriteJSON(w, http.StatusOK, NodeInsertResponse{Applied: applied, LastSeq: s.node.LastSeq()})
-}
-
-func (s *NodeServer) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req server.DeleteRequest
-	if !s.readJSON(w, r, &req, 0) {
-		return
-	}
-	gid := trajectory.TrajID(req.ID)
-	if !s.node.Owns(gid) {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("trajectory %d not on this shard", gid))
-		return
-	}
-	if err := s.node.Delete(gid); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.deletes.Add(1)
-	server.WriteJSON(w, http.StatusOK, server.DeleteResponse{Deleted: true})
-}
-
-func (s *NodeServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"uptime_sec":   time.Since(s.started).Seconds(),
-		"shard":        s.node.Shard(),
-		"last_seq":     s.node.LastSeq(),
-		"searches":     s.searches.Load(),
-		"inserts":      s.inserts.Load(),
-		"deletes":      s.deletes.Load(),
-		"workers":      s.workers,
-		"trajectories": s.node.Trajectories(),
-		"index":        s.node.Dynamic().Stats(),
-	})
-}
-
-func (s *NodeServer) handleMeta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, s.meta())
-}
-
-func (s *NodeServer) meta() NodeMeta {
+func (b *nodeBackend) handleMeta(w http.ResponseWriter, r *http.Request) {
 	m := NodeMeta{
-		Shard:        s.node.Shard(),
-		LastSeq:      s.node.LastSeq(),
-		NextGID:      uint32(s.node.NextGID()),
-		Trajectories: s.node.Trajectories(),
+		Shard:        b.Shard(),
+		LastSeq:      b.LastSeq(),
+		NextGID:      uint32(b.NextGID()),
+		Trajectories: b.Trajectories(),
 	}
-	if b, ok := s.node.Bounds(); ok {
-		m.Bounds = &server.RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}
+	if bb, ok := b.Bounds(); ok {
+		m.Bounds = &server.RectJSON{MinX: bb.MinX, MinY: bb.MinY, MaxX: bb.MaxX, MaxY: bb.MaxY}
 	}
-	return m
+	server.WriteJSON(w, http.StatusOK, m)
 }
 
-func (s *NodeServer) handleWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
+func (b *nodeBackend) handleWAL(w http.ResponseWriter, r *http.Request) {
 	var from uint64
 	if fstr := r.URL.Query().Get("from"); fstr != "" {
 		v, err := strconv.ParseUint(fstr, 10, 64)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad from %q: %v", fstr, err))
+			b.srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad from %q: %v", fstr, err))
 			return
 		}
 		from = v
 	}
-	segs, err := s.node.Segments(from)
+	segs, err := b.Segments(from)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		b.srv.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, WALResponse{Segments: segs, LastSeq: s.node.LastSeq()})
+	server.WriteJSON(w, http.StatusOK, WALResponse{Segments: segs, LastSeq: b.LastSeq()})
 }
 
-func (s *NodeServer) handleCatchup(w http.ResponseWriter, r *http.Request) {
+func (b *nodeBackend) handleCatchup(w http.ResponseWriter, r *http.Request) {
 	var req CatchupRequest
-	if !s.readJSON(w, r, &req, catchupMaxBodyBytes) {
+	if !b.srv.ReadJSON(w, r, &req, catchupMaxBodyBytes) {
 		return
 	}
-	last, err := s.node.ApplySegments(req.Segments)
+	last, err := b.ApplySegments(req.Segments)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		b.srv.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, CatchupResponse{LastSeq: last})
 }
 
-func (s *NodeServer) handleOwns(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
+func (b *nodeBackend) handleOwns(w http.ResponseWriter, r *http.Request) {
 	gstr := r.URL.Query().Get("gid")
 	gid, err := strconv.ParseUint(gstr, 10, 32)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad gid %q", gstr))
+		b.srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad gid %q", gstr))
 		return
 	}
-	if !s.node.Owns(trajectory.TrajID(gid)) {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("trajectory %d not on this shard", gid))
+	if !b.Owns(trajectory.TrajID(gid)) {
+		b.srv.WriteError(w, http.StatusNotFound, fmt.Errorf("trajectory %d not on this shard", gid))
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, OwnsResponse{Owns: true})
-}
-
-func (s *NodeServer) readJSON(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64) bool {
-	if status, err := server.DecodeJSON(w, r, dst, maxBytes); status != 0 {
-		s.writeError(w, status, err)
-		return false
-	}
-	return true
-}
-
-// writeError mirrors the single-process server's policy: 4xx detail travels
-// verbatim, 5xx bodies are sanitized and the detail goes to the log.
-func (s *NodeServer) writeError(w http.ResponseWriter, status int, err error) {
-	if status >= 500 {
-		s.errlog.Printf("cluster node: %d fault: %v", status, err)
-		server.WriteJSON(w, status, server.ErrorResponse{Error: http.StatusText(status)})
-		return
-	}
-	server.WriteJSON(w, status, server.ErrorResponse{Error: err.Error()})
 }

@@ -10,7 +10,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,33 +33,9 @@ const DefaultTryTimeout = 2 * time.Second
 // ErrNotFound reports a delete whose trajectory no shard owns.
 var ErrNotFound = errors.New("cluster: trajectory not found")
 
-// IncompleteError reports a search that could not cover every shard while
-// the request demanded completeness (Request.RequireComplete): every
-// replica of Shard was unreachable. Routers map it to 503.
-type IncompleteError struct {
-	Shard int
-	Cause error
-}
-
-func (e *IncompleteError) Error() string {
-	return fmt.Sprintf("cluster: shard %d unavailable and request requires complete results: %v", e.Shard, e.Cause)
-}
-
-func (e *IncompleteError) Unwrap() error { return e.Cause }
-
-// shardDownError marks a search fan-out leg whose every eligible replica
-// failed — the degradable failure class (vs. a permanent error like a
-// malformed request, which aborts the whole search).
-type shardDownError struct {
-	si    int
-	cause error
-}
-
-func (e *shardDownError) Error() string {
-	return fmt.Sprintf("shard %d: all replicas failed: %v", e.si, e.cause)
-}
-
-func (e *shardDownError) Unwrap() error { return e.cause }
+// IncompleteError is the planner's RequireComplete failure: every replica
+// of some shard was unreachable. Routers map it to 503.
+type IncompleteError = shard.IncompleteError
 
 // statusError is a non-2xx node reply.
 type statusError struct {
@@ -135,53 +110,9 @@ type shardGroup struct {
 	mutmu sync.Mutex
 	rr    atomic.Uint64 // read round-robin cursor
 
-	// bmu guards the planning bounds — the union of every point the shard
-	// has ever held. Grown on inserts; never shrunk (stale-but-larger only
-	// weakens pruning, never correctness).
-	bmu       sync.RWMutex
-	bounds    geo.Rect
-	hasPoints bool
-}
-
-func (g *shardGroup) queryLB(pts []geo.Point) float64 {
-	g.bmu.RLock()
-	defer g.bmu.RUnlock()
-	if !g.hasPoints {
-		return math.Inf(1)
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += g.bounds.MinDist(p)
-	}
-	return sum
-}
-
-func (g *shardGroup) boundsRect() (geo.Rect, bool) {
-	g.bmu.RLock()
-	defer g.bmu.RUnlock()
-	return g.bounds, g.hasPoints
-}
-
-func (g *shardGroup) extendRect(r geo.Rect) {
-	g.bmu.Lock()
-	if !g.hasPoints {
-		g.bounds, g.hasPoints = r, true
-	} else {
-		g.bounds = g.bounds.Union(r)
-	}
-	g.bmu.Unlock()
-}
-
-func (g *shardGroup) extendPts(pts []trajectory.Point) {
-	g.bmu.Lock()
-	for _, p := range pts {
-		if !g.hasPoints {
-			g.bounds, g.hasPoints = geo.RectFromPoint(p.Loc), true
-			continue
-		}
-		g.bounds = g.bounds.ExtendPoint(p.Loc)
-	}
-	g.bmu.Unlock()
+	// bounds is the planning rectangle: the union of every point the shard
+	// has ever held, seeded from the replicas' meta and grown on inserts.
+	bounds shard.Bounds
 }
 
 // Router is the cluster's query tier: it scatter-gathers searches across
@@ -225,14 +156,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if tryTO <= 0 {
 		tryTO = DefaultTryTimeout
 	}
-	thr := cfg.BreakerThreshold
-	if thr <= 0 {
-		thr = DefaultBreakerThreshold
-	}
-	cd := cfg.BreakerCooldown
-	if cd <= 0 {
-		cd = DefaultBreakerCooldown
-	}
 	errlog := cfg.ErrorLog
 	if errlog == nil {
 		errlog = log.Default()
@@ -250,7 +173,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		for _, u := range urls {
 			g.replicas = append(g.replicas, &replica{
 				url: strings.TrimRight(u, "/"),
-				br:  NewBreaker(thr, cd, nil),
+				br:  NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
 			})
 		}
 		r.groups = append(r.groups, g)
@@ -282,7 +205,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 				maxNext = meta.NextGID
 			}
 			if meta.Bounds != nil {
-				g.extendRect(geo.NewRect(meta.Bounds.MinX, meta.Bounds.MinY, meta.Bounds.MaxX, meta.Bounds.MaxY))
+				g.bounds.ExtendRect(geo.NewRect(meta.Bounds.MinX, meta.Bounds.MinY, meta.Bounds.MaxX, meta.Bounds.MaxY))
 			}
 		}
 		if reachable == 0 {
@@ -388,172 +311,70 @@ func searchRequestJSON(req query.Request) server.SearchRequest {
 }
 
 // Search runs one exact (or deliberately partial) global top-k over the
-// cluster. The plan is the in-process shard engine's, over the network:
-// per-shard lower bounds from the cached planning bounds pick wave 1 (every
-// nearest shard concurrently), the running global k-th distance then admits
-// wave-2 shards in ascending bound order and rides along as the ?bound=
-// pruning hint. Within each shard the router fails over across replicas;
-// when every replica of a shard is down the search degrades to a partial
-// answer (Response.Partial, Stats.ShardsFailed) — still the exact top-k
-// over the shards that answered — unless req.RequireComplete, which fails
-// closed with *IncompleteError.
+// cluster. It is the in-process shard engine's planner (shard.Planner) with
+// network legs: within each shard the router fails over across replicas,
+// and a shard whose every replica is down degrades the answer as the
+// planner describes (Response.Partial, or *IncompleteError under
+// req.RequireComplete).
 func (r *Router) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	q, k := req.Query, req.K
-	if err := q.Validate(); err != nil {
-		return query.Response{}, err
+	hl := make([]httpLeg, len(r.groups))
+	legs := make([]shard.Leg, len(r.groups))
+	for i, g := range r.groups {
+		hl[i] = httpLeg{r: r, g: g}
+		legs[i] = &hl[i]
 	}
-	if k <= 0 {
-		return query.Response{}, fmt.Errorf("cluster: k must be positive")
+	var p shard.Planner
+	resp, err := p.Search(ctx, req, legs)
+	if err != nil || !req.WithMatches {
+		return resp, err
 	}
-	if err := req.ValidateSpan(); err != nil {
-		return query.Response{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return query.Response{Truncated: true}, err
-	}
-	locs := make([]geo.Point, len(q.Pts))
-	for i, p := range q.Pts {
-		locs[i] = p.Loc
-	}
-
-	type shardPlan struct {
-		si int
-		lb float64
-	}
-	plans := make([]shardPlan, 0, len(r.groups))
-	minLB := math.Inf(1)
-	for si, g := range r.groups {
-		lb := g.queryLB(locs)
-		if req.Region != nil {
-			if b, ok := g.boundsRect(); !ok || !b.Intersects(*req.Region) {
-				lb = math.Inf(1)
-			}
-		}
-		plans = append(plans, shardPlan{si: si, lb: lb})
-		if lb < minLB {
-			minLB = lb
+	matches := make(map[uint32][][]int32)
+	for i := range hl {
+		for _, res := range hl[i].results {
+			matches[res.ID] = res.Matches
 		}
 	}
-	slices.SortFunc(plans, func(a, b shardPlan) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
-		default:
-			return a.si - b.si
-		}
-	})
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	bound := req.Bound()
-	shared := query.NewSharedTopK(k)
-	subReq := searchRequestJSON(req)
-	subReq.RequireComplete = false // per-shard legs are complete by definition
-	body, err := json.Marshal(subReq)
-	if err != nil {
-		return query.Response{}, err
+	resp.Matches = make([][][]int32, len(resp.Results))
+	for i, res := range resp.Results {
+		resp.Matches[i] = matches[uint32(res.ID)]
 	}
-	effTh := func() float64 { return min(shared.Threshold(), bound) }
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		agg      query.SearchStats
-		firstErr error
-		matches  map[trajectory.TrajID][][]int32
-		failed   int
-		searched int
-	)
-	if req.WithMatches {
-		matches = make(map[trajectory.TrajID][][]int32)
-	}
-	run := func(si int) {
-		searched++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := r.searchShard(cctx, r.groups[si], body, effTh)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				var down *shardDownError
-				switch {
-				case ctx.Err() != nil:
-					// The caller hung up (or its deadline fired): that is a
-					// truncation, not a shard fault.
-					if firstErr == nil {
-						firstErr = ctx.Err()
-					}
-				case errors.As(err, &down):
-					failed++
-					agg.ShardsFailed++
-					if req.RequireComplete && firstErr == nil {
-						firstErr = &IncompleteError{Shard: si, Cause: down.cause}
-						cancel()
-					}
-				default:
-					if firstErr == nil {
-						firstErr = err
-					}
-					cancel()
-				}
-				return
-			}
-			for _, res := range resp.Results {
-				gid := trajectory.TrajID(res.ID)
-				shared.Offer(query.Result{ID: gid, Dist: res.Dist})
-				if matches != nil && res.Matches != nil {
-					matches[gid] = res.Matches
-				}
-			}
-			agg.Add(resp.Stats)
-		}()
-	}
-
-	i := 0
-	if !math.IsInf(minLB, 1) && minLB <= bound {
-		for ; i < len(plans) && plans[i].lb == minLB; i++ {
-			run(plans[i].si)
-		}
-		wg.Wait()
-		if firstErr == nil && ctx.Err() == nil {
-			for ; i < len(plans); i++ {
-				if math.IsInf(plans[i].lb, 1) || plans[i].lb > effTh() {
-					break
-				}
-				run(plans[i].si)
-			}
-			wg.Wait()
-		}
-	}
-
-	agg.ShardsSearched = searched
-	agg.ShardsSkipped = len(plans) - searched
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		if errors.Is(firstErr, context.Canceled) || errors.Is(firstErr, context.DeadlineExceeded) {
-			return query.Response{Results: shared.Results(), Stats: agg, Truncated: true}, firstErr
-		}
-		return query.Response{Stats: agg}, firstErr
-	}
-	resp := query.Response{Results: shared.Results(), Stats: agg, Partial: failed > 0}
-	if matches != nil {
-		resp.Matches = make([][][]int32, len(resp.Results))
-		for i, res := range resp.Results {
-			resp.Matches[i] = matches[res.ID]
-		}
-		if req.Subtrajectory {
-			// Derived from the same covers every tier reports, so the spans
-			// are byte-identical to the single-index and sharded answers.
-			resp.Spans = query.SpansFromMatches(resp.Matches)
-		}
+	if req.Subtrajectory {
+		// Derived from the same covers every tier reports, so the spans are
+		// byte-identical to the single-index and sharded answers.
+		resp.Spans = query.SpansFromMatches(resp.Matches)
 	}
 	return resp, nil
+}
+
+// httpLeg is the network shard.Leg: one shard's replica set, searched over
+// HTTP with failover. results keeps the reply for Router.Search to pick the
+// surviving results' matches from.
+type httpLeg struct {
+	r       *Router
+	g       *shardGroup
+	results []server.ResultJSON
+}
+
+func (l *httpLeg) Bounds() *shard.Bounds { return &l.g.bounds }
+
+// Search offers the reply's results (nodes answer under global IDs) once
+// the shard has answered, and sends the planner's threshold as the ?bound=
+// pruning hint.
+func (l *httpLeg) Search(ctx context.Context, req query.Request, shared *query.SharedTopK) (query.SearchStats, error) {
+	req.RequireComplete = false // per-shard legs are complete by definition
+	body, err := json.Marshal(searchRequestJSON(req))
+	if err != nil {
+		return query.SearchStats{}, err
+	}
+	resp, err := l.r.searchShard(ctx, l.g, body, func() float64 { return min(shared.Threshold(), req.Bound()) })
+	if err != nil {
+		return query.SearchStats{}, err
+	}
+	l.results = resp.Results
+	for _, res := range resp.Results {
+		shared.Offer(query.Result{ID: trajectory.TrajID(res.ID), Dist: res.Dist})
+	}
+	return resp.Stats, nil
 }
 
 // searchShard runs one shard's leg with replica failover: replicas are
@@ -604,62 +425,36 @@ func (r *Router) searchShard(ctx context.Context, g *shardGroup, body []byte, bo
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no eligible replica (all lagging or circuit-open)")
 	}
-	return resp, &shardDownError{si: g.si, cause: lastErr}
+	return resp, &shard.LegDownError{Cause: lastErr}
 }
 
 // ---- mutations ----
 
 // Insert routes the trajectory to its shard, assigns the next global ID and
-// fans the insert to every eligible replica under the shard's mutation
-// lock. Replicas that are skipped (lagging, circuit-open) or fail the fan-
-// out are marked lagging — they reconverge via WAL catch-up, never via a
-// re-send, so a half-applied fan-out cannot reorder anyone's WAL. At least
-// one replica must apply; otherwise the assigned ID is burned (IDs are
-// dense but a hole is harmless) and the insert fails.
+// fans the insert out (see fanOut) under the shard's mutation lock. At least
+// one replica must apply; otherwise the assigned ID is burned (IDs are dense
+// but a hole is harmless) and the insert fails.
 func (r *Router) Insert(ctx context.Context, pts []trajectory.Point) (trajectory.TrajID, error) {
 	if len(pts) == 0 {
 		return 0, fmt.Errorf("cluster: trajectory has no points")
 	}
-	si := r.layout.Route(pts)
-	g := r.groups[si]
+	g := r.groups[r.layout.Route(pts)]
 	g.mutmu.Lock()
 	defer g.mutmu.Unlock()
-	gid := trajectory.TrajID(r.nextID.Add(1) - 1)
-	body, err := json.Marshal(NodeInsertRequest{GID: uint32(gid), Points: server.PointsJSON(pts)})
-	if err != nil {
-		return 0, err
+	gid := r.nextID.Add(1) - 1
+	if err := r.fanOut(ctx, g, "insert", gid, server.InsertRequest{GID: &gid, Points: server.PointsJSON(pts)}); err != nil {
+		return 0, fmt.Errorf("%w (gid %d burned)", err, gid)
 	}
-	applied := 0
-	for _, rep := range g.replicas {
-		if rep.lagging.Load() || !rep.br.Allow() {
-			rep.lagging.Store(true)
-			continue
-		}
-		var nresp NodeInsertResponse
-		if err := r.postJSON(ctx, rep.url+"/v1/insert", body, &nresp); err != nil {
-			rep.br.Failure()
-			rep.lagging.Store(true)
-			r.errlog.Printf("cluster router: shard %d replica %s insert gid %d failed (replica now lagging): %v", si, rep.url, gid, err)
-			continue
-		}
-		rep.br.Success()
-		rep.lastSeq.Store(nresp.LastSeq)
-		applied++
-	}
-	if applied == 0 {
-		return 0, fmt.Errorf("cluster: insert failed on every replica of shard %d (gid %d burned)", si, gid)
-	}
-	g.extendPts(pts)
+	g.bounds.Extend(pts)
 	r.epoch.Add(1)
-	return gid, nil
+	return trajectory.TrajID(gid), nil
 }
 
 // Delete locates gid's owning shard with an ownership probe (global IDs are
-// dense across shards, so only the owner knows it) and fans the delete to
-// the shard's eligible replicas under its mutation lock, with the same
-// lagging discipline as Insert. Unknown IDs return ErrNotFound.
+// dense across shards, so only the owner knows it) and fans the delete out
+// under the shard's mutation lock. Unknown IDs return ErrNotFound.
 func (r *Router) Delete(ctx context.Context, gid trajectory.TrajID) error {
-	owner := -1
+	var owner *shardGroup
 	var probeErr error
 	for _, g := range r.groups {
 		owns, err := r.probeOwns(ctx, g, gid)
@@ -668,11 +463,11 @@ func (r *Router) Delete(ctx context.Context, gid trajectory.TrajID) error {
 			continue
 		}
 		if owns {
-			owner = g.si
+			owner = g
 			break
 		}
 	}
-	if owner < 0 {
+	if owner == nil {
 		if probeErr != nil {
 			// An unreachable shard might own it: failing the delete is the
 			// only honest answer (a not-found would lie).
@@ -680,10 +475,23 @@ func (r *Router) Delete(ctx context.Context, gid trajectory.TrajID) error {
 		}
 		return fmt.Errorf("%w: trajectory %d", ErrNotFound, gid)
 	}
-	g := r.groups[owner]
-	g.mutmu.Lock()
-	defer g.mutmu.Unlock()
-	body, err := json.Marshal(server.DeleteRequest{ID: uint32(gid)})
+	owner.mutmu.Lock()
+	defer owner.mutmu.Unlock()
+	if err := r.fanOut(ctx, owner, "delete", uint32(gid), server.DeleteRequest{ID: uint32(gid)}); err != nil {
+		return err
+	}
+	r.epoch.Add(1)
+	return nil
+}
+
+// fanOut posts one mutation (op is the /v1 route: insert or delete) to
+// every eligible replica of g, whose mutation lock the caller holds.
+// Replicas that are skipped (lagging, circuit-open) or fail the fan-out are
+// marked lagging — they reconverge via WAL catch-up, never via a re-send,
+// so a half-applied fan-out cannot reorder anyone's WAL. It is an error
+// when no replica applied.
+func (r *Router) fanOut(ctx context.Context, g *shardGroup, op string, gid uint32, req any) error {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
@@ -693,20 +501,26 @@ func (r *Router) Delete(ctx context.Context, gid trajectory.TrajID) error {
 			rep.lagging.Store(true)
 			continue
 		}
-		var dresp server.DeleteResponse
-		if err := r.postJSON(ctx, rep.url+"/v1/delete", body, &dresp); err != nil {
+		// Only inserts acknowledge with the replica's sequence; after a
+		// delete the next probe refreshes it.
+		var ack struct {
+			LastSeq uint64 `json:"last_seq"`
+		}
+		if err := r.postJSON(ctx, rep.url+"/v1/"+op, body, &ack); err != nil {
 			rep.br.Failure()
 			rep.lagging.Store(true)
-			r.errlog.Printf("cluster router: shard %d replica %s delete gid %d failed (replica now lagging): %v", owner, rep.url, gid, err)
+			r.errlog.Printf("cluster router: shard %d replica %s %s gid %d failed (replica now lagging): %v", g.si, rep.url, op, gid, err)
 			continue
 		}
 		rep.br.Success()
+		if ack.LastSeq > 0 {
+			rep.lastSeq.Store(ack.LastSeq)
+		}
 		applied++
 	}
 	if applied == 0 {
-		return fmt.Errorf("cluster: delete failed on every replica of shard %d", owner)
+		return fmt.Errorf("cluster: %s failed on every replica of shard %d", op, g.si)
 	}
-	r.epoch.Add(1)
 	return nil
 }
 

@@ -3,191 +3,75 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
-	"log"
 	"net/http"
-	"sync/atomic"
-	"time"
 
 	"activitytraj/internal/query"
 	"activitytraj/internal/server"
 	"activitytraj/internal/trajectory"
 )
 
-// RouterServerOptions tunes a RouterServer.
-type RouterServerOptions struct {
-	// Vocab resolves activity names in requests; nil restricts requests to
-	// numeric activity IDs.
-	Vocab *trajectory.Vocabulary
-	// ErrorLog receives the server-side detail of 5xx faults; nil uses the
-	// standard logger.
-	ErrorLog *log.Logger
-}
-
-// RouterServer is the cluster's public HTTP face: the same /v1 dialect as
-// the single-process server, served by scatter-gather over the shard
-// replica sets. Degradation is visible on the wire: partial answers carry
-// the X-Atsq-Partial header and "partial" body field, and a search that
-// demanded completeness over a dead shard gets 503.
-type RouterServer struct {
-	router  *Router
-	vocab   *trajectory.Vocabulary
-	errlog  *log.Logger
-	started time.Time
-
-	searches atomic.Int64
-	inserts  atomic.Int64
-	deletes  atomic.Int64
-}
+// routerBackend is the cluster's public tier behind the common HTTP face:
+// the same /v1 dialect as the single-process server, served by
+// scatter-gather over the shard replica sets. It contributes only its error
+// classes. Degradation is visible on the wire: partial answers carry the
+// X-Atsq-Partial header and "partial" body field, and a 503 describes
+// cluster degradation the client should see verbatim.
+type routerBackend struct{ *Router }
 
 // NewRouterServer builds the HTTP server over r.
-func NewRouterServer(r *Router, opts RouterServerOptions) *RouterServer {
-	errlog := opts.ErrorLog
-	if errlog == nil {
-		errlog = log.Default()
+func NewRouterServer(r *Router, opts server.Options) *server.Server {
+	return server.NewServer(routerBackend{r}, opts)
+}
+
+// unavailable makes a failure the 503 it is.
+func unavailable(err error) error {
+	return &server.StatusError{Status: http.StatusServiceUnavailable, Err: err}
+}
+
+func (b routerBackend) Search(ctx context.Context, req query.Request) (query.Response, error) {
+	resp, err := b.Router.Search(ctx, req)
+	var inc *IncompleteError
+	if errors.As(err, &inc) {
+		// RequireComplete over a dead shard fails closed: the client asked
+		// for all-or-nothing and gets the honest "nothing".
+		err = unavailable(err)
 	}
-	return &RouterServer{router: r, vocab: opts.Vocab, errlog: errlog, started: time.Now()}
+	return resp, err
 }
 
-// Handler returns the router's route table.
-func (s *RouterServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/v1/search", s.handleSearch)
-	mux.HandleFunc("/v1/insert", s.handleInsert)
-	mux.HandleFunc("/v1/delete", s.handleDelete)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	return mux
-}
-
-func (s *RouterServer) handleHealth(w http.ResponseWriter, r *http.Request) {
-	// The router itself is healthy as long as it runs: shard availability
-	// is per-request (degradation), not a router liveness question. The
-	// replica table gives load balancers the full picture.
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"shards":   s.router.NumShards(),
-		"replicas": s.router.Replicas(),
-	})
-}
-
-func (s *RouterServer) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req server.SearchRequest
-	if !s.readJSON(w, r, &req) {
-		return
+func (b routerBackend) Insert(ctx context.Context, gid *uint32, pts []trajectory.Point) (any, error) {
+	if gid != nil {
+		return nil, &server.StatusError{Status: http.StatusBadRequest, Err: errors.New("gid is assigned by the router")}
 	}
-	sreq, err := server.ToQueryRequest(s.vocab, req)
+	id, err := b.Router.Insert(ctx, pts)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, unavailable(err)
 	}
-	ctx := r.Context()
-	if tstr := r.URL.Query().Get("timeout"); tstr != "" {
-		d, err := time.ParseDuration(tstr)
-		if err != nil || d <= 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q: want a positive Go duration", tstr))
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	start := time.Now()
-	qresp, err := s.router.Search(ctx, sreq)
-	took := time.Since(start)
-	if err != nil {
-		var inc *IncompleteError
-		switch {
-		case errors.As(err, &inc):
-			// RequireComplete over a dead shard fails closed: the client
-			// asked for all-or-nothing and gets the honest "nothing".
-			s.writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, context.DeadlineExceeded):
-			server.WriteJSON(w, http.StatusGatewayTimeout, server.SearchResponseJSON(qresp, took))
-		case errors.Is(err, context.Canceled):
-			s.writeError(w, server.StatusClientClosedRequest, err)
-		default:
-			s.writeError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	s.searches.Add(1)
-	if qresp.Partial {
-		w.Header().Set(server.PartialHeader, "1")
-	}
-	server.WriteJSON(w, http.StatusOK, server.SearchResponseJSON(qresp, took))
+	return server.InsertResponse{ID: uint32(id)}, nil
 }
 
-func (s *RouterServer) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req server.InsertRequest
-	if !s.readJSON(w, r, &req) {
-		return
+func (b routerBackend) Delete(ctx context.Context, gid trajectory.TrajID) error {
+	err := b.Router.Delete(ctx, gid)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrNotFound):
+		return &server.StatusError{Status: http.StatusNotFound, Err: err}
+	default:
+		return unavailable(err)
 	}
-	pts, err := server.ToInsertPoints(s.vocab, req.Points)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	gid, err := s.router.Insert(r.Context(), pts)
-	if err != nil {
-		s.writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	s.inserts.Add(1)
-	server.WriteJSON(w, http.StatusOK, server.InsertResponse{ID: uint32(gid)})
 }
 
-func (s *RouterServer) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req server.DeleteRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	if err := s.router.Delete(r.Context(), trajectory.TrajID(req.ID)); err != nil {
-		if errors.Is(err, ErrNotFound) {
-			s.writeError(w, http.StatusNotFound, err)
-			return
-		}
-		s.writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	s.deletes.Add(1)
-	server.WriteJSON(w, http.StatusOK, server.DeleteResponse{Deleted: true})
+// Health is always ok: the router itself is healthy as long as it runs —
+// shard availability is per-request (degradation), not a router liveness
+// question. The replica table gives load balancers the full picture.
+func (b routerBackend) Health() (map[string]any, bool) {
+	return map[string]any{"status": "ok", "shards": b.NumShards(), "replicas": b.Replicas()}, true
 }
 
-func (s *RouterServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"uptime_sec": time.Since(s.started).Seconds(),
-		"shards":     s.router.NumShards(),
-		"next_id":    uint32(s.router.NextID()),
-		"epoch":      s.router.Epoch(),
-		"searches":   s.searches.Load(),
-		"inserts":    s.inserts.Load(),
-		"deletes":    s.deletes.Load(),
-		"replicas":   s.router.Replicas(),
-	})
+func (b routerBackend) Stats(body map[string]any) {
+	body["shards"] = b.NumShards()
+	body["next_id"] = uint32(b.NextID())
+	body["epoch"] = b.Epoch()
+	body["replicas"] = b.Replicas()
 }
-
-func (s *RouterServer) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if status, err := server.DecodeJSON(w, r, dst, 0); status != 0 {
-		s.writeError(w, status, err)
-		return false
-	}
-	return true
-}
-
-func (s *RouterServer) writeError(w http.ResponseWriter, status int, err error) {
-	if status >= 500 && status != http.StatusServiceUnavailable {
-		// 503s describe cluster degradation the client should see verbatim;
-		// other 5xx detail stays server-side.
-		s.errlog.Printf("cluster router: %d fault: %v", status, err)
-		server.WriteJSON(w, status, server.ErrorResponse{Error: http.StatusText(status)})
-		return
-	}
-	server.WriteJSON(w, status, server.ErrorResponse{Error: err.Error()})
-}
-
-var _ query.EpochSource = (*Router)(nil)

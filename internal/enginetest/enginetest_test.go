@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"activitytraj/internal/baseline"
-	"activitytraj/internal/core"
 	"activitytraj/internal/dataset"
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/gat"
@@ -49,7 +48,7 @@ func buildEngines(t testing.TB, ds *trajectory.Dataset, gatCfg gat.Config) (*eva
 	if err != nil {
 		t.Fatalf("trajstore: %v", err)
 	}
-	idx, err := core.Build(ts, gatCfg)
+	idx, err := gat.Build(ts, gatCfg)
 	if err != nil {
 		t.Fatalf("gat build: %v", err)
 	}
@@ -57,7 +56,7 @@ func buildEngines(t testing.TB, ds *trajectory.Dataset, gatCfg gat.Config) (*eva
 		baseline.BuildIL(ts),
 		baseline.BuildRT(ts, 0, 0),
 		baseline.BuildIRT(ts, 0, 0),
-		core.NewEngine(idx),
+		gat.NewEngine(idx),
 	}
 	return ts, engines
 }

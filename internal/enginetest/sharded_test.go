@@ -82,6 +82,13 @@ func TestShardedDifferentialLA(t *testing.T) {
 				}
 				requireByteIdentical(t, label, want, got)
 			}
+			// K < 1 is K = 1 on every tier (the query.Request.K contract).
+			want, err1 := oracle.SearchATSQ(q, 1)
+			got, err2 := sharded.SearchATSQ(q, 0)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s q%d k=0: single err=%v sharded err=%v", label, qi, err1, err2)
+			}
+			requireByteIdentical(t, label+" k=0", want, got)
 		}
 	}
 

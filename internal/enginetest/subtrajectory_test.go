@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"activitytraj/internal/core"
 	"activitytraj/internal/dataset"
 	"activitytraj/internal/delta"
 	"activitytraj/internal/evaluate"
@@ -147,11 +146,11 @@ func TestSubtrajectoryTiersByteIdenticalLA(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trajstore: %v", err)
 	}
-	idx, err := core.Build(ts, gatCfgDefault())
+	idx, err := gat.Build(ts, gatCfgDefault())
 	if err != nil {
 		t.Fatalf("gat build: %v", err)
 	}
-	static := core.NewEngine(idx)
+	static := gat.NewEngine(idx)
 
 	dyn, err := delta.NewDynamic(ds, delta.Config{CompactThreshold: -1})
 	if err != nil {
@@ -288,11 +287,11 @@ func FuzzSubtrajectoryVsBrute(f *testing.F) {
 	if err != nil {
 		f.Fatalf("trajstore: %v", err)
 	}
-	idx, err := core.Build(ts, gatCfgDefault())
+	idx, err := gat.Build(ts, gatCfgDefault())
 	if err != nil {
 		f.Fatalf("gat build: %v", err)
 	}
-	engine := core.NewEngine(idx)
+	engine := gat.NewEngine(idx)
 
 	f.Add(int64(1), uint8(0), uint8(0), false)
 	f.Add(int64(2), uint8(0), uint8(6), true)

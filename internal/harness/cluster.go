@@ -11,6 +11,7 @@ import (
 	"activitytraj/internal/cluster"
 	"activitytraj/internal/queries"
 	"activitytraj/internal/query"
+	"activitytraj/internal/server"
 	"activitytraj/internal/shard"
 	"activitytraj/internal/trajectory"
 )
@@ -72,7 +73,7 @@ func bootBenchCluster(ds *trajectory.Dataset, shards, nReplicas, workers int) (*
 				bc.close()
 				return nil, fmt.Errorf("shard %d replica %d: %w", si, ri, err)
 			}
-			srv := httptest.NewServer(cluster.NewNodeServer(n, cluster.NodeServerOptions{
+			srv := httptest.NewServer(cluster.NewNodeServer(n, server.Options{
 				Workers: workers,
 				Vocab:   ds.Vocab,
 			}).Handler())

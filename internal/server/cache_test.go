@@ -36,6 +36,7 @@ func TestSearchResultCache(t *testing.T) {
 		t.Fatalf("router: %v", err)
 	}
 	s := New(r, Options{Workers: 2, Vocab: ds.Vocab, ResultCacheEntries: 64})
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -71,6 +71,7 @@ func TestHealthzDegradesOnCompactionFailure(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	s := New(r, Options{Workers: 1, Vocab: ds.Vocab})
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -138,6 +139,7 @@ func TestHealthzReportsRecovery(t *testing.T) {
 	}
 	defer r2.Close()
 	s := New(r2, Options{Workers: 1, Vocab: ds.Vocab, Recovery: &ri})
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -163,7 +165,7 @@ func TestWriteErrorSanitizesServerFaults(t *testing.T) {
 	s.errlog = log.New(&logged, "", 0)
 
 	rec := httptest.NewRecorder()
-	s.writeError(rec, http.StatusInternalServerError, errors.New("shard-003: /var/db/wal-007.seg exploded"))
+	s.WriteError(rec, http.StatusInternalServerError, errors.New("shard-003: /var/db/wal-007.seg exploded"))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -182,7 +184,7 @@ func TestWriteErrorSanitizesServerFaults(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	s.writeError(rec, http.StatusBadRequest, errors.New("point 3: non-finite coordinates"))
+	s.WriteError(rec, http.StatusBadRequest, errors.New("point 3: non-finite coordinates"))
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
 		t.Fatal(err)
 	}

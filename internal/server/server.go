@@ -1,8 +1,10 @@
-// Package server implements the HTTP JSON query service over a sharded
-// activity-trajectory index: search, insert, delete and stats endpoints
-// plus a health probe, each search reporting its per-request SearchStats.
-// The cmd/atsqserve command is a thin main around this package; keeping the
-// handlers here makes them testable with httptest.
+// Package server implements the HTTP JSON query service of every serving
+// tier: search, insert, delete and stats endpoints plus a health probe,
+// each search reporting its per-request SearchStats. One handler set serves
+// a Backend — the single-process sharded index (New), a cluster shard
+// replica or the cluster router (internal/cluster) — so the tiers cannot
+// drift apart on the wire. The cmd/atsqserve command is a thin main around
+// this package; keeping the handlers here makes them testable with httptest.
 //
 // Every search runs under the HTTP request's context, so a client hanging
 // up cancels the in-flight scatter-gather search; a per-request
@@ -110,6 +112,11 @@ type SearchResponse struct {
 
 // InsertRequest is the /v1/insert body: the trajectory's points in order.
 type InsertRequest struct {
+	// GID is cluster-internal: the global trajectory ID a cluster router
+	// assigned, fanned out to every replica of the owning shard. Only shard
+	// replicas accept it (and require it); the public tiers assign IDs
+	// themselves and reject it.
+	GID    *uint32          `json:"gid,omitempty"`
 	Points []QueryPointJSON `json:"points"`
 }
 
@@ -133,7 +140,8 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// StatsResponse is the /v1/stats reply.
+// StatsResponse is the single-process server's /v1/stats reply (the cluster
+// tiers report the same serving counters beside their own index shape).
 type StatsResponse struct {
 	UptimeSec float64     `json:"uptime_sec"`
 	Searches  int64       `json:"searches"`
@@ -159,9 +167,9 @@ const DefaultK = queries.DefaultK
 // Options tunes a Server.
 type Options struct {
 	// Workers sizes the engine pool — the number of searches served
-	// concurrently (each worker is one scatter-gather engine whose shard
-	// fan-out shares the underlying per-shard indexes). <= 0 selects
-	// GOMAXPROCS.
+	// concurrently (each worker is one engine; a scatter-gather engine's
+	// shard fan-out shares the underlying per-shard indexes). <= 0 selects
+	// GOMAXPROCS. The cluster router has no engines and ignores it.
 	Workers int
 	// Vocab resolves activity names in requests; nil restricts requests to
 	// numeric activity IDs.
@@ -179,32 +187,107 @@ type Options struct {
 	// carrying the complete current top-k instead of the evicted backlog.
 	SubscriptionBuffer int
 	// ResultCacheEntries, when > 0, enables an epoch-invalidated result
-	// cache of that many entries in front of the engine pool: a search
-	// whose canonical request was already answered at the current mutation
-	// epoch replies without borrowing an engine at all, and any insert,
-	// delete or compaction on the router invalidates every older entry at
-	// once (see query.ResultCache). A hit's stats carry only the
-	// ResultCacheHits marker — the cached search's work was not performed
-	// for the serving request. 0 (the default) disables caching, keeping
-	// every reply's stats an exact account of work done for that request.
+	// cache of that many entries in front of the backend: a search whose
+	// canonical request was already answered at the current mutation epoch
+	// replies without borrowing an engine at all, and any insert, delete or
+	// compaction invalidates every older entry at once (see
+	// query.ResultCache). A hit's stats carry only the ResultCacheHits
+	// marker — the cached search's work was not performed for the serving
+	// request. 0 (the default) disables caching, keeping every reply's stats
+	// an exact account of work done for that request.
 	ResultCacheEntries int
 }
 
-// Server serves ATSQ/OATSQ queries and mutations over a shard.Router.
+// Backend is the index tier behind a Server. Its methods are called
+// concurrently.
+type Backend interface {
+	// Epoch is the mutation counter that invalidates the result cache.
+	query.EpochSource
+	// Search answers one request. On a context error the response carries
+	// whatever partial top-k was gathered (Truncated).
+	Search(ctx context.Context, req query.Request) (query.Response, error)
+	// Insert adds one trajectory and returns the reply body. gid is
+	// InsertRequest.GID.
+	Insert(ctx context.Context, gid *uint32, pts []trajectory.Point) (any, error)
+	// Delete tombstones one trajectory by global ID.
+	Delete(ctx context.Context, id trajectory.TrajID) error
+	// Health returns the /healthz body; ok false answers 503 instead of 200,
+	// flipping load balancers away.
+	Health() (body map[string]any, ok bool)
+	// Stats adds the tier's index shape to the /v1/stats body.
+	Stats(body map[string]any)
+}
+
+// SearchTuner is implemented by backends that accept per-search URL
+// parameters beyond the common ones; an error answers 400.
+type SearchTuner interface {
+	TuneSearch(r *http.Request, req *query.Request) error
+}
+
+// StatusError is a backend failure that names its own HTTP status. Its
+// message travels verbatim — the backend vouches that it is fit for clients
+// (a cluster router's 503 describes degradation the client should see) —
+// where any other fault is a sanitized 500.
+type StatusError struct {
+	Status int
+	Err    error
+}
+
+func (e *StatusError) Error() string { return e.Err.Error() }
+func (e *StatusError) Unwrap() error { return e.Err }
+
+// SearchFunc is the Search method of one single-goroutine engine.
+type SearchFunc func(context.Context, query.Request) (query.Response, error)
+
+// EnginePool gives each in-flight search an exclusive engine (and so exact
+// per-request SearchStats); the channel applies backpressure past its size.
+type EnginePool chan SearchFunc
+
+// NewEnginePool fills a pool from workers calls of newEngine (<= 0 selects
+// GOMAXPROCS).
+func NewEnginePool(workers int, newEngine func() SearchFunc) EnginePool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	p := make(EnginePool, workers)
+	for i := 0; i < workers; i++ {
+		p <- newEngine()
+	}
+	return p
+}
+
+// Search borrows an engine for one search. Borrowing honors ctx: a budget
+// spent queueing behind busy engines fails immediately instead of parking
+// the caller until an engine frees, and a hung-up client leaves the queue
+// right away. The response is copied out of the engine, so the engine is
+// back in the pool before the caller writes its reply — a client stalling
+// on the read side must not pin serving capacity.
+func (p EnginePool) Search(ctx context.Context, req query.Request) (query.Response, error) {
+	select {
+	case search := <-p:
+		resp, err := search(ctx, req)
+		p <- search
+		return resp, err
+	case <-ctx.Done():
+		return query.Response{Truncated: true}, ctx.Err()
+	}
+}
+
+// Server serves ATSQ/OATSQ queries and mutations over a Backend.
 type Server struct {
-	router   *shard.Router
-	vocab    *trajectory.Vocabulary
-	engines  chan *shard.Engine
-	workers  int
-	started  time.Time
-	recovery *shard.RecoveryInfo
-	errlog   *log.Logger
-	// rcache, when non-nil, answers repeated searches without borrowing an
-	// engine; its epoch source is the router's composed mutation counter.
+	backend Backend
+	tuner   SearchTuner // backend's, nil when it has none
+	vocab   *trajectory.Vocabulary
+	started time.Time
+	errlog  *log.Logger
+	mux     *http.ServeMux
+	// rcache, when non-nil, answers repeated searches without reaching the
+	// backend; its epoch source is the backend's mutation counter.
 	rcache *query.ResultCache
-	// hub maintains standing queries against the router's mutation stream.
-	// Always present: with zero subscribers its per-mutation cost is one
-	// atomic load, so the search/ingest fast paths are unaffected.
+	// hub maintains standing queries against the mutation stream of a
+	// backend that can feed one (nil otherwise). With zero subscribers its
+	// per-mutation cost is one atomic load, so the search/ingest fast paths
+	// are unaffected.
 	hub *subscribe.Hub
 
 	searches atomic.Int64
@@ -212,86 +295,67 @@ type Server struct {
 	deletes  atomic.Int64
 }
 
-// New builds a server over r with a pool of opts.Workers engines.
+// New builds the single-process server over r with a pool of opts.Workers
+// scatter-gather engines.
 func New(r *shard.Router, opts Options) *Server {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	errlog := opts.ErrorLog
-	if errlog == nil {
-		errlog = log.Default()
-	}
-	s := &Server{
-		router:   r,
-		vocab:    opts.Vocab,
-		engines:  make(chan *shard.Engine, w),
-		workers:  w,
-		started:  time.Now(),
-		recovery: opts.Recovery,
-		errlog:   errlog,
-	}
-	for i := 0; i < w; i++ {
-		s.engines <- r.NewEngine()
+	pool := NewEnginePool(opts.Workers, func() SearchFunc { return r.NewEngine().Search })
+	return NewServer(&shardedBackend{Router: r, pool: pool, recovery: opts.Recovery}, opts)
+}
+
+// NewServer builds a server over any backend. A backend with a NewHub
+// method (the single-process router) additionally gets the standing-query
+// endpoints.
+func NewServer(b Backend, opts Options) *Server {
+	s := &Server{backend: b, vocab: opts.Vocab, started: time.Now(), errlog: opts.ErrorLog, mux: http.NewServeMux()}
+	s.tuner, _ = b.(SearchTuner)
+	if s.errlog == nil {
+		s.errlog = log.Default()
 	}
 	if opts.ResultCacheEntries > 0 {
-		s.rcache = query.NewResultCache(opts.ResultCacheEntries, r)
+		s.rcache = query.NewResultCache(opts.ResultCacheEntries, b)
 	}
-	s.hub = r.NewHub(subscribe.Options{EventBuffer: opts.SubscriptionBuffer})
+	s.mux.HandleFunc("/healthz", s.handleHealth)
+	s.mux.HandleFunc("/v1/search", s.handleSearch)
+	s.mux.HandleFunc("/v1/insert", s.handleInsert)
+	s.mux.HandleFunc("/v1/delete", s.handleDelete)
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	if hb, ok := b.(interface {
+		NewHub(subscribe.Options) *subscribe.Hub
+	}); ok {
+		s.hub = hb.NewHub(subscribe.Options{EventBuffer: opts.SubscriptionBuffer})
+		s.mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
+		s.mux.HandleFunc("/v1/unsubscribe", s.handleUnsubscribe)
+	}
 	return s
 }
 
-// Hub exposes the standing-query hub (for in-process embedders and tests).
+// Hub exposes the standing-query hub (for in-process embedders and tests);
+// nil when the backend has none.
 func (s *Server) Hub() *subscribe.Hub { return s.hub }
 
-// Close stops the subscription hub: the router's mutation observers are
+// Close stops the subscription hub, if any: the mutation observers are
 // detached, the dispatcher exits, and every live subscription is closed
 // (streaming handlers see it and end their responses). Call after the HTTP
 // listener has stopped accepting requests.
-func (s *Server) Close() { s.hub.Close() }
-
-// Handler returns the route table. Borrowed engines give each in-flight
-// search an exclusive engine (and so exact per-request SearchStats); the
-// channel pool applies backpressure past Workers concurrent searches.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/v1/search", s.handleSearch)
-	mux.HandleFunc("/v1/insert", s.handleInsert)
-	mux.HandleFunc("/v1/delete", s.handleDelete)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
-	mux.HandleFunc("/v1/unsubscribe", s.handleUnsubscribe)
-	return mux
+func (s *Server) Close() {
+	if s.hub != nil {
+		s.hub.Close()
+	}
 }
 
-// handleHealth is the liveness and readiness probe. Beyond the shard count
-// it reports what a durable boot recovered (replayed journal records, torn
-// tails, synthesized inserts) and surfaces any persisting background
-// compaction failure: a shard whose last compaction failed serves stale
-// generations with a growing delta, so the probe answers 503 — flipping
-// load balancers away — until a later compaction succeeds and clears it.
+// Handler returns the route table.
+func (s *Server) Handler() http.Handler { return s.mux }
+
+// HandleFunc adds a tier-specific route beside the common ones.
+func (s *Server) HandleFunc(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{
-		"status": "ok",
-		"shards": s.router.NumShards(),
+	body, ok := s.backend.Health()
+	status := http.StatusOK
+	if !ok {
+		status = http.StatusServiceUnavailable
 	}
-	if s.recovery != nil {
-		resp["recovery"] = s.recovery
-	}
-	compact := map[string]string{}
-	for si, ss := range s.router.Stats().PerShard {
-		if ss.CompactErr != "" {
-			compact[strconv.Itoa(si)] = ss.CompactErr
-		}
-	}
-	if len(compact) > 0 {
-		resp["status"] = "compaction-failed"
-		resp["compact_errors"] = compact
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, status, body)
 }
 
 // StatusClientClosedRequest is the non-standard status (nginx's 499)
@@ -302,12 +366,15 @@ const StatusClientClosedRequest = 499
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req, 0) {
 		return
 	}
 	sreq, err := ToQueryRequest(s.vocab, req)
+	if err == nil && s.tuner != nil {
+		err = s.tuner.TuneSearch(r, &sreq)
+	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The search runs under the HTTP request's context (a client hanging up
@@ -317,14 +384,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if tstr := r.URL.Query().Get("timeout"); tstr != "" {
 		d, err := time.ParseDuration(tstr)
 		if err != nil || d <= 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q: want a positive Go duration", tstr))
+			s.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q: want a positive Go duration", tstr))
 			return
 		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	// With a result cache enabled, probe before borrowing an engine: a hit
+	// With a result cache enabled, probe before reaching the backend: a hit
 	// replies immediately (no pool backpressure, no search). The epoch is
 	// read once here and reused for the post-search Put, so a cached entry
 	// can never claim mutations its search did not observe.
@@ -333,27 +400,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		cacheEpoch = s.rcache.Epoch()
 		if qresp, ok := s.rcache.Get(cacheEpoch, sreq); ok {
 			s.searches.Add(1)
-			writeJSON(w, http.StatusOK, searchResponseJSON(qresp, 0))
+			WriteJSON(w, http.StatusOK, SearchResponseJSON(qresp, 0))
 			return
 		}
 	}
-	// Borrowing from the engine pool honors the request context too: a
-	// budget spent queueing behind busy engines 504s immediately instead
-	// of parking the handler until an engine frees, and a hung-up client
-	// leaves the queue right away.
-	var e *shard.Engine
-	select {
-	case e = <-s.engines:
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			writeJSON(w, http.StatusGatewayTimeout, searchResponseJSON(query.Response{Truncated: true}, 0))
-		} else {
-			s.writeError(w, StatusClientClosedRequest, ctx.Err())
-		}
-		return
-	}
 	start := time.Now()
-	qresp, err := e.Search(ctx, sreq)
+	qresp, err := s.backend.Search(ctx, sreq)
 	took := time.Since(start)
 	if s.rcache != nil {
 		qresp.Stats.ResultCacheMisses++
@@ -361,113 +413,166 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.rcache.Put(cacheEpoch, sreq, qresp)
 		}
 	}
-	// The response was copied out of the engine, so it can go back to the
-	// pool before the response write: a client stalling on the read side
-	// must not pin an engine (the pool is the serving capacity).
-	s.engines <- e
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			// The per-request budget ran out: 504, with whatever partial
-			// top-k the search had gathered (Truncated marks it).
-			writeJSON(w, http.StatusGatewayTimeout, searchResponseJSON(qresp, took))
-		case errors.Is(err, context.Canceled):
-			s.writeError(w, StatusClientClosedRequest, err)
-		default:
-			// The query already validated in toQuery, so an engine failure
-			// here is a server-side fault, not a bad request.
-			s.writeError(w, http.StatusInternalServerError, err)
+	switch {
+	case err == nil:
+		s.searches.Add(1)
+		if qresp.Partial {
+			w.Header().Set(PartialHeader, "1")
 		}
-		return
+		WriteJSON(w, http.StatusOK, SearchResponseJSON(qresp, took))
+	case errors.Is(err, context.DeadlineExceeded):
+		// The per-request budget ran out: 504, with whatever partial top-k
+		// the search had gathered (Truncated marks it).
+		WriteJSON(w, http.StatusGatewayTimeout, SearchResponseJSON(qresp, took))
+	default:
+		s.fail(w, err)
 	}
-	s.searches.Add(1)
-	if qresp.Partial {
-		w.Header().Set(PartialHeader, "1")
-	}
-	writeJSON(w, http.StatusOK, searchResponseJSON(qresp, took))
-}
-
-// searchResponseJSON converts an engine response to the wire shape.
-func searchResponseJSON(qresp query.Response, took time.Duration) SearchResponse {
-	return SearchResponseJSON(qresp, took)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req, 0) {
 		return
 	}
 	pts, err := ToInsertPoints(s.vocab, req.Points)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	id, err := s.router.Insert(trajectory.Trajectory{Pts: pts})
+	// Request-shaped problems were rejected above (coordinates, activity
+	// resolution); what a backend reports beyond that is its own fault.
+	reply, err := s.backend.Insert(r.Context(), req.GID, pts)
 	if err != nil {
-		// Request-shaped problems were rejected above (coordinates, activity
-		// resolution); what remains is a router/index fault.
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.fail(w, err)
 		return
 	}
 	s.inserts.Add(1)
-	writeJSON(w, http.StatusOK, InsertResponse{ID: uint32(id)})
+	WriteJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req DeleteRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req, 0) {
 		return
 	}
-	if err := s.router.Delete(trajectory.TrajID(req.ID)); err != nil {
-		s.writeError(w, http.StatusNotFound, err)
+	if err := s.backend.Delete(r.Context(), trajectory.TrajID(req.ID)); err != nil {
+		s.fail(w, err)
 		return
 	}
 	s.deletes.Add(1)
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
+	WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
+		s.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		UptimeSec:     time.Since(s.started).Seconds(),
-		Searches:      s.searches.Load(),
-		Inserts:       s.inserts.Load(),
-		Deletes:       s.deletes.Load(),
-		Workers:       s.workers,
-		Index:         s.router.Stats(),
-		MutationEpoch: s.router.Epoch(),
-		Subscriptions: s.hub.Stats(),
-	})
+	body := map[string]any{
+		"uptime_sec": time.Since(s.started).Seconds(),
+		"searches":   s.searches.Load(),
+		"inserts":    s.inserts.Load(),
+		"deletes":    s.deletes.Load(),
+	}
+	if s.hub != nil {
+		body["subscriptions"] = s.hub.Stats()
+	}
+	s.backend.Stats(body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
-// readJSON decodes a POST body into dst (size-capped, unknown fields
-// rejected — see DecodeJSON), replying with the appropriate error status
-// itself when it returns false.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if status, err := DecodeJSON(w, r, dst, DefaultMaxBodyBytes); status != 0 {
-		s.writeError(w, status, err)
+// ReadJSON decodes a POST body into dst (size-capped at maxBytes, unknown
+// fields rejected — see DecodeJSON), replying with the appropriate error
+// status itself when it returns false.
+func (s *Server) ReadJSON(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64) bool {
+	if status, err := DecodeJSON(w, r, dst, maxBytes); status != 0 {
+		s.WriteError(w, status, err)
 		return false
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	WriteJSON(w, status, v)
+// fail answers a backend error: the status a StatusError names, 499 for a
+// client that hung up, otherwise a 500.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	var se *StatusError
+	switch {
+	case errors.As(err, &se):
+		WriteJSON(w, se.Status, ErrorResponse{Error: se.Error()})
+	case errors.Is(err, context.Canceled):
+		s.WriteError(w, StatusClientClosedRequest, err)
+	default:
+		s.WriteError(w, http.StatusInternalServerError, err)
+	}
 }
 
-// writeError replies with a JSON error body. Client-addressable statuses
+// WriteError replies with a JSON error body. Client-addressable statuses
 // (4xx, including 499) carry the actionable detail verbatim; server-side
 // faults (5xx) are sanitized on the wire — engine and router error strings
 // can name files, shard layout and index internals, which belong in the
 // server log, not in a reply to an arbitrary network client.
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+func (s *Server) WriteError(w http.ResponseWriter, status int, err error) {
 	if status >= 500 {
 		s.errlog.Printf("server: %d fault: %v", status, err)
-		writeJSON(w, status, ErrorResponse{Error: http.StatusText(status)})
-		return
+		err = errors.New(http.StatusText(status))
 	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
+}
+
+// shardedBackend serves the single-process sharded index.
+type shardedBackend struct {
+	*shard.Router // Epoch, NewHub
+	pool          EnginePool
+	recovery      *shard.RecoveryInfo
+}
+
+func (b *shardedBackend) Search(ctx context.Context, req query.Request) (query.Response, error) {
+	return b.pool.Search(ctx, req)
+}
+
+func (b *shardedBackend) Insert(_ context.Context, gid *uint32, pts []trajectory.Point) (any, error) {
+	if gid != nil {
+		return nil, &StatusError{Status: http.StatusBadRequest, Err: errors.New("gid is assigned by the server")}
+	}
+	id, err := b.Router.Insert(trajectory.Trajectory{Pts: pts})
+	return InsertResponse{ID: uint32(id)}, err
+}
+
+func (b *shardedBackend) Delete(_ context.Context, id trajectory.TrajID) error {
+	if err := b.Router.Delete(id); err != nil {
+		return &StatusError{Status: http.StatusNotFound, Err: err}
+	}
+	return nil
+}
+
+// Health reports, beyond the shard count, what a durable boot recovered
+// (replayed journal records, torn tails, synthesized inserts) and surfaces
+// any persisting background compaction failure: a shard whose last
+// compaction failed serves stale generations with a growing delta, so the
+// probe is unhealthy until a later compaction succeeds and clears it.
+func (b *shardedBackend) Health() (map[string]any, bool) {
+	body := map[string]any{"status": "ok", "shards": b.NumShards()}
+	if b.recovery != nil {
+		body["recovery"] = b.recovery
+	}
+	compact := map[string]string{}
+	for si, ss := range b.Router.Stats().PerShard {
+		if ss.CompactErr != "" {
+			compact[strconv.Itoa(si)] = ss.CompactErr
+		}
+	}
+	if len(compact) > 0 {
+		body["status"] = "compaction-failed"
+		body["compact_errors"] = compact
+	}
+	return body, len(compact) == 0
+}
+
+// Stats fills StatsResponse's index fields. MutationEpoch also appears per
+// shard inside Index; surfacing it at the top lets clients watch ingest
+// progress without parsing shard detail.
+func (b *shardedBackend) Stats(body map[string]any) {
+	body["workers"] = cap(b.pool)
+	body["index"] = b.Router.Stats()
+	body["mutation_epoch"] = b.Epoch()
 }

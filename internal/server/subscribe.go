@@ -117,34 +117,34 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s.handleSubscribePoll(w, r)
 	default:
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST to subscribe or GET to poll"))
+		s.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST to subscribe or GET to poll"))
 	}
 }
 
 func (s *Server) handleSubscribeCreate(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req, 0) {
 		return
 	}
 	sreq, err := ToQueryRequest(s.vocab, req)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	sub, err := s.hub.Subscribe(r.Context(), sreq)
 	if err != nil {
 		if errors.Is(err, subscribe.ErrClosed) {
-			s.writeError(w, http.StatusServiceUnavailable, err)
+			s.WriteError(w, http.StatusServiceUnavailable, err)
 		} else {
 			// Everything else Subscribe rejects is request-shaped (span
 			// options, WithMatches, a hung-up client).
-			s.writeError(w, http.StatusBadRequest, err)
+			s.WriteError(w, http.StatusBadRequest, err)
 		}
 		return
 	}
 	if r.URL.Query().Get("mode") == "poll" {
 		seq, topk := sub.Snapshot()
-		writeJSON(w, http.StatusOK, SubscribeResponse{ID: sub.ID(), Seq: seq, Results: resultsJSON(topk)})
+		WriteJSON(w, http.StatusOK, SubscribeResponse{ID: sub.ID(), Seq: seq, Results: resultsJSON(topk)})
 		return
 	}
 	// SSE mode: the subscription's lifetime is the stream's.
@@ -160,25 +160,25 @@ func (s *Server) handleSubscribePoll(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	id, err := strconv.ParseUint(q.Get("id"), 10, 64)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad id %q: want the decimal subscription ID", q.Get("id")))
+		s.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad id %q: want the decimal subscription ID", q.Get("id")))
 		return
 	}
 	sub, ok := s.hub.Get(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no subscription %d", id))
+		s.WriteError(w, http.StatusNotFound, fmt.Errorf("no subscription %d", id))
 		return
 	}
 	var from uint64
 	if fs := q.Get("from"); fs != "" {
 		if from, err = strconv.ParseUint(fs, 10, 64); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad from %q: want a sequence number", fs))
+			s.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad from %q: want a sequence number", fs))
 			return
 		}
 	}
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		if lid := r.Header.Get("Last-Event-ID"); lid != "" {
 			if from, err = strconv.ParseUint(lid, 10, 64); err != nil {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad Last-Event-ID %q", lid))
+				s.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad Last-Event-ID %q", lid))
 				return
 			}
 		}
@@ -189,7 +189,7 @@ func (s *Server) handleSubscribePoll(w http.ResponseWriter, r *http.Request) {
 	if ws := q.Get("wait"); ws != "" {
 		d, err := time.ParseDuration(ws)
 		if err != nil || d <= 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: want a positive Go duration", ws))
+			s.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: want a positive Go duration", ws))
 			return
 		}
 		wait = min(d, MaxLongPollWait)
@@ -203,15 +203,15 @@ func (s *Server) handleSubscribePoll(w http.ResponseWriter, r *http.Request) {
 			for i, ev := range evs {
 				resp.Events[i] = eventJSON(id, ev)
 			}
-			writeJSON(w, http.StatusOK, resp)
+			WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		select {
 		case <-r.Context().Done():
-			s.writeError(w, StatusClientClosedRequest, r.Context().Err())
+			s.WriteError(w, StatusClientClosedRequest, r.Context().Err())
 			return
 		case <-deadline.C:
-			writeJSON(w, http.StatusOK, PollResponse{ID: id, Events: []EventJSON{}})
+			WriteJSON(w, http.StatusOK, PollResponse{ID: id, Events: []EventJSON{}})
 			return
 		case <-waitCh:
 		}
@@ -226,7 +226,7 @@ func (s *Server) handleSubscribePoll(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sub *subscribe.Subscription, cursor uint64) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by connection"))
+		s.WriteError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by connection"))
 		return
 	}
 	rc := http.NewResponseController(w)
@@ -291,8 +291,8 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sub *subsc
 
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 	var req UnsubscribeRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.ReadJSON(w, r, &req, 0) {
 		return
 	}
-	writeJSON(w, http.StatusOK, UnsubscribeResponse{Removed: s.hub.Unsubscribe(req.ID)})
+	WriteJSON(w, http.StatusOK, UnsubscribeResponse{Removed: s.hub.Unsubscribe(req.ID)})
 }

@@ -271,7 +271,7 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Router, RecoveryI
 	// inserts — and with them, the pruning bound's correctness).
 	for _, sh := range r.shards {
 		sh.d.ForEachPts(func(_ trajectory.TrajID, pts []trajectory.Point) {
-			sh.extend(pts)
+			sh.bounds.Extend(pts)
 		})
 	}
 	return r, ri, nil

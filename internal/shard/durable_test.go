@@ -181,7 +181,7 @@ func TestRouterJournalAheadLeavesHole(t *testing.T) {
 		}
 	}
 	nextID := r.Stats().NextID
-	si := r.routeZ(r.repZ(full.Trajs[baseN+5].Pts))
+	si := r.layout.Route(full.Trajs[baseN+5].Pts)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRouterJournalAheadLeavesHole(t *testing.T) {
 	if got := r3.Stats().NextID; got != int(gid)+1 {
 		t.Fatalf("second recovery NextID %d, want %d", got, int(gid)+1)
 	}
-	wantSi := r3.routeZ(r3.repZ(full.Trajs[baseN+6].Pts))
+	wantSi := r3.layout.Route(full.Trajs[baseN+6].Pts)
 	if s, local, ok := r3.Owner(gid); !ok || s != wantSi {
 		t.Fatalf("post-hole insert %d resolves to (%d, %d, %v), want shard %d", gid, s, local, ok, wantSi)
 	}
@@ -410,7 +410,7 @@ func TestRouterCrashMatrix(t *testing.T) {
 			}
 			for i, op := range ops {
 				if op.pts != nil {
-					sim[r2.routeZ(r2.repZ(op.pts))].ins++
+					sim[r2.layout.Route(op.pts)].ins++
 				} else {
 					dsh, _, ok := r2.Owner(op.del)
 					if !ok {

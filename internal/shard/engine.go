@@ -4,12 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
-	"sync"
 
 	"activitytraj/internal/delta"
-	"activitytraj/internal/geo"
 	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
 )
@@ -19,39 +15,25 @@ import (
 // single-goroutine from the caller's side (it implements
 // query.CloneableEngine, so wrap it with query.NewParallelEngine for
 // concurrent serving); internally one search fans out across the planned
-// shards, each on its own per-shard delta engine.
-//
-// Planning and bound sharing: the per-shard lower bound Σ MinDist(q_i,
-// shard bounds) first selects the nearest shards (every shard the query's
-// envelope intersects has bound 0). Those searches run concurrently,
-// feeding one SharedTopK whose running k-th distance is broadcast back into
-// each in-flight search (BoundSink), tightening their Algorithm-2
-// termination bounds mid-flight. The remaining shards are then visited in
-// ascending bound order and launched only while their bound does not exceed
-// the global threshold — the query's reachable radius. Because the
-// threshold is monotone non-increasing and every skipped shard's bound
-// strictly exceeds it, skipped shards provably hold no top-k member, so
-// results are exactly the single-index engine's.
+// shards, each on its own per-shard delta engine. Planning, bound sharing
+// and the exactness argument are the Planner's; the engine supplies one
+// in-process Leg per shard and resolves matches after the merge.
 type Engine struct {
-	r     *Router
-	subs  []*delta.Engine
-	stats query.SearchStats
-	plans []shardPlan // scratch, reused across searches
-	locs  []geo.Point // scratch: query point locations
-}
-
-type shardPlan struct {
-	si int
-	lb float64
+	r       *Router
+	subs    []*delta.Engine
+	legs    []Leg
+	planner Planner
+	stats   query.SearchStats
 }
 
 // NewEngine returns a scatter-gather engine over the router's shards.
 func (r *Router) NewEngine() *Engine {
-	subs := make([]*delta.Engine, len(r.shards))
+	e := &Engine{r: r, subs: make([]*delta.Engine, len(r.shards)), legs: make([]Leg, len(r.shards))}
 	for i, sh := range r.shards {
-		subs[i] = sh.d.NewEngine()
+		e.subs[i] = sh.d.NewEngine()
+		e.legs[i] = &localLeg{sh: sh, sub: e.subs[i]}
 	}
-	return &Engine{r: r, subs: subs}
+	return e
 }
 
 // Name implements query.Engine.
@@ -94,179 +76,50 @@ func (e *Engine) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
 	return resp.Results, nil
 }
 
-// Search implements query.Engine over the sharded corpus. Planning honors
-// the request's options: shards whose bounding rectangle misses req.Region
-// are skipped outright, req.InitialBound caps the reachable radius from the
-// first wave on (composing with the tightening global threshold), and ctx
-// flows into every shard search — once it is cancelled or a shard fails,
-// the sibling in-flight searches are cancelled too and return at their next
-// batch boundary. On cancellation the global results gathered so far come
-// back with Truncated set, alongside ctx's error.
+// Search implements query.Engine over the sharded corpus through the
+// shared Planner (see Planner.Search for how the request's options, ctx and
+// cancellation are honored).
 func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	q, k, ordered := req.Query, req.K, req.Ordered
-	if err := q.Validate(); err != nil {
-		return query.Response{}, err
+	resp, err := e.planner.Search(ctx, req, e.legs)
+	e.stats = resp.Stats
+	if err != nil || !req.WithMatches {
+		return resp, err
 	}
-	if err := req.ValidateSpan(); err != nil {
-		return query.Response{}, err
+	resp.Matches, err = e.fillMatches(ctx, req, resp.Results)
+	if req.Subtrajectory {
+		resp.Spans = query.SpansFromMatches(resp.Matches)
 	}
-	e.stats = query.SearchStats{}
-	if err := ctx.Err(); err != nil {
-		return query.Response{Truncated: true}, err
+	resp.Stats = e.stats
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// Cancelled mid-fill: the matches are incomplete even though the
+		// result set itself is final.
+		resp.Truncated = true
 	}
-	locs := e.locs[:0]
-	for _, p := range q.Pts {
-		locs = append(locs, p.Loc)
-	}
-	e.locs = locs
-
-	plans := e.plans[:0]
-	minLB := math.Inf(1)
-	for si, sh := range e.r.shards {
-		lb := sh.queryLB(locs)
-		if req.Region != nil {
-			// A shard disjoint from the region holds no point that may
-			// match; plan it as unreachable.
-			if b, ok := sh.Bounds(); !ok || !b.Intersects(*req.Region) {
-				lb = math.Inf(1)
-			}
-		}
-		plans = append(plans, shardPlan{si: si, lb: lb})
-		if lb < minLB {
-			minLB = lb
-		}
-	}
-	e.plans = plans
-	slices.SortFunc(plans, func(a, b shardPlan) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
-		default:
-			return a.si - b.si
-		}
-	})
-
-	// Sub-searches share a derived context: the first failure (or the
-	// caller hanging up) cancels every in-flight sibling shard search. The
-	// join wrapper keeps the caller's cancellation visible to the polling
-	// sub-searches directly (WithCancel alone propagates through a watcher
-	// goroutine, a delay the per-batch Err() polls would not see).
-	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sctx := joinedCtx{Context: cctx, parent: ctx}
-
-	bound := req.Bound()
-	shared := query.NewSharedTopK(k)
-	subReq := query.Request{
-		Query: q, K: k, Ordered: ordered,
-		InitialBound: req.InitialBound, Region: req.Region,
-		Subtrajectory: req.Subtrajectory,
-		MinSpanPoints: req.MinSpanPoints, MaxSpanPoints: req.MaxSpanPoints,
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		agg      query.SearchStats
-		firstErr error
-		searched int
-	)
-	run := func(si int) {
-		searched++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, err := e.searchShard(sctx, si, subReq, shared)
-			mu.Lock()
-			agg.Add(st)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				cancel()
-			}
-			mu.Unlock()
-		}()
-	}
-	// effTh is the query's current reachable radius: the running global
-	// k-th distance capped by the request's initial bound.
-	effTh := func() float64 { return min(shared.Threshold(), bound) }
-
-	// Wave 1: every shard at the minimum bound (all intersecting shards
-	// when the query envelope overlaps any), unless the initial bound
-	// already rules them out. Wave 2: the rest in ascending bound order,
-	// pruned against the now-populated global threshold; the bounds are
-	// sorted and the threshold only tightens, so the first over-threshold
-	// shard ends the scan.
-	i := 0
-	if !math.IsInf(minLB, 1) && minLB <= bound {
-		for ; i < len(plans) && plans[i].lb == minLB; i++ {
-			run(plans[i].si)
-		}
-		wg.Wait()
-		if firstErr == nil && sctx.Err() == nil {
-			for ; i < len(plans); i++ {
-				if math.IsInf(plans[i].lb, 1) || plans[i].lb > effTh() {
-					break
-				}
-				run(plans[i].si)
-			}
-			wg.Wait()
-		}
-	}
-
-	agg.ShardsSearched = searched
-	agg.ShardsSkipped = len(plans) - searched
-	e.stats = agg
-	if firstErr == nil {
-		// Cancellation between the waves skips wave-2 shards that may hold
-		// better matches; the merge is then incomplete and must be reported
-		// truncated, never as an exact success.
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		if errors.Is(firstErr, context.Canceled) && ctx.Err() != nil {
-			// The cancellation came from the caller, not a shard fault:
-			// report the caller's error with the partial merge.
-			firstErr = ctx.Err()
-		}
-		if errors.Is(firstErr, context.Canceled) || errors.Is(firstErr, context.DeadlineExceeded) {
-			return query.Response{Results: shared.Results(), Stats: e.stats, Truncated: true}, firstErr
-		}
-		return query.Response{Stats: e.stats}, firstErr
-	}
-	resp := query.Response{Results: shared.Results(), Stats: e.stats}
-	if req.WithMatches {
-		ms, err := e.fillMatches(ctx, req, resp.Results)
-		resp.Matches = ms
-		if req.Subtrajectory {
-			resp.Spans = query.SpansFromMatches(ms)
-		}
-		resp.Stats = e.stats
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				// Cancelled mid-fill: the matches are incomplete even though
-				// the result set itself is final.
-				resp.Truncated = true
-			}
-			return resp, err
-		}
-	}
-	return resp, nil
+	return resp, err
 }
 
-// searchShard runs one shard's search with the shared bound attached,
-// holding the shard's ID-map read lock for the duration so every
+// localLeg is the in-process Leg: one shard's delta engine, searched with
+// the shared bound attached.
+type localLeg struct {
+	sh   *Shard
+	sub  *delta.Engine
+	sink translatingSink
+}
+
+func (l *localLeg) Bounds() *Bounds { return &l.sh.bounds }
+
+// Search holds the shard's ID-map read lock for the duration so every
 // trajectory the search can observe has its global mapping in place.
-func (e *Engine) searchShard(ctx context.Context, si int, req query.Request, shared *query.SharedTopK) (query.SearchStats, error) {
-	sh := e.r.shards[si]
-	sub := e.subs[si]
-	sh.idmu.RLock()
-	defer sh.idmu.RUnlock()
-	sub.SetBoundSink(&translatingSink{shared: shared, ids: sh.globalIDs})
-	defer sub.SetBoundSink(nil)
-	resp, err := sub.Search(ctx, req)
+// Matches are resolved after the merge (Engine.fillMatches), for the
+// surviving results only.
+func (l *localLeg) Search(ctx context.Context, req query.Request, shared *query.SharedTopK) (query.SearchStats, error) {
+	l.sh.idmu.RLock()
+	defer l.sh.idmu.RUnlock()
+	l.sink = translatingSink{shared: shared, ids: l.sh.globalIDs}
+	l.sub.SetBoundSink(&l.sink)
+	defer l.sub.SetBoundSink(nil)
+	req.WithMatches, req.RequireComplete = false, false
+	resp, err := l.sub.Search(ctx, req)
 	return resp.Stats, err
 }
 
@@ -338,24 +191,6 @@ func (e *Engine) ResetCaches() {
 
 var _ query.CloneableEngine = (*Engine)(nil)
 var _ query.EpochSource = (*Engine)(nil)
-
-// joinedCtx derives a cancellable context whose Err() also polls the
-// parent lazily: sub-searches observe the caller's cancellation at their
-// very next batch-boundary check, with no propagation goroutine in
-// between. Done() is the derived context's channel — the engine's internal
-// cancel fires it; selectors additionally watching the parent should
-// select on the parent's Done themselves.
-type joinedCtx struct {
-	context.Context // the engine-owned cancel context (Done, Deadline, Value)
-	parent          context.Context
-}
-
-func (j joinedCtx) Err() error {
-	if err := j.parent.Err(); err != nil {
-		return err
-	}
-	return j.Context.Err()
-}
 
 // translatingSink adapts a shard search's local result stream to the
 // shared global top-k: local IDs are translated through the shard's

@@ -26,7 +26,6 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"activitytraj/internal/delta"
@@ -91,14 +90,13 @@ type Shard struct {
 	// zlo/zhi is the owned Z-code range [zlo, zhi) at the partition depth.
 	zlo, zhi uint32
 
-	// idmu guards globalIDs and the bounds. Searches hold the read lock for
-	// their whole duration so every trajectory they can observe has its
-	// global mapping in place; Insert holds the write lock across the
-	// delta-insert and the mapping append, making the two atomic to readers.
+	// idmu guards globalIDs. Searches hold the read lock for their whole
+	// duration so every trajectory they can observe has its global mapping in
+	// place; Insert holds the write lock across the delta-insert and the
+	// mapping append, making the two atomic to readers.
 	idmu      sync.RWMutex
 	globalIDs []trajectory.TrajID
-	bounds    geo.Rect
-	hasPoints bool
+	bounds    Bounds
 }
 
 // Dynamic returns the shard's underlying dynamic index (stats, explicit
@@ -112,40 +110,7 @@ func (sh *Shard) ZRange() (lo, hi uint32) { return sh.zlo, sh.zhi }
 
 // Bounds returns the bounding rectangle of the shard's points and whether
 // the shard has ever held any point.
-func (sh *Shard) Bounds() (geo.Rect, bool) {
-	sh.idmu.RLock()
-	defer sh.idmu.RUnlock()
-	return sh.bounds, sh.hasPoints
-}
-
-// queryLB returns a lower bound on the match distance of ANY trajectory in
-// the shard: each query point must match some trajectory point, every point
-// of the shard lies inside bounds, and both Dmm and Dmom sum the
-// per-query-point distances, so Σ MinDist(q_i, bounds) lower-bounds both.
-// An empty shard bounds nothing and returns +Inf.
-func (sh *Shard) queryLB(pts []geo.Point) float64 {
-	sh.idmu.RLock()
-	defer sh.idmu.RUnlock()
-	if !sh.hasPoints {
-		return math.Inf(1)
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += sh.bounds.MinDist(p)
-	}
-	return sum
-}
-
-func (sh *Shard) extend(pts []trajectory.Point) {
-	for _, p := range pts {
-		if !sh.hasPoints {
-			sh.bounds = geo.RectFromPoint(p.Loc)
-			sh.hasPoints = true
-			continue
-		}
-		sh.bounds = sh.bounds.ExtendPoint(p.Loc)
-	}
-}
+func (sh *Shard) Bounds() (geo.Rect, bool) { return sh.bounds.Rect() }
 
 // Router owns the shard map: it builds the partitions, assigns global
 // trajectory IDs, routes mutations to the owning shard, and spawns
@@ -225,7 +190,7 @@ func (r *Router) partition(ds *trajectory.Dataset, man *routerManifest, openShar
 		sh.globalIDs = gids
 		for li, gid := range gids {
 			r.owners[gid] = owner{shard: int32(si), local: trajectory.TrajID(li)}
-			sh.extend(ds.Trajs[gid].Pts)
+			sh.bounds.Extend(ds.Trajs[gid].Pts)
 		}
 		d, err := openShard(si, sub)
 		if err != nil {
@@ -240,13 +205,6 @@ func (r *Router) partition(ds *trajectory.Dataset, man *routerManifest, openShar
 // Layout returns the router's partition layout (shared with cluster
 // topologies so external processes route identically).
 func (r *Router) Layout() *Layout { return r.layout }
-
-// repZ returns the partition-grid Z code of a trajectory's representative
-// (first) point; point-less trajectories map to code 0.
-func (r *Router) repZ(pts []trajectory.Point) uint32 { return r.layout.RepZ(pts) }
-
-// routeZ returns the index of the shard owning leaf code z.
-func (r *Router) routeZ(z uint32) int { return r.layout.RouteZ(z) }
 
 // NumShards returns K.
 func (r *Router) NumShards() int { return len(r.shards) }
@@ -292,7 +250,7 @@ func (r *Router) Shard(si int) *Shard { return r.shards[si] }
 // structural requirements.
 func (r *Router) Insert(tr trajectory.Trajectory) (trajectory.TrajID, error) {
 	r.mu.Lock()
-	si := r.routeZ(r.repZ(tr.Pts))
+	si := r.layout.Route(tr.Pts)
 	sh := r.shards[si]
 	sh.idmu.Lock()
 	local, commit, err := sh.d.InsertDeferred(tr)
@@ -312,7 +270,7 @@ func (r *Router) Insert(tr trajectory.Trajectory) (trajectory.TrajID, error) {
 	// insert — before any durability wait — so every trajectory a search
 	// can observe has its global ID in place whatever the fsync outcome.
 	sh.globalIDs = append(sh.globalIDs, gid)
-	sh.extend(tr.Pts)
+	sh.bounds.Extend(tr.Pts)
 	sh.idmu.Unlock()
 	r.owners = append(r.owners, owner{shard: int32(si), local: local})
 	var jseq uint64
@@ -416,14 +374,10 @@ func (r *Router) Stats() Stats {
 	r.mu.Unlock()
 	s := Stats{Shards: len(r.shards), NextID: next, MutationEpoch: r.Epoch(), PerShard: make([]ShardStats, len(r.shards))}
 	for si, sh := range r.shards {
+		ss := ShardStats{ZLo: sh.zlo, ZHi: sh.zhi}
+		ss.Bounds, ss.HasPoints = sh.bounds.Rect()
 		sh.idmu.RLock()
-		ss := ShardStats{
-			ZLo:          sh.zlo,
-			ZHi:          sh.zhi,
-			Trajectories: len(sh.globalIDs),
-			Bounds:       sh.bounds,
-			HasPoints:    sh.hasPoints,
-		}
+		ss.Trajectories = len(sh.globalIDs)
 		sh.idmu.RUnlock()
 		ss.Delta = sh.d.Stats()
 		if err := sh.d.LastCompactErr(); err != nil {

@@ -341,7 +341,7 @@ func TestInsertRoutingAndGlobalIDs(t *testing.T) {
 			t.Fatalf("insert %d: router assigned %d, single index %d", i, gid, oid)
 		}
 		// The insert landed in the shard owning its first point's cell.
-		wantShard := r.routeZ(r.repZ(tr.Pts))
+		wantShard := r.layout.Route(tr.Pts)
 		if o := r.owners[gid]; int(o.shard) != wantShard {
 			t.Fatalf("insert %d routed to shard %d, want %d", i, o.shard, wantShard)
 		}
@@ -397,15 +397,15 @@ func TestQueryLB(t *testing.T) {
 		t.Fatal("shard 0 empty")
 	}
 	inside := b.Center()
-	if lb := sh.queryLB([]geo.Point{inside}); lb != 0 {
+	if lb := sh.bounds.QueryLB([]geo.Point{inside}); lb != 0 {
 		t.Fatalf("inside point LB = %v", lb)
 	}
 	outside := geo.Point{X: b.MaxX + 10, Y: b.MaxY + 10}
-	if lb := sh.queryLB([]geo.Point{outside}); lb <= 0 {
+	if lb := sh.bounds.QueryLB([]geo.Point{outside}); lb <= 0 {
 		t.Fatalf("outside point LB = %v", lb)
 	}
-	empty := &Shard{}
-	if lb := empty.queryLB([]geo.Point{inside}); !math.IsInf(lb, 1) {
+	var empty Bounds
+	if lb := empty.QueryLB([]geo.Point{inside}); !math.IsInf(lb, 1) {
 		t.Fatalf("empty shard LB = %v", lb)
 	}
 }
