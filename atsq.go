@@ -59,9 +59,7 @@ type (
 	Result = query.Result
 	// SearchStats itemizes the work a search performed.
 	SearchStats = query.SearchStats
-	// Engine answers ATSQ and OATSQ queries through
-	// Search(ctx, Request); the SearchATSQ/SearchOATSQ/LastStats trio
-	// remains as deprecated shims.
+	// Engine answers ATSQ and OATSQ queries through Search(ctx, Request).
 	Engine = query.Engine
 	// CloneableEngine is an Engine that can spawn independent copies over
 	// its immutable index, for concurrent serving. Every engine in this
@@ -261,7 +259,7 @@ func OpenSharded(bootstrap *Dataset, cfg ShardedConfig) (*ShardedRouter, Sharded
 
 // NewParallelEngine wraps e in a pool of workers clones (workers <= 0
 // selects GOMAXPROCS) for concurrent serving: single searches borrow one
-// clone, and SearchBatch fans a whole batch out across the pool. The
+// clone, and SearchAll fans a whole request batch out across the pool. The
 // wrapped engine is owned by the pool afterwards and must not be used
 // directly. It returns an error if e cannot be cloned; every engine
 // constructed by this package can be.

@@ -1,6 +1,7 @@
 package activitytraj_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,16 +44,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		var ref []float64
 		for _, e := range engines {
 			for _, ordered := range []bool{false, true} {
-				var rs []activitytraj.Result
-				var err error
-				if ordered {
-					rs, err = e.SearchOATSQ(q, 5)
-				} else {
-					rs, err = e.SearchATSQ(q, 5)
-				}
+				resp, err := e.Search(context.Background(), activitytraj.Request{Query: q, K: 5, Ordered: ordered})
 				if err != nil {
 					t.Fatalf("q%d %s: %v", qi, e.Name(), err)
 				}
+				rs := resp.Results
 				if !ordered {
 					dv := make([]float64, len(rs))
 					for i, r := range rs {

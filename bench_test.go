@@ -86,6 +86,15 @@ func benchSetup(b *testing.B, name string) *harness.Setup {
 	return st
 }
 
+// mustSearch answers req on e, failing the benchmark on error.
+func mustSearch(b *testing.B, e query.Engine, req query.Request) query.Response {
+	resp, err := e.Search(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return resp
+}
+
 func benchWorkload(b *testing.B, ds *trajectory.Dataset, cfg queries.Config) []query.Query {
 	b.Helper()
 	cfg.NumQueries = benchQueries
@@ -126,25 +135,19 @@ func BenchmarkGATSearchAllocs(b *testing.B) {
 	e := st.Engine("GAT")
 	// Warm the engine scratch and caches before measuring.
 	for _, q := range qs {
-		if _, err := e.SearchATSQ(q, queries.DefaultK); err != nil {
-			b.Fatal(err)
-		}
+		mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
-			if _, err := e.SearchATSQ(q, queries.DefaultK); err != nil {
-				b.Fatal(err)
-			}
+			mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK})
 		}
 	}
 	b.StopTimer()
 	perSearch := float64(testing.AllocsPerRun(1, func() {
 		for _, q := range qs {
-			if _, err := e.SearchATSQ(q, queries.DefaultK); err != nil {
-				b.Fatal(err)
-			}
+			mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK})
 		}
 	})) / float64(len(qs))
 	b.ReportMetric(perSearch, "allocs/search")
@@ -155,10 +158,7 @@ func BenchmarkGATSearchAllocs(b *testing.B) {
 	// gate on it alongside the alloc ceiling.
 	var pages int
 	for _, q := range qs {
-		if _, err := e.SearchATSQ(q, queries.DefaultK); err != nil {
-			b.Fatal(err)
-		}
-		pages += e.LastStats().PageReads
+		pages += mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK}).Stats.PageReads
 	}
 	b.ReportMetric(float64(pages)/float64(len(qs)), "pages/search")
 }
@@ -300,7 +300,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 }
 
 // BenchmarkParallelThroughput compares 1-worker and multi-worker serving of
-// the same ATSQ workload through ParallelEngine.SearchBatch.
+// the same ATSQ workload through ParallelEngine.SearchAll.
 func BenchmarkParallelThroughput(b *testing.B) {
 	st := benchSetup(b, "LA")
 	qs := benchWorkload(b, st.DS, queries.Config{Seed: 23})
@@ -308,12 +308,16 @@ func BenchmarkParallelThroughput(b *testing.B) {
 	for len(qs) < 32 {
 		qs = append(qs, qs...)
 	}
-	gatEng := st.Engine("GAT").(harness.CloneableEngine)
+	reqs := make([]query.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = query.Request{Query: q, K: queries.DefaultK}
+	}
+	gatEng := st.Engine("GAT").(query.CloneableEngine)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			pe := query.NewParallelEngine(gatEng, workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := pe.SearchBatch(qs, queries.DefaultK, false); err != nil {
+				if _, err := pe.SearchAll(context.Background(), reqs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -341,7 +345,7 @@ func BenchmarkSkewedBatch(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = query.Request{Query: pool[zipf.Uint64()], K: queries.DefaultK}
 	}
-	gatEng := st.Engine("GAT").(harness.CloneableEngine)
+	gatEng := st.Engine("GAT").(query.CloneableEngine)
 
 	// Serial reference (unmeasured): the byte-identity baseline.
 	serial := gatEng.Clone()

@@ -33,8 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("atsqbench: ")
 
-	experiment := flag.String("experiment", "all",
-		"all|stats|k|q|phi|diameter|scale|granularity|ablations|throughput|mixed|sharded|cluster|watch")
+	experiment := flag.String("experiment", "all", harness.ExperimentNames())
 	scale := flag.Float64("scale", 0.2, "dataset scale relative to Table IV")
 	queriesN := flag.Int("queries", 15, "queries per configuration")
 	k := flag.Int("k", 9, "default result count (Table V)")

@@ -42,8 +42,8 @@
 //
 //	Search(ctx context.Context, req query.Request) (query.Response, error)
 //
-// Request folds the former SearchATSQ/SearchOATSQ pair into one call
-// (Ordered selects OATSQ) and carries the per-request options:
+// Request names the query and K, selects the paper's ATSQ or (with Ordered)
+// OATSQ distance, and carries the per-request options:
 //
 //   - InitialBound seeds the Algorithm-2 pruning threshold, as if a k-th
 //     result at that distance were already known. Results beyond it are
@@ -73,30 +73,14 @@
 //     winning [start, end] point window (the HTTP wire surfaces it as
 //     "span"; atsqsearch takes -subtrajectory, -min-span, -max-span).
 //
-// Response carries the results, the per-request SearchStats in-band (no
-// LastStats side channel — exact even under concurrent serving), and a
-// Truncated flag: when ctx is cancelled or its deadline expires, engines
+// Response carries the results, the per-request SearchStats in-band (exact
+// even under concurrent serving), and a Truncated flag: when ctx is cancelled or its deadline expires, engines
 // return the partial top-k gathered so far with Truncated set, alongside
 // the context's error. Cancellation is honored between candidate batches —
 // the per-candidate hot path never reads the context — and an already
 // expired context returns before a single disk page is touched. The
 // sharded engine additionally cancels in-flight sibling shard searches the
 // moment its context is done or any shard fails.
-//
-// Migrating from the pre-context API:
-//
-//	rs, err := e.SearchATSQ(q, k)            // before
-//	resp, err := e.Search(ctx, activitytraj.Request{Query: q, K: k})
-//
-//	rs, err := e.SearchOATSQ(q, k)           // before
-//	resp, err := e.Search(ctx, activitytraj.Request{Query: q, K: k, Ordered: true})
-//
-//	st := e.LastStats()                      // before
-//	st := resp.Stats                         // per-request, in-band
-//
-// The old methods remain as thin deprecated shims with identical results,
-// so existing code keeps working; new code should not use them (CI gates
-// the repository itself on that).
 //
 // # Concurrency model
 //
@@ -122,9 +106,9 @@
 //     pe, _ := activitytraj.NewParallelEngine(engine, runtime.GOMAXPROCS(0))
 //     resps, _ := pe.SearchAll(ctx, reqs)
 //
-// Per-request accounting always travels in each Response.Stats; the pool's
-// LastStats is only an approximate aggregate of the batches it served and
-// exists for the deprecated pre-context API.
+// Per-request accounting travels in each Response.Stats, so it is exact for
+// every request however many are in flight; a batch total is the sum over
+// SearchAll's responses.
 //
 // # Batched execution and the result cache
 //

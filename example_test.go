@@ -1,6 +1,7 @@
 package activitytraj_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -53,11 +54,11 @@ func ExampleNewGAT() {
 		{Loc: activitytraj.Point{X: 5, Y: 4}, Acts: ds.Vocab.SetFromNames("coffee", "dining")},
 		{Loc: activitytraj.Point{X: 9, Y: 4}, Acts: ds.Vocab.SetFromNames("explore")},
 	}}
-	results, err := engine.SearchATSQ(q, 2)
+	resp, err := engine.Search(context.Background(), activitytraj.Request{Query: q, K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for rank, r := range results {
+	for rank, r := range resp.Results {
 		fmt.Printf("%d. Tr%d %.2f km\n", rank+1, r.ID+1, r.Dist)
 	}
 	// Output:

@@ -53,7 +53,7 @@ func main() {
 
 	// WithMatches reports which check-ins satisfied each planned stop, so
 	// the itinerary below can mark them; the stats arrive in-band with the
-	// response rather than through a LastStats side channel.
+	// response.
 	resp, err := engine.Search(context.Background(), activitytraj.Request{
 		Query: q, K: 5, Ordered: true, WithMatches: true,
 	})

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,6 +12,16 @@ import (
 	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
 )
+
+// mustSearch answers req on e, failing the test on error.
+func mustSearch(t testing.TB, e query.Engine, req query.Request) query.Response {
+	t.Helper()
+	resp, err := e.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
 
 func store(t testing.TB) *evaluate.TrajStore {
 	t.Helper()
@@ -38,7 +49,7 @@ func TestILCandidatesExact(t *testing.T) {
 		{Loc: ds.Trajs[0].Pts[0].Loc, Acts: trajectory.NewActivitySet(0, 1)},
 		{Loc: ds.Trajs[0].Pts[1].Loc, Acts: trajectory.NewActivitySet(2)},
 	}}
-	cands := il.candidates(q)
+	cands := il.src.candidates(q)
 	got := map[trajectory.TrajID]bool{}
 	for _, id := range cands {
 		got[id] = true
@@ -61,11 +72,8 @@ func TestILStatsAndResults(t *testing.T) {
 	q := query.Query{Pts: []query.Point{
 		{Loc: ds.Trajs[1].Pts[0].Loc, Acts: trajectory.NewActivitySet(0)},
 	}}
-	rs, err := il.SearchATSQ(q, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := il.LastStats()
+	resp := mustSearch(t, il, query.Request{Query: q, K: 7})
+	rs, st := resp.Results, resp.Stats
 	if st.Candidates == 0 || st.Scored != st.Candidates {
 		t.Fatalf("IL must score every candidate: %+v", st)
 	}
@@ -93,7 +101,7 @@ func TestSpatialBaselineIdentities(t *testing.T) {
 	if rt.MemBytes() <= 0 || irt.MemBytes() <= 0 {
 		t.Fatal("memory accounting broken")
 	}
-	if rt.lambda != DefaultLambda || irt.lambda != DefaultLambda {
+	if rt.src.lambda != DefaultLambda || irt.src.lambda != DefaultLambda {
 		t.Fatal("lambda default not applied")
 	}
 }
@@ -111,15 +119,10 @@ func TestIRTNodesVisitedLessThanRT(t *testing.T) {
 	q := query.Query{Pts: []query.Point{
 		{Loc: ds.Trajs[0].Pts[0].Loc, Acts: trajectory.NewActivitySet(rare)},
 	}}
-	if _, err := rt.SearchATSQ(q, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := irt.SearchATSQ(q, 3); err != nil {
-		t.Fatal(err)
-	}
-	if irt.LastStats().NodesVisited > rt.LastStats().NodesVisited {
-		t.Fatalf("IRT visited %d nodes, RT %d — inverted files not pruning",
-			irt.LastStats().NodesVisited, rt.LastStats().NodesVisited)
+	rtNodes := mustSearch(t, rt, query.Request{Query: q, K: 3}).Stats.NodesVisited
+	irtNodes := mustSearch(t, irt, query.Request{Query: q, K: 3}).Stats.NodesVisited
+	if irtNodes > rtNodes {
+		t.Fatalf("IRT visited %d nodes, RT %d — inverted files not pruning", irtNodes, rtNodes)
 	}
 }
 

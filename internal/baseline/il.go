@@ -1,13 +1,15 @@
 // Package baseline implements the paper's three comparison methods
 // (Section III): IL (inverted lists over activities only), RT (an R-tree
 // over all trajectory points, pruning spatially only), and IRT (an IR-tree,
-// pruning spatially and skipping nodes without query activities). All three
-// share the evaluate package's candidate pipeline, so measured differences
-// isolate candidate retrieval — the paper's experimental contract.
+// pruning spatially and skipping nodes without query activities). Each is
+// an evaluate.Source behind the evaluate package's one search loop, so
+// measured differences isolate candidate retrieval — the paper's
+// experimental contract.
 package baseline
 
 import (
 	"context"
+	"math"
 
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/invindex"
@@ -19,9 +21,8 @@ import (
 // activity; a query intersects the lists of all its activities and scores
 // every surviving trajectory.
 type IL struct {
-	ev    *evaluate.Evaluator
-	inv   *invindex.Index
-	stats query.SearchStats
+	ev  *evaluate.Evaluator
+	src ilSource
 }
 
 // BuildIL aggregates each trajectory's activities and builds the lists.
@@ -35,35 +36,56 @@ func BuildIL(ts *evaluate.TrajStore) *IL {
 		}
 	}
 	inv.Freeze()
+	return newIL(ts, inv)
+}
+
+func newIL(ts *evaluate.TrajStore, inv *invindex.Index) *IL {
 	ev := evaluate.NewEvaluator(ts)
 	// IL candidates contain every query activity by construction; the
 	// sketch filter would only burn cycles.
 	ev.UseSketch = false
-	return &IL{ev: ev, inv: inv}
+	return &IL{ev: ev, src: ilSource{inv: inv}}
 }
 
 // Name implements query.Engine.
 func (e *IL) Name() string { return "IL" }
 
 // MemBytes implements query.Engine.
-func (e *IL) MemBytes() int64 { return e.inv.MemBytes() }
+func (e *IL) MemBytes() int64 { return e.src.inv.MemBytes() }
 
-// LastStats implements query.Engine.
-//
-// Deprecated: read Response.Stats.
-func (e *IL) LastStats() query.SearchStats { return e.stats }
+// Search implements query.Engine through the shared search loop (see
+// evaluate.Evaluator.Search); a region filter post-filters candidate rows
+// in the evaluator pipeline.
+func (e *IL) Search(ctx context.Context, req query.Request) (query.Response, error) {
+	return e.ev.Search(ctx, req, &e.src)
+}
+
+// Clone returns an independent engine sharing the (immutable) inverted
+// lists, for concurrent query execution.
+func (e *IL) Clone() query.Engine { return newIL(e.ev.Store(), e.src.inv) }
+
+// ilSource is IL's evaluate.Source (Section III-A): the whole candidate set
+// is one list intersection computed up front, handed to the search loop in
+// λ-sized slices so cancellation is polled as often as for the incremental
+// methods. It charges no λ-batches: the method has no retrieval rounds.
+type ilSource struct {
+	inv     *invindex.Index
+	ordered bool
+	cands   []trajectory.TrajID
+	pos     int
+}
 
 // candidates intersects the per-activity sets for every activity in Q.Φ —
 // shortest set first, whole containers skipped, dense runs ANDed word-wide.
-func (e *IL) candidates(q query.Query) []trajectory.TrajID {
+func (s *ilSource) candidates(q query.Query) []trajectory.TrajID {
 	all := q.AllActs()
 	sets := make([]*invindex.Set, 0, len(all))
 	for _, a := range all {
-		s := e.inv.Get(a)
-		if s.Empty() {
+		set := s.inv.Get(a)
+		if set.Empty() {
 			return nil
 		}
-		sets = append(sets, s)
+		sets = append(sets, set)
 	}
 	ids := invindex.IntersectSets(sets)
 	out := make([]trajectory.TrajID, len(ids))
@@ -73,86 +95,37 @@ func (e *IL) candidates(q query.Query) []trajectory.TrajID {
 	return out
 }
 
-// SearchATSQ implements query.Engine.
-//
-// Deprecated: use Search.
-func (e *IL) SearchATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
+func (s *ilSource) Begin(req query.Request, _ *query.SearchStats) {
+	s.ordered = req.Ordered
+	s.cands, s.pos = s.candidates(req.Query), 0
 }
 
-// SearchOATSQ implements query.Engine.
-//
-// Deprecated: use Search.
-func (e *IL) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k, Ordered: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
+func (s *ilSource) NextBatch() []trajectory.TrajID {
+	end := min(s.pos+DefaultLambda, len(s.cands))
+	batch := s.cands[s.pos:end]
+	s.pos = end
+	return batch
 }
 
-// Search implements query.Engine. Per Section III-A the ATSQ minimum match
-// distance is computed in full for every candidate (no top-k threshold
-// pruning, which is why IL's cost is flat in k); only the request's
-// explicit InitialBound, when set, caps it. OATSQ threads the k-th smallest
-// Dmom into Algorithm 4's early termination for every method alike.
-// Cancellation is checked every candidate batch (λ candidates); a region
-// filter post-filters candidate rows in the shared evaluator pipeline.
-func (e *IL) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	q, ordered := req.Query, req.Ordered
-	if err := q.Validate(); err != nil {
-		return query.Response{}, err
+// LowerBound knows nothing about the candidates still to come, and that no
+// trajectory outside the intersection can match at all.
+func (s *ilSource) LowerBound() float64 {
+	if s.Exhausted() {
+		return math.Inf(1)
 	}
-	if err := req.ValidateSpan(); err != nil {
-		return query.Response{}, err
-	}
-	e.stats = query.SearchStats{}
-	if err := ctx.Err(); err != nil {
-		return query.Response{Truncated: true}, err
-	}
-	e.ev.SetRegion(req.Region)
-	e.ev.SetSpan(req.Subtrajectory, req.MinSpanPoints, req.MaxSpanPoints)
-	bound := req.Bound()
-	topk := query.NewTopK(req.K)
-	for i, tid := range e.candidates(q) {
-		if i%DefaultLambda == 0 {
-			if err := ctx.Err(); err != nil {
-				return query.Response{Results: topk.Results(), Stats: e.stats, Truncated: true}, err
-			}
-		}
-		e.stats.Candidates++
-		var d float64
-		var out evaluate.Outcome
-		var err error
-		if ordered {
-			d, out, err = e.ev.ScoreOATSQ(q, tid, min(topk.Threshold(), bound), &e.stats)
-		} else {
-			d, out, err = e.ev.ScoreATSQ(q, tid, bound, &e.stats)
-		}
-		if err != nil {
-			return query.Response{Stats: e.stats}, err
-		}
-		if out == evaluate.Scored {
-			topk.Offer(query.Result{ID: tid, Dist: d})
-		}
-	}
-	resp := query.Response{Results: topk.Results(), Stats: e.stats}
-	if req.WithMatches {
-		if err := e.ev.FillMatches(ctx, q, ordered, &resp, &e.stats); err != nil {
-			return resp, err
-		}
-	}
-	return resp, nil
+	return 0
 }
 
-// Clone returns an independent engine sharing the (immutable) inverted
-// lists, for concurrent query execution.
-func (e *IL) Clone() query.Engine {
-	ev := evaluate.NewEvaluator(e.ev.Store())
-	ev.UseSketch = false
-	return &IL{ev: ev, inv: e.inv}
+func (s *ilSource) Exhausted() bool { return s.pos >= len(s.cands) }
+
+// Threshold: per Section III-A the ATSQ minimum match distance is computed
+// in full for every candidate (no top-k threshold pruning, which is why
+// IL's cost is flat in k); only the request's explicit InitialBound, when
+// set, caps it. OATSQ threads the k-th smallest Dmom into Algorithm 4's
+// early termination for every method alike.
+func (s *ilSource) Threshold(kth, bound float64) float64 {
+	if s.ordered {
+		return min(kth, bound)
+	}
+	return bound
 }

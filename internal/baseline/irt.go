@@ -1,31 +1,22 @@
 package baseline
 
 import (
-	"context"
-
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/irtree"
 	"activitytraj/internal/query"
 )
 
-// IRT is the IR-tree baseline (Section III-C): the point R-tree augmented
-// with per-node inverted files, so subtrees containing none of a query
-// point's activities are pruned during the nearest-point scans. Everything
-// downstream of retrieval is shared with the other methods.
-type IRT struct {
-	tree   *irtree.Tree
-	ev     *evaluate.Evaluator
-	lambda int
-	stats  query.SearchStats
-}
-
-// BuildIRT bulk-loads the IR-tree over every trajectory point.
-func BuildIRT(ts *evaluate.TrajStore, fanout, lambda int) *IRT {
+// BuildIRT bulk-loads the IR-tree baseline (Section III-C) over every
+// trajectory point: the point R-tree augmented with per-node inverted
+// files. Each query location gets an activity-filtered nearest-point
+// iterator: points (and subtrees) carrying none of q_i's activities are
+// invisible to iterator i, so the frontier distance r_i bounds the minimum
+// point match distance of unseen trajectories — a per-query-point
+// sharpening of the plain R-tree bound that remains sound because point
+// matches only ever use activity-carrying points.
+func BuildIRT(ts *evaluate.TrajStore, fanout, lambda int) *Spatial {
 	if fanout <= 0 {
 		fanout = irtree.DefaultMaxEntries
-	}
-	if lambda <= 0 {
-		lambda = DefaultLambda
 	}
 	ds := ts.Dataset()
 	var entries []irtree.Entry
@@ -39,23 +30,11 @@ func BuildIRT(ts *evaluate.TrajStore, fanout, lambda int) *IRT {
 			})
 		}
 	}
-	return &IRT{
-		tree:   irtree.Build(entries, fanout),
-		ev:     evaluate.NewEvaluator(ts),
-		lambda: lambda,
-	}
+	tree := irtree.Build(entries, fanout)
+	return newSpatial("IRT", tree.MemBytes(), ts, lambda, func(qp query.Point) pointIter {
+		return irtIter{it: tree.NewNearestIter(qp.Loc, qp.Acts)}
+	})
 }
-
-// Name implements query.Engine.
-func (e *IRT) Name() string { return "IRT" }
-
-// MemBytes implements query.Engine.
-func (e *IRT) MemBytes() int64 { return e.tree.MemBytes() }
-
-// LastStats implements query.Engine.
-//
-// Deprecated: read Response.Stats.
-func (e *IRT) LastStats() query.SearchStats { return e.stats }
 
 type irtIter struct{ it *irtree.NearestIter }
 
@@ -65,51 +44,3 @@ func (r irtIter) next() (int64, float64, bool) {
 }
 func (r irtIter) peek() (float64, bool) { return r.it.PeekDist() }
 func (r irtIter) nodesVisited() int     { return r.it.NodesVisited() }
-
-// iters builds one activity-filtered nearest-point iterator per query
-// location: points (and subtrees) carrying none of q_i's activities are
-// invisible to iterator i, so the frontier distance r_i bounds the
-// minimum point match distance of unseen trajectories — a per-query-point
-// sharpening of the plain R-tree bound that remains sound because point
-// matches only ever use activity-carrying points.
-func (e *IRT) iters(q query.Query) []pointIter {
-	out := make([]pointIter, len(q.Pts))
-	for i, qp := range q.Pts {
-		out[i] = irtIter{it: e.tree.NewNearestIter(qp.Loc, qp.Acts)}
-	}
-	return out
-}
-
-// SearchATSQ implements query.Engine.
-//
-// Deprecated: use Search.
-func (e *IRT) SearchATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// SearchOATSQ implements query.Engine.
-//
-// Deprecated: use Search.
-func (e *IRT) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k, Ordered: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// Search implements query.Engine; see spatialSearch for how the request's
-// options and cancellation are honored.
-func (e *IRT) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	e.stats = query.SearchStats{}
-	return spatialSearch(ctx, e.ev, e.iters, e.lambda, req, &e.stats)
-}
-
-// Clone returns an independent engine sharing the (immutable) IR-tree.
-func (e *IRT) Clone() query.Engine {
-	return &IRT{tree: e.tree, ev: evaluate.NewEvaluator(e.ev.Store()), lambda: e.lambda}
-}

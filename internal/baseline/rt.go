@@ -1,33 +1,20 @@
 package baseline
 
 import (
-	"context"
-
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/geo"
 	"activitytraj/internal/query"
 	"activitytraj/internal/rtree"
 )
 
-// RT is the R-tree baseline (Section III-B): every trajectory point is
-// indexed; the search retrieves trajectories in best-match-distance order
-// using purely spatial pruning and validates/scores them like every other
-// method. Activity information plays no part in retrieval, which is the
-// baseline's weakness the paper demonstrates.
-type RT struct {
-	tree   *rtree.Tree
-	ev     *evaluate.Evaluator
-	lambda int
-	stats  query.SearchStats
-}
-
-// BuildRT bulk-loads the point R-tree.
-func BuildRT(ts *evaluate.TrajStore, fanout, lambda int) *RT {
+// BuildRT bulk-loads the R-tree baseline (Section III-B): every trajectory
+// point is indexed; the search retrieves trajectories in best-match-distance
+// order using purely spatial pruning and validates/scores them like every
+// other method. Activity information plays no part in retrieval, which is
+// the baseline's weakness the paper demonstrates.
+func BuildRT(ts *evaluate.TrajStore, fanout, lambda int) *Spatial {
 	if fanout <= 0 {
 		fanout = rtree.DefaultMaxEntries
-	}
-	if lambda <= 0 {
-		lambda = DefaultLambda
 	}
 	ds := ts.Dataset()
 	var entries []rtree.Entry
@@ -40,23 +27,11 @@ func BuildRT(ts *evaluate.TrajStore, fanout, lambda int) *RT {
 			})
 		}
 	}
-	return &RT{
-		tree:   rtree.BulkLoad(entries, fanout),
-		ev:     evaluate.NewEvaluator(ts),
-		lambda: lambda,
-	}
+	tree := rtree.BulkLoad(entries, fanout)
+	return newSpatial("RT", tree.MemBytes(), ts, lambda, func(qp query.Point) pointIter {
+		return rtIter{it: tree.NewNearestIter(qp.Loc)}
+	})
 }
-
-// Name implements query.Engine.
-func (e *RT) Name() string { return "RT" }
-
-// MemBytes implements query.Engine.
-func (e *RT) MemBytes() int64 { return e.tree.MemBytes() }
-
-// LastStats implements query.Engine.
-//
-// Deprecated: read Response.Stats.
-func (e *RT) LastStats() query.SearchStats { return e.stats }
 
 type rtIter struct{ it *rtree.NearestIter }
 
@@ -66,45 +41,3 @@ func (r rtIter) next() (int64, float64, bool) {
 }
 func (r rtIter) peek() (float64, bool) { return r.it.PeekDist() }
 func (r rtIter) nodesVisited() int     { return r.it.NodesVisited() }
-
-func (e *RT) iters(q query.Query) []pointIter {
-	out := make([]pointIter, len(q.Pts))
-	for i, qp := range q.Pts {
-		out[i] = rtIter{it: e.tree.NewNearestIter(qp.Loc)}
-	}
-	return out
-}
-
-// SearchATSQ implements query.Engine.
-//
-// Deprecated: use Search.
-func (e *RT) SearchATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// SearchOATSQ implements query.Engine.
-//
-// Deprecated: use Search.
-func (e *RT) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k, Ordered: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// Search implements query.Engine; see spatialSearch for how the request's
-// options and cancellation are honored.
-func (e *RT) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	e.stats = query.SearchStats{}
-	return spatialSearch(ctx, e.ev, e.iters, e.lambda, req, &e.stats)
-}
-
-// Clone returns an independent engine sharing the (immutable) R-tree.
-func (e *RT) Clone() query.Engine {
-	return &RT{tree: e.tree, ev: evaluate.NewEvaluator(e.ev.Store()), lambda: e.lambda}
-}

@@ -9,9 +9,51 @@ import (
 	"activitytraj/internal/trajectory"
 )
 
-// DefaultLambda is the candidate batch size used by the spatial baselines
-// between termination tests, mirroring GAT's λ so batching is comparable.
+// DefaultLambda is the candidate batch size used by the baselines between
+// termination tests, mirroring GAT's λ so batching is comparable.
 const DefaultLambda = 32
+
+// Spatial is the engine behind both tree baselines, RT (Section III-B) and
+// IRT (Section III-C): they differ only in the nearest-point stream each
+// query location consumes, so one type carries either tree (see BuildRT and
+// BuildIRT). Everything downstream of retrieval is shared with the other
+// methods.
+type Spatial struct {
+	name string
+	mem  int64
+	ev   *evaluate.Evaluator
+	src  spatialSource
+}
+
+func newSpatial(name string, mem int64, ts *evaluate.TrajStore, lambda int, newIter func(query.Point) pointIter) *Spatial {
+	if lambda <= 0 {
+		lambda = DefaultLambda
+	}
+	return &Spatial{
+		name: name,
+		mem:  mem,
+		ev:   evaluate.NewEvaluator(ts),
+		src:  spatialSource{newIter: newIter, lambda: lambda},
+	}
+}
+
+// Name implements query.Engine.
+func (e *Spatial) Name() string { return e.name }
+
+// MemBytes implements query.Engine.
+func (e *Spatial) MemBytes() int64 { return e.mem }
+
+// Search implements query.Engine through the shared search loop (see
+// evaluate.Evaluator.Search); a region filter post-filters candidate rows
+// in the evaluator pipeline.
+func (e *Spatial) Search(ctx context.Context, req query.Request) (query.Response, error) {
+	return e.ev.Search(ctx, req, &e.src)
+}
+
+// Clone returns an independent engine sharing the (immutable) tree.
+func (e *Spatial) Clone() query.Engine {
+	return newSpatial(e.name, e.mem, e.ev.Store(), e.src.lambda, e.src.newIter)
+}
 
 // pointIter is the incremental nearest-point stream one query location
 // consumes; the R-tree and IR-tree iterators both satisfy it (see rt.go and
@@ -34,124 +76,83 @@ func decodeTraj(payload int64) trajectory.TrajID {
 	return trajectory.TrajID(payload >> 32)
 }
 
-// spatialSearch is the shared k-BCT style loop of the RT and IRT baselines
-// (Section III-B/C, adapting Chen et al.): each query point runs an
-// incremental nearest-point iterator; every trajectory surfacing becomes a
-// candidate; the sum of the iterators' frontier distances lower-bounds the
-// best match distance — and hence, by Lemma 2, the minimum match distance —
-// of every unseen trajectory, giving the termination test. Cancellation is
-// checked once per λ-batch; the request's InitialBound caps the pruning
-// threshold and the termination radius, and its Region post-filters
-// candidate rows inside the evaluator (the caller installs it).
-func spatialSearch(
-	ctx context.Context,
-	ev *evaluate.Evaluator,
-	iters func(q query.Query) []pointIter,
-	lambda int,
-	req query.Request,
-	stats *query.SearchStats,
-) (query.Response, error) {
-	q, ordered := req.Query, req.Ordered
-	if err := q.Validate(); err != nil {
-		return query.Response{}, err
-	}
-	if err := req.ValidateSpan(); err != nil {
-		return query.Response{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return query.Response{Truncated: true}, err
-	}
-	ev.SetRegion(req.Region)
-	// The frontier-sum bound (Σ_i r_i) lower-bounds each unseen
-	// trajectory's whole-trajectory Dmm, which lower-bounds its span-
-	// constrained distance — admissible for subtrajectory mode unchanged.
-	ev.SetSpan(req.Subtrajectory, req.MinSpanPoints, req.MaxSpanPoints)
-	bound := req.Bound()
-	its := iters(q)
-	topk := query.NewTopK(req.K)
-	seen := make(map[trajectory.TrajID]struct{})
+// spatialSource is the evaluate.Source of the RT and IRT baselines — the
+// k-BCT style retrieval of Section III-B/C, adapting Chen et al.: each
+// query point runs an incremental nearest-point iterator and every
+// trajectory surfacing becomes a candidate.
+type spatialSource struct {
+	// newIter opens one query point's stream over the shared tree.
+	newIter func(qp query.Point) pointIter
+	lambda  int
 
-	finish := func() {
-		for _, it := range its {
-			stats.NodesVisited += it.nodesVisited()
-		}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			finish()
-			return query.Response{Results: topk.Results(), Stats: *stats, Truncated: true}, err
-		}
-		// Collect the next batch of candidate trajectories, always popping
-		// from the iterator with the nearest frontier (global best-first).
-		var cands []trajectory.TrajID
-		exhausted := false
-		for len(cands) < lambda {
-			bestI, bestD := -1, math.Inf(1)
-			for i, it := range its {
-				if d, ok := it.peek(); ok && d < bestD {
-					bestI, bestD = i, d
-				}
-			}
-			if bestI < 0 {
-				exhausted = true
-				break
-			}
-			payload, _, ok := its[bestI].next()
-			if !ok {
-				continue
-			}
-			tid := decodeTraj(payload)
-			if _, dup := seen[tid]; !dup {
-				seen[tid] = struct{}{}
-				cands = append(cands, tid)
-			}
-		}
-		stats.Batches++
-
-		// Lower bound for unseen trajectories: Σ_i r_i. An exhausted
-		// iterator means every trajectory with a point (matching, for IRT)
-		// near q_i has been seen, so the bound is +Inf.
-		dlb := 0.0
-		for _, it := range its {
-			d, ok := it.peek()
-			if !ok {
-				dlb = math.Inf(1)
-				break
-			}
-			dlb += d
-		}
-
-		for _, tid := range cands {
-			stats.Candidates++
-			var d float64
-			var out evaluate.Outcome
-			var err error
-			if ordered {
-				d, out, err = ev.ScoreOATSQ(q, tid, min(topk.Threshold(), bound), stats)
-			} else {
-				d, out, err = ev.ScoreATSQ(q, tid, min(topk.Threshold(), bound), stats)
-			}
-			if err != nil {
-				finish()
-				return query.Response{Stats: *stats}, err
-			}
-			if out == evaluate.Scored {
-				topk.Offer(query.Result{ID: tid, Dist: d})
-			}
-		}
-		if min(topk.Threshold(), bound) < dlb {
-			break
-		}
-		if exhausted && len(cands) == 0 {
-			break
-		}
-	}
-	finish()
-	resp := query.Response{Results: topk.Results(), Stats: *stats}
-	if req.WithMatches {
-		if err := ev.FillMatches(ctx, q, ordered, &resp, stats); err != nil {
-			return resp, err
-		}
-	}
-	return resp, nil
+	stats     *query.SearchStats
+	its       []pointIter
+	seen      map[trajectory.TrajID]struct{}
+	exhausted bool
 }
+
+func (s *spatialSource) Begin(req query.Request, stats *query.SearchStats) {
+	s.stats = stats
+	s.its = s.its[:0]
+	for _, qp := range req.Query.Pts {
+		s.its = append(s.its, s.newIter(qp))
+	}
+	s.seen = make(map[trajectory.TrajID]struct{})
+	s.exhausted = false
+}
+
+// NextBatch collects the next λ candidate trajectories, always popping from
+// the iterator with the nearest frontier (global best-first).
+func (s *spatialSource) NextBatch() []trajectory.TrajID {
+	var cands []trajectory.TrajID
+	for len(cands) < s.lambda {
+		bestI, bestD := -1, math.Inf(1)
+		for i, it := range s.its {
+			if d, ok := it.peek(); ok && d < bestD {
+				bestI, bestD = i, d
+			}
+		}
+		if bestI < 0 {
+			s.exhausted = true
+			break
+		}
+		payload, _, ok := s.its[bestI].next()
+		if !ok {
+			continue
+		}
+		tid := decodeTraj(payload)
+		if _, dup := s.seen[tid]; !dup {
+			s.seen[tid] = struct{}{}
+			cands = append(cands, tid)
+		}
+	}
+	s.stats.Batches++
+	// Only next expands tree nodes, so the count is current after every
+	// batch, whichever way the search ends.
+	s.stats.NodesVisited = 0
+	for _, it := range s.its {
+		s.stats.NodesVisited += it.nodesVisited()
+	}
+	return cands
+}
+
+// LowerBound is Σ_i r_i, the sum of the iterators' frontier distances: it
+// lower-bounds the best match distance — and hence, by Lemma 2, the minimum
+// match distance — of every unseen trajectory. An exhausted iterator means
+// every trajectory with a point (matching, for IRT) near q_i has been seen,
+// so the bound is +Inf.
+func (s *spatialSource) LowerBound() float64 {
+	dlb := 0.0
+	for _, it := range s.its {
+		d, ok := it.peek()
+		if !ok {
+			return math.Inf(1)
+		}
+		dlb += d
+	}
+	return dlb
+}
+
+func (s *spatialSource) Exhausted() bool { return s.exhausted }
+
+func (s *spatialSource) Threshold(kth, bound float64) float64 { return min(kth, bound) }

@@ -68,7 +68,7 @@ func TestGenerateShape(t *testing.T) {
 
 // TestHeadDominance: the category head of the vocabulary must carry a
 // large share of tokens — the property that makes conjunctive multi-point
-// queries answerable (see DESIGN.md calibration notes).
+// queries answerable (see Config.Categories).
 func TestHeadDominance(t *testing.T) {
 	ds := genSmall(t, 9)
 	var head, total int64

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -69,31 +70,35 @@ func requireIdentical(t *testing.T, label string, want, got []query.Result) {
 	}
 }
 
-// searchBoth runs the same query on both engines and requires identical
-// answers for ATSQ and OATSQ.
-func searchBoth(t *testing.T, label string, ref query.Engine, dyn query.Engine, q query.Query, k int) {
+// mustSearch answers req on e, failing the test on error.
+func mustSearch(t testing.TB, e query.Engine, req query.Request) query.Response {
 	t.Helper()
+	resp, err := e.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// searchBoth runs the same query on both engines and requires identical
+// answers for ATSQ and OATSQ. It returns dyn's summed search statistics.
+func searchBoth(t *testing.T, label string, ref query.Engine, dyn query.Engine, q query.Query, k int) query.SearchStats {
+	t.Helper()
+	var stats query.SearchStats
 	for _, ordered := range []bool{false, true} {
-		var want, got []query.Result
-		var err error
-		if ordered {
-			want, err = ref.SearchOATSQ(q, k)
-		} else {
-			want, err = ref.SearchATSQ(q, k)
-		}
+		req := query.Request{Query: q, K: k, Ordered: ordered}
+		want, err := ref.Search(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s ref: %v", label, err)
 		}
-		if ordered {
-			got, err = dyn.SearchOATSQ(q, k)
-		} else {
-			got, err = dyn.SearchATSQ(q, k)
-		}
+		got, err := dyn.Search(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s dyn: %v", label, err)
 		}
-		requireIdentical(t, label, want, got)
+		requireIdentical(t, label, want.Results, got.Results)
+		stats.Add(got.Stats)
 	}
+	return stats
 }
 
 // TestInsertEqualsRebuild: search after N online inserts must return
@@ -119,8 +124,9 @@ func TestInsertEqualsRebuild(t *testing.T) {
 
 	ref := staticEngine(t, full)
 	dyn := d.NewEngine()
+	var searched query.SearchStats
 	for qi, q := range testWorkload(t, full, 12, 5) {
-		searchBoth(t, "q"+string(rune('0'+qi)), ref, dyn, q, 9)
+		searched.Add(searchBoth(t, "q"+string(rune('0'+qi)), ref, dyn, q, 9))
 	}
 	st := d.Stats()
 	if st.DeltaTrajectories != len(full.Trajs)-baseN {
@@ -128,7 +134,7 @@ func TestInsertEqualsRebuild(t *testing.T) {
 	}
 	// Every query should have exercised the merged path at least once in
 	// aggregate; check the stat surfaced.
-	if dyn.LastStats().Candidates == 0 {
+	if searched.Candidates == 0 {
 		t.Fatal("no candidates recorded")
 	}
 }
@@ -167,10 +173,7 @@ func TestDeleteTombstonesMaskResults(t *testing.T) {
 	// layer, some from the delta layer.
 	var dead []trajectory.TrajID
 	for _, q := range qs[:4] {
-		rs, err := dyn.SearchATSQ(q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := mustSearch(t, dyn, query.Request{Query: q, K: 3}).Results
 		for _, r := range rs {
 			dead = append(dead, r.ID)
 		}
@@ -261,11 +264,7 @@ func TestCompactionPreservesTopK(t *testing.T) {
 	dyn := d.NewEngine()
 	before := make([][]query.Result, len(qs))
 	for qi, q := range qs {
-		rs, err := dyn.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[qi] = rs
+		before[qi] = mustSearch(t, dyn, query.Request{Query: q, K: 9}).Results
 	}
 
 	if err := d.CompactNow(); err != nil {
@@ -283,10 +282,7 @@ func TestCompactionPreservesTopK(t *testing.T) {
 	}
 
 	for qi, q := range qs {
-		rs, err := dyn.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := mustSearch(t, dyn, query.Request{Query: q, K: 9}).Results
 		requireIdentical(t, "post-compaction", before[qi], rs)
 	}
 
@@ -305,9 +301,7 @@ func TestCompactionPreservesTopK(t *testing.T) {
 	// A no-op compaction is fine.
 	preEpoch := d.Stats().Epoch
 	d2 := d.NewEngine()
-	if _, err := d2.SearchATSQ(qs[0], 3); err != nil {
-		t.Fatal(err)
-	}
+	mustSearch(t, d2, query.Request{Query: qs[0], K: 3})
 	if err := d.CompactNow(); err == nil {
 		// Second compaction folds the new inserts in; a third with an empty
 		// delta must be a no-op.
@@ -351,10 +345,7 @@ func TestOverflowInserts(t *testing.T) {
 	// Query right at the far point: the overflow trajectory must win.
 	q := query.Query{Pts: []query.Point{{Loc: far, Acts: acts[:1]}}}
 	searchBoth(t, "overflow", ref, dyn, q, 5)
-	rs, err := dyn.SearchATSQ(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := mustSearch(t, dyn, query.Request{Query: q, K: 1}).Results
 	if len(rs) == 0 || rs[0].ID != id {
 		t.Fatalf("overflow trajectory not found: %v", rs)
 	}

@@ -723,7 +723,6 @@ type Engine struct {
 	inner *gat.Engine
 	epoch uint64
 	sink  query.BoundSink
-	stats query.SearchStats
 }
 
 // NewEngine returns a serving engine over the dynamic index.
@@ -755,33 +754,6 @@ func (e *Engine) MemBytes() int64 {
 	return n
 }
 
-// LastStats implements query.Engine.
-//
-// Deprecated: read Response.Stats.
-func (e *Engine) LastStats() query.SearchStats { return e.stats }
-
-// SearchATSQ implements query.Engine over base ∪ delta.
-//
-// Deprecated: use Search.
-func (e *Engine) SearchATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// SearchOATSQ implements query.Engine over base ∪ delta.
-//
-// Deprecated: use Search.
-func (e *Engine) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k, Ordered: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
 // acquireInner pins the current generation and lazily (re)builds the inner
 // GAT engine after a compaction swap, re-attaching the bound sink. The
 // caller must release() the returned generation when done, and hold the
@@ -805,9 +777,7 @@ func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response,
 	defer gen.release()
 	gen.active.mu.RLock()
 	defer gen.active.mu.RUnlock()
-	resp, err := e.inner.Search(ctx, req)
-	e.stats = resp.Stats
-	return resp, err
+	return e.inner.Search(ctx, req)
 }
 
 // ScoreOne scores a single trajectory against req's query with an exact

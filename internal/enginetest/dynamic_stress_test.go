@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -88,13 +89,13 @@ func TestDynamicMixedStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 10; r++ {
 				if (c+r)%2 == 0 {
-					if _, err := pe.SearchBatch(qs, 5, false); err != nil {
+					if _, err := pe.SearchAll(context.Background(), requests(qs, 5)); err != nil {
 						t.Errorf("searcher %d round %d batch: %v", c, r, err)
 						return
 					}
 				} else {
 					for qi := c % len(qs); qi < len(qs); qi += searchers {
-						if _, err := pe.SearchATSQ(qs[qi], 5); err != nil {
+						if _, err := pe.Search(context.Background(), query.Request{Query: qs[qi], K: 5}); err != nil {
 							t.Errorf("searcher %d round %d: %v", c, r, err)
 							return
 						}
@@ -140,14 +141,8 @@ func TestDynamicMixedStress(t *testing.T) {
 	ref := gat.NewEngine(idx)
 	dyn := d.NewEngine()
 	for qi, q := range qs {
-		want, err := ref.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dyn.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustSearch(t, ref, query.Request{Query: q, K: 9}).Results
+		got := mustSearch(t, dyn, query.Request{Query: q, K: 9}).Results
 		if len(want) != len(got) {
 			t.Fatalf("q%d: %d results != %d", qi, len(got), len(want))
 		}

@@ -5,6 +5,7 @@
 package enginetest
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -76,6 +77,25 @@ func workload(t testing.TB, ds *trajectory.Dataset, n int) []query.Query {
 	return qs
 }
 
+// mustSearch answers req on e, failing the test on error.
+func mustSearch(t testing.TB, e query.Engine, req query.Request) query.Response {
+	t.Helper()
+	resp, err := e.Search(context.Background(), req)
+	if err != nil {
+		t.Fatalf("%s: %v", e.Name(), err)
+	}
+	return resp
+}
+
+// requests wraps a workload into plain top-k requests for SearchAll.
+func requests(qs []query.Query, k int) []query.Request {
+	reqs := make([]query.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = query.Request{Query: q, K: k}
+	}
+	return reqs
+}
+
 func distVector(rs []query.Result) []float64 {
 	out := make([]float64, len(rs))
 	for i, r := range rs {
@@ -106,10 +126,7 @@ func TestEnginesAgreeATSQ(t *testing.T) {
 	for qi, q := range qs {
 		var ref []float64
 		for _, e := range engines {
-			rs, err := e.SearchATSQ(q, 9)
-			if err != nil {
-				t.Fatalf("q%d %s: %v", qi, e.Name(), err)
-			}
+			rs := mustSearch(t, e, query.Request{Query: q, K: 9}).Results
 			dv := distVector(rs)
 			if ref == nil {
 				ref = dv
@@ -130,10 +147,7 @@ func TestEnginesAgreeOATSQ(t *testing.T) {
 	for qi, q := range qs {
 		var ref []float64
 		for _, e := range engines {
-			rs, err := e.SearchOATSQ(q, 9)
-			if err != nil {
-				t.Fatalf("q%d %s: %v", qi, e.Name(), err)
-			}
+			rs := mustSearch(t, e, query.Request{Query: q, K: 9, Ordered: true}).Results
 			dv := distVector(rs)
 			if ref == nil {
 				ref = dv
@@ -174,10 +188,7 @@ func TestGATVariantsAgree(t *testing.T) {
 	for qi, q := range qs {
 		var ref []float64
 		for vi, e := range engines {
-			rs, err := e.SearchATSQ(q, 9)
-			if err != nil {
-				t.Fatalf("q%d variant %d: %v", qi, vi, err)
-			}
+			rs := mustSearch(t, e, query.Request{Query: q, K: 9}).Results
 			dv := distVector(rs)
 			if ref == nil {
 				ref = dv
@@ -198,16 +209,7 @@ func TestUnmatchableQuery(t *testing.T) {
 	}}
 	for _, e := range engines {
 		for _, ordered := range []bool{false, true} {
-			var rs []query.Result
-			var err error
-			if ordered {
-				rs, err = e.SearchOATSQ(q, 5)
-			} else {
-				rs, err = e.SearchATSQ(q, 5)
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
-			}
+			rs := mustSearch(t, e, query.Request{Query: q, K: 5, Ordered: ordered}).Results
 			if len(rs) != 0 {
 				t.Fatalf("%s ordered=%v: expected empty results, got %v", e.Name(), ordered, rs)
 			}
@@ -224,10 +226,7 @@ func TestKLargerThanMatches(t *testing.T) {
 	for qi, q := range qs {
 		var ref []float64
 		for _, e := range engines {
-			rs, err := e.SearchATSQ(q, 10_000)
-			if err != nil {
-				t.Fatalf("q%d %s: %v", qi, e.Name(), err)
-			}
+			rs := mustSearch(t, e, query.Request{Query: q, K: 10_000}).Results
 			dv := distVector(rs)
 			if ref == nil {
 				ref = dv
@@ -246,14 +245,8 @@ func TestLemma3AcrossEngines(t *testing.T) {
 	qs := workload(t, ds, 10)
 	e := engines[3] // GAT
 	for qi, q := range qs {
-		a, err := e.SearchATSQ(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := e.SearchOATSQ(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := mustSearch(t, e, query.Request{Query: q, K: 1}).Results
+		o := mustSearch(t, e, query.Request{Query: q, K: 1, Ordered: true}).Results
 		if len(a) > 0 && len(o) > 0 && o[0].Dist < a[0].Dist-1e-9 {
 			t.Fatalf("q%d: Dmom top1 %v < Dmm top1 %v violates Lemma 3", qi, o[0].Dist, a[0].Dist)
 		}

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"testing"
 
 	"activitytraj/internal/harness"
@@ -19,7 +20,7 @@ func TestParallelWorkloadMatchesSequential(t *testing.T) {
 	}
 	qs := workload(t, ds, 12)
 	for _, e := range st.Engines {
-		ce, ok := e.(harness.CloneableEngine)
+		ce, ok := e.(query.CloneableEngine)
 		if !ok {
 			t.Fatalf("%s does not support cloning", e.Name())
 		}
@@ -46,15 +47,11 @@ func TestParallelResultsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := workload(t, ds, 10)
-	gat := st.Engine("GAT").(harness.CloneableEngine)
+	gat := st.Engine("GAT").(query.CloneableEngine)
 
 	want := make([][]query.Result, len(qs))
 	for i, q := range qs {
-		rs, err := gat.SearchATSQ(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = rs
+		want[i] = mustSearch(t, gat, query.Request{Query: q, K: 5}).Results
 	}
 	type res struct {
 		i  int
@@ -65,13 +62,13 @@ func TestParallelResultsIdentical(t *testing.T) {
 		go func(w int) {
 			eng := gat.Clone()
 			for i := w; i < len(qs); i += 4 {
-				rs, err := eng.SearchATSQ(qs[i], 5)
+				resp, err := eng.Search(context.Background(), query.Request{Query: qs[i], K: 5})
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					ch <- res{i, nil}
 					continue
 				}
-				ch <- res{i, rs}
+				ch <- res{i, resp.Results}
 			}
 		}(w)
 	}

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -64,31 +65,26 @@ func TestShardedDifferentialLA(t *testing.T) {
 	oracle := single.NewEngine()
 	sharded := router.NewEngine()
 
+	ctx := context.Background()
 	compare := func(label string) {
 		t.Helper()
 		for qi, q := range qs {
 			for _, ordered := range []bool{false, true} {
-				var want, got []query.Result
-				var err1, err2 error
-				if ordered {
-					want, err1 = oracle.SearchOATSQ(q, 9)
-					got, err2 = sharded.SearchOATSQ(q, 9)
-				} else {
-					want, err1 = oracle.SearchATSQ(q, 9)
-					got, err2 = sharded.SearchATSQ(q, 9)
-				}
+				req := query.Request{Query: q, K: 9, Ordered: ordered}
+				want, err1 := oracle.Search(ctx, req)
+				got, err2 := sharded.Search(ctx, req)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("%s q%d ordered=%v: single err=%v sharded err=%v", label, qi, ordered, err1, err2)
 				}
-				requireByteIdentical(t, label, want, got)
+				requireByteIdentical(t, label, want.Results, got.Results)
 			}
 			// K < 1 is K = 1 on every tier (the query.Request.K contract).
-			want, err1 := oracle.SearchATSQ(q, 1)
-			got, err2 := sharded.SearchATSQ(q, 0)
+			want, err1 := oracle.Search(ctx, query.Request{Query: q, K: 1})
+			got, err2 := sharded.Search(ctx, query.Request{Query: q, K: 0})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s q%d k=0: single err=%v sharded err=%v", label, qi, err1, err2)
 			}
-			requireByteIdentical(t, label+" k=0", want, got)
+			requireByteIdentical(t, label+" k=0", want.Results, got.Results)
 		}
 	}
 
@@ -172,7 +168,11 @@ func TestShardedParallelStress(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 4; round++ {
-		if _, err := pe.SearchBatch(qs, 9, round%2 == 1); err != nil {
+		reqs := requests(qs, 9)
+		for i := range reqs {
+			reqs[i].Ordered = round%2 == 1
+		}
+		if _, err := pe.SearchAll(context.Background(), reqs); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}

@@ -1,7 +1,9 @@
 package enginetest
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"activitytraj/internal/harness"
@@ -20,23 +22,21 @@ func TestParallelEngineStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := workload(t, ds, 16)
-	gat := st.Engine("GAT").(harness.CloneableEngine)
+	gat := st.Engine("GAT").(query.CloneableEngine)
 
 	// Reference answers from a private sequential engine.
 	ref := gat.Clone()
 	want := make([][]query.Result, len(qs))
 	for i, q := range qs {
-		rs, err := ref.SearchATSQ(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = rs
+		want[i] = mustSearch(t, ref, query.Request{Query: q, K: 5}).Results
 	}
 
 	pe := query.NewParallelEngine(gat, 4)
 	const clients = 6
 	const rounds = 8
 	var wg sync.WaitGroup
+	var candidates atomic.Int64 // summed over every response's in-band stats
+	ctx := context.Background()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -44,31 +44,33 @@ func TestParallelEngineStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				switch (c + r) % 3 {
 				case 0: // whole batch
-					got, err := pe.SearchBatch(qs, 5, false)
+					got, err := pe.SearchAll(ctx, requests(qs, 5))
 					if err != nil {
 						t.Errorf("client %d round %d: %v", c, r, err)
 						return
 					}
 					for i := range qs {
-						if !sameResults(got[i], want[i]) {
-							t.Errorf("client %d round %d query %d: %v != %v", c, r, i, got[i], want[i])
+						candidates.Add(int64(got[i].Stats.Candidates))
+						if !sameResults(got[i].Results, want[i]) {
+							t.Errorf("client %d round %d query %d: %v != %v", c, r, i, got[i].Results, want[i])
 							return
 						}
 					}
 				case 1: // single searches
 					for i := c % len(qs); i < len(qs); i += clients {
-						got, err := pe.SearchATSQ(qs[i], 5)
+						got, err := pe.Search(ctx, query.Request{Query: qs[i], K: 5})
 						if err != nil {
 							t.Errorf("client %d round %d: %v", c, r, err)
 							return
 						}
-						if !sameResults(got, want[i]) {
-							t.Errorf("client %d round %d query %d: %v != %v", c, r, i, got, want[i])
+						candidates.Add(int64(got.Stats.Candidates))
+						if !sameResults(got.Results, want[i]) {
+							t.Errorf("client %d round %d query %d: %v != %v", c, r, i, got.Results, want[i])
 							return
 						}
 					}
 				case 2: // ordered variant, results just need to not error
-					if _, err := pe.SearchOATSQ(qs[c%len(qs)], 5); err != nil {
+					if _, err := pe.Search(ctx, query.Request{Query: qs[c%len(qs)], K: 5, Ordered: true}); err != nil {
 						t.Errorf("client %d round %d OATSQ: %v", c, r, err)
 						return
 					}
@@ -78,8 +80,7 @@ func TestParallelEngineStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	st2 := pe.LastStats()
-	if st2.Candidates == 0 {
+	if candidates.Load() == 0 {
 		t.Fatal("no work recorded")
 	}
 }

@@ -1,8 +1,6 @@
 package evaluate
 
 import (
-	"context"
-	"errors"
 	"slices"
 
 	"activitytraj/internal/geo"
@@ -73,16 +71,25 @@ type Evaluator struct {
 
 	// region, when non-nil, restricts matching spatially: candidate rows
 	// are filtered to trajectory points inside it right after row build, so
-	// out-of-region points can never satisfy a query activity. Engines set
-	// it per search (SetRegion).
+	// out-of-region points can never satisfy a query activity. Install sets
+	// it per request.
 	region *geo.Rect
 
 	// sub/minSpan/maxSpan select subtrajectory scoring: a candidate's
 	// distance becomes the minimum over contiguous point spans of the
-	// allowed length instead of the whole trajectory. Engines set them per
-	// search (SetSpan), mirroring SetRegion.
+	// allowed length instead of the whole trajectory. Install sets them per
+	// request.
 	sub              bool
 	minSpan, maxSpan int
+
+	// sink, when non-nil, shares Search's top-k bound with cooperating
+	// searches over sibling shards (SetBoundSink).
+	sink query.BoundSink
+	// stats is the running search's accounting. It lives here rather than
+	// on Search's stack because the Source holds a pointer to it across an
+	// interface call, which would otherwise cost a heap allocation per
+	// search.
+	stats query.SearchStats
 
 	rb        matcher.RowBuilder
 	coordsBuf []geo.Point
@@ -119,16 +126,12 @@ func (e *Evaluator) SetDelta(d DeltaSource) {
 }
 
 // SetRegion attaches (nil detaches) the spatial match filter for the next
-// searches: only trajectory points inside r may match query points. Engines
-// call this at the start of every search with the request's Region, so a
-// previous request's filter can never leak.
+// candidates: only trajectory points inside r may match query points.
 func (e *Evaluator) SetRegion(r *geo.Rect) { e.region = r }
 
 // SetSpan installs (sub=false clears) subtrajectory scoring for the next
 // searches: candidate distances become the minimum over contiguous point
-// spans with minSpan <= length <= maxSpan (0 = unlimited). Engines call
-// this at the start of every search with the request's span options, so a
-// previous request's mode can never leak.
+// spans with minSpan <= length <= maxSpan (0 = unlimited).
 func (e *Evaluator) SetSpan(sub bool, minSpan, maxSpan int) {
 	e.sub, e.minSpan, e.maxSpan = sub, minSpan, maxSpan
 }
@@ -290,46 +293,6 @@ func (e *Evaluator) MatchSets(q query.Query, id trajectory.TrajID, ordered bool,
 		_, covers = e.m.MinMatchCover(rows)
 	}
 	return covers, nil
-}
-
-// MatchSetsAll answers Request.WithMatches for a whole result slice: one
-// MatchSets call per result, honoring ctx between results. The returned
-// slice is parallel to rs; on error it carries whatever was resolved so
-// far.
-func (e *Evaluator) MatchSetsAll(ctx context.Context, q query.Query, ordered bool, rs []query.Result, stats *query.SearchStats) ([][][]int32, error) {
-	out := make([][][]int32, len(rs))
-	for i := range rs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		m, err := e.MatchSets(q, rs[i].ID, ordered, stats)
-		if err != nil {
-			return out, err
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// FillMatches is the WithMatches epilogue every engine shares: resolve the
-// covers for resp.Results, install them with the updated stats, and — when
-// the context expired or was cancelled mid-fill — mark the response
-// Truncated so partially-filled matches are never presented as a complete
-// answer.
-func (e *Evaluator) FillMatches(ctx context.Context, q query.Query, ordered bool, resp *query.Response, stats *query.SearchStats) error {
-	ms, err := e.MatchSetsAll(ctx, q, ordered, resp.Results, stats)
-	resp.Matches = ms
-	if e.sub {
-		resp.Spans = query.SpansFromMatches(ms)
-	}
-	resp.Stats = *stats
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			resp.Truncated = true
-		}
-		return err
-	}
-	return nil
 }
 
 // mergeUnique appends the ascending union of the ascending lists to dst.

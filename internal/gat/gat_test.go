@@ -10,6 +10,7 @@ import (
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/grid"
 	"activitytraj/internal/queries"
+	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
 )
 
@@ -176,17 +177,16 @@ func TestTheorem1LowerBoundSoundness(t *testing.T) {
 	ev := evaluate.NewEvaluator(ts)
 	for qi, q := range qs {
 		s := &e.sc
-		s.begin(q)
-		s.initQueue()
-		for batch := 0; batch < 30 && !s.exhausted; batch++ {
-			s.retrieveBatch(8)
-			dlb := s.lowerBound()
+		var stats query.SearchStats
+		s.Begin(query.Request{Query: q}, &stats)
+		for batch := 0; batch < 30 && !s.Exhausted(); batch++ {
+			s.NextBatch()
+			dlb := s.LowerBound()
 			if math.IsInf(dlb, 1) {
 				continue
 			}
 			// True minimum Dmm over unseen trajectories.
 			trueMin := math.Inf(1)
-			var stats = e.stats
 			for ti := range ds.Trajs {
 				id := ds.Trajs[ti].ID
 				if s.seen[id] == s.gen {

@@ -57,14 +57,8 @@ func TestPersistRoundTrip(t *testing.T) {
 		for _, ordered := range []bool{false, true} {
 			var a, b []float64
 			if ordered {
-				ra, err := e1.SearchOATSQ(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := e2.SearchOATSQ(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ra := mustSearch(t, e1, query.Request{Query: q, K: 5, Ordered: true}).Results
+				rb := mustSearch(t, e2, query.Request{Query: q, K: 5, Ordered: true}).Results
 				for _, r := range ra {
 					a = append(a, r.Dist)
 				}
@@ -72,14 +66,8 @@ func TestPersistRoundTrip(t *testing.T) {
 					b = append(b, r.Dist)
 				}
 			} else {
-				ra, err := e1.SearchATSQ(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := e2.SearchATSQ(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ra := mustSearch(t, e1, query.Request{Query: q, K: 5}).Results
+				rb := mustSearch(t, e2, query.Request{Query: q, K: 5}).Results
 				for _, r := range ra {
 					a = append(a, r.Dist)
 				}
@@ -324,14 +312,8 @@ func TestPersistV1Migration(t *testing.T) {
 	}
 	e1, e2 := NewEngine(idx), NewEngine(loaded)
 	for qi, q := range qs {
-		ra, err := e1.SearchATSQ(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := e2.SearchATSQ(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ra := mustSearch(t, e1, query.Request{Query: q, K: 5}).Results
+		rb := mustSearch(t, e2, query.Request{Query: q, K: 5}).Results
 		if len(ra) != len(rb) {
 			t.Fatalf("q%d: %d vs %d results", qi, len(ra), len(rb))
 		}

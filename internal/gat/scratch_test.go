@@ -1,11 +1,23 @@
 package gat
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"activitytraj/internal/queries"
+	"activitytraj/internal/query"
 )
+
+// mustSearch answers req on e, failing the test on error.
+func mustSearch(t testing.TB, e *Engine, req query.Request) query.Response {
+	t.Helper()
+	resp, err := e.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
 
 // TestScratchReuseMatchesFresh: an engine's recycled searcher scratch
 // (generation-stamped seen array, per-point heaps, candidate buffer) must
@@ -20,16 +32,10 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	reused := NewEngine(idx)
 	for round := 0; round < 2; round++ { // second round exercises fully warm scratch
 		for qi, q := range qs {
-			got, err := reused.SearchATSQ(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotStats := reused.stats
-			fresh := NewEngine(idx)
-			want, err := fresh.SearchATSQ(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotResp := mustSearch(t, reused, query.Request{Query: q, K: 5})
+			got, gotStats := gotResp.Results, gotResp.Stats
+			wantResp := mustSearch(t, NewEngine(idx), query.Request{Query: q, K: 5})
+			want, wantStats := wantResp.Results, wantResp.Stats
 			if len(got) != len(want) {
 				t.Fatalf("round %d q%d: %d results vs %d", round, qi, len(got), len(want))
 			}
@@ -38,8 +44,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 					t.Fatalf("round %d q%d result %d: %+v vs %+v", round, qi, i, got[i], want[i])
 				}
 			}
-			if gotStats.Candidates != fresh.stats.Candidates || gotStats.PQPops != fresh.stats.PQPops {
-				t.Fatalf("round %d q%d: reused stats %+v vs fresh %+v", round, qi, gotStats, fresh.stats)
+			if gotStats.Candidates != wantStats.Candidates || gotStats.PQPops != wantStats.PQPops {
+				t.Fatalf("round %d q%d: reused stats %+v vs fresh %+v", round, qi, gotStats, wantStats)
 			}
 		}
 	}
@@ -47,7 +53,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 
 // TestGenerationWraparound: when the 32-bit search generation wraps, stale
 // stamps from ~4 billion searches ago must not alias the new generation —
-// begin() wipes the array and restarts at 1.
+// Begin wipes the array and restarts at 1.
 func TestGenerationWraparound(t *testing.T) {
 	ds, _, idx := buildSmall(t, Config{Depth: 6, MemLevels: 4})
 	qs, err := queries.Generate(ds, queries.Config{NumQueries: 4, NumPoints: 2, ActsPerPoint: 2, DiameterKm: 8, Seed: 43})
@@ -56,12 +62,10 @@ func TestGenerationWraparound(t *testing.T) {
 	}
 	e := NewEngine(idx)
 	// Warm up so the seen array exists and carries stamps.
-	if _, err := e.SearchATSQ(qs[0], 5); err != nil {
-		t.Fatal(err)
-	}
+	mustSearch(t, e, query.Request{Query: qs[0], K: 5})
 	// Force the wrap: two searches from now gen overflows to 0.
 	e.sc.gen = math.MaxUint32 - 1
-	// Poison the array with the post-wrap generation value: if begin() did
+	// Poison the array with the post-wrap generation value: if Begin did
 	// not wipe on wrap, these entries would mask every trajectory as seen.
 	for i := range e.sc.seen {
 		e.sc.seen[i] = 1
@@ -69,14 +73,9 @@ func TestGenerationWraparound(t *testing.T) {
 	fresh := NewEngine(idx)
 	for round := 0; round < 3; round++ { // spans gen = MaxUint32, wrap, 2
 		for qi, q := range qs {
-			got, err := e.SearchATSQ(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.SearchATSQ(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotResp := mustSearch(t, e, query.Request{Query: q, K: 5})
+			wantResp := mustSearch(t, fresh, query.Request{Query: q, K: 5})
+			got, want := gotResp.Results, wantResp.Results
 			if len(got) != len(want) {
 				t.Fatalf("round %d q%d: %d results vs %d (gen %d)", round, qi, len(got), len(want), e.sc.gen)
 			}
@@ -85,8 +84,8 @@ func TestGenerationWraparound(t *testing.T) {
 					t.Fatalf("round %d q%d result %d: %+v vs %+v (gen %d)", round, qi, i, got[i], want[i], e.sc.gen)
 				}
 			}
-			if e.stats.Candidates != fresh.stats.Candidates {
-				t.Fatalf("round %d q%d: candidates %d vs %d (gen %d)", round, qi, e.stats.Candidates, fresh.stats.Candidates, e.sc.gen)
+			if gotResp.Stats.Candidates != wantResp.Stats.Candidates {
+				t.Fatalf("round %d q%d: candidates %d vs %d (gen %d)", round, qi, gotResp.Stats.Candidates, wantResp.Stats.Candidates, e.sc.gen)
 			}
 		}
 	}

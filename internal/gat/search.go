@@ -25,18 +25,9 @@ type Engine struct {
 	// ov, when non-nil, merges a mutable delta layer into every search; see
 	// DeltaOverlay and NewEngineWithOverlay.
 	ov DeltaOverlay
-	// sink, when non-nil, shares the top-k bound with cooperating searches
-	// over sibling shards; see SetBoundSink.
-	sink query.BoundSink
-	// bound and region are the current request's per-search options,
-	// installed by Search: bound seeds the pruning threshold (+Inf when
-	// unset), region restricts matching spatially (nil when unset).
-	bound  float64
-	region *geo.Rect
-	ev     *evaluate.Evaluator
-	m      matcher.Matcher
-	stats  query.SearchStats
-	sc     searcher
+	ev *evaluate.Evaluator
+	m  matcher.Matcher
+	sc searcher
 }
 
 // NewEngine returns a search engine over a built index.
@@ -50,7 +41,7 @@ func NewEngine(idx *Index) *Engine {
 
 // SetBoundSink attaches (or, with nil, detaches) a shared bound for
 // cooperating searches: every scored result is offered to the sink, and the
-// engine prunes against min(local k-th distance, sink.Threshold()) — both
+// search prunes against min(local k-th distance, sink.Threshold()) — both
 // for the per-candidate scoring threshold and for the Algorithm-2
 // termination test. Because the sink's threshold is an upper bound on the
 // final global k-th distance (the global top-k over a superset can only be
@@ -59,7 +50,7 @@ func NewEngine(idx *Index) *Engine {
 // final global k-th result. The sink must be safe for the concurrent use
 // the cooperating searches make of it; the engine itself remains
 // single-goroutine.
-func (e *Engine) SetBoundSink(s query.BoundSink) { e.sink = s }
+func (e *Engine) SetBoundSink(s query.BoundSink) { e.ev.SetBoundSink(s) }
 
 // Name implements query.Engine.
 func (e *Engine) Name() string { return "GAT" }
@@ -67,38 +58,9 @@ func (e *Engine) Name() string { return "GAT" }
 // MemBytes implements query.Engine.
 func (e *Engine) MemBytes() int64 { return e.idx.MemBytes() }
 
-// LastStats implements query.Engine.
-//
-// Deprecated: read Response.Stats.
-func (e *Engine) LastStats() query.SearchStats { return e.stats }
-
-// SearchATSQ implements query.Engine (Algorithm 1 with Dmm).
-//
-// Deprecated: use Search.
-func (e *Engine) SearchATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// SearchOATSQ implements query.Engine. Candidate retrieval and the lower
-// bound are unchanged — by Lemma 3 Dmm lower-bounds Dmom, so the same
-// termination test applies; validation adds the MIB order filter and the
-// distance is Algorithm 4's Dmom.
-//
-// Deprecated: use Search.
-func (e *Engine) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k, Ordered: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// searcher holds the per-query state of Algorithm 1 in engine-owned scratch
-// that is recycled across searches:
+// searcher is GAT's evaluate.Source: the best-first cell expansion of
+// Algorithm 1 (Section V-A) and the Algorithm-2 lower bound. It holds the
+// per-query state in engine-owned scratch that is recycled across searches:
 //
 //   - pqs merges the paper's global cell priority queue with the per-point
 //     cellsn structures — one hand-rolled heap per query point, no
@@ -115,6 +77,8 @@ func (e *Engine) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
 type searcher struct {
 	e *Engine
 	q query.Query
+	// stats is the running search's accounting (see evaluate.Source.Begin).
+	stats *query.SearchStats
 	// ov is the engine's overlay for the duration of one search, nil when
 	// absent or currently empty — probing an empty delta on every cell
 	// expansion would tax the static hot path for nothing.
@@ -129,7 +93,7 @@ type searcher struct {
 	seen   []uint32
 	gen    uint32
 	// handles is indexed (actOff[qi]+b)*Depth + level-1; an entry's sets
-	// alias setBuf. Both are wiped by begin, so no set outlives its search.
+	// alias setBuf. Both are wiped by Begin, so no set outlives its search.
 	handles   []hiclHandle
 	actOff    []int
 	setBuf    []*invindex.Set
@@ -147,10 +111,13 @@ type hiclHandle struct {
 	resolved bool
 }
 
-// begin readies the scratch for a new search.
-func (s *searcher) begin(q query.Query) {
+// Begin implements evaluate.Source: it readies the scratch for req and
+// seeds the frontiers.
+func (s *searcher) Begin(req query.Request, stats *query.SearchStats) {
+	q := req.Query
 	s.q = q
-	s.region = s.e.region
+	s.stats = stats
+	s.region = req.Region
 	s.ov = s.e.ov
 	if s.ov != nil && s.ov.Empty() {
 		s.ov = nil
@@ -193,96 +160,14 @@ func (s *searcher) begin(q query.Query) {
 	s.cands = s.cands[:0]
 	s.overflown = false
 	s.exhausted = false
+	s.initQueue()
 }
 
-// Search implements query.Engine: Algorithm 1 with the Dmm distance, or —
-// with req.Ordered — the Dmom distance behind the same retrieval and
-// termination bound (Lemma 3). Cancellation is honored between λ-batches
-// (the per-candidate hot path never reads the context), and an already
-// cancelled or expired ctx returns before any disk page is touched. On
-// cancellation the partial top-k collected so far is returned with
-// Response.Truncated set, alongside ctx's error.
+// Search implements query.Engine: the shared search loop over this engine's
+// searcher (see evaluate.Evaluator.Search for how the request's options,
+// ctx and cancellation are honored).
 func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	q, ordered := req.Query, req.Ordered
-	if err := q.Validate(); err != nil {
-		return query.Response{}, err
-	}
-	if err := req.ValidateSpan(); err != nil {
-		return query.Response{}, err
-	}
-	e.stats = query.SearchStats{}
-	if err := ctx.Err(); err != nil {
-		return query.Response{Truncated: true}, err
-	}
-	e.bound = req.Bound()
-	e.region = req.Region
-	e.ev.SetRegion(req.Region)
-	// Subtrajectory mode changes only the evaluator's scoring: retrieval and
-	// the Algorithm-2 termination bound are untouched because Dlb lower-
-	// bounds the whole-trajectory Dmm of every unseen trajectory, which in
-	// turn lower-bounds its span-constrained distance (restricting a match
-	// to a window can only raise its cost). The per-cell bound therefore
-	// stays admissible for D_sub, and the shared BoundSink threshold remains
-	// an upper bound on the final k-th D_sub — pruning stays exact.
-	e.ev.SetSpan(req.Subtrajectory, req.MinSpanPoints, req.MaxSpanPoints)
-	s := &e.sc
-	s.begin(q)
-	s.initQueue()
-
-	topk := query.NewTopK(req.K)
-	baseN := e.idx.ts.NumTrajs()
-	for {
-		if err := ctx.Err(); err != nil {
-			return query.Response{Results: topk.Results(), Stats: e.stats, Truncated: true}, err
-		}
-		cands := s.retrieveBatch(e.idx.cfg.Lambda)
-		e.stats.Batches++
-		dlb := s.lowerBound()
-		// Score the batch in APL page order with a pool readahead hint:
-		// the candidates arrived in heap-pop (distance) order, which has no
-		// page locality; the top-k set is order-independent, so batching
-		// for locality is free.
-		e.ev.PrefetchBatch(cands)
-		for _, tid := range cands {
-			e.stats.Candidates++
-			if int(tid) >= baseN {
-				e.stats.DeltaCandidates++
-			}
-			var d float64
-			var out evaluate.Outcome
-			var err error
-			if ordered {
-				d, out, err = e.ev.ScoreOATSQ(q, tid, e.effThreshold(topk), &e.stats)
-			} else {
-				d, out, err = e.ev.ScoreATSQ(q, tid, e.effThreshold(topk), &e.stats)
-			}
-			if err != nil {
-				return query.Response{Stats: e.stats}, err
-			}
-			if out == evaluate.Scored {
-				topk.Offer(query.Result{ID: tid, Dist: d})
-				if e.sink != nil {
-					e.sink.Offer(query.Result{ID: tid, Dist: d})
-				}
-			}
-		}
-		if e.effThreshold(topk) < dlb {
-			break
-		}
-		if s.exhausted && len(cands) == 0 {
-			break
-		}
-	}
-	resp := query.Response{Results: topk.Results(), Stats: e.stats}
-	if req.WithMatches {
-		// The evaluator re-reads each result trajectory once and the
-		// matcher re-derives the argmin covers behind the reported
-		// distance; the fetch traffic is part of the request.
-		if err := e.ev.FillMatches(ctx, q, ordered, &resp, &e.stats); err != nil {
-			return resp, err
-		}
-	}
-	return resp, nil
+	return e.ev.Search(ctx, req, &e.sc)
 }
 
 // MatchesFor re-derives the per-query-point matched trajectory point
@@ -292,8 +177,7 @@ func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response,
 // installed first so the covers match what the search scored. Fetch
 // traffic is added to stats.
 func (e *Engine) MatchesFor(req query.Request, id trajectory.TrajID, stats *query.SearchStats) ([][]int32, error) {
-	e.ev.SetRegion(req.Region)
-	e.ev.SetSpan(req.Subtrajectory, req.MinSpanPoints, req.MaxSpanPoints)
+	e.ev.Install(req)
 	return e.ev.MatchSets(req.Query, id, req.Ordered, stats)
 }
 
@@ -307,32 +191,8 @@ func (e *Engine) MatchesFor(req query.Request, id trajectory.TrajID, stats *quer
 // candidate at exactly the bound still scores fully), a non-Scored outcome
 // otherwise. Fetch traffic is added to stats.
 func (e *Engine) ScoreFor(req query.Request, id trajectory.TrajID, threshold float64, stats *query.SearchStats) (float64, evaluate.Outcome, error) {
-	e.ev.SetRegion(req.Region)
-	e.ev.SetSpan(req.Subtrajectory, req.MinSpanPoints, req.MaxSpanPoints)
-	if req.Ordered {
-		return e.ev.ScoreOATSQ(req.Query, id, threshold, stats)
-	}
-	return e.ev.ScoreATSQ(req.Query, id, threshold, stats)
-}
-
-// effThreshold returns the tightest exact pruning bound available: the
-// local k-th distance, tightened by the shared global bound when a sink is
-// attached and by the request's InitialBound when set. All three are upper
-// bounds on the distance any reportable result may have, so the minimum
-// prunes exactly (the matcher abandons only when a partial sum strictly
-// exceeds the threshold, so candidates at exactly the bound still score
-// fully and tie-break by ID).
-func (e *Engine) effThreshold(topk *query.TopK) float64 {
-	th := topk.Threshold()
-	if e.sink != nil {
-		if g := e.sink.Threshold(); g < th {
-			th = g
-		}
-	}
-	if e.bound < th {
-		th = e.bound
-	}
-	return th
+	e.ev.Install(req)
+	return e.ev.Score(req.Query, req.Ordered, id, threshold, stats)
 }
 
 // cellVisible reports whether the request's region filter (if any) lets a
@@ -411,19 +271,19 @@ func (s *searcher) baseHICL(level int, a trajectory.ActivityID) *invindex.Set {
 	}
 	key := hiclKey{level: uint8(level), act: a}
 	if set, ok := idx.hicl.Get(key); ok {
-		s.e.stats.CacheHits++
+		s.stats.CacheHits++
 		return set
 	}
-	s.e.stats.CacheMisses++
+	s.stats.CacheMisses++
 	// The store is sealed and append-only; a read or decode failure means
 	// corruption, which Build would have surfaced. Treat as absent.
 	var set *invindex.Set
 	if ref, ok := idx.hiclDir[key]; ok {
-		s.e.stats.PageReads += ref.PageSpan()
+		s.stats.PageReads += ref.PageSpan()
 		if blob, err := idx.hiclStore.Read(ref); err == nil {
 			if decoded, _, err := invindex.DecodeSet(blob); err == nil {
 				set = decoded
-				s.e.stats.BytesDecoded += int64(len(blob))
+				s.stats.BytesDecoded += int64(len(blob))
 			}
 		}
 	}
@@ -473,16 +333,17 @@ func (s *searcher) emit(out []trajectory.TrajID, tid uint32, tombs bool) []traje
 	return out
 }
 
-// retrieveBatch runs the best-first expansion until at least lambda new
-// candidate trajectories are collected (Section V-A) or every frontier
-// empties. The returned slice aliases searcher scratch. With a delta
-// overlay, leaf-cell pulls merge the overlay's trajectory lists with the
-// base ITL, tombstoned trajectories are dropped here (keeping the merged
-// search exact without inflating k), and overlay trajectories that fall
-// outside the grid region — whose clamped cells cannot bound their true
-// distance — are retrieved unconditionally in the first batch.
-func (s *searcher) retrieveBatch(lambda int) []trajectory.TrajID {
-	depth := s.e.idx.cfg.Depth
+// NextBatch implements evaluate.Source: it runs the best-first expansion
+// until at least λ new candidate trajectories are collected (Section V-A)
+// or every frontier empties. The returned slice aliases searcher scratch.
+// With a delta overlay, leaf-cell pulls merge the overlay's trajectory
+// lists with the base ITL, tombstoned trajectories are dropped here
+// (keeping the merged search exact without inflating k), and overlay
+// trajectories that fall outside the grid region — whose clamped cells
+// cannot bound their true distance — are retrieved unconditionally in the
+// first batch.
+func (s *searcher) NextBatch() []trajectory.TrajID {
+	depth, lambda := s.e.idx.cfg.Depth, s.e.idx.cfg.Lambda
 	ov := s.ov
 	tombs := ov != nil && ov.HasTombstones()
 	out := s.cands[:0]
@@ -500,7 +361,7 @@ func (s *searcher) retrieveBatch(lambda int) []trajectory.TrajID {
 			break
 		}
 		c := s.pqs[qi].pop()
-		s.e.stats.PQPops++
+		s.stats.PQPops++
 		qp := s.q.Pts[qi]
 		if int(c.cell.Level) < depth {
 			s.expand(qi, c)
@@ -526,17 +387,23 @@ func (s *searcher) retrieveBatch(lambda int) []trajectory.TrajID {
 		}
 	}
 	s.cands = out
+	s.stats.Batches++
+	// Hand the batch over in APL page order with a pool readahead hint: the
+	// candidates arrived in heap-pop (distance) order, which has no page
+	// locality; the top-k set is order-independent, so batching for
+	// locality is free.
+	s.e.ev.PrefetchBatch(out)
 	return out
 }
 
-// lowerBound computes Dlb for all unseen trajectories. With the loose
-// option it is the frontier's head distance; otherwise Algorithm 2:
-// per query point, the better of (a) the minimum point match distance over
-// virtual points standing in for the m nearest unvisited cells and (b) the
-// distance of the (m+1)-th unvisited cell, summed over query points. An
-// exhausted query point contributes +Inf — every trajectory containing its
-// activities has been seen.
-func (s *searcher) lowerBound() float64 {
+// LowerBound implements evaluate.Source: Dlb for all unseen trajectories.
+// With the loose option it is the frontier's head distance; otherwise
+// Algorithm 2: per query point, the better of (a) the minimum point match
+// distance over virtual points standing in for the m nearest unvisited
+// cells and (b) the distance of the (m+1)-th unvisited cell, summed over
+// query points. An exhausted query point contributes +Inf — every
+// trajectory containing its activities has been seen.
+func (s *searcher) LowerBound() float64 {
 	if s.e.idx.cfg.LooseLowerBound {
 		qi := s.minQueue()
 		if qi < 0 {
@@ -569,6 +436,13 @@ func (s *searcher) lowerBound() float64 {
 	}
 	return sum
 }
+
+// Threshold implements evaluate.Source: GAT prunes against the k-th
+// distance capped by the request's bound.
+func (s *searcher) Threshold(kth, bound float64) float64 { return min(kth, bound) }
+
+// Exhausted implements evaluate.Source: every frontier has emptied.
+func (s *searcher) Exhausted() bool { return s.exhausted }
 
 // Clone returns an independent engine over the same (immutable) index and
 // delta overlay, for concurrent query execution: each goroutine owns one

@@ -130,169 +130,72 @@ func (s *Suite) workload(ds *trajectory.Dataset, cfg queries.Config) ([]query.Qu
 	return queries.Generate(ds, cfg)
 }
 
-// sweep runs one parameter sweep for one dataset and query type, writing a
-// latency table and a work table (candidates / page reads).
-func (s *Suite) sweep(
-	w io.Writer,
-	title string,
-	dsName string,
-	ordered bool,
-	paramName string,
-	paramValues []string,
-	makeWorkload func(value string) ([]query.Query, int, error),
-) error {
-	st, err := s.Setup(dsName)
-	if err != nil {
-		return err
-	}
-	qt := "ATSQ"
-	if ordered {
-		qt = "OATSQ"
-	}
-	lat := NewTable(
-		fmt.Sprintf("%s — %s on %s (avg ms/query, %d queries)", title, qt, dsName, s.opts.Queries),
-		append([]string{paramName}, MethodNames...)...)
-	work := NewTable(
-		fmt.Sprintf("%s — %s on %s (avg candidates | pages read)", title, qt, dsName),
-		append([]string{paramName}, MethodNames...)...)
-	for _, v := range paramValues {
-		qs, k, err := makeWorkload(v)
-		if err != nil {
-			return err
-		}
-		latRow := []string{v}
-		workRow := []string{v}
-		for _, e := range st.Engines {
-			res, err := RunWorkload(st.TS, e, qs, k, ordered)
-			if err != nil {
-				return err
-			}
-			latRow = append(latRow, ms(res.AvgMs()))
-			workRow = append(workRow, fmt.Sprintf("%s | %s", cnt(res.AvgCandidates()), cnt(res.AvgPageReads())))
-		}
-		lat.AddRow(latRow...)
-		work.AddRow(workRow...)
-	}
-	lat.Write(w)
-	work.Write(w)
-	return nil
+// sweep describes one of the paper's parameter sweeps (Figures 3–6): one
+// query or result-count parameter varied over values, everything else at the
+// Table V defaults.
+type sweep struct {
+	title  string // table title prefix
+	param  string // column header of the varied parameter
+	values []float64
+	unit   string // suffix of a rendered value
+	// workload returns the workload configuration and result count for one
+	// value of the parameter.
+	workload func(o Options, v float64) (queries.Config, int)
 }
 
-// EffectOfK reproduces Figure 3: k ∈ {5,10,15,20,25}.
-func (s *Suite) EffectOfK(w io.Writer) error {
-	ks := []int{5, 10, 15, 20, 25}
+var (
+	sweepK = sweep{"Fig.3 effect of k", "k", []float64{5, 10, 15, 20, 25}, "",
+		func(o Options, v float64) (queries.Config, int) { return queries.Config{}, int(v) }}
+	sweepQ = sweep{"Fig.4 effect of |Q|", "|Q|", []float64{2, 3, 4, 5, 6}, "",
+		func(o Options, v float64) (queries.Config, int) { return queries.Config{NumPoints: int(v)}, o.K }}
+	sweepPhi = sweep{"Fig.5 effect of |q.Φ|", "|q.Φ|", []float64{1, 2, 3, 4, 5}, "",
+		func(o Options, v float64) (queries.Config, int) { return queries.Config{ActsPerPoint: int(v)}, o.K }}
+	// Diameters are capped to the dataset region at small scales.
+	sweepDiameter = sweep{"Fig.6 effect of δ(Q)", "diam", []float64{5, 10, 20, 30, 50}, "km",
+		func(o Options, v float64) (queries.Config, int) { return queries.Config{DiameterKm: v}, o.K }}
+)
+
+// run executes the sweep for every dataset and both query types, writing a
+// latency table and a work table (candidates / page reads) for each.
+func (sw sweep) run(s *Suite, w io.Writer) error {
 	for _, dsName := range s.opts.Datasets {
-		ds, err := s.Dataset(dsName)
-		if err != nil {
-			return err
-		}
-		base, err := s.workload(ds, queries.Config{})
+		st, err := s.Setup(dsName)
 		if err != nil {
 			return err
 		}
 		for _, ordered := range []bool{false, true} {
-			values := make([]string, len(ks))
-			for i, k := range ks {
-				values[i] = fmt.Sprint(k)
+			qt := "ATSQ"
+			if ordered {
+				qt = "OATSQ"
 			}
-			kmap := map[string]int{}
-			for i, k := range ks {
-				kmap[values[i]] = k
+			lat := NewTable(
+				fmt.Sprintf("%s — %s on %s (avg ms/query, %d queries)", sw.title, qt, dsName, s.opts.Queries),
+				append([]string{sw.param}, MethodNames...)...)
+			work := NewTable(
+				fmt.Sprintf("%s — %s on %s (avg candidates | pages read)", sw.title, qt, dsName),
+				append([]string{sw.param}, MethodNames...)...)
+			for _, v := range sw.values {
+				cfg, k := sw.workload(s.opts, v)
+				qs, err := s.workload(st.DS, cfg)
+				if err != nil {
+					return err
+				}
+				label := fmt.Sprintf("%.0f%s", v, sw.unit)
+				latRow := []string{label}
+				workRow := []string{label}
+				for _, e := range st.Engines {
+					res, err := RunWorkload(st.TS, e, qs, k, ordered)
+					if err != nil {
+						return err
+					}
+					latRow = append(latRow, ms(res.AvgMs()))
+					workRow = append(workRow, fmt.Sprintf("%s | %s", cnt(res.AvgCandidates()), cnt(res.AvgPageReads())))
+				}
+				lat.AddRow(latRow...)
+				work.AddRow(workRow...)
 			}
-			err := s.sweep(w, "Fig.3 effect of k", dsName, ordered, "k", values,
-				func(v string) ([]query.Query, int, error) { return base, kmap[v], nil })
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// EffectOfQ reproduces Figure 4: |Q| ∈ {2..6}.
-func (s *Suite) EffectOfQ(w io.Writer) error {
-	sizes := []int{2, 3, 4, 5, 6}
-	for _, dsName := range s.opts.Datasets {
-		ds, err := s.Dataset(dsName)
-		if err != nil {
-			return err
-		}
-		for _, ordered := range []bool{false, true} {
-			values := make([]string, len(sizes))
-			for i, n := range sizes {
-				values[i] = fmt.Sprint(n)
-			}
-			smap := map[string]int{}
-			for i, n := range sizes {
-				smap[values[i]] = n
-			}
-			err := s.sweep(w, "Fig.4 effect of |Q|", dsName, ordered, "|Q|", values,
-				func(v string) ([]query.Query, int, error) {
-					qs, err := s.workload(ds, queries.Config{NumPoints: smap[v]})
-					return qs, s.opts.K, err
-				})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// EffectOfPhi reproduces Figure 5: |q.Φ| ∈ {1..5}.
-func (s *Suite) EffectOfPhi(w io.Writer) error {
-	sizes := []int{1, 2, 3, 4, 5}
-	for _, dsName := range s.opts.Datasets {
-		ds, err := s.Dataset(dsName)
-		if err != nil {
-			return err
-		}
-		for _, ordered := range []bool{false, true} {
-			values := make([]string, len(sizes))
-			for i, n := range sizes {
-				values[i] = fmt.Sprint(n)
-			}
-			smap := map[string]int{}
-			for i, n := range sizes {
-				smap[values[i]] = n
-			}
-			err := s.sweep(w, "Fig.5 effect of |q.Φ|", dsName, ordered, "|q.Φ|", values,
-				func(v string) ([]query.Query, int, error) {
-					qs, err := s.workload(ds, queries.Config{ActsPerPoint: smap[v]})
-					return qs, s.opts.K, err
-				})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// EffectOfDiameter reproduces Figure 6: δ(Q) ∈ {5,10,20,30,50} km.
-// Diameters are capped to the dataset region at small scales.
-func (s *Suite) EffectOfDiameter(w io.Writer) error {
-	diams := []float64{5, 10, 20, 30, 50}
-	for _, dsName := range s.opts.Datasets {
-		ds, err := s.Dataset(dsName)
-		if err != nil {
-			return err
-		}
-		for _, ordered := range []bool{false, true} {
-			values := make([]string, len(diams))
-			dmap := map[string]float64{}
-			for i, d := range diams {
-				values[i] = fmt.Sprintf("%.0fkm", d)
-				dmap[values[i]] = d
-			}
-			err := s.sweep(w, "Fig.6 effect of δ(Q)", dsName, ordered, "diam", values,
-				func(v string) ([]query.Query, int, error) {
-					qs, err := s.workload(ds, queries.Config{DiameterKm: dmap[v]})
-					return qs, s.opts.K, err
-				})
-			if err != nil {
-				return err
-			}
+			lat.Write(w)
+			work.Write(w)
 		}
 	}
 	return nil
@@ -461,29 +364,53 @@ func (s *Suite) Ablations(w io.Writer) error {
 	return nil
 }
 
+// experiments is the one list of what the suite can run, in paper order:
+// Run, All and ExperimentNames (the atsqbench flag help) all read it.
+var experiments = []struct {
+	name string
+	fig  string // what the experiment reproduces, "" for the extensions
+	run  func(*Suite, io.Writer) error
+	// standalone experiments are not part of "all": cluster boots live
+	// HTTP listeners.
+	standalone bool
+}{
+	{"stats", "Table IV", (*Suite).DatasetStats, false},
+	{"k", "Fig.3", sweepK.run, false},
+	{"q", "Fig.4", sweepQ.run, false},
+	{"phi", "Fig.5", sweepPhi.run, false},
+	{"diameter", "Fig.6", sweepDiameter.run, false},
+	{"scale", "Fig.7", (*Suite).Scalability, false},
+	{"granularity", "Fig.8", (*Suite).Granularity, false},
+	{"ablations", "", (*Suite).Ablations, false},
+	{"throughput", "", (*Suite).Throughput, false},
+	{"mixed", "", (*Suite).Mixed, false},
+	{"sharded", "", (*Suite).Sharded, false},
+	{"cluster", "", (*Suite).Cluster, true},
+	{"watch", "", (*Suite).Watch, false},
+}
+
+// ExperimentNames lists what Run accepts, "all" first, each paper
+// experiment followed by the figure or table it reproduces.
+func ExperimentNames() string {
+	names := "all"
+	for _, x := range experiments {
+		names += "|" + x.name
+		if x.fig != "" {
+			names += " (" + x.fig + ")"
+		}
+	}
+	return names
+}
+
 // All runs every experiment in paper order.
 func (s *Suite) All(w io.Writer) error {
-	steps := []struct {
-		name string
-		fn   func(io.Writer) error
-	}{
-		{"stats", s.DatasetStats},
-		{"k", s.EffectOfK},
-		{"q", s.EffectOfQ},
-		{"phi", s.EffectOfPhi},
-		{"diameter", s.EffectOfDiameter},
-		{"scale", s.Scalability},
-		{"granularity", s.Granularity},
-		{"ablations", s.Ablations},
-		{"throughput", s.Throughput},
-		{"mixed", s.Mixed},
-		{"sharded", s.Sharded},
-		{"watch", s.Watch},
-	}
-	for _, st := range steps {
-		fmt.Fprintf(w, "==== experiment: %s ====\n\n", st.name)
-		if err := st.fn(w); err != nil {
-			return fmt.Errorf("experiment %s: %w", st.name, err)
+	for _, x := range experiments {
+		if x.standalone {
+			continue
+		}
+		fmt.Fprintf(w, "==== experiment: %s ====\n\n", x.name)
+		if err := x.run(s, w); err != nil {
+			return fmt.Errorf("experiment %s: %w", x.name, err)
 		}
 	}
 	return nil
@@ -491,36 +418,13 @@ func (s *Suite) All(w io.Writer) error {
 
 // Run dispatches one named experiment ("all" runs the suite).
 func (s *Suite) Run(name string, w io.Writer) error {
-	switch name {
-	case "all":
+	if name == "all" {
 		return s.All(w)
-	case "stats":
-		return s.DatasetStats(w)
-	case "k":
-		return s.EffectOfK(w)
-	case "q":
-		return s.EffectOfQ(w)
-	case "phi":
-		return s.EffectOfPhi(w)
-	case "diameter":
-		return s.EffectOfDiameter(w)
-	case "scale":
-		return s.Scalability(w)
-	case "granularity":
-		return s.Granularity(w)
-	case "ablations":
-		return s.Ablations(w)
-	case "throughput":
-		return s.Throughput(w)
-	case "mixed":
-		return s.Mixed(w)
-	case "sharded":
-		return s.Sharded(w)
-	case "cluster":
-		return s.Cluster(w)
-	case "watch":
-		return s.Watch(w)
-	default:
-		return fmt.Errorf("harness: unknown experiment %q (want all|stats|k|q|phi|diameter|scale|granularity|ablations|throughput|mixed|sharded|cluster|watch)", name)
 	}
+	for _, x := range experiments {
+		if x.name == name {
+			return x.run(s, w)
+		}
+	}
+	return fmt.Errorf("harness: unknown experiment %q (want %s)", name, ExperimentNames())
 }

@@ -8,16 +8,10 @@ import (
 	"activitytraj/internal/query"
 )
 
-// CloneableEngine is an engine that can spawn independent copies sharing
-// its immutable index structures. All four engines implement it; clones
-// read the shared trajectory store, whose buffer pool and APL cache are
-// concurrency-safe.
-type CloneableEngine = query.CloneableEngine
-
 // RunWorkloadParallel executes qs across a ParallelEngine with the given
 // worker count and aggregates the outcome. Total wall time divided by the
 // query count gives effective throughput, not per-query latency.
-func RunWorkloadParallel(ts *evaluate.TrajStore, e CloneableEngine, qs []query.Query, k int, ordered bool, workers int) (WorkloadResult, error) {
+func RunWorkloadParallel(ts *evaluate.TrajStore, e query.CloneableEngine, qs []query.Query, k int, ordered bool, workers int) (WorkloadResult, error) {
 	if workers < 1 {
 		workers = 1
 	}

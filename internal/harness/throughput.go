@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"activitytraj/internal/queries"
+	"activitytraj/internal/query"
 )
 
 // Throughput measures concurrent query execution: each engine runs the
@@ -41,7 +42,7 @@ func (s *Suite) Throughput(w io.Writer) error {
 		for _, workers := range sweep {
 			row := []string{fmt.Sprint(workers)}
 			for _, e := range st.Engines {
-				ce, ok := e.(CloneableEngine)
+				ce, ok := e.(query.CloneableEngine)
 				if !ok {
 					row = append(row, "n/a")
 					continue

@@ -46,9 +46,6 @@ type ParallelEngine struct {
 	// set before the first search, immutable afterwards.
 	noPlan bool
 	rcache *ResultCache
-
-	mu    sync.Mutex
-	stats SearchStats // aggregate of the last SearchAll / single search
 }
 
 // NewParallelEngine builds a pool of workers clones of e. workers <= 0
@@ -123,53 +120,16 @@ func (p *ParallelEngine) searchOne(ctx context.Context, e Engine, req Request) (
 	return resp, err
 }
 
-// LastStats returns the summed statistics of the last COMPLETED SearchAll
-// (or single search), read under a mutex. With searches in flight the value
-// is approximate by construction — it cannot say which request it describes.
-//
-// Deprecated: read Response.Stats, which is exact per request.
-func (p *ParallelEngine) LastStats() SearchStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
 // Search implements Engine by borrowing one clone from the pool (waiting
 // honors ctx: a request cancelled while queued never runs at all).
 func (p *ParallelEngine) Search(ctx context.Context, req Request) (Response, error) {
 	select {
 	case e := <-p.pool:
 		defer func() { p.pool <- e }()
-		resp, err := p.searchOne(ctx, e, req)
-		p.mu.Lock()
-		p.stats = resp.Stats
-		p.mu.Unlock()
-		return resp, err
+		return p.searchOne(ctx, e, req)
 	case <-ctx.Done():
 		return Response{Truncated: true}, ctx.Err()
 	}
-}
-
-// SearchATSQ implements Engine by borrowing one clone from the pool.
-//
-// Deprecated: use Search.
-func (p *ParallelEngine) SearchATSQ(q Query, k int) ([]Result, error) {
-	resp, err := p.Search(context.Background(), Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// SearchOATSQ implements Engine by borrowing one clone from the pool.
-//
-// Deprecated: use Search.
-func (p *ParallelEngine) SearchOATSQ(q Query, k int) ([]Result, error) {
-	resp, err := p.Search(context.Background(), Request{Query: q, K: k, Ordered: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
 }
 
 // SearchAll answers reqs[i] into the i-th response slot, fanning the batch
@@ -182,8 +142,7 @@ func (p *ParallelEngine) SearchOATSQ(q Query, k int) ([]Result, error) {
 // failure (by request index) the remaining requests are abandoned;
 // likewise, once ctx is cancelled no further request starts and the
 // in-flight ones return early at their next batch boundary — including
-// mid-group. Per-request accounting is in each Response.Stats; LastStats
-// afterwards reports only the approximate batch aggregate (see LastStats).
+// mid-group. Per-request accounting is in each Response.Stats.
 func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Response, error) {
 	out := make([]Response, len(reqs))
 	if len(reqs) == 0 {
@@ -203,8 +162,6 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 		err error
 	}
 	errs := make([]werr, workers)
-	var agg SearchStats
-	var aggMu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -213,7 +170,6 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 			e := <-p.pool
 			defer func() { p.pool <- e }()
 			errs[w].qi = -1
-			var local SearchStats
 			var warmBuf []Request
 			for !failed.Load() && ctx.Err() == nil {
 				gi := int(cursor.Add(1)) - 1
@@ -228,7 +184,6 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 					}
 					resp, err := p.searchOne(ctx, e, reqs[qi])
 					out[qi] = resp
-					local.Add(resp.Stats)
 					if err != nil {
 						errs[w] = werr{qi: qi, err: err}
 						failed.Store(true)
@@ -236,16 +191,10 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 					}
 				}
 			}
-			aggMu.Lock()
-			agg.Add(local)
-			aggMu.Unlock()
 		}(w)
 	}
 	wg.Wait()
 
-	p.mu.Lock()
-	p.stats = agg
-	p.mu.Unlock()
 	first := werr{qi: -1}
 	for _, we := range errs {
 		if we.err != nil && (first.qi < 0 || we.qi < first.qi) {
@@ -259,22 +208,4 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 		return out, err
 	}
 	return out, nil
-}
-
-// SearchBatch answers qs[i] into the i-th result slot, fanning the batch
-// out over the worker pool.
-//
-// Deprecated: use SearchAll, which carries per-request options, a context,
-// and in-band statistics.
-func (p *ParallelEngine) SearchBatch(qs []Query, k int, ordered bool) ([][]Result, error) {
-	reqs := make([]Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = Request{Query: q, K: k, Ordered: ordered}
-	}
-	resps, err := p.SearchAll(context.Background(), reqs)
-	out := make([][]Result, len(qs))
-	for i, r := range resps {
-		out[i] = r.Results
-	}
-	return out, err
 }

@@ -15,15 +15,11 @@ import (
 type fakeEngine struct {
 	calls  *atomic.Int64
 	failAt float64
-	stats  SearchStats
 }
 
 func (f *fakeEngine) Name() string    { return "fake" }
 func (f *fakeEngine) MemBytes() int64 { return 1 }
 func (f *fakeEngine) Clone() Engine   { return &fakeEngine{calls: f.calls, failAt: f.failAt} }
-func (f *fakeEngine) LastStats() SearchStats {
-	return f.stats
-}
 func (f *fakeEngine) Search(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{Truncated: true}, err
@@ -31,50 +27,41 @@ func (f *fakeEngine) Search(ctx context.Context, req Request) (Response, error) 
 	f.calls.Add(1)
 	x := req.Query.Pts[0].Loc.X
 	if f.failAt != 0 && x == f.failAt {
-		f.stats = SearchStats{}
 		return Response{}, fmt.Errorf("query %v failed", x)
 	}
-	f.stats = SearchStats{Candidates: 1, Scored: 1}
-	return Response{Results: []Result{{ID: 0, Dist: x}}, Stats: f.stats}, nil
+	return Response{Results: []Result{{ID: 0, Dist: x}}, Stats: SearchStats{Candidates: 1, Scored: 1}}, nil
 }
-func (f *fakeEngine) SearchATSQ(q Query, k int) ([]Result, error) {
-	resp, err := f.Search(context.Background(), Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-func (f *fakeEngine) SearchOATSQ(q Query, k int) ([]Result, error) { return f.SearchATSQ(q, k) }
 
-func fakeQueries(n int) []Query {
-	qs := make([]Query, n)
-	for i := range qs {
-		qs[i] = Query{Pts: []Point{{Loc: geo.Point{X: float64(i + 1)}}}}
+func fakeRequests(n int) []Request {
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{Query: Query{Pts: []Point{{Loc: geo.Point{X: float64(i + 1)}}}}, K: 1}
 	}
-	return qs
+	return reqs
 }
 
 func TestSearchBatchOrderAndStats(t *testing.T) {
 	var calls atomic.Int64
 	pe := NewParallelEngine(&fakeEngine{calls: &calls}, 4)
-	qs := fakeQueries(37)
-	out, err := pe.SearchBatch(qs, 1, false)
+	reqs := fakeRequests(37)
+	out, err := pe.SearchAll(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(qs) {
+	if len(out) != len(reqs) {
 		t.Fatalf("got %d result slots", len(out))
 	}
-	for i, rs := range out {
-		if len(rs) != 1 || rs[0].Dist != float64(i+1) {
+	var st SearchStats
+	for i, resp := range out {
+		if rs := resp.Results; len(rs) != 1 || rs[0].Dist != float64(i+1) {
 			t.Fatalf("slot %d = %+v", i, rs)
 		}
+		st.Add(resp.Stats)
 	}
-	if got := calls.Load(); got != int64(len(qs)) {
-		t.Fatalf("engine ran %d times, want %d", got, len(qs))
+	if got := calls.Load(); got != int64(len(reqs)) {
+		t.Fatalf("engine ran %d times, want %d", got, len(reqs))
 	}
-	st := pe.LastStats()
-	if st.Candidates != len(qs) || st.Scored != len(qs) {
+	if st.Candidates != len(reqs) || st.Scored != len(reqs) {
 		t.Fatalf("aggregate stats = %+v", st)
 	}
 }
@@ -82,8 +69,7 @@ func TestSearchBatchOrderAndStats(t *testing.T) {
 func TestSearchBatchError(t *testing.T) {
 	var calls atomic.Int64
 	pe := NewParallelEngine(&fakeEngine{calls: &calls, failAt: 5}, 3)
-	qs := fakeQueries(20)
-	_, err := pe.SearchBatch(qs, 1, false)
+	_, err := pe.SearchAll(context.Background(), fakeRequests(20))
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -96,19 +82,22 @@ func TestSearchBatchError(t *testing.T) {
 func TestSearchBatchEmptyAndSingleWorker(t *testing.T) {
 	var calls atomic.Int64
 	pe := NewParallelEngine(&fakeEngine{calls: &calls}, 1)
-	out, err := pe.SearchBatch(nil, 1, false)
+	out, err := pe.SearchAll(context.Background(), nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v %v", out, err)
 	}
 	if pe.Workers() != 1 {
 		t.Fatalf("workers = %d", pe.Workers())
 	}
-	qs := fakeQueries(5)
-	out, err = pe.SearchBatch(qs, 1, true)
+	reqs := fakeRequests(5)
+	for i := range reqs {
+		reqs[i].Ordered = true
+	}
+	out, err = pe.SearchAll(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[4][0].Dist != 5 {
+	if out[4].Results[0].Dist != 5 {
 		t.Fatalf("single worker batch wrong: %+v", out)
 	}
 }
@@ -116,11 +105,11 @@ func TestSearchBatchEmptyAndSingleWorker(t *testing.T) {
 func TestParallelEngineSingleSearch(t *testing.T) {
 	var calls atomic.Int64
 	pe := NewParallelEngine(&fakeEngine{calls: &calls}, 2)
-	rs, err := pe.SearchATSQ(fakeQueries(1)[0], 1)
-	if err != nil || len(rs) != 1 || rs[0].Dist != 1 {
+	resp, err := pe.Search(context.Background(), fakeRequests(1)[0])
+	if rs := resp.Results; err != nil || len(rs) != 1 || rs[0].Dist != 1 {
 		t.Fatalf("single search: %v %v", rs, err)
 	}
-	if st := pe.LastStats(); st.Scored != 1 {
+	if st := resp.Stats; st.Scored != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if pe.Name() != "fake" || pe.MemBytes() != 1 {

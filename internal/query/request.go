@@ -17,15 +17,15 @@ var (
 // Request describes one search: the query itself, the result count, the
 // ATSQ/OATSQ mode, and the per-request options every engine honors. The
 // zero value of each option selects the engine's default behaviour, so
-// Request{Query: q, K: k} is exactly the classic SearchATSQ call.
+// Request{Query: q, K: k} is the paper's plain ATSQ: top-k by minimum match
+// distance over whole trajectories, unbounded, unfiltered, run to completion.
 type Request struct {
 	// Query is the sequence of query locations with desired activities.
 	Query Query
 	// K is the number of results wanted (values < 1 are treated as 1).
 	K int
 	// Ordered selects the order-sensitive OATSQ distance Dmom instead of
-	// the minimum match distance Dmm (folding the former SearchATSQ /
-	// SearchOATSQ pair into one entry point).
+	// the minimum match distance Dmm.
 	Ordered bool
 
 	// InitialBound, when > 0, seeds the Algorithm-2 pruning threshold: the
@@ -127,8 +127,7 @@ type Response struct {
 	// {0, -1}.
 	Spans [][2]int32
 	// Stats itemizes where this search's work went. It is per-request and
-	// in-band: no LastStats side channel, no clone-state ambiguity under
-	// concurrent serving.
+	// in-band, so it stays exact under concurrent serving.
 	Stats SearchStats
 	// Truncated is true when the search stopped early because its context
 	// was cancelled or its deadline expired. Results then holds whatever
@@ -176,10 +175,7 @@ func SpansFromMatches(matches [][][]int32) [][2]int32 {
 	return spans
 }
 
-// Engine is the contract every search method implements. The primary entry
-// point is Search; the SearchATSQ/SearchOATSQ/LastStats trio is the
-// pre-context API, kept as thin shims so existing callers and differential
-// tests keep working unchanged.
+// Engine is the contract every search method implements.
 //
 // Engines are single-goroutine unless documented otherwise (ParallelEngine
 // and the HTTP server wrap them in clone pools for concurrent serving).
@@ -193,19 +189,6 @@ type Engine interface {
 	// touched. On cancellation the Response carries the partial results
 	// with Truncated set, alongside ctx's error.
 	Search(ctx context.Context, req Request) (Response, error)
-	// SearchATSQ answers an activity trajectory similarity query.
-	//
-	// Deprecated: use Search with Request{Query: q, K: k}.
-	SearchATSQ(q Query, k int) ([]Result, error)
-	// SearchOATSQ answers the order-sensitive variant.
-	//
-	// Deprecated: use Search with Request{Query: q, K: k, Ordered: true}.
-	SearchOATSQ(q Query, k int) ([]Result, error)
-	// LastStats reports where the previous search's work went.
-	//
-	// Deprecated: read Response.Stats instead; it is exact per request
-	// even under concurrent serving, which LastStats cannot be.
-	LastStats() SearchStats
 	// MemBytes reports the engine's in-memory index footprint (excluding
 	// the shared on-disk trajectory store).
 	MemBytes() int64

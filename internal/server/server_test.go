@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -121,15 +122,11 @@ func TestSearchMatchesEngine(t *testing.T) {
 	}
 	for qi, q := range qs {
 		for _, ordered := range []bool{false, true} {
-			var want []query.Result
-			if ordered {
-				want, err = oracle.SearchOATSQ(q, 9)
-			} else {
-				want, err = oracle.SearchATSQ(q, 9)
-			}
+			resp, err := oracle.Search(context.Background(), query.Request{Query: q, K: 9, Ordered: ordered})
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := resp.Results
 			got := post[SearchResponse](t, ts, "/v1/search", searchReqOf(q, 9, ordered), http.StatusOK)
 			if len(got.Results) != len(want) {
 				t.Fatalf("q%d: %d results, want %d", qi, len(got.Results), len(want))

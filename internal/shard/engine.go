@@ -23,7 +23,6 @@ type Engine struct {
 	subs    []*delta.Engine
 	legs    []Leg
 	planner Planner
-	stats   query.SearchStats
 }
 
 // NewEngine returns a scatter-gather engine over the router's shards.
@@ -48,48 +47,18 @@ func (e *Engine) MemBytes() int64 {
 	return n
 }
 
-// LastStats implements query.Engine: the summed statistics of the last
-// search's shard fan-out, plus the ShardsSearched/ShardsSkipped plan shape.
-//
-// Deprecated: read Response.Stats.
-func (e *Engine) LastStats() query.SearchStats { return e.stats }
-
-// SearchATSQ implements query.Engine over the sharded corpus.
-//
-// Deprecated: use Search.
-func (e *Engine) SearchATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// SearchOATSQ implements query.Engine over the sharded corpus.
-//
-// Deprecated: use Search.
-func (e *Engine) SearchOATSQ(q query.Query, k int) ([]query.Result, error) {
-	resp, err := e.Search(context.Background(), query.Request{Query: q, K: k, Ordered: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
 // Search implements query.Engine over the sharded corpus through the
 // shared Planner (see Planner.Search for how the request's options, ctx and
 // cancellation are honored).
 func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response, error) {
 	resp, err := e.planner.Search(ctx, req, e.legs)
-	e.stats = resp.Stats
 	if err != nil || !req.WithMatches {
 		return resp, err
 	}
-	resp.Matches, err = e.fillMatches(ctx, req, resp.Results)
+	resp.Matches, err = e.fillMatches(ctx, req, resp.Results, &resp.Stats)
 	if req.Subtrajectory {
 		resp.Spans = query.SpansFromMatches(resp.Matches)
 	}
-	resp.Stats = e.stats
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		// Cancelled mid-fill: the matches are incomplete even though the
 		// result set itself is final.
@@ -141,8 +110,9 @@ func (e *Engine) ScoreOne(req query.Request, gid trajectory.TrajID, threshold fl
 // fillMatches answers Request.WithMatches after the scatter-gather merge:
 // each global result is routed back to its owning shard, whose sub-engine
 // re-derives the matched point indexes from the shard-local trajectory
-// under the request's Region and span options.
-func (e *Engine) fillMatches(ctx context.Context, req query.Request, rs []query.Result) ([][][]int32, error) {
+// under the request's Region and span options. Fetch traffic is added to
+// stats.
+func (e *Engine) fillMatches(ctx context.Context, req query.Request, rs []query.Result, stats *query.SearchStats) ([][][]int32, error) {
 	out := make([][][]int32, len(rs))
 	for i := range rs {
 		if err := ctx.Err(); err != nil {
@@ -152,7 +122,7 @@ func (e *Engine) fillMatches(ctx context.Context, req query.Request, rs []query.
 		if !ok {
 			return out, fmt.Errorf("shard: result trajectory %d has no owner", rs[i].ID)
 		}
-		m, err := e.subs[si].Matches(req, local, &e.stats)
+		m, err := e.subs[si].Matches(req, local, stats)
 		if err != nil {
 			return out, err
 		}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -65,6 +66,16 @@ func singleEngine(t testing.TB, ds *trajectory.Dataset) *delta.Engine {
 		t.Fatalf("single dynamic: %v", err)
 	}
 	return d.NewEngine()
+}
+
+// mustSearch answers req on e, failing the test on error.
+func mustSearch(t testing.TB, e query.Engine, req query.Request) query.Response {
+	t.Helper()
+	resp, err := e.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // requireIdentical asserts bit-identical results (IDs and distances).
@@ -145,20 +156,14 @@ func TestShardedMatchesSingle(t *testing.T) {
 		e := r.NewEngine()
 		for qi, q := range qs {
 			for _, ordered := range []bool{false, true} {
-				var want, got []query.Result
-				var err1, err2 error
-				if ordered {
-					want, err1 = oracle.SearchOATSQ(q, 9)
-					got, err2 = e.SearchOATSQ(q, 9)
-				} else {
-					want, err1 = oracle.SearchATSQ(q, 9)
-					got, err2 = e.SearchATSQ(q, 9)
-				}
+				req := query.Request{Query: q, K: 9, Ordered: ordered}
+				want, err1 := oracle.Search(context.Background(), req)
+				got, err2 := e.Search(context.Background(), req)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("K=%d q%d: %v / %v", k, qi, err1, err2)
 				}
-				requireIdentical(t, "K="+string(rune('0'+k)), want, got)
-				st := e.LastStats()
+				requireIdentical(t, "K="+string(rune('0'+k)), want.Results, got.Results)
+				st := got.Stats
 				if st.ShardsSearched+st.ShardsSkipped != k {
 					t.Fatalf("K=%d q%d: searched %d + skipped %d != %d", k, qi, st.ShardsSearched, st.ShardsSkipped, k)
 				}
@@ -197,16 +202,10 @@ func TestBoundaryStraddlingQuery(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Skipf("constructed query invalid: %v", err)
 	}
-	want, err := oracle.SearchATSQ(q, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.SearchATSQ(q, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "straddle", want, got)
-	if st := e.LastStats(); st.ShardsSearched < 2 {
+	want := mustSearch(t, oracle, query.Request{Query: q, K: 9}).Results
+	got := mustSearch(t, e, query.Request{Query: q, K: 9})
+	requireIdentical(t, "straddle", want, got.Results)
+	if st := got.Stats; st.ShardsSearched < 2 {
 		t.Fatalf("straddling query searched only %d shard(s)", st.ShardsSearched)
 	}
 }
@@ -234,16 +233,10 @@ func TestEmptyShard(t *testing.T) {
 	e := r.NewEngine()
 	qs := workload(t, ds, 5)
 	for qi, q := range qs {
-		want, err := oracle.SearchATSQ(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.SearchATSQ(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, "empty-shard", want, got)
-		if st := e.LastStats(); st.ShardsSearched+st.ShardsSkipped != 5 {
+		want := mustSearch(t, oracle, query.Request{Query: q, K: 5}).Results
+		got := mustSearch(t, e, query.Request{Query: q, K: 5})
+		requireIdentical(t, "empty-shard", want, got.Results)
+		if st := got.Stats; st.ShardsSearched+st.ShardsSkipped != 5 {
 			t.Fatalf("q%d: plan does not cover all shards: %+v", qi, st)
 		}
 	}
@@ -278,14 +271,8 @@ func TestAllTombstonedShard(t *testing.T) {
 	oracle := od.NewEngine()
 	e := r.NewEngine()
 	for _, q := range workload(t, ds, 10) {
-		want, err := oracle.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustSearch(t, oracle, query.Request{Query: q, K: 9}).Results
+		got := mustSearch(t, e, query.Request{Query: q, K: 9}).Results
 		requireIdentical(t, "tombstoned", want, got)
 	}
 }
@@ -301,14 +288,8 @@ func TestKLargerThanShardCorpus(t *testing.T) {
 	}
 	e := r.NewEngine()
 	for _, q := range workload(t, ds, 6) {
-		want, err := oracle.SearchATSQ(q, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.SearchATSQ(q, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustSearch(t, oracle, query.Request{Query: q, K: 10_000}).Results
+		got := mustSearch(t, e, query.Request{Query: q, K: 10_000}).Results
 		requireIdentical(t, "bigk", want, got)
 	}
 }
@@ -349,14 +330,8 @@ func TestInsertRoutingAndGlobalIDs(t *testing.T) {
 	oracle := od.NewEngine()
 	e := r.NewEngine()
 	for _, q := range workload(t, ds, 10) {
-		want, err := oracle.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustSearch(t, oracle, query.Request{Query: q, K: 9}).Results
+		got := mustSearch(t, e, query.Request{Query: q, K: 9}).Results
 		requireIdentical(t, "insert", want, got)
 	}
 	st := r.Stats()
@@ -440,14 +415,8 @@ func TestCompactAllKeepsResults(t *testing.T) {
 	oracle := od.NewEngine()
 	e := r.NewEngine()
 	for _, q := range workload(t, ds, 10) {
-		want, err := oracle.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.SearchATSQ(q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustSearch(t, oracle, query.Request{Query: q, K: 9}).Results
+		got := mustSearch(t, e, query.Request{Query: q, K: 9}).Results
 		requireIdentical(t, "compacted", want, got)
 	}
 }
