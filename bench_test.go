@@ -154,13 +154,20 @@ func BenchmarkGATSearchAllocs(b *testing.B) {
 	if perSearch > gatAllocCeiling {
 		b.Fatalf("GAT search allocates %.0f allocs/op, ceiling is %d", perSearch, gatAllocCeiling)
 	}
-	// Warm-engine disk traffic of the same workload: deterministic, so CI can
-	// gate on it alongside the alloc ceiling.
-	var pages int
+	// Warm-engine disk traffic and retrieval work of the same workload: all
+	// deterministic, so CI gates on them alongside the alloc ceiling — a
+	// pops/search ceiling is what catches a silent return to walking the
+	// grid leaf by leaf.
+	var pages, pops, cands int
 	for _, q := range qs {
-		pages += mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK}).Stats.PageReads
+		st := mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK}).Stats
+		pages += st.PageReads
+		pops += st.PQPops
+		cands += st.Candidates
 	}
 	b.ReportMetric(float64(pages)/float64(len(qs)), "pages/search")
+	b.ReportMetric(float64(pops)/float64(len(qs)), "pops/search")
+	b.ReportMetric(float64(cands)/float64(len(qs)), "cands/search")
 }
 
 // BenchmarkGATBuild measures building the GAT index over an existing
@@ -270,12 +277,15 @@ func BenchmarkMixedPageReads(b *testing.B) {
 // BenchmarkShardedSearch measures the sharded serving layer on the LA
 // preset: a 4-shard router answers the workload through the scatter-gather
 // engine (4-worker budget = 1 clone × 4-shard fan-out, the division the
-// harness applies on constrained runners). pages/search captures the cost
-// of cross-shard candidate exploration after the shared global bound
-// terminates non-contributing shards early; shards/query captures the
-// planner's fan-out and is ceiling-gated in CI (it can never exceed the
-// shard count, and a planning regression that stops skipping would not push
-// it past 4 — the page gate catches bound-sharing regressions instead).
+// harness applies on constrained runners). The pool is built once, outside
+// the timer; every iteration starts from cold shard caches, so pages/search
+// is the cost of cross-shard candidate exploration — a far shard is not
+// skipped (every shard's rectangle covers most of the city, so shards/query
+// reads 4; its CI ceiling only says it can never exceed the shard count), it
+// terminates earlier on the shared global bound, and a bound-sharing
+// regression shows up as page inflation. allocs/search is one more pass on
+// the now-warm pool: the per-search cost of four legs (goroutines, the
+// shared collector, per-leg requests), to read beside the single index's 20.
 func BenchmarkShardedSearch(b *testing.B) {
 	ds := benchDataset(b, "LA")
 	qs := benchWorkload(b, ds, queries.Config{Seed: 67})
@@ -283,20 +293,28 @@ func BenchmarkShardedSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	var pages, hit float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunShardedWorkload(r, qs, queries.DefaultK, false, 4)
+	pool := harness.NewShardedPool(r, 4)
+	run := func() harness.WorkloadResult {
+		res, err := harness.RunShardedWorkload(pool, qs, queries.DefaultK, false)
 		if err != nil {
 			b.Fatal(err)
 		}
+		return res
+	}
+	b.ResetTimer()
+	var pages, hit float64
+	for i := 0; i < b.N; i++ {
+		pool.ResetCaches()
+		res := run()
 		pages += float64(res.Stats.PageReads) / float64(len(qs))
 		hit += float64(res.Stats.ShardsSearched) / float64(len(qs))
 	}
+	b.StopTimer()
 	// Averages over iterations: the shared-bound race makes per-run page
 	// counts vary slightly, and the mean is the tighter CI signal.
 	b.ReportMetric(pages/float64(b.N), "pages/search")
 	b.ReportMetric(hit/float64(b.N), "shards/query")
+	b.ReportMetric(testing.AllocsPerRun(1, func() { run() })/float64(len(qs)), "allocs/search")
 }
 
 // BenchmarkParallelThroughput compares 1-worker and multi-worker serving of

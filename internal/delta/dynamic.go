@@ -83,9 +83,9 @@ func (v *view) AppendCellSets(dst []*invindex.Set, level int, a trajectory.Activ
 	return dst
 }
 
-func (v *view) AppendCellTrajs(dst []uint32, z uint32, a trajectory.ActivityID) []uint32 {
+func (v *view) AppendRangeTrajs(dst []uint32, zlo, zlast uint32, a trajectory.ActivityID, region *geo.Rect) []uint32 {
 	for _, l := range v.layers {
-		dst = append(dst, l.itl[z][a]...)
+		dst = l.appendRangeTrajs(dst, zlo, zlast, a, region)
 	}
 	return dst
 }

@@ -297,3 +297,20 @@ func (l *Layer) tombstoned(id trajectory.TrajID) bool {
 }
 
 func (l *Layer) lookup(id trajectory.TrajID) *entry { return l.trajs[id] }
+
+// appendRangeTrajs appends the trajectories with an a-point in a leaf whose
+// Z lies in [zlo, zlast] and, when region is non-nil, whose cell meets it:
+// the leaf-level HICL set says which leaves of the interval carry a, the
+// ITL map holds their lists.
+func (l *Layer) appendRangeTrajs(dst []uint32, zlo, zlast uint32, a trajectory.ActivityID, region *geo.Rect) []uint32 {
+	leaves := l.hicl[l.depth][a]
+	for z, ok := leaves.Next(zlo); ok && z <= zlast; z, ok = leaves.Next(z + 1) {
+		if region == nil || l.g.CellRect(grid.Cell{Level: uint8(l.depth), Z: z}).Intersects(*region) {
+			dst = append(dst, l.itl[z][a]...)
+		}
+		if z == zlast {
+			break // z+1 may wrap at depth 16
+		}
+	}
+	return dst
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 
@@ -38,21 +39,42 @@ var goldenModes = []struct {
 	}},
 }
 
-// goldenChecksums pins, per engine and request mode, an FNV-1a digest over
-// every response of the fixed LA workload: each result's (ID, distance
-// bits) and the retrieval/scoring counters Candidates, Batches, PQPops,
-// NodesVisited, PageReads and Scored. The constants were recorded at commit
-// 3ece9b8 — before GAT, IL, RT and IRT moved onto the one shared search
-// loop — so a passing run proves responses AND stats stayed byte-identical
-// through that refactor. A deliberate change to retrieval order or
-// accounting must re-record them and say why.
-var goldenChecksums = map[string][5]uint64{
-	"GAT":       {0xac311a6aebaf519c, 0x1885924cc33611d6, 0xb6d2b7269f3c90b0, 0x3046367278846b4d, 0x9e24d87408536f41},
-	"GAT+delta": {0x1f04ea3d13ba0db1, 0xfc8127c54ef5c6d2, 0xf149c5efd4d8f2ae, 0xf11242827a148f22, 0x47b0c6d16a75363b},
+// goldenResults pins, per request mode, an FNV-1a digest over every
+// response of the fixed LA workload: the result count and each result's
+// (ID, distance bits) — what a search answers, nothing about how. All five
+// engines must produce it (the four tombstones of GAT+delta reach no top-k
+// here, so even it shares the constants). Recorded at commit edc5e10, the
+// last one whose GAT descent always reached the leaf level, so this is the
+// safety proof for any later change to retrieval order: it is never
+// re-recorded.
+var goldenResults = [5]uint64{0x5e2417e497b92cae, 0xea6fbe565f58e365, 0x193a13602f8a31eb, 0xc8481dcb75c0e13a, 0xa6be8039508af9e7}
+
+// goldenCounters pins the same responses PLUS the retrieval/scoring
+// counters Candidates, Batches, PQPops, NodesVisited, PageReads and Scored
+// — how the answer was reached. IL, RT and IRT carry the constants recorded
+// at commit 3ece9b8, before the four engines moved onto the one shared
+// search loop. GAT and GAT+delta were re-recorded when the descent became
+// bucketed (a sparse subtree is pulled out of the ITL arena in one pop), a
+// change that lowers PQPops and Batches and nudges Candidates on purpose;
+// goldenResults held through it. A deliberate change to retrieval order or
+// accounting must re-record the engines it touches and say why.
+var goldenCounters = map[string][5]uint64{
+	"GAT":       {0x2dfb19798051881a, 0x30ab04a16bf90174, 0x6fa736a4d27a6cdd, 0xa33bc8ca844a49fd, 0xa4b2e6380219f468},
+	"GAT+delta": {0x07cd6d76a1556a84, 0x9a87f760c0452094, 0xcf50c45630b59139, 0x61c4ab9d3e34021a, 0x4721e2cb40166af1},
 	"IL":        {0x6270b101dc65d913, 0x30a3fc22e578757d, 0x4efac8e29dc4b23b, 0xf12bad2538e8fca2, 0x717c6be9c4f50827},
 	"RT":        {0x5e1df0cf7cf3db4d, 0xec87a8b57cb79283, 0x16bdcc350a4f1df8, 0xfe6f737cb6eef2f1, 0x76b8b11822fd411d},
 	"IRT":       {0x42db82b5ff8e50bd, 0x6029dd4bdfaf66be, 0x941e1337a4c6e081, 0xd70d165987e4f9fa, 0x05ba16bda2c0aac8},
 }
+
+// leafWalkCandidates is what the GAT engine retrieved over the same workload
+// (all five modes: 7125 + 9161 + 3695 + 11202 + 3973) at commit edc5e10,
+// walking the grid leaf by leaf. Pulling a whole sparse subtree retrieves a
+// little beyond what that walk needed before it could stop; the test keeps
+// the excess under 10 % of the workload. It is not uniform: a mode whose
+// searches stop early feels one 16-leaf pull most (InitialBound, ~330
+// candidates a search on this 950-trajectory corpus, runs +19 %), ATSQ +9 %,
+// the other three within ±3 %.
+const leafWalkCandidates = 35156
 
 // TestGoldenEngineChecksums runs every engine family over one LA workload ×
 // goldenModes and compares each digest with the recorded constant. Every
@@ -106,33 +128,42 @@ func TestGoldenEngineChecksums(t *testing.T) {
 		baseline.BuildIRT(newStore(), 0, 0),
 	}
 	for _, e := range engines {
-		var got [5]uint64
+		var results, counters [5]uint64
+		candidates := 0
 		for mi, mode := range goldenModes {
-			h := fnv.New64a()
-			put := func(v uint64) {
+			hr, hc := fnv.New64a(), fnv.New64a()
+			both := io.MultiWriter(hr, hc)
+			put := func(w io.Writer, v uint64) {
 				var b [8]byte
 				binary.LittleEndian.PutUint64(b[:], v)
-				h.Write(b[:])
+				w.Write(b[:])
 			}
 			for qi, q := range qs {
 				resp, err := e.Search(context.Background(), mode.req(q))
 				if err != nil {
 					t.Fatalf("%s %s q%d: %v", e.Name(), mode.name, qi, err)
 				}
-				put(uint64(len(resp.Results)))
+				put(both, uint64(len(resp.Results)))
 				for _, r := range resp.Results {
-					put(uint64(r.ID))
-					put(math.Float64bits(r.Dist))
+					put(both, uint64(r.ID))
+					put(both, math.Float64bits(r.Dist))
 				}
 				st := resp.Stats
+				candidates += st.Candidates
 				for _, c := range []int{st.Candidates, st.Batches, st.PQPops, st.NodesVisited, st.PageReads, st.Scored} {
-					put(uint64(c))
+					put(hc, uint64(c))
 				}
 			}
-			got[mi] = h.Sum64()
+			results[mi], counters[mi] = hr.Sum64(), hc.Sum64()
 		}
-		if want, ok := goldenChecksums[e.Name()]; !ok || got != want {
-			t.Errorf("%s: checksums (modes %s..%s)\n got  %#x\n want %#x", e.Name(), goldenModes[0].name, goldenModes[4].name, got, want)
+		if results != goldenResults {
+			t.Errorf("%s: RESULTS checksums (modes %s..%s)\n got  %#x\n want %#x", e.Name(), goldenModes[0].name, goldenModes[4].name, results, goldenResults)
+		}
+		if e.Name() == "GAT" && candidates > leafWalkCandidates*11/10 {
+			t.Errorf("GAT: %d candidates, over 1.10x the leaf-by-leaf walk's %d", candidates, leafWalkCandidates)
+		}
+		if want, ok := goldenCounters[e.Name()]; !ok || counters != want {
+			t.Errorf("%s: counter checksums (modes %s..%s)\n got  %#x\n want %#x", e.Name(), goldenModes[0].name, goldenModes[4].name, counters, want)
 		}
 	}
 }

@@ -3,9 +3,7 @@ package enginetest
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"activitytraj/internal/dataset"
@@ -16,7 +14,6 @@ import (
 	"activitytraj/internal/queries"
 	"activitytraj/internal/query"
 	"activitytraj/internal/shard"
-	"activitytraj/internal/trajectory"
 )
 
 // bruteSubDist is the O(n²) reference the subtrajectory mode is pinned
@@ -51,41 +48,6 @@ func bruteSubDist(m *matcher.Matcher, n int, rows []matcher.QueryRow, ordered bo
 	return best
 }
 
-// bruteSubTopK scores every trajectory of ds against q with bruteSubDist
-// and returns the ascending (Dist, ID) top-k — a full-scan oracle that
-// touches no index, no sketch filter, and no shared bound.
-func bruteSubTopK(ds *trajectory.Dataset, q query.Query, k int, ordered bool, minSpan, maxSpan int) []query.Result {
-	var m matcher.Matcher
-	var rs []query.Result
-	for id := range ds.Trajs {
-		tr := &ds.Trajs[id]
-		rows := matcher.BuildRowsFromPoints(q.Pts, tr.Pts)
-		d := bruteSubDist(&m, len(tr.Pts), rows, ordered, minSpan, maxSpan)
-		if math.IsInf(d, 1) {
-			continue
-		}
-		rs = append(rs, query.Result{ID: trajectory.TrajID(id), Dist: d})
-	}
-	slices.SortFunc(rs, func(a, b query.Result) int {
-		switch {
-		case a.Dist < b.Dist:
-			return -1
-		case a.Dist > b.Dist:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
-	if len(rs) > k {
-		rs = rs[:k]
-	}
-	return rs
-}
-
 // TestEnginesAgreeSubtrajectory pins all four engine families against the
 // brute-force window oracle across span-limit shapes, ordered and
 // unordered. With no limits the subtrajectory distance degenerates to the
@@ -107,7 +69,10 @@ func TestEnginesAgreeSubtrajectory(t *testing.T) {
 	for _, sp := range spans {
 		for _, ordered := range []bool{false, true} {
 			for qi, q := range qs {
-				want := bruteSubTopK(ds, q, 9, ordered, sp.minSpan, sp.maxSpan)
+				want := bruteTopK(ds.Trajs, query.Request{
+					Query: q, K: 9, Ordered: ordered,
+					Subtrajectory: true, MinSpanPoints: sp.minSpan, MaxSpanPoints: sp.maxSpan,
+				})
 				for _, e := range engines {
 					resp, err := e.Search(context.Background(), query.Request{
 						Query: q, K: 9, Ordered: ordered,
@@ -322,7 +287,7 @@ func FuzzSubtrajectoryVsBrute(f *testing.F) {
 		if err != nil {
 			t.Fatalf("search: %v", err)
 		}
-		want := bruteSubTopK(ds, qs[0], 7, ordered, minSpan, maxSpan)
+		want := bruteTopK(ds.Trajs, req)
 		if !sameDists(distVector(want), distVector(resp.Results)) {
 			t.Fatalf("seed=%d min=%d max=%d ordered=%v\nbrute: %v\nGAT  : %v",
 				seed, minSpan, maxSpan, ordered, want, resp.Results)

@@ -19,7 +19,11 @@
 // least one of its activities, a lower bound for all unseen trajectories is
 // maintained from the nearest unvisited cells (Algorithm 2), candidates are
 // validated through TAS and APL, and match distances are computed with the
-// shared evaluator.
+// shared evaluator. One departure from Algorithm 1: the descent stops above
+// the leaf level wherever the grid is sparse — a popped cell with few
+// occupied leaves below it has them all pulled from the ITL in that pop
+// (see NextBatch) — which changes how many cells are popped, never what is
+// answered.
 package gat
 
 import (

@@ -54,13 +54,24 @@ func (t *itlArena) seal() {
 	t.postOff = append(t.postOff, uint32(len(t.posts)))
 }
 
-// cellLists returns leaf z's activities and the index of its first list
-// (list first+k pairs with acts[k]); acts is empty for an unoccupied cell.
-func (t *itlArena) cellLists(z uint32) (acts []trajectory.ActivityID, first int) {
-	i, ok := slices.BinarySearch(t.cells, z)
-	if !ok {
-		return nil, 0
+// run returns the index range [lo, hi) of the occupied leaves whose Z lies
+// in [zlo, zlast]. cells is in Z order, so the leaves under any one cell of
+// the hierarchy are such an interval and its run is the cell's whole
+// subtree. The search for hi stops limit+1 leaves past lo — hi-lo > limit
+// then says "more than limit", which is all a caller bounding a run by
+// limit needs to know.
+func (t *itlArena) run(zlo, zlast uint32, limit int) (lo, hi int) {
+	lo, _ = slices.BinarySearch(t.cells, zlo)
+	n, found := slices.BinarySearch(t.cells[lo:min(lo+limit+1, len(t.cells))], zlast)
+	if found {
+		n++
 	}
+	return lo, lo + n
+}
+
+// leafActs returns the activities of the i-th occupied leaf and the index
+// of its first list (list first+k pairs with acts[k]).
+func (t *itlArena) leafActs(i int) (acts []trajectory.ActivityID, first int) {
 	lo, hi := t.cellOff[i], t.cellOff[i+1]
 	return t.acts[lo:hi], int(lo)
 }
@@ -70,9 +81,11 @@ func (t *itlArena) list(j int) []uint32 { return t.posts[t.postOff[j]:t.postOff[
 
 // postings returns the trajectories with an a-point in leaf z (nil if none).
 func (t *itlArena) postings(z uint32, a trajectory.ActivityID) []uint32 {
-	acts, first := t.cellLists(z)
-	if k, ok := slices.BinarySearch(acts, a); ok {
-		return t.list(first + k)
+	if lo, hi := t.run(z, z, 1); lo < hi {
+		acts, first := t.leafActs(lo)
+		if k, ok := slices.BinarySearch(acts, a); ok {
+			return t.list(first + k)
+		}
 	}
 	return nil
 }

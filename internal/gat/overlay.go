@@ -2,6 +2,7 @@ package gat
 
 import (
 	"activitytraj/internal/evaluate"
+	"activitytraj/internal/geo"
 	"activitytraj/internal/invindex"
 	"activitytraj/internal/trajectory"
 )
@@ -36,9 +37,14 @@ type DeltaOverlay interface {
 	// (level, activity) and probes the sets directly afterwards, so they
 	// must stay unchanged until the search ends.
 	AppendCellSets(dst []*invindex.Set, level int, a trajectory.ActivityID) []*invindex.Set
-	// AppendCellTrajs appends the IDs of delta trajectories having a point
-	// with activity a inside leaf cell z — the overlay side of the ITL.
-	AppendCellTrajs(dst []uint32, z uint32, a trajectory.ActivityID) []uint32
+	// AppendRangeTrajs appends the IDs of delta trajectories having a point
+	// with activity a inside a leaf cell whose Z code lies in [zlo, zlast]
+	// — the overlay side of the ITL, for a whole subtree at once (the
+	// leaves under one cell are one Z interval; a single leaf is [z, z]).
+	// The bound is inclusive because at Depth 16 the last cell's exclusive
+	// bound would be 2^32. A non-nil region drops the leaves disjoint from
+	// it, the same filter the searcher applies to base leaves.
+	AppendRangeTrajs(dst []uint32, zlo, zlast uint32, a trajectory.ActivityID, region *geo.Rect) []uint32
 	// Tombstoned reports whether trajectory id has been deleted.
 	Tombstoned(id trajectory.TrajID) bool
 	// HasTombstones reports whether any deletes are pending, letting the

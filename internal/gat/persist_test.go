@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"testing"
@@ -92,10 +93,16 @@ func TestPersistRoundTrip(t *testing.T) {
 // written by the last commit with the map ITL (bf4f0db) for buildSmall's
 // dataset; it must load, re-serialize to the same bytes, and answer a fixed
 // query set exactly as a fresh build does — and exactly as that commit did:
-// goldenChecksum is its FNV-1a over every result's (ID, distance bits) and
-// each search's PQPops, Candidates and Batches.
+// goldenResults is the FNV-1a over every result's (ID, distance bits),
+// recorded at edc5e10 (the last commit whose descent always reached the
+// leaf level) and never re-recorded; goldenCounters adds each search's
+// PQPops, Candidates and Batches and was re-recorded when the descent
+// became bucketed, which lowers pops and batches on purpose.
 func TestPersistGoldenV2(t *testing.T) {
-	const goldenChecksum = 0x8732bbd3bdd7b496
+	const (
+		goldenResults  = 0x553e7e1d8a4baa0f
+		goldenCounters = 0xff3bf699b94c7581
+	)
 	golden, err := os.ReadFile("testdata/parent_v2.gatx")
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +124,12 @@ func TestPersistGoldenV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	put := func(v uint64) {
+	hr, hc := fnv.New64a(), fnv.New64a()
+	both := io.MultiWriter(hr, hc)
+	put := func(w io.Writer, v uint64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
+		w.Write(b[:])
 	}
 	eLoaded, eFresh := NewEngine(loaded), NewEngine(fresh)
 	for qi, q := range qs {
@@ -142,20 +150,23 @@ func TestPersistGoldenV2(t *testing.T) {
 				if r != want.Results[i] {
 					t.Fatalf("q%d ordered=%v result %d: golden %+v, fresh build %+v", qi, ordered, i, r, want.Results[i])
 				}
-				put(uint64(r.ID))
-				put(math.Float64bits(r.Dist))
+				put(both, uint64(r.ID))
+				put(both, math.Float64bits(r.Dist))
 			}
 			gs, ws := got.Stats, want.Stats
 			if gs.PQPops != ws.PQPops || gs.Candidates != ws.Candidates || gs.Batches != ws.Batches {
 				t.Fatalf("q%d ordered=%v: golden expanded %+v, fresh build %+v", qi, ordered, gs, ws)
 			}
-			put(uint64(gs.PQPops))
-			put(uint64(gs.Candidates))
-			put(uint64(gs.Batches))
+			put(hc, uint64(gs.PQPops))
+			put(hc, uint64(gs.Candidates))
+			put(hc, uint64(gs.Batches))
 		}
 	}
-	if got := h.Sum64(); got != goldenChecksum {
-		t.Fatalf("results/expansion checksum %#x, the parent commit's was %#x", got, uint64(goldenChecksum))
+	if got := hr.Sum64(); got != goldenResults {
+		t.Errorf("results checksum %#x, recorded %#x", got, uint64(goldenResults))
+	}
+	if got := hc.Sum64(); got != goldenCounters {
+		t.Errorf("results+expansion checksum %#x, recorded %#x", got, uint64(goldenCounters))
 	}
 }
 

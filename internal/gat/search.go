@@ -84,10 +84,11 @@ type searcher struct {
 	// expansion would tax the static hot path for nothing.
 	ov DeltaOverlay
 	// region mirrors the request's spatial filter for the duration of one
-	// search: cells disjoint from it never enter a frontier, so only
-	// trajectories with an in-region relevant point are retrieved — exact
-	// under the filter's semantics because the evaluator drops out-of-
-	// region points from every candidate row before matching.
+	// search: cells disjoint from it never enter a frontier and leaves
+	// disjoint from it are skipped inside a pulled subtree, so only
+	// trajectories with a relevant point in an in-region leaf are
+	// retrieved — exact under the filter's semantics because the evaluator
+	// drops out-of-region points from every candidate row before matching.
 	region *geo.Rect
 	pqs    []pointQueue
 	seen   []uint32
@@ -333,15 +334,33 @@ func (s *searcher) emit(out []trajectory.TrajID, tid uint32, tombs bool) []traje
 	return out
 }
 
+// bucketLeaves is the occupied-leaf count up to which a popped cell's whole
+// subtree is pulled out of the ITL arena in that one pop instead of being
+// descended: rtree-style bucketing, with the bucket read off the arena's Z
+// order rather than stored. Sparse regions then cost one pop, not one per
+// leaf plus the internal cells above them, while dense cells keep splitting
+// so the frontier stays fine where the candidates are. Chosen by the sweep
+// in ARCHITECTURE.md §5.
+const bucketLeaves = 16
+
 // NextBatch implements evaluate.Source: it runs the best-first expansion
 // until at least λ new candidate trajectories are collected (Section V-A)
 // or every frontier empties. The returned slice aliases searcher scratch.
-// With a delta overlay, leaf-cell pulls merge the overlay's trajectory
-// lists with the base ITL, tombstoned trajectories are dropped here
-// (keeping the merged search exact without inflating k), and overlay
-// trajectories that fall outside the grid region — whose clamped cells
-// cannot bound their true distance — are retrieved unconditionally in the
-// first batch.
+//
+// Unlike Algorithm 1 the descent does not always reach the leaf level: a
+// popped cell with at most bucketLeaves occupied base leaves below it is
+// pulled whole (see pull). That keeps the search exact — a pulled subtree
+// leaves no trajectory of the popped mask unseen, so LowerBound over the
+// remaining frontier still bounds every unseen trajectory; a cell's MinDist
+// is no greater than any leaf's below it, so pops stay in best-first order;
+// and a candidate retrieved early is scored exactly, the top-k under
+// (distance, ID) being independent of arrival order.
+//
+// With a delta overlay, pulls merge the overlay's trajectory lists with the
+// base ITL, tombstoned trajectories are dropped here (keeping the merged
+// search exact without inflating k), and overlay trajectories that fall
+// outside the grid region — whose clamped cells cannot bound their true
+// distance — are retrieved unconditionally in the first batch.
 func (s *searcher) NextBatch() []trajectory.TrajID {
 	depth, lambda := s.e.idx.cfg.Depth, s.e.idx.cfg.Lambda
 	ov := s.ov
@@ -362,29 +381,18 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 		}
 		c := s.pqs[qi].pop()
 		s.stats.PQPops++
-		qp := s.q.Pts[qi]
-		if int(c.cell.Level) < depth {
+		// The leaves under c are the Z interval [zlo, zlast]. Only base
+		// leaves count towards the bucket: a subtree holding nothing but
+		// delta cells has an empty run and is pulled like any sparse one.
+		shift := 2 * uint(depth-int(c.cell.Level))
+		zlo := c.cell.Z << shift
+		zlast := zlo | (1<<shift - 1)
+		lo, hi := s.e.idx.itl.run(zlo, zlast, bucketLeaves)
+		if hi-lo > bucketLeaves {
 			s.expand(qi, c)
 			continue
 		}
-		// Leaf cell: pull the trajectories of the activities its mask says
-		// are present from its ITL lists, merged with the delta overlay's
-		// list for the same (cell, activity).
-		acts, first := s.e.idx.itl.cellLists(c.cell.Z)
-		for m := c.mask; m != 0; m &= m - 1 {
-			a := qp.Acts[bits.TrailingZeros32(m)]
-			if k, ok := slices.BinarySearch(acts, a); ok {
-				for _, tid := range s.e.idx.itl.list(first + k) {
-					out = s.emit(out, tid, tombs)
-				}
-			}
-			if ov != nil {
-				s.deltaBuf = ov.AppendCellTrajs(s.deltaBuf[:0], c.cell.Z, a)
-				for _, tid := range s.deltaBuf {
-					out = s.emit(out, tid, tombs)
-				}
-			}
-		}
+		out = s.pull(out, qi, c.mask, lo, hi, zlo, zlast, tombs)
 	}
 	s.cands = out
 	s.stats.Batches++
@@ -393,6 +401,46 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 	// locality; the top-k set is order-independent, so batching for
 	// locality is free.
 	s.e.ev.PrefetchBatch(out)
+	return out
+}
+
+// pull emits the trajectories of every (leaf, activity) list under one
+// popped cell: the base leaves are the arena run [lo, hi), the overlay's
+// are whatever its layers hold in the same Z interval [zlo, zlast]. Only
+// the activities in mask — query point qi's, present somewhere below the
+// cell per the HICL — are looked for, and leaves the region filter rejects
+// contribute nothing. Both a leaf's activity list and the masked query
+// activities ascend, so one forward scan of the former finds them all.
+func (s *searcher) pull(out []trajectory.TrajID, qi int, mask uint32, lo, hi int, zlo, zlast uint32, tombs bool) []trajectory.TrajID {
+	itl, qacts := &s.e.idx.itl, s.q.Pts[qi].Acts
+	leafLevel := uint8(s.e.idx.cfg.Depth)
+	for i := lo; i < hi; i++ {
+		if !s.cellVisible(grid.Cell{Level: leafLevel, Z: itl.cells[i]}) {
+			continue
+		}
+		acts, first := itl.leafActs(i)
+		k := 0
+		for m := mask; m != 0 && k < len(acts); m &= m - 1 {
+			a := qacts[bits.TrailingZeros32(m)]
+			for k < len(acts) && acts[k] < a {
+				k++
+			}
+			if k < len(acts) && acts[k] == a {
+				for _, tid := range itl.list(first + k) {
+					out = s.emit(out, tid, tombs)
+				}
+			}
+		}
+	}
+	if s.ov != nil {
+		for m := mask; m != 0; m &= m - 1 {
+			a := qacts[bits.TrailingZeros32(m)]
+			s.deltaBuf = s.ov.AppendRangeTrajs(s.deltaBuf[:0], zlo, zlast, a, s.region)
+			for _, tid := range s.deltaBuf {
+				out = s.emit(out, tid, tombs)
+			}
+		}
+	}
 	return out
 }
 

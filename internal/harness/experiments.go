@@ -245,7 +245,10 @@ func (s *Suite) Scalability(w io.Writer) error {
 
 // Granularity reproduces Figure 8: GAT grid depth d ∈ {5,6,7,8}
 // (32..256 partitions per axis), reporting ATSQ/OATSQ latency and the
-// index memory cost.
+// index memory cost. The paper's trade-off — a finer grid means more cells
+// to pop, a coarser one more trajectories per cell — is the pops/query and
+// cand/query columns (ATSQ); the bucketed descent flattens the first, since
+// a sparse subtree costs one pop at any depth.
 func (s *Suite) Granularity(w io.Writer) error {
 	for _, dsName := range s.opts.Datasets {
 		ds, err := s.Dataset(dsName)
@@ -262,7 +265,7 @@ func (s *Suite) Granularity(w io.Writer) error {
 		}
 		tab := NewTable(
 			fmt.Sprintf("Fig.8 partition granularity — GAT on %s", dsName),
-			"#partition", "ATSQ ms", "OATSQ ms", "mem MB", "HICL MB", "ITL MB")
+			"#partition", "ATSQ ms", "OATSQ ms", "pops/query", "cand/query", "mem MB", "HICL MB", "ITL MB")
 		for _, d := range []int{5, 6, 7, 8} {
 			idx, err := gat.Build(ts.TS, gat.Config{Depth: d, MemLevels: 6})
 			if err != nil {
@@ -279,6 +282,7 @@ func (s *Suite) Granularity(w io.Writer) error {
 			}
 			bd := idx.Breakdown()
 			tab.AddRow(fmt.Sprint(1<<d), ms(a.AvgMs()), ms(o.AvgMs()),
+				cnt(float64(a.Stats.PQPops)/float64(a.Queries)), cnt(a.AvgCandidates()),
 				mb(bd.Total), mb(bd.HICL), mb(bd.ITL))
 		}
 		tab.Write(w)

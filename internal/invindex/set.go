@@ -49,6 +49,27 @@ func (c *container) contains(low uint16) bool {
 	return ok
 }
 
+// next returns the smallest value >= low, false when there is none.
+func (c *container) next(low uint16) (uint16, bool) {
+	if c.bits == nil {
+		i, _ := slices.BinarySearch(c.vals, low)
+		if i == len(c.vals) {
+			return 0, false
+		}
+		return c.vals[i], true
+	}
+	w := int(low >> 6)
+	if word := c.bits[w] >> (low & 63); word != 0 {
+		return low + uint16(bits.TrailingZeros64(word)), true
+	}
+	for w++; w < setBitmapWords; w++ {
+		if c.bits[w] != 0 {
+			return uint16(w<<6 + bits.TrailingZeros64(c.bits[w])), true
+		}
+	}
+	return 0, false
+}
+
 // insert adds low, reporting whether it was new, converting to bitmap form
 // past the array threshold. The in-order append case stays O(1).
 func (c *container) insert(low uint16) bool {
@@ -211,6 +232,26 @@ func (s *Set) Mask4(base uint32) uint32 {
 		mask |= 1 << (c.vals[j] - low)
 	}
 	return mask
+}
+
+// Next returns the smallest element >= from, false when there is none — the
+// step of an ascending walk over a sub-range (the elements of [lo, last] are
+// Next(lo), Next(that+1), ... while <= last). Safe on a nil Set.
+func (s *Set) Next(from uint32) (uint32, bool) {
+	if s == nil {
+		return 0, false
+	}
+	key, low := uint16(from>>16), uint16(from)
+	i, found := slices.BinarySearch(s.keys, key)
+	if !found {
+		low = 0 // past from's (absent) container: the next one's minimum
+	}
+	for ; i < len(s.keys); i, low = i+1, 0 {
+		if v, ok := s.conts[i].next(low); ok {
+			return uint32(s.keys[i])<<16 | uint32(v), true
+		}
+	}
+	return 0, false
 }
 
 // AppendTo appends all elements in ascending order. Safe on a nil Set.

@@ -2,7 +2,9 @@ package invindex
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -81,6 +83,11 @@ func checkEquivalent(t *testing.T, name string, ids []uint32) {
 			t.Fatalf("%s: Mask4(%d) = %04b, want %04b", name, base, got, want)
 		}
 	}
+	// A Next walk from 0 visits every element; from the probes, the tail.
+	checkNextWalk(t, set, ref, 0, len(ref)+1)
+	for _, id := range probes {
+		checkNextWalk(t, set, ref, id, 3)
+	}
 	// Codec round trip.
 	enc := set.AppendEncoded(nil)
 	dec, used, err := DecodeSet(enc)
@@ -92,6 +99,23 @@ func checkEquivalent(t *testing.T, name string, ids []uint32) {
 	}
 	if !equalU32(dec.Elements(), ref) {
 		t.Fatalf("%s: codec round trip lost elements", name)
+	}
+}
+
+// checkNextWalk walks set by Next from `from` for up to steps elements and
+// requires each step to land on the reference list's successor.
+func checkNextWalk(t *testing.T, set *Set, ref PostingList, from uint32, steps int) {
+	t.Helper()
+	k, _ := slices.BinarySearch(ref, from)
+	for ; steps > 0; steps, k = steps-1, k+1 {
+		got, ok := set.Next(from)
+		if ok != (k < len(ref)) || ok && got != ref[k] {
+			t.Fatalf("Next(%d) = %d, %v; reference successor index %d of %d", from, got, ok, k, len(ref))
+		}
+		if !ok || got == math.MaxUint32 {
+			return
+		}
+		from = got + 1
 	}
 }
 
@@ -256,6 +280,8 @@ func FuzzSetVsPostingList(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0}, []byte{})
 	f.Add(bytes.Repeat([]byte{3}, 64), bytes.Repeat([]byte{0xFF}, 32))
+	// Values either side of the 2^16 container boundary, probed at it.
+	f.Add([]byte{0xFE, 0xFF, 0, 0xFF, 0xFF, 0, 0, 0, 1, 2, 0, 3}, []byte{0xFF, 0xFF, 0, 0, 0, 1, 0xFF, 0xFF, 1})
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte) {
 		decode := func(raw []byte) []uint32 {
 			var out []uint32
@@ -286,6 +312,13 @@ func FuzzSetVsPostingList(f *testing.F) {
 			}
 			if aSet.Mask4(base) != want {
 				t.Fatalf("Mask4(%d) disagrees", base)
+			}
+		}
+		// Range walks by Next, from each probe and from the edges of its
+		// 64Ki container, where a walk has to hop to the next key.
+		for _, id := range bIDs {
+			for _, from := range []uint32{id, id + 1, id &^ 0xFFFF, id | 0xFFFF} {
+				checkNextWalk(t, aSet, aRef, from, 3)
 			}
 		}
 		if !equalU32(aSet.And(bSet).Elements(), aRef.Intersect(bRef)) {
