@@ -170,6 +170,75 @@ func BenchmarkGATSearchAllocs(b *testing.B) {
 	b.ReportMetric(float64(cands)/float64(len(qs)), "cands/search")
 }
 
+// scoredIDs is a query.BoundSink that records which candidates a search
+// scored and never tightens the search's bound.
+type scoredIDs struct{ ids []trajectory.TrajID }
+
+func (s *scoredIDs) Offer(r query.Result) { s.ids = append(s.ids, r.ID) }
+func (s *scoredIDs) Threshold() float64   { return matcher.Inf }
+
+// BenchmarkPrepare measures the candidate pipeline below retrieval on its
+// own — TAS screen, header resolve, posting lists, coordinates, row build,
+// Algorithm 3 — as one warm Evaluator.ScoreATSQ per (request, candidate)
+// pair; one op scores every pair once. The surviving candidates are the
+// ones a GAT search of the request scores (collected through the bound
+// sink); a search's rejects are not visible from outside it, so each request
+// adds twice as many trajectories of the corpus that die on the APL header,
+// which is the mix a search sees (two candidates in three are header
+// rejects). Every request scores through its own evaluator, as every search
+// does, so the loop allocates nothing: allocs/op is diffed against the
+// baseline and a per-candidate allocation creeping back turns CI red.
+func BenchmarkPrepare(b *testing.B) {
+	st := benchSetup(b, "LA")
+	qs := benchWorkload(b, st.DS, queries.Config{Seed: 19})
+	e := gat.NewEngine(st.GATIdx)
+	type pair struct {
+		ev *evaluate.Evaluator
+		q  query.Query
+		id trajectory.TrajID
+	}
+	var pairs []pair
+	var stats query.SearchStats
+	for _, q := range qs {
+		var scored scoredIDs
+		e.SetBoundSink(&scored)
+		mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK})
+		ev := evaluate.NewEvaluator(st.TS)
+		for _, id := range scored.ids {
+			pairs = append(pairs, pair{ev, q, id})
+		}
+		rejects := 2 * len(scored.ids)
+		for id := trajectory.TrajID(0); int(id) < st.TS.NumTrajs() && rejects > 0; id++ {
+			_, out, err := ev.ScoreATSQ(q, id, matcher.Inf, &stats)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out == evaluate.RejectedAPL {
+				pairs = append(pairs, pair{ev, q, id})
+				rejects--
+			}
+		}
+	}
+	score := func() {
+		for _, p := range pairs {
+			if _, _, err := p.ev.ScoreATSQ(p.q, p.id, matcher.Inf, &stats); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	score() // warm the caches and the evaluators' scratch
+	stats = query.SearchStats{}
+	score()
+	rejectShare := float64(stats.HeaderOnlyRejects) / float64(len(pairs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		score()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
+	b.ReportMetric(rejectShare, "hdr-rejects/pair")
+}
+
 // BenchmarkGATBuild measures building the GAT index over an existing
 // trajectory store on LA at scale 0.125 — the corpus of the repository
 // benchmark. Every compaction of a dynamic index pays this cost for its

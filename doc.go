@@ -346,6 +346,19 @@
 //     (SearchStats.HeaderOnlyRejects). Survivors fault the body in once
 //     and decode only the queried activities' blocks, memoized on the
 //     shared cached APL.
+//   - One resolution per candidate. The query's distinct activities are
+//     resolved against the candidate's header in one forward merge — the
+//     first absent activity is the reject — and from then on posting lists
+//     are addressed by header position and query points by slot, so no
+//     activity is looked up twice. The union of point indexes to fetch and
+//     every query point's row (index, distance, coverage mask) come from
+//     scattering the lists into a bitmap over the trajectory's points and
+//     reading it back in order; Algorithm 3 is then handed the nearest
+//     point of each distinct coverage mask (at most 2^|q.Φ| - 1 points)
+//     rather than a sorted copy of the row — the same float64 bits, since
+//     a farther point with a mask already seen is a no-op in Algorithm 3.
+//     A delta-resident candidate runs the same steps over one in-memory
+//     entry lookup.
 //   - Sparse coordinate reads. Points are fixed-stride on disk, so the
 //     evaluator fetches only the pages containing the point indexes the
 //     match rows reference, and decodes only those points — memoized in

@@ -381,7 +381,7 @@ func TestActlessOutOfRegionPointIsNotOverflow(t *testing.T) {
 	if got := gen.ov.AppendOverflow(nil); len(got) != 0 {
 		t.Fatalf("act-less out-of-region point classified as overflow: %v", got)
 	}
-	if e := gen.ov.find(id); e == nil || e.overflow {
+	if e := gen.active.lookup(id); e == nil || e.overflow {
 		t.Fatalf("entry missing or marked overflow: %+v", e)
 	}
 

@@ -12,7 +12,6 @@ import (
 	"activitytraj/internal/geo"
 	"activitytraj/internal/invindex"
 	"activitytraj/internal/query"
-	"activitytraj/internal/sketch"
 	"activitytraj/internal/trajectory"
 	"activitytraj/internal/wal"
 )
@@ -115,37 +114,15 @@ func (v *view) AppendOverflow(dst []uint32) []uint32 {
 	return dst
 }
 
-func (v *view) find(id trajectory.TrajID) *entry {
+// Entry implements evaluate.DeltaSource: one probe per layer finds the
+// trajectory, and everything scoring reads of it comes back together.
+func (v *view) Entry(id trajectory.TrajID) evaluate.DeltaEntry {
 	for _, l := range v.layers {
 		if e := l.lookup(id); e != nil {
-			return e
+			return evaluate.DeltaEntry{TAS: e.tas, Acts: e.acts, Lists: e.postings, Coords: e.pts}
 		}
 	}
-	return nil
-}
-
-// TAS implements evaluate.DeltaSource.
-func (v *view) TAS(id trajectory.TrajID) sketch.Sketch {
-	if e := v.find(id); e != nil {
-		return e.tas
-	}
-	return nil
-}
-
-// Postings implements evaluate.DeltaSource.
-func (v *view) Postings(id trajectory.TrajID, a trajectory.ActivityID) []uint32 {
-	if e := v.find(id); e != nil {
-		return e.aplPostings(a)
-	}
-	return nil
-}
-
-// Coords implements evaluate.DeltaSource.
-func (v *view) Coords(id trajectory.TrajID) []geo.Point {
-	if e := v.find(id); e != nil {
-		return e.pts
-	}
-	return nil
+	return evaluate.DeltaEntry{}
 }
 
 // generation is one immutable epoch of the dynamic index: a base index and

@@ -17,7 +17,6 @@
 package delta
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,14 +67,6 @@ func newEntry(tr trajectory.Trajectory, sketchM int, region geo.Rect) *entry {
 	}
 	e.tas = sketch.Build(e.acts, sketchM)
 	return e
-}
-
-// aplPostings returns the point indexes carrying activity a, nil if absent.
-func (e *entry) aplPostings(a trajectory.ActivityID) []uint32 {
-	if i, ok := slices.BinarySearch(e.acts, a); ok {
-		return e.postings[i]
-	}
-	return nil
 }
 
 // Layer is one mutable delta layer: a mini-GAT over the trajectories

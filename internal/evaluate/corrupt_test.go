@@ -3,6 +3,9 @@ package evaluate
 import (
 	"strings"
 	"testing"
+
+	"activitytraj/internal/matcher"
+	"activitytraj/internal/query"
 )
 
 // Decoder robustness: corrupt or truncated on-disk segments must surface
@@ -63,5 +66,36 @@ func TestRoundTripAfterCorruptionChecks(t *testing.T) {
 	}
 	if !strings.Contains(ds.Name, "eval") {
 		t.Fatal("unexpected fixture")
+	}
+}
+
+// TestOutOfRangePostingIsAnError: a posting list naming a point the
+// trajectory does not have (the point directory and the APL segment
+// disagree) must fail the candidate with an error when its block is decoded
+// — the row builder indexes per-point scratch by posting, so such a list
+// must never reach it — and must keep failing, not be memoized.
+func TestOutOfRangePostingIsAnError(t *testing.T) {
+	ds := smallDataset(t)
+	for _, cacheEntries := range []int{0, -1} { // default caches, disabled
+		ts, err := BuildTrajStore(ds, TrajStoreConfig{APLCacheEntries: cacheEntries, CoordCacheEntries: cacheEntries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &ds.Trajs[0]
+		last := len(tr.Pts) - 1
+		if last < 1 || len(tr.Pts[last].Acts) == 0 {
+			t.Fatal("unexpected fixture")
+		}
+		ts.numPts[tr.ID] = uint32(last) // the directory ends one point short of the postings
+		ev := NewEvaluator(ts)
+		q := query.New(query.Point{Loc: tr.Pts[0].Loc, Acts: tr.Pts[last].Acts[:1]})
+		for try := 0; try < 2; try++ {
+			var stats query.SearchStats
+			_, _, err := ev.ScoreATSQ(q, tr.ID, matcher.Inf, &stats)
+			if err == nil || !strings.Contains(err.Error(), "outside trajectory") {
+				t.Fatalf("cache=%d try %d: out-of-range posting scored, err = %v", cacheEntries, try, err)
+			}
+		}
+		ts.Close()
 	}
 }

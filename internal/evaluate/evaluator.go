@@ -1,9 +1,11 @@
 package evaluate
 
 import (
+	"math/bits"
 	"slices"
 
 	"activitytraj/internal/geo"
+	"activitytraj/internal/invindex"
 	"activitytraj/internal/matcher"
 	"activitytraj/internal/query"
 	"activitytraj/internal/sketch"
@@ -16,14 +18,21 @@ import (
 // the duration of a search (the dynamic index holds its write lock off
 // while searches run).
 type DeltaSource interface {
-	// TAS returns the activity sketch of trajectory id (nil when the
-	// trajectory is unknown or has no activities).
-	TAS(id trajectory.TrajID) sketch.Sketch
-	// Postings returns the ascending point indexes of trajectory id that
-	// carry activity a, nil when absent.
-	Postings(id trajectory.TrajID, a trajectory.ActivityID) []uint32
-	// Coords returns the point locations of trajectory id.
-	Coords(id trajectory.TrajID) []geo.Point
+	// Entry returns everything scoring needs of trajectory id in one
+	// lookup; the zero DeltaEntry when the trajectory is unknown.
+	Entry(id trajectory.TrajID) DeltaEntry
+}
+
+// DeltaEntry is one delta-resident trajectory as the evaluator reads it —
+// the in-memory counterpart of a TAS, an APL and a coordinate segment. The
+// slices are shared with the source and must not be modified.
+type DeltaEntry struct {
+	TAS sketch.Sketch
+	// Acts is the trajectory's ascending activity set and Lists[i] the
+	// ascending indexes of the points carrying Acts[i].
+	Acts   trajectory.ActivitySet
+	Lists  []invindex.PostingList
+	Coords []geo.Point
 }
 
 // Outcome classifies what happened to a candidate during evaluation.
@@ -55,19 +64,8 @@ type Evaluator struct {
 	UseSketch bool
 
 	// delta, when set, serves candidates whose ID is at or beyond the base
-	// store's trajectory count from memory instead of disk. deltaID and
-	// deltaFn adapt DeltaSource.Postings to RowBuilder's per-activity
-	// callback without allocating a closure per candidate.
-	delta   DeltaSource
-	deltaID trajectory.TrajID
-	deltaFn func(a trajectory.ActivityID) []uint32
-
-	// curAPL and aplFn adapt the current candidate's lazily-decoded APL to
-	// RowBuilder's per-activity callback without a per-candidate closure;
-	// prepare pre-decodes every query activity, so aplFn only reads
-	// memoized blocks.
-	curAPL *APL
-	aplFn  func(a trajectory.ActivityID) []uint32
+	// store's trajectory count from memory instead of disk.
+	delta DeltaSource
 
 	// region, when non-nil, restricts matching spatially: candidate rows
 	// are filtered to trajectory points inside it right after row build, so
@@ -94,15 +92,20 @@ type Evaluator struct {
 	rb        matcher.RowBuilder
 	coordsBuf []geo.Point
 	blobBuf   []byte
-	actLists  [][]uint32 // per query activity: decoded postings (scratch)
-	mergePos  []int      // k-way merge cursors (scratch)
-	needIdx   []uint32   // union of needed point indexes (scratch)
+	actPos    []int      // per query activity: its position in the candidate's header (scratch)
+	actLists  [][]uint32 // per query activity: the candidate's postings (scratch)
+	needBits  []uint64   // union of needed point indexes, as a bitmap (scratch)
+	needIdx   []uint32   // the same union read back ascending (scratch)
 	sortKeys  []uint64   // batch locality sort keys (scratch)
-	// allActs memoizes q.AllActs() for the query whose Pts backing array is
-	// allActsPts: engines score many candidates against one query, and the
-	// union does not change between them.
-	allActsPts []query.Point
-	allActs    trajectory.ActivitySet
+	// The query plan, memoized for the query whose Pts backing array is
+	// planPts (engines score many candidates against one query): allActs is
+	// q.AllActs(), and slots holds, query point by query point and in the
+	// order of each point's Acts, the position of that activity in allActs —
+	// so a candidate's activity lists are resolved once per distinct
+	// activity and shared by every query point that asks for it.
+	planPts []query.Point
+	allActs trajectory.ActivitySet
+	slots   []int
 }
 
 // NewEvaluator returns an evaluator over ts with the sketch filter enabled.
@@ -116,14 +119,7 @@ func (e *Evaluator) Store() *TrajStore { return e.ts }
 // SetDelta attaches a delta source: candidates with IDs at or beyond the
 // base store's trajectory count are validated and scored from it, entirely
 // in memory. Pass nil to detach.
-func (e *Evaluator) SetDelta(d DeltaSource) {
-	e.delta = d
-	if d != nil && e.deltaFn == nil {
-		e.deltaFn = func(a trajectory.ActivityID) []uint32 {
-			return e.delta.Postings(e.deltaID, a)
-		}
-	}
-}
+func (e *Evaluator) SetDelta(d DeltaSource) { e.delta = d }
 
 // SetRegion attaches (nil detaches) the spatial match filter for the next
 // candidates: only trajectory points inside r may match query points.
@@ -211,62 +207,98 @@ func (e *Evaluator) ScoreOATSQ(q query.Query, id trajectory.TrajID, threshold fl
 // candidate rows and the trajectory length. The rows alias evaluator
 // scratch and are valid until the next prepare.
 //
+// The candidate's header is resolved against the query's activities once
+// (locateActs); from there on lists are addressed by header position and
+// query points by slot, so no activity is looked up twice. A delta-resident
+// candidate runs the same resolve → lists → build path over its in-memory
+// entry, with no disk or cache traffic to charge.
+//
 // Disk and cache traffic is attributed to stats here, at the point of the
 // fetch, rather than by diffing the shared pool/cache counters: local
 // attribution stays exact when many searches run concurrently over the
 // same store.
 func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, stats *query.SearchStats) ([]matcher.QueryRow, int, Outcome, error) {
 	all := e.queryActs(q)
-	if e.delta != nil && int(id) >= e.ts.NumTrajs() {
-		return e.prepareDelta(q, id, all, stats)
+	if cap(e.actPos) < len(all) {
+		e.actPos = make([]int, len(all))
+		e.actLists = make([][]uint32, len(all))
 	}
-	if e.UseSketch {
-		if !e.ts.TAS(id).CoversAll(all) {
+	pos, lists := e.actPos[:len(all)], e.actLists[:len(all)]
+
+	var coords []geo.Point
+	if e.delta != nil && int(id) >= e.ts.NumTrajs() {
+		ent := e.delta.Entry(id)
+		if e.UseSketch && !ent.TAS.CoversAll(all) {
 			stats.SketchRejected++
 			return nil, 0, RejectedSketch, nil
 		}
-	}
-	apl, blob, err := e.ts.fetchAPL(id, stats, e.blobBuf)
-	e.blobBuf = blob
-	if err != nil {
-		return nil, 0, Scored, err
-	}
-	// Containment over the header's activity set: a reject never reads or
-	// decodes a posting block.
-	for _, a := range all {
-		if !apl.Has(a) {
+		if !locateActs(ent.Acts, all, pos) {
+			stats.APLRejected++
+			return nil, 0, RejectedAPL, nil
+		}
+		for i, p := range pos {
+			lists[i] = ent.Lists[p]
+		}
+		coords = ent.Coords
+	} else {
+		if e.UseSketch && !e.ts.TAS(id).CoversAll(all) {
+			stats.SketchRejected++
+			return nil, 0, RejectedSketch, nil
+		}
+		apl, blob, err := e.ts.fetchAPL(id, stats, e.blobBuf)
+		e.blobBuf = blob
+		if err != nil {
+			return nil, 0, Scored, err
+		}
+		// Containment over the header's activity set: a reject never reads
+		// or decodes a posting block.
+		if !locateActs(apl.acts, all, pos) {
 			stats.APLRejected++
 			stats.HeaderOnlyRejects++
 			return nil, 0, RejectedAPL, nil
 		}
-	}
-	// Decode exactly the query activities' blocks (memoized on the shared
-	// APL) and collect the union of point indexes the rows will touch.
-	e.actLists = e.actLists[:0]
-	for _, a := range all {
-		list, err := apl.postings(a, stats)
+		// Decode exactly the query activities' blocks (memoized on the
+		// shared APL) and fetch the points the rows will touch.
+		for i, p := range pos {
+			if lists[i], err = apl.postingsAt(p, stats); err != nil {
+				return nil, 0, Scored, err
+			}
+		}
+		e.unionIdx(lists, e.ts.NumPoints(id))
+		coords, e.coordsBuf, err = e.ts.fetchCoordsSparse(id, e.needIdx, e.coordsBuf, stats)
 		if err != nil {
 			return nil, 0, Scored, err
 		}
-		e.actLists = append(e.actLists, list)
 	}
-	e.needIdx = mergeUnique(e.needIdx[:0], e.actLists, &e.mergePos)
-	coords, scratch, err := e.ts.fetchCoordsSparse(id, e.needIdx, e.coordsBuf, stats)
-	e.coordsBuf = scratch
-	if err != nil {
-		return nil, 0, Scored, err
-	}
-	e.curAPL = apl
-	if e.aplFn == nil {
-		e.aplFn = func(a trajectory.ActivityID) []uint32 {
-			return e.curAPL.cachedPostings(a)
-		}
-	}
-	rows := e.rb.Build(q.Pts, e.aplFn, coords)
+	rows := e.rb.Build(q.Pts, e.slots, lists, coords)
 	if e.region != nil {
 		e.filterRegion(rows, coords)
 	}
-	return rows, e.ts.NumPoints(id), Scored, nil
+	return rows, len(coords), Scored, nil
+}
+
+// unionIdx leaves in e.needIdx the ascending union of lists, whose elements
+// all lie below n: the lists are OR-ed into a bitmap over the trajectory's
+// points and the set bits read back in order.
+func (e *Evaluator) unionIdx(lists [][]uint32, n int) {
+	nw := (n + 63) / 64
+	if cap(e.needBits) < nw {
+		e.needBits = make([]uint64, nw)
+	}
+	words := e.needBits[:nw]
+	for _, l := range lists {
+		for _, p := range l {
+			words[p>>6] |= 1 << (p & 63)
+		}
+	}
+	need := e.needIdx[:0]
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			need = append(need, uint32(w<<6|bits.TrailingZeros64(word)))
+		}
+		words[w] = 0
+	}
+	e.needIdx = need
 }
 
 // MatchSets re-derives, for an already-scored result, which trajectory
@@ -295,71 +327,20 @@ func (e *Evaluator) MatchSets(q query.Query, id trajectory.TrajID, ordered bool,
 	return covers, nil
 }
 
-// mergeUnique appends the ascending union of the ascending lists to dst.
-// pos is cursor scratch, grown as needed.
-func mergeUnique(dst []uint32, lists [][]uint32, pos *[]int) []uint32 {
-	p := (*pos)[:0]
-	for range lists {
-		p = append(p, 0)
-	}
-	*pos = p
-	for {
-		min := uint32(0)
-		found := false
-		for b, l := range lists {
-			if c := p[b]; c < len(l) && (!found || l[c] < min) {
-				min = l[c]
-				found = true
-			}
-		}
-		if !found {
-			return dst
-		}
-		for b, l := range lists {
-			if c := p[b]; c < len(l) && l[c] == min {
-				p[b]++
-			}
-		}
-		dst = append(dst, min)
-	}
-}
-
 // PrefetchBatch reorders ids in place so candidates are scored in APL page
 // order (delta-resident candidates, which cost no disk, go last in ID
 // order) and warms the buffer pool with the header pages of the APLs that
 // are not already decoded in the cache — one ascending readahead sweep
 // instead of heap-pop-order point reads. Scoring order does not affect
 // results: the top-k set under (distance, ID) is order-independent, so
-// engines are free to batch for locality.
+// engines are free to batch for locality. ids may hold duplicates (the
+// cross-query superbatch passes the union of several requests' likely
+// candidates); the readahead is purely a pool hint and changes no search's
+// results or accounting.
 func (e *Evaluator) PrefetchBatch(ids []trajectory.TrajID) {
-	if len(ids) < 2 {
-		if len(ids) == 1 && int(ids[0]) < e.ts.NumTrajs() && !e.ts.APLCached(ids[0]) {
-			e.ts.PrefetchAPLHeader(ids[0])
-		}
-		return
+	if len(ids) > 1 {
+		e.sortByAPLPage(ids)
 	}
-	e.sortByAPLPage(ids)
-	e.prefetchHeadersSorted(ids)
-}
-
-// PrefetchHeaders warms the buffer pool with the APL header pages of ids —
-// the cross-query superbatch variant of PrefetchBatch: the caller passes
-// the union of several co-located queries' likely candidates, and the
-// shared pages fault once here instead of once per query. ids is reordered
-// in place (page order, delta candidates last) and may contain duplicates;
-// the readahead is purely a pool hint and changes no search's results or
-// accounting.
-func (e *Evaluator) PrefetchHeaders(ids []trajectory.TrajID) {
-	if len(ids) == 0 {
-		return
-	}
-	if len(ids) == 1 {
-		if int(ids[0]) < e.ts.NumTrajs() && !e.ts.APLCached(ids[0]) {
-			e.ts.PrefetchAPLHeader(ids[0])
-		}
-		return
-	}
-	e.sortByAPLPage(ids)
 	e.prefetchHeadersSorted(ids)
 }
 
@@ -418,51 +399,34 @@ func (e *Evaluator) prefetchHeadersSorted(ids []trajectory.TrajID) {
 	}
 }
 
-// prepareDelta is prepare for a candidate served by the delta layer: the
-// same TAS → containment → row-build pipeline, but every input is already
-// in memory, so no disk or cache traffic is charged.
-func (e *Evaluator) prepareDelta(q query.Query, id trajectory.TrajID, all trajectory.ActivitySet, stats *query.SearchStats) ([]matcher.QueryRow, int, Outcome, error) {
-	if e.UseSketch {
-		if !e.delta.TAS(id).CoversAll(all) {
-			stats.SketchRejected++
-			return nil, 0, RejectedSketch, nil
-		}
-	}
-	for _, a := range all {
-		if e.delta.Postings(id, a) == nil {
-			stats.APLRejected++
-			return nil, 0, RejectedAPL, nil
-		}
-	}
-	coords := e.delta.Coords(id)
-	e.deltaID = id
-	rows := e.rb.Build(q.Pts, e.deltaFn, coords)
-	if e.region != nil {
-		e.filterRegion(rows, coords)
-	}
-	return rows, len(coords), Scored, nil
-}
-
-// queryActs returns q.AllActs(), memoized on the query points' slice
-// identities so per-candidate calls within one search reuse the union. The
-// memo is refreshed whenever any point's Acts slice is replaced; mutating
-// an ActivitySet's elements in place between searches is not supported
-// (normalized sets are treated as immutable throughout the library).
+// queryActs returns q.AllActs() and refreshes the slot plan beside it,
+// memoized on the query points' slice identities so per-candidate calls
+// within one search reuse both. The memo is refreshed whenever any point's
+// Acts slice is replaced; mutating an ActivitySet's elements in place
+// between searches is not supported (normalized sets are treated as
+// immutable throughout the library).
 func (e *Evaluator) queryActs(q query.Query) trajectory.ActivitySet {
 	if e.sameQueryPts(q.Pts) {
 		return e.allActs
 	}
-	e.allActsPts = append(e.allActsPts[:0], q.Pts...)
+	e.planPts = append(e.planPts[:0], q.Pts...)
 	e.allActs = q.AllActs()
+	e.slots = e.slots[:0]
+	for _, p := range q.Pts {
+		for _, a := range p.Acts {
+			slot, _ := slices.BinarySearch(e.allActs, a)
+			e.slots = append(e.slots, slot)
+		}
+	}
 	return e.allActs
 }
 
 func (e *Evaluator) sameQueryPts(pts []query.Point) bool {
-	if len(pts) != len(e.allActsPts) {
+	if len(pts) != len(e.planPts) {
 		return false
 	}
 	for i := range pts {
-		a, b := pts[i].Acts, e.allActsPts[i].Acts
+		a, b := pts[i].Acts, e.planPts[i].Acts
 		if len(a) != len(b) {
 			return false
 		}

@@ -334,6 +334,7 @@ type APL struct {
 	ref    storage.SegRef
 	hdrLen uint32
 	ts     *TrajStore // nil when built from a fully in-memory blob
+	numPts uint32     // the trajectory's point count (set with ts)
 
 	mu    sync.Mutex
 	body  atomic.Pointer[[]byte]
@@ -356,31 +357,47 @@ func (a *APL) Activities() []trajectory.ActivityID { return a.acts }
 // Decode errors surface as nil; use the TrajStore fetch path for attributed,
 // error-checked access.
 func (a *APL) Postings(act trajectory.ActivityID) []uint32 {
-	var discard query.SearchStats
-	list, _ := a.postings(act, &discard)
-	return list
-}
-
-// cachedPostings returns the memoized postings for act, nil when the
-// activity is absent or its block has not been decoded yet. Lock-free.
-func (a *APL) cachedPostings(act trajectory.ActivityID) []uint32 {
 	i, ok := slices.BinarySearch(a.acts, act)
 	if !ok {
 		return nil
 	}
-	if p := a.lists[i].Load(); p != nil {
-		return *p
-	}
-	return nil
+	var discard query.SearchStats
+	list, _ := a.postingsAt(i, &discard)
+	return list
 }
 
-// postings decodes (or returns the memoized) block for act, charging page
-// and byte traffic to stats.
-func (a *APL) postings(act trajectory.ActivityID, stats *query.SearchStats) ([]uint32, error) {
-	i, ok := slices.BinarySearch(a.acts, act)
-	if !ok {
-		return nil, nil
+// locateActs resolves the ascending activity set want against the ascending
+// header acts in one forward pass, writing the header position of want[i] to
+// pos[i]. It returns false at the first activity the header lacks. The
+// cursor gallops, so a few query activities against a long header cost the
+// logarithm of the gap between them each.
+func locateActs(acts, want []trajectory.ActivityID, pos []int) bool {
+	lo := 0
+	for i, w := range want {
+		// Gallop to a window [lo, hi] holding the first element >= w, if
+		// there is one, and bisect only that.
+		hi, step := lo, 1
+		for hi < len(acts) && acts[hi] < w {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		at, ok := slices.BinarySearch(acts[lo:min(hi+1, len(acts))], w)
+		if !ok {
+			return false
+		}
+		lo += at
+		pos[i] = lo
+		lo++
 	}
+	return true
+}
+
+// postingsAt decodes (or returns the memoized) block of the activity at
+// header position i, charging page and byte traffic to stats. A freshly
+// decoded list is checked against the trajectory's point count, so every
+// list the evaluator sees indexes inside the trajectory.
+func (a *APL) postingsAt(i int, stats *query.SearchStats) ([]uint32, error) {
 	if p := a.lists[i].Load(); p != nil {
 		return *p, nil
 	}
@@ -398,10 +415,17 @@ func (a *APL) postings(act trajectory.ActivityID, stats *query.SearchStats) ([]u
 	}
 	list, used, err := invindex.DecodePostings(body[start:end])
 	if err != nil {
-		return nil, fmt.Errorf("evaluate: APL block for activity %d: %w", act, err)
+		return nil, fmt.Errorf("evaluate: APL block for activity %d: %w", a.acts[i], err)
 	}
 	if used != int(end-start) {
-		return nil, fmt.Errorf("evaluate: APL block for activity %d has %d trailing bytes", act, int(end-start)-used)
+		return nil, fmt.Errorf("evaluate: APL block for activity %d has %d trailing bytes", a.acts[i], int(end-start)-used)
+	}
+	if a.ts != nil {
+		for _, idx := range list {
+			if idx >= a.numPts {
+				return nil, fmt.Errorf("evaluate: APL block for activity %d: point index %d outside trajectory (%d points)", a.acts[i], idx, a.numPts)
+			}
+		}
 	}
 	stats.BytesDecoded += int64(end - start)
 	l := []uint32(list)
@@ -470,6 +494,7 @@ func (ts *TrajStore) fetchAPL(id trajectory.TrajID, stats *query.SearchStats, bl
 	}
 	apl.ref = ref
 	apl.ts = ts
+	apl.numPts = ts.numPts[id]
 	if ts.aplCache != nil {
 		ts.aplCache.Put(id, apl)
 	}
@@ -485,13 +510,6 @@ func (ts *TrajStore) APLCached(id trajectory.TrajID) bool {
 // APLPage returns the first page of trajectory id's APL segment — the sort
 // key batched scoring uses to order candidate fetches for page locality.
 func (ts *TrajStore) APLPage(id trajectory.TrajID) uint32 { return ts.aplRefs[id].Page }
-
-// PrefetchAPLHeader warms the buffer pool with the header pages of
-// trajectory id's APL (a readahead hint; no logical access is counted).
-func (ts *TrajStore) PrefetchAPLHeader(id trajectory.TrajID) {
-	first, past := ts.aplRefs[id].PageRange(0, ts.aplHdrLens[id])
-	ts.store.Prefetch(first, past)
-}
 
 // PoolStats exposes the buffer-pool counters for per-search accounting.
 func (ts *TrajStore) PoolStats() storage.PoolStats { return ts.store.Stats() }
@@ -688,8 +706,8 @@ func decodeAPL(blob []byte) (*APL, error) {
 	body := append([]byte(nil), blob[a.hdrLen:]...)
 	a.body.Store(&body)
 	var discard query.SearchStats
-	for _, act := range a.acts {
-		if _, err := a.postings(act, &discard); err != nil {
+	for i := range a.acts {
+		if _, err := a.postingsAt(i, &discard); err != nil {
 			return nil, err
 		}
 	}

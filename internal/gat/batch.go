@@ -46,5 +46,5 @@ func (e *Engine) WarmSuperbatch(reqs []query.Request) {
 			}
 		}
 	}
-	e.ev.PrefetchHeaders(ids)
+	e.ev.PrefetchBatch(ids)
 }

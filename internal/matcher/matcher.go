@@ -44,7 +44,10 @@ type Matcher struct {
 	queue []uint32
 	gPrev []float64
 	gCur  []float64
-	wpts  []WeightedPoint
+	// wpts and maskSlot are rowPointMatch's scratch: the one-per-mask points
+	// and the mask → wpts position table.
+	wpts     []WeightedPoint
+	maskSlot []int32
 	// Subtrajectory (span) scratch; see span.go.
 	spanUnion []int32
 	spanRows  []QueryRow

@@ -3,9 +3,9 @@ package matcher
 // QueryRow is one query point's view of a candidate trajectory: the indexes
 // (ascending trajectory positions), distances and coverage masks of the
 // points that carry at least one of the query point's activities. NumActs
-// is |q.Φ| for that query point. Rows are built either from Activity
-// Posting Lists (GAT, IL) or by scanning trajectory points (RT, IRT); see
-// rows.go.
+// is |q.Φ| for that query point. Rows are built from Activity Posting Lists
+// (RowBuilder, every engine) or by scanning trajectory points (the
+// reference builder); see rows.go.
 type QueryRow struct {
 	NumActs int
 	Idx     []int32
@@ -28,11 +28,7 @@ func (m *Matcher) MinMatch(rows []QueryRow, threshold float64) float64 {
 		if row.Empty() && row.NumActs > 0 {
 			return Inf
 		}
-		m.wpts = m.wpts[:0]
-		for i := range row.Idx {
-			m.wpts = append(m.wpts, WeightedPoint{Dist: row.Dist[i], Mask: row.Mask[i]})
-		}
-		d := m.MinPointMatch(row.NumActs, m.wpts)
+		d := m.rowPointMatch(row.NumActs, row.Dist, row.Mask)
 		if d == Inf {
 			return Inf
 		}

@@ -29,6 +29,53 @@ func (m *Matcher) MinPointMatch(nq int, pts []WeightedPoint) float64 {
 	return m.MinPointMatchSorted(nq, pts)
 }
 
+// rowPointMatch computes Dmpm over the row entries (dist[i], mask[i]) — a
+// whole row or a window of one — with the same float64 bits MinPointMatch
+// returns for them. Algorithm 3 can only ever use the nearest point of each
+// coverage mask: a farther point with a mask already seen arrives at
+// H[mask] <= its distance and changes nothing, and early termination only
+// ever skips such no-ops. So the entries are collapsed to one point per
+// distinct mask (at most 2^nq - 1 of them, whatever the row's length) and
+// only those are sorted and handed to MinPointMatchSorted.
+func (m *Matcher) rowPointMatch(nq int, dist []float64, mask []uint32) float64 {
+	if nq <= 0 {
+		return 0
+	}
+	m.wpts = m.wpts[:0]
+	if nq > maxArrayActs {
+		// No dense per-mask table for queries this wide (query.Validate
+		// rejects them long before): sort the whole range.
+		for i, d := range dist {
+			m.wpts = append(m.wpts, WeightedPoint{Dist: d, Mask: mask[i]})
+		}
+		return m.MinPointMatch(nq, m.wpts)
+	}
+	full := uint32(1)<<uint(nq) - 1
+	if len(m.maskSlot) <= int(full) {
+		m.maskSlot = make([]int32, full+1)
+	}
+	// maskSlot[k] is 1 + the position in wpts of mask k's nearest point so
+	// far, 0 when k has not been seen; the touched entries are cleared below.
+	slot := m.maskSlot
+	for i, d := range dist {
+		k := mask[i] & full
+		if k == 0 {
+			continue
+		}
+		if s := slot[k]; s == 0 {
+			m.wpts = append(m.wpts, WeightedPoint{Dist: d, Mask: k})
+			slot[k] = int32(len(m.wpts))
+		} else if d < m.wpts[s-1].Dist {
+			m.wpts[s-1].Dist = d
+		}
+	}
+	for _, p := range m.wpts {
+		slot[p.Mask] = 0
+	}
+	SortByDist(m.wpts)
+	return m.MinPointMatchSorted(nq, m.wpts)
+}
+
 // MinPointMatchSorted is MinPointMatch for pts already sorted by ascending
 // distance. It is a faithful implementation of the paper's Algorithm 3:
 // a hash table H keyed by query-activity subsets holds the best known match

@@ -1,14 +1,18 @@
 package matcher
 
 import (
+	"math/bits"
+
 	"activitytraj/internal/geo"
 	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
 )
 
 // BuildRowsFromPoints builds the per-query-point candidate rows for a
-// trajectory whose points are fully in memory — the path used by the R-tree
-// and IR-tree baselines, which fetch whole trajectories.
+// trajectory whose points are fully in memory, by scanning every point
+// against every query point. Every engine scores through RowBuilder; this
+// is the independent reference the tests (and the benchmark's matcher
+// probe) compare it against.
 func BuildRowsFromPoints(qpts []query.Point, pts []trajectory.Point) []QueryRow {
 	rows := make([]QueryRow, len(qpts))
 	for qi, qp := range qpts {
@@ -31,28 +35,36 @@ func BuildRowsFromPoints(qpts []query.Point, pts []trajectory.Point) []QueryRow 
 // so the per-candidate hot path of a search allocates nothing once warm.
 // The returned rows alias the builder and are valid until the next Build.
 type RowBuilder struct {
-	rows  []QueryRow
-	lists [][]uint32
-	pos   []int
+	rows []QueryRow
+	// Per-trajectory-point scratch, all zero between rows: bit p of words
+	// is set and mask[p] holds point p's coverage while a row is scattered.
+	words []uint64
+	mask  []uint32
 }
 
-// Build builds candidate rows from Activity Posting Lists — the path used
-// by GAT and IL, which read only the relevant point indexes from disk.
-// postings returns the ascending point indexes of the trajectory that carry
-// activity a (nil when absent); coords are the trajectory's point
-// locations. The per-activity lists are k-way-merged directly (they are
-// already ascending), so no scatter map and no sort.
-func (rb *RowBuilder) Build(
-	qpts []query.Point,
-	postings func(a trajectory.ActivityID) []uint32,
-	coords []geo.Point,
-) []QueryRow {
+// Build builds candidate rows from Activity Posting Lists. lists holds the
+// candidate's posting list (ascending trajectory point indexes) of every
+// distinct query activity; slots names, query point by query point and in
+// the order of each point's Acts, which of them that activity is. coords
+// are the trajectory's point locations, and every posting must index into
+// them.
+//
+// Each query point's lists are scattered into a bitmap and a per-point mask
+// over the trajectory's points, and one ascending scan of the bitmap emits
+// the row, so a row costs its postings plus a word or two of bitmap — no
+// cursor merge, no sort.
+func (rb *RowBuilder) Build(qpts []query.Point, slots []int, lists [][]uint32, coords []geo.Point) []QueryRow {
 	if cap(rb.rows) < len(qpts) {
 		grown := make([]QueryRow, len(qpts))
 		copy(grown, rb.rows)
 		rb.rows = grown
 	}
 	rb.rows = rb.rows[:len(qpts)]
+	if len(rb.mask) < len(coords) {
+		rb.mask = make([]uint32, len(coords))
+		rb.words = make([]uint64, (len(coords)+63)/64)
+	}
+	words := rb.words[:(len(coords)+63)/64]
 	for qi := range qpts {
 		qp := &qpts[qi]
 		row := &rb.rows[qi]
@@ -61,35 +73,22 @@ func (rb *RowBuilder) Build(
 		row.Dist = row.Dist[:0]
 		row.Mask = row.Mask[:0]
 
-		rb.lists = rb.lists[:0]
-		rb.pos = rb.pos[:0]
-		for _, a := range qp.Acts {
-			rb.lists = append(rb.lists, postings(a))
-			rb.pos = append(rb.pos, 0)
+		for b, slot := range slots[:len(qp.Acts)] {
+			for _, p := range lists[slot] {
+				words[p>>6] |= 1 << (p & 63)
+				rb.mask[p] |= 1 << uint(b)
+			}
 		}
-		for {
-			// Next unconsumed point index across the activity lists.
-			min := uint32(0)
-			found := false
-			for b, l := range rb.lists {
-				if p := rb.pos[b]; p < len(l) && (!found || l[p] < min) {
-					min = l[p]
-					found = true
-				}
+		slots = slots[len(qp.Acts):]
+		for w, word := range words {
+			for ; word != 0; word &= word - 1 {
+				p := w<<6 | bits.TrailingZeros64(word)
+				row.Idx = append(row.Idx, int32(p))
+				row.Dist = append(row.Dist, geo.Dist(qp.Loc, coords[p]))
+				row.Mask = append(row.Mask, rb.mask[p])
+				rb.mask[p] = 0
 			}
-			if !found {
-				break
-			}
-			var mask uint32
-			for b, l := range rb.lists {
-				if p := rb.pos[b]; p < len(l) && l[p] == min {
-					mask |= 1 << uint(b)
-					rb.pos[b]++
-				}
-			}
-			row.Idx = append(row.Idx, int32(min))
-			row.Dist = append(row.Dist, geo.Dist(qp.Loc, coords[min]))
-			row.Mask = append(row.Mask, mask)
+			words[w] = 0
 		}
 	}
 	return rb.rows

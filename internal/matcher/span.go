@@ -182,11 +182,7 @@ func (m *Matcher) spanRowMins(rows []QueryRow, threshold float64) bool {
 		if row.Empty() {
 			return false
 		}
-		m.wpts = m.wpts[:0]
-		for r := range row.Idx {
-			m.wpts = append(m.wpts, WeightedPoint{Dist: row.Dist[r], Mask: row.Mask[r]})
-		}
-		d := m.MinPointMatch(row.NumActs, m.wpts)
+		d := m.rowPointMatch(row.NumActs, row.Dist, row.Mask)
 		if d == Inf {
 			return false
 		}
@@ -230,11 +226,7 @@ func (m *Matcher) runCostATSQ(rows []QueryRow, lo, hi int32, limit float64, mins
 		if rlo == rhi {
 			return Inf // a required query point has no point in this window
 		}
-		m.wpts = m.wpts[:0]
-		for r := rlo; r < rhi; r++ {
-			m.wpts = append(m.wpts, WeightedPoint{Dist: row.Dist[r], Mask: row.Mask[r]})
-		}
-		d := m.MinPointMatch(row.NumActs, m.wpts)
+		d := m.rowPointMatch(row.NumActs, row.Dist[rlo:rhi], row.Mask[rlo:rhi])
 		if d == Inf {
 			return Inf
 		}
