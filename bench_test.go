@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,12 +308,14 @@ func BenchmarkSubtrajectorySearch(b *testing.B) {
 	b.ReportMetric(float64(pages)/float64(len(qs)), "pages/search")
 }
 
-// BenchmarkMixedPageReads runs the harness's read-heavy (95/5) mixed
-// search/insert workload on the LA preset against a dynamic index and
-// reports the simulated disk pages touched per search — the I/O budget the
-// candidate pipeline is optimized against. Concurrency makes the APL-cache
-// hit pattern (and so the exact page count) vary slightly between runs; CI
-// gates it with headroom.
+// BenchmarkMixedPageReads runs a read-heavy (95/5) mixed search/insert
+// workload on the LA preset against a dynamic index — 80% of the corpus
+// compiled into the base, the rest streamed in by 4 workers beside their
+// searches, the compaction threshold at half the stream so a generation
+// swap lands mid-run — and reports the simulated disk pages touched per
+// search: the I/O budget the candidate pipeline is optimized against.
+// Concurrency makes the APL-cache hit pattern (and so the exact page count)
+// vary slightly between runs; CI gates it with headroom.
 func BenchmarkMixedPageReads(b *testing.B) {
 	ds := benchDataset(b, "LA")
 	qs := benchWorkload(b, ds, queries.Config{Seed: 41})
@@ -326,35 +329,72 @@ func BenchmarkMixedPageReads(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := harness.RunMixedWorkload(d, stream, qs, harness.MixedOptions{
-			ReadFraction: 0.95,
-			Ops:          4 * len(stream),
-			K:            queries.DefaultK,
-			Workers:      4,
-			Seed:         7,
-		})
+		p, err := mixedPagesPerSearch(d, stream, qs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pages += res.PagesPerSearch()
+		pages += p
 	}
 	// Average over iterations: each run's cache pattern varies slightly
 	// under concurrency, and the mean is the tighter signal for the CI gate.
 	b.ReportMetric(pages/float64(b.N), "pages/search")
 }
 
+// mixedPagesPerSearch drives 4·len(stream) operations at d from 4 workers,
+// each on its own engine clone: an operation is a search from qs
+// (round-robin) with probability 0.95, otherwise an insert of the next
+// stream trajectory (a search once the stream is drained). The seeds and the
+// draw order are part of the recorded baseline — change them and
+// pages/search in BENCH_baseline.json no longer compares.
+func mixedPagesPerSearch(d *delta.Dynamic, stream []trajectory.Trajectory, qs []query.Query) (float64, error) {
+	const workers, readFraction = 4, 0.95
+	ops := 4 * len(stream)
+	var opCursor, streamCursor, qCursor, pageReads, searches atomic.Int64
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(7 + int64(w)*7919))
+			eng := d.NewEngine()
+			for errs[w] == nil && int(opCursor.Add(1)) <= ops {
+				if rng.Float64() >= readFraction {
+					if si := int(streamCursor.Add(1)) - 1; si < len(stream) {
+						_, errs[w] = d.Insert(trajectory.Trajectory{Pts: stream[si].Pts})
+						continue
+					}
+				}
+				q := qs[int(qCursor.Add(1)-1)%len(qs)]
+				var resp query.Response
+				resp, errs[w] = eng.Search(context.Background(), query.Request{Query: q, K: queries.DefaultK})
+				pageReads.Add(int64(resp.Stats.PageReads))
+				searches.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	return float64(pageReads.Load()) / float64(searches.Load()), d.LastCompactErr()
+}
+
 // BenchmarkShardedSearch measures the sharded serving layer on the LA
-// preset: a 4-shard router answers the workload through the scatter-gather
-// engine (4-worker budget = 1 clone × 4-shard fan-out, the division the
-// harness applies on constrained runners). The pool is built once, outside
-// the timer; every iteration starts from cold shard caches, so pages/search
-// is the cost of cross-shard candidate exploration — a far shard is not
-// skipped (every shard's rectangle covers most of the city, so shards/query
-// reads 4; its CI ceiling only says it can never exceed the shard count), it
-// terminates earlier on the shared global bound, and a bound-sharing
-// regression shows up as page inflation. allocs/search is one more pass on
-// the now-warm pool: the per-search cost of four legs (goroutines, the
-// shared collector, per-leg requests), to read beside the single index's 20.
+// preset: a 4-shard router answers the workload through its scatter-gather
+// engine, one request in flight at a time — every search already fans out
+// over 4 shard goroutines, so one engine clone is what a 4-worker budget
+// buys on a constrained runner. The engine is built once, outside the timer;
+// every iteration starts from cold shard caches, so pages/search is the cost
+// of cross-shard candidate exploration — a far shard is not skipped (every
+// shard's rectangle covers most of the city, so shards/query reads 4; its CI
+// ceiling only says it can never exceed the shard count), it terminates
+// earlier on the shared global bound, and a bound-sharing regression shows
+// up as page inflation. allocs/search is one more pass on the now-warm
+// engine: the per-search cost of four legs (goroutines, the shared
+// collector, per-leg requests), to read beside the single index's 20.
 func BenchmarkShardedSearch(b *testing.B) {
 	ds := benchDataset(b, "LA")
 	qs := benchWorkload(b, ds, queries.Config{Seed: 67})
@@ -362,21 +402,29 @@ func BenchmarkShardedSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := harness.NewShardedPool(r, 4)
-	run := func() harness.WorkloadResult {
-		res, err := harness.RunShardedWorkload(pool, qs, queries.DefaultK, false)
+	eng := r.NewEngine()
+	pe := query.NewParallelEngine(eng, 1)
+	run := func() (stats query.SearchStats) {
+		reqs := make([]query.Request, len(qs))
+		for i, q := range qs {
+			reqs[i] = query.Request{Query: q, K: queries.DefaultK}
+		}
+		resps, err := pe.SearchAll(context.Background(), reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res
+		for _, rp := range resps {
+			stats.Add(rp.Stats)
+		}
+		return stats
 	}
 	b.ResetTimer()
 	var pages, hit float64
 	for i := 0; i < b.N; i++ {
-		pool.ResetCaches()
-		res := run()
-		pages += float64(res.Stats.PageReads) / float64(len(qs))
-		hit += float64(res.Stats.ShardsSearched) / float64(len(qs))
+		eng.ResetCaches()
+		stats := run()
+		pages += float64(stats.PageReads) / float64(len(qs))
+		hit += float64(stats.ShardsSearched) / float64(len(qs))
 	}
 	b.StopTimer()
 	// Averages over iterations: the shared-bound race makes per-run page

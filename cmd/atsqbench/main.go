@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,8 +38,6 @@ func main() {
 	k := flag.Int("k", 9, "default result count (Table V)")
 	datasets := flag.String("datasets", "LA,NY", "comma-separated: LA,NY")
 	seed := flag.Int64("seed", 1, "workload seed")
-	workersFlag := flag.String("workers", "", "comma-separated worker counts for the throughput experiment (default 1,2,4,8)")
-	shardsFlag := flag.String("shards", "", "comma-separated shard counts for the sharded experiment (default 1,2,4)")
 	out := flag.String("o", "", "also write output to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
@@ -109,32 +106,12 @@ func main() {
 		}
 	}
 
-	parseCounts := func(flagName, spec string) []int {
-		var out []int
-		for _, part := range strings.Split(spec, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			n, err := strconv.Atoi(part)
-			if err != nil || n < 1 {
-				fatalf("bad %s entry %q", flagName, part)
-			}
-			out = append(out, n)
-		}
-		return out
-	}
-	workers := parseCounts("-workers", *workersFlag)
-	shards := parseCounts("-shards", *shardsFlag)
-
 	suite := harness.NewSuite(harness.Options{
 		Scale:    *scale,
 		Queries:  *queriesN,
 		K:        *k,
 		Datasets: names,
 		Seed:     *seed,
-		Workers:  workers,
-		Shards:   shards,
 	})
 
 	fmt.Fprintf(w, "activity trajectory search benchmark — %s\n", time.Now().Format(time.RFC3339))

@@ -15,12 +15,6 @@
 // HICL list a search resolves — once per search for each (level, query
 // point activity) it reaches, not once per cell popped.
 //
-// With -stream N, the tool exercises the dynamic index: the last N
-// trajectories are held out of the base build and ingested online through
-// DynamicIndex.Insert while the -random workload runs interleaved,
-// reporting search/insert latency and compaction activity as the delta
-// layer fills and is folded into fresh base generations.
-//
 // With -server URL, queries are not answered locally at all: each one is
 // POSTed to a running atsqserve instance's /v1/search endpoint and the
 // reply is printed through the same output path, so `-json` output from a
@@ -55,8 +49,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"activitytraj"
@@ -80,13 +72,10 @@ func main() {
 	seed := flag.Int64("seed", 0, "workload seed for -random (0 = time-based)")
 	jsonOut := flag.Bool("json", false, "print one canonical JSON line per query instead of text")
 	serverURL := flag.String("server", "", "answer queries via a running atsqserve instance at this base URL instead of a local engine")
-	workers := flag.Int("workers", 1, "serve -random queries concurrently on this many engine clones (0 = GOMAXPROCS)")
 	deadline := flag.Duration("deadline", 0, "per-query search budget (0 = none); local searches return a deadline error, -server runs send it as ?timeout= and report the 504")
 	retries := flag.Int("retries", 3, "max retries per -server query on transient failures (connection errors, 502/503), with capped exponential backoff")
 	watch := flag.Bool("watch", false, "with -server: register the query as a standing subscription and stream its live top-k as events arrive (SSE)")
 	watchEvents := flag.Int("events", 0, "with -watch: exit successfully after this many events (0 = stream until interrupted)")
-	stream := flag.Int("stream", 0, "hold out the last N trajectories and ingest them online (dynamic index) while the -random workload runs")
-	compactAt := flag.Int("compact-threshold", 0, "dynamic-index delta mutations before background compaction (0 = default, <0 = never)")
 	subtraj := flag.Bool("subtrajectory", false, "score each trajectory by its best contiguous point span instead of the whole trajectory; implies requesting matches so the winning span is reported")
 	minSpan := flag.Int("min-span", 0, "minimum span length in points for -subtrajectory (0 = unlimited)")
 	maxSpan := flag.Int("max-span", 0, "maximum span length in points for -subtrajectory (0 = unlimited)")
@@ -113,25 +102,6 @@ func main() {
 	}
 	banner("dataset %s: %d trajectories, %d points, %d distinct activities\n",
 		ds.Name, st.Trajectories, st.Points, st.DistinctActs)
-
-	if *stream > 0 {
-		// Fail loudly on flags streamIngest does not honor, instead of
-		// silently measuring a different configuration.
-		if strings.ToLower(*engineName) != "gat" {
-			log.Fatalf("-stream uses the dynamic GAT index; -engine %s is not supported", *engineName)
-		}
-		if *queryStr != "" {
-			log.Fatal("-stream generates its own workload; use -random N, not -query")
-		}
-		if *workers != 1 {
-			log.Fatal("-stream interleaves searches on one engine; -workers is not supported")
-		}
-		if *subtraj {
-			log.Fatal("-stream measures whole-trajectory search; -subtrajectory is not supported")
-		}
-		streamIngest(ds, *stream, *random, *k, *ordered, *compactAt)
-		return
-	}
 
 	var qs []activitytraj.Query
 	switch {
@@ -209,51 +179,6 @@ func main() {
 		return context.Background(), func() {}
 	}
 
-	if *workers != 1 && len(qs) > 1 {
-		// Concurrent serving: fan the whole batch out over engine clones.
-		pe, err := activitytraj.NewParallelEngine(engine, *workers)
-		if err != nil {
-			log.Fatalf("parallel: %v", err)
-		}
-		reqs := make([]activitytraj.Request, len(qs))
-		for i, q := range qs {
-			reqs[i] = mkRequest(q)
-		}
-		start := time.Now()
-		var resps []activitytraj.Response
-		if *deadline > 0 {
-			// -deadline is a PER-QUERY budget: each query gets its own
-			// context, fanned out over the pool (pe.Search borrows a clone,
-			// so the pool still provides the backpressure SearchAll would).
-			resps, err = searchEachWithDeadline(pe, reqs, *deadline)
-		} else {
-			resps, err = pe.SearchAll(context.Background(), reqs)
-		}
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				log.Fatalf("search: %v (per-query deadline %s)", err, *deadline)
-			}
-			log.Fatalf("search: %v", err)
-		}
-		elapsed := time.Since(start)
-		var stats activitytraj.SearchStats
-		for qi, q := range qs {
-			stats.Add(resps[qi].Stats)
-			if *jsonOut {
-				emitJSON(qi, resps[qi])
-				continue
-			}
-			describeQuery(qi, q, ds.Vocab)
-			printResults(resps[qi].Results, resps[qi].Spans, ds, *verbose)
-		}
-		banner("%d queries on %d workers in %s (%.0f queries/sec; candidates=%d scored=%d hdr-rejects=%d pages=%d decoded=%dKB decoded-cache hit/miss=%d/%d)\n",
-			len(qs), pe.Workers(), elapsed.Round(time.Microsecond),
-			float64(len(qs))/elapsed.Seconds(),
-			stats.Candidates, stats.Scored, stats.HeaderOnlyRejects, stats.PageReads,
-			stats.BytesDecoded/1024, stats.CacheHits, stats.CacheMisses)
-		return
-	}
-
 	for qi, q := range qs {
 		ctx, cancel := withDeadline()
 		start := time.Now()
@@ -278,45 +203,6 @@ func main() {
 			stats.CacheHits, stats.CacheMisses)
 		printResults(resp.Results, resp.Spans, ds, *verbose)
 	}
-}
-
-// searchEachWithDeadline answers each request under its own deadline-bound
-// context. Exactly pe.Workers() goroutines pull requests through a shared
-// cursor, so each query's timer starts when its search starts — a query
-// queued behind a full pool is never charged its wait. The first failure by
-// request index aborts the rest, mirroring SearchAll's contract.
-func searchEachWithDeadline(pe *activitytraj.ParallelEngine, reqs []activitytraj.Request, d time.Duration) ([]activitytraj.Response, error) {
-	resps := make([]activitytraj.Response, len(reqs))
-	errs := make([]error, len(reqs))
-	var cursor atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < pe.Workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), d)
-				resps[i], errs[i] = pe.Search(ctx, reqs[i])
-				cancel()
-				if errs[i] != nil {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return resps, fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	return resps, nil
 }
 
 // jsonLine is the canonical per-query output of -json mode: results only,
@@ -510,82 +396,6 @@ func readSSEEvent(br *bufio.Reader) (server.EventJSON, error) {
 			have = true
 		}
 	}
-}
-
-// streamIngest holds the last n trajectories out of the base build and
-// ingests them online, interleaving searches from a generated workload so
-// query latency is observed while the delta layer fills and compactions
-// swap generations underneath.
-func streamIngest(ds *activitytraj.Dataset, n, nq, k int, ordered bool, compactAt int) {
-	if n >= len(ds.Trajs) {
-		log.Fatalf("-stream %d leaves no base trajectories (dataset has %d)", n, len(ds.Trajs))
-	}
-	if nq <= 0 {
-		nq = 10
-	}
-	baseN := len(ds.Trajs) - n
-	base := &activitytraj.Dataset{Name: ds.Name, Vocab: ds.Vocab, Trajs: ds.Trajs[:baseN]}
-
-	buildStart := time.Now()
-	d, err := activitytraj.NewDynamic(base, activitytraj.DynamicConfig{CompactThreshold: compactAt})
-	if err != nil {
-		log.Fatalf("dynamic: %v", err)
-	}
-	eng := d.NewEngine()
-	fmt.Printf("dynamic index over %d base trajectories built in %s; streaming %d more\n",
-		baseN, time.Since(buildStart).Round(time.Millisecond), n)
-
-	qs, err := activitytraj.GenerateQueries(ds, activitytraj.WorkloadConfig{
-		NumQueries: nq, Seed: time.Now().UnixNano(),
-	})
-	if err != nil {
-		log.Fatalf("workload: %v", err)
-	}
-
-	// Interleave: spread the nq searches evenly through the insert stream.
-	every := n / nq
-	if every == 0 {
-		every = 1
-	}
-	var insertTotal, searchTotal time.Duration
-	inserts, searches := 0, 0
-	for i, tr := range ds.Trajs[baseN:] {
-		t0 := time.Now()
-		if _, err := d.Insert(activitytraj.Trajectory{Pts: tr.Pts}); err != nil {
-			log.Fatalf("insert %d: %v", i, err)
-		}
-		insertTotal += time.Since(t0)
-		inserts++
-		if i%every == every-1 && searches < nq {
-			q := qs[searches]
-			t0 = time.Now()
-			resp, err := eng.Search(context.Background(), activitytraj.Request{Query: q, K: k, Ordered: ordered})
-			lat := time.Since(t0)
-			searchTotal += lat
-			if err != nil {
-				log.Fatalf("search %d: %v", searches, err)
-			}
-			searches++
-			sst := resp.Stats
-			ist := d.Stats()
-			fmt.Printf("  [%4d/%d ingested] search %2d: %8s  (candidates=%d delta=%d epoch=%d compactions=%d)\n",
-				inserts, n, searches, lat.Round(time.Microsecond),
-				sst.Candidates, sst.DeltaCandidates, ist.Epoch, ist.Compactions)
-		}
-	}
-	// Let any in-flight background compaction settle before reporting.
-	for deadline := time.Now().Add(5 * time.Second); d.Stats().Compacting && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := d.LastCompactErr(); err != nil {
-		log.Fatalf("background compaction: %v", err)
-	}
-	ist := d.Stats()
-	fmt.Printf("\ningested %d trajectories (avg %s/insert), %d searches (avg %s)\n",
-		inserts, (insertTotal / time.Duration(inserts)).Round(time.Microsecond),
-		searches, (searchTotal / time.Duration(max(searches, 1))).Round(time.Microsecond))
-	fmt.Printf("final state: epoch=%d base=%d delta=%d tombstones=%d compactions=%d\n",
-		ist.Epoch, ist.BaseTrajectories, ist.DeltaTrajectories, ist.Tombstones, ist.Compactions)
 }
 
 func printResults(results []activitytraj.Result, spans [][2]int32, ds *activitytraj.Dataset, verbose bool) {

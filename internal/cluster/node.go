@@ -143,7 +143,7 @@ func OpenNode(base *trajectory.Dataset, layout *shard.Layout, cfg NodeConfig) (*
 		if rec.Seq != ri.LastSeq+1 {
 			return fmt.Errorf("%w: record seq %d does not continue %d", wal.ErrCorrupt, rec.Seq, ri.LastSeq)
 		}
-		if err := n.applyRecord(rec); err != nil {
+		if err := n.applyRecord(rec, nil); err != nil {
 			return err
 		}
 		ri.LastSeq = rec.Seq
@@ -214,6 +214,11 @@ func (n *Node) Trajectories() int {
 // every other mutation, so all replicas applying the same sequence assign
 // identical local IDs. The points slice is retained.
 func (n *Node) Insert(gid trajectory.TrajID, pts []trajectory.Point) (applied bool, err error) {
+	// Validate before logging: a record the index refuses would fail every
+	// later replay of the WAL, and the node would never boot again.
+	if err := n.d.Validate(trajectory.Trajectory{Pts: pts}); err != nil {
+		return false, err
+	}
 	n.wmu.Lock()
 	n.mu.RLock()
 	_, known := n.localOf[gid]
@@ -314,9 +319,13 @@ func (n *Node) applyInsert(gid trajectory.TrajID, pts []trajectory.Point) error 
 	return nil
 }
 
-// applyRecord applies one replication record without re-logging it (boot
-// replay). Callers are single-goroutine or hold wmu.
-func (n *Node) applyRecord(rec wal.Record) error {
+// applyRecord decodes, checks and applies one replication record. relog,
+// when non-nil, runs between the checks and the apply: catch-up appends the
+// shipped record to the local WAL there, so a record the index would refuse
+// is never logged; boot replay, whose records are already on disk, passes
+// nil. Callers are single-goroutine or hold wmu.
+func (n *Node) applyRecord(rec wal.Record, relog func() error) error {
+	var apply func() error
 	switch rec.Kind {
 	case recNodeInsert:
 		gid, pts, err := decodeNodeInsert(rec.Data)
@@ -326,11 +335,10 @@ func (n *Node) applyRecord(rec wal.Record) error {
 		if _, known := n.localOf[gid]; known {
 			return fmt.Errorf("%w: record %d re-inserts gid %d", wal.ErrCorrupt, rec.Seq, gid)
 		}
-		if err := n.applyInsert(gid, pts); err != nil {
-			return err
+		if err := n.d.Validate(trajectory.Trajectory{Pts: pts}); err != nil {
+			return fmt.Errorf("record %d: %w", rec.Seq, err)
 		}
-		n.memSeq.Add(1)
-		return nil
+		apply = func() error { return n.applyInsert(gid, pts) }
 	case recNodeDelete:
 		gid, err := decodeNodeDelete(rec.Data)
 		if err != nil {
@@ -340,14 +348,20 @@ func (n *Node) applyRecord(rec wal.Record) error {
 		if !known {
 			return fmt.Errorf("%w: record %d deletes unknown gid %d", wal.ErrCorrupt, rec.Seq, gid)
 		}
-		if err := n.d.Delete(local); err != nil {
-			return err
-		}
-		n.memSeq.Add(1)
-		return nil
+		apply = func() error { return n.d.Delete(local) }
 	default:
 		return fmt.Errorf("%w: record %d has unknown kind %d", wal.ErrCorrupt, rec.Seq, rec.Kind)
 	}
+	if relog != nil {
+		if err := relog(); err != nil {
+			return err
+		}
+	}
+	if err := apply(); err != nil {
+		return err
+	}
+	n.memSeq.Add(1)
+	return nil
 }
 
 // Search runs one search on the node using the caller-owned engine (engines
@@ -466,7 +480,10 @@ func (n *Node) ApplySegments(segs []WALSegment) (uint64, error) {
 			if rec.Seq != n.memSeq.Load()+1 {
 				return fmt.Errorf("cluster: catch-up gap: record seq %d after local seq %d (need earlier segments)", rec.Seq, n.memSeq.Load())
 			}
-			if n.log != nil {
+			return n.applyRecord(rec, func() error {
+				if n.log == nil {
+					return nil
+				}
 				seq, err := n.log.Append(rec.Kind, rec.Data)
 				if err != nil {
 					return err
@@ -475,8 +492,8 @@ func (n *Node) ApplySegments(segs []WALSegment) (uint64, error) {
 					return fmt.Errorf("cluster: local wal assigned seq %d to shipped record %d", seq, rec.Seq)
 				}
 				commits = append(commits, seq)
-			}
-			return n.applyRecord(rec)
+				return nil
+			})
 		})
 		return err
 	}()

@@ -1,0 +1,178 @@
+package cluster
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"activitytraj/internal/faultfs"
+	"activitytraj/internal/query"
+	"activitytraj/internal/shard"
+	"activitytraj/internal/trajectory"
+)
+
+// nodeOp is one step of a scripted node program: an insert of pts under gid,
+// or (pts == nil) a delete of gid.
+type nodeOp struct {
+	gid trajectory.TrajID
+	pts []trajectory.Point
+}
+
+func (op nodeOp) apply(n *Node) error {
+	if op.pts == nil {
+		return n.Delete(op.gid)
+	}
+	_, err := n.Insert(op.gid, op.pts)
+	return err
+}
+
+// nodeProgram scripts inserts of fresh gids interleaved with deletes of base
+// trajectories, of inserted ones, and a re-delete (a no-op that still logs).
+func nodeProgram(t *testing.T, ds *trajectory.Dataset, l *shard.Layout) []nodeOp {
+	t.Helper()
+	muts := mutationsFor(t, ds, l, 0, 6)
+	var g []trajectory.TrajID
+	for gid := range muts {
+		g = append(g, gid)
+	}
+	slices.Sort(g)
+	_, base := l.SubDataset(ds, 0)
+	ins := func(i int) nodeOp { return nodeOp{g[i], muts[g[i]]} }
+	del := func(gid trajectory.TrajID) nodeOp { return nodeOp{gid: gid} }
+	return []nodeOp{
+		ins(0), ins(1), del(base[0]), ins(2), del(g[0]), ins(3),
+		del(base[len(base)/2]), ins(4), del(g[3]), ins(5), del(g[0]),
+	}
+}
+
+// requireSameNode compares everything a node exposes about its mutation
+// history with a twin's: the sequence, the gid mappings, and the answers.
+func requireSameNode(t *testing.T, label string, got, want *Node, ops []nodeOp, qs []query.Query) {
+	t.Helper()
+	if got.LastSeq() != want.LastSeq() || got.Trajectories() != want.Trajectories() || got.NextGID() != want.NextGID() {
+		t.Fatalf("%s: seq/trajectories/nextGID = %d/%d/%d, want %d/%d/%d", label,
+			got.LastSeq(), got.Trajectories(), got.NextGID(),
+			want.LastSeq(), want.Trajectories(), want.NextGID())
+	}
+	for _, op := range ops {
+		if got.Owns(op.gid) != want.Owns(op.gid) {
+			t.Fatalf("%s: Owns(%d) = %v, want %v", label, op.gid, got.Owns(op.gid), want.Owns(op.gid))
+		}
+	}
+	ge, we := got.Dynamic().NewEngine(), want.Dynamic().NewEngine()
+	for _, q := range qs {
+		requireSameResults(t, label, searchNode(t, want, we, q, 10), searchNode(t, got, ge, q, 10))
+	}
+}
+
+// TestNodeCrashMatrix crashes a durable node at every filesystem operation
+// of a scripted insert/delete program — every write (clean and torn), every
+// fsync, every segment create — reopens it on a healthy filesystem and
+// requires the recovered node to be exactly a twin that applied a prefix of
+// the program: at least every acknowledged mutation, at most the one that
+// was in flight, nothing out of order. The recovered node must then take the
+// rest of the program and still match.
+func TestNodeCrashMatrix(t *testing.T) {
+	ds := testDataset(t, 150)
+	l := testLayout(t, ds, 2)
+	ops := nodeProgram(t, ds, l)
+	qs := testWorkload(t, ds, 4)
+	// Small segments, so the program crosses several rotations.
+	cfgFor := func(dir string, ffs *faultfs.FS) NodeConfig {
+		cfg := NodeConfig{Shard: 0, Dir: dir, SegmentBytes: 256}
+		if ffs != nil {
+			cfg.FS = ffs
+		}
+		return cfg
+	}
+
+	// A fault-free pass counts the operations there are to crash at.
+	dry := faultfs.New(nil, faultfs.Plan{})
+	n, _, err := OpenNode(ds, l, cfgFor(t.TempDir(), dry))
+	if err != nil {
+		t.Fatalf("dry run open: %v", err)
+	}
+	for i, op := range ops {
+		if err := op.apply(n); err != nil {
+			t.Fatalf("dry run op %d: %v", i, err)
+		}
+	}
+	n.Close()
+	writes, syncs, creates, _, _ := dry.Ops()
+	if creates < 3 {
+		t.Fatalf("program crossed only %d segment creates; the matrix needs rotations", creates)
+	}
+	type crashPoint struct {
+		name string
+		plan faultfs.Plan
+	}
+	var points []crashPoint
+	for i := 1; i <= writes; i++ {
+		points = append(points,
+			crashPoint{fmt.Sprintf("write-%02d", i), faultfs.Plan{CrashOnWrite: i}},
+			crashPoint{fmt.Sprintf("write-%02d-torn", i), faultfs.Plan{CrashOnWrite: i, WritePartial: 5}})
+	}
+	for i := 1; i <= syncs; i++ {
+		points = append(points, crashPoint{fmt.Sprintf("sync-%02d", i), faultfs.Plan{CrashOnSync: i}})
+	}
+	for i := 1; i <= creates; i++ {
+		points = append(points, crashPoint{fmt.Sprintf("create-%02d", i), faultfs.Plan{CrashOnCreate: i}})
+	}
+
+	for _, cp := range points {
+		t.Run(cp.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := faultfs.New(nil, cp.plan)
+			acked := 0
+			if n, _, err := OpenNode(ds, l, cfgFor(dir, ffs)); err == nil {
+				failed := false
+				for i, op := range ops {
+					switch err := op.apply(n); {
+					case err != nil:
+						failed = true
+					case failed:
+						t.Fatalf("op %d succeeded after an earlier failure (not fail-stop)", i)
+					default:
+						acked++
+					}
+				}
+				n.Close()
+			}
+			if !ffs.Crashed() {
+				t.Fatalf("plan never fired")
+			}
+
+			re, rec, err := OpenNode(ds, l, cfgFor(dir, nil))
+			if err != nil {
+				t.Fatalf("recovery after %d acknowledged ops: %v", acked, err)
+			}
+			defer re.Close()
+			m := int(rec.Replayed)
+			if m < acked || m > acked+1 || m > len(ops) {
+				t.Fatalf("recovered %d records, %d were acknowledged (recovery %+v)", m, acked, rec)
+			}
+			if re.LastSeq() != uint64(m) || rec.LastSeq != uint64(m) {
+				t.Fatalf("LastSeq = %d (recovery %+v), want the %d recovered records", re.LastSeq(), rec, m)
+			}
+			twin, _, err := OpenNode(ds, l, NodeConfig{Shard: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range ops[:m] {
+				if err := op.apply(twin); err != nil {
+					t.Fatalf("twin op %d: %v", i, err)
+				}
+			}
+			requireSameNode(t, "recovered", re, twin, ops, qs)
+			for i, op := range ops[m:] {
+				if err := op.apply(re); err != nil {
+					t.Fatalf("op %d on the recovered node: %v", m+i, err)
+				}
+				if err := op.apply(twin); err != nil {
+					t.Fatalf("twin op %d: %v", m+i, err)
+				}
+			}
+			requireSameNode(t, "resumed", re, twin, ops, qs)
+		})
+	}
+}

@@ -2,14 +2,20 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"activitytraj/internal/dataset"
 	"activitytraj/internal/delta"
+	"activitytraj/internal/geo"
 	"activitytraj/internal/queries"
 	"activitytraj/internal/query"
 	"activitytraj/internal/shard"
 	"activitytraj/internal/trajectory"
+	"activitytraj/internal/wal"
 )
 
 func testDataset(t testing.TB, n int) *trajectory.Dataset {
@@ -278,6 +284,74 @@ func TestNodeDurableRestart(t *testing.T) {
 		requireSameResults(t, "restart", before[i], searchNode(t, n2, e2, q, 10))
 	}
 	n2.Close()
+}
+
+// TestNodeRejectedInsertLeavesNoRecord: a trajectory the index refuses must
+// be refused before it is logged — a record that fails on apply fails on
+// every later replay too, and the node never boots again.
+func TestNodeRejectedInsertLeavesNoRecord(t *testing.T) {
+	ds := testDataset(t, 150)
+	l := testLayout(t, ds, 2)
+	cfg := NodeConfig{Shard: 0, Dir: t.TempDir()}
+	n, _, err := OpenNode(ds, l, cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	gid := trajectory.TrajID(len(ds.Trajs))
+	bad := []trajectory.Point{{Loc: geo.Point{X: math.NaN(), Y: 1}}}
+	if applied, err := n.Insert(gid, bad); err == nil || applied {
+		t.Fatalf("insert of a NaN point: applied=%v err=%v, want a rejection", applied, err)
+	}
+	if n.LastSeq() != 0 || n.Owns(gid) {
+		t.Fatalf("rejected insert left LastSeq=%d Owns=%v", n.LastSeq(), n.Owns(gid))
+	}
+	if err := n.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	n2, rec, err := OpenNode(ds, l, cfg)
+	if err != nil {
+		t.Fatalf("reopen after a rejected insert: %v", err)
+	}
+	if rec.Replayed != 0 {
+		t.Fatalf("reopen replayed %d records, want none", rec.Replayed)
+	}
+
+	// The same record arriving by catch-up — shipped from a replica whose
+	// log was written before the check existed — is refused before it
+	// reaches the local log too.
+	donor := t.TempDir()
+	dl, err := wal.Open(wal.Options{Dir: donor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := dl.Append(recNodeInsert, delta.EncodePoints(binary.AppendUvarint(nil, uint64(gid)), bad))
+	if err == nil {
+		err = dl.Commit(seq)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl.Close()
+	names, err := wal.ListSegments(wal.OSFS(), donor)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("donor segments %v: %v", names, err)
+	}
+	data, err := os.ReadFile(filepath.Join(donor, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := n2.ApplySegments([]WALSegment{{Name: names[0], Data: data}}); err == nil || got != 0 {
+		t.Fatalf("catch-up of a NaN insert: seq=%d err=%v, want a rejection at seq 0", got, err)
+	}
+	n2.Close()
+	n3, rec, err := OpenNode(ds, l, cfg)
+	if err != nil {
+		t.Fatalf("reopen after a rejected catch-up: %v", err)
+	}
+	defer n3.Close()
+	if rec.Replayed != 0 {
+		t.Fatalf("reopen replayed %d records, want none", rec.Replayed)
+	}
 }
 
 // TestNodeCatchup pins WAL shipping: a lagging replica converges to the

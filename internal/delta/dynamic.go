@@ -349,7 +349,7 @@ func (d *Dynamic) Insert(tr trajectory.Trajectory) (trajectory.TrajID, error) {
 // The split lets the shard router publish its ID mappings before any fsync
 // wait, keeping them in step with this index on every failure path.
 func (d *Dynamic) InsertDeferred(tr trajectory.Trajectory) (trajectory.TrajID, func() error, error) {
-	if err := d.validate(tr); err != nil {
+	if err := d.Validate(tr); err != nil {
 		return 0, nil, err
 	}
 	d.mu.Lock()
@@ -435,7 +435,10 @@ func (d *Dynamic) Delete(id trajectory.TrajID) error {
 	return nil
 }
 
-func (d *Dynamic) validate(tr trajectory.Trajectory) error {
+// Validate reports why Insert would reject tr (nil if it would not). A
+// wrapper that logs a mutation before applying it checks here first, so a
+// trajectory the index refuses never reaches its log.
+func (d *Dynamic) Validate(tr trajectory.Trajectory) error {
 	gen := d.gen.Load()
 	vsize := 0
 	if gen.ds.Vocab != nil {

@@ -19,6 +19,10 @@ func TestParallelWorkloadMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := workload(t, ds, 12)
+	reqs := make([]query.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = query.Request{Query: q, K: 5}
+	}
 	for _, e := range st.Engines {
 		ce, ok := e.(query.CloneableEngine)
 		if !ok {
@@ -28,12 +32,16 @@ func TestParallelWorkloadMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", e.Name(), err)
 		}
-		par, err := harness.RunWorkloadParallel(st.TS, ce, qs, 5, false, 4)
+		resps, err := query.NewParallelEngine(ce, 4).SearchAll(context.Background(), reqs)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", e.Name(), err)
 		}
-		if par.Stats.Candidates != seq.Stats.Candidates || par.Stats.Scored != seq.Stats.Scored {
-			t.Fatalf("%s: parallel stats %+v != sequential %+v", e.Name(), par.Stats, seq.Stats)
+		var par query.SearchStats
+		for _, r := range resps {
+			par.Add(r.Stats)
+		}
+		if par.Candidates != seq.Stats.Candidates || par.Scored != seq.Stats.Scored {
+			t.Fatalf("%s: parallel stats %+v != sequential %+v", e.Name(), par, seq.Stats)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net/http/httptest"
+	"slices"
 	"time"
 
 	"activitytraj/internal/cluster"
@@ -142,8 +143,23 @@ func sameResults(a, b []query.Response) bool {
 	return true
 }
 
+// latencySummary reports tail latency over one phase.
+type latencySummary struct {
+	P50, P95, P99, Max time.Duration
+}
+
+// summarize sorts ds in place.
+func summarize(ds []time.Duration) latencySummary {
+	if len(ds) == 0 {
+		return latencySummary{}
+	}
+	slices.Sort(ds)
+	pct := func(p float64) time.Duration { return ds[int(p*float64(len(ds)-1))] }
+	return latencySummary{P50: pct(0.50), P95: pct(0.95), P99: pct(0.99), Max: ds[len(ds)-1]}
+}
+
 // Cluster measures the cluster tier's serving latency under failure: the
-// same ATSQ workload runs against an in-process multi-shard, two-replica
+// same ATSQ workload runs against an in-process four-shard, two-replica
 // cluster three times — all replicas healthy, one replica of every shard
 // killed (failover path, answers must stay byte-identical), and finally one
 // whole shard dark (degraded mode, answers marked partial). Reported as
@@ -153,16 +169,9 @@ func (s *Suite) Cluster(w io.Writer) error {
 	fmt.Fprintln(w, "Experiment: cluster tier — search latency healthy vs. degraded")
 	fmt.Fprintln(w)
 
-	shards := 1
-	for _, k := range s.opts.Shards {
-		if k > shards {
-			shards = k
-		}
-	}
-	if shards < 2 {
-		shards = 2
-	}
-	const nReplicas = 2
+	// Two engine clones per node: one router search holds a clone on every
+	// shard at once, so more would only oversubscribe a small host.
+	const shards, nReplicas, nodeWorkers = 4, 2, 2
 	k := s.opts.K
 
 	for _, name := range s.opts.Datasets {
@@ -174,7 +183,7 @@ func (s *Suite) Cluster(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		bc, err := bootBenchCluster(ds, shards, nReplicas, ShardWorkers(2*shards, shards))
+		bc, err := bootBenchCluster(ds, shards, nReplicas, nodeWorkers)
 		if err != nil {
 			return err
 		}

@@ -27,15 +27,6 @@ type Options struct {
 	Datasets []string
 	// Seed offsets workload generation.
 	Seed int64
-	// Workers is the worker-count sweep of the throughput experiment.
-	// WithDefaults sets it to 1, 2, 4, 8 when empty (matching the
-	// atsqbench -workers default). For the sharded experiment each entry
-	// is a TOTAL budget that divides across the shard fan-out; see
-	// ShardWorkers.
-	Workers []int
-	// Shards is the shard-count sweep of the sharded experiment.
-	// WithDefaults sets it to 1, 2, 4 when empty.
-	Shards []int
 }
 
 // WithDefaults fills unset options with the suite defaults.
@@ -55,12 +46,6 @@ func (o Options) WithDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if len(o.Workers) == 0 {
-		o.Workers = []int{1, 2, 4, 8}
-	}
-	if len(o.Shards) == 0 {
-		o.Shards = []int{1, 2, 4}
-	}
 	return o
 }
 
@@ -79,9 +64,6 @@ func NewSuite(opts Options) *Suite {
 		data:   make(map[string]*trajectory.Dataset),
 	}
 }
-
-// Options returns the effective options.
-func (s *Suite) Options() Options { return s.opts }
 
 // Dataset returns (building and caching) the named preset dataset.
 func (s *Suite) Dataset(name string) (*trajectory.Dataset, error) {
@@ -386,11 +368,7 @@ var experiments = []struct {
 	{"scale", "Fig.7", (*Suite).Scalability, false},
 	{"granularity", "Fig.8", (*Suite).Granularity, false},
 	{"ablations", "", (*Suite).Ablations, false},
-	{"throughput", "", (*Suite).Throughput, false},
-	{"mixed", "", (*Suite).Mixed, false},
-	{"sharded", "", (*Suite).Sharded, false},
 	{"cluster", "", (*Suite).Cluster, true},
-	{"watch", "", (*Suite).Watch, false},
 }
 
 // ExperimentNames lists what Run accepts, "all" first, each paper

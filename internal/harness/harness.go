@@ -1,9 +1,11 @@
-// Package harness builds engine line-ups, runs query workloads against
-// them with wall-clock and statistics accounting, and renders the paper's
-// tables and figures as text. Every experiment of Section VII (Figures 3–8,
-// Tables IV–V) and the design-choice ablations have a runner here; the
-// atsqbench command and the repository's testing.B benches are thin
-// wrappers around this package.
+// Package harness reproduces the paper's evaluation: it builds the four
+// engine line-up, runs query workloads against it with wall-clock and
+// statistics accounting, and renders the tables and figures as text. Every
+// experiment of Section VII (Figures 3–8, Tables IV–V) and the design-choice
+// ablations have a runner here, behind the atsqbench command; the
+// repository's testing.B benches share Setup and RunWorkload. How fast the
+// served system is belongs to ./bench, not here — the one exception is the
+// cluster experiment, which stays until ./bench covers the process cluster.
 package harness
 
 import (

@@ -96,6 +96,36 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRun pins what the suite is: Run("all") executes every
+// entry of experiments that is not standalone, and the workload drivers the
+// repository benchmark replaced are gone by name.
+func TestAllExperimentsRun(t *testing.T) {
+	s := NewSuite(Options{Scale: 0.008, Queries: 2, Datasets: []string{"NY"}})
+	var buf bytes.Buffer
+	if err := s.Run("all", &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range experiments {
+		header := "==== experiment: " + x.name + " ===="
+		want := 1
+		if x.standalone {
+			want = 0
+		}
+		if got := strings.Count(buf.String(), header); got != want {
+			t.Fatalf("%d headers %q in the output of all, want %d", got, header, want)
+		}
+	}
+	for _, name := range []string{"throughput", "mixed", "sharded", "watch"} {
+		err := s.Run(name, &buf)
+		if err == nil || !strings.Contains(err.Error(), ExperimentNames()) {
+			t.Fatalf("Run(%q) = %v, want a rejection listing %s", name, err, ExperimentNames())
+		}
+		if strings.Contains(ExperimentNames(), name) {
+			t.Fatalf("ExperimentNames() still lists %q: %s", name, ExperimentNames())
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Demo", "a", "bb")
 	tab.AddRow("1", "2")
