@@ -293,7 +293,10 @@
 //   - StoreConfig.APLCacheEntries caps the decoded Activity Posting List
 //     cache in the trajectory store (default 8192 entries; negative
 //     disables it). Candidates re-examined by later queries skip both the
-//     page reads and the varint decode.
+//     page reads and the varint decode. Candidates lacking a query
+//     activity never reach this cache or the buffer pool (see below), so
+//     size both by the trajectories searches score, not retrieve (about
+//     443 of 1,399 per search on the repository benchmark's corpus).
 //   - StoreConfig.CoordCacheEntries caps the decoded-coordinate cache
 //     (default 8192 trajectories; negative disables it). Entries are
 //     sparse: only the points queries actually referenced are faulted in,
@@ -339,17 +342,21 @@
 // Candidate evaluation is built to touch as few pages and decode as few
 // bytes as the answer allows:
 //
+//   - Reject before fetching. Behind the paper's sketch the store keeps
+//     every trajectory's exact activity set in memory (4 bytes per distinct
+//     activity): a candidate lacking a query activity — two in three on the
+//     benchmark corpus — reads no page, makes no cache lookup and decodes
+//     nothing (SearchStats.HeaderOnlyRejects); the readahead skips it too.
 //   - Blocked APLs. An Activity Posting List segment starts with a header
 //     (activity set + per-activity block-length skip table). Fetches read
-//     only the header pages; the containment check runs on the header, so
-//     rejected candidates never read or decode a posting block
-//     (SearchStats.HeaderOnlyRejects). Survivors fault the body in once
-//     and decode only the queried activities' blocks, memoized on the
-//     shared cached APL.
+//     only the header pages and hold the header to the in-memory set — a
+//     disagreement is a corruption error, never a different answer.
+//     Survivors fault the body in once and decode only the queried
+//     activities' blocks, memoized on the shared cached APL.
 //   - One resolution per candidate. The query's distinct activities are
-//     resolved against the candidate's header in one forward merge — the
-//     first absent activity is the reject — and from then on posting lists
-//     are addressed by header position and query points by slot, so no
+//     resolved against the candidate's activity set in one forward merge —
+//     the first absent activity is the reject — and from then on posting
+//     lists are addressed by that position and query points by slot, so no
 //     activity is looked up twice. The union of point indexes to fetch and
 //     every query point's row (index, distance, coverage mask) come from
 //     scattering the lists into a bitmap over the trajectory's points and

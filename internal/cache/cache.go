@@ -126,14 +126,24 @@ func (c *Sharded[K, V]) Get(key K) (V, bool) {
 
 // Put inserts or refreshes key → val, evicting the shard's least-recently-
 // used entry if the shard is full.
-func (c *Sharded[K, V]) Put(key K, val V) {
+func (c *Sharded[K, V]) Put(key K, val V) { c.put(key, val, false) }
+
+// put inserts key → val and returns the value resident afterwards: val,
+// unless key was already present and keep is set, in which case the resident
+// value stays (and is promoted).
+func (c *Sharded[K, V]) put(key K, val V, keep bool) V {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*entry[K, V]).val = val
+		e := el.Value.(*entry[K, V])
+		if keep {
+			val = e.val
+		} else {
+			e.val = val
+		}
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
-		return
+		return val
 	}
 	var evicted bool
 	if s.lru.Len() >= s.capacity {
@@ -148,6 +158,7 @@ func (c *Sharded[K, V]) Put(key K, val V) {
 	if evicted {
 		c.evictions.Add(1)
 	}
+	return val
 }
 
 // Peek reports whether key is resident without bumping its LRU position or
@@ -163,9 +174,10 @@ func (c *Sharded[K, V]) Peek(key K) bool {
 
 // GetOrFill returns the cached value for key, calling fill to compute and
 // insert it on a miss. Under concurrent misses for the same key fill may run
-// more than once; the last completed fill wins, which is harmless for the
-// idempotent decode work this cache fronts. A fill error is returned without
-// caching anything.
+// more than once; the first completed fill stays resident and every later
+// filler is handed that value instead of its own, so state other goroutines
+// have already memoized on the resident value is never orphaned. A fill error
+// is returned without caching anything.
 func (c *Sharded[K, V]) GetOrFill(key K, fill func() (V, error)) (V, error) {
 	if v, ok := c.Get(key); ok {
 		return v, nil
@@ -175,8 +187,7 @@ func (c *Sharded[K, V]) GetOrFill(key K, fill func() (V, error)) (V, error) {
 		var zero V
 		return zero, err
 	}
-	c.Put(key, v)
-	return v, nil
+	return c.put(key, v, true), nil
 }
 
 // Len returns the total number of cached entries.

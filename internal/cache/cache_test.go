@@ -89,6 +89,53 @@ func TestGetOrFill(t *testing.T) {
 	}
 }
 
+// TestGetOrFillKeepsResident: when the key appears while fill runs — fill
+// inserts it itself here, standing in for a concurrent filler — the resident
+// value wins and is what the late filler gets back, so whatever other
+// goroutines memoized on it survives; nothing is evicted to make room for
+// the loser.
+func TestGetOrFillKeepsResident(t *testing.T) {
+	boom := fmt.Errorf("boom")
+	for _, tc := range []struct {
+		name      string
+		raced     bool  // fill inserts 2 under the key before returning
+		fillErr   error // what fill returns beside its own value 1
+		want      int
+		wantErr   error
+		wantCache int // value resident afterwards, 0 = absent
+	}{
+		{name: "no race", want: 1, wantCache: 1},
+		{name: "key appeared during fill", raced: true, want: 2, wantCache: 2},
+		{name: "key appeared, fill failed", raced: true, fillErr: boom, wantErr: boom, wantCache: 2},
+		{name: "fill failed", fillErr: boom, wantErr: boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := singleShard(2)
+			c.Put(8, 80)
+			c.Put(9, 90) // the shard is full: a real insert evicts
+			got, err := c.GetOrFill(7, func() (int, error) {
+				if tc.raced {
+					c.Put(7, 2)
+				}
+				return 1, tc.fillErr
+			})
+			if err != tc.wantErr || got != tc.want {
+				t.Fatalf("GetOrFill = %d, %v; want %d, %v", got, err, tc.want, tc.wantErr)
+			}
+			if v, ok := c.Get(7); v != tc.wantCache || ok != (tc.wantCache != 0) {
+				t.Fatalf("resident = %d, %v; want %d", v, ok, tc.wantCache)
+			}
+			wantEvictions := uint64(0)
+			if tc.wantCache != 0 {
+				wantEvictions = 1
+			}
+			if c.Len() != 2 || c.Stats().Evictions != wantEvictions {
+				t.Fatalf("len %d, evictions %d; want 2, %d", c.Len(), c.Stats().Evictions, wantEvictions)
+			}
+		})
+	}
+}
+
 func TestCapacityDistribution(t *testing.T) {
 	for _, tc := range []struct {
 		capacity, shards, wantShards int

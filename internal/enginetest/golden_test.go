@@ -56,14 +56,42 @@ var goldenResults = [5]uint64{0x5e2417e497b92cae, 0xea6fbe565f58e365, 0x193a1360
 // search loop. GAT and GAT+delta were re-recorded when the descent became
 // bucketed (a sparse subtree is pulled out of the ITL arena in one pop), a
 // change that lowers PQPops and Batches and nudges Candidates on purpose;
-// goldenResults held through it. A deliberate change to retrieval order or
-// accounting must re-record the engines it touches and say why.
+// goldenResults held through it. GAT, GAT+delta, RT and IRT were re-recorded
+// again (ATSQ, OATSQ and Subtrajectory) when containment moved from the
+// fetched APL header to the store's in-memory activity directory: PageReads
+// fell, because a candidate lacking a query activity no longer reads its
+// header pages — and with it, outside this digest, CacheHits, CacheMisses
+// and BytesDecoded — while the other five counters here, and SketchRejected,
+// APLRejected and HeaderOnlyRejects, stayed exactly equal (goldenDecisions).
+// Region and InitialBound did not move — the candidates they reject were
+// all decoded-cache hits before (an earlier mode had fetched them), and a
+// hit read no page either; IL's candidates are containment-checked by
+// construction and never took the reject path. A deliberate
+// change to retrieval order or accounting must re-record the engines it
+// touches and say why.
 var goldenCounters = map[string][5]uint64{
-	"GAT":       {0x2dfb19798051881a, 0x30ab04a16bf90174, 0x6fa736a4d27a6cdd, 0xa33bc8ca844a49fd, 0xa4b2e6380219f468},
-	"GAT+delta": {0x07cd6d76a1556a84, 0x9a87f760c0452094, 0xcf50c45630b59139, 0x61c4ab9d3e34021a, 0x4721e2cb40166af1},
+	"GAT":       {0x6bdff0a9fd88d023, 0x5f3e20958b7ff48f, 0x6fa736a4d27a6cdd, 0xb254af1506dfeaf9, 0xa4b2e6380219f468},
+	"GAT+delta": {0x7cf01efd64370c4f, 0xf4033ed5e019c86b, 0xcf50c45630b59139, 0xd7b4b2c70637996e, 0x4721e2cb40166af1},
 	"IL":        {0x6270b101dc65d913, 0x30a3fc22e578757d, 0x4efac8e29dc4b23b, 0xf12bad2538e8fca2, 0x717c6be9c4f50827},
-	"RT":        {0x5e1df0cf7cf3db4d, 0xec87a8b57cb79283, 0x16bdcc350a4f1df8, 0xfe6f737cb6eef2f1, 0x76b8b11822fd411d},
-	"IRT":       {0x42db82b5ff8e50bd, 0x6029dd4bdfaf66be, 0x941e1337a4c6e081, 0xd70d165987e4f9fa, 0x05ba16bda2c0aac8},
+	"RT":        {0xa5cc1012a574e5ba, 0x9d86650b1ca2004f, 0x16bdcc350a4f1df8, 0x63adf96ddc8c140f, 0x76b8b11822fd411d},
+	"IRT":       {0x8fcfe3c783cd4680, 0x6123ab2b3eb7c1cf, 0x941e1337a4c6e081, 0x8b021495c538d52e, 0x05ba16bda2c0aac8},
+}
+
+// goldenDecisions pins the responses plus every counter that records a
+// decision rather than a cost: Candidates, Batches, PQPops, NodesVisited,
+// Scored, SketchRejected, APLRejected and HeaderOnlyRejects — what was
+// retrieved, screened out and scored, with PageReads (what it cost to do
+// so) left out. A change that only makes the same decisions cheaper
+// re-records goldenCounters and must leave this table alone. Recorded at
+// commit 9b883df with this file's hashing applied to that tree, and held by
+// the change that moved containment onto the in-memory directory — the
+// proof that only PageReads moved there.
+var goldenDecisions = map[string][5]uint64{
+	"GAT":       {0x1d3b505dc9ce1d0b, 0xea0540293da4d20f, 0x637a23366f48132e, 0x8a4965eb145c0318, 0x1b49c083d549825c},
+	"GAT+delta": {0x7a93770e85c29402, 0x72aaf963344d0f03, 0x43b01ed8430ff9f7, 0x9e4e7f8088e92a33, 0x177b3e540da0c152},
+	"IL":        {0xbc0e1ccdc254fb66, 0xb7b71a38e016b6fd, 0x93698d895354febb, 0x1e4b615b66be4122, 0x559cc172636cea67},
+	"RT":        {0xf473b034c0345c15, 0x9fde80a1e970c824, 0x74fbd794c593276d, 0x3a1e06b599ef30b1, 0x8d4a7077a8ac9272},
+	"IRT":       {0x144e87c38403c86a, 0x6b150f51e7ce3361, 0x68c133a717844050, 0xb3852ddc2354a9c2, 0x903704615e243be0},
 }
 
 // leafWalkCandidates is what the GAT engine retrieved over the same workload
@@ -128,11 +156,11 @@ func TestGoldenEngineChecksums(t *testing.T) {
 		baseline.BuildIRT(newStore(), 0, 0),
 	}
 	for _, e := range engines {
-		var results, counters [5]uint64
+		var results, counters, decisions [5]uint64
 		candidates := 0
 		for mi, mode := range goldenModes {
-			hr, hc := fnv.New64a(), fnv.New64a()
-			both := io.MultiWriter(hr, hc)
+			hr, hc, hd := fnv.New64a(), fnv.New64a(), fnv.New64a()
+			both := io.MultiWriter(hr, hc, hd)
 			put := func(w io.Writer, v uint64) {
 				var b [8]byte
 				binary.LittleEndian.PutUint64(b[:], v)
@@ -153,14 +181,20 @@ func TestGoldenEngineChecksums(t *testing.T) {
 				for _, c := range []int{st.Candidates, st.Batches, st.PQPops, st.NodesVisited, st.PageReads, st.Scored} {
 					put(hc, uint64(c))
 				}
+				for _, c := range []int{st.Candidates, st.Batches, st.PQPops, st.NodesVisited, st.Scored, st.SketchRejected, st.APLRejected, st.HeaderOnlyRejects} {
+					put(hd, uint64(c))
+				}
 			}
-			results[mi], counters[mi] = hr.Sum64(), hc.Sum64()
+			results[mi], counters[mi], decisions[mi] = hr.Sum64(), hc.Sum64(), hd.Sum64()
 		}
 		if results != goldenResults {
 			t.Errorf("%s: RESULTS checksums (modes %s..%s)\n got  %#x\n want %#x", e.Name(), goldenModes[0].name, goldenModes[4].name, results, goldenResults)
 		}
 		if e.Name() == "GAT" && candidates > leafWalkCandidates*11/10 {
 			t.Errorf("GAT: %d candidates, over 1.10x the leaf-by-leaf walk's %d", candidates, leafWalkCandidates)
+		}
+		if want, ok := goldenDecisions[e.Name()]; !ok || decisions != want {
+			t.Errorf("%s: DECISION checksums (modes %s..%s)\n got  %#x\n want %#x", e.Name(), goldenModes[0].name, goldenModes[4].name, decisions, want)
 		}
 		if want, ok := goldenCounters[e.Name()]; !ok || counters != want {
 			t.Errorf("%s: counter checksums (modes %s..%s)\n got  %#x\n want %#x", e.Name(), goldenModes[0].name, goldenModes[4].name, counters, want)

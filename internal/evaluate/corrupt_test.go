@@ -1,11 +1,16 @@
 package evaluate
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"activitytraj/internal/matcher"
 	"activitytraj/internal/query"
+	"activitytraj/internal/storage"
+	"activitytraj/internal/trajectory"
 )
 
 // Decoder robustness: corrupt or truncated on-disk segments must surface
@@ -27,14 +32,19 @@ func TestDecodeCoordsCorrupt(t *testing.T) {
 }
 
 func TestDecodeAPLCorrupt(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":          {},
-		"bad header":     {0x80},
-		"missing act":    {0x02},
-		"missing counts": {0x01, 0x05},
+	cases := map[string]struct {
+		blob []byte
+		acts trajectory.ActivitySet // the directory entry the header is held to
+	}{
+		"empty":           {},
+		"bad header":      {blob: []byte{0x80}},
+		"missing act":     {blob: []byte{0x02}, acts: trajectory.ActivitySet{1, 2}},
+		"missing counts":  {blob: []byte{0x01, 0x05}, acts: trajectory.ActivitySet{5}},
+		"wrong act count": {blob: []byte{0x01, 0x05, 0x00}, acts: trajectory.ActivitySet{5, 6}},
+		"wrong act":       {blob: []byte{0x01, 0x05, 0x00}, acts: trajectory.ActivitySet{6}},
 	}
-	for name, blob := range cases {
-		if _, err := decodeAPL(blob); err == nil {
+	for name, c := range cases {
+		if _, err := decodeAPL(c.blob, c.acts); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -50,7 +60,7 @@ func TestRoundTripAfterCorruptionChecks(t *testing.T) {
 		t.Fatalf("coords round trip: %v (%d)", err, len(coords))
 	}
 	blob, hdrLen := encodeAPL(nil, tr)
-	apl, err := decodeAPL(blob)
+	apl, err := decodeAPL(blob, tr.ActivityUnion())
 	if err != nil {
 		t.Fatalf("apl round trip: %v", err)
 	}
@@ -94,6 +104,64 @@ func TestOutOfRangePostingIsAnError(t *testing.T) {
 			_, _, err := ev.ScoreATSQ(q, tr.ID, matcher.Inf, &stats)
 			if err == nil || !strings.Contains(err.Error(), "outside trajectory") {
 				t.Fatalf("cache=%d try %d: out-of-range posting scored, err = %v", cacheEntries, try, err)
+			}
+		}
+		ts.Close()
+	}
+}
+
+// TestHeaderDirectoryMismatchIsAnError: containment is decided on the
+// in-memory directory and lists are addressed by directory position, so a
+// stored header that lists a different activity set (one delta flipped on
+// disk here) must fail the fetch — for FetchAPL and for a search that
+// scores the trajectory alike — and must keep failing: the bad APL is never
+// inserted into the cache, and no answer is computed from it.
+func TestHeaderDirectoryMismatchIsAnError(t *testing.T) {
+	ds := smallDataset(t)
+	tr := &ds.Trajs[0]
+	q := query.New(query.Point{Loc: tr.Pts[0].Loc, Acts: tr.Pts[0].Acts[:1]})
+	for _, cacheEntries := range []int{0, -1} { // default caches, disabled
+		path := filepath.Join(t.TempDir(), "trajs.db")
+		ts, err := BuildTrajStore(ds, TrajStoreConfig{FilePath: path, APLCacheEntries: cacheEntries, CoordCacheEntries: cacheEntries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first activity delta follows the one-byte activity count; its
+		// low bit flips the ID by one and keeps the varint's length.
+		ref := ts.aplRefs[tr.ID]
+		if n := len(ts.activities(tr.ID)); n == 0 || n >= 0x80 || ref.Off+2 > storage.PageSize {
+			t.Fatal("unexpected fixture")
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int64(ref.Page)*storage.PageSize + int64(ref.Off) + 1
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 1
+		if _, err := f.WriteAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ts.ResetPool()
+
+		ev := NewEvaluator(ts)
+		for try := 0; try < 2; try++ {
+			if _, err := ts.FetchAPL(tr.ID); err == nil || !strings.Contains(err.Error(), "the directory says") {
+				t.Fatalf("cache=%d try %d: FetchAPL accepted a header the directory contradicts, err = %v", cacheEntries, try, err)
+			}
+			src := scriptedSource{batches: [][]trajectory.TrajID{{tr.ID}}, bounds: []float64{0, 0}, exhaustAfter: 1}
+			resp, err := ev.Search(context.Background(), query.Request{Query: q, K: 1}, &src)
+			if err == nil || !strings.Contains(err.Error(), "the directory says") || len(resp.Results) != 0 {
+				t.Fatalf("cache=%d try %d: search answered %v from a corrupt header, err = %v", cacheEntries, try, resp.Results, err)
+			}
+			if ts.APLCached(tr.ID) {
+				t.Fatalf("cache=%d try %d: the failed decode was cached", cacheEntries, try)
 			}
 		}
 		ts.Close()

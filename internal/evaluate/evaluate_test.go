@@ -1,10 +1,13 @@
 package evaluate
 
 import (
+	"encoding/binary"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"activitytraj/internal/cache"
 	"activitytraj/internal/dataset"
 	"activitytraj/internal/geo"
 	"activitytraj/internal/matcher"
@@ -259,24 +262,27 @@ func TestSparseCoordsMatchFull(t *testing.T) {
 	}
 }
 
-// TestHeaderOnlyRejectAccounting: a candidate rejected on APL containment
-// must be charged header pages only, decode zero posting bytes, and count
-// in HeaderOnlyRejects.
+// TestHeaderOnlyRejectAccounting: a candidate lacking a query activity is
+// rejected on the in-memory directory — counted in HeaderOnlyRejects, and
+// charged no page, no cache lookup and no decoded byte, with nothing
+// inserted into the APL cache; a scored one decodes only the queried
+// activities' blocks.
 func TestHeaderOnlyRejectAccounting(t *testing.T) {
 	ds := smallDataset(t)
-	ts, err := BuildTrajStore(ds, TrajStoreConfig{APLCacheEntries: -1, CoordCacheEntries: -1})
+	ts, err := BuildTrajStore(ds, TrajStoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ts.Close()
 	ev := NewEvaluator(ts)
-	ev.UseSketch = false // force the reject onto the APL path
+	ev.UseSketch = false // force the reject onto the directory
 
 	// An activity no trajectory carries guarantees rejection.
 	var absent trajectory.ActivityID = 9999
 	tr := &ds.Trajs[0]
 	q := query.New(query.Point{Loc: tr.Pts[0].Loc, Acts: trajectory.ActivitySet{absent}})
 	var stats query.SearchStats
+	pool, cached := ts.PoolStats(), ts.aplCache.Len()
 	_, out, err := ev.ScoreATSQ(q, tr.ID, matcher.Inf, &stats)
 	if err != nil {
 		t.Fatal(err)
@@ -287,12 +293,12 @@ func TestHeaderOnlyRejectAccounting(t *testing.T) {
 	if stats.HeaderOnlyRejects != 1 || stats.APLRejected != 1 {
 		t.Fatalf("stats %+v: want one header-only reject", stats)
 	}
-	if stats.BytesDecoded != 0 {
-		t.Fatalf("reject decoded %d bytes, want 0", stats.BytesDecoded)
+	if stats.PageReads != 0 || stats.CacheHits+stats.CacheMisses != 0 || stats.BytesDecoded != 0 {
+		t.Fatalf("stats %+v: a directory reject must charge no page, cache lookup or decode", stats)
 	}
-	hdrSpan := ts.aplRefs[tr.ID].SubSpan(0, ts.aplHdrLens[tr.ID])
-	if stats.PageReads != hdrSpan {
-		t.Fatalf("reject read %d pages, want header span %d", stats.PageReads, hdrSpan)
+	if ts.PoolStats() != pool || ts.CacheStats() != (cache.Stats{}) || ts.aplCache.Len() != cached {
+		t.Fatalf("reject touched the store: pool %+v → %+v, APL cache %+v with %d entries (had %d)",
+			pool, ts.PoolStats(), ts.CacheStats(), ts.aplCache.Len(), cached)
 	}
 
 	// A scored candidate must decode only the queried activities' blocks.
@@ -359,5 +365,103 @@ func TestCoordCacheRepeatCostsNothing(t *testing.T) {
 	}
 	if second.CacheHits == 0 {
 		t.Fatal("warm repeat hit no caches")
+	}
+}
+
+// TestDirectoryMatchesHeaders: on the LA test corpus every trajectory's
+// directory entry is its ActivityUnion and is what its stored APL header
+// lists (parsed here independently of the decoder); a cold FetchAPL accepts
+// it and hands out the directory's own slice, not a copy.
+func TestDirectoryMatchesHeaders(t *testing.T) {
+	ds, err := dataset.Generate(dataset.LA(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := BuildTrajStore(ds, TrajStoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	total := 0
+	for ti := range ds.Trajs {
+		tr := &ds.Trajs[ti]
+		dir := ts.activities(tr.ID)
+		total += len(dir)
+		if !slices.Equal(dir, tr.ActivityUnion()) {
+			t.Fatalf("traj %d: directory %v, ActivityUnion %v", ti, dir, tr.ActivityUnion())
+		}
+		blob, err := ts.store.Read(ts.aplRefs[tr.ID])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, off := binary.Uvarint(blob)
+		var stored []trajectory.ActivityID
+		for prev := uint64(0); uint64(len(stored)) < n; {
+			d, used := binary.Uvarint(blob[off:])
+			off += used
+			prev += d
+			stored = append(stored, trajectory.ActivityID(prev))
+		}
+		if !slices.Equal(dir, stored) {
+			t.Fatalf("traj %d: directory %v, stored header %v", ti, dir, stored)
+		}
+		ts.ResetPool()
+		apl, err := ts.FetchAPL(tr.ID)
+		if err != nil {
+			t.Fatalf("traj %d: %v", ti, err)
+		}
+		got := apl.Activities()
+		if len(got) != len(dir) || cap(got) != len(dir) || (len(dir) > 0 && &got[0] != &dir[0]) {
+			t.Fatalf("traj %d: APL activities do not alias the directory entry", ti)
+		}
+	}
+	if want := 4 * int64(total+len(ds.Trajs)+1); ts.ActivityDirBytes() != want || ts.MemBytes() <= want {
+		t.Fatalf("ActivityDirBytes = %d, MemBytes = %d; want %d inside the total", ts.ActivityDirBytes(), ts.MemBytes(), want)
+	}
+}
+
+// TestPrefetchBatchSkipsDirectoryRejects: the readahead warms the pool for
+// the candidates prepare will fetch and for no other — a candidate lacking a
+// query activity costs no physical read, a survivor's header pages are read
+// ahead, and the zero query screens nothing.
+func TestPrefetchBatchSkipsDirectoryRejects(t *testing.T) {
+	ds := smallDataset(t)
+	ts, err := BuildTrajStore(ds, TrajStoreConfig{PoolPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	ev := NewEvaluator(ts)
+	survivor := &ds.Trajs[0]
+	act := survivor.Pts[0].Acts[0]
+	reject := trajectory.TrajID(0)
+	for ti := range ds.Trajs {
+		if !ds.Trajs[ti].ActivityUnion().Contains(act) {
+			reject = ds.Trajs[ti].ID
+			break
+		}
+	}
+	if reject == survivor.ID {
+		t.Fatal("unexpected fixture: every trajectory carries the activity")
+	}
+	q := query.New(query.Point{Loc: survivor.Pts[0].Loc, Acts: trajectory.ActivitySet{act}})
+	misses := func(q query.Query, id trajectory.TrajID) uint64 {
+		before := ts.PoolStats()
+		ev.PrefetchBatch(q, []trajectory.TrajID{id})
+		diff := ts.PoolStats().Sub(before)
+		if diff.Touched != 0 {
+			t.Fatalf("readahead counted %d logical accesses", diff.Touched)
+		}
+		return diff.Misses
+	}
+	if n := misses(q, reject); n != 0 {
+		t.Fatalf("readahead for a directory-rejected candidate read %d pages", n)
+	}
+	if n, want := misses(q, survivor.ID), uint64(ts.aplRefs[survivor.ID].SubSpan(0, ts.aplHdrLens[survivor.ID])); n != want {
+		t.Fatalf("readahead for a survivor read %d pages, want its %d header pages", n, want)
+	}
+	ts.ResetPool()
+	if n := misses(query.Query{}, reject); n == 0 {
+		t.Fatal("unscreened readahead (zero query) read nothing")
 	}
 }

@@ -45,7 +45,8 @@ const (
 	Scored Outcome = iota
 	// RejectedSketch: the TAS did not cover the query activities.
 	RejectedSketch
-	// RejectedAPL: the fetched APL is missing a query activity.
+	// RejectedAPL: the trajectory's exact activity set (the store's
+	// directory, a delta entry's Acts) is missing a query activity.
 	RejectedAPL
 	// RejectedOrder: the MIB filter proved no order-sensitive match exists.
 	RejectedOrder
@@ -92,7 +93,7 @@ type Evaluator struct {
 	rb        matcher.RowBuilder
 	coordsBuf []geo.Point
 	blobBuf   []byte
-	actPos    []int      // per query activity: its position in the candidate's header (scratch)
+	actPos    []int      // per query activity: its position in the candidate's activity set (scratch)
 	actLists  [][]uint32 // per query activity: the candidate's postings (scratch)
 	needBits  []uint64   // union of needed point indexes, as a bitmap (scratch)
 	needIdx   []uint32   // the same union read back ascending (scratch)
@@ -200,18 +201,22 @@ func (e *Evaluator) ScoreOATSQ(q query.Query, id trajectory.TrajID, threshold fl
 	return e.m.MinOrderMatch(n, rows, threshold), Scored, nil
 }
 
-// prepare runs the shared validation pipeline: TAS check (memory), APL
-// header fetch + containment check (cached/disk, header pages only),
-// lazy posting-block decode for the query activities, sparse coordinate
-// fetch (only pages holding needed points), row build. It returns the
-// candidate rows and the trajectory length. The rows alias evaluator
-// scratch and are valid until the next prepare.
+// prepare runs the shared validation pipeline: TAS check, then exact
+// containment against the candidate's activity set (both in memory: a
+// candidate lacking a query activity touches no cache, pool or decoder),
+// then APL fetch (cached/disk, header pages only), lazy posting-block decode
+// for the query activities, sparse coordinate fetch (only pages holding
+// needed points), row build. It returns the candidate rows and the
+// trajectory length. The rows alias evaluator scratch and are valid until
+// the next prepare.
 //
-// The candidate's header is resolved against the query's activities once
-// (locateActs); from there on lists are addressed by header position and
-// query points by slot, so no activity is looked up twice. A delta-resident
-// candidate runs the same resolve → lists → build path over its in-memory
-// entry, with no disk or cache traffic to charge.
+// The candidate's activity set — the store's directory entry, or a delta
+// entry's Acts — is resolved against the query's activities once
+// (locateActs); from there on lists are addressed by that position (a base
+// candidate's header position: decodeAPLHeader holds the header to the
+// directory) and query points by slot, so no activity is looked up twice. A
+// delta-resident candidate takes the same screen and builds from its
+// in-memory entry, with no disk or cache traffic to charge.
 //
 // Disk and cache traffic is attributed to stats here, at the point of the
 // fetch, rather than by diffing the shared pool/cache counters: local
@@ -219,43 +224,41 @@ func (e *Evaluator) ScoreOATSQ(q query.Query, id trajectory.TrajID, threshold fl
 // same store.
 func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, stats *query.SearchStats) ([]matcher.QueryRow, int, Outcome, error) {
 	all := e.queryActs(q)
-	if cap(e.actPos) < len(all) {
-		e.actPos = make([]int, len(all))
-		e.actLists = make([][]uint32, len(all))
-	}
 	pos, lists := e.actPos[:len(all)], e.actLists[:len(all)]
 
+	inDelta := e.delta != nil && int(id) >= e.ts.NumTrajs()
+	var ent DeltaEntry
+	var tas sketch.Sketch
+	var acts []trajectory.ActivityID
+	if inDelta {
+		ent = e.delta.Entry(id)
+		tas, acts = ent.TAS, ent.Acts
+	} else {
+		tas, acts = e.ts.TAS(id), e.ts.activities(id)
+	}
+	if e.UseSketch && !tas.CoversAll(all) {
+		stats.SketchRejected++
+		return nil, 0, RejectedSketch, nil
+	}
+	if !locateActs(acts, all, pos) {
+		stats.APLRejected++
+		if !inDelta {
+			stats.HeaderOnlyRejects++ // rejected without reading a block
+		}
+		return nil, 0, RejectedAPL, nil
+	}
+
 	var coords []geo.Point
-	if e.delta != nil && int(id) >= e.ts.NumTrajs() {
-		ent := e.delta.Entry(id)
-		if e.UseSketch && !ent.TAS.CoversAll(all) {
-			stats.SketchRejected++
-			return nil, 0, RejectedSketch, nil
-		}
-		if !locateActs(ent.Acts, all, pos) {
-			stats.APLRejected++
-			return nil, 0, RejectedAPL, nil
-		}
+	if inDelta {
 		for i, p := range pos {
 			lists[i] = ent.Lists[p]
 		}
 		coords = ent.Coords
 	} else {
-		if e.UseSketch && !e.ts.TAS(id).CoversAll(all) {
-			stats.SketchRejected++
-			return nil, 0, RejectedSketch, nil
-		}
 		apl, blob, err := e.ts.fetchAPL(id, stats, e.blobBuf)
 		e.blobBuf = blob
 		if err != nil {
 			return nil, 0, Scored, err
-		}
-		// Containment over the header's activity set: a reject never reads
-		// or decodes a posting block.
-		if !locateActs(apl.acts, all, pos) {
-			stats.APLRejected++
-			stats.HeaderOnlyRejects++
-			return nil, 0, RejectedAPL, nil
 		}
 		// Decode exactly the query activities' blocks (memoized on the
 		// shared APL) and fetch the points the rows will touch.
@@ -330,18 +333,20 @@ func (e *Evaluator) MatchSets(q query.Query, id trajectory.TrajID, ordered bool,
 // PrefetchBatch reorders ids in place so candidates are scored in APL page
 // order (delta-resident candidates, which cost no disk, go last in ID
 // order) and warms the buffer pool with the header pages of the APLs that
-// are not already decoded in the cache — one ascending readahead sweep
+// prepare will fetch — those carrying every activity of q (a zero q screens
+// nothing; reading ahead for a reject would only evict a survivor's page)
+// and not already decoded in the cache — one ascending readahead sweep
 // instead of heap-pop-order point reads. Scoring order does not affect
 // results: the top-k set under (distance, ID) is order-independent, so
 // engines are free to batch for locality. ids may hold duplicates (the
 // cross-query superbatch passes the union of several requests' likely
 // candidates); the readahead is purely a pool hint and changes no search's
 // results or accounting.
-func (e *Evaluator) PrefetchBatch(ids []trajectory.TrajID) {
+func (e *Evaluator) PrefetchBatch(q query.Query, ids []trajectory.TrajID) {
 	if len(ids) > 1 {
 		e.sortByAPLPage(ids)
 	}
-	e.prefetchHeadersSorted(ids)
+	e.prefetchHeadersSorted(e.queryActs(q), ids)
 }
 
 // sortByAPLPage reorders ids in place into APL page order, with
@@ -365,17 +370,19 @@ func (e *Evaluator) sortByAPLPage(ids []trajectory.TrajID) {
 }
 
 // prefetchHeadersSorted issues readahead over the header pages of the
-// to-be-fetched APLs among ids, which must already be in page order. It
-// coalesces adjacent ranges so the pool sees few, ascending hints.
-func (e *Evaluator) prefetchHeadersSorted(ids []trajectory.TrajID) {
+// to-be-fetched APLs among ids — carrying all of want, not cached — which
+// must already be in page order. It coalesces adjacent ranges so the pool
+// sees few, ascending hints.
+func (e *Evaluator) prefetchHeadersSorted(want trajectory.ActivitySet, ids []trajectory.TrajID) {
 	baseN := e.ts.NumTrajs()
+	pos := e.actPos[:len(want)]
 	var first, past uint32
 	started := false
 	for _, id := range ids {
 		if int(id) >= baseN {
 			break
 		}
-		if e.ts.APLCached(id) {
+		if !locateActs(e.ts.activities(id), want, pos) || e.ts.APLCached(id) {
 			continue
 		}
 		f, p := e.ts.aplRefs[id].PageRange(0, e.ts.aplHdrLens[id])
@@ -411,6 +418,10 @@ func (e *Evaluator) queryActs(q query.Query) trajectory.ActivitySet {
 	}
 	e.planPts = append(e.planPts[:0], q.Pts...)
 	e.allActs = q.AllActs()
+	if cap(e.actPos) < len(e.allActs) {
+		e.actPos = make([]int, len(e.allActs))
+		e.actLists = make([][]uint32, len(e.allActs))
+	}
 	e.slots = e.slots[:0]
 	for _, p := range q.Pts {
 		for _, a := range p.Acts {

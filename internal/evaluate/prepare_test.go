@@ -186,4 +186,24 @@ func TestLocateActsAgreesWithHas(t *testing.T) {
 		}
 		check(hdr, want)
 	}
+
+	// The sets prepare actually resolves against: a store's directory
+	// slices, neighbours in one arena — a gallop must stop at the slice's
+	// end, not run on into the next trajectory's activities.
+	ds := smallDataset(t)
+	ts, err := BuildTrajStore(ds, TrajStoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	for ti := range ds.Trajs {
+		dir := ts.activities(ds.Trajs[ti].ID)
+		check(dir, dir)
+		if ti+1 < len(ds.Trajs) {
+			next := ts.activities(ds.Trajs[ti+1].ID)
+			check(dir, next)
+			check(dir, trajectory.NewActivitySet(dir[len(dir)-1], next[0], next[len(next)-1]))
+		}
+		check(dir, randomSet(1+rng.Intn(3), 200))
+	}
 }

@@ -36,10 +36,14 @@ import (
 //
 // APL segments use a blocked layout (see encodeAPL): a header carrying the
 // activity set and a per-activity block skip table, followed by the posting
-// blocks. Fetches read the header pages only; containment checks never
-// touch the blocks, and surviving candidates decode blocks lazily per
-// queried activity. Coordinates are fixed-stride, so scoring fetches only
-// the pages holding the point indexes the match actually needs.
+// blocks. The activity sets are also held in memory, exactly, in one CSR
+// arena — the activity directory: id's ascending set is
+// acts[actOff[id]:actOff[id+1]]. Containment is decided there, so only
+// candidates carrying every query activity are ever fetched; a fetch reads
+// the header pages only, holds the header to the directory (a directory
+// position is a header position), and decodes blocks lazily per queried
+// activity. Coordinates are fixed-stride, so scoring fetches only the pages
+// holding the point indexes the match actually needs.
 type TrajStore struct {
 	ds           *trajectory.Dataset
 	store        *storage.Store
@@ -50,6 +54,8 @@ type TrajStore struct {
 	coordHdrLens []uint8  // uvarint length of each coord segment's count prefix
 	tas          []sketch.Sketch
 	sketchM      int
+	actOff       []uint32
+	acts         []trajectory.ActivityID
 	aplCache     *cache.Sharded[trajectory.TrajID, *APL]        // nil when disabled
 	coordCache   *cache.Sharded[trajectory.TrajID, *coordBlock] // nil when disabled
 }
@@ -133,6 +139,7 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		coordHdrLens: make([]uint8, len(ds.Trajs)),
 		tas:          make([]sketch.Sketch, len(ds.Trajs)),
 		sketchM:      cfg.SketchIntervals,
+		actOff:       make([]uint32, len(ds.Trajs)+1),
 	}
 	if cfg.APLCacheEntries >= 0 {
 		n := cfg.APLCacheEntries
@@ -172,7 +179,10 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		ts.aplRefs[i] = ref
 		ts.aplHdrLens[i] = uint32(hdrLen)
 
-		ts.tas[i] = sketch.Build(tr.ActivityUnion(), cfg.SketchIntervals)
+		union := tr.ActivityUnion()
+		ts.tas[i] = sketch.Build(union, cfg.SketchIntervals)
+		ts.acts = append(ts.acts, union...)
+		ts.actOff[i+1] = uint32(len(ts.acts))
 	}
 	if err := store.Seal(); err != nil {
 		return nil, err
@@ -192,6 +202,12 @@ func (ts *TrajStore) NumPoints(id trajectory.TrajID) int { return int(ts.numPts[
 
 // TAS returns the activity sketch of trajectory id.
 func (ts *TrajStore) TAS(id trajectory.TrajID) sketch.Sketch { return ts.tas[id] }
+
+// activities returns trajectory id's ascending activity set: its slice of
+// the directory, capped so an append can never reach a neighbour's.
+func (ts *TrajStore) activities(id trajectory.TrajID) []trajectory.ActivityID {
+	return ts.acts[ts.actOff[id]:ts.actOff[id+1]:ts.actOff[id+1]]
+}
 
 // SketchIntervals returns the effective TAS interval count M, so layered
 // structures (the delta index) can sketch new trajectories identically.
@@ -341,8 +357,8 @@ type APL struct {
 	lists []atomic.Pointer[[]uint32] // parallel to acts; nil until decoded
 }
 
-// Has reports whether the trajectory contains activity act anywhere — a
-// header-only check; no posting block is read or decoded.
+// Has reports whether the trajectory contains activity act anywhere; no
+// posting block is read or decoded.
 func (a *APL) Has(act trajectory.ActivityID) bool {
 	_, ok := slices.BinarySearch(a.acts, act)
 	return ok
@@ -468,37 +484,44 @@ func (ts *TrajStore) FetchAPL(id trajectory.TrajID) (*APL, error) {
 
 // fetchAPL is the one APL cache policy: consult the shared cache, fall back
 // to a header-only disk read, insert on miss — attributing cache hits and
-// misses and the page span of actual reads to stats. blob is optional
-// caller scratch for the header bytes; the possibly-grown buffer is
-// returned for reuse. Local attribution (rather than diffing the cache's
-// global counters) keeps per-search accounting exact when many searches
-// share the store.
+// misses and the page span of actual reads to stats. Two searches missing
+// on one trajectory both decode, but the APL inserted first serves both
+// (cache.GetOrFill), so blocks already memoized on it are not thrown away;
+// a failed decode is not inserted. blob is optional caller scratch for the
+// header bytes; the possibly-grown buffer is returned for reuse. Local
+// attribution (rather than diffing the cache's global counters) keeps
+// per-search accounting exact when many searches share the store.
 func (ts *TrajStore) fetchAPL(id trajectory.TrajID, stats *query.SearchStats, blob []byte) (*APL, []byte, error) {
-	if ts.aplCache != nil {
-		if apl, ok := ts.aplCache.Get(id); ok {
-			stats.CacheHits++
-			return apl, blob, nil
+	missed := false
+	read := func() (*APL, error) {
+		missed = true
+		ref := ts.aplRefs[id]
+		hdrLen := ts.aplHdrLens[id]
+		var err error
+		if blob, err = ts.store.ReadSub(ref, 0, hdrLen, blob[:0]); err != nil {
+			return nil, err
 		}
+		stats.PageReads += ref.SubSpan(0, hdrLen)
+		apl, err := decodeAPLHeader(blob, ref.Len, ts.activities(id))
+		if err != nil {
+			return nil, fmt.Errorf("evaluate: APL of %d: %w", id, err)
+		}
+		apl.ref = ref
+		apl.ts = ts
+		apl.numPts = ts.numPts[id]
+		return apl, nil
+	}
+	if ts.aplCache == nil {
+		apl, err := read()
+		return apl, blob, err
+	}
+	apl, err := ts.aplCache.GetOrFill(id, read)
+	if missed {
 		stats.CacheMisses++
+	} else {
+		stats.CacheHits++
 	}
-	ref := ts.aplRefs[id]
-	hdrLen := ts.aplHdrLens[id]
-	blob, err := ts.store.ReadSub(ref, 0, hdrLen, blob[:0])
-	if err != nil {
-		return nil, blob, err
-	}
-	stats.PageReads += ref.SubSpan(0, hdrLen)
-	apl, err := decodeAPLHeader(blob, ref.Len)
-	if err != nil {
-		return nil, blob, fmt.Errorf("evaluate: APL of %d: %w", id, err)
-	}
-	apl.ref = ref
-	apl.ts = ts
-	apl.numPts = ts.numPts[id]
-	if ts.aplCache != nil {
-		ts.aplCache.Put(id, apl)
-	}
-	return apl, blob, nil
+	return apl, blob, err
 }
 
 // APLCached reports whether trajectory id's APL is resident in the decoded
@@ -538,11 +561,15 @@ func (ts *TrajStore) ResetPool() {
 // DiskBytes returns the on-disk footprint.
 func (ts *TrajStore) DiskBytes() int64 { return ts.store.DiskBytes() }
 
+// ActivityDirBytes returns the footprint of the activity directory: 4 bytes
+// per (trajectory, distinct activity) pair plus 4 per trajectory.
+func (ts *TrajStore) ActivityDirBytes() int64 { return 4 * int64(len(ts.acts)+len(ts.actOff)) }
+
 // MemBytes returns the in-memory footprint of the store: directories
-// (segment refs, point counts, header lengths) plus sketches (8 bytes per
-// interval, as the paper counts).
+// (segment refs, point counts, header lengths, the activity directory) plus
+// sketches (8 bytes per interval, as the paper counts).
 func (ts *TrajStore) MemBytes() int64 {
-	n := int64(len(ts.coordRefs)) * (12 + 12 + 4 + 4 + 1)
+	n := int64(len(ts.coordRefs))*(12+12+4+4+1) + ts.ActivityDirBytes()
 	for _, s := range ts.tas {
 		n += s.MemBytes()
 	}
@@ -604,9 +631,9 @@ func decodeCoordsInto(dst []geo.Point, blob []byte) ([]geo.Point, error) {
 //	body:   concatenated posting blocks, each the delta+varint
 //	        PostingList encoding (uvarint count, first element, gaps)
 //
-// The header alone answers "does this trajectory contain activity a", and
-// the skip table locates any activity's block without touching the others —
-// the layout behind header-only rejection and lazy per-activity decode.
+// The skip table locates any activity's block without touching the others —
+// the layout behind lazy per-activity decode; the activity set is checked
+// against the store's in-memory directory on every decode.
 func encodeAPL(dst []byte, tr *trajectory.Trajectory) ([]byte, int) {
 	postings := make(map[trajectory.ActivityID][]uint32)
 	for pi, p := range tr.Pts {
@@ -648,38 +675,39 @@ func encodeAPL(dst []byte, tr *trajectory.Trajectory) ([]byte, int) {
 }
 
 // decodeAPLHeader parses an APL header from blob (which must hold at least
-// the full header) into an APL whose blocks are still on disk. segLen is
-// the full segment length, used to validate the skip table.
-func decodeAPLHeader(blob []byte, segLen uint32) (*APL, error) {
+// the full header) into an APL whose blocks are still on disk. The header
+// must list exactly acts, the trajectory's directory entry, which the APL
+// aliases: containment was decided on the directory and lists are addressed
+// by directory position, so a disagreement is corruption, never a different
+// answer. segLen is the full segment length, used to validate the skip table.
+func decodeAPLHeader(blob []byte, segLen uint32, acts []trajectory.ActivityID) (*APL, error) {
 	n, used := binary.Uvarint(blob)
 	if used <= 0 {
 		return nil, fmt.Errorf("corrupt APL header")
 	}
-	if n > uint64(len(blob)) {
-		return nil, fmt.Errorf("corrupt APL header: %d activities in %d bytes", n, len(blob))
+	if n != uint64(len(acts)) {
+		return nil, fmt.Errorf("corrupt APL header: lists %d activities, the directory %d", n, len(acts))
 	}
 	off := used
 	a := &APL{
-		acts:  make([]trajectory.ActivityID, n),
+		acts:  acts,
 		ends:  make([]uint32, n),
 		lists: make([]atomic.Pointer[[]uint32], n),
 	}
 	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
+	for i, want := range acts {
 		d, used := binary.Uvarint(blob[off:])
 		if used <= 0 {
 			return nil, fmt.Errorf("corrupt APL activity %d", i)
 		}
 		off += used
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
+		prev += d // the first delta is the first ID itself
+		if prev != uint64(want) {
+			return nil, fmt.Errorf("corrupt APL header: activity %d is %d, the directory says %d", i, prev, want)
 		}
-		a.acts[i] = trajectory.ActivityID(prev)
 	}
 	total := uint32(0)
-	for i := uint64(0); i < n; i++ {
+	for i := range a.ends {
 		l, used := binary.Uvarint(blob[off:])
 		if used <= 0 {
 			return nil, fmt.Errorf("corrupt APL skip table entry %d", i)
@@ -695,11 +723,12 @@ func decodeAPLHeader(blob []byte, segLen uint32) (*APL, error) {
 	return a, nil
 }
 
-// decodeAPL eagerly decodes a full APL segment held in memory: header plus
-// every posting block (validating all of them). Tests and tools use it; the
-// serving path goes through fetchAPL's lazy header-only route.
-func decodeAPL(blob []byte) (*APL, error) {
-	a, err := decodeAPLHeader(blob, uint32(len(blob)))
+// decodeAPL eagerly decodes a full APL segment held in memory, whose header
+// must list acts: header plus every posting block (validating all of them).
+// Tests use it; the serving path goes through fetchAPL's lazy header-only
+// route.
+func decodeAPL(blob []byte, acts []trajectory.ActivityID) (*APL, error) {
+	a, err := decodeAPLHeader(blob, uint32(len(blob)), acts)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,8 @@ func (e *Engine) BatchKey(q query.Query) uint64 {
 // the candidates those searches are most likely to score first — and
 // issues one coalesced, ascending readahead over their APL header pages.
 // Each shared page faults into the buffer pool once here instead of once
-// per query. Purely a hint: it reads only immutable index structures,
+// per query. A group has no single query to screen the candidates by, so
+// the readahead is unscreened (the zero Query). Purely a hint: it reads only immutable index structures,
 // charges no per-search statistics, and changes no search's results.
 func (e *Engine) WarmSuperbatch(reqs []query.Request) {
 	var ids []trajectory.TrajID
@@ -46,5 +47,5 @@ func (e *Engine) WarmSuperbatch(reqs []query.Request) {
 			}
 		}
 	}
-	e.ev.PrefetchBatch(ids)
+	e.ev.PrefetchBatch(query.Query{}, ids)
 }

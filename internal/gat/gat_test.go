@@ -223,6 +223,11 @@ func TestMemBreakdown(t *testing.T) {
 	if bc.Total != bc.HICL+bc.ITL+bc.TAS+bc.Directories {
 		t.Fatalf("total mismatch: %+v", bc)
 	}
+	// The store's exact activity directory is itemized under Directories,
+	// not folded into the sketches.
+	if acts := ts.ActivityDirBytes(); acts <= 0 || bc.Directories < acts || bc.TAS+acts != ts.MemBytes() {
+		t.Fatalf("activity directory (%d B) misplaced: %+v", acts, bc)
+	}
 	if bf.HICL <= bc.HICL {
 		t.Fatalf("finer grid should cost more HICL memory: %d vs %d", bf.HICL, bc.HICL)
 	}

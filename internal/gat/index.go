@@ -271,8 +271,8 @@ func (idx *Index) Store() *evaluate.TrajStore { return idx.ts }
 type MemBreakdown struct {
 	HICL        int64 // in-memory levels of the hierarchical inverted cell list
 	ITL         int64 // inverted trajectory lists
-	TAS         int64 // trajectory activity sketches (in the TrajStore)
-	Directories int64 // on-disk segment directories (HICL + APL + coords)
+	TAS         int64 // trajectory activity sketches and segment directories (in the TrajStore)
+	Directories int64 // HICL segment directory + the TrajStore's exact activity directory
 	Total       int64
 }
 
@@ -289,8 +289,9 @@ func (idx *Index) Breakdown() MemBreakdown {
 	}
 	t := &idx.itl // five slices of 4-byte elements
 	b.ITL = 4 * int64(len(t.cells)+len(t.cellOff)+len(t.acts)+len(t.postOff)+len(t.posts))
-	b.Directories = int64(len(idx.hiclDir)) * 24
-	b.TAS = idx.ts.MemBytes()
+	acts := idx.ts.ActivityDirBytes() // the price of rejecting without I/O, itemized
+	b.Directories = int64(len(idx.hiclDir))*24 + acts
+	b.TAS = idx.ts.MemBytes() - acts
 	b.Total = b.HICL + b.ITL + b.TAS + b.Directories
 	return b
 }

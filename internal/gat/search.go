@@ -400,7 +400,7 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 	// candidates arrived in heap-pop (distance) order, which has no page
 	// locality; the top-k set is order-independent, so batching for
 	// locality is free.
-	s.e.ev.PrefetchBatch(out)
+	s.e.ev.PrefetchBatch(s.q, out)
 	return out
 }
 

@@ -94,7 +94,7 @@ type Result struct {
 type SearchStats struct {
 	Candidates      int // distinct trajectories retrieved as candidates
 	SketchRejected  int // candidates rejected by the TAS check
-	APLRejected     int // candidates rejected after fetching the APL
+	APLRejected     int // candidates lacking a query activity (exact check, past the TAS)
 	OrderRejected   int // candidates rejected by the MIB order filter (OATSQ)
 	Scored          int // candidates whose match distance was computed
 	PQPops          int // priority-queue pops during candidate retrieval
@@ -105,10 +105,10 @@ type SearchStats struct {
 	CacheMisses     int // decoded-structure cache misses
 	DeltaCandidates int // candidates served by the dynamic index's delta layer
 
-	// HeaderOnlyRejects counts candidates rejected from the APL header
-	// alone — no point postings were read or decoded for them. With the
-	// blocked APL format every APL rejection is header-only unless the
-	// body happened to be cached already.
+	// HeaderOnlyRejects counts base candidates rejected without reading a
+	// posting block. The check runs on the store's in-memory activity
+	// directory — the same set the APL header lists — so such a reject reads
+	// no header page and makes no cache lookup either.
 	HeaderOnlyRejects int
 
 	// ShardsSearched counts the shards a sharded engine's router actually
