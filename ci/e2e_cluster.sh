@@ -41,11 +41,12 @@ echo "== generate corpus + plan topology (2 shards x 2 replicas)"
     -shard-urls "$URLS" >>"$WORK/plan.log" 2>&1
 grep -q '"shards"' "$WORK/topo.json" || { echo "bad topology file" >&2; exit 1; }
 
+# boot_node prints the replica's PID. It runs in a command substitution, a
+# subshell whose variables die with it, so the CALLER appends to PIDS.
 boot_node() { # boot_node <shard> <port> <dir-suffix> <logname>
     "$WORK/bin/atsqserve" -shard "$1" -topology "$WORK/topo.json" \
         -data "$WORK/corpus.atrj" -data-dir "$WORK/wal-$3" -sync always \
         -addr "127.0.0.1:$2" >"$WORK/$4.log" 2>&1 &
-    PIDS+=($!)
     echo $!
 }
 
@@ -63,6 +64,7 @@ N0A=$(boot_node 0 "$P0A" 0a node0a)
 N0B=$(boot_node 0 "$P0B" 0b node0b)
 N1A=$(boot_node 1 "$P1A" 1a node1a)
 N1B=$(boot_node 1 "$P1B" 1b node1b)
+PIDS+=("$N0A" "$N0B" "$N1A" "$N1B")
 for p in $P0A $P0B $P1A $P1B; do wait_healthy "http://127.0.0.1:$p" "replica :$p"; done
 "$WORK/bin/atsqserve" -router -topology "$WORK/topo.json" -data "$WORK/corpus.atrj" \
     -addr "$ROUTER_ADDR" -probe-interval 500ms -catchup-interval 500ms \
@@ -146,6 +148,7 @@ echo "   ${#IDS[@]} inserts + 1 delete applied while 0B is down"
 
 echo "== restart replica 0B: WAL catch-up must converge it"
 N0B=$(boot_node 0 "$P0B" 0b node0b-restart)
+PIDS+=("$N0B")
 wait_healthy "http://127.0.0.1:$P0B" "restarted replica 0B"
 CONVERGED=
 for _ in $(seq 1 60); do

@@ -220,10 +220,9 @@ func openNode(ds *trajectory.Dataset, topo cluster.Topology, si int, dataDir, sy
 	}
 	buildStart := time.Now()
 	node, rec, err := cluster.OpenNode(ds, layout, cluster.NodeConfig{
-		Shard: si,
-		Delta: delta.Config{CompactThreshold: compactAt},
-		Dir:   dataDir,
-		Sync:  mode,
+		Shard:      si,
+		Delta:      delta.Config{CompactThreshold: compactAt},
+		Durability: delta.Durability{Dir: dataDir, Sync: mode},
 	})
 	if err != nil {
 		log.Fatalf("open shard %d: %v", si, err)

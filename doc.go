@@ -278,11 +278,20 @@
 //
 // A WAL write or sync failure is fail-stop: the index keeps serving reads
 // but refuses further mutations, so memory can never run ahead of what the
-// log can replay. Sharded durability composes per shard — each shard owns
-// its WAL and snapshots, and the router adds a routing journal so global
-// ID assignment replays deterministically; cmd/atsqserve exposes all of it
-// via -data-dir and -sync, and ci/e2e_crash.sh kills a serving process
-// mid-ingest and diffs the recovered server against an uncrashed twin.
+// log can replay.
+//
+// The dynamic index, the sharded router and a cluster shard replica run
+// one durability protocol, internal/wal's: recovery is wal.Recover, a
+// mutation is Stream.Log under the owner's lock before the in-memory
+// apply and Commit.Wait outside it, and a volatile index is a nil Stream.
+// Each adds only its own part: the dynamic index the snapshot, manifest
+// and prune lifecycle above; the router one such directory per shard plus
+// an append-only routing journal, so global ID assignment replays
+// deterministically and survives a crash at any point, recovery included;
+// the replica records that carry the global ID, so catch-up ships log
+// segments. cmd/atsqserve exposes all of it via -data-dir and -sync, and
+// ci/e2e_crash.sh kills a serving process mid-ingest and diffs the
+// recovered server against an uncrashed twin.
 //
 // # Cache tuning
 //

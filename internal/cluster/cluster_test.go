@@ -82,7 +82,7 @@ func startCluster(t *testing.T, ds *trajectory.Dataset, shards, nReplicas int, d
 		for ri := 0; ri < nReplicas; ri++ {
 			cfg := NodeConfig{Shard: si}
 			if dirs != nil {
-				cfg.Dir = dirs[si][ri]
+				cfg.Durability.Dir = dirs[si][ri]
 			}
 			n, _, err := OpenNode(ds, l, cfg)
 			if err != nil {

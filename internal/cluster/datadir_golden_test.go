@@ -109,7 +109,7 @@ func TestDataDirGolden(t *testing.T) {
 			"shard-001/wal-00000000000000000003.seg 681906927dbf138f251c0b21db9405ac0df845ca3be5b3ac6e6cbdd40f5aac97",
 		}},
 		{"node", func(t *testing.T, dir string) {
-			n, _, err := OpenNode(ds, l, NodeConfig{Shard: 0, Dir: dir, SegmentBytes: 256})
+			n, _, err := OpenNode(ds, l, NodeConfig{Shard: 0, Durability: delta.Durability{Dir: dir, SegmentBytes: 256}})
 			must(t, err)
 			muts := mutationsFor(t, ds, l, 0, 6)
 			gids := make([]trajectory.TrajID, 0, len(muts))

@@ -36,29 +36,16 @@ type NodeConfig struct {
 	// unset: the node's replication WAL subsumes it (one durable mutation
 	// stream per node, not two).
 	Delta delta.Config
-	// Dir is the node's replication-WAL directory. Empty runs the node
+	// Durability is the node's replication WAL. An empty Dir runs the node
 	// volatile (tests, throwaway replicas): mutations apply in memory only
 	// and catch-up still works, but a restart falls back to the base corpus.
-	Dir string
-	// Sync is the WAL fsync policy (zero = wal.SyncAlways).
-	Sync wal.SyncMode
-	// SegmentBytes overrides WAL segment rotation (0 = default).
-	SegmentBytes int64
-	// FS overrides the filesystem; nil selects the real one.
-	FS wal.FS
+	Durability delta.Durability
 }
 
-// NodeRecovery describes what OpenNode rebuilt from its WAL.
-type NodeRecovery struct {
-	// Replayed is the number of replication records applied on top of the
-	// layout-derived base sub-corpus.
-	Replayed int64
-	// LastSeq is the mutation sequence the node resumes after.
-	LastSeq uint64
-	// Torn reports a torn WAL tail (crash mid-append) that recovery
-	// truncated.
-	Torn bool
-}
+// NodeRecovery describes what OpenNode rebuilt from its WAL, on top of the
+// layout-derived base sub-corpus (SnapshotSeq is always 0: a node WAL is
+// never snapshotted).
+type NodeRecovery = wal.Recovery
 
 // Node is one replica of one shard: a dynamic index over the shard's
 // layout-derived sub-corpus, the local↔global ID mappings, the grown-only
@@ -89,8 +76,7 @@ type Node struct {
 	// wmu serializes mutations: the WAL append and the index apply happen
 	// under it, so WAL order equals apply order equals local-ID order.
 	wmu  sync.Mutex
-	log  *wal.Log
-	buf  []byte
+	log  *wal.Stream // nil for a volatile node
 	dir  string
 	fsys wal.FS
 	// memSeq counts applied mutations (== the WAL's LastSeq when one is
@@ -128,47 +114,15 @@ func OpenNode(base *trajectory.Dataset, layout *shard.Layout, cfg NodeConfig) (*
 		n.bounds.Extend(base.Trajs[gid].Pts)
 	}
 
-	if cfg.Dir == "" {
+	if cfg.Durability.Dir == "" {
 		return n, ri, nil
 	}
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = wal.OSFS()
-	}
-	n.dir, n.fsys = cfg.Dir, fsys
-	if err := fsys.MkdirAll(cfg.Dir); err != nil {
-		return nil, ri, fmt.Errorf("cluster: mkdir %s: %w", cfg.Dir, err)
-	}
-	info, err := wal.Replay(fsys, cfg.Dir, func(rec wal.Record) error {
-		if rec.Seq != ri.LastSeq+1 {
-			return fmt.Errorf("%w: record seq %d does not continue %d", wal.ErrCorrupt, rec.Seq, ri.LastSeq)
-		}
-		if err := n.applyRecord(rec, nil); err != nil {
-			return err
-		}
-		ri.LastSeq = rec.Seq
-		ri.Replayed++
-		return nil
-	})
+	opts := cfg.Durability.Options()
+	n.dir, n.fsys = opts.Dir, opts.FS
+	n.log, ri, err = wal.Recover(opts, 0, func(rec wal.Record) error { return n.applyRecord(rec, nil) })
 	if err != nil {
-		return nil, ri, fmt.Errorf("cluster: replay node wal: %w", err)
+		return nil, ri, fmt.Errorf("cluster: recover node wal: %w", err)
 	}
-	ri.Torn = info.Torn
-	l, err := wal.Open(wal.Options{
-		Dir:          cfg.Dir,
-		Sync:         cfg.Sync,
-		SegmentBytes: cfg.SegmentBytes,
-		FS:           fsys,
-		FirstSeq:     ri.LastSeq + 1,
-	})
-	if err != nil {
-		return nil, ri, err
-	}
-	if got := l.LastSeq(); got != ri.LastSeq {
-		l.Close()
-		return nil, ri, fmt.Errorf("%w: node wal resumes at seq %d but replay recovered %d", wal.ErrCorrupt, got+1, ri.LastSeq)
-	}
-	n.log = l
 	n.recovery = &ri
 	return n, ri, nil
 }
@@ -227,16 +181,12 @@ func (n *Node) Insert(gid trajectory.TrajID, pts []trajectory.Point) (applied bo
 		n.wmu.Unlock()
 		return false, nil
 	}
-	var commit func() error
-	if n.log != nil {
-		n.buf = binary.AppendUvarint(n.buf[:0], uint64(gid))
-		n.buf = delta.EncodePoints(n.buf, pts)
-		seq, aerr := n.log.Append(recNodeInsert, n.buf)
-		if aerr != nil {
-			n.wmu.Unlock()
-			return false, aerr
-		}
-		commit = func() error { return n.log.Commit(seq) }
+	logged, err := n.log.Log(recNodeInsert, func(b []byte) []byte {
+		return delta.EncodePoints(binary.AppendUvarint(b, uint64(gid)), pts)
+	})
+	if err != nil {
+		n.wmu.Unlock()
+		return false, err
 	}
 	err = n.applyInsert(gid, pts)
 	n.memSeq.Add(1)
@@ -244,12 +194,10 @@ func (n *Node) Insert(gid trajectory.TrajID, pts []trajectory.Point) (applied bo
 	if err != nil {
 		return false, err
 	}
-	if commit != nil {
-		// The fsync wait runs outside wmu so concurrent fan-outs to this
-		// node share group commits instead of serializing on the lock.
-		if err := commit(); err != nil {
-			return true, err
-		}
+	// The fsync wait runs outside wmu so concurrent fan-outs to this node
+	// share group commits instead of serializing on the lock.
+	if err := logged.Wait(); err != nil {
+		return true, err
 	}
 	return true, nil
 }
@@ -266,26 +214,18 @@ func (n *Node) Delete(gid trajectory.TrajID) error {
 		n.wmu.Unlock()
 		return fmt.Errorf("cluster: delete of unknown trajectory %d", gid)
 	}
-	var commit func() error
-	if n.log != nil {
-		n.buf = binary.AppendUvarint(n.buf[:0], uint64(gid))
-		seq, aerr := n.log.Append(recNodeDelete, n.buf)
-		if aerr != nil {
-			n.wmu.Unlock()
-			return aerr
-		}
-		commit = func() error { return n.log.Commit(seq) }
+	logged, err := n.log.Log(recNodeDelete, func(b []byte) []byte { return binary.AppendUvarint(b, uint64(gid)) })
+	if err != nil {
+		n.wmu.Unlock()
+		return err
 	}
-	err := n.d.Delete(local)
+	err = n.d.Delete(local)
 	n.memSeq.Add(1)
 	n.wmu.Unlock()
 	if err != nil {
 		return err
 	}
-	if commit != nil {
-		return commit()
-	}
-	return nil
+	return logged.Wait()
 }
 
 // Owns reports whether gid is mapped on this node (the router's delete
@@ -387,12 +327,7 @@ func (n *Node) Search(ctx0 context.Context, e *delta.Engine, req query.Request) 
 func (n *Node) Epoch() uint64 { return n.d.Epoch() }
 
 // Close seals the node's WAL; the in-memory index keeps serving searches.
-func (n *Node) Close() error {
-	if n.log == nil {
-		return nil
-	}
-	return n.log.Close()
-}
+func (n *Node) Close() error { return n.log.Close() }
 
 // WALSegment is one replication-WAL segment file on the catch-up wire (Data
 // travels base64-encoded inside JSON).
@@ -471,37 +406,31 @@ func (n *Node) ApplySegments(segs []WALSegment) (uint64, error) {
 			return n.memSeq.Load(), err
 		}
 	}
-	var commits []uint64
-	replayErr := func() error {
-		_, err := wal.Replay(wal.OSFS(), tmp, func(rec wal.Record) error {
-			if rec.Seq <= n.memSeq.Load() {
-				return nil // already applied here
-			}
-			if rec.Seq != n.memSeq.Load()+1 {
-				return fmt.Errorf("cluster: catch-up gap: record seq %d after local seq %d (need earlier segments)", rec.Seq, n.memSeq.Load())
-			}
-			return n.applyRecord(rec, func() error {
-				if n.log == nil {
-					return nil
-				}
-				seq, err := n.log.Append(rec.Kind, rec.Data)
-				if err != nil {
-					return err
-				}
-				if seq != rec.Seq {
-					return fmt.Errorf("cluster: local wal assigned seq %d to shipped record %d", seq, rec.Seq)
-				}
-				commits = append(commits, seq)
-				return nil
-			})
-		})
-		return err
-	}()
-	// One commit wait for the whole batch (group commit covers the rest).
-	if n.log != nil && len(commits) > 0 {
-		if err := n.log.Commit(commits[len(commits)-1]); err != nil {
-			return n.memSeq.Load(), err
+	var last wal.Commit
+	_, replayErr := wal.Replay(wal.OSFS(), tmp, func(rec wal.Record) error {
+		if rec.Seq <= n.memSeq.Load() {
+			return nil // already applied here
 		}
+		if rec.Seq != n.memSeq.Load()+1 {
+			return fmt.Errorf("cluster: catch-up gap: record seq %d after local seq %d (need earlier segments)", rec.Seq, n.memSeq.Load())
+		}
+		return n.applyRecord(rec, func() error {
+			logged, err := n.log.Log(rec.Kind, func(b []byte) []byte { return append(b, rec.Data...) })
+			if err != nil {
+				return err
+			}
+			// Seq 0: a volatile node logged nothing, so has no numbering
+			// to disagree with the shipper's.
+			if logged.Seq != 0 && logged.Seq != rec.Seq {
+				return fmt.Errorf("cluster: local wal assigned seq %d to shipped record %d", logged.Seq, rec.Seq)
+			}
+			last = logged
+			return nil
+		})
+	})
+	// One commit wait for the whole batch (group commit covers the rest).
+	if err := last.Wait(); err != nil {
+		return n.memSeq.Load(), err
 	}
 	return n.memSeq.Load(), replayErr
 }

@@ -234,7 +234,7 @@ func TestNodeDurableRestart(t *testing.T) {
 	l := testLayout(t, ds, 2)
 	dir := t.TempDir()
 
-	cfg := NodeConfig{Shard: 0, Dir: dir}
+	cfg := NodeConfig{Shard: 0, Durability: delta.Durability{Dir: dir}}
 	n, rec, err := OpenNode(ds, l, cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -292,7 +292,7 @@ func TestNodeDurableRestart(t *testing.T) {
 func TestNodeRejectedInsertLeavesNoRecord(t *testing.T) {
 	ds := testDataset(t, 150)
 	l := testLayout(t, ds, 2)
-	cfg := NodeConfig{Shard: 0, Dir: t.TempDir()}
+	cfg := NodeConfig{Shard: 0, Durability: delta.Durability{Dir: t.TempDir()}}
 	n, _, err := OpenNode(ds, l, cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -360,11 +360,11 @@ func TestNodeCatchup(t *testing.T) {
 	ds := testDataset(t, 150)
 	l := testLayout(t, ds, 2)
 
-	lead, _, err := OpenNode(ds, l, NodeConfig{Shard: 0, Dir: t.TempDir(), SegmentBytes: 256})
+	lead, _, err := OpenNode(ds, l, NodeConfig{Shard: 0, Durability: delta.Durability{Dir: t.TempDir(), SegmentBytes: 256}})
 	if err != nil {
 		t.Fatalf("leader: %v", err)
 	}
-	lag, _, err := OpenNode(ds, l, NodeConfig{Shard: 0, Dir: t.TempDir(), SegmentBytes: 256})
+	lag, _, err := OpenNode(ds, l, NodeConfig{Shard: 0, Durability: delta.Durability{Dir: t.TempDir(), SegmentBytes: 256}})
 	if err != nil {
 		t.Fatalf("lagger: %v", err)
 	}

@@ -3,10 +3,8 @@ package delta
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"path/filepath"
 	"strings"
@@ -39,11 +37,14 @@ type Durability struct {
 	FS wal.FS
 }
 
-func (du Durability) fs() wal.FS {
-	if du.FS != nil {
-		return du.FS
+// Options is the durability configuration as the log takes it, FS resolved:
+// the one place its fields are copied, for every owner of a stream.
+func (du Durability) Options() wal.Options {
+	fsys := du.FS
+	if fsys == nil {
+		fsys = wal.OSFS()
 	}
-	return wal.OSFS()
+	return wal.Options{Dir: du.Dir, Sync: du.Sync, SegmentBytes: du.SegmentBytes, FS: fsys}
 }
 
 // WAL record kinds.
@@ -73,20 +74,7 @@ func snapName(lastSeq uint64) string {
 }
 
 // RecoveryInfo describes what OpenOrCreate rebuilt.
-type RecoveryInfo struct {
-	// SnapshotSeq is the last WAL seq baked into the loaded snapshot
-	// (0 when the index started from the bootstrap dataset).
-	SnapshotSeq uint64
-	// Replayed is the number of WAL records applied on top of the snapshot.
-	Replayed int64
-	// LastSeq is the sequence number the recovered index resumes after.
-	LastSeq uint64
-	// Torn reports that the WAL ended in a torn tail (the signature of a
-	// crash mid-append) which recovery truncated.
-	Torn bool
-	// TornSegment names the truncated segment when Torn.
-	TornSegment string
-}
+type RecoveryInfo = wal.Recovery
 
 // OpenOrCreate opens a durable Dynamic index from cfg.Durability.Dir,
 // recovering any state a previous process left behind: it loads the
@@ -105,72 +93,31 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Dynamic, Recovery
 		d, err := newDynamicBase(bootstrap, cfg)
 		return d, ri, err
 	}
-	fsys := cfg.Durability.fs()
-	dir := cfg.Durability.Dir
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, ri, fmt.Errorf("delta: mkdir %s: %w", dir, err)
-	}
-	man, err := readManifest(fsys, dir)
+	opts := cfg.Durability.Options()
+	var man manifest
+	found, err := wal.ReadJSON(opts.FS, opts.Dir, manifestName, &man)
 	if err != nil {
-		return nil, ri, err
+		return nil, ri, fmt.Errorf("delta: read manifest: %w", err)
 	}
 	ds := bootstrap
-	if man != nil {
-		ds, err = readSnapshot(fsys, filepath.Join(dir, man.Snapshot))
+	if found {
+		if man.Version != 1 || man.Snapshot == "" {
+			return nil, ri, fmt.Errorf("delta: unsupported manifest (version %d)", man.Version)
+		}
+		ds, err = readSnapshot(opts.FS, filepath.Join(opts.Dir, man.Snapshot))
 		if err != nil {
 			return nil, ri, err
 		}
-		ri.SnapshotSeq = man.LastSeq
 	}
 	d, err := newDynamicBase(ds, cfg)
 	if err != nil {
 		return nil, ri, err
 	}
-
-	// Replay the log past the snapshot. Replay is read-only and tolerates a
-	// torn tail itself, so the tear is observed (for RecoveryInfo) before
-	// wal.Open repairs it below.
-	ri.LastSeq = ri.SnapshotSeq
-	info, err := wal.Replay(fsys, dir, func(r wal.Record) error {
-		if r.Seq <= ri.SnapshotSeq {
-			return nil // already baked into the snapshot
-		}
-		if r.Seq != ri.LastSeq+1 {
-			return fmt.Errorf("%w: record seq %d does not continue snapshot seq %d", wal.ErrCorrupt, r.Seq, ri.LastSeq)
-		}
-		if err := d.applyRecord(r); err != nil {
-			return err
-		}
-		ri.LastSeq = r.Seq
-		ri.Replayed++
-		return nil
-	})
+	d.log, ri, err = wal.Recover(opts, man.LastSeq, d.applyRecord)
 	if err != nil {
-		return nil, ri, fmt.Errorf("delta: replay wal: %w", err)
+		return nil, ri, fmt.Errorf("delta: recover wal: %w", err)
 	}
-	ri.Torn = info.Torn
-	ri.TornSegment = info.TornSegment
-
-	// FirstSeq re-seeds numbering when the snapshot absorbed and pruned the
-	// whole log: without it an empty WAL would restart at seq 1 and the
-	// NEXT recovery would silently skip every new record at or below
-	// SnapshotSeq.
-	l, err := wal.Open(wal.Options{
-		Dir:          dir,
-		Sync:         cfg.Durability.Sync,
-		SegmentBytes: cfg.Durability.SegmentBytes,
-		FS:           fsys,
-		FirstSeq:     ri.LastSeq + 1,
-	})
-	if err != nil {
-		return nil, ri, err
-	}
-	if got := l.LastSeq(); got != ri.LastSeq {
-		l.Close()
-		return nil, ri, fmt.Errorf("%w: wal resumes at seq %d but replay recovered %d", wal.ErrCorrupt, got+1, ri.LastSeq)
-	}
-	d.log = l
-	d.fsys = fsys
+	d.fsys = opts.FS
 	return d, ri, nil
 }
 
@@ -216,12 +163,7 @@ func (d *Dynamic) applyRecord(r wal.Record) error {
 // Close seals the WAL (outstanding records are fsynced) and detaches it;
 // the in-memory index keeps serving searches but rejects further mutations
 // when durable. Closing a non-durable index is a no-op.
-func (d *Dynamic) Close() error {
-	if d.log == nil {
-		return nil
-	}
-	return d.log.Close()
-}
+func (d *Dynamic) Close() error { return d.log.Close() }
 
 // durableEpilogue persists a completed compaction: write the new base as a
 // snapshot, commit it by atomically replacing the manifest, then garbage —
@@ -260,45 +202,7 @@ func (d *Dynamic) durableEpilogue(ds *trajectory.Dataset, lastSeq uint64) error 
 			}
 		}
 	}
-	if err := d.log.Prune(lastSeq); err != nil {
-		return err
-	}
-	return nil
-}
-
-func readManifest(fsys wal.FS, dir string) (*manifest, error) {
-	names, err := fsys.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil // no directory yet: a fresh index
-	}
-	if err != nil {
-		// Any other listing error must fail the open: treating it as "no
-		// manifest" would silently restart a durable store from scratch.
-		return nil, fmt.Errorf("delta: list %s: %w", dir, err)
-	}
-	found := false
-	for _, n := range names {
-		if n == manifestName {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, nil
-	}
-	f, err := fsys.Open(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("delta: open manifest: %w", err)
-	}
-	defer f.Close()
-	var man manifest
-	if err := json.NewDecoder(f).Decode(&man); err != nil {
-		return nil, fmt.Errorf("delta: decode manifest: %w", err)
-	}
-	if man.Version != 1 || man.Snapshot == "" {
-		return nil, fmt.Errorf("delta: unsupported manifest (version %d)", man.Version)
-	}
-	return &man, nil
+	return d.log.Prune(lastSeq)
 }
 
 func readSnapshot(fsys wal.FS, path string) (*trajectory.Dataset, error) {

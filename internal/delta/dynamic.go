@@ -201,12 +201,11 @@ type Dynamic struct {
 	// atomic.Value never sees two different concrete error types.
 	compactErr atomic.Value // of errBox
 
-	// log, when non-nil, receives every mutation before it applies (see
-	// Durability); fsys is the filesystem snapshots are written through.
-	// walBuf is the record-encoding scratch buffer, guarded by mu.
-	log    *wal.Log
-	fsys   wal.FS
-	walBuf []byte
+	// log receives every mutation before it applies (see Durability; nil
+	// for a volatile index, whose Log calls do nothing); fsys is the
+	// filesystem snapshots are written through.
+	log  *wal.Stream
+	fsys wal.FS
 
 	gen atomic.Pointer[generation]
 
@@ -353,18 +352,10 @@ func (d *Dynamic) InsertDeferred(tr trajectory.Trajectory) (trajectory.TrajID, f
 		return 0, nil, err
 	}
 	d.mu.Lock()
-	// Log before apply: a mutation the WAL rejected never reaches memory,
-	// so the on-disk record stream is always a superset of the in-memory
-	// state — recovery replays a prefix of it and can never miss an
-	// acknowledged write.
-	var seq uint64
-	if d.log != nil {
-		d.walBuf = encodeInsertBody(d.walBuf[:0], tr.Pts)
-		var err error
-		if seq, err = d.log.Append(recInsert, d.walBuf); err != nil {
-			d.mu.Unlock()
-			return 0, nil, err
-		}
+	logged, err := d.log.Log(recInsert, func(b []byte) []byte { return encodeInsertBody(b, tr.Pts) })
+	if err != nil {
+		d.mu.Unlock()
+		return 0, nil, err
 	}
 	gen := d.gen.Load()
 	id := trajectory.TrajID(d.nextID)
@@ -377,10 +368,8 @@ func (d *Dynamic) InsertDeferred(tr trajectory.Trajectory) (trajectory.TrajID, f
 	}
 	d.mu.Unlock()
 	commit := func() error {
-		if d.log != nil {
-			if err := d.log.Commit(seq); err != nil {
-				return err
-			}
+		if err := logged.Wait(); err != nil {
+			return err
 		}
 		d.maybeCompact(gen)
 		return nil
@@ -411,14 +400,10 @@ func (d *Dynamic) Delete(id trajectory.TrajID) error {
 		d.mu.Unlock()
 		return nil
 	}
-	var seq uint64
-	if d.log != nil {
-		d.walBuf = encodeDeleteBody(d.walBuf[:0], id)
-		var err error
-		if seq, err = d.log.Append(recDelete, d.walBuf); err != nil {
-			d.mu.Unlock()
-			return err
-		}
+	logged, err := d.log.Log(recDelete, func(b []byte) []byte { return encodeDeleteBody(b, id) })
+	if err != nil {
+		d.mu.Unlock()
+		return err
 	}
 	gen.active.delete(id)
 	d.mutEpoch.Add(1) // apply-then-bump: after visibility, before the ack
@@ -426,10 +411,8 @@ func (d *Dynamic) Delete(id trajectory.TrajID) error {
 		d.obs.OnDelete(id)
 	}
 	d.mu.Unlock()
-	if d.log != nil {
-		if err := d.log.Commit(seq); err != nil {
-			return err
-		}
+	if err := logged.Wait(); err != nil {
+		return err
 	}
 	d.maybeCompact(gen)
 	return nil
@@ -519,10 +502,7 @@ func (d *Dynamic) CompactNow() error {
 	// WAL appends happen under d.mu, so the log's last seq here is exactly
 	// the last mutation captured by base+frozen: the snapshot built from
 	// them covers every record up to and including lastSeq.
-	var lastSeq uint64
-	if d.log != nil {
-		lastSeq = d.log.LastSeq()
-	}
+	lastSeq := d.log.LastSeq()
 	d.mu.Unlock()
 
 	// Phase 2: rebuild the base from the old dataset plus the frozen layer

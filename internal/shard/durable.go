@@ -3,10 +3,8 @@ package shard
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"path/filepath"
 
 	"activitytraj/internal/delta"
@@ -28,9 +26,10 @@ import (
 // re-journaled, and a journal record whose shard record was lost — an
 // insert that was never acknowledged — is replayed as a hole, consuming its
 // global ID without binding it, so every later (possibly acknowledged)
-// record keeps the exact ID it was assigned. The journal is not pruned —
-// routing records are a few bytes per insert and the full history is what
-// rebuilds the global ID map.
+// record keeps the exact ID it was assigned. The journal is only ever
+// appended to, never pruned or rewritten — routing records are a few bytes
+// per insert and the full history is what rebuilds the global ID map — so
+// it is the same journal, plus or minus a tail, at every crash point.
 
 const (
 	routerManifestName = "router.json"
@@ -38,10 +37,14 @@ const (
 	// recRoute is the journal's insert record kind: body = uvarint shard
 	// index.
 	recRoute = 1
-	// recHole marks a consumed global ID that binds to nothing (empty
-	// body): a route record whose insert was lost before becoming durable,
-	// rewritten explicitly so it can never rebind to a future insert.
+	// recHole consumes a global ID that binds to nothing (empty body).
+	// Journals rewritten by earlier versions contain it; none is written now.
 	recHole = 2
+	// recLost turns an earlier route record into a hole: body = uvarint
+	// global ID that record consumed. Recovery appends one when it finds a
+	// route record whose insert was lost before becoming durable, so the
+	// record can never rebind to a future insert of the same shard.
+	recLost = 3
 )
 
 func shardDirName(si int) string { return fmt.Sprintf("shard-%03d", si) }
@@ -74,18 +77,11 @@ type RecoveryInfo struct {
 	// acknowledged. Keeping their IDs as holes keeps every later record's
 	// ID exactly as assigned.
 	Holes int
-	// JournalRebuilt reports that journal records referencing lost inserts
-	// were converted to explicit hole records and the journal rewritten.
+	// JournalRebuilt reports that this recovery found route records
+	// referencing lost inserts and appended a hole marker for each.
 	JournalRebuilt bool
 	// Torn reports a torn tail was truncated in any WAL (shard or journal).
 	Torn bool
-}
-
-// jrec is one journal record kept in memory during replay, in case the
-// journal must be rewritten.
-type jrec struct {
-	kind uint8
-	body []byte
 }
 
 // OpenOrCreate opens a durable Router from cfg.Durability.Dir, recovering
@@ -111,19 +107,19 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Router, RecoveryI
 	if err := bootstrap.Validate(); err != nil {
 		return nil, ri, fmt.Errorf("shard: invalid dataset: %w", err)
 	}
-	fsys := cfg.Durability.FS
-	if fsys == nil {
-		fsys = wal.OSFS()
-	}
-	dir := cfg.Durability.Dir
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, ri, fmt.Errorf("shard: mkdir %s: %w", dir, err)
-	}
-	man, err := readRouterManifest(fsys, dir)
+	opts := cfg.Durability.Options()
+	fsys, dir := opts.FS, opts.Dir
+	var stored routerManifest
+	found, err := wal.ReadJSON(fsys, dir, routerManifestName, &stored)
 	if err != nil {
-		return nil, ri, err
+		return nil, ri, fmt.Errorf("shard: read router manifest: %w", err)
 	}
-	if man != nil {
+	var man *routerManifest // nil: a fresh router
+	if found {
+		man = &stored
+		if man.Version != 1 {
+			return nil, ri, fmt.Errorf("shard: unsupported router manifest version %d", man.Version)
+		}
 		if man.Shards != cfg.Shards || man.PartitionDepth != cfg.PartitionDepth {
 			return nil, ri, fmt.Errorf("shard: manifest has %d shards at depth %d, config wants %d at %d (repartitioning is not supported)",
 				man.Shards, man.PartitionDepth, cfg.Shards, cfg.PartitionDepth)
@@ -137,12 +133,8 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Router, RecoveryI
 	r := &Router{cfg: cfg, nextID: len(bootstrap.Trajs)}
 	openShard := func(si int, sub *trajectory.Dataset) (*delta.Dynamic, error) {
 		dcfg := cfg.Delta
-		dcfg.Durability = delta.Durability{
-			Dir:          filepath.Join(dir, shardDirName(si)),
-			Sync:         cfg.Durability.Sync,
-			SegmentBytes: cfg.Durability.SegmentBytes,
-			FS:           cfg.Durability.FS,
-		}
+		dcfg.Durability = cfg.Durability
+		dcfg.Durability.Dir = filepath.Join(dir, shardDirName(si))
 		d, sri, err := delta.OpenOrCreate(sub, dcfg)
 		if err != nil {
 			return nil, err
@@ -165,105 +157,102 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Router, RecoveryI
 	// Rebuild the global ID map from the routing journal. Each route record
 	// binds the next global ID to the next local slot of its shard; replay
 	// order is assignment order, so the rebuilt map matches the original
-	// exactly. A route record whose shard does not hold the insert — lost
-	// before becoming durable, so never acknowledged — consumes its global
-	// ID as a hole, keeping every later record's ID stable; a shard WAL
-	// always survives as a prefix, so such records are exactly the tail of
-	// their shard's journal subsequence and can never steal a live slot.
-	jdir := filepath.Join(dir, journalDirName)
-	var recs []jrec // kept in case the journal must be rewritten
-	jinfo, err := wal.Replay(fsys, jdir, func(rec wal.Record) error {
+	// exactly. The replay only collects, per consumed global ID, the shard
+	// it was routed to (-1 = hole), because a recLost marker arrives after
+	// the route record it cancels; the binding pass below reads the result.
+	baseN := len(bootstrap.Trajs)
+	var routes []int32
+	opts.Dir = filepath.Join(dir, journalDirName)
+	journal, jri, err := wal.Recover(opts, 0, func(rec wal.Record) error {
 		switch rec.Kind {
 		case recRoute:
-			si, err := decodeRouteBody(rec.Data)
+			si, err := decodeUvarintBody(rec.Data)
 			if err != nil {
 				return fmt.Errorf("journal record %d: %w", rec.Seq, err)
 			}
-			if si >= len(r.shards) {
+			if si >= uint64(len(r.shards)) {
 				return fmt.Errorf("%w: journal record %d routes to shard %d of %d", wal.ErrCorrupt, rec.Seq, si, len(r.shards))
 			}
-			sh := r.shards[si]
-			if len(sh.globalIDs) >= sh.d.Stats().IDSpace {
-				r.owners = append(r.owners, owner{shard: -1})
-				r.nextID++
-				ri.Holes++
-				ri.JournalRebuilt = true
-				recs = append(recs, jrec{kind: recHole})
-				return nil
-			}
-			local := trajectory.TrajID(len(sh.globalIDs))
-			gid := trajectory.TrajID(r.nextID)
-			r.nextID++
-			sh.globalIDs = append(sh.globalIDs, gid)
-			r.owners = append(r.owners, owner{shard: int32(si), local: local})
-			ri.JournalReplayed++
-			recs = append(recs, jrec{kind: recRoute, body: append([]byte(nil), rec.Data...)})
-			return nil
+			routes = append(routes, int32(si))
 		case recHole:
 			if len(rec.Data) != 0 {
 				return fmt.Errorf("%w: journal hole record %d has a body", wal.ErrCorrupt, rec.Seq)
 			}
-			r.owners = append(r.owners, owner{shard: -1})
-			r.nextID++
-			ri.Holes++
-			recs = append(recs, jrec{kind: recHole})
-			return nil
+			routes = append(routes, -1)
+		case recLost:
+			gid, err := decodeUvarintBody(rec.Data)
+			if err != nil {
+				return fmt.Errorf("journal record %d: %w", rec.Seq, err)
+			}
+			if gid < uint64(baseN) || gid >= uint64(baseN+len(routes)) {
+				return fmt.Errorf("%w: journal record %d marks global ID %d lost, which no earlier record consumed", wal.ErrCorrupt, rec.Seq, gid)
+			}
+			routes[gid-uint64(baseN)] = -1
 		default:
 			return fmt.Errorf("%w: journal record %d has unknown kind %d", wal.ErrCorrupt, rec.Seq, rec.Kind)
 		}
+		return nil
 	})
 	if err != nil {
 		r.closeShards()
-		return nil, ri, fmt.Errorf("shard: replay journal: %w", err)
-	}
-	ri.Torn = ri.Torn || jinfo.Torn
-
-	if ri.JournalRebuilt {
-		// Rewrite the journal with the lost inserts' records as explicit
-		// holes, so they can never rebind to future inserts.
-		if err := rewriteJournal(fsys, jdir, recs); err != nil {
-			r.closeShards()
-			return nil, ri, err
-		}
-	}
-	journal, err := wal.Open(wal.Options{
-		Dir:          jdir,
-		Sync:         cfg.Durability.Sync,
-		SegmentBytes: cfg.Durability.SegmentBytes,
-		FS:           cfg.Durability.FS,
-	})
-	if err != nil {
-		r.closeShards()
-		return nil, ri, err
+		return nil, ri, fmt.Errorf("shard: recover journal: %w", err)
 	}
 	r.journal = journal
+	ri.Torn = ri.Torn || jri.Torn
+
+	// Bind. A route record whose shard does not hold the insert — lost
+	// before becoming durable, so never acknowledged — consumes its global
+	// ID as a hole, keeping every later record's ID stable; a shard WAL
+	// always survives as a prefix, so such records are exactly the tail of
+	// their shard's journal subsequence and can never steal a live slot. The
+	// hole is made permanent by appending a recLost marker: a crash before
+	// the marker is durable leaves the journal as it was, and the next
+	// recovery finds the same hole again.
+	var last wal.Commit
+	for _, si := range routes {
+		gid := trajectory.TrajID(r.nextID)
+		r.nextID++
+		if si >= 0 {
+			sh := r.shards[si]
+			if len(sh.globalIDs) < sh.d.Stats().IDSpace {
+				r.owners = append(r.owners, owner{shard: si, local: trajectory.TrajID(len(sh.globalIDs))})
+				sh.globalIDs = append(sh.globalIDs, gid)
+				ri.JournalReplayed++
+				continue
+			}
+			ri.JournalRebuilt = true
+			last, err = journal.Log(recLost, func(b []byte) []byte { return binary.AppendUvarint(b, uint64(gid)) })
+			if err != nil {
+				r.Close()
+				return nil, ri, fmt.Errorf("shard: journal lost insert %d: %w", gid, err)
+			}
+		}
+		r.owners = append(r.owners, owner{shard: -1})
+		ri.Holes++
+	}
 
 	// Synthesize routing for shard-local inserts the journal never saw (at
 	// most the single in-flight insert per crash, but the loop is general).
 	// They are appended to the journal now, in the same deterministic order,
 	// so the next recovery replays them like any other insert.
-	var lastSeq uint64
 	for si, sh := range r.shards {
 		for len(sh.globalIDs) < sh.d.Stats().IDSpace {
-			local := trajectory.TrajID(len(sh.globalIDs))
-			gid := trajectory.TrajID(r.nextID)
+			r.owners = append(r.owners, owner{shard: int32(si), local: trajectory.TrajID(len(sh.globalIDs))})
+			sh.globalIDs = append(sh.globalIDs, trajectory.TrajID(r.nextID))
 			r.nextID++
-			sh.globalIDs = append(sh.globalIDs, gid)
-			r.owners = append(r.owners, owner{shard: int32(si), local: local})
-			seq, err := journal.Append(recRoute, binary.AppendUvarint(nil, uint64(si)))
+			last, err = journal.Log(recRoute, func(b []byte) []byte { return binary.AppendUvarint(b, uint64(si)) })
 			if err != nil {
 				r.Close()
 				return nil, ri, fmt.Errorf("shard: re-journal shard %d insert: %w", si, err)
 			}
-			lastSeq = seq
 			ri.Synthesized++
 		}
 	}
-	if lastSeq != 0 {
-		if err := journal.Commit(lastSeq); err != nil {
-			r.Close()
-			return nil, ri, fmt.Errorf("shard: re-journal commit: %w", err)
-		}
+	// Nothing recovery appended may be lost once new inserts are accepted:
+	// one wait covers every marker and synthesized route.
+	if err := last.Wait(); err != nil {
+		r.Close()
+		return nil, ri, fmt.Errorf("shard: re-journal commit: %w", err)
 	}
 
 	// Re-extend every shard's bounds from the points it actually holds
@@ -280,10 +269,7 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Router, RecoveryI
 // Close seals the routing journal and every shard's WAL. The in-memory
 // router keeps serving searches but rejects further mutations when durable.
 func (r *Router) Close() error {
-	var first error
-	if r.journal != nil {
-		first = r.journal.Close()
-	}
+	first := r.journal.Close()
 	if err := r.closeShards(); first == nil {
 		first = err
 	}
@@ -303,77 +289,14 @@ func (r *Router) closeShards() error {
 	return first
 }
 
-func decodeRouteBody(b []byte) (int, error) {
-	si, n := binary.Uvarint(b)
+// decodeUvarintBody decodes a journal record body: exactly one uvarint (a
+// shard index or a global ID).
+func decodeUvarintBody(b []byte) (uint64, error) {
+	v, n := binary.Uvarint(b)
 	if n <= 0 || n != len(b) {
 		return 0, fmt.Errorf("%w: malformed routing record", wal.ErrCorrupt)
 	}
-	return int(si), nil
-}
-
-// rewriteJournal replaces the journal directory's contents with exactly the
-// given records (fresh sequence numbers starting at 1).
-func rewriteJournal(fsys wal.FS, jdir string, recs []jrec) error {
-	names, err := fsys.ReadDir(jdir)
-	if errors.Is(err, fs.ErrNotExist) {
-		names = nil
-	} else if err != nil {
-		return fmt.Errorf("shard: rewrite journal: %w", err)
-	}
-	for _, n := range names {
-		if err := fsys.Remove(filepath.Join(jdir, n)); err != nil {
-			return fmt.Errorf("shard: rewrite journal: %w", err)
-		}
-	}
-	l, err := wal.Open(wal.Options{Dir: jdir, FS: fsys})
-	if err != nil {
-		return fmt.Errorf("shard: rewrite journal: %w", err)
-	}
-	for _, rec := range recs {
-		if _, err := l.Append(rec.kind, rec.body); err != nil {
-			l.Close()
-			return fmt.Errorf("shard: rewrite journal: %w", err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		return fmt.Errorf("shard: rewrite journal: %w", err)
-	}
-	return nil
-}
-
-func readRouterManifest(fsys wal.FS, dir string) (*routerManifest, error) {
-	names, err := fsys.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil // no directory yet: a fresh router
-	}
-	if err != nil {
-		// Any other listing error must fail the open: treating it as "no
-		// manifest" would silently restart a durable router from scratch.
-		return nil, fmt.Errorf("shard: list %s: %w", dir, err)
-	}
-	found := false
-	for _, n := range names {
-		if n == routerManifestName {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, nil
-	}
-	f, err := fsys.Open(filepath.Join(dir, routerManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("shard: open router manifest: %w", err)
-	}
-	defer f.Close()
-	var man routerManifest
-	if err := json.NewDecoder(f).Decode(&man); err != nil {
-		return nil, fmt.Errorf("shard: decode router manifest: %w", err)
-	}
-	if man.Version != 1 {
-		return nil, fmt.Errorf("shard: unsupported router manifest version %d", man.Version)
-	}
-	return &man, nil
+	return v, nil
 }
 
 func writeRouterManifest(fsys wal.FS, dir string, r *Router, baseN int) error {

@@ -125,11 +125,9 @@ type Router struct {
 	nextID int
 	owners []owner
 
-	// journal, when non-nil, records which shard every global insert was
-	// routed to (see OpenOrCreate); jbuf is its encoding scratch, guarded
-	// by mu.
-	journal *wal.Log
-	jbuf    []byte
+	// journal records which shard every global insert was routed to (see
+	// OpenOrCreate); nil for a volatile router.
+	journal *wal.Stream
 }
 
 // NewRouter partitions ds into cfg.Shards spatial shards and builds each
@@ -273,16 +271,12 @@ func (r *Router) Insert(tr trajectory.Trajectory) (trajectory.TrajID, error) {
 	sh.bounds.Extend(tr.Pts)
 	sh.idmu.Unlock()
 	r.owners = append(r.owners, owner{shard: int32(si), local: local})
-	var jseq uint64
-	if r.journal != nil {
-		// Journal appends happen under r.mu in assignment order, so replay
-		// order is exactly global ID order. Neither WAL must be durable
-		// before the other: recovery re-synthesizes a shard record the
-		// journal missed, and replays a journal record whose shard record
-		// was lost (an unacknowledged insert) as a hole — see OpenOrCreate.
-		r.jbuf = binary.AppendUvarint(r.jbuf[:0], uint64(si))
-		jseq, err = r.journal.Append(recRoute, r.jbuf)
-	}
+	// Journal appends happen under r.mu in assignment order, so replay order
+	// is exactly global ID order. Neither WAL must be durable before the
+	// other: recovery re-synthesizes a shard record the journal missed, and
+	// replays a journal record whose shard record was lost (an
+	// unacknowledged insert) as a hole — see OpenOrCreate.
+	routed, err := r.journal.Log(recRoute, func(b []byte) []byte { return binary.AppendUvarint(b, uint64(si)) })
 	r.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -293,10 +287,8 @@ func (r *Router) Insert(tr trajectory.Trajectory) (trajectory.TrajID, error) {
 	if err := commit(); err != nil {
 		return 0, err
 	}
-	if r.journal != nil {
-		if err := r.journal.Commit(jseq); err != nil {
-			return 0, err
-		}
+	if err := routed.Wait(); err != nil {
+		return 0, err
 	}
 	return gid, nil
 }

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -117,6 +120,22 @@ func WriteFileAtomic(fsys FS, name string, write func(io.Writer) error) error {
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(name))
+}
+
+// ReadJSON decodes the JSON file dir/name (a manifest WriteFileAtomic
+// committed) into v and reports whether it exists. Only "does not exist" is
+// found=false, a fresh store; any other error fails the open, because taking
+// it for "no manifest" would silently restart a durable store from scratch.
+func ReadJSON(fsys FS, dir, name string, v any) (found bool, err error) {
+	f, err := fsys.Open(join(dir, name))
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	return true, json.NewDecoder(f).Decode(v)
 }
 
 // join is filepath.Join, aliased so every path the package builds goes

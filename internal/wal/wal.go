@@ -92,10 +92,8 @@ type Options struct {
 	// DefaultGatherWindow.
 	GatherWindow time.Duration
 	// FirstSeq, when > 1, is the sequence number the next Append assigns
-	// if the log holds no records. A snapshot that absorbed and pruned the
-	// whole log sets this to its last covered seq + 1, so numbering resumes
-	// after the snapshot instead of restarting at 1 (which a later replay
-	// would silently skip).
+	// if the log holds no records: Recover sets it so numbering resumes
+	// after a snapshot that absorbed and pruned the whole log.
 	FirstSeq uint64
 	// FS overrides the filesystem; nil selects the real one. Tests inject
 	// internal/faultfs here.
