@@ -7,7 +7,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -46,13 +45,45 @@ type Sharded[K comparable, V any] struct {
 type shard[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
-	lru      *list.List // front = most recent; values are *entry[K, V]
-	items    map[K]*list.Element
+	head     *node[K, V] // most recent; head.prev is the LRU victim
+	items    map[K]*node[K, V]
 }
 
-type entry[K comparable, V any] struct {
-	key K
-	val V
+// node is one entry and its place in the shard's LRU ring. An insert into a
+// full shard reuses the node it evicts (never the value, which readers may
+// still hold), so a cache at capacity allocates nothing per Put.
+type node[K comparable, V any] struct {
+	prev, next *node[K, V]
+	key        K
+	val        V
+}
+
+func (s *shard[K, V]) pushFront(n *node[K, V]) {
+	if s.head == nil {
+		n.prev, n.next = n, n
+	} else {
+		n.prev, n.next = s.head.prev, s.head
+		n.prev.next, n.next.prev = n, n
+	}
+	s.head = n
+}
+
+func (s *shard[K, V]) unlink(n *node[K, V]) {
+	if n.next == n {
+		s.head = nil
+	} else {
+		n.prev.next, n.next.prev = n.next, n.prev
+		if s.head == n {
+			s.head = n.next
+		}
+	}
+}
+
+func (s *shard[K, V]) moveToFront(n *node[K, V]) {
+	if s.head != n {
+		s.unlink(n)
+		s.pushFront(n)
+	}
 }
 
 // defaultShards is sized for typical core counts; contention halves with
@@ -93,11 +124,7 @@ func New[K comparable, V any](capacity, shards int, hash func(K) uint64) *Sharde
 		if cap < 1 {
 			cap = 1
 		}
-		c.shards[i] = shard[K, V]{
-			capacity: cap,
-			lru:      list.New(),
-			items:    make(map[K]*list.Element, cap),
-		}
+		c.shards[i] = shard[K, V]{capacity: cap, items: make(map[K]*node[K, V], cap)}
 	}
 	return c
 }
@@ -111,9 +138,9 @@ func (c *Sharded[K, V]) shardFor(key K) *shard[K, V] {
 func (c *Sharded[K, V]) Get(key K) (V, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.lru.MoveToFront(el)
-		v := el.Value.(*entry[K, V]).val
+	if n := s.items[key]; n != nil {
+		s.moveToFront(n)
+		v := n.val
 		s.mu.Unlock()
 		c.hits.Add(1)
 		return v, true
@@ -134,26 +161,28 @@ func (c *Sharded[K, V]) Put(key K, val V) { c.put(key, val, false) }
 func (c *Sharded[K, V]) put(key K, val V, keep bool) V {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		e := el.Value.(*entry[K, V])
+	if n := s.items[key]; n != nil {
 		if keep {
-			val = e.val
+			val = n.val
 		} else {
-			e.val = val
+			n.val = val
 		}
-		s.lru.MoveToFront(el)
+		s.moveToFront(n)
 		s.mu.Unlock()
 		return val
 	}
-	var evicted bool
-	if s.lru.Len() >= s.capacity {
-		el := s.lru.Back()
-		e := el.Value.(*entry[K, V])
-		delete(s.items, e.key)
-		s.lru.Remove(el)
-		evicted = true
+	var n *node[K, V]
+	evicted := len(s.items) >= s.capacity
+	if evicted {
+		n = s.head.prev
+		s.unlink(n)
+		delete(s.items, n.key)
+	} else {
+		n = new(node[K, V])
 	}
-	s.items[key] = s.lru.PushFront(&entry[K, V]{key: key, val: val})
+	n.key, n.val = key, val
+	s.items[key] = n
+	s.pushFront(n)
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
@@ -196,7 +225,7 @@ func (c *Sharded[K, V]) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += len(s.items)
 		s.mu.Unlock()
 	}
 	return n
@@ -219,8 +248,8 @@ func (c *Sharded[K, V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.lru.Init()
-		s.items = make(map[K]*list.Element, s.capacity)
+		s.head = nil
+		s.items = make(map[K]*node[K, V], s.capacity)
 		s.mu.Unlock()
 	}
 	c.hits.Store(0)

@@ -225,3 +225,41 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal("no traffic recorded")
 	}
 }
+
+// TestPutOnFullCacheAllocatesNothing: an insert into a full shard reuses the
+// node it evicts, so a cache at capacity costs no allocation per Put — and
+// the reuse must carry the new key and value, never the old ones.
+func TestPutOnFullCacheAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	c := New[uint64, int](capacity, 4, idHash)
+	next := uint64(0)
+	put := func() {
+		c.Put(next, int(next)*3)
+		next++
+	}
+	for i := 0; i < 4*capacity; i++ {
+		put() // fill every shard and size its map
+	}
+	before := c.Stats()
+	if n := testing.AllocsPerRun(500, put); n != 0 {
+		t.Errorf("Put on a full cache: %v allocs, want 0", n)
+	}
+	if ev := c.Stats().Sub(before).Evictions; ev != 501 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("every Put of a new key on a full cache must evict: %d evictions for 501 puts", ev)
+	}
+	if c.Len() != capacity {
+		t.Fatalf("len %d, want %d", c.Len(), capacity)
+	}
+	resident := 0
+	for k := uint64(0); k < next; k++ {
+		if v, ok := c.Get(k); ok {
+			resident++
+			if v != int(k)*3 {
+				t.Fatalf("key %d holds %d, want %d: a reused node kept stale state", k, v, int(k)*3)
+			}
+		}
+	}
+	if resident != capacity {
+		t.Fatalf("%d keys resident, want %d", resident, capacity)
+	}
+}

@@ -2,6 +2,7 @@ package evaluate
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,4 +167,103 @@ func TestHeaderDirectoryMismatchIsAnError(t *testing.T) {
 		}
 		ts.Close()
 	}
+}
+
+// TestSkipTableSumDoesNotWrap: the skip table must be summed in 64 bits and
+// each entry bounded by the segment, or block lengths of 2^32 and more are
+// accepted modulo 2^32 and satisfy "header + blocks == segment" by
+// wrap-around.
+func TestSkipTableSumDoesNotWrap(t *testing.T) {
+	header := func(acts trajectory.ActivitySet, lens ...uint64) []byte {
+		blob := binary.AppendUvarint(nil, uint64(len(acts)))
+		prev := trajectory.ActivityID(0)
+		for _, a := range acts {
+			blob = binary.AppendUvarint(blob, uint64(a-prev))
+			prev = a
+		}
+		for _, l := range lens {
+			blob = binary.AppendUvarint(blob, l)
+		}
+		return blob
+	}
+	one := trajectory.ActivitySet{5}
+	three := trajectory.ActivitySet{5, 6, 7}
+	for name, c := range map[string]struct {
+		blob   []byte
+		segLen uint32
+		acts   trajectory.ActivitySet
+	}{
+		// 7-byte header + (2^32+3 mod 2^32) == 10.
+		"one entry past 2^32": {header(one, 1<<32+3), 10, one},
+		// Every entry fits the segment; only the 32-bit sum wraps:
+		// 19-byte header + (0x17FFFFFFA mod 2^32) == 0x8000000D.
+		"sum past 2^32": {header(three, 1<<31, 1<<31, 1<<31-6), 1<<31 + 13, three},
+	} {
+		if apl, err := decodeAPLHeader(c.blob, c.segLen, c.acts); err == nil {
+			t.Errorf("%s: accepted, last block ends at %d of a %d-byte segment", name, apl.blockEnd(len(c.acts)-1), c.segLen)
+		}
+	}
+	// The honest neighbour of the first case still decodes.
+	if _, err := decodeAPLHeader(header(one, 3), 6, one); err != nil {
+		t.Errorf("valid header rejected: %v", err)
+	}
+}
+
+// FuzzDecodeAPLHeader mutates real APL segments (and the segment length the
+// directory would claim for them) under their real directory entries. The
+// decoder must never panic, and a header it accepts must describe blocks that
+// tile the segment exactly; decoding each block over the (equally fuzzed)
+// body must fail or yield strictly ascending point indexes inside the
+// trajectory — what the row builder indexes its scratch with.
+func FuzzDecodeAPLHeader(f *testing.F) {
+	ds := smallDataset(f)
+	ts, err := BuildTrajStore(ds, TrajStoreConfig{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer ts.Close()
+	for i := 0; i < len(ds.Trajs); i += 17 {
+		blob, _ := encodeAPL(nil, &ds.Trajs[i])
+		f.Add(uint8(i), uint32(len(blob)), blob)
+	}
+	f.Add(uint8(0), uint32(10), []byte{0x01, 0x05, 0x83, 0x80, 0x80, 0x80, 0x10})
+	f.Fuzz(func(t *testing.T, which uint8, segLen uint32, blob []byte) {
+		id := trajectory.TrajID(int(which) % len(ds.Trajs))
+		acts := ts.activities(id)
+		a, err := decodeAPLHeader(blob, segLen, acts)
+		if err != nil {
+			return
+		}
+		n := len(acts)
+		prev := uint32(0)
+		for i := 0; i < n; i++ {
+			if a.blockEnd(i) < prev {
+				t.Fatalf("block %d ends at %d, before its predecessor's %d", i, a.blockEnd(i), prev)
+			}
+			prev = a.blockEnd(i)
+		}
+		if uint64(a.hdrLen)+uint64(prev) != uint64(segLen) {
+			t.Fatalf("header %dB + blocks %dB accepted for a segment of %dB", a.hdrLen, prev, segLen)
+		}
+		if int(a.hdrLen) > len(blob) {
+			t.Fatalf("header of %dB decoded from %dB", a.hdrLen, len(blob))
+		}
+		// Set the APL up as fetchAPL does, with whatever follows the header
+		// as its body (possibly short of what the skip table promises).
+		a.ts, a.numPts = ts, ts.numPts[id]
+		a.body = blob[a.hdrLen:]
+		a.hasBody.Store(true)
+		var stats query.SearchStats
+		for i := 0; i < n; i++ {
+			list, err := a.postingsAt(i, &stats)
+			if err != nil {
+				continue
+			}
+			for j, idx := range list {
+				if idx >= a.numPts || (j > 0 && idx <= list[j-1]) {
+					t.Fatalf("block %d decoded to %v for a trajectory of %d points", i, list, a.numPts)
+				}
+			}
+		}
+	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"activitytraj/internal/cache"
 	"activitytraj/internal/dataset"
-	"activitytraj/internal/geo"
 	"activitytraj/internal/matcher"
 	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
@@ -223,7 +222,7 @@ func TestSparseCoordsMatchFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stats query.SearchStats
-		var scratch []geo.Point
+		var scratch coordScratch
 		for ti := range ds.Trajs {
 			tr := &ds.Trajs[ti]
 			full, err := ts.FetchCoords(tr.ID)
@@ -241,8 +240,7 @@ func TestSparseCoordsMatchFull(t *testing.T) {
 			}
 			subsets = append(subsets, odds, every)
 			for si, idxs := range subsets {
-				pts, sc, err := ts.fetchCoordsSparse(tr.ID, idxs, scratch, &stats)
-				scratch = sc
+				pts, err := ts.fetchCoordsSparse(tr.ID, idxs, &scratch, &stats)
 				if err != nil {
 					t.Fatalf("traj %d subset %d: %v", ti, si, err)
 				}
@@ -254,7 +252,7 @@ func TestSparseCoordsMatchFull(t *testing.T) {
 				}
 			}
 			// Out-of-range index must error, not read garbage.
-			if _, _, err := ts.fetchCoordsSparse(tr.ID, []uint32{uint32(n)}, scratch, &stats); err == nil {
+			if _, err := ts.fetchCoordsSparse(tr.ID, []uint32{uint32(n)}, &scratch, &stats); err == nil {
 				t.Fatalf("traj %d: out-of-range index accepted", ti)
 			}
 		}
@@ -324,9 +322,9 @@ func TestHeaderOnlyRejectAccounting(t *testing.T) {
 		if a == present {
 			start := uint32(0)
 			if i > 0 {
-				start = apl.ends[i-1]
+				start = apl.blockEnd(i - 1)
 			}
-			blockLen = int64(apl.ends[i] - start)
+			blockLen = int64(apl.blockEnd(i) - start)
 		}
 	}
 	wantDecoded := blockLen + 16*int64(len(apl.Postings(present)))

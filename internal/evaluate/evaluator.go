@@ -91,7 +91,7 @@ type Evaluator struct {
 	stats query.SearchStats
 
 	rb        matcher.RowBuilder
-	coordsBuf []geo.Point
+	coordsBuf coordScratch
 	blobBuf   []byte
 	actPos    []int      // per query activity: its position in the candidate's activity set (scratch)
 	actLists  [][]uint32 // per query activity: the candidate's postings (scratch)
@@ -268,7 +268,7 @@ func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, stats *query.Se
 			}
 		}
 		e.unionIdx(lists, e.ts.NumPoints(id))
-		coords, e.coordsBuf, err = e.ts.fetchCoordsSparse(id, e.needIdx, e.coordsBuf, stats)
+		coords, err = e.ts.fetchCoordsSparse(id, e.needIdx, &e.coordsBuf, stats)
 		if err != nil {
 			return nil, 0, Scored, err
 		}

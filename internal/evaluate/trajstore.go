@@ -222,51 +222,62 @@ func (ts *TrajStore) FetchCoords(id trajectory.TrajID) ([]geo.Point, error) {
 	return decodeCoords(blob)
 }
 
-// pageCursor caches the current page during a sparse point sweep so
-// consecutive indexes on one page cost a single pool access.
-type pageCursor struct {
+// coordScratch is the caller-owned state of sparse coordinate sweeps, reused
+// across candidates: the point slice used when the coordinate cache is
+// disabled, and the sweep's copy of the page it is on, so consecutive indexes
+// on one page cost a single pool access. The copy is what keeps a sweep from
+// holding an alias of a pool frame.
+type coordScratch struct {
+	pts   []geo.Point
 	page  uint32
-	data  []byte
-	valid bool
+	valid bool   // buf holds page
+	buf   []byte // PageSize bytes once used
 }
 
 // readPointAt decodes the 16-byte point idx of the segment at ref (whose
-// count prefix is hdr bytes), advancing cur and charging each newly touched
-// page and decoded point to stats. Indexes must arrive in ascending order.
-func (ts *TrajStore) readPointAt(ref storage.SegRef, hdr, idx uint32, cur *pageCursor, stats *query.SearchStats) (geo.Point, error) {
+// count prefix is hdr bytes), advancing sc's page copy and charging each
+// newly touched page and decoded point to stats. Indexes must arrive in
+// ascending order.
+func (ts *TrajStore) readPointAt(ref storage.SegRef, hdr, idx uint32, sc *coordScratch, stats *query.SearchStats) (geo.Point, error) {
 	absOff := ref.Off + hdr + 16*idx
 	page := ref.Page + absOff/storage.PageSize
 	off := int(absOff % storage.PageSize)
-	if !cur.valid || page != cur.page {
-		data, err := ts.store.PageData(page)
-		if err != nil {
+	if !sc.valid || page != sc.page {
+		if err := sc.load(ts.store, page); err != nil {
 			return geo.Point{}, err
 		}
-		cur.page, cur.data, cur.valid = page, data, true
 		stats.PageReads++
 	}
-	var b []byte
-	var scratch [16]byte
-	if off+16 <= storage.PageSize {
-		b = cur.data[off : off+16]
-	} else {
+	b := sc.buf[off:]
+	var stitch [16]byte
+	if off+16 > storage.PageSize {
 		// The point straddles a page boundary: stitch it from the tail of
 		// this page and the head of the next.
-		head := copy(scratch[:], cur.data[off:])
-		next, err := ts.store.PageData(page + 1)
-		if err != nil {
+		head := copy(stitch[:], b)
+		if err := sc.load(ts.store, page+1); err != nil {
 			return geo.Point{}, err
 		}
-		copy(scratch[head:], next[:16-head])
-		cur.page, cur.data = page+1, next
 		stats.PageReads++
-		b = scratch[:]
+		copy(stitch[head:], sc.buf)
+		b = stitch[:]
 	}
 	stats.BytesDecoded += 16
 	return geo.Point{
 		X: math.Float64frombits(binary.LittleEndian.Uint64(b[0:8])),
 		Y: math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])),
 	}, nil
+}
+
+// load copies page into sc's page buffer.
+func (sc *coordScratch) load(store *storage.Store, page uint32) error {
+	if sc.buf == nil {
+		sc.buf = make([]byte, storage.PageSize)
+	}
+	if err := store.ReadPage(page, sc.buf); err != nil {
+		return err
+	}
+	sc.page, sc.valid = page, true
+	return nil
 }
 
 // fetchCoordsSparse returns a point slice of the trajectory's full length
@@ -279,29 +290,28 @@ func (ts *TrajStore) readPointAt(ref storage.SegRef, hdr, idx uint32, cur *pageC
 // With the coordinate cache enabled the returned slice is the shared,
 // sparsely-filled cache entry: points a previous query already faulted in
 // cost nothing, repeat candidates cost zero pages. Without it, points land
-// in the caller's scratch (returned grown as the second value).
-func (ts *TrajStore) fetchCoordsSparse(id trajectory.TrajID, idxs []uint32, scratch []geo.Point, stats *query.SearchStats) ([]geo.Point, []geo.Point, error) {
+// in sc.pts and are valid until the next fetch through sc.
+func (ts *TrajStore) fetchCoordsSparse(id trajectory.TrajID, idxs []uint32, sc *coordScratch, stats *query.SearchStats) ([]geo.Point, error) {
 	n := int(ts.numPts[id])
 	ref := ts.coordRefs[id]
 	hdr := uint32(ts.coordHdrLens[id])
 	if len(idxs) > 0 && int(idxs[len(idxs)-1]) >= n {
-		return nil, scratch, fmt.Errorf("evaluate: point index %d outside trajectory %d (%d points)", idxs[len(idxs)-1], id, n)
+		return nil, fmt.Errorf("evaluate: point index %d outside trajectory %d (%d points)", idxs[len(idxs)-1], id, n)
 	}
+	sc.valid = false // a sweep starts on no page
 	if ts.coordCache == nil {
-		if cap(scratch) < n {
-			scratch = make([]geo.Point, n)
-		} else {
-			scratch = scratch[:n]
+		if cap(sc.pts) < n {
+			sc.pts = make([]geo.Point, n)
 		}
-		var cur pageCursor
+		pts := sc.pts[:n]
 		for _, idx := range idxs {
-			p, err := ts.readPointAt(ref, hdr, idx, &cur, stats)
+			p, err := ts.readPointAt(ref, hdr, idx, sc, stats)
 			if err != nil {
-				return nil, scratch, err
+				return nil, err
 			}
-			scratch[idx] = p
+			pts[idx] = p
 		}
-		return scratch, scratch, nil
+		return pts, nil
 	}
 
 	missed := false
@@ -313,7 +323,7 @@ func (ts *TrajStore) fetchCoordsSparse(id trajectory.TrajID, idxs []uint32, scra
 		}, nil
 	})
 	if err != nil {
-		return nil, scratch, err
+		return nil, err
 	}
 	if missed {
 		stats.CacheMisses++
@@ -321,21 +331,20 @@ func (ts *TrajStore) fetchCoordsSparse(id trajectory.TrajID, idxs []uint32, scra
 		stats.CacheHits++
 	}
 	cb.mu.Lock()
-	var cur pageCursor
 	for _, idx := range idxs {
 		if cb.has(idx) {
 			continue
 		}
-		p, err := ts.readPointAt(ref, hdr, idx, &cur, stats)
+		p, err := ts.readPointAt(ref, hdr, idx, sc, stats)
 		if err != nil {
 			cb.mu.Unlock()
-			return nil, scratch, err
+			return nil, err
 		}
 		cb.pts[idx] = p
 		cb.mark(idx)
 	}
 	cb.mu.Unlock()
-	return cb.pts, scratch, nil
+	return cb.pts, nil
 }
 
 // APL is a lazily-decoded Activity Posting List. The header — the sorted
@@ -346,16 +355,30 @@ func (ts *TrajStore) fetchCoordsSparse(id trajectory.TrajID, idxs []uint32, scra
 // race-free and decode each block at most a handful of times.
 type APL struct {
 	acts   []trajectory.ActivityID
-	ends   []uint32 // cumulative byte ends of posting blocks within the body
+	blocks []blockPair // per-activity skip-table ends and memoized lists
 	ref    storage.SegRef
 	hdrLen uint32
-	ts     *TrajStore // nil when built from a fully in-memory blob
 	numPts uint32     // the trajectory's point count (set with ts)
+	ts     *TrajStore // nil when built from a fully in-memory blob
 
-	mu    sync.Mutex
-	body  atomic.Pointer[[]byte]
-	lists []atomic.Pointer[[]uint32] // parallel to acts; nil until decoded
+	mu      sync.Mutex  // serializes the body fault
+	hasBody atomic.Bool // body is set and will not change
+	body    []byte
 }
+
+// blockPair holds the state of the posting blocks at header positions 2j and
+// 2j+1: the cumulative byte end of each within the body, and its decoded
+// list, nil until decoded. Pairing keeps ends and lists in one allocation at
+// the 12 bytes a block they cost apart (a pointer beside one uint32 pads to
+// 16).
+type blockPair struct {
+	list [2]atomic.Pointer[[]uint32]
+	end  [2]uint32
+}
+
+func (a *APL) blockEnd(i int) uint32 { return a.blocks[i>>1].end[i&1] }
+
+func (a *APL) blockList(i int) *atomic.Pointer[[]uint32] { return &a.blocks[i>>1].list[i&1] }
 
 // Has reports whether the trajectory contains activity act anywhere; no
 // posting block is read or decoded.
@@ -414,7 +437,8 @@ func locateActs(acts, want []trajectory.ActivityID, pos []int) bool {
 // decoded list is checked against the trajectory's point count, so every
 // list the evaluator sees indexes inside the trajectory.
 func (a *APL) postingsAt(i int, stats *query.SearchStats) ([]uint32, error) {
-	if p := a.lists[i].Load(); p != nil {
+	memo := a.blockList(i)
+	if p := memo.Load(); p != nil {
 		return *p, nil
 	}
 	body, err := a.ensureBody(stats)
@@ -423,9 +447,9 @@ func (a *APL) postingsAt(i int, stats *query.SearchStats) ([]uint32, error) {
 	}
 	start := uint32(0)
 	if i > 0 {
-		start = a.ends[i-1]
+		start = a.blockEnd(i - 1)
 	}
-	end := a.ends[i]
+	end := a.blockEnd(i)
 	if int(end) > len(body) || start > end {
 		return nil, fmt.Errorf("evaluate: APL block %d outside body (%d..%d of %d)", i, start, end, len(body))
 	}
@@ -445,20 +469,20 @@ func (a *APL) postingsAt(i int, stats *query.SearchStats) ([]uint32, error) {
 	}
 	stats.BytesDecoded += int64(end - start)
 	l := []uint32(list)
-	a.lists[i].Store(&l)
+	memo.Store(&l)
 	return l, nil
 }
 
 // ensureBody faults in the posting-block bytes (everything after the
 // header), charging the page span of the partial read to stats.
 func (a *APL) ensureBody(stats *query.SearchStats) ([]byte, error) {
-	if p := a.body.Load(); p != nil {
-		return *p, nil
+	if a.hasBody.Load() {
+		return a.body, nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if p := a.body.Load(); p != nil {
-		return *p, nil
+	if a.hasBody.Load() {
+		return a.body, nil
 	}
 	if a.ts == nil {
 		return nil, fmt.Errorf("evaluate: APL body unavailable (no store)")
@@ -469,7 +493,8 @@ func (a *APL) ensureBody(stats *query.SearchStats) ([]byte, error) {
 		return nil, err
 	}
 	stats.PageReads += a.ref.SubSpan(a.hdrLen, n)
-	a.body.Store(&body)
+	a.body = body
+	a.hasBody.Store(true)
 	return body, nil
 }
 
@@ -689,11 +714,7 @@ func decodeAPLHeader(blob []byte, segLen uint32, acts []trajectory.ActivityID) (
 		return nil, fmt.Errorf("corrupt APL header: lists %d activities, the directory %d", n, len(acts))
 	}
 	off := used
-	a := &APL{
-		acts:  acts,
-		ends:  make([]uint32, n),
-		lists: make([]atomic.Pointer[[]uint32], n),
-	}
+	a := &APL{acts: acts, blocks: make([]blockPair, (n+1)/2)}
 	prev := uint64(0)
 	for i, want := range acts {
 		d, used := binary.Uvarint(blob[off:])
@@ -706,19 +727,24 @@ func decodeAPLHeader(blob []byte, segLen uint32, acts []trajectory.ActivityID) (
 			return nil, fmt.Errorf("corrupt APL header: activity %d is %d, the directory says %d", i, prev, want)
 		}
 	}
-	total := uint32(0)
-	for i := range a.ends {
+	// Sum in 64 bits and bound every entry: a length of 2^32 or more must
+	// not be able to satisfy the total below by wrapping.
+	total := uint64(0)
+	for i := range acts {
 		l, used := binary.Uvarint(blob[off:])
 		if used <= 0 {
 			return nil, fmt.Errorf("corrupt APL skip table entry %d", i)
 		}
 		off += used
-		total += uint32(l)
-		a.ends[i] = total
+		if l > uint64(segLen) {
+			return nil, fmt.Errorf("corrupt APL skip table entry %d: block of %dB in a segment of %dB", i, l, segLen)
+		}
+		total += l
+		a.blocks[i>>1].end[i&1] = uint32(total)
 	}
 	a.hdrLen = uint32(off)
-	if a.hdrLen+total != segLen {
-		return nil, fmt.Errorf("corrupt APL: header %dB + blocks %dB != segment %dB", a.hdrLen, total, segLen)
+	if uint64(off)+total != uint64(segLen) {
+		return nil, fmt.Errorf("corrupt APL: header %dB + blocks %dB != segment %dB", off, total, segLen)
 	}
 	return a, nil
 }
@@ -732,8 +758,8 @@ func decodeAPL(blob []byte, acts []trajectory.ActivityID) (*APL, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := append([]byte(nil), blob[a.hdrLen:]...)
-	a.body.Store(&body)
+	a.body = append([]byte(nil), blob[a.hdrLen:]...)
+	a.hasBody.Store(true)
 	var discard query.SearchStats
 	for i := range a.acts {
 		if _, err := a.postingsAt(i, &discard); err != nil {

@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -208,13 +209,18 @@ func (p PostingList) AppendEncoded(dst []byte) []byte {
 }
 
 // DecodePostings decodes one posting list from buf, returning the list and
-// the number of bytes consumed.
+// the number of bytes consumed. Input that is not the encoding of a strictly
+// increasing 32-bit list is an error: a count the buffer cannot hold (which
+// also bounds the allocation), a zero gap, an element past 2^32-1.
 func DecodePostings(buf []byte) (PostingList, int, error) {
 	n, used := binary.Uvarint(buf)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("invindex: truncated posting count")
 	}
 	off := used
+	if n > uint64(len(buf)-off) { // every posting takes at least a byte
+		return nil, 0, fmt.Errorf("invindex: %d postings in %d bytes", n, len(buf)-off)
+	}
 	out := make(PostingList, 0, n)
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
@@ -223,11 +229,13 @@ func DecodePostings(buf []byte) (PostingList, int, error) {
 			return nil, 0, fmt.Errorf("invindex: truncated posting %d/%d", i, n)
 		}
 		off += used
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
+		if i > 0 && d == 0 {
+			return nil, 0, fmt.Errorf("invindex: posting %d/%d repeats its predecessor", i, n)
 		}
+		if d > math.MaxUint32 || prev+d > math.MaxUint32 {
+			return nil, 0, fmt.Errorf("invindex: posting %d/%d overflows 32 bits", i, n)
+		}
+		prev += d // the first delta is the first element itself
 		out = append(out, uint32(prev))
 	}
 	return out, off, nil

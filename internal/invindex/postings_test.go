@@ -1,6 +1,7 @@
 package invindex
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,34 @@ func TestDecodeTruncated(t *testing.T) {
 		if _, _, err := DecodePostings(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d must fail", cut)
 		}
+	}
+}
+
+// TestDecodeRejectsNonLists: bytes that are no strictly increasing 32-bit
+// list must fail — before the count is trusted for an allocation, and
+// without wrapping into a list that looks valid.
+func TestDecodeRejectsNonLists(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	for name, buf := range map[string][]byte{
+		"count beyond the buffer": uv(1<<40, 1, 1),
+		"count one too many":      uv(3, 1, 1),
+		"zero gap":                uv(3, 5, 0, 1),
+		"first past 32 bits":      uv(1, 1<<32),
+		"gap wraps 32 bits":       uv(2, 40, 1<<32-37), // would read back as {40, 3}
+		"gap wraps 64 bits":       uv(2, 40, 1<<64-37),
+	} {
+		if got, _, err := DecodePostings(buf); err == nil {
+			t.Errorf("%s: decoded %v", name, got)
+		}
+	}
+	if got, used, err := DecodePostings(uv(2, 0, 1<<32-1)); err != nil || used != 7 || got[1] != 1<<32-1 {
+		t.Errorf("the largest element must still decode: %v, %d, %v", got, used, err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -28,9 +27,15 @@ func (s PoolStats) Sub(old PoolStats) PoolStats {
 }
 
 // BufferPool is a fixed-capacity LRU page cache in front of a Pager, safe
-// for concurrent use. The page-frame map and LRU list are sharded by page
+// for concurrent use. The page-frame map and LRU ring are sharded by page
 // number so concurrent readers (engine clones serving queries in parallel)
 // do not serialize on a single mutex; statistics are kept in atomics.
+//
+// The discipline that lets the miss path stop allocating: no alias of a
+// frame leaves the pool on the serving path. ReadAt copies out under the
+// shard lock, so a frame nobody outside the pool can see is free to be
+// rewritten the moment it is unlinked — a miss on a full shard reads the new
+// page into the frame it evicts. Get is the one exception (see there).
 //
 // Pools below 2 * minPagesPerShard pages use a single shard, which keeps
 // exact global LRU semantics for the small deterministic pools tests and
@@ -50,13 +55,48 @@ type BufferPool struct {
 type poolShard struct {
 	mu       sync.Mutex
 	capacity int
-	lru      *list.List // front = most recent; values are *frame
-	frames   map[uint32]*list.Element
+	head     *frame // most recent; head.prev is the LRU victim
+	frames   map[uint32]*frame
 }
 
+// frame is one cached page and its node in the shard's LRU ring. The links
+// come first so the collector's scan of a frame stops after two words.
 type frame struct {
-	id   uint32
-	data [PageSize]byte
+	prev, next *frame
+	id         uint32
+	aliased    bool // data was handed out by Get: never rewritten
+	data       [PageSize]byte
+}
+
+func (s *poolShard) pushFront(fr *frame) {
+	if s.head == nil {
+		fr.prev, fr.next = fr, fr
+	} else {
+		fr.prev, fr.next = s.head.prev, s.head
+		fr.prev.next, fr.next.prev = fr, fr
+	}
+	s.head = fr
+}
+
+// unlink takes fr out of the ring and clears its links: an aliased frame can
+// outlive its eviction and must not keep its old neighbours reachable.
+func (s *poolShard) unlink(fr *frame) {
+	if fr.next == fr {
+		s.head = nil
+	} else {
+		fr.prev.next, fr.next.prev = fr.next, fr.prev
+		if s.head == fr {
+			s.head = fr.next
+		}
+	}
+	fr.prev, fr.next = nil, nil
+}
+
+func (s *poolShard) moveToFront(fr *frame) {
+	if s.head != fr {
+		s.unlink(fr)
+		s.pushFront(fr)
+	}
 }
 
 const (
@@ -95,92 +135,128 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 		if i < extra {
 			c++
 		}
-		bp.shards[i] = poolShard{
-			capacity: c,
-			lru:      list.New(),
-			frames:   make(map[uint32]*list.Element, c),
-		}
+		bp.shards[i] = poolShard{capacity: c, frames: make(map[uint32]*frame, c)}
 	}
 	return bp
 }
 
 func (bp *BufferPool) shardFor(id uint32) *poolShard { return &bp.shards[id&bp.mask] }
 
+// ReadAt copies len(dst) bytes of page id, starting at byte off, into dst.
+// The copy is made under the shard lock, so nothing the caller holds refers
+// to the frame afterwards. This is the read of the serving path.
+func (bp *BufferPool) ReadAt(id uint32, off int, dst []byte) error {
+	s, fr, err := bp.access(id)
+	if err != nil {
+		return err
+	}
+	copy(dst, fr.data[off:])
+	s.mu.Unlock()
+	return nil
+}
+
 // Get returns the content of page id. The returned slice aliases the cached
-// frame: callers must not modify it. Evicted frames are never recycled, so
-// the slice stays valid (and race-free) even if the page is evicted while a
-// concurrent reader still holds it.
+// frame: callers must not modify it. A frame handed out this way is marked
+// and never rewritten — when it is evicted it goes to the collector instead
+// of being reused — so the slice stays valid (and race-free) even if the
+// page is evicted while a concurrent reader still holds it. Only the pool
+// tests and the benchmark's page probe read this way.
 func (bp *BufferPool) Get(id uint32) ([]byte, error) {
+	s, fr, err := bp.access(id)
+	if err != nil {
+		return nil, err
+	}
+	fr.aliased = true
+	s.mu.Unlock()
+	return fr.data[:], nil
+}
+
+// access counts one logical access to page id and returns its frame, most
+// recently used, with the shard still locked; on error the lock is released.
+func (bp *BufferPool) access(id uint32) (*poolShard, *frame, error) {
 	bp.touched.Add(1)
 	s := bp.shardFor(id)
 	s.mu.Lock()
-	if el, ok := s.frames[id]; ok {
-		s.lru.MoveToFront(el)
-		data := el.Value.(*frame).data[:]
-		s.mu.Unlock()
+	if fr := s.frames[id]; fr != nil {
+		s.moveToFront(fr)
 		bp.hits.Add(1)
-		return data, nil
+		return s, fr, nil
 	}
-	s.mu.Unlock()
 	bp.misses.Add(1)
+	fr, err := bp.fault(s, id)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, nil, err
+	}
+	return s, fr, nil
+}
 
-	// Read outside the shard lock so a slow pager does not stall other
-	// pages of the shard. Concurrent misses on the same page may both read
-	// it; the second insert refreshes the first, which is correct because
-	// pages are immutable once flushed.
-	fr := &frame{id: id}
-	if err := bp.pager.ReadPage(id, fr.data[:]); err != nil {
+// fault loads page id, which the caller just found absent, and returns its
+// resident frame. It is entered and left with s.mu held. On a full shard the
+// LRU victim is unlinked first and the page is read into the victim's frame;
+// below capacity, or when the victim is aliased, into a fresh one. The read
+// runs outside the lock so a slow pager does not stall other pages of the
+// shard. Concurrent misses on one page may both read it: the first insert
+// stays (pages are immutable once flushed) and the loser's frame goes to the
+// collector. A failed read leaves the victim's page simply gone.
+func (bp *BufferPool) fault(s *poolShard, id uint32) (*frame, error) {
+	fr := bp.evictIfFull(s)
+	s.mu.Unlock()
+	if fr == nil {
+		fr = new(frame)
+	}
+	fr.id = id
+	err := bp.pager.ReadPage(id, fr.data[:])
+	s.mu.Lock()
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if el, ok := s.frames[id]; ok {
-		// Raced with another filler; keep the resident frame.
-		s.lru.MoveToFront(el)
-		data := el.Value.(*frame).data[:]
-		s.mu.Unlock()
-		return data, nil
+	if cur := s.frames[id]; cur != nil {
+		s.moveToFront(cur)
+		return cur, nil
 	}
-	if s.lru.Len() >= s.capacity {
-		el := s.lru.Back()
-		delete(s.frames, el.Value.(*frame).id)
-		s.lru.Remove(el)
-		bp.evicted.Add(1)
+	bp.evictIfFull(s) // a concurrent filler may have taken the slot freed above
+	s.frames[id] = fr
+	s.pushFront(fr)
+	return fr, nil
+}
+
+// evictIfFull unlinks the LRU frame of a full shard and returns it for
+// reuse — nil when the shard has room, or when the victim's bytes were handed
+// out by Get and must stay as they are.
+func (bp *BufferPool) evictIfFull(s *poolShard) *frame {
+	if len(s.frames) < s.capacity {
+		return nil
 	}
-	s.frames[id] = s.lru.PushFront(fr)
-	s.mu.Unlock()
-	return fr.data[:], nil
+	victim := s.head.prev
+	s.unlink(victim)
+	delete(s.frames, victim.id)
+	bp.evicted.Add(1)
+	if victim.aliased {
+		return nil
+	}
+	return victim
 }
 
 // Prefetch loads pages [first, past) that are not already resident. It is a
 // readahead hint: loads count as physical reads (Misses) but not as logical
 // accesses (Touched/Hits), so per-fetch accounting stays comparable whether
-// or not a caller prefetches. Read errors are ignored — the subsequent Get
+// or not a caller prefetches. Read errors are ignored — the subsequent read
 // will surface them.
 func (bp *BufferPool) Prefetch(first, past uint32) {
 	for id := first; id < past; id++ {
 		s := bp.shardFor(id)
 		s.mu.Lock()
-		_, resident := s.frames[id]
-		s.mu.Unlock()
-		if resident {
+		if s.frames[id] != nil {
+			s.mu.Unlock()
 			continue
 		}
-		fr := &frame{id: id}
-		if err := bp.pager.ReadPage(id, fr.data[:]); err != nil {
+		_, err := bp.fault(s, id)
+		s.mu.Unlock()
+		if err != nil {
 			return
 		}
 		bp.misses.Add(1)
-		s.mu.Lock()
-		if _, ok := s.frames[id]; !ok {
-			if s.lru.Len() >= s.capacity {
-				el := s.lru.Back()
-				delete(s.frames, el.Value.(*frame).id)
-				s.lru.Remove(el)
-				bp.evicted.Add(1)
-			}
-			s.frames[id] = s.lru.PushFront(fr)
-		}
-		s.mu.Unlock()
 	}
 }
 
@@ -189,9 +265,9 @@ func (bp *BufferPool) Invalidate(id uint32) {
 	s := bp.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.frames[id]; ok {
+	if fr := s.frames[id]; fr != nil {
 		delete(s.frames, id)
-		s.lru.Remove(el)
+		s.unlink(fr)
 	}
 }
 
@@ -200,8 +276,8 @@ func (bp *BufferPool) Reset() {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		s.lru.Init()
-		s.frames = make(map[uint32]*list.Element, s.capacity)
+		s.head = nil
+		s.frames = make(map[uint32]*frame, s.capacity)
 		s.mu.Unlock()
 	}
 	bp.touched.Store(0)
@@ -233,7 +309,7 @@ func (bp *BufferPool) Resident() int {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += len(s.frames)
 		s.mu.Unlock()
 	}
 	return n

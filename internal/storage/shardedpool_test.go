@@ -22,8 +22,11 @@ func TestPoolShardCount(t *testing.T) {
 }
 
 // TestBufferPoolConcurrent hammers a sharded pool from many goroutines.
-// Under -race this verifies the shard locking and that returned frames are
-// safe to read even after eviction (frames are never recycled).
+// Under -race this verifies the shard locking and that the slices Get returns
+// are safe to read even after eviction: a frame Get handed out is marked
+// aliased and is the one kind of frame the miss path never reads into again
+// (frames only ReadAt and Prefetch touched are reused on eviction — see
+// TestCopyOutStress).
 func TestBufferPoolConcurrent(t *testing.T) {
 	p := NewMemPager()
 	const pages = 64

@@ -161,12 +161,11 @@ func (s *Store) ReadInto(ref SegRef, dst []byte) ([]byte, error) {
 	off := int(ref.Off)
 	remaining := int(ref.Len)
 	for remaining > 0 {
-		data, err := s.pool.Get(page)
-		if err != nil {
+		n := min(PageSize-off, remaining)
+		out = out[:len(out)+n]
+		if err := s.pool.ReadAt(page, off, out[len(out)-n:]); err != nil {
 			return nil, fmt.Errorf("storage: read segment {%d,%d,%d}: %w", ref.Page, ref.Off, ref.Len, err)
 		}
-		n := min(PageSize-off, remaining)
-		out = append(out, data[off:off+n]...)
 		remaining -= n
 		off = 0
 		page++
@@ -179,8 +178,8 @@ func (s *Store) ReadInto(ref SegRef, dst []byte) ([]byte, error) {
 // is what lets partial fetches (APL headers, posting blocks, sparse
 // coordinate ranges) skip the rest of a multi-page segment.
 func (s *Store) ReadSub(ref SegRef, from, n uint32, dst []byte) ([]byte, error) {
-	if from+n > ref.Len {
-		return nil, fmt.Errorf("storage: sub-read [%d,%d) outside segment of %d bytes", from, from+n, ref.Len)
+	if from > ref.Len || n > ref.Len-from { // from+n may wrap
+		return nil, fmt.Errorf("storage: sub-read of %d bytes at %d outside segment of %d bytes", n, from, ref.Len)
 	}
 	sub := SegRef{
 		Page: ref.Page + (ref.Off+from)/PageSize,
@@ -190,10 +189,15 @@ func (s *Store) ReadSub(ref SegRef, from, n uint32, dst []byte) ([]byte, error) 
 	return s.ReadInto(sub, dst)
 }
 
-// PageData returns the cached content of one page (reading it through the
-// buffer pool, counting toward PoolStats). The returned slice aliases the
-// frame: callers must not modify it. Sparse readers use it to fetch exactly
-// the pages that hold the bytes they need.
+// ReadPage copies the first len(dst) bytes of one page into dst (reading the
+// page through the buffer pool, counting toward PoolStats). Sparse readers
+// use it to fetch exactly the pages that hold the bytes they need.
+func (s *Store) ReadPage(page uint32, dst []byte) error { return s.pool.ReadAt(page, 0, dst) }
+
+// PageData returns the cached content of one page like ReadPage, but as a
+// slice aliasing the frame (BufferPool.Get): callers must not modify it, and
+// the pool can never reuse that frame. The benchmark's page probe is its one
+// caller; everything that serves reads copies out.
 func (s *Store) PageData(page uint32) ([]byte, error) { return s.pool.Get(page) }
 
 // Prefetch hints that pages [first, past) are about to be read: absent
