@@ -1,11 +1,14 @@
 package activitytraj_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"activitytraj"
+	"activitytraj/internal/gat"
 )
 
 // TestPublicAPIQuickstart exercises the documented public surface end to
@@ -111,5 +114,40 @@ func TestDistHelper(t *testing.T) {
 	s := activitytraj.NewActivitySet(3, 1, 3)
 	if len(s) != 2 || !s.Contains(1) {
 		t.Fatalf("NewActivitySet = %v", s)
+	}
+}
+
+// TestLoadGATIndexForeignStore: an index file loaded over a store that is
+// not the one it was built from names trajectories that store lacks. It
+// used to load, and the first search panicked indexing the searcher's
+// seen-array, which is sized from the store; it is a format error now.
+func TestLoadGATIndexForeignStore(t *testing.T) {
+	ds, err := activitytraj.GenerateDataset(activitytraj.PresetLA(0.005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := activitytraj.NewStore(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 6, MemLevels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if _, err := activitytraj.SaveGATIndex(idx, &file); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := activitytraj.LoadGATIndex(bytes.NewReader(file.Bytes()), store); err != nil {
+		t.Fatalf("over its own store: %v", err)
+	}
+	half := *ds
+	half.Trajs = ds.Trajs[:len(ds.Trajs)/2]
+	smaller, err := activitytraj.NewStore(&half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := activitytraj.LoadGATIndex(bytes.NewReader(file.Bytes()), smaller); !errors.Is(err, gat.ErrBadIndexFormat) {
+		t.Fatalf("over half the corpus: err = %v, want ErrBadIndexFormat", err)
 	}
 }

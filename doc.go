@@ -334,17 +334,23 @@
 // # Retrieval: a bucketed best-first descent
 //
 // Algorithm 1 descends the HICL to the leaf level before it reads an ITL
-// list; the GAT searcher stops as soon as what lies below a popped cell is
-// small. The ITL is one arena sorted by leaf Z code, so a cell's subtree is
-// a contiguous run of it, and a cell with at most 16 occupied leaves below
-// has every (leaf, query activity) list of that run — and the delta
-// layers' lists for the same Z interval — emitted in the one pop, the way
-// an R-tree's kNN pops nodes holding a bucket of entries. Dense cells keep
-// splitting. Nothing about the answer changes (a pulled subtree leaves no
-// trajectory behind for the Algorithm-2 bound to miss, a cell is never
+// list; the GAT searcher stops as soon as what the query asks for below a
+// popped cell is small. The ITL is one arena laid out activity-major — per
+// activity the leaves carrying it in Z order, per (activity, leaf) a list —
+// so the lists of one activity under one cell are a contiguous range, found
+// by bisecting that activity's leaves alone. A cell whose masked activities
+// have at most 64 lists below it between them has exactly those ranges —
+// and the delta layers' lists for the same Z interval — emitted in the one
+// pop, the way an R-tree's kNN pops nodes holding a bucket of entries; a
+// leaf that carries none of the query point's activities is never touched,
+// however built-up the city around it. Cells dense in what is asked for
+// keep splitting. Nothing about the answer changes (a pulled subtree leaves
+// no trajectory behind for the Algorithm-2 bound to miss, a cell is never
 // farther than its leaves, and the top-k does not depend on arrival
-// order); SearchStats.PQPops falls about sixfold and Candidates rises a
-// few percent. ARCHITECTURE.md section 5 has the measurements.
+// order); against the leaf-by-leaf walk SearchStats.PQPops falls more
+// than tenfold and Candidates rises by about a tenth. The index file keeps the
+// paper's leaf-major order, so the layout is invisible on disk.
+// ARCHITECTURE.md section 5 has the measurements.
 //
 // # I/O-minimizing candidate pipeline
 //

@@ -15,8 +15,10 @@ import (
 // search — so a change in how the layers' masks and lists are merged cannot
 // silently change what is expanded. The counts were re-recorded when the
 // descent became bucketed (a sparse subtree, delta cells included, is pulled
-// in one pop): pops fall about sevenfold on purpose; the answers above are
-// the proof that nothing else moved.
+// in one pop): pops fall about sevenfold on purpose; and again by PR 23,
+// when the bucket's unit went from 16 occupied leaves to 64 lists of the
+// popped mask (pops fall threefold more, candidates rise where a search
+// stopped early). The answers above are the proof that nothing else moved.
 func TestStackedLayersDifferential(t *testing.T) {
 	full := laPreset(t)
 	n := len(full.Trajs)
@@ -59,9 +61,9 @@ func TestStackedLayersDifferential(t *testing.T) {
 
 	type counts struct{ pops, cands, batches int }
 	want := []counts{
-		{195, 374, 10}, {2052, 621, 18}, {153, 174, 5}, {1943, 622, 18},
-		{193, 379, 9}, {345, 446, 11}, {141, 207, 5}, {480, 447, 12},
-		{2048, 621, 18}, {2048, 621, 18}, {176, 219, 6}, {1571, 614, 17},
+		{85, 414, 8}, {530, 621, 15}, {29, 208, 5}, {379, 622, 15},
+		{68, 408, 7}, {127, 475, 9}, {60, 224, 6}, {211, 501, 14},
+		{493, 621, 13}, {493, 621, 13}, {66, 244, 4}, {600, 620, 14},
 	}
 	ref := staticEngine(t, huskify(full, dead))
 	dyn := d.NewEngine()

@@ -8,7 +8,8 @@
 //	      containing it at every grid level; high levels in memory, the
 //	      finest levels on simulated disk.
 //	(ii)  ITL — Inverted Trajectory List: per leaf cell and activity, the
-//	      trajectories with a matching point inside the cell (in memory).
+//	      trajectories with a matching point inside the cell (in memory,
+//	      grouped by activity: see itlArena).
 //	(iii) TAS — Trajectory Activity Sketch: per trajectory, M intervals
 //	      summarizing its activity IDs (in memory, shared TrajStore).
 //	(iv)  APL — Activity Posting List: per trajectory and activity, the
@@ -20,10 +21,10 @@
 // maintained from the nearest unvisited cells (Algorithm 2), candidates are
 // validated through TAS and APL, and match distances are computed with the
 // shared evaluator. One departure from Algorithm 1: the descent stops above
-// the leaf level wherever the grid is sparse — a popped cell with few
-// occupied leaves below it has them all pulled from the ITL in that pop
-// (see NextBatch) — which changes how many cells are popped, never what is
-// answered.
+// the leaf level wherever the query's activities are sparse — a popped
+// cell with few lists of its mask below it has them all pulled from the ITL
+// in that pop (see NextBatch) — which changes how many cells are popped,
+// never what is answered.
 package gat
 
 import (

@@ -65,8 +65,8 @@ func TestHICLHierarchyConsistency(t *testing.T) {
 	// Leaf level vs ITL: the same (cell, activity) pairs, both ways.
 	leaf := idx.hiclMem[idx.cfg.Depth]
 	pairs := 0
-	for i, z := range idx.itl.cells {
-		for _, a := range idx.itl.acts[idx.itl.cellOff[i]:idx.itl.cellOff[i+1]] {
+	for i, a := range idx.itl.acts {
+		for _, z := range idx.itl.entZ[idx.itl.actOff[i]:idx.itl.actOff[i+1]] {
 			pairs++
 			if !leaf[a].Contains(z) {
 				t.Fatalf("leaf HICL missing cell %d for act %d", z, a)
@@ -84,8 +84,9 @@ func TestHICLHierarchyConsistency(t *testing.T) {
 // TestITLCompleteness: for random datasets at depths 3..8, with the HICL
 // both fully in memory and split across the disk store, every (leaf,
 // activity) slice of the arena equals a brute-force scan of the dataset —
-// nothing missing, nothing extra, ascending, no duplicates — and the arena
-// holds no list the scan does not.
+// nothing missing, nothing extra, ascending, no duplicates — the arena
+// holds no list the scan does not, and an activity's entries inside a Z
+// interval are the scan's lists there.
 func TestITLCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 12; trial++ {
@@ -130,11 +131,58 @@ func TestITLCompleteness(t *testing.T) {
 				t.Fatalf("trial %d (%+v): ITL cell %d act %d = %v, scan says %v", trial, cfg, k.z, k.a, got, list)
 			}
 		}
-		if len(idx.itl.acts) != len(want) {
-			t.Fatalf("trial %d (%+v): arena holds %d lists, scan says %d", trial, cfg, len(idx.itl.acts), len(want))
+		// The descent's one question: for random (activity, Z interval,
+		// limit), within over the activity's span is a filter over every
+		// entry of the arena — exact when that holds at most limit entries,
+		// longer than limit otherwise.
+		prng := rand.New(rand.NewSource(int64(trial))) // its own: the datasets above stay the ones they were
+		for probe := 0; probe < 200; probe++ {
+			a := trajectory.ActivityID(prng.Intn(170)) // some absent
+			zlo, zlast := uint32(prng.Intn(1<<(2*depth))), uint32(prng.Intn(1<<(2*depth)))
+			if probe%4 == 0 { // a cell's own interval, the last one included
+				shift := 2 * uint(prng.Intn(depth+1))
+				zlo = zlast >> shift << shift
+				zlast = zlo | (1<<shift - 1)
+			} else if zlo > zlast {
+				zlo, zlast = zlast, zlo
+			}
+			limit := prng.Intn(6)
+			var filter [][]uint32
+			for z := zlo; ; z++ {
+				if l := want[key{z, a}]; l != nil {
+					filter = append(filter, l)
+				}
+				if z == zlast {
+					break
+				}
+			}
+			r := idx.itl.within(idx.itl.span(a), zlo, zlast, limit)
+			lo, hi := r.lo, r.hi
+			if len(filter) > limit {
+				if int(hi-lo) <= limit {
+					t.Fatalf("trial %d: act %d in [%d, %d]: %d entries under limit %d, filter says %d", trial, a, zlo, zlast, hi-lo, limit, len(filter))
+				}
+				continue
+			}
+			if int(hi-lo) != len(filter) {
+				t.Fatalf("trial %d: act %d in [%d, %d]: %d entries, filter says %d", trial, a, zlo, zlast, hi-lo, len(filter))
+			}
+			for i, l := range filter {
+				if e := lo + uint32(i); !slices.Equal(idx.itl.list(e), l) || idx.itl.entZ[e] < zlo || idx.itl.entZ[e] > zlast {
+					t.Fatalf("trial %d: act %d in [%d, %d]: entry %d (leaf %d) = %v, filter says %v", trial, a, zlo, zlast, e, idx.itl.entZ[e], idx.itl.list(e), l)
+				}
+			}
 		}
-		if !slices.IsSorted(idx.itl.cells) || len(slices.Compact(slices.Clone(idx.itl.cells))) != len(idx.itl.cells) {
-			t.Fatalf("trial %d: arena cells not strictly ascending", trial)
+		if len(idx.itl.entZ) != len(want) {
+			t.Fatalf("trial %d (%+v): arena holds %d lists, scan says %d", trial, cfg, len(idx.itl.entZ), len(want))
+		}
+		if a := idx.itl.acts; !slices.IsSorted(a) || len(slices.Compact(slices.Clone(a))) != len(a) {
+			t.Fatalf("trial %d: arena activities not strictly ascending", trial)
+		}
+		for i := range idx.itl.acts {
+			if zs := idx.itl.entZ[idx.itl.actOff[i]:idx.itl.actOff[i+1]]; len(zs) == 0 || !slices.IsSorted(zs) || len(slices.Compact(slices.Clone(zs))) != len(zs) {
+				t.Fatalf("trial %d: leaves of activity %d not strictly ascending: %v", trial, idx.itl.acts[i], zs)
+			}
 		}
 	}
 }
@@ -235,11 +283,12 @@ func TestMemBreakdown(t *testing.T) {
 		t.Fatal("MemBytes != Breakdown().Total")
 	}
 	// The ITL is reported from the arena's real slice lengths, 4 bytes an
-	// element: a sentinel-terminated offset per cell and per list, the cell
-	// codes, the activities and one posting per (cell, activity, trajectory).
+	// element: a sentinel-terminated offset per activity and per list, the
+	// activities, the cell codes and one posting per (activity, cell,
+	// trajectory).
 	for _, idx := range []*Index{coarse, fine} {
 		a := &idx.itl
-		elems := len(a.cells) + (len(a.cells) + 1) + len(a.acts) + (len(a.acts) + 1) + len(a.posts)
+		elems := len(a.acts) + (len(a.acts) + 1) + len(a.entZ) + (len(a.entZ) + 1) + len(a.posts)
 		if got := idx.Breakdown().ITL; got != 4*int64(elems) || len(a.posts) == 0 {
 			t.Fatalf("ITL bytes = %d, want 4 x %d arena elements", got, elems)
 		}

@@ -19,73 +19,64 @@ type hiclKey struct {
 	act   trajectory.ActivityID
 }
 
-// itlArena is the Inverted Trajectory List in compressed-sparse-row form:
-// per occupied leaf cell and activity, the trajectories having a point with
-// that activity inside the cell. Everything lives in five flat slices: a
-// lookup is two binary searches and no pointer chase.
+// itlArena is the Inverted Trajectory List in compressed-sparse-row form,
+// activity-major: per activity the leaf cells carrying it in ascending Z
+// order, and per such (activity, leaf) entry the trajectories having a point
+// with that activity inside the leaf. Algorithm 1 only asks "which
+// trajectories carry activity a under this cell", and the leaves under a
+// cell are a Z interval, so the answer is one contiguous range of a's span:
+// one bisection of that span, and no leaf that lacks a is ever touched.
 //
-//	cells[i]                          occupied leaf Z codes, ascending
-//	acts[cellOff[i]:cellOff[i+1]]     cell i's activities, ascending
-//	posts[postOff[j]:postOff[j+1]]    trajectory IDs of list j, ascending
+//	acts[i]                           the activities present, ascending
+//	entZ[actOff[i]:actOff[i+1]]       leaf Z codes carrying acts[i], ascending
+//	posts[postOff[e]:postOff[e+1]]    trajectory IDs of entry e, ascending
 //
-// where list j pairs with acts[j]. It is filled in (cell, activity) order
-// through startCell/startList and appends to posts, then sealed.
+// layoutITL is its one builder, for Build and Load alike.
 type itlArena struct {
-	cells   []uint32
-	cellOff []uint32
 	acts    []trajectory.ActivityID
+	actOff  []uint32
+	entZ    []uint32
 	postOff []uint32
 	posts   []uint32
 }
 
-func (t *itlArena) startCell(z uint32) {
-	t.cells = append(t.cells, z)
-	t.cellOff = append(t.cellOff, uint32(len(t.acts)))
-}
+// entRange is a range [lo, hi) of arena entries.
+type entRange struct{ lo, hi uint32 }
 
-func (t *itlArena) startList(a trajectory.ActivityID) {
-	t.acts = append(t.acts, a)
-	t.postOff = append(t.postOff, uint32(len(t.posts)))
-}
-
-// seal closes the last cell and list; the arena is immutable afterwards.
-func (t *itlArena) seal() {
-	t.cellOff = append(t.cellOff, uint32(len(t.acts)))
-	t.postOff = append(t.postOff, uint32(len(t.posts)))
-}
-
-// run returns the index range [lo, hi) of the occupied leaves whose Z lies
-// in [zlo, zlast]. cells is in Z order, so the leaves under any one cell of
-// the hierarchy are such an interval and its run is the cell's whole
-// subtree. The search for hi stops limit+1 leaves past lo — hi-lo > limit
-// then says "more than limit", which is all a caller bounding a run by
-// limit needs to know.
-func (t *itlArena) run(zlo, zlast uint32, limit int) (lo, hi int) {
-	lo, _ = slices.BinarySearch(t.cells, zlo)
-	n, found := slices.BinarySearch(t.cells[lo:min(lo+limit+1, len(t.cells))], zlast)
-	if found {
-		n++
+// span returns the entries of activity a, none if no leaf carries it.
+// Activity IDs come off the wire, so they are searched for, not indexed by.
+func (t *itlArena) span(a trajectory.ActivityID) entRange {
+	if i, ok := slices.BinarySearch(t.acts, a); ok {
+		return entRange{t.actOff[i], t.actOff[i+1]}
 	}
-	return lo, lo + n
+	return entRange{}
 }
 
-// leafActs returns the activities of the i-th occupied leaf and the index
-// of its first list (list first+k pairs with acts[k]).
-func (t *itlArena) leafActs(i int) (acts []trajectory.ActivityID, first int) {
-	lo, hi := t.cellOff[i], t.cellOff[i+1]
-	return t.acts[lo:hi], int(lo)
+// within narrows an activity's span to its entries whose leaf Z lies in
+// [zlo, zlast]. The search for the upper end stops limit+1 entries past the
+// lower — a result longer than limit then says "more than limit", which is
+// all a caller bounding a range by limit needs to know.
+func (t *itlArena) within(sp entRange, zlo, zlast uint32, limit int) entRange {
+	zs := t.entZ[sp.lo:sp.hi]
+	first, _ := slices.BinarySearch(zs, zlo)
+	zs = zs[first:min(first+limit+1, len(zs))]
+	n := len(zs) // all of the window, if its last entry is inside: the dense case
+	if n > 0 && zs[n-1] > zlast {
+		var found bool
+		if n, found = slices.BinarySearch(zs, zlast); found {
+			n++
+		}
+	}
+	return entRange{sp.lo + uint32(first), sp.lo + uint32(first+n)}
 }
 
-// list returns the trajectories of list j.
-func (t *itlArena) list(j int) []uint32 { return t.posts[t.postOff[j]:t.postOff[j+1]] }
+// list returns the trajectories of entry e.
+func (t *itlArena) list(e uint32) []uint32 { return t.posts[t.postOff[e]:t.postOff[e+1]] }
 
 // postings returns the trajectories with an a-point in leaf z (nil if none).
 func (t *itlArena) postings(z uint32, a trajectory.ActivityID) []uint32 {
-	if lo, hi := t.run(z, z, 1); lo < hi {
-		acts, first := t.leafActs(lo)
-		if k, ok := slices.BinarySearch(acts, a); ok {
-			return t.list(first + k)
-		}
+	if r := t.within(t.span(a), z, z, 1); r.lo < r.hi {
+		return t.list(r.lo)
 	}
 	return nil
 }
@@ -147,16 +138,15 @@ func Build(ts *evaluate.TrajStore, cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// itlTriple is one (leaf cell, activity, trajectory) incidence, keyed so
+// itlTriple is one (activity, leaf cell, trajectory) incidence, keyed so
 // that sorting groups the ITL's lists in arena order.
 type itlTriple struct {
-	cellAct uint64 // leaf Z << 32 | activity
+	actCell uint64 // activity << 32 | leaf Z
 	traj    uint32
 }
 
-// buildITL sorts every incidence of the dataset once and lays the runs out
-// as the arena; a trajectory visiting a (cell, activity) twice collapses to
-// one posting.
+// buildITL collects every incidence of the dataset for layoutITL; a
+// trajectory visiting a (cell, activity) twice collapses to one posting.
 func buildITL(ds *trajectory.Dataset, g *grid.Grid) itlArena {
 	n := 0
 	for ti := range ds.Trajs {
@@ -171,14 +161,20 @@ func buildITL(ds *trajectory.Dataset, g *grid.Grid) itlArena {
 			if len(p.Acts) == 0 {
 				continue
 			}
-			z := uint64(g.LeafAt(p.Loc).Z) << 32
+			z := uint64(g.LeafAt(p.Loc).Z)
 			for _, a := range p.Acts {
-				triples = append(triples, itlTriple{cellAct: z | uint64(a), traj: uint32(tr.ID)})
+				triples = append(triples, itlTriple{actCell: uint64(a)<<32 | z, traj: uint32(tr.ID)})
 			}
 		}
 	}
+	return layoutITL(triples)
+}
+
+// layoutITL sorts incidences into arena order and lays their runs out, each
+// offset column closed by a sentinel; the arena is immutable afterwards.
+func layoutITL(triples []itlTriple) itlArena {
 	slices.SortFunc(triples, func(a, b itlTriple) int {
-		if c := cmp.Compare(a.cellAct, b.cellAct); c != 0 {
+		if c := cmp.Compare(a.actCell, b.actCell); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.traj, b.traj)
@@ -188,35 +184,34 @@ func buildITL(ds *trajectory.Dataset, g *grid.Grid) itlArena {
 		if i > 0 && tp == triples[i-1] {
 			continue
 		}
-		z, a := uint32(tp.cellAct>>32), trajectory.ActivityID(tp.cellAct)
-		newCell := len(t.cells) == 0 || t.cells[len(t.cells)-1] != z
-		if newCell {
-			t.startCell(z)
+		a, z := trajectory.ActivityID(tp.actCell>>32), uint32(tp.actCell)
+		newAct := len(t.acts) == 0 || t.acts[len(t.acts)-1] != a
+		if newAct {
+			t.acts, t.actOff = append(t.acts, a), append(t.actOff, uint32(len(t.entZ)))
 		}
-		if newCell || t.acts[len(t.acts)-1] != a {
-			t.startList(a)
+		if newAct || t.entZ[len(t.entZ)-1] != z {
+			t.entZ, t.postOff = append(t.entZ, z), append(t.postOff, uint32(len(t.posts)))
 		}
 		t.posts = append(t.posts, tp.traj)
 	}
-	t.seal()
+	t.actOff, t.postOff = append(t.actOff, uint32(len(t.entZ))), append(t.postOff, uint32(len(t.posts)))
 	return t
 }
 
-// buildHICL derives every HICL level from the ITL: one (activity, leaf
-// cell) pair per ITL list, sorted, is the leaf level grouped by activity
-// with ascending cells; z>>2 of an ascending run is ascending, so each
-// coarser level is the previous one shifted and de-duplicated in place — no
-// level is ever re-sorted. Levels above MemLevels go to the disk store in
-// (level, activity) order, so equal inputs build byte-equal indexes.
+// buildHICL derives every HICL level from the ITL, whose entries in arena
+// order are the leaf level grouped by activity with ascending cells; z>>2 of
+// an ascending run is ascending, so each coarser level is the previous one
+// shifted and de-duplicated in place — nothing is ever sorted. Levels above
+// MemLevels go to the disk store in (level, activity) order, so equal inputs
+// build byte-equal indexes.
 func (idx *Index) buildHICL() error {
 	t := &idx.itl
-	pairs := make([]uint64, 0, len(t.acts)) // activity << 32 | cell Z
-	for i, z := range t.cells {
-		for _, a := range t.acts[t.cellOff[i]:t.cellOff[i+1]] {
+	pairs := make([]uint64, 0, len(t.entZ)) // activity << 32 | cell Z
+	for i, a := range t.acts {
+		for _, z := range t.entZ[t.actOff[i]:t.actOff[i+1]] {
 			pairs = append(pairs, uint64(a)<<32|uint64(z))
 		}
 	}
-	slices.Sort(pairs)
 
 	memTop := min(idx.cfg.MemLevels, idx.cfg.Depth)
 	idx.hiclMem = make([]map[trajectory.ActivityID]*invindex.Set, memTop+1)
@@ -288,7 +283,7 @@ func (idx *Index) Breakdown() MemBreakdown {
 		}
 	}
 	t := &idx.itl // five slices of 4-byte elements
-	b.ITL = 4 * int64(len(t.cells)+len(t.cellOff)+len(t.acts)+len(t.postOff)+len(t.posts))
+	b.ITL = 4 * int64(len(t.acts)+len(t.actOff)+len(t.entZ)+len(t.postOff)+len(t.posts))
 	acts := idx.ts.ActivityDirBytes() // the price of rejecting without I/O, itemized
 	b.Directories = int64(len(idx.hiclDir))*24 + acts
 	b.TAS = idx.ts.MemBytes() - acts

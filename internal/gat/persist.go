@@ -2,6 +2,7 @@ package gat
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,22 +22,22 @@ import (
 // reloaded against the same trajectory store, so production deployments
 // pay the build cost once. The format stores the configuration, grid
 // geometry, in-memory HICL levels, ITL, the disk directory and the raw
-// pages of the HICL disk store.
+// pages of the HICL disk store; HICL cell lists, in memory and on the pages,
+// are length-prefixed invindex.Set encodings. The ITL section is leaf-major
+// — per occupied leaf its activities, per activity its list — as the arena
+// once was: the arena turned activity-major in memory only, so WriteTo
+// orders its entries by leaf, Load sorts them back, and no byte moved.
 //
-// Version history:
-//
-//	1: flat delta+varint posting lists everywhere (in-memory HICL levels
-//	   and the disk store's pages).
-//	2: HICL cell lists — in memory and on the disk pages — use the hybrid
-//	   container Set encoding (invindex.Set), length-prefixed in the
-//	   stream. The ITL section is unchanged.
-//
-// Load accepts both: a version-1 stream is migrated on the fly — its flat
-// lists are decoded and re-encoded as Sets into a fresh disk store — so
-// indexes persisted before the container change keep working.
+// A stream is input from outside: Load checks every value against the grid
+// and the store the index is bound to, sizes no allocation from a count
+// before the bytes behind it arrive, and accepts only the encoding WriteTo
+// would have chosen, so what loads re-serializes to the bytes it came from.
 const (
 	persistMagic   = "GATX"
 	persistVersion = 2
+	// maxParam bounds the persisted parameters: PoolPages sizes the pool's
+	// frame tables (default 1024), and the searcher adds one to NearCells.
+	maxParam = 1 << 20
 )
 
 // ErrBadIndexFormat is returned when loading a stream that is not a
@@ -89,17 +90,29 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	// ITL: the arena's cells, activities and lists stream out in order.
+	// ITL: the entries ordered by (leaf, entry) — within a leaf, entry order
+	// is activity order, and an entry's activity is the one whose span
+	// starts last at or before it.
 	itl := &idx.itl
-	putU(uint64(len(itl.cells)))
-	for i, z := range itl.cells {
-		lo, hi := int(itl.cellOff[i]), int(itl.cellOff[i+1])
-		putU(uint64(z), uint64(hi-lo))
-		for j := lo; j < hi; j++ {
-			putU(uint64(itl.acts[j]))
-			buf = invindex.PostingList(itl.list(j)).AppendEncoded(buf[:0])
-			put(buf)
+	order := make([]uint64, 0, len(itl.entZ)) // leaf Z << 32 | entry
+	for e, z := range itl.entZ {
+		order = append(order, uint64(z)<<32|uint64(e))
+	}
+	slices.Sort(order)
+	sameLeaf := func(a, b uint64) bool { return a>>32 == b>>32 }
+	putU(uint64(len(slices.CompactFunc(slices.Clone(order), sameLeaf))))
+	for i, k := range order {
+		if i == 0 || !sameLeaf(k, order[i-1]) {
+			n := 1
+			for i+n < len(order) && sameLeaf(k, order[i+n]) {
+				n++
+			}
+			putU(k>>32, uint64(n))
 		}
+		ai, _ := slices.BinarySearch(itl.actOff, uint32(k)+1)
+		putU(uint64(itl.acts[ai-1]))
+		buf = invindex.PostingList(itl.list(uint32(k))).AppendEncoded(buf[:0])
+		put(buf)
 	}
 
 	// HICL disk directory + raw store pages.
@@ -120,46 +133,58 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Load reconstructs an index written by WriteTo, binding it to ts (which
-// must hold the same dataset the index was built from). Version-1 streams
-// are migrated to the current container format on the fly.
+// Load reconstructs an index written by WriteTo, binding it to ts, which
+// must hold the dataset the index was built from: a posting naming a
+// trajectory ts lacks is a format error, not a search-time panic.
 func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFormat, err)
-	}
-	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadIndexFormat, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != 1 && ver != persistVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadIndexFormat, ver)
-	}
-	// Reads keep the first error: after it get and getU return zeros, every
-	// count-driven loop below stops (each tests rerr), and the error is
-	// returned at the end of the section that hit it.
+	// Reads and checks keep the first error: after it get and getU return
+	// zeros, every count-driven loop below stops (each tests rerr), and the
+	// error is returned at the end of the section that hit it.
 	var rerr error
+	bad := func(format string, args ...any) {
+		if rerr == nil {
+			rerr = fmt.Errorf("%w: "+format, append([]any{ErrBadIndexFormat}, args...)...)
+		}
+	}
 	get := func(p []byte) {
 		if rerr == nil {
 			_, rerr = io.ReadFull(br, p)
 		}
 	}
-	getU := func() (v uint64) {
-		if rerr == nil {
-			v, rerr = binary.ReadUvarint(br)
+	// getU reads a uvarint in its shortest form, the only one putU writes.
+	getU := func() uint64 {
+		p, _ := br.Peek(binary.MaxVarintLen64) // short at the end of the stream
+		v, n := binary.Uvarint(p)
+		if n <= 0 || n > 1 && p[n-1] == 0 {
+			bad("truncated or padded uvarint")
 		}
+		if rerr != nil {
+			return 0
+		}
+		br.Discard(n)
 		return v
 	}
+	getU32 := func() uint32 {
+		v := getU()
+		if v > math.MaxUint32 {
+			bad("value %d exceeds 32 bits", v)
+		}
+		return uint32(v)
+	}
 
+	head := make([]byte, len(persistMagic)+1)
+	if get(head); rerr != nil || string(head[:len(persistMagic)]) != persistMagic {
+		return nil, fmt.Errorf("%w: magic %q (%v)", ErrBadIndexFormat, head, rerr)
+	}
+	if ver := head[len(persistMagic)]; ver != persistVersion {
+		return nil, fmt.Errorf("%w: version %d", ErrBadIndexFormat, ver)
+	}
 	var vals [6]uint64
 	for i := range vals {
 		vals[i] = getU()
 	}
-	cfg := Config{
+	written := Config{
 		Depth:           int(vals[0]),
 		MemLevels:       int(vals[1]),
 		Lambda:          int(vals[2]),
@@ -174,6 +199,13 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 		get(b[:])
 		geom[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 	}
+	// HICLCacheEntries is a runtime knob, not part of the serialized
+	// geometry; withDefaults re-derives it, and must change nothing else:
+	// the persisted fields are post-default values.
+	cfg := written.withDefaults()
+	if written.HICLCacheEntries = cfg.HICLCacheEntries; written != cfg || vals[5] > 3 || slices.Max(vals[:5]) > maxParam {
+		bad("configuration %v", vals)
+	}
 	if rerr != nil {
 		return nil, rerr
 	}
@@ -181,10 +213,6 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// HICLCacheEntries is a runtime knob, not part of the serialized
-	// geometry; withDefaults re-derives it (all persisted fields are
-	// already post-default values, so they pass through unchanged).
-	cfg = cfg.withDefaults()
 	idx := &Index{
 		cfg:       cfg,
 		ts:        ts,
@@ -194,42 +222,24 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 		hicl:      newHICLCache(cfg.HICLCacheEntries),
 	}
 
-	// readPostings mirrors invindex.AppendEncoded: uvarint count, first
-	// element, then gaps — decoded straight off the reader onto dst.
-	readPostings := func(dst []uint32) []uint32 {
-		count := getU()
-		prev := uint64(0)
-		for i := uint64(0); i < count && rerr == nil; i++ {
-			prev += getU() // the first "gap" is the first element itself
-			dst = append(dst, uint32(prev))
-		}
-		return dst
-	}
-	var blob []byte
+	var blob bytes.Buffer // grows as the bytes arrive, whatever the prefix says
+	var enc []byte
 	readSet := func() *invindex.Set {
-		if ver == 1 {
-			// Migrate: the v1 stream holds a flat list.
-			return invindex.SetFromSorted(readPostings(nil))
-		}
 		n := getU()
-		if rerr == nil && n > 1<<30 {
-			rerr = fmt.Errorf("%w: set blob of %d bytes", ErrBadIndexFormat, n)
+		if blob.Reset(); rerr == nil {
+			_, rerr = io.CopyN(&blob, br, int64(min(n, math.MaxInt64)))
 		}
 		if rerr != nil {
 			return nil
 		}
-		blob = slices.Grow(blob[:0], int(n))[:n]
-		if get(blob); rerr != nil {
-			return nil
+		set, _, err := invindex.DecodeSet(blob.Bytes())
+		if err != nil {
+			bad("%v", err)
+		} else if enc = set.AppendEncoded(enc[:0]); !bytes.Equal(enc, blob.Bytes()) {
+			bad("set of %d bytes re-encodes to %d", blob.Len(), len(enc))
 		}
-		set, used, err := invindex.DecodeSet(blob)
-		if err == nil && used != len(blob) {
-			err = fmt.Errorf("%w: set blob has %d trailing bytes", ErrBadIndexFormat, len(blob)-used)
-		}
-		rerr = err
 		return set
 	}
-
 	nLevels := getU()
 	if nLevels > uint64(cfg.Depth)+1 {
 		return nil, fmt.Errorf("%w: %d in-memory HICL levels at depth %d", ErrBadIndexFormat, nLevels, cfg.Depth)
@@ -237,98 +247,81 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	idx.hiclMem = make([]map[trajectory.ActivityID]*invindex.Set, nLevels)
 	for l := range idx.hiclMem {
 		nActs := getU()
-		if rerr != nil {
-			return nil, rerr
-		}
-		if l == 0 && nActs == 0 {
+		if nActs == 0 {
 			continue // level 0 is the unused slot
 		}
-		m := make(map[trajectory.ActivityID]*invindex.Set, nActs)
-		for i := uint64(0); i < nActs && rerr == nil; i++ {
-			a := trajectory.ActivityID(getU())
-			m[a] = readSet()
+		m := make(map[trajectory.ActivityID]*invindex.Set)
+		for i, prev := uint64(0), uint32(0); i < nActs && rerr == nil; i++ {
+			a := getU32()
+			if i > 0 && a <= prev {
+				bad("HICL level %d: activity %d out of order", l, a)
+			}
+			m[trajectory.ActivityID(a)], prev = readSet(), a
 		}
 		idx.hiclMem[l] = m
 	}
 
-	// ITL: WriteTo emits cells and each cell's activities ascending — the
-	// arena's own layout, so lists append straight into it; no other order loads.
-	itl := &idx.itl
+	// ITL: cells and each cell's activities ascend, and no other order
+	// loads; each list is, as invindex.AppendEncoded wrote it, a count, the
+	// first element, then gaps. It must be a non-empty strictly ascending
+	// run of the store's trajectories — the searcher indexes arrays of that
+	// size by it — in a leaf of this grid.
+	nTrajs, zEnd := uint64(ts.NumTrajs()), uint64(1)<<(2*uint(cfg.Depth))
+	var triples []itlTriple
 	nCells := getU()
-	for i := uint64(0); i < nCells && rerr == nil; i++ {
-		z, nActs := uint32(getU()), getU()
-		if rerr == nil && i > 0 && z <= itl.cells[i-1] {
-			return nil, fmt.Errorf("%w: ITL cell %d out of order", ErrBadIndexFormat, z)
+	for i, prevZ := uint64(0), uint64(0); i < nCells && rerr == nil; i++ {
+		z, nActs := getU(), getU()
+		if z >= zEnd || nActs == 0 || i > 0 && z <= prevZ {
+			bad("ITL cell %d with %d lists: out of order or outside the depth-%d grid", z, nActs, cfg.Depth)
 		}
-		itl.startCell(z)
-		for j := uint64(0); j < nActs && rerr == nil; j++ {
-			a := trajectory.ActivityID(getU())
-			if rerr == nil && j > 0 && a <= itl.acts[len(itl.acts)-1] {
-				return nil, fmt.Errorf("%w: ITL activity %d of cell %d out of order", ErrBadIndexFormat, a, z)
+		prevZ = z
+		for j, prevA := uint64(0), uint32(0); j < nActs && rerr == nil; j++ {
+			a, count, id := getU32(), getU(), uint64(0)
+			if j > 0 && a <= prevA || count == 0 {
+				bad("ITL list (cell %d, activity %d) of %d postings: out of order or empty", z, a, count)
 			}
-			itl.startList(a)
-			itl.posts = readPostings(itl.posts)
+			prevA = a
+			for k := uint64(0); k < count && rerr == nil; k++ {
+				gap := getU()
+				if id += gap; gap >= nTrajs || id >= nTrajs || k > 0 && gap == 0 {
+					bad("ITL list (cell %d, activity %d): posting %d of a store of %d trajectories", z, a, id, nTrajs)
+				}
+				triples = append(triples, itlTriple{actCell: uint64(a)<<32 | z, traj: uint32(id)})
+			}
 		}
 	}
-	itl.seal()
+	idx.itl = layoutITL(triples)
 
 	nDir := getU()
-	for i := uint64(0); i < nDir && rerr == nil; i++ {
-		k := hiclKey{level: uint8(getU()), act: trajectory.ActivityID(getU())}
-		idx.hiclDir[k] = storage.SegRef{Page: uint32(getU()), Off: uint32(getU()), Len: uint32(getU())}
+	for i, prev := uint64(0), uint64(0); i < nDir && rerr == nil; i++ {
+		level, act := getU(), getU32()
+		key := level<<32 | uint64(act) // meaningful once level <= Depth is known
+		if level > uint64(cfg.Depth) || i > 0 && key <= prev {
+			bad("HICL directory: list (level %d, activity %d) out of order", level, act)
+		}
+		prev = key
+		idx.hiclDir[hiclKey{level: uint8(level), act: trajectory.ActivityID(act)}] = storage.SegRef{Page: getU32(), Off: getU32(), Len: getU32()}
 	}
 	nPages := getU()
-	if rerr != nil {
-		return nil, rerr
-	}
-	loaded := idx.hiclStore
-	if ver == 1 {
-		// The v1 pages hold flat-list segments; load them into a scratch
-		// store and re-encode below.
-		loaded = storage.NewMemStore(1)
+	for k, ref := range idx.hiclDir { // Store.Read allocates ref.Len bytes before it reads one
+		if ref.Off >= storage.PageSize || nPages > math.MaxUint32 ||
+			uint64(ref.Page)*storage.PageSize+uint64(ref.Off)+uint64(ref.Len) > nPages*storage.PageSize {
+			bad("HICL list (level %d, activity %d) lies outside the store's %d pages", k.level, k.act, nPages)
+		}
 	}
 	page := make([]byte, storage.PageSize)
-	for p := uint64(0); p < nPages; p++ {
-		if get(page); rerr != nil {
-			return nil, fmt.Errorf("gat: load page %d: %w", p, rerr)
-		}
-		if _, err := loaded.Append(page); err != nil {
-			return nil, err
+	for p := uint64(0); p < nPages && rerr == nil; p++ {
+		if get(page); rerr == nil {
+			_, rerr = idx.hiclStore.Append(page)
 		}
 	}
-	if err := loaded.Seal(); err != nil {
-		return nil, err
+	if rerr == nil {
+		rerr = idx.hiclStore.Seal()
 	}
-	if ver == 1 {
-		if err := idx.migrateDiskLists(loaded); err != nil {
-			return nil, err
-		}
+	if rerr != nil {
+		return nil, fmt.Errorf("gat: load index: %w", rerr)
 	}
 	return idx, nil
-}
-
-// migrateDiskLists rewrites a version-1 disk store (flat posting lists at
-// the directory's segment refs) into the current hybrid-container encoding,
-// replacing the index's directory refs in place.
-func (idx *Index) migrateDiskLists(old *storage.Store) error {
-	var buf []byte
-	for _, k := range sortedHiclKeys(idx.hiclDir) {
-		blob, err := old.Read(idx.hiclDir[k])
-		if err != nil {
-			return fmt.Errorf("gat: migrate HICL list (level %d, act %d): %w", k.level, k.act, err)
-		}
-		list, _, err := invindex.DecodePostings(blob)
-		if err != nil {
-			return fmt.Errorf("gat: migrate HICL list (level %d, act %d): %w", k.level, k.act, err)
-		}
-		buf = invindex.SetFromSorted(list).AppendEncoded(buf[:0])
-		ref, err := idx.hiclStore.Append(buf)
-		if err != nil {
-			return err
-		}
-		idx.hiclDir[k] = ref
-	}
-	return idx.hiclStore.Seal()
 }
 
 func sortedActs[V any](m map[trajectory.ActivityID]V) []trajectory.ActivityID {

@@ -9,12 +9,13 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
-	"activitytraj/internal/invindex"
 	"activitytraj/internal/queries"
 	"activitytraj/internal/query"
-	"activitytraj/internal/storage"
 )
 
 // TestPersistRoundTrip: a saved and reloaded index must be structurally
@@ -39,9 +40,9 @@ func TestPersistRoundTrip(t *testing.T) {
 	if loaded.g.Region() != idx.g.Region() || loaded.g.Depth() != idx.g.Depth() {
 		t.Fatal("grid mismatch")
 	}
-	if len(loaded.itl.cells) != len(idx.itl.cells) || len(loaded.hiclDir) != len(idx.hiclDir) {
-		t.Fatalf("structure counts differ: itl %d/%d dir %d/%d",
-			len(loaded.itl.cells), len(idx.itl.cells), len(loaded.hiclDir), len(idx.hiclDir))
+	if !reflect.DeepEqual(loaded.itl, idx.itl) || len(loaded.hiclDir) != len(idx.hiclDir) {
+		t.Fatalf("structure differs: itl %d/%d lists, dir %d/%d",
+			len(loaded.itl.entZ), len(idx.itl.entZ), len(loaded.hiclDir), len(idx.hiclDir))
 	}
 	bd1, bd2 := idx.Breakdown(), loaded.Breakdown()
 	if bd1.HICL != bd2.HICL || bd1.ITL != bd2.ITL {
@@ -97,11 +98,15 @@ func TestPersistRoundTrip(t *testing.T) {
 // recorded at edc5e10 (the last commit whose descent always reached the
 // leaf level) and never re-recorded; goldenCounters adds each search's
 // PQPops, Candidates and Batches and was re-recorded when the descent
-// became bucketed, which lowers pops and batches on purpose.
+// became bucketed, which lowers pops and batches on purpose, and by PR 23,
+// which changed the bucket's unit (ITL lists of the popped mask, not
+// occupied leaves) and so lowers them again. The file digest — the
+// re-serialized golden, byte for byte — has never moved: PR 23 turned the
+// arena activity-major in memory and left the stream leaf-major.
 func TestPersistGoldenV2(t *testing.T) {
 	const (
 		goldenResults  = 0x553e7e1d8a4baa0f
-		goldenCounters = 0xff3bf699b94c7581
+		goldenCounters = 0x5435225558fd86c1
 	)
 	golden, err := os.ReadFile("testdata/parent_v2.gatx")
 	if err != nil {
@@ -170,172 +175,6 @@ func TestPersistGoldenV2(t *testing.T) {
 	}
 }
 
-// writeV1 serializes idx in the legacy version-1 format (flat delta+varint
-// posting lists, in memory and on the disk pages), so the migration path in
-// Load can be exercised against a stream produced exactly the way PR 2's
-// WriteTo produced it.
-func writeV1(t *testing.T, idx *Index) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	put := func(p []byte) { out.Write(p) }
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) { out.Write(scratch[:binary.PutUvarint(scratch[:], v)]) }
-	putF := func(f float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		put(b[:])
-	}
-
-	put([]byte(persistMagic))
-	put([]byte{1})
-	cfg := idx.cfg
-	flags := uint64(0)
-	if cfg.DisableTAS {
-		flags |= 1
-	}
-	if cfg.LooseLowerBound {
-		flags |= 2
-	}
-	for _, v := range []uint64{
-		uint64(cfg.Depth), uint64(cfg.MemLevels), uint64(cfg.Lambda),
-		uint64(cfg.NearCells), uint64(cfg.PoolPages), flags,
-	} {
-		putU(v)
-	}
-	region := idx.g.Region()
-	for _, f := range []float64{region.MinX, region.MinY, idx.g.Side()} {
-		putF(f)
-	}
-
-	var buf []byte
-	putU(uint64(len(idx.hiclMem)))
-	for _, level := range idx.hiclMem {
-		putU(uint64(len(level)))
-		for _, a := range sortedActs(level) {
-			putU(uint64(a))
-			buf = level[a].Elements().AppendEncoded(buf[:0])
-			put(buf)
-		}
-	}
-
-	putU(uint64(len(idx.itl.cells)))
-	for i, z := range idx.itl.cells {
-		lo, hi := int(idx.itl.cellOff[i]), int(idx.itl.cellOff[i+1])
-		putU(uint64(z))
-		putU(uint64(hi - lo))
-		for j := lo; j < hi; j++ {
-			putU(uint64(idx.itl.acts[j]))
-			buf = invindex.PostingList(idx.itl.list(j)).AppendEncoded(buf[:0])
-			put(buf)
-		}
-	}
-
-	// Re-encode the disk lists the v1 way (flat lists) into a scratch store
-	// so the dumped pages and directory refs are genuinely v1.
-	v1store := storage.NewMemStore(1)
-	v1dir := make(map[hiclKey]storage.SegRef, len(idx.hiclDir))
-	for _, k := range sortedHiclKeys(idx.hiclDir) {
-		blob, err := idx.hiclStore.Read(idx.hiclDir[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, _, err := invindex.DecodeSet(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = set.Elements().AppendEncoded(buf[:0])
-		ref, err := v1store.Append(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1dir[k] = ref
-	}
-	if err := v1store.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	putU(uint64(len(v1dir)))
-	for _, k := range sortedHiclKeys(v1dir) {
-		ref := v1dir[k]
-		for _, v := range []uint64{uint64(k.level), uint64(k.act), uint64(ref.Page), uint64(ref.Off), uint64(ref.Len)} {
-			putU(v)
-		}
-	}
-	pages := v1store.Pages()
-	putU(uint64(pages))
-	for p := uint32(0); p < pages; p++ {
-		blob, err := v1store.Read(storage.SegRef{Page: p, Off: 0, Len: storage.PageSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		put(blob)
-	}
-	return out.Bytes()
-}
-
-// TestPersistV1Migration: a version-1 stream must load through the
-// migration path and answer queries identically to the index it came from.
-func TestPersistV1Migration(t *testing.T) {
-	ds, ts, idx := buildSmall(t, Config{Depth: 7, MemLevels: 4, Lambda: 16, NearCells: 5})
-	v1 := writeV1(t, idx)
-	loaded, err := Load(bytes.NewReader(v1), ts)
-	if err != nil {
-		t.Fatalf("load v1: %v", err)
-	}
-	if loaded.cfg != idx.cfg {
-		t.Fatalf("config mismatch: %+v vs %+v", loaded.cfg, idx.cfg)
-	}
-	if len(loaded.itl.cells) != len(idx.itl.cells) || len(loaded.hiclDir) != len(idx.hiclDir) {
-		t.Fatalf("structure counts differ: itl %d/%d dir %d/%d",
-			len(loaded.itl.cells), len(idx.itl.cells), len(loaded.hiclDir), len(idx.hiclDir))
-	}
-	// Every migrated disk list must decode as a Set with the same elements.
-	for _, k := range sortedHiclKeys(idx.hiclDir) {
-		want, err := idx.hiclStore.Read(idx.hiclDir[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSet, _, err := invindex.DecodeSet(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.hiclStore.Read(loaded.hiclDir[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSet, _, err := invindex.DecodeSet(got)
-		if err != nil {
-			t.Fatalf("migrated list (level %d, act %d) does not decode as a set: %v", k.level, k.act, err)
-		}
-		w, g := wantSet.Elements(), gotSet.Elements()
-		if len(w) != len(g) {
-			t.Fatalf("migrated list (level %d, act %d): %d vs %d elements", k.level, k.act, len(g), len(w))
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("migrated list (level %d, act %d) differs at %d", k.level, k.act, i)
-			}
-		}
-	}
-
-	qs, err := queries.Generate(ds, queries.Config{NumQueries: 8, NumPoints: 3, ActsPerPoint: 2, DiameterKm: 6, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, e2 := NewEngine(idx), NewEngine(loaded)
-	for qi, q := range qs {
-		ra := mustSearch(t, e1, query.Request{Query: q, K: 5}).Results
-		rb := mustSearch(t, e2, query.Request{Query: q, K: 5}).Results
-		if len(ra) != len(rb) {
-			t.Fatalf("q%d: %d vs %d results", qi, len(ra), len(rb))
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("q%d result %d: %+v vs %+v", qi, i, ra[i], rb[i])
-			}
-		}
-	}
-}
-
 var errDiskFull = errors.New("disk full")
 
 type failingWriter struct{}
@@ -366,15 +205,119 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := idx.WriteTo(failingWriter{}); !errors.Is(err, errDiskFull) {
 		t.Fatalf("WriteTo on a failing writer: err = %v", err)
 	}
-	// The arena is searched by bisection, so a stream whose ITL cells do not
-	// ascend must not load.
-	idx.itl.cells[0], idx.itl.cells[1] = idx.itl.cells[1], idx.itl.cells[0]
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	// Version 2 is the only format there has ever been a file of.
+	if _, err := Load(strings.NewReader(persistMagic+"\x01"), ts); !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 header: err = %v", err)
+	}
+}
+
+// itlCell is one leaf of a hand-written ITL section: its Z and, per list, the
+// activity and the raw varints after the count (first element, then gaps).
+type itlCell struct {
+	z     uint64
+	lists []itlList
+}
+
+type itlList struct {
+	act  uint64
+	gaps []uint64
+}
+
+func encodeITL(cells ...itlCell) []byte {
+	out := binary.AppendUvarint(nil, uint64(len(cells)))
+	for _, c := range cells {
+		out = binary.AppendUvarint(binary.AppendUvarint(out, c.z), uint64(len(c.lists)))
+		for _, l := range c.lists {
+			out = binary.AppendUvarint(binary.AppendUvarint(out, l.act), uint64(len(l.gaps)))
+			for _, g := range l.gaps {
+				out = binary.AppendUvarint(out, g)
+			}
+		}
+	}
+	return out
+}
+
+// splitStream cuts idx's serialized form around its ITL section: the stream
+// of the same index with an empty arena is the same bytes before and after
+// it, with a zero count in between.
+func splitStream(t testing.TB, idx *Index) (prefix, itl, suffix []byte) {
+	t.Helper()
+	var whole, hollow bytes.Buffer
+	if _, err := idx.WriteTo(&whole); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf, ts); !errors.Is(err, ErrBadIndexFormat) {
-		t.Fatalf("out-of-order ITL cells: err = %v, want ErrBadIndexFormat", err)
+	saved := idx.itl
+	idx.itl = itlArena{}
+	_, err := idx.WriteTo(&hollow)
+	idx.itl = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, h := whole.Bytes(), hollow.Bytes()
+	p := 0
+	for w[p] == h[p] {
+		p++
+	}
+	if h[p] != 0 {
+		t.Fatalf("streams part at byte %d, which is not the ITL count", p)
+	}
+	suffix = h[p+1:]
+	return w[:p], w[p : len(w)-len(suffix)], suffix
+}
+
+// badITLSections are ITL sections Load must refuse for a depth-6 index over
+// a store of 200 trajectories, each a way an index file can disagree with
+// the store or grid it is loaded against — or with itself. Before the loader
+// checked them the first three loaded and the first search indexed the
+// searcher's seen-array (sized from the store) out of range.
+var badITLSections = map[string][]byte{
+	"trajectory the store lacks":  encodeITL(itlCell{5, []itlList{{1, []uint64{200}}}}),
+	"running sum past the store":  encodeITL(itlCell{5, []itlList{{1, []uint64{150, 50}}}}),
+	"running sum leaves uint32":   encodeITL(itlCell{5, []itlList{{1, []uint64{3, 1 << 32}}}}),
+	"list not strictly ascending": encodeITL(itlCell{5, []itlList{{1, []uint64{3, 0}}}}),
+	"empty list":                  encodeITL(itlCell{5, []itlList{{1, nil}}}),
+	"empty cell":                  encodeITL(itlCell{5, nil}),
+	"leaf outside the grid":       encodeITL(itlCell{1 << 12, []itlList{{1, []uint64{3}}}}),
+	"cells out of order":          encodeITL(itlCell{9, []itlList{{1, []uint64{3}}}}, itlCell{5, []itlList{{1, []uint64{4}}}}),
+	"activities out of order":     encodeITL(itlCell{5, []itlList{{4, []uint64{3}}, {4, []uint64{5}}}}),
+	"activity wider than 32 bits": encodeITL(itlCell{5, []itlList{{1 << 32, []uint64{3}}}}),
+	"count in a longer varint":    {0x81, 0x00, 5, 1, 1, 1, 3},
+}
+
+// TestLoadChecksITL: see badITLSections; and the hand-written section they
+// are all one edit away from does load, search and re-serialize.
+func TestLoadChecksITL(t *testing.T) {
+	ds, ts, idx := buildSmall(t, Config{Depth: 6, MemLevels: 3})
+	if ts.NumTrajs() != 200 {
+		t.Fatalf("store of %d trajectories", ts.NumTrajs())
+	}
+	prefix, _, suffix := splitStream(t, idx)
+	stream := func(itl []byte) []byte { return slices.Concat(prefix, itl, suffix) }
+
+	good := stream(encodeITL(itlCell{5, []itlList{{1, []uint64{3, 196}}, {4, []uint64{0}}}}, itlCell{1<<12 - 1, []itlList{{1, []uint64{7}}}}))
+	loaded, err := Load(bytes.NewReader(good), ts)
+	if err != nil {
+		t.Fatalf("hand-written stream: %v", err)
+	}
+	if got := loaded.itl.postings(5, 1); !slices.Equal(got, []uint32{3, 199}) {
+		t.Fatalf("postings(5, 1) = %v", got)
+	}
+	var out bytes.Buffer
+	if _, err := loaded.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), good) {
+		t.Fatalf("hand-written stream re-serialized differently (err %v)", err)
+	}
+	qs, err := queries.Generate(ds, queries.Config{NumQueries: 3, NumPoints: 2, ActsPerPoint: 2, DiameterKm: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		mustSearch(t, NewEngine(loaded), query.Request{Query: q, K: 3})
+	}
+
+	for name, itl := range badITLSections {
+		if _, err := Load(bytes.NewReader(stream(itl)), ts); !errors.Is(err, ErrBadIndexFormat) {
+			t.Errorf("%s: err = %v, want ErrBadIndexFormat", name, err)
+		}
 	}
 }
 
@@ -398,4 +341,45 @@ func TestMemLevelsForBudget(t *testing.T) {
 				c.budget, c.vocab, c.depth, got, c.want)
 		}
 	}
+}
+
+// FuzzLoadIndex mutates serialized indexes — two real ones and the
+// hand-written ITL sections above — and loads them against buildSmall's
+// store: Load never panics, and whatever it accepts searches without
+// panicking and re-serializes to the bytes it was loaded from.
+func FuzzLoadIndex(f *testing.F) {
+	ds, ts, idx := buildSmall(f, Config{Depth: 6, MemLevels: 3})
+	other, err := Build(ts, Config{Depth: 4, MemLevels: 4, Lambda: 8, NearCells: 2, LooseLowerBound: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []*Index{idx, other} {
+		var buf bytes.Buffer
+		if _, err := seed.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	prefix, _, suffix := splitStream(f, idx)
+	for _, itl := range badITLSections {
+		f.Add(slices.Concat(prefix, itl, suffix))
+	}
+	qs, err := queries.Generate(ds, queries.Config{NumQueries: 3, NumPoints: 2, ActsPerPoint: 2, DiameterKm: 6, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loaded, err := Load(bytes.NewReader(data), ts)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := loaded.WriteTo(&out); err != nil || !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("accepted stream of %d bytes re-serialized to %d different ones (err %v)", len(data), out.Len(), err)
+		}
+		e := NewEngine(loaded)
+		for i, q := range qs {
+			mustSearch(t, e, query.Request{Query: q, K: 3, Ordered: i == 1, Subtrajectory: i == 2})
+		}
+	})
 }

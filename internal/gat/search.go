@@ -95,9 +95,15 @@ type searcher struct {
 	gen    uint32
 	// handles is indexed (actOff[qi]+b)*Depth + level-1; an entry's sets
 	// alias setBuf. Both are wiped by Begin, so no set outlives its search.
-	handles   []hiclHandle
-	actOff    []int
-	setBuf    []*invindex.Set
+	handles []hiclHandle
+	actOff  []int
+	setBuf  []*invindex.Set
+	// spans is the ITL side of the handle table: entry actOff[qi]+b is the
+	// arena span of query point qi's b-th activity, resolved by Begin so a
+	// pop bisects its own activities' leaves and nothing else. ranges is one
+	// pop's scratch, a range per masked activity: the mask is a uint32.
+	spans     []entRange
+	ranges    [32]entRange
 	cands     []trajectory.TrajID
 	virtual   []matcher.WeightedPoint
 	nearBuf   []nearCell
@@ -147,12 +153,14 @@ func (s *searcher) Begin(req query.Request, stats *query.SearchStats) {
 	for i := range s.pqs {
 		s.pqs[i].reset()
 	}
-	s.actOff = s.actOff[:0]
-	nActs := 0
+	s.actOff, s.spans = s.actOff[:0], s.spans[:0]
 	for _, p := range q.Pts {
-		s.actOff = append(s.actOff, nActs)
-		nActs += len(p.Acts)
+		s.actOff = append(s.actOff, len(s.spans))
+		for _, a := range p.Acts {
+			s.spans = append(s.spans, s.e.idx.itl.span(a))
+		}
 	}
+	nActs := len(s.spans)
 	nHandles := nActs * s.e.idx.cfg.Depth
 	s.handles = slices.Grow(s.handles[:0], nHandles)[:nHandles]
 	clear(s.handles)
@@ -319,36 +327,44 @@ func (s *searcher) childMasks(qi int, c nearCell) [4]uint32 {
 	return masks
 }
 
-// emit appends tid to out unless it is tombstoned (tombs pre-computes
-// whether any tombstones exist this search) or already retrieved — the one
-// candidate-emission rule shared by the overflow, base-ITL and delta-ITL
-// paths.
-func (s *searcher) emit(out []trajectory.TrajID, tid uint32, tombs bool) []trajectory.TrajID {
-	if tombs && s.ov.Tombstoned(trajectory.TrajID(tid)) {
-		return out
-	}
-	if s.seen[tid] != s.gen {
-		s.seen[tid] = s.gen
-		out = append(out, trajectory.TrajID(tid))
+// emit appends to out every trajectory of tids that is neither tombstoned
+// (tombs pre-computes whether any tombstones exist this search) nor already
+// retrieved — the one candidate-emission rule shared by the overflow,
+// base-ITL and delta-ITL paths.
+func (s *searcher) emit(out []trajectory.TrajID, tids []uint32, tombs bool) []trajectory.TrajID {
+	for _, tid := range tids {
+		if tombs && s.ov.Tombstoned(trajectory.TrajID(tid)) {
+			continue
+		}
+		if s.seen[tid] != s.gen {
+			s.seen[tid] = s.gen
+			out = append(out, trajectory.TrajID(tid))
+		}
 	}
 	return out
 }
 
-// bucketLeaves is the occupied-leaf count up to which a popped cell's whole
-// subtree is pulled out of the ITL arena in that one pop instead of being
-// descended: rtree-style bucketing, with the bucket read off the arena's Z
-// order rather than stored. Sparse regions then cost one pop, not one per
-// leaf plus the internal cells above them, while dense cells keep splitting
-// so the frontier stays fine where the candidates are. Chosen by the sweep
-// in ARCHITECTURE.md §5.
-const bucketLeaves = 16
+// bucketLists is the number of base ITL lists of the popped mask up to which
+// a popped cell's whole subtree is pulled out of the arena in that one pop
+// instead of being descended: rtree-style bucketing, with the bucket read
+// off the arena's Z order rather than stored, and counted in the unit the
+// query pays for — a leaf carrying none of the query point's activities
+// costs nothing, however built-up the city. Regions sparse in what is asked
+// for then cost one pop, not one per leaf plus the internal cells above
+// them, while dense cells keep splitting so the frontier stays fine where
+// the candidates are. Chosen by the sweep in ARCHITECTURE.md §5; at least
+// 32, so that a leaf — a list per masked activity — is always pulled.
+const (
+	bucketLists = 64
+	_           = uint(bucketLists - 32)
+)
 
 // NextBatch implements evaluate.Source: it runs the best-first expansion
 // until at least λ new candidate trajectories are collected (Section V-A)
 // or every frontier empties. The returned slice aliases searcher scratch.
 //
 // Unlike Algorithm 1 the descent does not always reach the leaf level: a
-// popped cell with at most bucketLeaves occupied base leaves below it is
+// popped cell with at most bucketLists base lists of its mask below it is
 // pulled whole (see pull). That keeps the search exact — a pulled subtree
 // leaves no trajectory of the popped mask unseen, so LowerBound over the
 // remaining frontier still bounds every unseen trajectory; a cell's MinDist
@@ -363,15 +379,13 @@ const bucketLeaves = 16
 // distance — are retrieved unconditionally in the first batch.
 func (s *searcher) NextBatch() []trajectory.TrajID {
 	depth, lambda := s.e.idx.cfg.Depth, s.e.idx.cfg.Lambda
-	ov := s.ov
+	itl, ov := &s.e.idx.itl, s.ov
 	tombs := ov != nil && ov.HasTombstones()
 	out := s.cands[:0]
 	if ov != nil && !s.overflown {
 		s.overflown = true
 		s.deltaBuf = ov.AppendOverflow(s.deltaBuf[:0])
-		for _, tid := range s.deltaBuf {
-			out = s.emit(out, tid, tombs)
-		}
+		out = s.emit(out, s.deltaBuf, tombs)
 	}
 	for len(out) < lambda {
 		qi := s.minQueue()
@@ -381,18 +395,24 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 		}
 		c := s.pqs[qi].pop()
 		s.stats.PQPops++
-		// The leaves under c are the Z interval [zlo, zlast]. Only base
-		// leaves count towards the bucket: a subtree holding nothing but
-		// delta cells has an empty run and is pulled like any sparse one.
+		// The leaves under c are the Z interval [zlo, zlast], and each masked
+		// activity's lists there one range of its span. Only base lists count
+		// towards the bucket: a subtree holding nothing but delta cells has
+		// empty ranges and is pulled like any sparse one.
 		shift := 2 * uint(depth-int(c.cell.Level))
 		zlo := c.cell.Z << shift
 		zlast := zlo | (1<<shift - 1)
-		lo, hi := s.e.idx.itl.run(zlo, zlast, bucketLeaves)
-		if hi-lo > bucketLeaves {
+		ranges, lists := s.ranges[:0], 0
+		for m := c.mask; m != 0 && lists <= bucketLists; m &= m - 1 {
+			r := itl.within(s.spans[s.actOff[qi]+bits.TrailingZeros32(m)], zlo, zlast, bucketLists-lists)
+			ranges = append(ranges, r)
+			lists += int(r.hi - r.lo)
+		}
+		if lists > bucketLists {
 			s.expand(qi, c)
 			continue
 		}
-		out = s.pull(out, qi, c.mask, lo, hi, zlo, zlast, tombs)
+		out = s.pull(out, qi, c.mask, ranges, zlo, zlast, tombs)
 	}
 	s.cands = out
 	s.stats.Batches++
@@ -405,40 +425,31 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 }
 
 // pull emits the trajectories of every (leaf, activity) list under one
-// popped cell: the base leaves are the arena run [lo, hi), the overlay's
-// are whatever its layers hold in the same Z interval [zlo, zlast]. Only
-// the activities in mask — query point qi's, present somewhere below the
-// cell per the HICL — are looked for, and leaves the region filter rejects
-// contribute nothing. Both a leaf's activity list and the masked query
-// activities ascend, so one forward scan of the former finds them all.
-func (s *searcher) pull(out []trajectory.TrajID, qi int, mask uint32, lo, hi int, zlo, zlast uint32, tombs bool) []trajectory.TrajID {
-	itl, qacts := &s.e.idx.itl, s.q.Pts[qi].Acts
-	leafLevel := uint8(s.e.idx.cfg.Depth)
-	for i := lo; i < hi; i++ {
-		if !s.cellVisible(grid.Cell{Level: leafLevel, Z: itl.cells[i]}) {
+// popped cell: the base lists are the arena entry ranges, one per activity
+// of mask — query point qi's, present somewhere below the cell per the HICL
+// — and the overlay's are whatever its layers hold in the same Z interval
+// [zlo, zlast]. A range's lists are one run of the posting slab, emitted as
+// such unless a region filter has to look at each entry's leaf.
+func (s *searcher) pull(out []trajectory.TrajID, qi int, mask uint32, ranges []entRange, zlo, zlast uint32, tombs bool) []trajectory.TrajID {
+	itl := &s.e.idx.itl
+	leaf := grid.Cell{Level: uint8(s.e.idx.cfg.Depth)}
+	for _, r := range ranges {
+		if s.region == nil {
+			out = s.emit(out, itl.posts[itl.postOff[r.lo]:itl.postOff[r.hi]], tombs)
 			continue
 		}
-		acts, first := itl.leafActs(i)
-		k := 0
-		for m := mask; m != 0 && k < len(acts); m &= m - 1 {
-			a := qacts[bits.TrailingZeros32(m)]
-			for k < len(acts) && acts[k] < a {
-				k++
-			}
-			if k < len(acts) && acts[k] == a {
-				for _, tid := range itl.list(first + k) {
-					out = s.emit(out, tid, tombs)
-				}
+		for e := r.lo; e < r.hi; e++ {
+			if leaf.Z = itl.entZ[e]; s.cellVisible(leaf) {
+				out = s.emit(out, itl.list(e), tombs)
 			}
 		}
 	}
 	if s.ov != nil {
+		qacts := s.q.Pts[qi].Acts
 		for m := mask; m != 0; m &= m - 1 {
 			a := qacts[bits.TrailingZeros32(m)]
 			s.deltaBuf = s.ov.AppendRangeTrajs(s.deltaBuf[:0], zlo, zlast, a, s.region)
-			for _, tid := range s.deltaBuf {
-				out = s.emit(out, tid, tombs)
-			}
+			out = s.emit(out, s.deltaBuf, tombs)
 		}
 	}
 	return out
