@@ -151,3 +151,50 @@ func TestLoadGATIndexForeignStore(t *testing.T) {
 		t.Fatalf("over half the corpus: err = %v, want ErrBadIndexFormat", err)
 	}
 }
+
+// TestGATConfigBounds: Build and Load apply one parameter check. A
+// parameter past the bound used to build, and the first search panicked
+// (NearCells = MaxInt overflowed the searcher's m+1); it is an error now,
+// while the largest accepted values build, search, and survive a save and
+// load round trip.
+func TestGATConfigBounds(t *testing.T) {
+	ds, err := activitytraj.GenerateDataset(activitytraj.PresetLA(0.005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := activitytraj.NewStore(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []activitytraj.GATConfig{
+		{NearCells: math.MaxInt},
+		{PoolPages: math.MaxInt},
+		{Lambda: math.MaxInt},
+		{MemLevels: math.MaxInt},
+	} {
+		if _, err := activitytraj.BuildGATIndex(store, cfg); err == nil {
+			t.Fatalf("%+v: built", cfg)
+		}
+	}
+	const limit = 1 << 20
+	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 6, MemLevels: limit, NearCells: limit, Lambda: limit})
+	if err != nil {
+		t.Fatalf("at the bound: %v", err)
+	}
+	qs, err := activitytraj.GenerateQueries(ds, activitytraj.WorkloadConfig{NumQueries: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		if _, err := activitytraj.NewEngineForIndex(idx).Search(context.Background(), activitytraj.Request{Query: q, K: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var file bytes.Buffer
+	if _, err := activitytraj.SaveGATIndex(idx, &file); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := activitytraj.LoadGATIndex(&file, store); err != nil {
+		t.Fatalf("load at the bound: %v", err)
+	}
+}

@@ -408,6 +408,9 @@ func mixedPagesPerSearch(d *delta.Dynamic, stream []trajectory.Trajectory, qs []
 // up as page inflation. allocs/search is one more pass on the now-warm
 // engine: the per-search cost of four legs (goroutines, the shared
 // collector, per-leg requests), to read beside the single index's 20.
+// cands/search and scored/search, summed over the legs, say how tightly the
+// shared bound held the legs; they depend on how the legs were scheduled,
+// so they are reported and gate nothing.
 func BenchmarkShardedSearch(b *testing.B) {
 	ds := benchDataset(b, "LA")
 	qs := benchWorkload(b, ds, queries.Config{Seed: 67})
@@ -432,18 +435,23 @@ func BenchmarkShardedSearch(b *testing.B) {
 		return stats
 	}
 	b.ResetTimer()
-	var pages, hit float64
+	var pages, hit, cands, scored float64
 	for i := 0; i < b.N; i++ {
 		eng.ResetCaches()
 		stats := run()
 		pages += float64(stats.PageReads) / float64(len(qs))
 		hit += float64(stats.ShardsSearched) / float64(len(qs))
+		cands += float64(stats.Candidates) / float64(len(qs))
+		scored += float64(stats.Scored) / float64(len(qs))
 	}
 	b.StopTimer()
 	// Averages over iterations: the shared-bound race makes per-run page
 	// counts vary slightly, and the mean is the tighter CI signal.
-	b.ReportMetric(pages/float64(b.N), "pages/search")
-	b.ReportMetric(hit/float64(b.N), "shards/query")
+	n := float64(b.N)
+	b.ReportMetric(pages/n, "pages/search")
+	b.ReportMetric(hit/n, "shards/query")
+	b.ReportMetric(cands/n, "cands/search")
+	b.ReportMetric(scored/n, "scored/search")
 	b.ReportMetric(testing.AllocsPerRun(1, func() { run() })/float64(len(qs)), "allocs/search")
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"testing"
+	"time"
 
 	"activitytraj/internal/trajectory"
 )
@@ -134,5 +135,36 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Generate(Config{NumTrajectories: -1, NumVenues: 10, VocabSize: 10}); err == nil {
 		t.Fatal("negative cardinality must be rejected")
+	}
+}
+
+// TestGenerateClampsVenueProfiles: a venue profile asking for more distinct
+// words than the head or the tail of the vocabulary holds is clamped to
+// what exists, so Generate returns instead of drawing forever.
+func TestGenerateClampsVenueProfiles(t *testing.T) {
+	for _, cfg := range []Config{
+		{NumTrajectories: 1, NumVenues: 1, VocabSize: 10, Categories: 3, CatsPerVenueMin: 4, CatsPerVenueMax: 4},
+		{NumTrajectories: 3, NumVenues: 5, VocabSize: 10, Categories: 7, VenueActsMin: 5, VenueActsMax: 9},
+		{NumTrajectories: 2, NumVenues: 2, VocabSize: 2, CatsPerVenueMin: 3, VenueActsMin: 3},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			ds, err := Generate(cfg)
+			if err == nil {
+				err = ds.Validate()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%+v: Generate did not return within 5 s", cfg)
+		}
+	}
+	if _, err := Generate(Config{NumTrajectories: 1, NumVenues: 1, VocabSize: 1}); err == nil {
+		t.Fatal("a one-word vocabulary must be rejected")
 	}
 }

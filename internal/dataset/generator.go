@@ -66,6 +66,9 @@ func (c Config) validated() (Config, error) {
 	if c.NumTrajectories <= 0 || c.NumVenues <= 0 || c.VocabSize <= 0 {
 		return c, fmt.Errorf("dataset: cardinalities must be positive (%+v)", c)
 	}
+	if c.VocabSize < 2 {
+		return c, fmt.Errorf("dataset: VocabSize %d leaves no room for both category and tail words", c.VocabSize)
+	}
 	if c.ZipfS <= 1 {
 		c.ZipfS = 1.05
 	}
@@ -102,6 +105,12 @@ func (c Config) validated() (Config, error) {
 	if c.VenueActsMax < c.VenueActsMin {
 		c.VenueActsMax = c.VenueActsMin + 2
 	}
+	// A venue profile draws distinct words, so it can hold no more category
+	// words than there are categories, nor more tail words than the tail.
+	c.CatsPerVenueMax = min(c.CatsPerVenueMax, c.Categories)
+	c.CatsPerVenueMin = min(c.CatsPerVenueMin, c.CatsPerVenueMax)
+	c.VenueActsMax = min(c.VenueActsMax, c.VocabSize-c.Categories)
+	c.VenueActsMin = min(c.VenueActsMin, c.VenueActsMax)
 	if c.TrajLenMean <= 0 {
 		c.TrajLenMean = 20
 	}

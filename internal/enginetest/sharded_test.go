@@ -3,6 +3,7 @@ package enginetest
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -180,5 +181,72 @@ func TestShardedParallelStress(t *testing.T) {
 	st := router.Stats()
 	if st.NextID != len(ds.Trajs) {
 		t.Fatalf("NextID = %d, want %d", st.NextID, len(ds.Trajs))
+	}
+}
+
+// TestLegsInterleave pins what the shared bound buys when there are fewer
+// processors than legs: a leg yields after every λ-batch, so the four legs
+// of a routed search advance round-robin and each batch is pruned by what
+// the others have scored — as in one best-first search over the corpus.
+// With GOMAXPROCS(1) and a leg that never yields, each leg would run to
+// completion on the bound of the legs before it. The pool is 100 requests
+// shaped like the repository benchmark's: 20 sessions of 5 searches, each
+// moving the last one's points by a short random step, one session in ten
+// ordered and two in ten subtrajectory. The routed searches' summed
+// Candidates must stay within 1.15x one unsharded index's, and every answer
+// byte-identical to it. Not parallel: it owns GOMAXPROCS.
+func TestLegsInterleave(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds, err := dataset.Generate(dataset.LA(0.125))
+	if err != nil {
+		t.Fatalf("LA preset: %v", err)
+	}
+	base := ds.Sample(len(ds.Trajs) * 4 / 5)
+	base.Name = ds.Name
+	anchors, err := queries.Generate(base, queries.Config{NumQueries: 20, Seed: 12})
+	if err != nil {
+		t.Fatalf("queries: %v", err)
+	}
+	single, err := delta.NewDynamic(base, delta.Config{CompactThreshold: -1})
+	if err != nil {
+		t.Fatalf("single: %v", err)
+	}
+	router, err := shard.NewRouter(base, shard.Config{Shards: 4, Delta: delta.Config{CompactThreshold: -1}})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	oracle, sharded := single.NewEngine(), router.NewEngine()
+	rng := rand.New(rand.NewSource(12))
+	var one, routed int
+	for si, q := range anchors {
+		for step := 0; step < 5; step++ {
+			req := query.Request{Query: q, K: queries.DefaultK}
+			switch si % 10 {
+			case 9:
+				req.Ordered = true
+			case 2, 6:
+				req.Subtrajectory, req.MaxSpanPoints = true, 12
+			}
+			want, err1 := oracle.Search(context.Background(), req)
+			got, err2 := sharded.Search(context.Background(), req)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("session %d step %d: single err=%v sharded err=%v", si, step, err1, err2)
+			}
+			requireByteIdentical(t, "interleave", want.Results, got.Results)
+			one += want.Stats.Candidates
+			routed += got.Stats.Candidates
+			next := query.Query{Pts: make([]query.Point, len(q.Pts))}
+			for i, p := range q.Pts {
+				p.Loc.X += rng.NormFloat64() * 0.5
+				p.Loc.Y += rng.NormFloat64() * 0.5
+				next.Pts[i] = p
+			}
+			q = next
+		}
+	}
+	ratio := float64(routed) / float64(one)
+	t.Logf("candidates: routed %d, one index %d (%.3fx)", routed, one, ratio)
+	if ratio > 1.15 {
+		t.Fatalf("routed searches retrieved %d candidates, %.3fx one index's %d: the legs did not interleave", routed, ratio, one)
 	}
 }

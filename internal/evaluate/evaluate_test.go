@@ -418,11 +418,12 @@ func TestDirectoryMatchesHeaders(t *testing.T) {
 	}
 }
 
-// TestPrefetchBatchSkipsDirectoryRejects: the readahead warms the pool for
-// the candidates prepare will fetch and for no other — a candidate lacking a
-// query activity costs no physical read, a survivor's header pages are read
-// ahead, and the zero query screens nothing.
-func TestPrefetchBatchSkipsDirectoryRejects(t *testing.T) {
+// TestPrefetchBatchReadsUncachedHeaders: the readahead warms the pool with
+// the header pages of the APLs prepare will fetch — whatever they carry,
+// since the candidates' containment screen happened in retrieval — reads
+// nothing for an APL already decoded in the cache, and counts no logical
+// access.
+func TestPrefetchBatchReadsUncachedHeaders(t *testing.T) {
 	ds := smallDataset(t)
 	ts, err := BuildTrajStore(ds, TrajStoreConfig{PoolPages: 4})
 	if err != nil {
@@ -430,36 +431,26 @@ func TestPrefetchBatchSkipsDirectoryRejects(t *testing.T) {
 	}
 	defer ts.Close()
 	ev := NewEvaluator(ts)
-	survivor := &ds.Trajs[0]
-	act := survivor.Pts[0].Acts[0]
-	reject := trajectory.TrajID(0)
-	for ti := range ds.Trajs {
-		if !ds.Trajs[ti].ActivityUnion().Contains(act) {
-			reject = ds.Trajs[ti].ID
-			break
-		}
-	}
-	if reject == survivor.ID {
-		t.Fatal("unexpected fixture: every trajectory carries the activity")
-	}
-	q := query.New(query.Point{Loc: survivor.Pts[0].Loc, Acts: trajectory.ActivitySet{act}})
-	misses := func(q query.Query, id trajectory.TrajID) uint64 {
+	misses := func(id trajectory.TrajID) uint64 {
 		before := ts.PoolStats()
-		ev.PrefetchBatch(q, []trajectory.TrajID{id})
+		ev.PrefetchBatch([]trajectory.TrajID{id})
 		diff := ts.PoolStats().Sub(before)
 		if diff.Touched != 0 {
 			t.Fatalf("readahead counted %d logical accesses", diff.Touched)
 		}
 		return diff.Misses
 	}
-	if n := misses(q, reject); n != 0 {
-		t.Fatalf("readahead for a directory-rejected candidate read %d pages", n)
-	}
-	if n, want := misses(q, survivor.ID), uint64(ts.aplRefs[survivor.ID].SubSpan(0, ts.aplHdrLens[survivor.ID])); n != want {
-		t.Fatalf("readahead for a survivor read %d pages, want its %d header pages", n, want)
-	}
-	ts.ResetPool()
-	if n := misses(query.Query{}, reject); n == 0 {
-		t.Fatal("unscreened readahead (zero query) read nothing")
+	for _, id := range []trajectory.TrajID{0, trajectory.TrajID(len(ds.Trajs) - 1)} {
+		ts.ResetPool()
+		if n, want := misses(id), uint64(ts.aplRefs[id].SubSpan(0, ts.aplHdrLens[id])); n != want {
+			t.Fatalf("traj %d: readahead read %d pages, want its %d header pages", id, n, want)
+		}
+		ts.ResetPool()
+		if _, err := ts.FetchAPL(id); err != nil {
+			t.Fatal(err)
+		}
+		if n := misses(id); n != 0 {
+			t.Fatalf("traj %d: readahead for a cached APL read %d pages", id, n)
+		}
 	}
 }

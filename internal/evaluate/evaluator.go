@@ -332,21 +332,21 @@ func (e *Evaluator) MatchSets(q query.Query, id trajectory.TrajID, ordered bool,
 
 // PrefetchBatch reorders ids in place so candidates are scored in APL page
 // order (delta-resident candidates, which cost no disk, go last in ID
-// order) and warms the buffer pool with the header pages of the APLs that
-// prepare will fetch — those carrying every activity of q (a zero q screens
-// nothing; reading ahead for a reject would only evict a survivor's page)
-// and not already decoded in the cache — one ascending readahead sweep
-// instead of heap-pop-order point reads. Scoring order does not affect
-// results: the top-k set under (distance, ID) is order-independent, so
-// engines are free to batch for locality. ids may hold duplicates (the
-// cross-query superbatch passes the union of several requests' likely
-// candidates); the readahead is purely a pool hint and changes no search's
-// results or accounting.
-func (e *Evaluator) PrefetchBatch(q query.Query, ids []trajectory.TrajID) {
+// order) and warms the buffer pool with the header pages of the APLs not
+// already decoded in the cache — one ascending readahead sweep instead of
+// heap-pop-order point reads. It screens nothing: the GAT searcher hands
+// over only candidates that carry every query activity, and the
+// cross-query superbatch has no single query to screen by. Scoring order
+// does not affect results: the top-k set under (distance, ID) is
+// order-independent, so engines are free to batch for locality. ids may
+// hold duplicates (the superbatch passes the union of several requests'
+// likely candidates); the readahead is purely a pool hint and changes no
+// search's results or accounting.
+func (e *Evaluator) PrefetchBatch(ids []trajectory.TrajID) {
 	if len(ids) > 1 {
 		e.sortByAPLPage(ids)
 	}
-	e.prefetchHeadersSorted(e.queryActs(q), ids)
+	e.prefetchHeadersSorted(ids)
 }
 
 // sortByAPLPage reorders ids in place into APL page order, with
@@ -370,19 +370,17 @@ func (e *Evaluator) sortByAPLPage(ids []trajectory.TrajID) {
 }
 
 // prefetchHeadersSorted issues readahead over the header pages of the
-// to-be-fetched APLs among ids — carrying all of want, not cached — which
-// must already be in page order. It coalesces adjacent ranges so the pool
-// sees few, ascending hints.
-func (e *Evaluator) prefetchHeadersSorted(want trajectory.ActivitySet, ids []trajectory.TrajID) {
+// uncached APLs among ids, which must already be in page order. It
+// coalesces adjacent ranges so the pool sees few, ascending hints.
+func (e *Evaluator) prefetchHeadersSorted(ids []trajectory.TrajID) {
 	baseN := e.ts.NumTrajs()
-	pos := e.actPos[:len(want)]
 	var first, past uint32
 	started := false
 	for _, id := range ids {
 		if int(id) >= baseN {
 			break
 		}
-		if !locateActs(e.ts.activities(id), want, pos) || e.ts.APLCached(id) {
+		if e.ts.APLCached(id) {
 			continue
 		}
 		f, p := e.ts.aplRefs[id].PageRange(0, e.ts.aplHdrLens[id])

@@ -3,6 +3,7 @@ package evaluate
 import (
 	"context"
 	"errors"
+	"runtime"
 
 	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
@@ -139,6 +140,16 @@ func (e *Evaluator) Search(ctx context.Context, req query.Request, src Source) (
 		}
 		if src.Exhausted() && len(cands) == 0 {
 			break
+		}
+		if e.sink != nil {
+			// A leg sharing its bound with sibling legs never blocks, so on
+			// fewer processors than legs it would run to completion against
+			// a bound only the legs already running have tightened. Yielding
+			// once per batch makes the legs advance round-robin, and every
+			// leg's next batch is pruned by what the others scored in theirs
+			// — as in one best-first search. A single-engine search never
+			// has a sink and never yields.
+			runtime.Gosched()
 		}
 	}
 	resp := query.Response{Results: topk.Results(), Stats: *stats}

@@ -33,8 +33,9 @@ func (e *Engine) BatchKey(q query.Query) uint64 {
 // issues one coalesced, ascending readahead over their APL header pages.
 // Each shared page faults into the buffer pool once here instead of once
 // per query. A group has no single query to screen the candidates by, so
-// the readahead is unscreened (the zero Query). Purely a hint: it reads only immutable index structures,
-// charges no per-search statistics, and changes no search's results.
+// the readahead is unscreened. Purely a hint: it reads only immutable index
+// structures, charges no per-search statistics, and changes no search's
+// results.
 func (e *Engine) WarmSuperbatch(reqs []query.Request) {
 	var ids []trajectory.TrajID
 	for _, req := range reqs {
@@ -47,5 +48,5 @@ func (e *Engine) WarmSuperbatch(reqs []query.Request) {
 			}
 		}
 	}
-	e.ev.PrefetchBatch(query.Query{}, ids)
+	e.ev.PrefetchBatch(ids)
 }

@@ -28,6 +28,8 @@
 package gat
 
 import (
+	"fmt"
+
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/zorder"
 )
@@ -95,4 +97,20 @@ func (c Config) withDefaults() Config {
 		c.HICLCacheEntries = DefaultHICLCacheEntries
 	}
 	return c
+}
+
+// maxParam bounds the integer parameters: PoolPages sizes the pool's frame
+// tables (default 1024), and the searcher adds one to NearCells.
+const maxParam = 1 << 20
+
+// validate rejects post-default parameters beyond maxParam. It is the one
+// check Build and Load share, so no index builds that its own file would
+// not load.
+func (c Config) validate() error {
+	for _, v := range [...]int{c.Depth, c.MemLevels, c.Lambda, c.NearCells, c.PoolPages} {
+		if v > maxParam {
+			return fmt.Errorf("gat: parameter %d exceeds %d (%+v)", v, maxParam, c)
+		}
+	}
+	return nil
 }

@@ -227,12 +227,17 @@ func TestTheorem1LowerBoundSoundness(t *testing.T) {
 		s := &e.sc
 		var stats query.SearchStats
 		s.Begin(query.Request{Query: q}, &stats)
+		if s.Exhausted() {
+			t.Fatalf("q%d: exhausted before the first batch", qi)
+		}
+		checked := 0
 		for batch := 0; batch < 30 && !s.Exhausted(); batch++ {
 			s.NextBatch()
 			dlb := s.LowerBound()
 			if math.IsInf(dlb, 1) {
 				continue
 			}
+			checked++
 			// True minimum Dmm over unseen trajectories.
 			trueMin := math.Inf(1)
 			for ti := range ds.Trajs {
@@ -252,6 +257,9 @@ func TestTheorem1LowerBoundSoundness(t *testing.T) {
 				t.Fatalf("q%d batch %d: Dlb %v exceeds true min unseen Dmm %v (Theorem 1)",
 					qi, batch, dlb, trueMin)
 			}
+		}
+		if checked == 0 {
+			t.Fatalf("q%d: no batch had a finite bound to check", qi)
 		}
 	}
 }

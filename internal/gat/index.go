@@ -117,6 +117,9 @@ func (idx *Index) ResetCache() { idx.hicl.Reset() }
 // Build constructs the GAT index for the trajectories in ts.
 func Build(ts *evaluate.TrajStore, cfg Config) (*Index, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	ds := ts.Dataset()
 	origin, side := grid.FitRegion(ds.Bounds(), 0.01)
 	g, err := grid.New(origin, side, cfg.Depth)

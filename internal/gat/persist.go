@@ -35,9 +35,6 @@ import (
 const (
 	persistMagic   = "GATX"
 	persistVersion = 2
-	// maxParam bounds the persisted parameters: PoolPages sizes the pool's
-	// frame tables (default 1024), and the searcher adds one to NearCells.
-	maxParam = 1 << 20
 )
 
 // ErrBadIndexFormat is returned when loading a stream that is not a
@@ -203,7 +200,7 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	// geometry; withDefaults re-derives it, and must change nothing else:
 	// the persisted fields are post-default values.
 	cfg := written.withDefaults()
-	if written.HICLCacheEntries = cfg.HICLCacheEntries; written != cfg || vals[5] > 3 || slices.Max(vals[:5]) > maxParam {
+	if written.HICLCacheEntries = cfg.HICLCacheEntries; written != cfg || vals[5] > 3 || cfg.validate() != nil {
 		bad("configuration %v", vals)
 	}
 	if rerr != nil {

@@ -73,7 +73,10 @@ func (e *Engine) MemBytes() int64 { return e.idx.MemBytes() }
 //     per delta layer that has any — whose union says which cells of that
 //     level carry the activity. A pop is then table lookups and Mask4
 //     probes; the map lookups and the shared cache's lock, LRU bump and
-//     page decode happen when an entry is first needed, not on every pop.
+//     page decode happen when an entry is first needed, not on every pop;
+//   - elig screens containment once, in retrieval: Begin stamps every base
+//     trajectory carrying all the query's activities (see screen), and
+//     emit drops the others before they reach the evaluator.
 type searcher struct {
 	e *Engine
 	q query.Query
@@ -102,14 +105,26 @@ type searcher struct {
 	// arena span of query point qi's b-th activity, resolved by Begin so a
 	// pop bisects its own activities' leaves and nothing else. ranges is one
 	// pop's scratch, a range per masked activity: the mask is a uint32.
-	spans     []entRange
-	ranges    [32]entRange
-	cands     []trajectory.TrajID
-	virtual   []matcher.WeightedPoint
-	nearBuf   []nearCell
-	deltaBuf  []uint32
+	spans  []entRange
+	ranges [32]entRange
+	// elig[id] == want marks base trajectory id as carrying every query
+	// activity. Stamps rise monotonically across searches, stamp being the
+	// last one handed out, so no earlier search's stamp can equal want;
+	// distinct is Begin's scratch of the query's distinct activity spans.
+	elig     []uint32
+	stamp    uint32
+	want     uint32
+	distinct []entRange
+	cands    []trajectory.TrajID
+	virtual  []matcher.WeightedPoint
+	nearBuf  []nearCell
+	deltaBuf []uint32
+	// retrieved counts the IDs the running batch has retrieved, screened
+	// ones included: they count toward λ, so the batches, and the bound's
+	// checkpoints between them, are those of an unscreened retrieval. Begin
+	// sets it to -1: a search no batch has run in is not exhausted.
+	retrieved int
 	overflown bool
-	exhausted bool
 }
 
 // hiclHandle is one HICL entry; sets stays empty if no layer has a list.
@@ -166,10 +181,60 @@ func (s *searcher) Begin(req query.Request, stats *query.SearchStats) {
 	clear(s.handles)
 	clear(s.setBuf)
 	s.setBuf = s.setBuf[:0]
+	s.screen()
 	s.cands = s.cands[:0]
 	s.overflown = false
-	s.exhausted = false
+	s.retrieved = -1
 	s.initQueue()
+}
+
+// screen stamps the base trajectories that carry every query activity.
+// The distinct query activities' arena spans are walked in turn: the first
+// stamps every trajectory it posts with base, and the i-th promotes
+// base+i-1 to base+i, so a trajectory ends at want = base+n-1 exactly when
+// each of the n activities posts it somewhere — the store's activity
+// directory's answer, read off postings the ITL already holds. An activity
+// the index lacks has an empty span and promotes nobody, and once a step
+// promotes nobody no trajectory can reach want. Stamps are wiped only when
+// they would wrap.
+func (s *searcher) screen() {
+	if n := s.e.idx.ts.NumTrajs(); len(s.elig) != n {
+		s.elig, s.stamp = make([]uint32, n), 0
+	}
+	s.distinct = s.distinct[:0]
+	for _, sp := range s.spans {
+		if !slices.Contains(s.distinct, sp) {
+			s.distinct = append(s.distinct, sp)
+		}
+	}
+	n := uint32(len(s.distinct))
+	if s.stamp > math.MaxUint32-n {
+		clear(s.elig)
+		s.stamp = 0
+	}
+	base := s.stamp + 1
+	s.stamp += n
+	s.want = s.stamp
+	itl := &s.e.idx.itl
+	for i, sp := range s.distinct {
+		posts := itl.posts[itl.postOff[sp.lo]:itl.postOff[sp.hi]]
+		if i == 0 {
+			for _, tid := range posts {
+				s.elig[tid] = base
+			}
+			continue
+		}
+		from, to, promoted := base+uint32(i)-1, base+uint32(i), false
+		for _, tid := range posts {
+			if s.elig[tid] == from {
+				s.elig[tid] = to
+				promoted = true
+			}
+		}
+		if !promoted {
+			return
+		}
+	}
 }
 
 // Search implements query.Engine: the shared search loop over this engine's
@@ -327,19 +392,30 @@ func (s *searcher) childMasks(qi int, c nearCell) [4]uint32 {
 	return masks
 }
 
-// emit appends to out every trajectory of tids that is neither tombstoned
+// emit retrieves every trajectory of tids that is neither tombstoned
 // (tombs pre-computes whether any tombstones exist this search) nor already
 // retrieved — the one candidate-emission rule shared by the overflow,
-// base-ITL and delta-ITL paths.
+// base-ITL and delta-ITL paths — and appends to out those that pass the
+// containment screen. A base trajectory lacking a query activity is charged
+// here as the candidate prepare would have rejected on the directory alone;
+// delta trajectories are not screened and take prepare's screen.
 func (s *searcher) emit(out []trajectory.TrajID, tids []uint32, tombs bool) []trajectory.TrajID {
 	for _, tid := range tids {
 		if tombs && s.ov.Tombstoned(trajectory.TrajID(tid)) {
 			continue
 		}
-		if s.seen[tid] != s.gen {
-			s.seen[tid] = s.gen
-			out = append(out, trajectory.TrajID(tid))
+		if s.seen[tid] == s.gen {
+			continue
 		}
+		s.seen[tid] = s.gen
+		s.retrieved++
+		if int(tid) < len(s.elig) && s.elig[tid] != s.want {
+			s.stats.Candidates++
+			s.stats.APLRejected++
+			s.stats.HeaderOnlyRejects++
+			continue
+		}
+		out = append(out, trajectory.TrajID(tid))
 	}
 	return out
 }
@@ -360,8 +436,9 @@ const (
 )
 
 // NextBatch implements evaluate.Source: it runs the best-first expansion
-// until at least λ new candidate trajectories are collected (Section V-A)
-// or every frontier empties. The returned slice aliases searcher scratch.
+// until at least λ new trajectories are retrieved (Section V-A) or every
+// frontier empties, and returns those that pass the containment screen.
+// The returned slice aliases searcher scratch.
 //
 // Unlike Algorithm 1 the descent does not always reach the leaf level: a
 // popped cell with at most bucketLists base lists of its mask below it is
@@ -382,15 +459,15 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 	itl, ov := &s.e.idx.itl, s.ov
 	tombs := ov != nil && ov.HasTombstones()
 	out := s.cands[:0]
+	s.retrieved = 0
 	if ov != nil && !s.overflown {
 		s.overflown = true
 		s.deltaBuf = ov.AppendOverflow(s.deltaBuf[:0])
 		out = s.emit(out, s.deltaBuf, tombs)
 	}
-	for len(out) < lambda {
+	for s.retrieved < lambda {
 		qi := s.minQueue()
 		if qi < 0 {
-			s.exhausted = true
 			break
 		}
 		c := s.pqs[qi].pop()
@@ -420,7 +497,7 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 	// candidates arrived in heap-pop (distance) order, which has no page
 	// locality; the top-k set is order-independent, so batching for
 	// locality is free.
-	s.e.ev.PrefetchBatch(s.q, out)
+	s.e.ev.PrefetchBatch(out)
 	return out
 }
 
@@ -500,8 +577,10 @@ func (s *searcher) LowerBound() float64 {
 // distance capped by the request's bound.
 func (s *searcher) Threshold(kth, bound float64) float64 { return min(kth, bound) }
 
-// Exhausted implements evaluate.Source: every frontier has emptied.
-func (s *searcher) Exhausted() bool { return s.exhausted }
+// Exhausted implements evaluate.Source: the last batch retrieved nothing,
+// so every frontier has emptied. A batch whose retrievals were all screened
+// out is empty without being the last.
+func (s *searcher) Exhausted() bool { return s.retrieved == 0 }
 
 // Clone returns an independent engine over the same (immutable) index and
 // delta overlay, for concurrent query execution: each goroutine owns one

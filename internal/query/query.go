@@ -94,7 +94,7 @@ type Result struct {
 type SearchStats struct {
 	Candidates      int // distinct trajectories retrieved as candidates
 	SketchRejected  int // candidates rejected by the TAS check
-	APLRejected     int // candidates lacking a query activity (exact check, past the TAS)
+	APLRejected     int // candidates lacking a query activity (exact check; GAT screens base candidates in retrieval, before the TAS)
 	OrderRejected   int // candidates rejected by the MIB order filter (OATSQ)
 	Scored          int // candidates whose match distance was computed
 	PQPops          int // priority-queue pops during candidate retrieval
