@@ -1,7 +1,6 @@
 package activitytraj
 
 import (
-	"fmt"
 	"io"
 
 	"activitytraj/internal/baseline"
@@ -61,12 +60,8 @@ type (
 	SearchStats = query.SearchStats
 	// Engine answers ATSQ and OATSQ queries through Search(ctx, Request).
 	Engine = query.Engine
-	// CloneableEngine is an Engine that can spawn independent copies over
-	// its immutable index, for concurrent serving. Every engine in this
-	// library implements it.
-	CloneableEngine = query.CloneableEngine
-	// ParallelEngine serves queries over a pool of engine clones so
-	// throughput scales with cores; see NewParallelEngine.
+	// ParallelEngine fans request batches out over goroutines sharing one
+	// engine so throughput scales with cores; see NewParallelEngine.
 	ParallelEngine = query.ParallelEngine
 	// ResultCache is an epoch-invalidated cache of complete search
 	// responses; attach one to a ParallelEngine with SetResultCache, or
@@ -110,8 +105,7 @@ type (
 	// tombstones, compactions).
 	DynamicStats = delta.Stats
 	// DynamicEngine serves queries over a DynamicIndex; it implements
-	// Engine and CloneableEngine, so NewParallelEngine can serve it
-	// concurrently.
+	// Engine and, like every engine, is safe for concurrent use.
 	DynamicEngine = delta.Engine
 
 	// ShardedRouter partitions a corpus into K spatial shards (Z-order
@@ -128,7 +122,7 @@ type (
 	ShardStats = shard.ShardStats
 	// ShardedEngine answers queries over a ShardedRouter with an exact
 	// scatter-gather top-k (planning + cross-shard bound sharing); it
-	// implements Engine and CloneableEngine.
+	// implements Engine.
 	ShardedEngine = shard.Engine
 
 	// Durability configures write-ahead durability for a dynamic or sharded
@@ -257,18 +251,11 @@ func OpenSharded(bootstrap *Dataset, cfg ShardedConfig) (*ShardedRouter, Sharded
 	return shard.OpenOrCreate(bootstrap, cfg)
 }
 
-// NewParallelEngine wraps e in a pool of workers clones (workers <= 0
-// selects GOMAXPROCS) for concurrent serving: single searches borrow one
-// clone, and SearchAll fans a whole request batch out across the pool. The
-// wrapped engine is owned by the pool afterwards and must not be used
-// directly. It returns an error if e cannot be cloned; every engine
-// constructed by this package can be.
-func NewParallelEngine(e Engine, workers int) (*ParallelEngine, error) {
-	ce, ok := e.(CloneableEngine)
-	if !ok {
-		return nil, fmt.Errorf("activitytraj: engine %s is not cloneable", e.Name())
-	}
-	return query.NewParallelEngine(ce, workers), nil
+// NewParallelEngine serves e with SearchAll batches fanned out over workers
+// goroutines (workers <= 0 selects GOMAXPROCS) that share e: every engine
+// is safe for concurrent Search. Single searches go straight to e.
+func NewParallelEngine(e Engine, workers int) *ParallelEngine {
+	return query.NewParallelEngine(e, workers)
 }
 
 // NewResultCache returns an epoch-invalidated cache of up to entries

@@ -204,8 +204,9 @@ func BenchmarkPrepare(b *testing.B) {
 	var stats query.SearchStats
 	for _, q := range qs {
 		var scored scoredIDs
-		e.SetBoundSink(&scored)
-		mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK})
+		if _, err := e.SearchShared(context.Background(), query.Request{Query: q, K: queries.DefaultK}, &scored); err != nil {
+			b.Fatal(err)
+		}
 		ev := evaluate.NewEvaluator(st.TS)
 		for _, id := range scored.ids {
 			pairs = append(pairs, pair{ev, q, id})
@@ -353,8 +354,8 @@ func BenchmarkMixedPageReads(b *testing.B) {
 	b.ReportMetric(pages/float64(b.N), "pages/search")
 }
 
-// mixedPagesPerSearch drives 4·len(stream) operations at d from 4 workers,
-// each on its own engine clone: an operation is a search from qs
+// mixedPagesPerSearch drives 4·len(stream) operations at d from 4 workers
+// sharing one engine: an operation is a search from qs
 // (round-robin) with probability 0.95, otherwise an insert of the next
 // stream trajectory (a search once the stream is drained). The seeds and the
 // draw order are part of the recorded baseline — change them and
@@ -364,13 +365,13 @@ func mixedPagesPerSearch(d *delta.Dynamic, stream []trajectory.Trajectory, qs []
 	ops := 4 * len(stream)
 	var opCursor, streamCursor, qCursor, pageReads, searches atomic.Int64
 	errs := make([]error, workers)
+	eng := d.NewEngine()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(7 + int64(w)*7919))
-			eng := d.NewEngine()
 			for errs[w] == nil && int(opCursor.Add(1)) <= ops {
 				if rng.Float64() >= readFraction {
 					if si := int(streamCursor.Add(1)) - 1; si < len(stream) {
@@ -398,7 +399,7 @@ func mixedPagesPerSearch(d *delta.Dynamic, stream []trajectory.Trajectory, qs []
 // BenchmarkShardedSearch measures the sharded serving layer on the LA
 // preset: a 4-shard router answers the workload through its scatter-gather
 // engine, one request in flight at a time — every search already fans out
-// over 4 shard goroutines, so one engine clone is what a 4-worker budget
+// over 4 shard goroutines, so one search at a time is what a 4-worker budget
 // buys on a constrained runner. The engine is built once, outside the timer;
 // every iteration starts from cold shard caches, so pages/search is the cost
 // of cross-shard candidate exploration — a far shard is not skipped (every
@@ -468,7 +469,7 @@ func BenchmarkParallelThroughput(b *testing.B) {
 	for i, q := range qs {
 		reqs[i] = query.Request{Query: q, K: queries.DefaultK}
 	}
-	gatEng := st.Engine("GAT").(query.CloneableEngine)
+	gatEng := st.Engine("GAT")
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			pe := query.NewParallelEngine(gatEng, workers)
@@ -501,22 +502,21 @@ func BenchmarkSkewedBatch(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = query.Request{Query: pool[zipf.Uint64()], K: queries.DefaultK}
 	}
-	gatEng := st.Engine("GAT").(query.CloneableEngine)
+	gatEng := st.Engine("GAT")
 
 	// Serial reference (unmeasured): the byte-identity baseline.
-	serial := gatEng.Clone()
 	want := make([][]query.Result, len(reqs))
 	for i, req := range reqs {
-		resp, err := serial.Search(context.Background(), req)
+		resp, err := gatEng.Search(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
 		want[i] = resp.Results
 	}
 
-	unbatched := query.NewParallelEngine(gatEng.Clone().(query.CloneableEngine), 4)
+	unbatched := query.NewParallelEngine(gatEng, 4)
 	unbatched.SetBatchPlanning(false)
-	batched := query.NewParallelEngine(gatEng.Clone().(query.CloneableEngine), 4)
+	batched := query.NewParallelEngine(gatEng, 4)
 	rc := query.NewResultCache(256, query.StaticEpoch{})
 	batched.SetResultCache(rc)
 

@@ -87,23 +87,23 @@
 // Every index structure is immutable once built, and the shared storage
 // layer underneath — the page buffer pool and the decoded-structure caches —
 // is safe for concurrent use (both are sharded so concurrent readers do not
-// serialize on a single lock). An individual Engine, however, is NOT safe
-// for concurrent use: it owns reusable scratch (heaps, generation-stamped
-// visited sets, decode buffers) precisely so a warm search allocates almost
-// nothing.
+// serialize on a single lock). Every Engine is safe for concurrent use as
+// well: the reusable per-search scratch (heaps, generation-stamped visited
+// sets, decode buffers) that lets a warm search allocate almost nothing is
+// checked out of a per-engine free list when a search starts and returned
+// when it ends, so an engine holds as many scratch sets as it has ever run
+// searches at once.
 //
 // To serve queries concurrently, either:
 //
-//   - give each goroutine its own engine over the shared index — every
-//     engine implements CloneableEngine, and clones share the index, the
-//     trajectory store and all caches; or
+//   - call one engine's Search from as many goroutines as needed; or
 //
-//   - use ParallelEngine, which owns a fixed pool of clones: single
-//     searches borrow a clone, and SearchAll fans a whole request batch
-//     out across the pool with an order-preserving response slice,
-//     abandoning the remaining queue on the first failure or cancellation.
+//   - use ParallelEngine, whose SearchAll fans a whole request batch out
+//     over a fixed number of goroutines sharing the engine, with an
+//     order-preserving response slice, abandoning the remaining queue on
+//     the first failure or cancellation.
 //
-//     pe, _ := activitytraj.NewParallelEngine(engine, runtime.GOMAXPROCS(0))
+//     pe := activitytraj.NewParallelEngine(engine, runtime.GOMAXPROCS(0))
 //     resps, _ := pe.SearchAll(ctx, reqs)
 //
 // Per-request accounting travels in each Response.Stats, so it is exact for
@@ -179,8 +179,8 @@
 // dataset's and remain stable across compactions.
 //
 // Engines from (*DynamicIndex).NewEngine follow generation swaps
-// automatically and implement CloneableEngine, so NewParallelEngine serves
-// a dynamic index concurrently exactly like a static one. Search cost over
+// automatically and are safe for concurrent use, so NewParallelEngine
+// serves a dynamic index exactly like a static one. Search cost over
 // the delta shows up in SearchStats.DeltaCandidates.
 //
 // # Sharded serving and cross-shard bound sharing
@@ -297,7 +297,7 @@
 //
 // Four sharded LRU caches serve the read path. Three sit in front of the
 // simulated disk, memoize decoded index structures, and are shared by all
-// engine clones:
+// searches:
 //
 //   - StoreConfig.APLCacheEntries caps the decoded Activity Posting List
 //     cache in the trajectory store (default 8192 entries; negative
@@ -395,7 +395,7 @@
 //     in APL page order with a buffer-pool readahead hint instead of
 //     heap-pop order; the top-k set under (distance, ID) is
 //     order-independent, so this is free. Under concurrent serving it
-//     stops clone pools from thrashing the sharded LRU.
+//     stops concurrent searches from thrashing the sharded LRU.
 //
 // SearchStats.BytesDecoded counts the bytes actually decoded per search;
 // the persisted GAT index format (version 2) stores HICL lists in the

@@ -49,7 +49,7 @@ func TestILCandidatesExact(t *testing.T) {
 		{Loc: ds.Trajs[0].Pts[0].Loc, Acts: trajectory.NewActivitySet(0, 1)},
 		{Loc: ds.Trajs[0].Pts[1].Loc, Acts: trajectory.NewActivitySet(2)},
 	}}
-	cands := il.src.candidates(q)
+	cands := il.scratch.Get().candidates(q)
 	got := map[trajectory.TrajID]bool{}
 	for _, id := range cands {
 		got[id] = true
@@ -101,7 +101,7 @@ func TestSpatialBaselineIdentities(t *testing.T) {
 	if rt.MemBytes() <= 0 || irt.MemBytes() <= 0 {
 		t.Fatal("memory accounting broken")
 	}
-	if rt.src.lambda != DefaultLambda || irt.src.lambda != DefaultLambda {
+	if rt.scratch.Get().lambda != DefaultLambda || irt.scratch.Get().lambda != DefaultLambda {
 		t.Fatal("lambda default not applied")
 	}
 }

@@ -19,10 +19,11 @@ import (
 
 // IL is the inverted-list baseline: one posting list of trajectory IDs per
 // activity; a query intersects the lists of all its activities and scores
-// every surviving trajectory.
+// every surviving trajectory. It is safe for concurrent use: each search
+// checks an evaluator and source out of the engine's free list.
 type IL struct {
-	ev  *evaluate.Evaluator
-	src ilSource
+	inv     *invindex.Index
+	scratch query.FreeList[*ilSource]
 }
 
 // BuildIL aggregates each trajectory's activities and builds the lists.
@@ -36,39 +37,39 @@ func BuildIL(ts *evaluate.TrajStore) *IL {
 		}
 	}
 	inv.Freeze()
-	return newIL(ts, inv)
-}
-
-func newIL(ts *evaluate.TrajStore, inv *invindex.Index) *IL {
-	ev := evaluate.NewEvaluator(ts)
-	// IL candidates contain every query activity by construction; the
-	// sketch filter would only burn cycles.
-	ev.UseSketch = false
-	return &IL{ev: ev, src: ilSource{inv: inv}}
+	e := &IL{inv: inv}
+	e.scratch.New = func() *ilSource {
+		ev := evaluate.NewEvaluator(ts)
+		// IL candidates contain every query activity by construction; the
+		// sketch filter would only burn cycles.
+		ev.UseSketch = false
+		return &ilSource{ev: ev, inv: inv}
+	}
+	return e
 }
 
 // Name implements query.Engine.
 func (e *IL) Name() string { return "IL" }
 
 // MemBytes implements query.Engine.
-func (e *IL) MemBytes() int64 { return e.src.inv.MemBytes() }
+func (e *IL) MemBytes() int64 { return e.inv.MemBytes() }
 
 // Search implements query.Engine through the shared search loop (see
 // evaluate.Evaluator.Search); a region filter post-filters candidate rows
 // in the evaluator pipeline.
 func (e *IL) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	return e.ev.Search(ctx, req, &e.src)
+	s := e.scratch.Get()
+	defer e.scratch.Put(s)
+	return s.ev.Search(ctx, req, s, nil)
 }
-
-// Clone returns an independent engine sharing the (immutable) inverted
-// lists, for concurrent query execution.
-func (e *IL) Clone() query.Engine { return newIL(e.ev.Store(), e.src.inv) }
 
 // ilSource is IL's evaluate.Source (Section III-A): the whole candidate set
 // is one list intersection computed up front, handed to the search loop in
 // λ-sized slices so cancellation is polled as often as for the incremental
-// methods. It charges no λ-batches: the method has no retrieval rounds.
+// methods. It charges no λ-batches: the method has no retrieval rounds. It
+// carries the evaluator that drives it: the two are one search's scratch.
 type ilSource struct {
+	ev      *evaluate.Evaluator
 	inv     *invindex.Index
 	ordered bool
 	cands   []trajectory.TrajID

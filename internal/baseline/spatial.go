@@ -17,24 +17,23 @@ const DefaultLambda = 32
 // IRT (Section III-C): they differ only in the nearest-point stream each
 // query location consumes, so one type carries either tree (see BuildRT and
 // BuildIRT). Everything downstream of retrieval is shared with the other
-// methods.
+// methods. It is safe for concurrent use: each search checks an evaluator
+// and source out of the engine's free list.
 type Spatial struct {
-	name string
-	mem  int64
-	ev   *evaluate.Evaluator
-	src  spatialSource
+	name    string
+	mem     int64
+	scratch query.FreeList[*spatialSource]
 }
 
 func newSpatial(name string, mem int64, ts *evaluate.TrajStore, lambda int, newIter func(query.Point) pointIter) *Spatial {
 	if lambda <= 0 {
 		lambda = DefaultLambda
 	}
-	return &Spatial{
-		name: name,
-		mem:  mem,
-		ev:   evaluate.NewEvaluator(ts),
-		src:  spatialSource{newIter: newIter, lambda: lambda},
+	e := &Spatial{name: name, mem: mem}
+	e.scratch.New = func() *spatialSource {
+		return &spatialSource{ev: evaluate.NewEvaluator(ts), newIter: newIter, lambda: lambda}
 	}
+	return e
 }
 
 // Name implements query.Engine.
@@ -47,12 +46,9 @@ func (e *Spatial) MemBytes() int64 { return e.mem }
 // evaluate.Evaluator.Search); a region filter post-filters candidate rows
 // in the evaluator pipeline.
 func (e *Spatial) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	return e.ev.Search(ctx, req, &e.src)
-}
-
-// Clone returns an independent engine sharing the (immutable) tree.
-func (e *Spatial) Clone() query.Engine {
-	return newSpatial(e.name, e.mem, e.ev.Store(), e.src.lambda, e.src.newIter)
+	s := e.scratch.Get()
+	defer e.scratch.Put(s)
+	return s.ev.Search(ctx, req, s, nil)
 }
 
 // pointIter is the incremental nearest-point stream one query location
@@ -79,8 +75,10 @@ func decodeTraj(payload int64) trajectory.TrajID {
 // spatialSource is the evaluate.Source of the RT and IRT baselines — the
 // k-BCT style retrieval of Section III-B/C, adapting Chen et al.: each
 // query point runs an incremental nearest-point iterator and every
-// trajectory surfacing becomes a candidate.
+// trajectory surfacing becomes a candidate. It carries the evaluator that
+// drives it: the two are one search's scratch.
 type spatialSource struct {
+	ev *evaluate.Evaluator
 	// newIter opens one query point's stream over the shared tree.
 	newIter func(qp query.Point) pointIter
 	lambda  int

@@ -283,7 +283,6 @@ func TestClusterWholeShardDown(t *testing.T) {
 	}
 	// The surviving shard's node is the oracle for the partial answer.
 	survivor := tc.replicas[0][0].node
-	se := survivor.Dynamic().NewEngine()
 
 	sawFailure := false
 	for qi, q := range testWorkload(t, ds, 20) {
@@ -297,7 +296,7 @@ func TestClusterWholeShardDown(t *testing.T) {
 			if got.Stats.ShardsFailed != 1 {
 				t.Fatalf("query %d: ShardsFailed = %d, want 1", qi, got.Stats.ShardsFailed)
 			}
-			want := searchNode(t, survivor, se, q, 10)
+			want := searchNode(t, survivor, q, 10)
 			requireSameResults(t, "degraded", want, got.Results)
 
 			// The same query demanding completeness fails closed.

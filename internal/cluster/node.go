@@ -58,6 +58,7 @@ type NodeRecovery = wal.Recovery
 type Node struct {
 	shardIdx int
 	d        *delta.Dynamic
+	eng      *delta.Engine // searches d; safe for concurrent use
 
 	// mu guards the ID mappings. Searches hold the read lock for their whole
 	// duration (like shard.Shard) so every trajectory they can observe has
@@ -103,6 +104,7 @@ func OpenNode(base *trajectory.Dataset, layout *shard.Layout, cfg NodeConfig) (*
 	n := &Node{
 		shardIdx:  cfg.Shard,
 		d:         d,
+		eng:       d.NewEngine(),
 		globalIDs: gids,
 		localOf:   make(map[trajectory.TrajID]trajectory.TrajID, len(gids)),
 	}
@@ -304,15 +306,15 @@ func (n *Node) applyRecord(rec wal.Record, relog func() error) error {
 	return nil
 }
 
-// Search runs one search on the node using the caller-owned engine (engines
-// are single-goroutine; pool them per serving goroutine), translating the
-// shard-local result IDs to global ones. The gid mapping is append-only and
-// order-preserving (local ascending ⇔ global ascending), so the translated
-// (dist, gid) order matches what a global index would produce.
-func (n *Node) Search(ctx0 context.Context, e *delta.Engine, req query.Request) (query.Response, error) {
+// Search runs one search on the node, translating the shard-local result
+// IDs to global ones. It is safe for concurrent use. The gid mapping is
+// append-only and order-preserving (local ascending ⇔ global ascending), so
+// the translated (dist, gid) order matches what a global index would
+// produce.
+func (n *Node) Search(ctx context.Context, req query.Request) (query.Response, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	resp, err := e.Search(ctx0, req)
+	resp, err := n.eng.Search(ctx, req)
 	for i := range resp.Results {
 		local := resp.Results[i].ID
 		if int(local) >= len(n.globalIDs) {

@@ -99,9 +99,8 @@ func requireSameNode(t *testing.T, label string, got, want *Node, ops []nodeOp, 
 			t.Fatalf("%s: Owns(%d) = %v, want %v", label, op.gid, got.Owns(op.gid), want.Owns(op.gid))
 		}
 	}
-	ge, we := got.Dynamic().NewEngine(), want.Dynamic().NewEngine()
 	for _, q := range qs {
-		requireSameResults(t, label, searchNode(t, want, we, q, 10), searchNode(t, got, ge, q, 10))
+		requireSameResults(t, label, searchNode(t, want, q, 10), searchNode(t, got, q, 10))
 	}
 }
 

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,6 +18,7 @@ import (
 	"activitytraj/internal/geo"
 	"activitytraj/internal/queries"
 	"activitytraj/internal/query"
+	"activitytraj/internal/server"
 	"activitytraj/internal/shard"
 	"activitytraj/internal/trajectory"
 	"activitytraj/internal/wal"
@@ -85,9 +91,9 @@ func mutationsFor(t testing.TB, ds *trajectory.Dataset, l *shard.Layout, si, n i
 	return out
 }
 
-func searchNode(t testing.TB, n *Node, e *delta.Engine, q query.Query, k int) []query.Result {
+func searchNode(t testing.TB, n *Node, q query.Query, k int) []query.Result {
 	t.Helper()
-	resp, err := n.Search(context.Background(), e, query.Request{Query: q, K: k})
+	resp, err := n.Search(context.Background(), query.Request{Query: q, K: k})
 	if err != nil {
 		t.Fatalf("node search: %v", err)
 	}
@@ -159,10 +165,9 @@ func TestNodeReplicasConverge(t *testing.T) {
 		t.Fatalf("NextGID diverged: %d vs %d", a.NextGID(), b.NextGID())
 	}
 
-	ea, eb := a.Dynamic().NewEngine(), b.Dynamic().NewEngine()
 	for qi, q := range testWorkload(t, ds, 20) {
-		ra := searchNode(t, a, ea, q, 10)
-		rb := searchNode(t, b, eb, q, 10)
+		ra := searchNode(t, a, q, 10)
+		rb := searchNode(t, b, q, 10)
 		requireSameResults(t, "query", ra, rb)
 		// Every result carries a GLOBAL ID the layout routes to this shard.
 		for _, r := range ra {
@@ -257,10 +262,9 @@ func TestNodeDurableRestart(t *testing.T) {
 	}
 	wantSeq := n.LastSeq()
 	qs := testWorkload(t, ds, 10)
-	e := n.Dynamic().NewEngine()
 	var before [][]query.Result
 	for _, q := range qs {
-		before = append(before, searchNode(t, n, e, q, 10))
+		before = append(before, searchNode(t, n, q, 10))
 	}
 	if err := n.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -279,9 +283,8 @@ func TestNodeDurableRestart(t *testing.T) {
 	if n2.NextGID() != n.NextGID() {
 		t.Fatalf("NextGID = %d, want %d", n2.NextGID(), n.NextGID())
 	}
-	e2 := n2.Dynamic().NewEngine()
 	for i, q := range qs {
-		requireSameResults(t, "restart", before[i], searchNode(t, n2, e2, q, 10))
+		requireSameResults(t, "restart", before[i], searchNode(t, n2, q, 10))
 	}
 	n2.Close()
 }
@@ -419,10 +422,9 @@ func TestNodeCatchup(t *testing.T) {
 		t.Fatalf("re-apply: seq %d err %v", got, err)
 	}
 
-	el, eg := lead.Dynamic().NewEngine(), lag.Dynamic().NewEngine()
 	for _, q := range testWorkload(t, ds, 20) {
 		requireSameResults(t, "catchup",
-			searchNode(t, lead, el, q, 10), searchNode(t, lag, eg, q, 10))
+			searchNode(t, lead, q, 10), searchNode(t, lag, q, 10))
 	}
 
 	// A caught-up node restarts from its own (shipped) WAL cleanly.
@@ -430,4 +432,63 @@ func TestNodeCatchup(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	lead.Close()
+}
+
+// TestNodeServerWorkers: a shard replica's /v1/stats reports Options.Workers
+// as its admission bound, and searches past the bound queue for a slot
+// instead of failing.
+func TestNodeServerWorkers(t *testing.T) {
+	ds := testDataset(t, 200)
+	n, _, err := OpenNode(ds, testLayout(t, ds, 2), NodeConfig{Shard: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ts := httptest.NewServer(NewNodeServer(n, server.Options{Workers: 1}).Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["workers"] != 1.0 {
+		t.Fatalf("/v1/stats workers = %v, want 1", stats["workers"])
+	}
+
+	qs := testWorkload(t, ds, 4)
+	errs := make(chan error, len(qs))
+	for _, q := range qs {
+		go func() {
+			wire := server.SearchRequest{K: 5}
+			for _, p := range q.Pts {
+				pt := server.QueryPointJSON{X: p.Loc.X, Y: p.Loc.Y}
+				for _, a := range p.Acts {
+					pt.Acts = append(pt.Acts, int(a))
+				}
+				wire.Points = append(wire.Points, pt)
+			}
+			body, err := json.Marshal(wire)
+			if err == nil {
+				var r *http.Response
+				if r, err = http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body)); err == nil {
+					r.Body.Close()
+					if r.StatusCode != http.StatusOK {
+						err = fmt.Errorf("status %d", r.StatusCode)
+					}
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range qs {
+		if err := <-errs; err != nil {
+			t.Fatalf("search behind a one-slot bound: %v", err)
+		}
+	}
 }

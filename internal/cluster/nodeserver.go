@@ -70,17 +70,14 @@ const catchupMaxBodyBytes = 512 << 20
 // routes.
 type nodeBackend struct {
 	*Node // Epoch
-	pool  server.EnginePool
+	admit server.Admission
 	srv   *server.Server
 }
 
-// NewNodeServer builds the HTTP server over n.
+// NewNodeServer builds the HTTP server over n, running at most
+// opts.Workers searches at once.
 func NewNodeServer(n *Node, opts server.Options) *server.Server {
-	b := &nodeBackend{Node: n}
-	b.pool = server.NewEnginePool(opts.Workers, func() server.SearchFunc {
-		e := n.Dynamic().NewEngine()
-		return func(ctx context.Context, req query.Request) (query.Response, error) { return n.Search(ctx, e, req) }
-	})
+	b := &nodeBackend{Node: n, admit: server.NewAdmission(opts.Workers)}
 	b.srv = server.NewServer(b, opts)
 	b.srv.HandleFunc("GET /v1/cluster/meta", b.handleMeta)
 	b.srv.HandleFunc("GET /v1/cluster/wal", b.handleWAL)
@@ -90,7 +87,7 @@ func NewNodeServer(n *Node, opts server.Options) *server.Server {
 }
 
 func (b *nodeBackend) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	return b.pool.Search(ctx, req)
+	return b.admit.Search(ctx, req, b.Node.Search)
 }
 
 // TuneSearch applies ?bound=, the router's cross-shard pruning hint: the
@@ -146,7 +143,7 @@ func (b *nodeBackend) Health() (map[string]any, bool) {
 func (b *nodeBackend) Stats(body map[string]any) {
 	body["shard"] = b.Shard()
 	body["last_seq"] = b.LastSeq()
-	body["workers"] = cap(b.pool)
+	body["workers"] = cap(b.admit)
 	body["trajectories"] = b.Trajectories()
 	body["index"] = b.Dynamic().Stats()
 }

@@ -138,6 +138,9 @@ type generation struct {
 	frozen *Layer // layer under compaction, nil otherwise
 	active *Layer
 	ov     *view
+	// eng searches base ∪ delta for every Engine while this generation is
+	// current; its scratch goes with the generation.
+	eng *gat.Engine
 
 	refs      atomic.Int64
 	retired   atomic.Bool
@@ -151,6 +154,7 @@ func newGeneration(epoch uint64, ds *trajectory.Dataset, ts *evaluate.TrajStore,
 		layers = append(layers, frozen)
 	}
 	layers = append(layers, active)
+	ov := &view{layers: layers, baseN: ts.NumTrajs()}
 	return &generation{
 		epoch:   epoch,
 		ds:      ds,
@@ -158,7 +162,8 @@ func newGeneration(epoch uint64, ds *trajectory.Dataset, ts *evaluate.TrajStore,
 		idx:     idx,
 		frozen:  frozen,
 		active:  active,
-		ov:      &view{layers: layers, baseN: ts.NumTrajs()},
+		ov:      ov,
+		eng:     gat.NewEngineWithOverlay(idx, ov),
 		drained: make(chan struct{}),
 	}
 }
@@ -181,9 +186,8 @@ func (g *generation) retire() {
 // exactly, and compacted into a fresh immutable generation in the
 // background once the delta grows past Config.CompactThreshold.
 //
-// All methods are safe for concurrent use. Searches go through engines
-// from NewEngine (each engine clone is single-goroutine, as everywhere in
-// this library; wrap with query.NewParallelEngine for concurrent serving).
+// All methods are safe for concurrent use. Searches go through an engine
+// from NewEngine, which is safe for concurrent use too.
 type Dynamic struct {
 	cfg Config
 
@@ -672,31 +676,15 @@ func (d *Dynamic) ResetCaches() {
 	gen.ts.ResetPool()
 }
 
-// Engine serves searches over a Dynamic index. Like every engine in this
-// library it is single-goroutine (per-generation scratch is reused across
-// searches); it implements query.CloneableEngine, so wrap it with
-// query.NewParallelEngine for concurrent serving — clones share the base
-// index, its caches and the delta layers, and follow generation swaps
-// independently.
-type Engine struct {
-	d     *Dynamic
-	inner *gat.Engine
-	epoch uint64
-	sink  query.BoundSink
-}
+// Engine serves searches over a Dynamic index. It is safe for concurrent
+// use: every search runs on the current generation's GAT engine, built at
+// the generation swap, which checks its scratch out per search — so
+// engines share the base index, its caches, the delta layers and the
+// scratch, and follow generation swaps without rebuilding anything.
+type Engine struct{ d *Dynamic }
 
 // NewEngine returns a serving engine over the dynamic index.
 func (d *Dynamic) NewEngine() *Engine { return &Engine{d: d} }
-
-// SetBoundSink attaches (nil detaches) a shared cross-search bound; it is
-// forwarded to the underlying GAT engine on every search, surviving the
-// generation swaps that rebuild the inner engine. See gat.Engine.SetBoundSink.
-func (e *Engine) SetBoundSink(s query.BoundSink) {
-	e.sink = s
-	if e.inner != nil {
-		e.inner.SetBoundSink(s)
-	}
-}
 
 // Name implements query.Engine.
 func (e *Engine) Name() string { return "GAT+delta" }
@@ -714,30 +702,23 @@ func (e *Engine) MemBytes() int64 {
 	return n
 }
 
-// acquireInner pins the current generation and lazily (re)builds the inner
-// GAT engine after a compaction swap, re-attaching the bound sink. The
-// caller must release() the returned generation when done, and hold the
-// active layer's read lock while reading through e.inner so it sees one
-// consistent delta state (frozen layers receive no writes).
-func (e *Engine) acquireInner() *generation {
-	gen := e.d.acquire()
-	if e.inner == nil || e.epoch != gen.epoch {
-		e.inner = gat.NewEngineWithOverlay(gen.idx, gen.ov)
-		e.inner.SetBoundSink(e.sink)
-		e.epoch = gen.epoch
-	}
-	return gen
+// Search implements query.Engine over base ∪ delta: the request runs on
+// the current generation's GAT engine, which honors ctx between candidate
+// batches.
+func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response, error) {
+	return e.SearchShared(ctx, req, nil)
 }
 
-// Search implements query.Engine over base ∪ delta: the request runs on
-// the current generation's inner GAT engine (rebuilt lazily after every
-// compaction swap), which honors ctx between candidate batches.
-func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	gen := e.acquireInner()
+// SearchShared is Search with a bound shared between cooperating searches
+// over sibling shards (see gat.Engine.SearchShared). The active layer's
+// read lock is held for the whole search, so it sees one consistent delta
+// state (frozen layers receive no writes).
+func (e *Engine) SearchShared(ctx context.Context, req query.Request, sink query.BoundSink) (query.Response, error) {
+	gen := e.d.acquire()
 	defer gen.release()
 	gen.active.mu.RLock()
 	defer gen.active.mu.RUnlock()
-	return e.inner.Search(ctx, req)
+	return gen.eng.SearchShared(ctx, req, sink)
 }
 
 // ScoreOne scores a single trajectory against req's query with an exact
@@ -749,7 +730,7 @@ func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response,
 // a standing query without running a full search. Fetch traffic is added to
 // stats.
 func (e *Engine) ScoreOne(req query.Request, id trajectory.TrajID, threshold float64, stats *query.SearchStats) (float64, bool, error) {
-	gen := e.acquireInner()
+	gen := e.d.acquire()
 	defer gen.release()
 	gen.active.mu.RLock()
 	defer gen.active.mu.RUnlock()
@@ -757,7 +738,7 @@ func (e *Engine) ScoreOne(req query.Request, id trajectory.TrajID, threshold flo
 		(int(id) < len(gen.ds.Trajs) && len(gen.ds.Trajs[id].Pts) == 0) {
 		return 0, false, nil
 	}
-	d, out, err := e.inner.ScoreFor(req, id, threshold, stats)
+	d, out, err := gen.eng.ScoreFor(req, id, threshold, stats)
 	if err != nil {
 		return 0, false, err
 	}
@@ -768,11 +749,11 @@ func (e *Engine) ScoreOne(req query.Request, id trajectory.TrajID, threshold flo
 // result of req's query (see gat.Engine.MatchesFor); id is local to this
 // index. Fetch traffic is added to stats.
 func (e *Engine) Matches(req query.Request, id trajectory.TrajID, stats *query.SearchStats) ([][]int32, error) {
-	gen := e.acquireInner()
+	gen := e.d.acquire()
 	defer gen.release()
 	gen.active.mu.RLock()
 	defer gen.active.mu.RUnlock()
-	return e.inner.MatchesFor(req, id, stats)
+	return gen.eng.MatchesFor(req, id, stats)
 }
 
 // Epoch implements query.EpochSource by delegating to the index's mutation
@@ -780,28 +761,25 @@ func (e *Engine) Matches(req query.Request, id trajectory.TrajID, stats *query.S
 // insert/delete/compaction.
 func (e *Engine) Epoch() uint64 { return e.d.Epoch() }
 
-// BatchKey implements query.BatchKeyer on the current generation's inner
-// GAT engine: the leaf-cell Z code of the query centroid in the current
+// BatchKey implements query.BatchKeyer on the current generation's GAT
+// engine: the leaf-cell Z code of the query centroid in the current
 // base grid. Keys are only locality hints consumed within one SearchAll
 // call, so a concurrent compaction swapping the grid mid-batch merely
 // degrades grouping quality, never correctness.
 func (e *Engine) BatchKey(q query.Query) uint64 {
-	gen := e.acquireInner()
+	gen := e.d.acquire()
 	defer gen.release()
-	return e.inner.BatchKey(q)
+	return gen.eng.BatchKey(q)
 }
 
 // WarmSuperbatch implements query.SuperbatchWarmer by forwarding to the
-// current generation's inner GAT engine, which reads only the immutable
-// base index — no active-layer lock is needed for a pool hint.
+// current generation's GAT engine, which reads only the immutable base
+// index — no active-layer lock is needed for a pool hint.
 func (e *Engine) WarmSuperbatch(reqs []query.Request) {
-	gen := e.acquireInner()
+	gen := e.d.acquire()
 	defer gen.release()
-	e.inner.WarmSuperbatch(reqs)
+	gen.eng.WarmSuperbatch(reqs)
 }
 
-// Clone implements query.CloneableEngine.
-func (e *Engine) Clone() query.Engine { return &Engine{d: e.d} }
-
-var _ query.CloneableEngine = (*Engine)(nil)
+var _ query.Engine = (*Engine)(nil)
 var _ query.EpochSource = (*Engine)(nil)

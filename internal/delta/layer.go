@@ -13,7 +13,7 @@
 //     (RCU-style: in-flight searches finish on the old generation, and
 //     the retired generation's caches are dropped once it drains);
 //   - Engine: a query.Engine serving searches over the current generation,
-//     cloneable for concurrent serving under query.ParallelEngine.
+//     safe for concurrent use.
 package delta
 
 import (

@@ -30,20 +30,19 @@ func skewedRequests(t *testing.T, ds *trajectory.Dataset, distinct, total int) [
 // TestSuperbatchByteIdentical pins the planner's exactness invariant:
 // SearchAll with cross-query grouping and superbatch warming must answer
 // every request — results, match covers, truncation marker — byte-identical
-// to serial single-query execution on a fresh engine. Grouping reorders
+// to serial single-query execution on the same engine. Grouping reorders
 // which worker runs which request and pre-warms shared pages; it must never
 // change an answer.
 func TestSuperbatchByteIdentical(t *testing.T) {
 	ds := testDataset(t)
 	_, engines := buildEngines(t, ds, gatCfgDefault())
-	gatEng := engines[3].(query.CloneableEngine)
+	gatEng := engines[3]
 	reqs := skewedRequests(t, ds, 6, 48)
 
 	// Serial reference: every request through Search on one engine.
-	serial := gatEng.Clone()
 	want := make([]query.Response, len(reqs))
 	for i, req := range reqs {
-		resp, err := serial.Search(context.Background(), req)
+		resp, err := gatEng.Search(context.Background(), req)
 		if err != nil {
 			t.Fatalf("serial request %d: %v", i, err)
 		}
@@ -66,7 +65,7 @@ func TestSuperbatchByteIdentical(t *testing.T) {
 	}
 
 	t.Run("planned", func(t *testing.T) {
-		pe := query.NewParallelEngine(gatEng.Clone().(query.CloneableEngine), 4)
+		pe := query.NewParallelEngine(gatEng, 4)
 		got, err := pe.SearchAll(context.Background(), reqs)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +74,7 @@ func TestSuperbatchByteIdentical(t *testing.T) {
 	})
 
 	t.Run("planned with result cache", func(t *testing.T) {
-		pe := query.NewParallelEngine(gatEng.Clone().(query.CloneableEngine), 4)
+		pe := query.NewParallelEngine(gatEng, 4)
 		pe.SetResultCache(query.NewResultCache(64, query.StaticEpoch{}))
 		got, err := pe.SearchAll(context.Background(), reqs)
 		if err != nil {
@@ -96,7 +95,7 @@ func TestSuperbatchByteIdentical(t *testing.T) {
 	})
 
 	t.Run("planning disabled", func(t *testing.T) {
-		pe := query.NewParallelEngine(gatEng.Clone().(query.CloneableEngine), 4)
+		pe := query.NewParallelEngine(gatEng, 4)
 		pe.SetBatchPlanning(false)
 		got, err := pe.SearchAll(context.Background(), reqs)
 		if err != nil {
@@ -113,7 +112,7 @@ func TestSuperbatchByteIdentical(t *testing.T) {
 func TestSuperbatchCancellation(t *testing.T) {
 	ds := testDataset(t)
 	_, engines := buildEngines(t, ds, gatCfgDefault())
-	gatEng := engines[3].(query.CloneableEngine)
+	gatEng := engines[3]
 	reqs := skewedRequests(t, ds, 6, 64)
 	pe := query.NewParallelEngine(gatEng, 2)
 

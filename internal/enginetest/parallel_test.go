@@ -2,16 +2,22 @@ package enginetest
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
+	"activitytraj/internal/delta"
 	"activitytraj/internal/harness"
 	"activitytraj/internal/query"
+	"activitytraj/internal/shard"
+	"activitytraj/internal/trajectory"
 )
 
 // TestParallelWorkloadMatchesSequential: running a workload across four
-// goroutines with cloned engines must produce the same aggregate work
-// statistics (candidates, scored) as the sequential run — clones share
-// only immutable structures, so results cannot depend on scheduling.
+// goroutines sharing one engine must produce the same aggregate work
+// statistics (candidates, scored) as the sequential run — each search has
+// its own scratch and shares only immutable structures, so results cannot
+// depend on scheduling.
 func TestParallelWorkloadMatchesSequential(t *testing.T) {
 	ds := testDataset(t)
 	st, err := harness.BuildSetup(ds, gatCfgDefault())
@@ -24,15 +30,11 @@ func TestParallelWorkloadMatchesSequential(t *testing.T) {
 		reqs[i] = query.Request{Query: q, K: 5}
 	}
 	for _, e := range st.Engines {
-		ce, ok := e.(query.CloneableEngine)
-		if !ok {
-			t.Fatalf("%s does not support cloning", e.Name())
-		}
 		seq, err := harness.RunWorkload(st.TS, e, qs, 5, false)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", e.Name(), err)
 		}
-		resps, err := query.NewParallelEngine(ce, 4).SearchAll(context.Background(), reqs)
+		resps, err := query.NewParallelEngine(e, 4).SearchAll(context.Background(), reqs)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", e.Name(), err)
 		}
@@ -46,51 +48,89 @@ func TestParallelWorkloadMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelResultsIdentical: per-query results from a cloned engine
-// running concurrently must equal the originals exactly.
+// TestParallelResultsIdentical: four goroutines share one engine — every
+// harness family, a dynamic engine over a non-empty delta and a sharded
+// engine — and each response must equal the serial one exactly: results,
+// match covers and spans, and, for the unsharded engines, the in-band
+// stats. Under -race this is the gate that an engine's per-search scratch
+// is checked out per search and never shared.
 func TestParallelResultsIdentical(t *testing.T) {
 	ds := testDataset(t)
 	st, err := harness.BuildSetup(ds, gatCfgDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := workload(t, ds, 10)
-	gat := st.Engine("GAT").(query.CloneableEngine)
+	baseN := len(ds.Trajs) * 3 / 4
+	base := ds.Sample(baseN)
+	base.Name = ds.Name
+	d, err := delta.NewDynamic(base, delta.Config{GAT: gatCfgDefault(), CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range ds.Trajs[baseN:] {
+		if _, err := d.Insert(trajectory.Trajectory{Pts: tr.Pts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := trajectory.TrajID(5); int(id) < baseN; id += 31 {
+		if err := d.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Stats().DeltaTrajectories == 0 {
+		t.Fatal("delta is empty")
+	}
+	r, err := shard.NewRouter(ds, shard.Config{Shards: 4, Delta: delta.Config{GAT: gatCfgDefault()}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	want := make([][]query.Result, len(qs))
+	qs := workload(t, ds, 12)
+	var reqs []query.Request
 	for i, q := range qs {
-		want[i] = mustSearch(t, gat, query.Request{Query: q, K: 5}).Results
+		reqs = append(reqs,
+			query.Request{Query: q, K: 5},
+			query.Request{Query: q, K: 5, Ordered: true, WithMatches: i%2 == 0},
+			query.Request{Query: q, K: 3, Subtrajectory: true, MaxSpanPoints: 6, WithMatches: true})
 	}
-	type res struct {
-		i  int
-		rs []query.Result
-	}
-	ch := make(chan res, len(qs))
-	for w := 0; w < 4; w++ {
-		go func(w int) {
-			eng := gat.Clone()
-			for i := w; i < len(qs); i += 4 {
-				resp, err := eng.Search(context.Background(), query.Request{Query: qs[i], K: 5})
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					ch <- res{i, nil}
-					continue
-				}
-				ch <- res{i, resp.Results}
+	engines := append(append([]query.Engine{}, st.Engines...), d.NewEngine(), r.NewEngine())
+	for _, e := range engines {
+		_, sharded := e.(*shard.Engine)
+		serial := func() []query.Response {
+			out := make([]query.Response, len(reqs))
+			for i, req := range reqs {
+				out[i] = mustSearch(t, e, req)
 			}
-		}(w)
-	}
-	for range qs {
-		r := <-ch
-		if r.rs == nil {
-			continue
+			return out
 		}
-		if len(r.rs) != len(want[r.i]) {
-			t.Fatalf("query %d: %d results vs %d", r.i, len(r.rs), len(want[r.i]))
+		serial() // warm the shared caches, so hit/miss counts are steady
+		want := serial()
+
+		got := make([]query.Response, len(reqs))
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(reqs); i += 4 {
+					resp, err := e.Search(context.Background(), reqs[i])
+					if err != nil {
+						t.Errorf("%s worker %d: %v", e.Name(), w, err)
+						return
+					}
+					got[i] = resp
+				}
+			}(w)
 		}
-		for j := range r.rs {
-			if r.rs[j] != want[r.i][j] {
-				t.Fatalf("query %d result %d: %+v vs %+v", r.i, j, r.rs[j], want[r.i][j])
+		wg.Wait()
+		for i := range reqs {
+			g, w := got[i], want[i]
+			if !reflect.DeepEqual(g.Results, w.Results) || !reflect.DeepEqual(g.Matches, w.Matches) ||
+				!reflect.DeepEqual(g.Spans, w.Spans) || g.Truncated != w.Truncated {
+				t.Fatalf("%s request %d: concurrent %+v != serial %+v", e.Name(), i, g, w)
+			}
+			if !sharded && g.Stats != w.Stats {
+				t.Fatalf("%s request %d: concurrent stats %+v != serial %+v", e.Name(), i, g.Stats, w.Stats)
 			}
 		}
 	}

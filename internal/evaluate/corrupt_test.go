@@ -157,7 +157,7 @@ func TestHeaderDirectoryMismatchIsAnError(t *testing.T) {
 				t.Fatalf("cache=%d try %d: FetchAPL accepted a header the directory contradicts, err = %v", cacheEntries, try, err)
 			}
 			src := scriptedSource{batches: [][]trajectory.TrajID{{tr.ID}}, bounds: []float64{0, 0}, exhaustAfter: 1}
-			resp, err := ev.Search(context.Background(), query.Request{Query: q, K: 1}, &src)
+			resp, err := ev.Search(context.Background(), query.Request{Query: q, K: 1}, &src, nil)
 			if err == nil || !strings.Contains(err.Error(), "the directory says") || len(resp.Results) != 0 {
 				t.Fatalf("cache=%d try %d: search answered %v from a corrupt header, err = %v", cacheEntries, try, resp.Results, err)
 			}

@@ -56,7 +56,8 @@ const (
 // distances, charging disk reads to the shared TrajStore. It owns matcher,
 // row-building and decode scratch space — reused across candidates so the
 // scoring hot path allocates nothing once warm — and is not safe for
-// concurrent use; each search goroutine owns one.
+// concurrent use: an engine keeps one in each scratch set it checks out
+// per search.
 type Evaluator struct {
 	ts *TrajStore
 	m  matcher.Matcher
@@ -81,9 +82,6 @@ type Evaluator struct {
 	sub              bool
 	minSpan, maxSpan int
 
-	// sink, when non-nil, shares Search's top-k bound with cooperating
-	// searches over sibling shards (SetBoundSink).
-	sink query.BoundSink
 	// stats is the running search's accounting. It lives here rather than
 	// on Search's stack because the Source holds a pointer to it across an
 	// interface call, which would otherwise cost a heap allocation per
@@ -113,9 +111,6 @@ type Evaluator struct {
 func NewEvaluator(ts *TrajStore) *Evaluator {
 	return &Evaluator{ts: ts, UseSketch: true}
 }
-
-// Store returns the underlying TrajStore.
-func (e *Evaluator) Store() *TrajStore { return e.ts }
 
 // SetDelta attaches a delta source: candidates with IDs at or beyond the
 // base store's trajectory count are validated and scored from it, entirely

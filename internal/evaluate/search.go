@@ -13,8 +13,9 @@ import (
 // which the paper's methods differ (Section III: all four share validation
 // and scoring). Search drives one through Algorithm 1's loop; the GAT
 // searcher, the RT/IRT nearest-point streams and IL's list intersection
-// each implement it. A source is single-goroutine and reusable: Begin
-// resets it for the next request.
+// each implement it. A source serves one search at a time and is reusable:
+// Begin resets it for the next request, so an engine keeps one per
+// scratch set.
 type Source interface {
 	// Begin readies the source for req. The retrieval work of the whole
 	// search — priority-queue pops, index pages, tree nodes, λ-batches — is
@@ -38,11 +39,6 @@ type Source interface {
 	Threshold(kth, bound float64) float64
 }
 
-// SetBoundSink attaches (nil detaches) a bound shared with cooperating
-// searches over sibling shards: Search offers every scored result to it and
-// prunes against min(source threshold, sink.Threshold()).
-func (e *Evaluator) SetBoundSink(s query.BoundSink) { e.sink = s }
-
 // Install sets the evaluator's per-request scoring knobs from req. It is
 // the one place a Request option reaches the scoring pipeline — Search and
 // the single-trajectory entry points (gat.Engine.ScoreFor / MatchesFor) all
@@ -64,15 +60,15 @@ func (e *Evaluator) Score(q query.Query, ordered bool, id trajectory.TrajID, thr
 
 // threshold is the tightest exact pruning bound available: the source's
 // choice between the local k-th distance and the request's bound, tightened
-// by the shared global bound when a sink is attached. All of them are upper
-// bounds on the distance any reportable result may have, so the minimum
-// prunes exactly (the matcher abandons only when a partial sum strictly
-// exceeds the threshold, so candidates at exactly the bound still score
-// fully and tie-break by ID).
-func (e *Evaluator) threshold(src Source, topk *query.TopK, bound float64) float64 {
+// by the shared global bound when the search has a sink. All of them are
+// upper bounds on the distance any reportable result may have, so the
+// minimum prunes exactly (the matcher abandons only when a partial sum
+// strictly exceeds the threshold, so candidates at exactly the bound still
+// score fully and tie-break by ID).
+func threshold(src Source, topk *query.TopK, bound float64, sink query.BoundSink) float64 {
 	th := src.Threshold(topk.Threshold(), bound)
-	if e.sink != nil {
-		if g := e.sink.Threshold(); g < th {
+	if sink != nil {
+		if g := sink.Threshold(); g < th {
 			th = g
 		}
 	}
@@ -89,7 +85,12 @@ func (e *Evaluator) threshold(src Source, topk *query.TopK, bound float64) float
 // an already cancelled or expired ctx returns before the source is touched.
 // On cancellation the partial top-k collected so far is returned with
 // Response.Truncated set, alongside ctx's error.
-func (e *Evaluator) Search(ctx context.Context, req query.Request, src Source) (query.Response, error) {
+//
+// A non-nil sink shares the bound with cooperating searches over sibling
+// shards: every scored result is offered to it, and pruning runs against
+// min(source threshold, sink.Threshold()). The sink's threshold is an upper
+// bound on the final global k-th distance, so pruning stays exact.
+func (e *Evaluator) Search(ctx context.Context, req query.Request, src Source, sink query.BoundSink) (query.Response, error) {
 	q := req.Query
 	if err := q.Validate(); err != nil {
 		return query.Response{}, err
@@ -124,24 +125,24 @@ func (e *Evaluator) Search(ctx context.Context, req query.Request, src Source) (
 			if int(tid) >= baseN {
 				stats.DeltaCandidates++
 			}
-			d, out, err := e.Score(q, req.Ordered, tid, e.threshold(src, topk, bound), stats)
+			d, out, err := e.Score(q, req.Ordered, tid, threshold(src, topk, bound, sink), stats)
 			if err != nil {
 				return query.Response{Stats: *stats}, err
 			}
 			if out == Scored {
 				topk.Offer(query.Result{ID: tid, Dist: d})
-				if e.sink != nil {
-					e.sink.Offer(query.Result{ID: tid, Dist: d})
+				if sink != nil {
+					sink.Offer(query.Result{ID: tid, Dist: d})
 				}
 			}
 		}
-		if e.threshold(src, topk, bound) < dlb {
+		if threshold(src, topk, bound, sink) < dlb {
 			break
 		}
 		if src.Exhausted() && len(cands) == 0 {
 			break
 		}
-		if e.sink != nil {
+		if sink != nil {
 			// A leg sharing its bound with sibling legs never blocks, so on
 			// fewer processors than legs it would run to completion against
 			// a bound only the legs already running have tightened. Yielding

@@ -174,7 +174,7 @@ func TestSearchLoop(t *testing.T) {
 				ctx = context.Background()
 			}
 			src := c.src
-			resp, err := NewEvaluator(ts).Search(ctx, query.Request{Query: q, K: c.k, InitialBound: c.initialBound}, &src)
+			resp, err := NewEvaluator(ts).Search(ctx, query.Request{Query: q, K: c.k, InitialBound: c.initialBound}, &src, nil)
 			switch {
 			case c.wantErr == nil && err != nil:
 				t.Fatalf("unexpected error: %v", err)

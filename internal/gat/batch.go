@@ -48,5 +48,7 @@ func (e *Engine) WarmSuperbatch(reqs []query.Request) {
 			}
 		}
 	}
-	e.ev.PrefetchBatch(ids)
+	s := e.scratch.Get()
+	defer e.scratch.Put(s)
+	s.ev.PrefetchBatch(ids)
 }

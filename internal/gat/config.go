@@ -53,7 +53,7 @@ type Config struct {
 	PoolPages int
 	// HICLCacheEntries caps the shared cache of decoded disk-level HICL
 	// posting lists (0 selects DefaultHICLCacheEntries). The cache is
-	// shared by every engine clone over the index.
+	// shared by every search over the index.
 	HICLCacheEntries int
 	// DisableTAS switches off the sketch pre-filter (ablation A2).
 	DisableTAS bool

@@ -224,7 +224,7 @@ func TestTheorem1LowerBoundSoundness(t *testing.T) {
 	}
 	ev := evaluate.NewEvaluator(ts)
 	for qi, q := range qs {
-		s := &e.sc
+		s := peekScratch(e)
 		var stats query.SearchStats
 		s.Begin(query.Request{Query: q}, &stats)
 		if s.Exhausted() {

@@ -95,7 +95,7 @@ type Index struct {
 	hiclDir   map[hiclKey]storage.SegRef
 	hiclStore *storage.Store
 	// hicl caches decoded disk-level HICL cell sets across queries and
-	// across every engine clone sharing this index (concurrency-safe).
+	// across every engine sharing this index (concurrency-safe).
 	// Absent lists are cached as nil so repeated probes stay cheap.
 	hicl *cache.Sharded[hiclKey, *invindex.Set]
 	itl  itlArena

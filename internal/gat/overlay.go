@@ -61,10 +61,7 @@ type DeltaOverlay interface {
 // with a delta overlay (nil behaves exactly like NewEngine). Results are
 // exact over the union of both layers minus tombstoned trajectories.
 func NewEngineWithOverlay(idx *Index, ov DeltaOverlay) *Engine {
-	e := NewEngine(idx)
-	e.ov = ov
-	if ov != nil {
-		e.ev.SetDelta(ov)
-	}
+	e := &Engine{idx: idx, ov: ov}
+	e.scratch.New = e.newSearcher
 	return e
 }

@@ -19,6 +19,15 @@ func mustSearch(t testing.TB, e *Engine, req query.Request) query.Response {
 	return resp
 }
 
+// peekScratch returns the searcher the next search on e checks out: the
+// free list is LIFO, so on an engine searched serially that is always the
+// one the last search used.
+func peekScratch(e *Engine) *searcher {
+	s := e.scratch.Get()
+	e.scratch.Put(s)
+	return s
+}
+
 // TestScratchReuseMatchesFresh: an engine's recycled searcher scratch
 // (generation-stamped seen array, per-point heaps, candidate buffer) must
 // be invisible in results — searching many different queries on one engine
@@ -64,11 +73,12 @@ func TestGenerationWraparound(t *testing.T) {
 	// Warm up so the seen array exists and carries stamps.
 	mustSearch(t, e, query.Request{Query: qs[0], K: 5})
 	// Force the wrap: two searches from now gen overflows to 0.
-	e.sc.gen = math.MaxUint32 - 1
+	s := peekScratch(e)
+	s.gen = math.MaxUint32 - 1
 	// Poison the array with the post-wrap generation value: if Begin did
 	// not wipe on wrap, these entries would mask every trajectory as seen.
-	for i := range e.sc.seen {
-		e.sc.seen[i] = 1
+	for i := range s.seen {
+		s.seen[i] = 1
 	}
 	fresh := NewEngine(idx)
 	for round := 0; round < 3; round++ { // spans gen = MaxUint32, wrap, 2
@@ -77,19 +87,19 @@ func TestGenerationWraparound(t *testing.T) {
 			wantResp := mustSearch(t, fresh, query.Request{Query: q, K: 5})
 			got, want := gotResp.Results, wantResp.Results
 			if len(got) != len(want) {
-				t.Fatalf("round %d q%d: %d results vs %d (gen %d)", round, qi, len(got), len(want), e.sc.gen)
+				t.Fatalf("round %d q%d: %d results vs %d (gen %d)", round, qi, len(got), len(want), s.gen)
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("round %d q%d result %d: %+v vs %+v (gen %d)", round, qi, i, got[i], want[i], e.sc.gen)
+					t.Fatalf("round %d q%d result %d: %+v vs %+v (gen %d)", round, qi, i, got[i], want[i], s.gen)
 				}
 			}
 			if gotResp.Stats.Candidates != wantResp.Stats.Candidates {
-				t.Fatalf("round %d q%d: candidates %d vs %d (gen %d)", round, qi, gotResp.Stats.Candidates, wantResp.Stats.Candidates, e.sc.gen)
+				t.Fatalf("round %d q%d: candidates %d vs %d (gen %d)", round, qi, gotResp.Stats.Candidates, wantResp.Stats.Candidates, s.gen)
 			}
 		}
 	}
-	if e.sc.gen == 0 || e.sc.gen > 16 {
-		t.Fatalf("generation did not restart after wrap: %d", e.sc.gen)
+	if s.gen == 0 || s.gen > 16 {
+		t.Fatalf("generation did not restart after wrap: %d", s.gen)
 	}
 }

@@ -88,7 +88,7 @@ func TestScreenMatchesDirectory(t *testing.T) {
 	}
 	check := func(e *Engine, round int, req query.Request) {
 		t.Helper()
-		s := &e.sc
+		s := peekScratch(e)
 		var stats query.SearchStats
 		s.Begin(req, &stats)
 		all := req.Query.AllActs()
@@ -156,9 +156,10 @@ func TestScreenMatchesDirectory(t *testing.T) {
 	// Poison every entry with a small stamp the restarted sequence hands out
 	// again, so a missed wipe would make ineligible trajectories eligible.
 	for _, e := range []*Engine{plain, merged} {
-		e.sc.stamp = math.MaxUint32 - 3
-		for i := range e.sc.elig {
-			e.sc.elig[i] = uint32(i%5) + 1
+		s := peekScratch(e)
+		s.stamp = math.MaxUint32 - 3
+		for i := range s.elig {
+			s.elig[i] = uint32(i%5) + 1
 		}
 	}
 	for round := 150; round < 170; round++ {
@@ -166,7 +167,7 @@ func TestScreenMatchesDirectory(t *testing.T) {
 		check(plain, round, req)
 		check(merged, round, req)
 	}
-	if plain.sc.stamp > 1000 || merged.sc.stamp > 1000 {
-		t.Fatalf("stamps did not wrap: %d, %d", plain.sc.stamp, merged.sc.stamp)
+	if peekScratch(plain).stamp > 1000 || peekScratch(merged).stamp > 1000 {
+		t.Fatalf("stamps did not wrap: %d, %d", peekScratch(plain).stamp, peekScratch(merged).stamp)
 	}
 }

@@ -15,42 +15,32 @@ import (
 	"activitytraj/internal/trajectory"
 )
 
-// Engine wraps an Index with the per-query machinery (evaluator, matcher
-// and searcher scratch). It implements query.Engine. An Engine is NOT safe
-// for concurrent use — its scratch is reused across searches precisely so
-// the hot path allocates nothing — but any number of engines may share one
-// (immutable) Index: use Clone or ParallelEngine for concurrent serving.
+// Engine wraps an Index with the per-query machinery. It implements
+// query.Engine and is safe for concurrent use: each search checks a
+// searcher — evaluator, matcher and retrieval scratch, reused across
+// searches so the hot path allocates nothing — out of the engine's free
+// list and returns it when done, while the index, its HICL cache, the
+// trajectory store and its APL cache are shared.
 type Engine struct {
 	idx *Index
 	// ov, when non-nil, merges a mutable delta layer into every search; see
 	// DeltaOverlay and NewEngineWithOverlay.
-	ov DeltaOverlay
-	ev *evaluate.Evaluator
-	m  matcher.Matcher
-	sc searcher
+	ov      DeltaOverlay
+	scratch query.FreeList[*searcher]
 }
 
 // NewEngine returns a search engine over a built index.
-func NewEngine(idx *Index) *Engine {
-	ev := evaluate.NewEvaluator(idx.ts)
-	ev.UseSketch = !idx.cfg.DisableTAS
-	e := &Engine{idx: idx, ev: ev}
-	e.sc.e = e
-	return e
-}
+func NewEngine(idx *Index) *Engine { return NewEngineWithOverlay(idx, nil) }
 
-// SetBoundSink attaches (or, with nil, detaches) a shared bound for
-// cooperating searches: every scored result is offered to the sink, and the
-// search prunes against min(local k-th distance, sink.Threshold()) — both
-// for the per-candidate scoring threshold and for the Algorithm-2
-// termination test. Because the sink's threshold is an upper bound on the
-// final global k-th distance (the global top-k over a superset can only be
-// tighter than any shard-local one), pruning stays exact: any candidate or
-// unseen trajectory pruned by the shared bound is strictly farther than the
-// final global k-th result. The sink must be safe for the concurrent use
-// the cooperating searches make of it; the engine itself remains
-// single-goroutine.
-func (e *Engine) SetBoundSink(s query.BoundSink) { e.ev.SetBoundSink(s) }
+// newSearcher builds one scratch set for the free list.
+func (e *Engine) newSearcher() *searcher {
+	ev := evaluate.NewEvaluator(e.idx.ts)
+	ev.UseSketch = !e.idx.cfg.DisableTAS
+	if e.ov != nil {
+		ev.SetDelta(e.ov)
+	}
+	return &searcher{e: e, ev: ev}
+}
 
 // Name implements query.Engine.
 func (e *Engine) Name() string { return "GAT" }
@@ -59,8 +49,10 @@ func (e *Engine) Name() string { return "GAT" }
 func (e *Engine) MemBytes() int64 { return e.idx.MemBytes() }
 
 // searcher is GAT's evaluate.Source: the best-first cell expansion of
-// Algorithm 1 (Section V-A) and the Algorithm-2 lower bound. It holds the
-// per-query state in engine-owned scratch that is recycled across searches:
+// Algorithm 1 (Section V-A) and the Algorithm-2 lower bound, and the unit of
+// scratch an Engine checks out per search: it carries the search's
+// evaluator and the matcher of the lower bound beside the per-query state,
+// all recycled across searches:
 //
 //   - pqs merges the paper's global cell priority queue with the per-point
 //     cellsn structures — one hand-rolled heap per query point, no
@@ -78,8 +70,10 @@ func (e *Engine) MemBytes() int64 { return e.idx.MemBytes() }
 //     trajectory carrying all the query's activities (see screen), and
 //     emit drops the others before they reach the evaluator.
 type searcher struct {
-	e *Engine
-	q query.Query
+	e  *Engine
+	ev *evaluate.Evaluator
+	m  matcher.Matcher
+	q  query.Query
 	// stats is the running search's accounting (see evaluate.Source.Begin).
 	stats *query.SearchStats
 	// ov is the engine's overlay for the duration of one search, nil when
@@ -237,11 +231,27 @@ func (s *searcher) screen() {
 	}
 }
 
-// Search implements query.Engine: the shared search loop over this engine's
-// searcher (see evaluate.Evaluator.Search for how the request's options,
-// ctx and cancellation are honored).
+// Search implements query.Engine: the shared search loop over a searcher
+// checked out for this search (see evaluate.Evaluator.Search for how the
+// request's options, ctx and cancellation are honored).
 func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	return e.ev.Search(ctx, req, &e.sc)
+	return e.SearchShared(ctx, req, nil)
+}
+
+// SearchShared is Search with a bound shared between cooperating searches
+// (nil shares nothing): every scored result is offered to sink, and the
+// search prunes against min(local k-th distance, sink.Threshold()) — both
+// for the per-candidate scoring threshold and for the Algorithm-2
+// termination test. Because the sink's threshold is an upper bound on the
+// final global k-th distance (the global top-k over a superset can only be
+// tighter than any shard-local one), pruning stays exact: any candidate or
+// unseen trajectory pruned by the shared bound is strictly farther than the
+// final global k-th result. The sink must be safe for the concurrent use
+// the cooperating searches make of it.
+func (e *Engine) SearchShared(ctx context.Context, req query.Request, sink query.BoundSink) (query.Response, error) {
+	s := e.scratch.Get()
+	defer e.scratch.Put(s)
+	return s.ev.Search(ctx, req, s, sink)
 }
 
 // MatchesFor re-derives the per-query-point matched trajectory point
@@ -251,8 +261,10 @@ func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response,
 // installed first so the covers match what the search scored. Fetch
 // traffic is added to stats.
 func (e *Engine) MatchesFor(req query.Request, id trajectory.TrajID, stats *query.SearchStats) ([][]int32, error) {
-	e.ev.Install(req)
-	return e.ev.MatchSets(req.Query, id, req.Ordered, stats)
+	s := e.scratch.Get()
+	defer e.scratch.Put(s)
+	s.ev.Install(req)
+	return s.ev.MatchSets(req.Query, id, req.Ordered, stats)
 }
 
 // ScoreFor scores a single trajectory against req's query under an exact
@@ -265,8 +277,10 @@ func (e *Engine) MatchesFor(req query.Request, id trajectory.TrajID, stats *quer
 // candidate at exactly the bound still scores fully), a non-Scored outcome
 // otherwise. Fetch traffic is added to stats.
 func (e *Engine) ScoreFor(req query.Request, id trajectory.TrajID, threshold float64, stats *query.SearchStats) (float64, evaluate.Outcome, error) {
-	e.ev.Install(req)
-	return e.ev.Score(req.Query, req.Ordered, id, threshold, stats)
+	s := e.scratch.Get()
+	defer e.scratch.Put(s)
+	s.ev.Install(req)
+	return s.ev.Score(req.Query, req.Ordered, id, threshold, stats)
 }
 
 // cellVisible reports whether the request's region filter (if any) lets a
@@ -333,8 +347,8 @@ func (s *searcher) hicl(qi, b, level int) []*invindex.Set {
 
 // baseHICL fetches the index's HICL cell set for (level, act): the
 // in-memory levels are consulted directly; disk-level sets go through the
-// index's shared decoded-set cache, so across queries (and across engine
-// clones) each set is read and decoded once while resident. Page and cache
+// index's shared decoded-set cache, so across queries (concurrent ones
+// included) each set is read and decoded once while resident. Page and cache
 // traffic is charged to the engine's stats at the point of the fetch so
 // per-search accounting stays exact under concurrent serving; absent lists
 // are cached as nil so repeated probes stay cheap.
@@ -497,7 +511,7 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 	// candidates arrived in heap-pop (distance) order, which has no page
 	// locality; the top-k set is order-independent, so batching for
 	// locality is free.
-	s.e.ev.PrefetchBatch(out)
+	s.ev.PrefetchBatch(out)
 	return out
 }
 
@@ -560,7 +574,7 @@ func (s *searcher) LowerBound() float64 {
 		for _, c := range cells[:min(m, len(cells))] {
 			s.virtual = append(s.virtual, matcher.WeightedPoint{Dist: c.dist, Mask: c.mask})
 		}
-		dvirt := s.e.m.MinPointMatchSorted(len(qp.Acts), s.virtual)
+		dvirt := s.m.MinPointMatchSorted(len(qp.Acts), s.virtual)
 		bound := dvirt
 		if len(cells) > m && cells[m].dist < bound {
 			bound = cells[m].dist
@@ -581,13 +595,6 @@ func (s *searcher) Threshold(kth, bound float64) float64 { return min(kth, bound
 // so every frontier has emptied. A batch whose retrievals were all screened
 // out is empty without being the last.
 func (s *searcher) Exhausted() bool { return s.retrieved == 0 }
-
-// Clone returns an independent engine over the same (immutable) index and
-// delta overlay, for concurrent query execution: each goroutine owns one
-// engine, while the index, its HICL cache, the trajectory store and its APL
-// cache are shared. A bound sink is NOT inherited — it is a per-search
-// attachment the sharded router manages on each engine it owns.
-func (e *Engine) Clone() query.Engine { return NewEngineWithOverlay(e.idx, e.ov) }
 
 // ResetCaches empties the index's shared decoded-HICL cache so cold-cache
 // measurements are fair across engines and workloads (the harness calls

@@ -169,8 +169,8 @@ func (s *Suite) Cluster(w io.Writer) error {
 	fmt.Fprintln(w, "Experiment: cluster tier — search latency healthy vs. degraded")
 	fmt.Fprintln(w)
 
-	// Two engine clones per node: one router search holds a clone on every
-	// shard at once, so more would only oversubscribe a small host.
+	// Two searches at once per node: one router search occupies a slot on
+	// every shard at once, so more would only oversubscribe a small host.
 	const shards, nReplicas, nodeWorkers = 4, 2, 2
 	k := s.opts.K
 

@@ -156,10 +156,11 @@ func (rc *ResultCache) Reset() { rc.c.Reset() }
 
 // encodeRequestKey builds the canonical byte encoding of a request: every
 // field that affects the response, fixed-width so distinct requests can
-// never collide (float64s by their IEEE bits, so -0/+0 and NaN payloads
-// encode distinctly rather than comparing loosely).
+// never collide (ints as 64 bits, since K arrives from the wire unchecked;
+// float64s by their IEEE bits, so -0/+0 and NaN payloads encode distinctly
+// rather than comparing loosely).
 func encodeRequestKey(req Request) string {
-	n := 1 + 4 + 8 + 4 // flags, K, InitialBound, point count
+	n := 1 + 8 + 8 + 4 // flags, K, InitialBound, point count
 	if req.Region != nil {
 		n += 32
 	}
@@ -185,10 +186,10 @@ func encodeRequestKey(req Request) string {
 	}
 	buf = append(buf, flags)
 	if req.Subtrajectory {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(req.MinSpanPoints))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(req.MaxSpanPoints))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(req.MinSpanPoints))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(req.MaxSpanPoints))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.K))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(req.K))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(req.InitialBound))
 	if r := req.Region; r != nil {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.MinX))

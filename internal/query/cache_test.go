@@ -76,12 +76,18 @@ func TestEncodeRequestKeyDistinct(t *testing.T) {
 	variants := []Request{
 		cacheReq(2, 5), // location
 		cacheReq(1, 6), // K
+		cacheReq(1, 5+1<<32),
 		{Query: base.Query, K: 5, Ordered: true},
 		{Query: base.Query, K: 5, WithMatches: true},
 		{Query: base.Query, K: 5, InitialBound: 1.5},
 		{Query: base.Query, K: 5, Region: &region},
 		{Query: base.Query, K: 5, Region: &region2},
-		{Query: New(base.Query.Pts[0], base.Query.Pts[0]), K: 5}, // point count
+		{Query: base.Query, K: 5, RequireComplete: true},
+		{Query: base.Query, K: 5, Subtrajectory: true},
+		{Query: base.Query, K: 5, Subtrajectory: true, MinSpanPoints: 2},
+		{Query: base.Query, K: 5, Subtrajectory: true, MaxSpanPoints: 3},
+		{Query: base.Query, K: 5, Subtrajectory: true, MaxSpanPoints: 3 + 1<<32},
+		{Query: New(base.Query.Pts[0], base.Query.Pts[0]), K: 5},                                  // point count
 		{Query: New(Point{Loc: base.Query.Pts[0].Loc, Acts: trajectory.NewActivitySet(1)}), K: 5}, // acts
 	}
 	seen := map[string]int{encodeRequestKey(base): -1}

@@ -8,38 +8,27 @@ import (
 	"sync/atomic"
 )
 
-// CloneableEngine is an Engine that can spawn independent copies sharing
-// its immutable index structures. All engines in this repository implement
-// it: index structures are read-only after build, and the shared storage
-// layer (buffer pool, decoded-structure caches) is concurrency-safe, so
-// clones may run in parallel.
-type CloneableEngine interface {
-	Engine
-	Clone() Engine
-}
-
-// ParallelEngine serves queries across a fixed pool of engine clones, one
-// per worker, so throughput scales with cores while each clone keeps its
-// allocation-free scratch. It implements Engine (single queries borrow a
-// clone from the pool) and adds SearchAll for fan-out over a whole batch.
-// All serving methods are safe for concurrent use; the Set* configuration
-// methods must be called before serving starts.
+// ParallelEngine fans request batches out over workers goroutines that
+// share one engine — every engine is safe for concurrent Search, checking
+// its scratch out per search — so throughput scales with cores. It
+// implements Engine (a single query goes straight to the engine) and adds
+// SearchAll for fan-out over a whole batch. All serving methods are safe
+// for concurrent use; the Set* configuration methods must be called before
+// serving starts.
 //
-// When the pooled engine implements BatchKeyer, SearchAll additionally
-// plans the batch: requests are grouped by spatial locality key and each
-// group runs consecutively on one worker (warmed up front when the engine
-// also implements SuperbatchWarmer), so N co-located queries fault each
-// shared page and decoded structure once instead of N times. Planning only
+// When the engine implements BatchKeyer, SearchAll additionally plans the
+// batch: requests are grouped by spatial locality key and each group runs
+// consecutively on one worker (warmed up front when the engine also
+// implements SuperbatchWarmer), so N co-located queries fault each shared
+// page and decoded structure once instead of N times. Planning only
 // changes which worker answers which request — every request still runs
 // through the engine's ordinary Search, so responses are byte-identical to
 // serial execution. An attached ResultCache (SetResultCache) additionally
 // answers repeated requests without searching at all, invalidated by the
 // index's mutation epoch.
 type ParallelEngine struct {
-	name    string
-	mem     int64
+	e       Engine
 	workers int
-	pool    chan Engine
 
 	// noPlan disables cross-query batch planning (SetBatchPlanning); rcache
 	// is the optional shared result cache. Both are serving configuration:
@@ -48,42 +37,28 @@ type ParallelEngine struct {
 	rcache *ResultCache
 }
 
-// NewParallelEngine builds a pool of workers clones of e. workers <= 0
-// selects GOMAXPROCS.
-func NewParallelEngine(e CloneableEngine, workers int) *ParallelEngine {
+// NewParallelEngine serves e with SearchAll batches spread over workers
+// goroutines. workers <= 0 selects GOMAXPROCS.
+func NewParallelEngine(e Engine, workers int) *ParallelEngine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &ParallelEngine{
-		name:    e.Name(),
-		mem:     e.MemBytes(),
-		workers: workers,
-		pool:    make(chan Engine, workers),
-	}
-	// The prototype itself becomes the first worker: a fresh clone's
-	// scratch is identical to the prototype's, and reusing it means a
-	// 1-worker ParallelEngine adds no engine state at all.
-	p.pool <- e
-	for i := 1; i < workers; i++ {
-		p.pool <- e.Clone()
-	}
-	return p
+	return &ParallelEngine{e: e, workers: workers}
 }
 
 // Name implements Engine.
-func (p *ParallelEngine) Name() string { return p.name }
+func (p *ParallelEngine) Name() string { return p.e.Name() }
 
-// MemBytes implements Engine. Clones share the index, so the footprint is
-// the prototype's.
-func (p *ParallelEngine) MemBytes() int64 { return p.mem }
+// MemBytes implements Engine: the engine's footprint.
+func (p *ParallelEngine) MemBytes() int64 { return p.e.MemBytes() }
 
-// Workers returns the pool size.
+// Workers returns the number of goroutines SearchAll fans out over.
 func (p *ParallelEngine) Workers() int { return p.workers }
 
 // SetResultCache attaches (nil detaches) a shared epoch-invalidated result
 // cache: requests whose canonical encoding was answered at the current
 // mutation epoch return the cached response (Stats = one ResultCacheHit)
-// without borrowing search work; misses run normally, are marked with
+// without searching; misses run normally, are marked with
 // ResultCacheMisses in their stats, and populate the cache. Configure
 // before serving starts — the field is read without synchronization on
 // the hot path.
@@ -99,20 +74,20 @@ func (p *ParallelEngine) ResultCache() *ResultCache { return p.rcache }
 // Configure before serving starts.
 func (p *ParallelEngine) SetBatchPlanning(on bool) { p.noPlan = !on }
 
-// searchOne answers one request on an already-borrowed engine, going
-// through the result cache when one is attached. The epoch tag is read
-// before the search runs, so a cached entry can never claim mutations the
-// search did not observe (see EpochSource).
-func (p *ParallelEngine) searchOne(ctx context.Context, e Engine, req Request) (Response, error) {
+// Search implements Engine: one request on the engine, going through the
+// result cache when one is attached. The epoch tag is read before the
+// search runs, so a cached entry can never claim mutations the search did
+// not observe (see EpochSource).
+func (p *ParallelEngine) Search(ctx context.Context, req Request) (Response, error) {
 	rc := p.rcache
 	if rc == nil {
-		return e.Search(ctx, req)
+		return p.e.Search(ctx, req)
 	}
 	epoch := rc.Epoch()
 	if resp, ok := rc.Get(epoch, req); ok {
 		return resp, nil
 	}
-	resp, err := e.Search(ctx, req)
+	resp, err := p.e.Search(ctx, req)
 	resp.Stats.ResultCacheMisses++
 	if err == nil {
 		rc.Put(epoch, req, resp)
@@ -120,21 +95,9 @@ func (p *ParallelEngine) searchOne(ctx context.Context, e Engine, req Request) (
 	return resp, err
 }
 
-// Search implements Engine by borrowing one clone from the pool (waiting
-// honors ctx: a request cancelled while queued never runs at all).
-func (p *ParallelEngine) Search(ctx context.Context, req Request) (Response, error) {
-	select {
-	case e := <-p.pool:
-		defer func() { p.pool <- e }()
-		return p.searchOne(ctx, e, req)
-	case <-ctx.Done():
-		return Response{Truncated: true}, ctx.Err()
-	}
-}
-
 // SearchAll answers reqs[i] into the i-th response slot, fanning the batch
-// out over the worker pool. The batch is first planned into groups of
-// spatially co-located requests when the pooled engine implements
+// out over the workers. The batch is first planned into groups of
+// spatially co-located requests when the engine implements
 // BatchKeyer (see ParallelEngine's type comment; SetBatchPlanning
 // disables it, and engines without a keyer degrade to one-request
 // groups); groups are handed to workers through a single atomic cursor,
@@ -167,8 +130,6 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := <-p.pool
-			defer func() { p.pool <- e }()
 			errs[w].qi = -1
 			var warmBuf []Request
 			for !failed.Load() && ctx.Err() == nil {
@@ -177,12 +138,12 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 					break
 				}
 				group := groups[gi]
-				warmBuf = p.warmGroup(e, reqs, group, warmBuf)
+				warmBuf = p.warmGroup(reqs, group, warmBuf)
 				for _, qi := range group {
 					if failed.Load() || ctx.Err() != nil {
 						break
 					}
-					resp, err := p.searchOne(ctx, e, reqs[qi])
+					resp, err := p.Search(ctx, reqs[qi])
 					out[qi] = resp
 					if err != nil {
 						errs[w] = werr{qi: qi, err: err}

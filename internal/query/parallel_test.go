@@ -19,7 +19,6 @@ type fakeEngine struct {
 
 func (f *fakeEngine) Name() string    { return "fake" }
 func (f *fakeEngine) MemBytes() int64 { return 1 }
-func (f *fakeEngine) Clone() Engine   { return &fakeEngine{calls: f.calls, failAt: f.failAt} }
 func (f *fakeEngine) Search(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{Truncated: true}, err

@@ -10,7 +10,7 @@ import "slices"
 // searches expand the same cells and fault the same pages back to back —
 // each page/block faults once into the shared buffer pool and caches
 // instead of once per query. BatchKey must be cheap, must not disturb the
-// engine's search scratch, and must be callable on any engine clone.
+// engine's search scratch, and must be safe for concurrent use.
 type BatchKeyer interface {
 	BatchKey(q Query) uint64
 }
@@ -38,20 +38,13 @@ const planGroupShift = 8
 const planMaxGroup = 16
 
 // planAll produces the group schedule SearchAll hands to its workers. With
-// planning enabled and a keyer-capable engine it borrows one clone from the
-// pool just long enough to key the batch; otherwise every request is its
-// own group (one shared backing array — no per-request allocations), which
-// is exactly the pre-planner submission order.
+// planning enabled and a keyer-capable engine it keys the batch; otherwise
+// every request is its own group (one shared backing array — no
+// per-request allocations), which is exactly the pre-planner submission
+// order.
 func (p *ParallelEngine) planAll(reqs []Request) [][]int {
-	if !p.noPlan && len(reqs) > 1 {
-		e := <-p.pool
-		keyer, ok := e.(BatchKeyer)
-		if ok {
-			groups := planGroups(reqs, keyer)
-			p.pool <- e
-			return groups
-		}
-		p.pool <- e
+	if keyer, ok := p.e.(BatchKeyer); ok && !p.noPlan && len(reqs) > 1 {
+		return planGroups(reqs, keyer)
 	}
 	groups := make([][]int, len(reqs))
 	idx := make([]int, len(reqs))
@@ -62,14 +55,14 @@ func (p *ParallelEngine) planAll(reqs []Request) [][]int {
 	return groups
 }
 
-// warmGroup issues the superbatch warm-up hint for a group about to run on
-// e, reusing buf across groups. Groups of one request gain nothing from
+// warmGroup issues the superbatch warm-up hint for a group about to run,
+// reusing buf across groups. Groups of one request gain nothing from
 // warming — the request's own PrefetchBatch already coalesces its faults.
-func (p *ParallelEngine) warmGroup(e Engine, reqs []Request, group []int, buf []Request) []Request {
+func (p *ParallelEngine) warmGroup(reqs []Request, group []int, buf []Request) []Request {
 	if len(group) < 2 {
 		return buf
 	}
-	w, ok := e.(SuperbatchWarmer)
+	w, ok := p.e.(SuperbatchWarmer)
 	if !ok {
 		return buf
 	}

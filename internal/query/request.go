@@ -177,8 +177,9 @@ func SpansFromMatches(matches [][][]int32) [][2]int32 {
 
 // Engine is the contract every search method implements.
 //
-// Engines are single-goroutine unless documented otherwise (ParallelEngine
-// and the HTTP server wrap them in clone pools for concurrent serving).
+// Every engine is safe for concurrent Search: per-search state lives in
+// scratch the engine checks out of its FreeList when a search starts and
+// returns when it ends, so any number of goroutines may share one engine.
 type Engine interface {
 	// Name returns the short method name used in experiment output
 	// ("GAT", "IL", "RT", "IRT", ...).

@@ -166,10 +166,9 @@ const DefaultK = queries.DefaultK
 
 // Options tunes a Server.
 type Options struct {
-	// Workers sizes the engine pool — the number of searches served
-	// concurrently (each worker is one engine; a scatter-gather engine's
-	// shard fan-out shares the underlying per-shard indexes). <= 0 selects
-	// GOMAXPROCS. The cluster router has no engines and ignores it.
+	// Workers bounds the searches served concurrently; a search past the
+	// bound waits for a slot (see Admission). <= 0 selects GOMAXPROCS. The
+	// cluster router searches no index itself and ignores it.
 	Workers int
 	// Vocab resolves activity names in requests; nil restricts requests to
 	// numeric activity IDs.
@@ -189,8 +188,8 @@ type Options struct {
 	// ResultCacheEntries, when > 0, enables an epoch-invalidated result
 	// cache of that many entries in front of the backend: a search whose
 	// canonical request was already answered at the current mutation epoch
-	// replies without borrowing an engine at all, and any insert, delete or
-	// compaction invalidates every older entry at once (see
+	// replies without waiting for an admission slot, and any insert, delete
+	// or compaction invalidates every older entry at once (see
 	// query.ResultCache). A hit's stats carry only the ResultCacheHits
 	// marker — the cached search's work was not performed for the serving
 	// request. 0 (the default) disables caching, keeping every reply's stats
@@ -236,38 +235,29 @@ type StatusError struct {
 func (e *StatusError) Error() string { return e.Err.Error() }
 func (e *StatusError) Unwrap() error { return e.Err }
 
-// SearchFunc is the Search method of one single-goroutine engine.
-type SearchFunc func(context.Context, query.Request) (query.Response, error)
+// Admission bounds the searches a backend runs at once; a request past the
+// bound waits for a slot. It is a counting semaphore of Options.Workers
+// slots.
+type Admission chan struct{}
 
-// EnginePool gives each in-flight search an exclusive engine (and so exact
-// per-request SearchStats); the channel applies backpressure past its size.
-type EnginePool chan SearchFunc
-
-// NewEnginePool fills a pool from workers calls of newEngine (<= 0 selects
-// GOMAXPROCS).
-func NewEnginePool(workers int, newEngine func() SearchFunc) EnginePool {
+// NewAdmission returns a bound of workers slots (<= 0 selects GOMAXPROCS).
+func NewAdmission(workers int) Admission {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := make(EnginePool, workers)
-	for i := 0; i < workers; i++ {
-		p <- newEngine()
-	}
-	return p
+	return make(Admission, workers)
 }
 
-// Search borrows an engine for one search. Borrowing honors ctx: a budget
-// spent queueing behind busy engines fails immediately instead of parking
-// the caller until an engine frees, and a hung-up client leaves the queue
-// right away. The response is copied out of the engine, so the engine is
-// back in the pool before the caller writes its reply — a client stalling
-// on the read side must not pin serving capacity.
-func (p EnginePool) Search(ctx context.Context, req query.Request) (query.Response, error) {
+// Search runs search once a slot is free. Waiting honors ctx: a budget
+// spent queueing behind busy searches fails immediately — Truncated, never
+// having run — and a hung-up client leaves the queue right away. The slot
+// is released when search returns, before the caller writes its reply, so
+// a client stalling on the read side does not pin serving capacity.
+func (a Admission) Search(ctx context.Context, req query.Request, search func(context.Context, query.Request) (query.Response, error)) (query.Response, error) {
 	select {
-	case search := <-p:
-		resp, err := search(ctx, req)
-		p <- search
-		return resp, err
+	case a <- struct{}{}:
+		defer func() { <-a }()
+		return search(ctx, req)
 	case <-ctx.Done():
 		return query.Response{Truncated: true}, ctx.Err()
 	}
@@ -295,11 +285,11 @@ type Server struct {
 	deletes  atomic.Int64
 }
 
-// New builds the single-process server over r with a pool of opts.Workers
-// scatter-gather engines.
+// New builds the single-process server over r: one scatter-gather engine
+// running at most opts.Workers searches at once.
 func New(r *shard.Router, opts Options) *Server {
-	pool := NewEnginePool(opts.Workers, func() SearchFunc { return r.NewEngine().Search })
-	return NewServer(&shardedBackend{Router: r, pool: pool, recovery: opts.Recovery}, opts)
+	b := &shardedBackend{Router: r, eng: r.NewEngine(), admit: NewAdmission(opts.Workers), recovery: opts.Recovery}
+	return NewServer(b, opts)
 }
 
 // NewServer builds a server over any backend. A backend with a NewHub
@@ -392,7 +382,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	// With a result cache enabled, probe before reaching the backend: a hit
-	// replies immediately (no pool backpressure, no search). The epoch is
+	// replies immediately (no admission wait, no search). The epoch is
 	// read once here and reused for the post-search Put, so a cached entry
 	// can never claim mutations its search did not observe.
 	var cacheEpoch uint64
@@ -522,12 +512,13 @@ func (s *Server) WriteError(w http.ResponseWriter, status int, err error) {
 // shardedBackend serves the single-process sharded index.
 type shardedBackend struct {
 	*shard.Router // Epoch, NewHub
-	pool          EnginePool
+	eng           *shard.Engine
+	admit         Admission
 	recovery      *shard.RecoveryInfo
 }
 
 func (b *shardedBackend) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	return b.pool.Search(ctx, req)
+	return b.admit.Search(ctx, req, b.eng.Search)
 }
 
 func (b *shardedBackend) Insert(_ context.Context, gid *uint32, pts []trajectory.Point) (any, error) {
@@ -572,7 +563,7 @@ func (b *shardedBackend) Health() (map[string]any, bool) {
 // shard inside Index; surfacing it at the top lets clients watch ingest
 // progress without parsing shard detail.
 func (b *shardedBackend) Stats(body map[string]any) {
-	body["workers"] = cap(b.pool)
+	body["workers"] = cap(b.admit)
 	body["index"] = b.Router.Stats()
 	body["mutation_epoch"] = b.Epoch()
 }

@@ -5,32 +5,38 @@ import (
 	"errors"
 	"fmt"
 
-	"activitytraj/internal/delta"
 	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
 )
 
 // Engine serves exact global top-k queries over a Router's shards with a
-// scatter-gather search. Like every engine in this library it is
-// single-goroutine from the caller's side (it implements
-// query.CloneableEngine, so wrap it with query.NewParallelEngine for
-// concurrent serving); internally one search fans out across the planned
-// shards, each on its own per-shard delta engine. Planning, bound sharing
-// and the exactness argument are the Planner's; the engine supplies one
-// in-process Leg per shard and resolves matches after the merge.
+// scatter-gather search. It is safe for concurrent use: each search checks
+// a fan-out — a Planner and one in-process Leg per shard — out of the
+// engine's free list, and one search fans out across the planned shards,
+// each searched on the shard's own delta engine. Planning, bound sharing
+// and the exactness argument are the Planner's; the engine supplies the
+// legs and resolves matches after the merge.
 type Engine struct {
 	r       *Router
-	subs    []*delta.Engine
-	legs    []Leg
+	scratch query.FreeList[*fanout]
+}
+
+// fanout is one search's scratch: the planner and a leg per shard, each
+// with the sink that translates its results to global IDs.
+type fanout struct {
 	planner Planner
+	legs    []Leg
 }
 
 // NewEngine returns a scatter-gather engine over the router's shards.
 func (r *Router) NewEngine() *Engine {
-	e := &Engine{r: r, subs: make([]*delta.Engine, len(r.shards)), legs: make([]Leg, len(r.shards))}
-	for i, sh := range r.shards {
-		e.subs[i] = sh.d.NewEngine()
-		e.legs[i] = &localLeg{sh: sh, sub: e.subs[i]}
+	e := &Engine{r: r}
+	e.scratch.New = func() *fanout {
+		f := &fanout{legs: make([]Leg, len(r.shards))}
+		for i, sh := range r.shards {
+			f.legs[i] = &localLeg{sh: sh}
+		}
+		return f
 	}
 	return e
 }
@@ -41,8 +47,8 @@ func (e *Engine) Name() string { return fmt.Sprintf("GATx%d", len(e.r.shards)) }
 // MemBytes implements query.Engine: the sum of the shard indexes.
 func (e *Engine) MemBytes() int64 {
 	var n int64
-	for _, sub := range e.subs {
-		n += sub.MemBytes()
+	for _, sh := range e.r.shards {
+		n += sh.eng.MemBytes()
 	}
 	return n
 }
@@ -51,7 +57,9 @@ func (e *Engine) MemBytes() int64 {
 // shared Planner (see Planner.Search for how the request's options, ctx and
 // cancellation are honored).
 func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response, error) {
-	resp, err := e.planner.Search(ctx, req, e.legs)
+	f := e.scratch.Get()
+	resp, err := f.planner.Search(ctx, req, f.legs)
+	e.scratch.Put(f)
 	if err != nil || !req.WithMatches {
 		return resp, err
 	}
@@ -68,10 +76,9 @@ func (e *Engine) Search(ctx context.Context, req query.Request) (query.Response,
 }
 
 // localLeg is the in-process Leg: one shard's delta engine, searched with
-// the shared bound attached.
+// the shared bound passed in.
 type localLeg struct {
 	sh   *Shard
-	sub  *delta.Engine
 	sink translatingSink
 }
 
@@ -85,16 +92,14 @@ func (l *localLeg) Search(ctx context.Context, req query.Request, shared *query.
 	l.sh.idmu.RLock()
 	defer l.sh.idmu.RUnlock()
 	l.sink = translatingSink{shared: shared, ids: l.sh.globalIDs}
-	l.sub.SetBoundSink(&l.sink)
-	defer l.sub.SetBoundSink(nil)
 	req.WithMatches, req.RequireComplete = false, false
-	resp, err := l.sub.Search(ctx, req)
+	resp, err := l.sh.eng.SearchShared(ctx, req, &l.sink)
 	return resp.Stats, err
 }
 
 // ScoreOne scores a single GLOBAL trajectory ID against req with an exact
 // pruning threshold (see delta.Engine.ScoreOne): the ID is routed back to
-// its owning shard, whose sub-engine scores the shard-local trajectory. ok
+// its owning shard, whose delta engine scores the shard-local trajectory. ok
 // is false for unknown IDs, recovery holes, tombstoned trajectories, and
 // candidates the matcher abandoned for strictly exceeding threshold. The
 // subscription hub's insert path uses it to test one trajectory against a
@@ -104,11 +109,11 @@ func (e *Engine) ScoreOne(req query.Request, gid trajectory.TrajID, threshold fl
 	if !ok {
 		return 0, false, nil
 	}
-	return e.subs[si].ScoreOne(req, local, threshold, stats)
+	return e.r.shards[si].eng.ScoreOne(req, local, threshold, stats)
 }
 
 // fillMatches answers Request.WithMatches after the scatter-gather merge:
-// each global result is routed back to its owning shard, whose sub-engine
+// each global result is routed back to its owning shard, whose delta engine
 // re-derives the matched point indexes from the shard-local trajectory
 // under the request's Region and span options. Fetch traffic is added to
 // stats.
@@ -122,7 +127,7 @@ func (e *Engine) fillMatches(ctx context.Context, req query.Request, rs []query.
 		if !ok {
 			return out, fmt.Errorf("shard: result trajectory %d has no owner", rs[i].ID)
 		}
-		m, err := e.subs[si].Matches(req, local, stats)
+		m, err := e.r.shards[si].eng.Matches(req, local, stats)
 		if err != nil {
 			return out, err
 		}
@@ -130,10 +135,6 @@ func (e *Engine) fillMatches(ctx context.Context, req query.Request, rs []query.
 	}
 	return out, nil
 }
-
-// Clone implements query.CloneableEngine: an independent engine (fresh
-// per-shard sub-engines) over the same shared router.
-func (e *Engine) Clone() query.Engine { return e.r.NewEngine() }
 
 // Epoch implements query.EpochSource via the router's composed per-shard
 // mutation counter (see Router.Epoch).
@@ -159,7 +160,7 @@ func (e *Engine) ResetCaches() {
 	}
 }
 
-var _ query.CloneableEngine = (*Engine)(nil)
+var _ query.Engine = (*Engine)(nil)
 var _ query.EpochSource = (*Engine)(nil)
 
 // translatingSink adapts a shard search's local result stream to the

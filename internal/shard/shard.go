@@ -18,7 +18,7 @@
 // distance in the shard), the intersecting shards are searched
 // concurrently, and every shard search feeds one shared global top-k whose
 // running k-th distance is broadcast back into the in-flight searches
-// (gat.Engine.SetBoundSink) so their Algorithm-2 termination bounds tighten
+// (gat.Engine.SearchShared) so their Algorithm-2 termination bounds tighten
 // mid-flight. Results are exactly those of a single-index engine over the
 // unpartitioned corpus — see internal/enginetest for the differential gate.
 package shard
@@ -87,6 +87,8 @@ type owner struct {
 // stale-but-larger rectangle only weakens pruning, never correctness).
 type Shard struct {
 	d *delta.Dynamic
+	// eng searches d; every scatter-gather engine shares it.
+	eng *delta.Engine
 	// zlo/zhi is the owned Z-code range [zlo, zhi) at the partition depth.
 	zlo, zhi uint32
 
@@ -194,7 +196,7 @@ func (r *Router) partition(ds *trajectory.Dataset, man *routerManifest, openShar
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
-		sh.d = d
+		sh.d, sh.eng = d, d.NewEngine()
 		r.shards[si] = sh
 	}
 	return nil

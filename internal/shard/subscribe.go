@@ -9,8 +9,7 @@ import (
 	"activitytraj/internal/trajectory"
 )
 
-// routerBackend adapts a scatter-gather Engine to subscribe.Backend. The
-// engine is owned by the hub's dispatcher goroutine exclusively.
+// routerBackend adapts a scatter-gather Engine to subscribe.Backend.
 type routerBackend struct{ e *Engine }
 
 func (b routerBackend) Search(ctx context.Context, req query.Request) (query.Response, error) {

@@ -28,7 +28,7 @@ func (s PoolStats) Sub(old PoolStats) PoolStats {
 
 // BufferPool is a fixed-capacity LRU page cache in front of a Pager, safe
 // for concurrent use. The page-frame map and LRU ring are sharded by page
-// number so concurrent readers (engine clones serving queries in parallel)
+// number so concurrent readers (searches running in parallel)
 // do not serialize on a single mutex; statistics are kept in atomics.
 //
 // The discipline that lets the miss path stop allocating: no alias of a

@@ -9,9 +9,7 @@ import (
 	"activitytraj/internal/trajectory"
 )
 
-// dynBackend adapts a delta.Engine to Backend. The engine is owned by the
-// hub's dispatcher goroutine exclusively (delta engines are single-
-// goroutine, like every engine in this library).
+// dynBackend adapts a delta.Engine to Backend.
 type dynBackend struct{ e *delta.Engine }
 
 func (b dynBackend) Search(ctx context.Context, req query.Request) (query.Response, error) {

@@ -25,11 +25,10 @@ const (
 )
 
 // item is one dispatcher queue entry: a mutation observed on the index, or
-// a subscribe control (the seed search must run in the dispatcher goroutine
-// — the backend is single-goroutine, and running it in queue order is what
-// makes the zero-subscriber fast path sound: any mutation skipped because
-// nsubs was 0 applied before the subscription's registration was enqueued,
-// so the seed search sees it).
+// a subscribe control (the seed search must run in the dispatcher goroutine:
+// running it in queue order is what makes the zero-subscriber fast path
+// sound — any mutation skipped because nsubs was 0 applied before the
+// subscription's registration was enqueued, so the seed search sees it).
 type item struct {
 	kind  itemKind
 	shard int32

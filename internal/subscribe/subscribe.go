@@ -45,9 +45,9 @@ import (
 // Options.EventBuffer is zero.
 const DefaultEventBuffer = 256
 
-// Backend is the search engine a Hub maintains subscriptions against. Both
-// methods are called from the hub's single dispatcher goroutine only, so a
-// single-goroutine engine (delta.Engine, shard.Engine) works unwrapped.
+// Backend is the search engine a Hub maintains subscriptions against
+// (delta.Engine, shard.Engine). Both methods are called from the hub's
+// single dispatcher goroutine only, in queue order.
 type Backend interface {
 	// Search runs a from-scratch search (subscription seeding and member-
 	// delete re-searches).
