@@ -78,7 +78,7 @@ type (
 	StaticEpoch = query.StaticEpoch
 
 	// TrajStore is the disk-resident trajectory storage every engine
-	// shares (coordinates, activity posting lists, activity sketches).
+	// shares (coordinates, activity posting lists, activity directory).
 	TrajStore = evaluate.TrajStore
 	// StoreConfig tunes TrajStore construction.
 	StoreConfig = evaluate.TrajStoreConfig
@@ -159,9 +159,9 @@ func ParseSyncMode(s string) (SyncMode, error) { return wal.ParseSyncMode(s) }
 func NewActivitySet(ids ...ActivityID) ActivitySet { return trajectory.NewActivitySet(ids...) }
 
 // NewVocabulary builds a vocabulary from activity occurrence counts,
-// assigning IDs in descending frequency order (ties broken by name) as the
-// sketch construction requires. Use it when assembling datasets from your
-// own check-in data.
+// assigning IDs in descending frequency order (ties broken by name), the
+// order every generated dataset uses. Use it when assembling datasets from
+// your own check-in data.
 func NewVocabulary(counts map[string]int64) *Vocabulary {
 	b := trajectory.NewVocabularyBuilder()
 	for name, n := range counts {
@@ -170,14 +170,14 @@ func NewVocabulary(counts map[string]int64) *Vocabulary {
 	return b.Build()
 }
 
-// NewStore lays ds out on the simulated disk and builds the per-trajectory
-// activity sketches. All engines for a dataset should share one store.
+// NewStore lays ds out on the simulated disk and builds the in-memory
+// directories. All engines for a dataset should share one store.
 func NewStore(ds *Dataset) (*TrajStore, error) {
 	return evaluate.BuildTrajStore(ds, evaluate.TrajStoreConfig{})
 }
 
-// NewStoreWithConfig is NewStore with explicit storage options (sketch
-// interval count, buffer pool size, optional file backing).
+// NewStoreWithConfig is NewStore with explicit storage options (buffer
+// pool size, cache capacities, optional file backing).
 func NewStoreWithConfig(ds *Dataset, cfg StoreConfig) (*TrajStore, error) {
 	return evaluate.BuildTrajStore(ds, cfg)
 }
@@ -189,8 +189,8 @@ func BuildGATIndex(ts *TrajStore, cfg GATConfig) (*GATIndex, error) {
 }
 
 // NewGAT builds the paper's GAT engine: hierarchical inverted cell lists,
-// per-cell inverted trajectory lists, activity sketches and disk-resident
-// posting lists, searched best-first with the tight Algorithm 2 bound.
+// per-cell inverted trajectory lists and disk-resident posting lists,
+// searched best-first with the tight Algorithm 2 bound.
 func NewGAT(ts *TrajStore, cfg GATConfig) (Engine, error) {
 	idx, err := gat.Build(ts, cfg)
 	if err != nil {

@@ -84,7 +84,7 @@ func TestIndexBreakdownAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := activitytraj.NewStoreWithConfig(ds, activitytraj.StoreConfig{SketchIntervals: 6})
+	store, err := activitytraj.NewStoreWithConfig(ds, activitytraj.StoreConfig{PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

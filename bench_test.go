@@ -179,8 +179,8 @@ func (s *scoredIDs) Offer(r query.Result) { s.ids = append(s.ids, r.ID) }
 func (s *scoredIDs) Threshold() float64   { return matcher.Inf }
 
 // BenchmarkPrepare measures the candidate pipeline below retrieval on its
-// own — TAS screen, activity-directory screen, cached APL, posting lists,
-// coordinates, row build, Algorithm 3 — as one warm Evaluator.ScoreATSQ per
+// own — activity-directory screen, cached APL, posting lists, coordinates,
+// row build, Algorithm 3 — as one warm Evaluator.ScoreATSQ per
 // (request, candidate) pair; one op scores every pair once. The surviving
 // candidates are the ones a GAT search of the request scores (collected
 // through the bound sink); a search's rejects are not visible from outside
@@ -776,35 +776,6 @@ func BenchmarkAblation_LowerBound(b *testing.B) {
 				cands = res.Stats.Candidates
 			}
 			b.ReportMetric(float64(cands)/float64(len(qs)), "cands/query")
-		})
-	}
-}
-
-// BenchmarkAblation_TAS: sketch pre-filter on/off (design choice A2).
-func BenchmarkAblation_TAS(b *testing.B) {
-	st := benchSetup(b, "NY")
-	qs := benchWorkload(b, st.DS, queries.Config{Seed: 13})
-	for _, disable := range []bool{false, true} {
-		name := "with-TAS"
-		if disable {
-			name = "no-TAS"
-		}
-		b.Run(name, func(b *testing.B) {
-			idx, err := gat.Build(st.TS, gat.Config{DisableTAS: disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := gat.NewEngine(idx)
-			b.ResetTimer()
-			var pages int
-			for i := 0; i < b.N; i++ {
-				res, err := harness.RunWorkload(st.TS, e, qs, queries.DefaultK, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages = res.Stats.PageReads
-			}
-			b.ReportMetric(float64(pages)/float64(len(qs)), "pages/query")
 		})
 	}
 }

@@ -159,8 +159,8 @@
 //	resp, _ := eng.Search(ctx, activitytraj.Request{Query: q, K: 10}) // exact over base ∪ delta
 //
 // Writes land in an in-memory delta layer — a mutable mini-GAT (per-cell
-// inverted trajectory lists, an all-in-memory HICL, per-trajectory posting
-// lists and TAS sketches) plus a tombstone set for deletes. Searches merge
+// inverted trajectory lists, an all-in-memory HICL, per-trajectory activity
+// sets and posting lists) plus a tombstone set for deletes. Searches merge
 // the delta with the immutable base index inside the best-first expansion
 // itself, so the paper's upper/lower-bound pruning applies to both layers
 // and results are exact — byte-identical to rebuilding the index over the
@@ -357,11 +357,12 @@
 // Candidate evaluation is built to touch as few pages and decode as few
 // bytes as the answer allows:
 //
-//   - Reject before fetching. Behind the paper's sketch the store keeps
-//     every trajectory's exact activity set in memory (4 bytes per distinct
-//     activity): a candidate lacking a query activity — two in three on the
-//     benchmark corpus — reads no page, makes no cache lookup and decodes
-//     nothing (SearchStats.HeaderOnlyRejects); the readahead skips it too.
+//   - Reject before fetching. In place of the paper's sketch the store
+//     keeps every trajectory's exact activity set in memory (4 bytes per
+//     distinct activity): a candidate lacking a query activity — two in
+//     three on the benchmark corpus — reads no page, makes no cache lookup
+//     and decodes nothing (SearchStats.HeaderOnlyRejects); the readahead
+//     skips it too.
 //   - Blocked APLs. An Activity Posting List segment starts with a header
 //     (activity set + per-activity block-length skip table). Fetches read
 //     only the header pages and hold the header to the in-memory set — a

@@ -39,11 +39,7 @@ func BuildIL(ts *evaluate.TrajStore) *IL {
 	inv.Freeze()
 	e := &IL{inv: inv}
 	e.scratch.New = func() *ilSource {
-		ev := evaluate.NewEvaluator(ts)
-		// IL candidates contain every query activity by construction; the
-		// sketch filter would only burn cycles.
-		ev.UseSketch = false
-		return &ilSource{ev: ev, inv: inv}
+		return &ilSource{ev: evaluate.NewEvaluator(ts), inv: inv}
 	}
 	return e
 }

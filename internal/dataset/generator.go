@@ -203,7 +203,7 @@ func Generate(cfg Config) (*trajectory.Dataset, error) {
 
 	// Trajectories over activity ranks; the real vocabulary is assigned
 	// afterwards from realized frequencies so IDs are frequency-ranked,
-	// as the TAS construction requires.
+	// which every dataset, and every answer recorded from one, depends on.
 	type rawPoint struct {
 		loc   geo.Point
 		ranks []uint32

@@ -119,7 +119,7 @@ func (v *view) AppendOverflow(dst []uint32) []uint32 {
 func (v *view) Entry(id trajectory.TrajID) evaluate.DeltaEntry {
 	for _, l := range v.layers {
 		if e := l.lookup(id); e != nil {
-			return evaluate.DeltaEntry{TAS: e.tas, Acts: e.acts, Lists: e.postings, Coords: e.pts}
+			return evaluate.DeltaEntry{Acts: e.acts, Lists: e.postings, Coords: e.pts}
 		}
 	}
 	return evaluate.DeltaEntry{}
@@ -276,7 +276,7 @@ func newDynamicBase(ds *trajectory.Dataset, cfg Config) (*Dynamic, error) {
 		return nil, err
 	}
 	d := &Dynamic{cfg: cfg, nextID: len(ds.Trajs)}
-	active := NewLayer(idx.Grid(), len(ds.Trajs), ts.SketchIntervals())
+	active := NewLayer(idx.Grid(), len(ds.Trajs))
 	d.gen.Store(newGeneration(1, ds, ts, idx, nil, active))
 	return d, nil
 }
@@ -498,7 +498,7 @@ func (d *Dynamic) CompactNow() error {
 		return nil
 	}
 	frozen := cur.active
-	fresh := NewLayer(cur.idx.Grid(), d.nextID, cur.ts.SketchIntervals())
+	fresh := NewLayer(cur.idx.Grid(), d.nextID)
 	gen1 := newGeneration(cur.epoch+1, cur.ds, cur.ts, cur.idx, frozen, fresh)
 	d.gen.Store(gen1)
 	d.mutEpoch.Add(1) // generation swap: conservative cache invalidation

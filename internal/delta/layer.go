@@ -3,8 +3,8 @@
 //   - Layer: an in-memory, mutable mini-GAT over freshly inserted
 //     trajectories — per-leaf-cell inverted trajectory lists, an in-memory
 //     HICL presence map for every grid level, per-trajectory activity
-//     posting lists and TAS sketches — plus a tombstone set masking
-//     deletes from any layer;
+//     sets and posting lists — plus a tombstone set masking deletes from
+//     any layer;
 //   - Dynamic: an LSM-style dynamic index layering an immutable base GAT
 //     index under one or two delta layers (active, plus a frozen layer
 //     while a compaction is in flight), with online Insert/Delete, exact
@@ -23,12 +23,11 @@ import (
 	"activitytraj/internal/geo"
 	"activitytraj/internal/grid"
 	"activitytraj/internal/invindex"
-	"activitytraj/internal/sketch"
 	"activitytraj/internal/trajectory"
 )
 
 // entry is the in-memory record of one inserted trajectory: everything the
-// evaluator needs (coordinates, per-activity point postings, TAS sketch)
+// evaluator needs (coordinates, activity set, per-activity point postings)
 // plus the source trajectory for the next compaction. Entries are immutable
 // after construction.
 type entry struct {
@@ -36,11 +35,10 @@ type entry struct {
 	pts      []geo.Point
 	acts     trajectory.ActivitySet
 	postings []invindex.PostingList // parallel to acts: ascending point indexes
-	tas      sketch.Sketch
-	overflow bool // some point lies outside the base grid's region
+	overflow bool                   // some point lies outside the base grid's region
 }
 
-func newEntry(tr trajectory.Trajectory, sketchM int, region geo.Rect) *entry {
+func newEntry(tr trajectory.Trajectory, region geo.Rect) *entry {
 	e := &entry{src: tr, pts: make([]geo.Point, len(tr.Pts))}
 	post := make(map[trajectory.ActivityID][]uint32)
 	for pi, p := range tr.Pts {
@@ -65,7 +63,6 @@ func newEntry(tr trajectory.Trajectory, sketchM int, region geo.Rect) *entry {
 	for i, a := range e.acts {
 		e.postings[i] = post[a]
 	}
-	e.tas = sketch.Build(e.acts, sketchM)
 	return e
 }
 
@@ -81,9 +78,8 @@ func newEntry(tr trajectory.Trajectory, sketchM int, region geo.Rect) *entry {
 type Layer struct {
 	mu sync.RWMutex
 
-	g       *grid.Grid
-	depth   int
-	sketchM int
+	g     *grid.Grid
+	depth int
 
 	// idSpace is one past the highest ID ever registered; it starts at the
 	// base size below the layer, so IDs under it always resolve somewhere.
@@ -107,12 +103,11 @@ type Layer struct {
 }
 
 // NewLayer returns an empty delta layer over g for trajectory IDs starting
-// at baseN, sketching inserts with sketchM intervals.
-func NewLayer(g *grid.Grid, baseN, sketchM int) *Layer {
+// at baseN.
+func NewLayer(g *grid.Grid, baseN int) *Layer {
 	l := &Layer{
 		g:       g,
 		depth:   g.Depth(),
-		sketchM: sketchM,
 		idSpace: baseN,
 		trajs:   make(map[trajectory.TrajID]*entry),
 		tombs:   make(map[trajectory.TrajID]struct{}),
@@ -131,7 +126,7 @@ func NewLayer(g *grid.Grid, baseN, sketchM int) *Layer {
 func (l *Layer) insert(id trajectory.TrajID, tr trajectory.Trajectory) *entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := newEntry(tr, l.sketchM, l.g.Region())
+	e := newEntry(tr, l.g.Region())
 	l.trajs[id] = e
 	if int(id) >= l.idSpace {
 		l.idSpace = int(id) + 1
@@ -199,7 +194,7 @@ func (l *Layer) mutations() int { return int(l.muts.Load()) }
 func (l *Layer) rebound(g *grid.Grid, baseN int) *Layer {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	nl := NewLayer(g, baseN, l.sketchM)
+	nl := NewLayer(g, baseN)
 	if l.idSpace > nl.idSpace {
 		nl.idSpace = l.idSpace
 	}
@@ -208,7 +203,7 @@ func (l *Layer) rebound(g *grid.Grid, baseN int) *Layer {
 		ne := e
 		// The region may have changed; recompute overflow against it.
 		if overflow := entryOverflows(e, region); overflow != e.overflow {
-			ne = &entry{src: e.src, pts: e.pts, acts: e.acts, postings: e.postings, tas: e.tas, overflow: overflow}
+			ne = &entry{src: e.src, pts: e.pts, acts: e.acts, postings: e.postings, overflow: overflow}
 		}
 		nl.trajs[id] = ne
 		nl.register(id, ne)
@@ -248,7 +243,7 @@ func (l *Layer) absorb(other *Layer) {
 func (l *Layer) memBytes() int64 {
 	var n int64
 	for _, e := range l.trajs {
-		n += 64 + int64(len(e.pts))*16 + int64(len(e.acts))*4 + e.tas.MemBytes()
+		n += 64 + int64(len(e.pts))*16 + int64(len(e.acts))*4
 		for _, pl := range e.postings {
 			n += pl.MemBytes()
 		}

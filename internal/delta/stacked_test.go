@@ -48,7 +48,7 @@ func TestStackedLayersDifferential(t *testing.T) {
 	// active layer freezes under a fresh one.
 	d.mu.Lock()
 	cur := d.gen.Load()
-	fresh := NewLayer(cur.idx.Grid(), d.nextID, cur.ts.SketchIntervals())
+	fresh := NewLayer(cur.idx.Grid(), d.nextID)
 	d.gen.Store(newGeneration(cur.epoch+1, cur.ds, cur.ts, cur.idx, cur.active, fresh))
 	cur.retire()
 	d.mu.Unlock()

@@ -11,7 +11,7 @@ import (
 
 // TestViewEntry: the evaluator's one lookup per delta candidate finds a
 // trajectory in the frozen layer and in the active one, hands back its
-// sketch, activities, posting lists and coordinates together, answers the
+// activities, posting lists and coordinates together, answers the
 // zero entry for an ID no layer holds, and serves the latest record of an
 // ID that was tombstoned and inserted again (masking a tombstoned ID is
 // retrieval's job, not the lookup's).
@@ -29,9 +29,9 @@ func TestViewEntry(t *testing.T) {
 	again := traj(pt(4, 4, 3), pt(5, 5, 8), pt(6, 6, 3))
 
 	const baseN = 10
-	frozen := NewLayer(g, baseN, 4)
+	frozen := NewLayer(g, baseN)
 	frozen.insert(baseN, inFrozen)
-	active := NewLayer(g, baseN+1, 4)
+	active := NewLayer(g, baseN+1)
 	active.insert(baseN+1, inActive)
 	v := &view{layers: []*Layer{frozen, active}, baseN: baseN}
 
@@ -49,9 +49,6 @@ func TestViewEntry(t *testing.T) {
 		if !ent.Acts.Equal(tr.ActivityUnion()) || len(ent.Lists) != len(ent.Acts) {
 			t.Fatalf("id %d: activities %v with %d lists, want %v", id, ent.Acts, len(ent.Lists), tr.ActivityUnion())
 		}
-		if !ent.TAS.CoversAll(ent.Acts) {
-			t.Fatalf("id %d: sketch %v dismisses %v", id, ent.TAS, ent.Acts)
-		}
 		for i, a := range ent.Acts {
 			var want []uint32
 			for pi, p := range tr.Pts {
@@ -67,7 +64,7 @@ func TestViewEntry(t *testing.T) {
 	require(baseN, inFrozen)
 	require(baseN+1, inActive)
 	for _, id := range []trajectory.TrajID{3, baseN + 2} { // a base ID, an unassigned one
-		if ent := v.Entry(id); ent.TAS != nil || ent.Acts != nil || ent.Lists != nil || ent.Coords != nil {
+		if ent := v.Entry(id); ent.Acts != nil || ent.Lists != nil || ent.Coords != nil {
 			t.Fatalf("id %d: entry %+v for a trajectory no layer holds", id, ent)
 		}
 	}

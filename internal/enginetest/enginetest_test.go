@@ -160,9 +160,8 @@ func TestEnginesAgreeOATSQ(t *testing.T) {
 	}
 }
 
-// TestGATVariantsAgree checks that the ablation switches (loose lower
-// bound, no TAS) and different grid depths do not change results, only
-// work done.
+// TestGATVariantsAgree checks that the ablation switch (loose lower
+// bound) and different grid depths do not change results, only work done.
 func TestGATVariantsAgree(t *testing.T) {
 	ds := testDataset(t)
 	ts, err := evaluate.BuildTrajStore(ds, evaluate.TrajStoreConfig{})
@@ -172,7 +171,6 @@ func TestGATVariantsAgree(t *testing.T) {
 	cfgs := []gat.Config{
 		{Depth: 6, MemLevels: 4},
 		{Depth: 6, MemLevels: 4, LooseLowerBound: true},
-		{Depth: 6, MemLevels: 4, DisableTAS: true},
 		{Depth: 5, MemLevels: 5},
 		{Depth: 8, MemLevels: 4, Lambda: 4, NearCells: 2},
 	}

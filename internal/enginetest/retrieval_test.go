@@ -84,9 +84,10 @@ func (w world) grid(t testing.TB) *grid.Grid {
 }
 
 // bruteScan scores every trajectory against req with the matcher over rows
-// built from all its points — no index, no sketch filter, no shared bound —
-// and returns, in ascending (Dist, ID) order, every trajectory a search may
-// report: those that match at all and, with InitialBound, within it.
+// built from all its points — no index, no containment screen, no shared
+// bound — and returns, in ascending (Dist, ID) order, every trajectory a
+// search may report: those that match at all and, with InitialBound,
+// within it.
 func bruteScan(trajs []trajectory.Trajectory, req query.Request) []query.Result {
 	var m matcher.Matcher
 	var rs []query.Result

@@ -9,6 +9,8 @@ import (
 
 	"activitytraj/internal/cache"
 	"activitytraj/internal/dataset"
+	"activitytraj/internal/geo"
+	"activitytraj/internal/invindex"
 	"activitytraj/internal/matcher"
 	"activitytraj/internal/query"
 	"activitytraj/internal/trajectory"
@@ -80,23 +82,6 @@ func TestTrajStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTASNoFalseDismissal: the sketch must cover every activity the
-// trajectory actually contains.
-func TestTASNoFalseDismissal(t *testing.T) {
-	ds := smallDataset(t)
-	ts, err := BuildTrajStore(ds, TrajStoreConfig{SketchIntervals: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	for ti := range ds.Trajs {
-		union := ds.Trajs[ti].ActivityUnion()
-		if !ts.TAS(ds.Trajs[ti].ID).CoversAll(union) {
-			t.Fatalf("traj %d: TAS dismissed its own activities", ti)
-		}
-	}
-}
-
 // TestEvaluatorAgainstDirectComputation: ScoreATSQ/ScoreOATSQ must equal
 // the matcher run on rows built straight from the in-memory points.
 func TestEvaluatorAgainstDirectComputation(t *testing.T) {
@@ -129,7 +114,7 @@ func TestEvaluatorAgainstDirectComputation(t *testing.T) {
 			if !eqInf(got, want) {
 				t.Fatalf("traj %d: scored %v, direct %v", ti, got, want)
 			}
-		case RejectedSketch, RejectedAPL:
+		case RejectedAPL:
 			if want != matcher.Inf {
 				t.Fatalf("traj %d: rejected but direct Dmm = %v", ti, want)
 			}
@@ -263,8 +248,9 @@ func TestSparseCoordsMatchFull(t *testing.T) {
 // TestHeaderOnlyRejectAccounting: a candidate lacking a query activity is
 // rejected on the in-memory directory — counted in HeaderOnlyRejects, and
 // charged no page, no cache lookup and no decoded byte, with nothing
-// inserted into the APL cache; a scored one decodes only the queried
-// activities' blocks.
+// inserted into the APL cache; a delta-resident one is rejected on its
+// entry's activity set, counted in APLRejected only; a scored one decodes
+// only the queried activities' blocks.
 func TestHeaderOnlyRejectAccounting(t *testing.T) {
 	ds := smallDataset(t)
 	ts, err := BuildTrajStore(ds, TrajStoreConfig{})
@@ -273,7 +259,6 @@ func TestHeaderOnlyRejectAccounting(t *testing.T) {
 	}
 	defer ts.Close()
 	ev := NewEvaluator(ts)
-	ev.UseSketch = false // force the reject onto the directory
 
 	// An activity no trajectory carries guarantees rejection.
 	var absent trajectory.ActivityID = 9999
@@ -298,6 +283,26 @@ func TestHeaderOnlyRejectAccounting(t *testing.T) {
 		t.Fatalf("reject touched the store: pool %+v → %+v, APL cache %+v with %d entries (had %d)",
 			pool, ts.PoolStats(), ts.CacheStats(), ts.aplCache.Len(), cached)
 	}
+
+	// A delta-resident candidate lacking the query activity is an exact
+	// reject too, but not a header-only one: it has no header.
+	deltaID := trajectory.TrajID(ts.NumTrajs())
+	ev.SetDelta(deltaEntries{deltaID: {
+		Acts:   trajectory.ActivitySet{tr.Pts[0].Acts[0]},
+		Lists:  []invindex.PostingList{{0}},
+		Coords: []geo.Point{tr.Pts[0].Loc},
+	}})
+	stats = query.SearchStats{}
+	if _, out, err = ev.ScoreATSQ(q, deltaID, matcher.Inf, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if out != RejectedAPL {
+		t.Fatalf("delta outcome %v, want RejectedAPL", out)
+	}
+	if stats.APLRejected != 1 || stats.HeaderOnlyRejects != 0 || stats.PageReads != 0 {
+		t.Fatalf("delta stats %+v: want one APL reject, no header-only reject, no page", stats)
+	}
+	ev.SetDelta(nil)
 
 	// A scored candidate must decode only the queried activities' blocks.
 	present := tr.Pts[0].Acts[0]
@@ -454,3 +459,8 @@ func TestPrefetchBatchReadsUncachedHeaders(t *testing.T) {
 		}
 	}
 }
+
+// deltaEntries is a DeltaSource over a fixed set of entries.
+type deltaEntries map[trajectory.TrajID]DeltaEntry
+
+func (d deltaEntries) Entry(id trajectory.TrajID) DeltaEntry { return d[id] }

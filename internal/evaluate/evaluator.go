@@ -8,7 +8,6 @@ import (
 	"activitytraj/internal/invindex"
 	"activitytraj/internal/matcher"
 	"activitytraj/internal/query"
-	"activitytraj/internal/sketch"
 	"activitytraj/internal/trajectory"
 )
 
@@ -24,10 +23,9 @@ type DeltaSource interface {
 }
 
 // DeltaEntry is one delta-resident trajectory as the evaluator reads it —
-// the in-memory counterpart of a TAS, an APL and a coordinate segment. The
-// slices are shared with the source and must not be modified.
+// the in-memory counterpart of a directory entry, an APL and a coordinate
+// segment. The slices are shared with the source and must not be modified.
 type DeltaEntry struct {
-	TAS sketch.Sketch
 	// Acts is the trajectory's ascending activity set and Lists[i] the
 	// ascending indexes of the points carrying Acts[i].
 	Acts   trajectory.ActivitySet
@@ -43,8 +41,6 @@ const (
 	// (the distance may still be +Inf if it exceeded the pruning threshold
 	// or, for OATSQ, no order-compliant match exists).
 	Scored Outcome = iota
-	// RejectedSketch: the TAS did not cover the query activities.
-	RejectedSketch
 	// RejectedAPL: the trajectory's exact activity set (the store's
 	// directory, a delta entry's Acts) is missing a query activity.
 	RejectedAPL
@@ -61,9 +57,6 @@ const (
 type Evaluator struct {
 	ts *TrajStore
 	m  matcher.Matcher
-	// UseSketch enables the TAS pre-filter (GAT and the tree baselines use
-	// it; IL's candidates come pre-validated by construction).
-	UseSketch bool
 
 	// delta, when set, serves candidates whose ID is at or beyond the base
 	// store's trajectory count from memory instead of disk.
@@ -107,9 +100,9 @@ type Evaluator struct {
 	slots   []int
 }
 
-// NewEvaluator returns an evaluator over ts with the sketch filter enabled.
+// NewEvaluator returns an evaluator over ts.
 func NewEvaluator(ts *TrajStore) *Evaluator {
-	return &Evaluator{ts: ts, UseSketch: true}
+	return &Evaluator{ts: ts}
 }
 
 // SetDelta attaches a delta source: candidates with IDs at or beyond the
@@ -196,14 +189,13 @@ func (e *Evaluator) ScoreOATSQ(q query.Query, id trajectory.TrajID, threshold fl
 	return e.m.MinOrderMatch(n, rows, threshold), Scored, nil
 }
 
-// prepare runs the shared validation pipeline: TAS check, then exact
-// containment against the candidate's activity set (both in memory: a
-// candidate lacking a query activity touches no cache, pool or decoder),
-// then APL fetch (cached/disk, header pages only), lazy posting-block decode
-// for the query activities, sparse coordinate fetch (only pages holding
-// needed points), row build. It returns the candidate rows and the
-// trajectory length. The rows alias evaluator scratch and are valid until
-// the next prepare.
+// prepare runs the shared validation pipeline: exact containment against
+// the candidate's activity set (in memory: a candidate lacking a query
+// activity touches no cache, pool or decoder), then APL fetch (cached/disk,
+// header pages only), lazy posting-block decode for the query activities,
+// sparse coordinate fetch (only pages holding needed points), row build.
+// It returns the candidate rows and the trajectory length. The rows alias
+// evaluator scratch and are valid until the next prepare.
 //
 // The candidate's activity set — the store's directory entry, or a delta
 // entry's Acts — is resolved against the query's activities once
@@ -223,17 +215,12 @@ func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, stats *query.Se
 
 	inDelta := e.delta != nil && int(id) >= e.ts.NumTrajs()
 	var ent DeltaEntry
-	var tas sketch.Sketch
 	var acts []trajectory.ActivityID
 	if inDelta {
 		ent = e.delta.Entry(id)
-		tas, acts = ent.TAS, ent.Acts
+		acts = ent.Acts
 	} else {
-		tas, acts = e.ts.TAS(id), e.ts.activities(id)
-	}
-	if e.UseSketch && !tas.CoversAll(all) {
-		stats.SketchRejected++
-		return nil, 0, RejectedSketch, nil
+		acts = e.ts.activities(id)
 	}
 	if !locateActs(acts, all, pos) {
 		stats.APLRejected++

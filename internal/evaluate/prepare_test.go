@@ -107,7 +107,7 @@ func TestBitmapRowsEqualPointScan(t *testing.T) {
 					}
 					want := matcher.BuildRowsFromPoints(q.Pts, pts)
 					if !tr.ActivityUnion().ContainsAll(q.AllActs()) {
-						if out != RejectedAPL && out != RejectedSketch {
+						if out != RejectedAPL {
 							t.Fatalf("%d points: outcome %v for a trajectory lacking a query activity", len(tr.Pts), out)
 						}
 						continue

@@ -1,7 +1,7 @@
 // Package evaluate provides the candidate-evaluation machinery shared by
 // every engine: a disk-resident trajectory store (point coordinates and
 // Activity Posting Lists, fetched through a counting buffer pool), the
-// in-memory Trajectory Activity Sketches, and an Evaluator that validates
+// in-memory activity directory, and an Evaluator that validates
 // candidates and computes their (order-sensitive) minimum match distance.
 //
 // The paper's experimental design holds everything but candidate retrieval
@@ -21,14 +21,13 @@ import (
 	"activitytraj/internal/geo"
 	"activitytraj/internal/invindex"
 	"activitytraj/internal/query"
-	"activitytraj/internal/sketch"
 	"activitytraj/internal/storage"
 	"activitytraj/internal/trajectory"
 )
 
 // TrajStore keeps every trajectory's coordinates and Activity Posting List
 // (APL, GAT component iv) on simulated disk, with small in-memory
-// directories and the Trajectory Activity Sketches (TAS, component iii).
+// directories.
 // A sharded LRU of decoded APLs sits in front of the disk store so repeated
 // candidates — within one query or across concurrent queries — skip both
 // the page reads and the varint decode. All read paths are safe for
@@ -52,8 +51,6 @@ type TrajStore struct {
 	aplHdrLens   []uint32 // byte length of each APL's header prefix
 	numPts       []uint32 // point count per trajectory
 	coordHdrLens []uint8  // uvarint length of each coord segment's count prefix
-	tas          []sketch.Sketch
-	sketchM      int
 	actOff       []uint32
 	acts         []trajectory.ActivityID
 	aplCache     *cache.Sharded[trajectory.TrajID, *APL]        // nil when disabled
@@ -82,8 +79,6 @@ func (cb *coordBlock) mark(idx uint32) {
 
 // TrajStoreConfig controls construction.
 type TrajStoreConfig struct {
-	// SketchIntervals is the paper's M: intervals per trajectory sketch.
-	SketchIntervals int
 	// PoolPages is the buffer pool capacity in 4 KiB pages.
 	PoolPages int
 	// FilePath, when non-empty, backs the store with a file instead of the
@@ -98,9 +93,6 @@ type TrajStoreConfig struct {
 	CoordCacheEntries int
 }
 
-// DefaultSketchIntervals is the default TAS interval count M.
-const DefaultSketchIntervals = 4
-
 // DefaultPoolPages is the default buffer pool capacity (4 MiB).
 const DefaultPoolPages = 1024
 
@@ -111,11 +103,9 @@ const DefaultAPLCacheEntries = 8192
 // (trajectories, not points; entries hold only the points actually read).
 const DefaultCoordCacheEntries = 8192
 
-// BuildTrajStore lays the dataset out on disk and builds the sketches.
+// BuildTrajStore lays the dataset out on disk and builds the in-memory
+// directories.
 func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, error) {
-	if cfg.SketchIntervals <= 0 {
-		cfg.SketchIntervals = DefaultSketchIntervals
-	}
 	if cfg.PoolPages <= 0 {
 		cfg.PoolPages = DefaultPoolPages
 	}
@@ -137,8 +127,6 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		aplHdrLens:   make([]uint32, len(ds.Trajs)),
 		numPts:       make([]uint32, len(ds.Trajs)),
 		coordHdrLens: make([]uint8, len(ds.Trajs)),
-		tas:          make([]sketch.Sketch, len(ds.Trajs)),
-		sketchM:      cfg.SketchIntervals,
 		actOff:       make([]uint32, len(ds.Trajs)+1),
 	}
 	if cfg.APLCacheEntries >= 0 {
@@ -179,9 +167,7 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		ts.aplRefs[i] = ref
 		ts.aplHdrLens[i] = uint32(hdrLen)
 
-		union := tr.ActivityUnion()
-		ts.tas[i] = sketch.Build(union, cfg.SketchIntervals)
-		ts.acts = append(ts.acts, union...)
+		ts.acts = append(ts.acts, tr.ActivityUnion()...)
 		ts.actOff[i+1] = uint32(len(ts.acts))
 	}
 	if err := store.Seal(); err != nil {
@@ -200,18 +186,11 @@ func (ts *TrajStore) NumTrajs() int { return len(ts.coordRefs) }
 // directory; no disk access).
 func (ts *TrajStore) NumPoints(id trajectory.TrajID) int { return int(ts.numPts[id]) }
 
-// TAS returns the activity sketch of trajectory id.
-func (ts *TrajStore) TAS(id trajectory.TrajID) sketch.Sketch { return ts.tas[id] }
-
 // activities returns trajectory id's ascending activity set: its slice of
 // the directory, capped so an append can never reach a neighbour's.
 func (ts *TrajStore) activities(id trajectory.TrajID) []trajectory.ActivityID {
 	return ts.acts[ts.actOff[id]:ts.actOff[id+1]:ts.actOff[id+1]]
 }
-
-// SketchIntervals returns the effective TAS interval count M, so layered
-// structures (the delta index) can sketch new trajectories identically.
-func (ts *TrajStore) SketchIntervals() int { return ts.sketchM }
 
 // FetchCoords reads a trajectory's point locations from disk.
 func (ts *TrajStore) FetchCoords(id trajectory.TrajID) ([]geo.Point, error) {
@@ -590,15 +569,10 @@ func (ts *TrajStore) DiskBytes() int64 { return ts.store.DiskBytes() }
 // per (trajectory, distinct activity) pair plus 4 per trajectory.
 func (ts *TrajStore) ActivityDirBytes() int64 { return 4 * int64(len(ts.acts)+len(ts.actOff)) }
 
-// MemBytes returns the in-memory footprint of the store: directories
-// (segment refs, point counts, header lengths, the activity directory) plus
-// sketches (8 bytes per interval, as the paper counts).
+// MemBytes returns the in-memory footprint of the store's directories:
+// segment refs, point counts, header lengths and the activity directory.
 func (ts *TrajStore) MemBytes() int64 {
-	n := int64(len(ts.coordRefs))*(12+12+4+4+1) + ts.ActivityDirBytes()
-	for _, s := range ts.tas {
-		n += s.MemBytes()
-	}
-	return n
+	return int64(len(ts.coordRefs))*(12+12+4+4+1) + ts.ActivityDirBytes()
 }
 
 // Close releases the underlying pager.

@@ -10,8 +10,9 @@
 //	(ii)  ITL — Inverted Trajectory List: per leaf cell and activity, the
 //	      trajectories with a matching point inside the cell (in memory,
 //	      grouped by activity: see itlArena).
-//	(iii) TAS — Trajectory Activity Sketch: per trajectory, M intervals
-//	      summarizing its activity IDs (in memory, shared TrajStore).
+//	(iii) TAS — Trajectory Activity Sketch: a per-trajectory pre-filter
+//	      over activity IDs. Retired: the shared TrajStore's exact
+//	      in-memory activity directory makes every decision it made.
 //	(iv)  APL — Activity Posting List: per trajectory and activity, the
 //	      matching point indexes (on disk, shared TrajStore).
 //
@@ -19,12 +20,12 @@
 // expansion retrieves candidates near any query location that contain at
 // least one of its activities, a lower bound for all unseen trajectories is
 // maintained from the nearest unvisited cells (Algorithm 2), candidates are
-// validated through TAS and APL, and match distances are computed with the
-// shared evaluator. One departure from Algorithm 1: the descent stops above
-// the leaf level wherever the query's activities are sparse — a popped
-// cell with few lists of its mask below it has them all pulled from the ITL
-// in that pop (see NextBatch) — which changes how many cells are popped,
-// never what is answered.
+// validated against the activity directory and APL, and match distances
+// are computed with the shared evaluator. One departure from Algorithm 1:
+// the descent stops above the leaf level wherever the query's activities
+// are sparse — a popped cell with few lists of its mask below it has them
+// all pulled from the ITL in that pop (see NextBatch) — which changes how
+// many cells are popped, never what is answered.
 package gat
 
 import (
@@ -55,8 +56,6 @@ type Config struct {
 	// posting lists (0 selects DefaultHICLCacheEntries). The cache is
 	// shared by every search over the index.
 	HICLCacheEntries int
-	// DisableTAS switches off the sketch pre-filter (ablation A2).
-	DisableTAS bool
 	// LooseLowerBound replaces Algorithm 2 with the "straightforward"
 	// bound — the priority queue's head distance (ablation A1).
 	LooseLowerBound bool

@@ -273,16 +273,16 @@ func TestMemBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc, bf := coarse.Breakdown(), fine.Breakdown()
-	if bc.HICL <= 0 || bc.ITL <= 0 || bc.TAS <= 0 {
+	if bc.HICL <= 0 || bc.ITL <= 0 || bc.Directories <= 0 {
 		t.Fatalf("breakdown has zero component: %+v", bc)
 	}
-	if bc.Total != bc.HICL+bc.ITL+bc.TAS+bc.Directories {
+	if bc.Total != bc.HICL+bc.ITL+bc.Directories {
 		t.Fatalf("total mismatch: %+v", bc)
 	}
-	// The store's exact activity directory is itemized under Directories,
-	// not folded into the sketches.
-	if acts := ts.ActivityDirBytes(); acts <= 0 || bc.Directories < acts || bc.TAS+acts != ts.MemBytes() {
-		t.Fatalf("activity directory (%d B) misplaced: %+v", acts, bc)
+	// The store's directories, the exact activity directory among them,
+	// are itemized under Directories.
+	if acts := ts.ActivityDirBytes(); acts <= 0 || ts.MemBytes() <= acts || bc.Directories < ts.MemBytes() {
+		t.Fatalf("store directories (%d B, activities %d B) misplaced: %+v", ts.MemBytes(), acts, bc)
 	}
 	if bf.HICL <= bc.HICL {
 		t.Fatalf("finer grid should cost more HICL memory: %d vs %d", bf.HICL, bc.HICL)

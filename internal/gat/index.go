@@ -269,8 +269,7 @@ func (idx *Index) Store() *evaluate.TrajStore { return idx.ts }
 type MemBreakdown struct {
 	HICL        int64 // in-memory levels of the hierarchical inverted cell list
 	ITL         int64 // inverted trajectory lists
-	TAS         int64 // trajectory activity sketches and segment directories (in the TrajStore)
-	Directories int64 // HICL segment directory + the TrajStore's exact activity directory
+	Directories int64 // HICL segment directory + the TrajStore's segment and exact activity directories
 	Total       int64
 }
 
@@ -287,10 +286,8 @@ func (idx *Index) Breakdown() MemBreakdown {
 	}
 	t := &idx.itl // five slices of 4-byte elements
 	b.ITL = 4 * int64(len(t.acts)+len(t.actOff)+len(t.entZ)+len(t.postOff)+len(t.posts))
-	acts := idx.ts.ActivityDirBytes() // the price of rejecting without I/O, itemized
-	b.Directories = int64(len(idx.hiclDir))*24 + acts
-	b.TAS = idx.ts.MemBytes() - acts
-	b.Total = b.HICL + b.ITL + b.TAS + b.Directories
+	b.Directories = int64(len(idx.hiclDir))*24 + idx.ts.MemBytes()
+	b.Total = b.HICL + b.ITL + b.Directories
 	return b
 }
 

@@ -61,10 +61,7 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	put([]byte(persistMagic))
 	put([]byte{persistVersion})
 	cfg := idx.cfg
-	flags := uint64(0)
-	if cfg.DisableTAS {
-		flags |= 1
-	}
+	flags := uint64(0) // bit 0 was the retired sketch ablation; Load rejects it
 	if cfg.LooseLowerBound {
 		flags |= 2
 	}
@@ -187,7 +184,6 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 		Lambda:          int(vals[2]),
 		NearCells:       int(vals[3]),
 		PoolPages:       int(vals[4]),
-		DisableTAS:      vals[5]&1 != 0,
 		LooseLowerBound: vals[5]&2 != 0,
 	}
 	var geom [3]float64 // origin X, origin Y, side
@@ -200,7 +196,10 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	// geometry; withDefaults re-derives it, and must change nothing else:
 	// the persisted fields are post-default values.
 	cfg := written.withDefaults()
-	if written.HICLCacheEntries = cfg.HICLCacheEntries; written != cfg || vals[5] > 3 || cfg.validate() != nil {
+	if vals[5]&1 != 0 {
+		bad("flags %d: bit 0, the retired TAS-ablation flag, is no longer accepted", vals[5])
+	}
+	if written.HICLCacheEntries = cfg.HICLCacheEntries; written != cfg || vals[5]&^2 != 0 || cfg.validate() != nil {
 		bad("configuration %v", vals)
 	}
 	if rerr != nil {

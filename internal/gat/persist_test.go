@@ -209,6 +209,18 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(persistMagic+"\x01"), ts); !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("version-1 header: err = %v", err)
 	}
+	// Flags bit 0 was the retired TAS ablation: WriteTo never sets it, and
+	// Load refuses a stream that does, naming the flag.
+	retired := bytes.Clone(whole.Bytes())
+	off := len(persistMagic) + 1
+	for range 5 { // depth, mem levels, λ, near cells, pool pages
+		_, n := binary.Uvarint(retired[off:])
+		off += n
+	}
+	retired[off] |= 1
+	if _, err := Load(bytes.NewReader(retired), ts); !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "retired TAS-ablation flag") {
+		t.Fatalf("flags bit 0: err = %v", err)
+	}
 }
 
 // itlCell is one leaf of a hand-written ITL section: its Z and, per list, the

@@ -35,7 +35,6 @@ func NewEngine(idx *Index) *Engine { return NewEngineWithOverlay(idx, nil) }
 // newSearcher builds one scratch set for the free list.
 func (e *Engine) newSearcher() *searcher {
 	ev := evaluate.NewEvaluator(e.idx.ts)
-	ev.UseSketch = !e.idx.cfg.DisableTAS
 	if e.ov != nil {
 		ev.SetDelta(e.ov)
 	}

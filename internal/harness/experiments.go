@@ -301,12 +301,9 @@ func (s *Suite) DatasetStats(w io.Writer) error {
 	return nil
 }
 
-// Ablations measures the design choices GAT layers together: the tight
-// lower bound of Algorithm 2 vs the naive queue-head bound (A1) and the
-// TAS pre-filter (A2), reporting candidates, page reads and latency. A2
-// isolates the sketch's CPU saving: a candidate the sketch would have
-// rejected is rejected by the store's exact activity directory instead,
-// also without I/O, so the pages column does not move with it.
+// Ablations measures the tight lower bound of Algorithm 2 against the
+// naive queue-head bound (A1), reporting candidates, directory rejects,
+// page reads and latency.
 func (s *Suite) Ablations(w io.Writer) error {
 	for _, dsName := range s.opts.Datasets {
 		ds, err := s.Dataset(dsName)
@@ -327,11 +324,10 @@ func (s *Suite) Ablations(w io.Writer) error {
 		}{
 			{"GAT (full)", gat.Config{}},
 			{"loose LB (A1)", gat.Config{LooseLowerBound: true}},
-			{"no TAS (A2)", gat.Config{DisableTAS: true}},
 		}
 		tab := NewTable(
-			fmt.Sprintf("Ablations — GAT variants on %s (ATSQ, avg per query; A2 costs CPU only: the activity directory rejects without I/O either way)", dsName),
-			"variant", "ms", "candidates", "sketch-rej", "hdr-rej", "pages", "KB-decoded")
+			fmt.Sprintf("Ablations — GAT variants on %s (ATSQ, avg per query)", dsName),
+			"variant", "ms", "candidates", "hdr-rej", "pages", "KB-decoded")
 		for _, v := range variants {
 			idx, err := gat.Build(st.TS, v.cfg)
 			if err != nil {
@@ -343,7 +339,6 @@ func (s *Suite) Ablations(w io.Writer) error {
 				return err
 			}
 			tab.AddRow(v.name, ms(res.AvgMs()), cnt(res.AvgCandidates()),
-				cnt(float64(res.Stats.SketchRejected)/float64(res.Queries)),
 				cnt(float64(res.Stats.HeaderOnlyRejects)/float64(res.Queries)),
 				cnt(res.AvgPageReads()),
 				ms(res.AvgKBDecoded()))

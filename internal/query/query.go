@@ -1,7 +1,7 @@
 // Package query defines the query and result types shared by the GAT engine
 // and the three baselines, plus the per-search statistics every engine
-// reports so experiments can attribute costs (candidates retrieved, sketch
-// rejections, disk page reads, ...).
+// reports so experiments can attribute costs (candidates retrieved,
+// containment rejections, disk page reads, ...).
 package query
 
 import (
@@ -92,9 +92,13 @@ type Result struct {
 // its expansion reaches and probes the resolved set directly afterwards, so
 // the HICL's share does not scale with PQPops.
 type SearchStats struct {
-	Candidates      int // distinct trajectories retrieved as candidates
-	SketchRejected  int // candidates rejected by the TAS check
-	APLRejected     int // candidates lacking a query activity (exact check; GAT screens base candidates in retrieval, before the TAS)
+	Candidates int // distinct trajectories retrieved as candidates
+	// SketchRejected is retired and always 0: it counted rejects by the
+	// paper's activity sketch, whose every decision the exact activity
+	// directory now makes (APLRejected). It stays because it is a field of
+	// the /v1/search stats that routers decode from their nodes.
+	SketchRejected  int
+	APLRejected     int // candidates lacking a query activity (exact check; GAT screens base candidates in retrieval)
 	OrderRejected   int // candidates rejected by the MIB order filter (OATSQ)
 	Scored          int // candidates whose match distance was computed
 	PQPops          int // priority-queue pops during candidate retrieval

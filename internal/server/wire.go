@@ -170,13 +170,17 @@ func SearchResponseJSON(qresp query.Response, took time.Duration) SearchResponse
 
 // toActs resolves a wire point's activity IDs and names into a normalized
 // set. Inserts must stay within the vocabulary (the index would reject them
-// later with a server-side status otherwise); searches may reference any ID
-// and simply match nothing.
+// later with a server-side status otherwise); searches may reference any
+// representable ID and simply match nothing. An ID beyond 32 bits is
+// refused rather than wrapped onto a real activity.
 func toActs(vocab *trajectory.Vocabulary, p QueryPointJSON, forInsert bool) (trajectory.ActivitySet, error) {
 	ids := make([]trajectory.ActivityID, 0, len(p.Acts)+len(p.Names))
 	for _, a := range p.Acts {
 		if a < 0 {
 			return nil, fmt.Errorf("negative activity ID %d", a)
+		}
+		if uint64(a) > math.MaxUint32 {
+			return nil, fmt.Errorf("activity ID %d exceeds 32 bits", a)
 		}
 		if forInsert && vocab != nil && a >= vocab.Size() {
 			return nil, fmt.Errorf("activity ID %d outside vocabulary (size %d)", a, vocab.Size())

@@ -51,20 +51,27 @@ func TestDecodeJSON(t *testing.T) {
 	}
 }
 
-// TestToQueryRequestSpanValidation: malformed span options are a
-// request-shape fault caught at the wire door (every tier maps
-// ToQueryRequest errors to 400) — never an engine error surfacing as 500.
-func TestToQueryRequestSpanValidation(t *testing.T) {
+// TestToQueryRequestValidation: malformed span options and activity IDs
+// beyond 32 bits are request-shape faults caught at the wire door (every
+// tier maps ToQueryRequest and ToInsertPoints errors to 400) — never an
+// engine error surfacing as 500, and never an ID wrapped onto a real
+// activity.
+func TestToQueryRequestValidation(t *testing.T) {
 	pts := []QueryPointJSON{{X: 1, Y: 2, Acts: []int{1}}}
+	wide := []QueryPointJSON{{X: 1, Y: 2, Acts: []int{5 + 1<<32}}} // would wrap to activity 5
 	bad := []SearchRequest{
 		{Points: pts, K: 3, Subtrajectory: true, MinSpanPoints: 9, MaxSpanPoints: 2},
 		{Points: pts, K: 3, Subtrajectory: true, MinSpanPoints: -1},
 		{Points: pts, K: 3, MaxSpanPoints: 4}, // limits without the mode
+		{Points: wide, K: 3},
 	}
 	for i, req := range bad {
 		if _, err := ToQueryRequest(nil, req); err == nil {
-			t.Fatalf("bad span request %d accepted", i)
+			t.Fatalf("bad request %d accepted", i)
 		}
+	}
+	if _, err := ToInsertPoints(nil, wide); err == nil {
+		t.Fatal("insert of an activity ID beyond 32 bits accepted")
 	}
 	good := SearchRequest{Points: pts, K: 3, Subtrajectory: true, MaxSpanPoints: 12}
 	sreq, err := ToQueryRequest(nil, good)

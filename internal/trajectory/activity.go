@@ -7,9 +7,10 @@ package trajectory
 
 import "slices"
 
-// ActivityID identifies an activity within a Vocabulary. Following the TAS
-// construction in Section IV, IDs are assigned contiguously in descending
-// order of occurrence frequency: ID 0 is the most frequent activity.
+// ActivityID identifies an activity within a Vocabulary. IDs are assigned
+// contiguously in descending order of occurrence frequency, as Section IV
+// assigns them: ID 0 is the most frequent activity. Every generated
+// dataset, and so every recorded answer, depends on this order.
 type ActivityID uint32
 
 // ActivitySet is a sorted, duplicate-free set of activity IDs. The methods

@@ -27,7 +27,7 @@ type Trajectory struct {
 func (t *Trajectory) Len() int { return len(t.Pts) }
 
 // ActivityUnion returns the union of all activity sets along the trajectory,
-// i.e. the aggregate used by the IL baseline and the TAS component.
+// i.e. the aggregate used by the IL baseline and the activity directory.
 func (t *Trajectory) ActivityUnion() ActivitySet {
 	var total int
 	for _, p := range t.Pts {

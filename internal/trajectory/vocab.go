@@ -9,8 +9,7 @@ import (
 // Vocabulary is the pre-defined activity vocabulary A of the paper. It maps
 // between human-readable activity names and the dense frequency-ranked IDs
 // used by every index structure. IDs are assigned by descending corpus
-// frequency (ties broken by name) exactly as the Trajectory Activity Sketch
-// construction requires.
+// frequency (ties broken by name), which keeps generated datasets stable.
 type Vocabulary struct {
 	names  []string // names[id] = activity name
 	byName map[string]ActivityID
