@@ -158,17 +158,20 @@ func BenchmarkGATSearchAllocs(b *testing.B) {
 	// Warm-engine disk traffic and retrieval work of the same workload: all
 	// deterministic, so CI gates on them alongside the alloc ceiling — a
 	// pops/search ceiling is what catches a silent return to walking the
-	// grid leaf by leaf.
-	var pages, pops, cands int
+	// grid leaf by leaf. screened/search counts the candidates decided on
+	// their activity boxes without a fetch.
+	var pages, pops, cands, screened int
 	for _, q := range qs {
 		st := mustSearch(b, e, query.Request{Query: q, K: queries.DefaultK}).Stats
 		pages += st.PageReads
 		pops += st.PQPops
 		cands += st.Candidates
+		screened += st.BoxScreened
 	}
 	b.ReportMetric(float64(pages)/float64(len(qs)), "pages/search")
 	b.ReportMetric(float64(pops)/float64(len(qs)), "pops/search")
 	b.ReportMetric(float64(cands)/float64(len(qs)), "cands/search")
+	b.ReportMetric(float64(screened)/float64(len(qs)), "screened/search")
 }
 
 // scoredIDs is a query.BoundSink that records which candidates a search

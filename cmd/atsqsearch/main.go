@@ -197,9 +197,9 @@ func main() {
 		}
 		describeQuery(qi, q, ds.Vocab)
 		stats := resp.Stats
-		fmt.Printf("  %d results in %s (candidates=%d scored=%d hdr-rejects=%d pages=%d decoded=%dKB decoded-cache hit/miss=%d/%d)\n",
+		fmt.Printf("  %d results in %s (candidates=%d scored=%d box-screened=%d hdr-rejects=%d pages=%d decoded=%dKB decoded-cache hit/miss=%d/%d)\n",
 			len(resp.Results), elapsed.Round(time.Microsecond), stats.Candidates, stats.Scored,
-			stats.HeaderOnlyRejects, stats.PageReads, stats.BytesDecoded/1024,
+			stats.BoxScreened, stats.HeaderOnlyRejects, stats.PageReads, stats.BytesDecoded/1024,
 			stats.CacheHits, stats.CacheMisses)
 		printResults(resp.Results, resp.Spans, ds, *verbose)
 	}
@@ -293,8 +293,8 @@ func serveRemote(baseURL string, qs []activitytraj.Query, base server.SearchRequ
 			}
 		}
 		describeQuery(qi, q, ds.Vocab)
-		fmt.Printf("  %d results in %dus server-side (candidates=%d scored=%d shards=%d+%d skipped)\n",
-			len(results), sr.TookUS, sr.Stats.Candidates, sr.Stats.Scored,
+		fmt.Printf("  %d results in %dus server-side (candidates=%d scored=%d box-screened=%d shards=%d+%d skipped)\n",
+			len(results), sr.TookUS, sr.Stats.Candidates, sr.Stats.Scored, sr.Stats.BoxScreened,
 			sr.Stats.ShardsSearched, sr.Stats.ShardsSkipped)
 		printResults(results, spans, ds, false)
 	}

@@ -363,6 +363,13 @@
 //     three on the benchmark corpus — reads no page, makes no cache lookup
 //     and decodes nothing (SearchStats.HeaderOnlyRejects); the readahead
 //     skips it too.
+//   - Box before fetch. Beside each activity of that set the store keeps a
+//     4-byte box of the trajectory's points carrying it, rounded outward
+//     onto a 256 × 256 lattice over the store's bounds. A candidate whose
+//     summed distance from the query points to their activities' boxes
+//     already exceeds the pruning threshold is decided at +Inf without a
+//     fetch (SearchStats.BoxScreened) — exactly the candidates the matcher
+//     would abandon, bit for bit.
 //   - Blocked APLs. An Activity Posting List segment starts with a header
 //     (activity set + per-activity block-length skip table). Fetches read
 //     only the header pages and hold the header to the in-memory set — a

@@ -202,3 +202,39 @@ func TestWithMatchesReconstructsDistance(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteQueryLocationRejected: a query point at NaN or ±Inf in X or
+// in Y has no distance to compare, so every engine family refuses it with
+// the same validation error instead of answering — before the check, GAT
+// and IL returned different IDs for a NaN location.
+func TestNonFiniteQueryLocationRejected(t *testing.T) {
+	ds := testDataset(t)
+	engines := allEngineFamilies(t, ds)
+	good := workload(t, ds, 1)[0]
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, axis := range []string{"X", "Y"} {
+			q := query.Query{Pts: append([]query.Point(nil), good.Pts...)}
+			last := &q.Pts[len(q.Pts)-1]
+			if axis == "X" {
+				last.Loc.X = v
+			} else {
+				last.Loc.Y = v
+			}
+			want := q.Validate()
+			if want == nil {
+				t.Fatalf("%s = %v: Validate accepted the query", axis, v)
+			}
+			for _, e := range engines {
+				for _, ordered := range []bool{false, true} {
+					resp, err := e.Search(context.Background(), query.Request{Query: q, K: 3, Ordered: ordered})
+					if err == nil || err.Error() != want.Error() {
+						t.Fatalf("%s %s = %v ordered=%v: error %v, want %v", e.Name(), axis, v, ordered, err, want)
+					}
+					if len(resp.Results) != 0 {
+						t.Fatalf("%s %s = %v: answered %v", e.Name(), axis, v, resp.Results)
+					}
+				}
+			}
+		}
+	}
+}

@@ -418,7 +418,9 @@ func TestDirectoryMatchesHeaders(t *testing.T) {
 			t.Fatalf("traj %d: APL activities do not alias the directory entry", ti)
 		}
 	}
-	if want := 4 * int64(total+len(ds.Trajs)+1); ts.ActivityDirBytes() != want || ts.MemBytes() <= want {
+	// An activity and its box per entry, an offset per trajectory, and the
+	// lattice's edges.
+	if want := 4*int64(2*total+len(ds.Trajs)+1) + 2*(boxCells+1)*8 + 16; ts.ActivityDirBytes() != want || ts.MemBytes() <= want {
 		t.Fatalf("ActivityDirBytes = %d, MemBytes = %d; want %d inside the total", ts.ActivityDirBytes(), ts.MemBytes(), want)
 	}
 }

@@ -1,6 +1,7 @@
 package evaluate
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -37,15 +38,21 @@ type DeltaEntry struct {
 type Outcome int
 
 const (
-	// Scored: the candidate passed validation and its distance was computed
-	// (the distance may still be +Inf if it exceeded the pruning threshold
-	// or, for OATSQ, no order-compliant match exists).
+	// Scored: the candidate passed validation and was decided against the
+	// pruning threshold — its distance was computed, or it was abandoned at
+	// +Inf because it exceeded the threshold (on its activity boxes alone,
+	// SearchStats.BoxScreened, or in the matcher), or, for OATSQ, no
+	// order-compliant match exists.
 	Scored Outcome = iota
 	// RejectedAPL: the trajectory's exact activity set (the store's
 	// directory, a delta entry's Acts) is missing a query activity.
 	RejectedAPL
 	// RejectedOrder: the MIB filter proved no order-sensitive match exists.
 	RejectedOrder
+
+	// boxScreened is prepare's report of a Scored candidate whose box lower
+	// bound exceeded the threshold: it has no rows and scores +Inf.
+	boxScreened
 )
 
 // Evaluator validates candidate trajectories and computes their match
@@ -146,120 +153,195 @@ func (e *Evaluator) filterRegion(rows []matcher.QueryRow, coords []geo.Point) {
 // minimum match distance Dmm (computations abandoning past threshold return
 // +Inf). The stats argument is updated with the outcome.
 func (e *Evaluator) ScoreATSQ(q query.Query, id trajectory.TrajID, threshold float64, stats *query.SearchStats) (float64, Outcome, error) {
-	rows, n, out, err := e.prepare(q, id, stats)
-	if out != Scored || err != nil {
+	rows, n, out, err := e.prepare(q, id, false, threshold, stats)
+	if out, ok := decided(out, err, stats); !ok {
 		return matcher.Inf, out, err
 	}
-	stats.Scored++
 	if e.sub {
 		return e.m.MinMatchSpan(n, rows, e.minSpan, e.maxSpan, threshold), Scored, nil
 	}
 	return e.m.MinMatch(rows, threshold), Scored, nil
 }
 
-// ScoreOATSQ is ScoreATSQ for the order-sensitive distance Dmom. Before the
-// dynamic program it applies the MIB order filter of Section VI-B and the
-// Lemma 3 bound: Dmm lower-bounds Dmom, so a candidate whose (much cheaper)
-// minimum match distance already exceeds the pruning threshold cannot enter
-// the top-k and skips Algorithm 4 entirely.
+// ScoreOATSQ is ScoreATSQ for the order-sensitive distance Dmom. prepare
+// applies the MIB order filter of Section VI-B; before the dynamic program
+// comes the Lemma 3 bound: Dmm lower-bounds Dmom, so a candidate whose (much
+// cheaper) minimum match distance already exceeds the pruning threshold
+// cannot enter the top-k and skips Algorithm 4 entirely.
 func (e *Evaluator) ScoreOATSQ(q query.Query, id trajectory.TrajID, threshold float64, stats *query.SearchStats) (float64, Outcome, error) {
-	rows, n, out, err := e.prepare(q, id, stats)
-	if out != Scored || err != nil {
+	rows, n, out, err := e.prepare(q, id, true, threshold, stats)
+	if out, ok := decided(out, err, stats); !ok {
 		return matcher.Inf, out, err
-	}
-	if !matcher.CheckMIB(rows) {
-		stats.OrderRejected++
-		return matcher.Inf, RejectedOrder, nil
 	}
 	if e.sub {
 		// The span-unordered distance lower-bounds the span-ordered one
 		// (Lemma 3 applies window by window), so it is the prefilter here.
 		if e.m.MinMatchSpan(n, rows, e.minSpan, e.maxSpan, threshold) == matcher.Inf {
-			stats.Scored++
 			return matcher.Inf, Scored, nil
 		}
-		stats.Scored++
 		return e.m.MinOrderMatchSpan(n, rows, e.minSpan, e.maxSpan, threshold), Scored, nil
 	}
 	if e.m.MinMatch(rows, threshold) == matcher.Inf {
-		stats.Scored++
 		return matcher.Inf, Scored, nil
 	}
-	stats.Scored++
 	return e.m.MinOrderMatch(n, rows, threshold), Scored, nil
+}
+
+// decided turns prepare's outcome into the one a Score method reports, and
+// whether the matcher still has to run: a candidate that passed validation
+// counts as Scored, and one box-screened is Scored with nothing left to do.
+func decided(out Outcome, err error, stats *query.SearchStats) (Outcome, bool) {
+	if err != nil || (out != Scored && out != boxScreened) {
+		return out, false
+	}
+	stats.Scored++
+	return Scored, out == Scored
 }
 
 // prepare runs the shared validation pipeline: exact containment against
 // the candidate's activity set (in memory: a candidate lacking a query
-// activity touches no cache, pool or decoder), then APL fetch (cached/disk,
-// header pages only), lazy posting-block decode for the query activities,
-// sparse coordinate fetch (only pages holding needed points), row build.
-// It returns the candidate rows and the trajectory length. The rows alias
-// evaluator scratch and are valid until the next prepare.
+// activity touches no cache, pool or decoder), the box screen, then APL
+// fetch (cached/disk, header pages only), lazy posting-block decode for the
+// query activities, sparse coordinate fetch (only pages holding needed
+// points), row build. It returns the candidate rows and the trajectory
+// length. The rows alias evaluator scratch and are valid until the next
+// prepare.
+//
+// The box screen (TrajStore.boxBound) decides a base candidate whose
+// distance lower bound strictly exceeds threshold as boxScreened, before
+// anything is fetched. For ordered scoring the MIB filter runs first, so
+// what it rejects stays RejectedOrder: without a Region the filter reads
+// only each row's first and last position, which the decoded lists give
+// (orderFeasible), so screen and filter both precede the coordinate fetch;
+// a Region moves those positions, so then both wait for the filtered rows.
 //
 // The candidate's activity set — the store's directory entry, or a delta
 // entry's Acts — is resolved against the query's activities once
 // (locateActs); from there on lists are addressed by that position (a base
 // candidate's header position: decodeAPLHeader holds the header to the
-// directory) and query points by slot, so no activity is looked up twice. A
-// delta-resident candidate takes the same screen and builds from its
-// in-memory entry, with no disk or cache traffic to charge.
+// directory) and query points by slot, so no activity is looked up twice.
 //
 // Disk and cache traffic is attributed to stats here, at the point of the
 // fetch, rather than by diffing the shared pool/cache counters: local
 // attribution stays exact when many searches run concurrently over the
 // same store.
-func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, stats *query.SearchStats) ([]matcher.QueryRow, int, Outcome, error) {
+func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, ordered bool, threshold float64, stats *query.SearchStats) ([]matcher.QueryRow, int, Outcome, error) {
 	all := e.queryActs(q)
 	pos, lists := e.actPos[:len(all)], e.actLists[:len(all)]
 
-	inDelta := e.delta != nil && int(id) >= e.ts.NumTrajs()
-	var ent DeltaEntry
-	var acts []trajectory.ActivityID
-	if inDelta {
-		ent = e.delta.Entry(id)
-		acts = ent.Acts
-	} else {
-		acts = e.ts.activities(id)
+	if e.delta != nil && int(id) >= e.ts.NumTrajs() {
+		return e.prepareDelta(q, e.delta.Entry(id), ordered, stats)
 	}
-	if !locateActs(acts, all, pos) {
+	if !locateActs(e.ts.activities(id), all, pos) {
 		stats.APLRejected++
-		if !inDelta {
-			stats.HeaderOnlyRejects++ // rejected without reading a block
-		}
+		stats.HeaderOnlyRejects++ // rejected without reading a block
 		return nil, 0, RejectedAPL, nil
 	}
+	lb := e.ts.boxBound(id, q.Pts, e.slots, pos)
+	if !ordered {
+		if out := screen(true, lb, threshold, stats); out != Scored {
+			return nil, 0, out, nil
+		}
+	}
 
-	var coords []geo.Point
-	if inDelta {
-		for i, p := range pos {
-			lists[i] = ent.Lists[p]
-		}
-		coords = ent.Coords
-	} else {
-		apl, blob, err := e.ts.fetchAPL(id, stats, e.blobBuf)
-		e.blobBuf = blob
-		if err != nil {
+	apl, blob, err := e.ts.fetchAPL(id, stats, e.blobBuf)
+	e.blobBuf = blob
+	if err != nil {
+		return nil, 0, Scored, err
+	}
+	// Decode exactly the query activities' blocks (memoized on the shared
+	// APL) and fetch the points the rows will touch.
+	for i, p := range pos {
+		if lists[i], err = apl.postingsAt(p, stats); err != nil {
 			return nil, 0, Scored, err
 		}
-		// Decode exactly the query activities' blocks (memoized on the
-		// shared APL) and fetch the points the rows will touch.
-		for i, p := range pos {
-			if lists[i], err = apl.postingsAt(p, stats); err != nil {
-				return nil, 0, Scored, err
-			}
+	}
+	if ordered && e.region == nil {
+		if out := screen(orderFeasible(q.Pts, e.slots, lists), lb, threshold, stats); out != Scored {
+			return nil, 0, out, nil
 		}
-		e.unionIdx(lists, e.ts.NumPoints(id))
-		coords, err = e.ts.fetchCoordsSparse(id, e.needIdx, &e.coordsBuf, stats)
-		if err != nil {
-			return nil, 0, Scored, err
-		}
+	}
+	e.unionIdx(lists, e.ts.NumPoints(id))
+	coords, err := e.ts.fetchCoordsSparse(id, e.needIdx, &e.coordsBuf, stats)
+	if err != nil {
+		return nil, 0, Scored, err
 	}
 	rows := e.rb.Build(q.Pts, e.slots, lists, coords)
 	if e.region != nil {
 		e.filterRegion(rows, coords)
+		if ordered {
+			if out := screen(matcher.CheckMIB(rows), lb, threshold, stats); out != Scored {
+				return nil, 0, out, nil
+			}
+		}
 	}
 	return rows, len(coords), Scored, nil
+}
+
+// prepareDelta is prepare for a delta-resident candidate, built from its
+// in-memory entry with no disk or cache traffic to charge. It takes the
+// same containment check and MIB filter but no box screen: a shard holds
+// at most its compaction threshold of delta trajectories, and they are in
+// memory already, so a screen would save no fetch.
+func (e *Evaluator) prepareDelta(q query.Query, ent DeltaEntry, ordered bool, stats *query.SearchStats) ([]matcher.QueryRow, int, Outcome, error) {
+	all := e.allActs
+	pos, lists := e.actPos[:len(all)], e.actLists[:len(all)]
+	if !locateActs(ent.Acts, all, pos) {
+		stats.APLRejected++
+		return nil, 0, RejectedAPL, nil
+	}
+	for i, p := range pos {
+		lists[i] = ent.Lists[p]
+	}
+	rows := e.rb.Build(q.Pts, e.slots, lists, ent.Coords)
+	if e.region != nil {
+		e.filterRegion(rows, ent.Coords)
+	}
+	if ordered && !matcher.CheckMIB(rows) {
+		stats.OrderRejected++
+		return nil, 0, RejectedOrder, nil
+	}
+	return rows, len(ent.Coords), Scored, nil
+}
+
+// screen applies, in this order, the MIB verdict mib (true when the filter
+// passes or does not apply) and the box screen: lb strictly above threshold
+// decides the candidate as boxScreened. Scored means it goes on.
+func screen(mib bool, lb, threshold float64, stats *query.SearchStats) Outcome {
+	if !mib {
+		stats.OrderRejected++
+		return RejectedOrder
+	}
+	if lb > threshold {
+		stats.BoxScreened++
+		return boxScreened
+	}
+	return Scored
+}
+
+// orderFeasible is matcher.CheckMIB read off a candidate's decoded lists
+// instead of its rows: query point i's row runs from the smallest first
+// posting to the largest last posting of its activities' lists (slots, as
+// in RowBuilder.Build), which is all the filter reads of a row. It holds
+// exactly when every row is non-empty and no earlier row starts after a
+// later one ends.
+func orderFeasible(pts []query.Point, slots []int, lists [][]uint32) bool {
+	maxFirst := int64(-1)
+	for _, p := range pts {
+		first, last := int64(math.MaxInt64), int64(-1)
+		for _, slot := range slots[:len(p.Acts)] {
+			if l := lists[slot]; len(l) > 0 {
+				first = min(first, int64(l[0]))
+				last = max(last, int64(l[len(l)-1]))
+			}
+		}
+		slots = slots[len(p.Acts):]
+		if last < 0 || maxFirst > last {
+			return false
+		}
+		maxFirst = max(maxFirst, first)
+	}
+	return true
 }
 
 // unionIdx leaves in e.needIdx the ascending union of lists, whose elements
@@ -294,7 +376,7 @@ func (e *Evaluator) unionIdx(lists [][]uint32, n int) {
 // validates (it should not happen for a trajectory a search just scored)
 // returns nil.
 func (e *Evaluator) MatchSets(q query.Query, id trajectory.TrajID, ordered bool, stats *query.SearchStats) ([][]int32, error) {
-	rows, n, out, err := e.prepare(q, id, stats)
+	rows, n, out, err := e.prepare(q, id, ordered, matcher.Inf, stats)
 	if out != Scored || err != nil {
 		return nil, err
 	}

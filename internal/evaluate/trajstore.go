@@ -43,6 +43,13 @@ import (
 // position is a header position), and decodes blocks lazily per queried
 // activity. Coordinates are fixed-stride, so scoring fetches only the pages
 // holding the point indexes the match actually needs.
+//
+// Beside every directory entry sits its activity box (boxes, parallel to
+// acts): the bounding box of the trajectory's points carrying that activity,
+// quantized outward onto a boxCells × boxCells lattice over the store's
+// bounds. A query point can be matched no closer than the farthest of the
+// boxes of its activities, so a candidate whose summed box distance already
+// exceeds the search's threshold is decided without any fetch (boxBound).
 type TrajStore struct {
 	ds           *trajectory.Dataset
 	store        *storage.Store
@@ -53,6 +60,8 @@ type TrajStore struct {
 	coordHdrLens []uint8  // uvarint length of each coord segment's count prefix
 	actOff       []uint32
 	acts         []trajectory.ActivityID
+	boxes        []actBox // boxes[k] is the box of the directory entry acts[k]
+	lat          *lattice
 	aplCache     *cache.Sharded[trajectory.TrajID, *APL]        // nil when disabled
 	coordCache   *cache.Sharded[trajectory.TrajID, *coordBlock] // nil when disabled
 }
@@ -75,6 +84,68 @@ func (cb *coordBlock) has(idx uint32) bool {
 
 func (cb *coordBlock) mark(idx uint32) {
 	cb.filled[idx>>6] |= 1 << (idx & 63)
+}
+
+// boxCells is the side of the lattice activity boxes are quantized on: 256
+// cells per axis, so a box is four bytes.
+const boxCells = 256
+
+// actBox is one directory entry's box: the inclusive lattice cell ranges
+// [x0, x1] × [y0, y1] holding every point of the trajectory that carries the
+// entry's activity.
+type actBox struct{ x0, x1, y0, y1 uint8 }
+
+// lattice is the store's quantization grid: the boxCells+1 ascending cell
+// edges per axis, the first and last being the store's bounds exactly. A
+// point v lies in cell c of an axis when edges[c] <= v <= edges[c+1] in
+// float64 — the cell is found by division and then corrected against the
+// edges themselves, so a dequantized box contains its points whatever the
+// division rounded to.
+type lattice struct {
+	xs, ys     [boxCells + 1]float64
+	invX, invY float64 // boxCells / extent: +Inf for a zero extent, 0 for an overflowing one
+}
+
+func newLattice(r geo.Rect) *lattice {
+	l := &lattice{}
+	l.invX = fillEdges(&l.xs, r.MinX, r.MaxX)
+	l.invY = fillEdges(&l.ys, r.MinY, r.MaxY)
+	return l
+}
+
+// fillEdges spreads the cell edges of [lo, hi] evenly, clamped into the
+// interval so they stay ascending even when the extent overflows, and
+// returns the scale cell uses.
+func fillEdges(e *[boxCells + 1]float64, lo, hi float64) float64 {
+	w := (hi - lo) / boxCells
+	for c := 1; c < boxCells; c++ {
+		e[c] = min(max(lo+float64(c)*w, lo), hi)
+	}
+	e[0], e[boxCells] = lo, hi
+	return boxCells / (hi - lo)
+}
+
+// cell returns the cell c of axis e with e[c] <= v <= e[c+1]; v must lie
+// inside [e[0], e[boxCells]]. A zero or overflowing extent makes the first
+// guess 0 (or NaN, which fails f > 0) and the edge walk settles it.
+func cell(e *[boxCells + 1]float64, inv, v float64) uint8 {
+	c := 0
+	if f := (v - e[0]) * inv; f > 0 {
+		c = int(min(f, boxCells-1))
+	}
+	for c > 0 && e[c] > v {
+		c--
+	}
+	for c < boxCells-1 && e[c+1] < v {
+		c++
+	}
+	return uint8(c)
+}
+
+// rect dequantizes b: the union of its cells, which contains every point
+// that was put in it.
+func (l *lattice) rect(b actBox) geo.Rect {
+	return geo.Rect{MinX: l.xs[b.x0], MinY: l.ys[b.y0], MaxX: l.xs[int(b.x1)+1], MaxY: l.ys[int(b.y1)+1]}
 }
 
 // TrajStoreConfig controls construction.
@@ -128,6 +199,7 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		numPts:       make([]uint32, len(ds.Trajs)),
 		coordHdrLens: make([]uint8, len(ds.Trajs)),
 		actOff:       make([]uint32, len(ds.Trajs)+1),
+		lat:          newLattice(ds.Bounds()),
 	}
 	if cfg.APLCacheEntries >= 0 {
 		n := cfg.APLCacheEntries
@@ -148,6 +220,7 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		})
 	}
 	var buf []byte
+	var sc entryScratch
 	for i := range ds.Trajs {
 		tr := &ds.Trajs[i]
 		buf = encodeCoords(buf[:0], tr)
@@ -167,13 +240,86 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		ts.aplRefs[i] = ref
 		ts.aplHdrLens[i] = uint32(hdrLen)
 
-		ts.acts = append(ts.acts, tr.ActivityUnion()...)
+		if err := ts.appendEntry(tr, &sc); err != nil {
+			return nil, err
+		}
 		ts.actOff[i+1] = uint32(len(ts.acts))
 	}
 	if err := store.Seal(); err != nil {
 		return nil, err
 	}
 	return ts, nil
+}
+
+// entryScratch is BuildTrajStore's reusable space for appendEntry, so the
+// directory and its boxes cost no allocation per trajectory.
+type entryScratch struct {
+	pairs []uint64 // activity<<32 | point index, one per (point, activity)
+	cells []actBox // per point: the one-cell box of its location
+}
+
+// appendEntry appends tr's directory entry — its ascending activity set —
+// and the entry's activity boxes. One sort of the (activity, point) pairs
+// gives both: each run of one activity is an entry, and the run's points
+// are what its box must hold. A non-finite location has no cell and no
+// distance, so it is refused here rather than met by a search.
+func (ts *TrajStore) appendEntry(tr *trajectory.Trajectory, sc *entryScratch) error {
+	l := ts.lat
+	sc.pairs, sc.cells = sc.pairs[:0], sc.cells[:0]
+	for pi, p := range tr.Pts {
+		if !finite(p.Loc.X) || !finite(p.Loc.Y) {
+			return fmt.Errorf("evaluate: trajectory %d point %d has a non-finite location %v", tr.ID, pi, p.Loc)
+		}
+		cx, cy := cell(&l.xs, l.invX, p.Loc.X), cell(&l.ys, l.invY, p.Loc.Y)
+		sc.cells = append(sc.cells, actBox{x0: cx, x1: cx, y0: cy, y1: cy})
+		for _, a := range p.Acts {
+			sc.pairs = append(sc.pairs, uint64(a)<<32|uint64(pi))
+		}
+	}
+	slices.Sort(sc.pairs)
+	for i := 0; i < len(sc.pairs); {
+		a := sc.pairs[i] >> 32
+		b := sc.cells[uint32(sc.pairs[i])]
+		for ; i < len(sc.pairs) && sc.pairs[i]>>32 == a; i++ {
+			c := sc.cells[uint32(sc.pairs[i])]
+			b.x0, b.x1 = min(b.x0, c.x0), max(b.x1, c.x1)
+			b.y0, b.y1 = min(b.y0, c.y0), max(b.y1, c.y1)
+		}
+		ts.acts = append(ts.acts, trajectory.ActivityID(a))
+		ts.boxes = append(ts.boxes, b)
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// boxBound returns a lower bound on every match distance of base candidate
+// id — Dmm, Dmom and each span's, with or without a Region: summed forward
+// over the query points, the distance from the point to the farthest box of
+// its activities. slots is the query plan (Evaluator.queryActs) and pos the
+// directory positions of the query activities (locateActs).
+//
+// It is exact in float64, not only in the reals. A dequantized box contains
+// its points, and rounded subtraction, squaring, addition and sqrt are all
+// monotone, so each term is at most the distance from the query point to
+// any trajectory point carrying one of its activities, hence at most every
+// point match distance (a sum of such distances covering every activity).
+// The matcher sums the per-point distances forward in the same order, so
+// by the same monotonicity the bound never exceeds what it computes: a
+// candidate whose bound is strictly above the threshold is one the matcher
+// would abandon, and one exactly at it is never dropped.
+func (ts *TrajStore) boxBound(id trajectory.TrajID, pts []query.Point, slots, pos []int) float64 {
+	boxes := ts.boxes[ts.actOff[id]:ts.actOff[id+1]]
+	var sum float64
+	for _, p := range pts {
+		var far float64
+		for _, slot := range slots[:len(p.Acts)] {
+			far = max(far, ts.lat.rect(boxes[pos[slot]]).MinDistSq(p.Loc))
+		}
+		slots = slots[len(p.Acts):]
+		sum += math.Sqrt(far)
+	}
+	return sum
 }
 
 // Dataset returns the dataset the store was built from.
@@ -565,9 +711,12 @@ func (ts *TrajStore) ResetPool() {
 // DiskBytes returns the on-disk footprint.
 func (ts *TrajStore) DiskBytes() int64 { return ts.store.DiskBytes() }
 
-// ActivityDirBytes returns the footprint of the activity directory: 4 bytes
-// per (trajectory, distinct activity) pair plus 4 per trajectory.
-func (ts *TrajStore) ActivityDirBytes() int64 { return 4 * int64(len(ts.acts)+len(ts.actOff)) }
+// ActivityDirBytes returns the footprint of the activity directory: 8 bytes
+// per (trajectory, distinct activity) pair — the activity and its box — plus
+// 4 per trajectory and the lattice's edges.
+func (ts *TrajStore) ActivityDirBytes() int64 {
+	return 4*int64(len(ts.acts)+len(ts.boxes)+len(ts.actOff)) + 2*(boxCells+1)*8 + 16
+}
 
 // MemBytes returns the in-memory footprint of the store's directories:
 // segment refs, point counts, header lengths and the activity directory.

@@ -77,7 +77,13 @@ func (m *Matcher) MinOrderMatch(n int, rows []QueryRow, threshold float64) float
 	return prev[n-1] // rows were swapped after the last iteration
 }
 
-// fillOrderRow computes cur[j] = G(i,j) for all j given prev = G(i-1,·).
+// fillOrderRow computes cur[j] = G(i,j) for all j given prev = G(i-1,·);
+// cur must arrive all +Inf. G(i,j) depends on j only through the relevant
+// points at or before j, so it is computed once per relevant point r — the
+// descent from rel[r] through the earlier relevant points — and copied
+// forward up to the next relevant point: O(|rel|^2) cover-table relaxations
+// instead of O(n·|rel|). Positions before the first relevant point keep
+// +Inf.
 func (m *Matcher) fillOrderRow(n int, row *QueryRow, prev, cur []float64) {
 	if row.NumActs == 0 {
 		// Vacuous activity requirement: the empty point match costs 0 and
@@ -86,13 +92,9 @@ func (m *Matcher) fillOrderRow(n int, row *QueryRow, prev, cur []float64) {
 		return
 	}
 	rel := row.Idx
-	for j := 0; j < n; j++ {
-		// Find relevant points with index <= j; descend through them,
+	for hi := 1; hi <= len(rel); hi++ {
+		// Descend through the relevant points rel[hi-1], rel[hi-2], …,
 		// growing the window cover table, and relax against G(i-1,k).
-		hi := upperBound(rel, int32(j))
-		if hi == 0 {
-			continue // no relevant point in Tr[0..j]: G(i,j) stays +Inf
-		}
 		t := m.newSubsetTable(row.NumActs)
 		best := Inf
 		for r := hi - 1; r >= 0; r-- {
@@ -107,7 +109,13 @@ func (m *Matcher) fillOrderRow(n int, row *QueryRow, prev, cur []float64) {
 				}
 			}
 		}
-		cur[j] = best
+		end := n
+		if hi < len(rel) {
+			end = min(n, int(rel[hi]))
+		}
+		for j := int(rel[hi-1]); j < end; j++ {
+			cur[j] = best
+		}
 	}
 }
 

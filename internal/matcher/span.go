@@ -163,16 +163,17 @@ func (m *Matcher) MinOrderMatchSpan(n int, rows []QueryRow, minSpan, maxSpan int
 // spanRowMins fills m.rowSuffix with the per-row UNCONSTRAINED minimum
 // point match distances: rowSuffix[i] lower-bounds what query point i must
 // cost inside ANY span. It returns false when no whole-trajectory match
-// exists or the forward sum of the minima already strictly exceeds
-// threshold — then every span is over threshold too. (The prefix check
-// sums forward, left to right, so by monotonicity of rounded addition it
-// never exceeds the forward-summed cost of any actual window — exactness
-// at the threshold boundary is preserved bit-for-bit.)
+// exists or the running forward sum of the minima strictly exceeds
+// threshold — then every span is over threshold too. (The sum runs
+// forward, left to right, so by monotonicity of rounded addition it never
+// exceeds the forward-summed cost of any actual window — exactness at the
+// threshold boundary is preserved bit-for-bit.)
 func (m *Matcher) spanRowMins(rows []QueryRow, threshold float64) bool {
 	if cap(m.rowSuffix) < len(rows) {
 		m.rowSuffix = make([]float64, len(rows))
 	}
 	mins := m.rowSuffix[:len(rows)]
+	var total float64
 	for i := range rows {
 		row := &rows[i]
 		if row.NumActs == 0 {
@@ -187,12 +188,11 @@ func (m *Matcher) spanRowMins(rows []QueryRow, threshold float64) bool {
 			return false
 		}
 		mins[i] = d
+		if total += d; total > threshold {
+			return false
+		}
 	}
-	var total float64
-	for _, d := range mins {
-		total += d
-	}
-	return total <= threshold
+	return true
 }
 
 // spanUnionIdx returns the ascending union of all rows' trajectory point

@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 
 	"activitytraj/internal/geo"
 	"activitytraj/internal/trajectory"
@@ -53,13 +54,18 @@ func (q Query) Diameter() float64 {
 	return d
 }
 
-// Validate reports structural problems: no points, empty activity sets, or
-// oversized activity sets (Algorithm 3's subset DP uses 32-bit masks).
+// Validate reports structural problems: no points, a location that is NaN
+// or infinite (it has no distance to compare, so engines would disagree on
+// the answer), empty activity sets, or oversized activity sets (Algorithm
+// 3's subset DP uses 32-bit masks).
 func (q Query) Validate() error {
 	if len(q.Pts) == 0 {
 		return fmt.Errorf("query: no query points")
 	}
 	for i, p := range q.Pts {
+		if !finite(p.Loc.X) || !finite(p.Loc.Y) {
+			return fmt.Errorf("query: point %d location (%v, %v) is not finite", i, p.Loc.X, p.Loc.Y)
+		}
 		if len(p.Acts) == 0 {
 			return fmt.Errorf("query: point %d has no activities", i)
 		}
@@ -74,6 +80,8 @@ func (q Query) Validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Result is one entry of a top-k answer. It is deliberately a comparable
 // struct (differential tests compare result slices element-wise with ==);
@@ -100,7 +108,7 @@ type SearchStats struct {
 	SketchRejected  int
 	APLRejected     int // candidates lacking a query activity (exact check; GAT screens base candidates in retrieval)
 	OrderRejected   int // candidates rejected by the MIB order filter (OATSQ)
-	Scored          int // candidates whose match distance was computed
+	Scored          int // candidates that passed validation and were decided against the threshold (BoxScreened included)
 	PQPops          int // priority-queue pops during candidate retrieval
 	Batches         int // λ-batches of Algorithm 1
 	PageReads       int // simulated disk pages read
@@ -114,6 +122,12 @@ type SearchStats struct {
 	// directory — the same set the APL header lists — so such a reject reads
 	// no header page and makes no cache lookup either.
 	HeaderOnlyRejects int
+
+	// BoxScreened counts the Scored base candidates decided on the store's
+	// activity boxes alone: their box lower bound already exceeded the
+	// pruning threshold, so they scored +Inf without a cache lookup, a page
+	// read or a decode. It never exceeds Scored.
+	BoxScreened int
 
 	// ShardsSearched counts the shards a sharded engine's router actually
 	// fanned the query out to; ShardsSkipped counts the shards its planner
@@ -155,6 +169,7 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.CacheMisses += other.CacheMisses
 	s.DeltaCandidates += other.DeltaCandidates
 	s.HeaderOnlyRejects += other.HeaderOnlyRejects
+	s.BoxScreened += other.BoxScreened
 	s.ShardsSearched += other.ShardsSearched
 	s.ShardsSkipped += other.ShardsSkipped
 	s.ShardsFailed += other.ShardsFailed

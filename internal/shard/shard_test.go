@@ -420,3 +420,55 @@ func TestCompactAllKeepsResults(t *testing.T) {
 		requireIdentical(t, "compacted", want, got)
 	}
 }
+
+// countingLeg records the stats its wrapped leg reports for one search.
+type countingLeg struct {
+	Leg
+	st query.SearchStats
+}
+
+func (l *countingLeg) Search(ctx context.Context, req query.Request, shared *query.SharedTopK) (query.SearchStats, error) {
+	st, err := l.Leg.Search(ctx, req, shared)
+	l.st = st
+	return st, err
+}
+
+// TestRouterBoxScreenedSumsLegs: a sharded search reports as box-screened
+// exactly the candidates its legs screened, summed, and the legs do screen.
+func TestRouterBoxScreenedSumsLegs(t *testing.T) {
+	ds := testDataset(t, 600)
+	r, err := NewRouter(ds, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := r.NewEngine().scratch.New()
+	legs := make([]Leg, len(f.legs))
+	counting := make([]*countingLeg, len(f.legs))
+	for i, l := range f.legs {
+		counting[i] = &countingLeg{Leg: l}
+		legs[i] = counting[i]
+	}
+	total := 0
+	for qi, q := range workload(t, ds, 12) {
+		for _, ordered := range []bool{false, true} {
+			for _, l := range counting {
+				l.st = query.SearchStats{}
+			}
+			resp, err := f.planner.Search(context.Background(), query.Request{Query: q, K: 5, Ordered: ordered}, legs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum query.SearchStats
+			for _, l := range counting {
+				sum.Add(l.st)
+			}
+			if resp.Stats.BoxScreened != sum.BoxScreened || resp.Stats.BoxScreened > resp.Stats.Scored {
+				t.Fatalf("q%d ordered=%v: router BoxScreened %d, legs %d, Scored %d", qi, ordered, resp.Stats.BoxScreened, sum.BoxScreened, resp.Stats.Scored)
+			}
+			total += sum.BoxScreened
+		}
+	}
+	if total == 0 {
+		t.Fatal("no leg box-screened anything")
+	}
+}
