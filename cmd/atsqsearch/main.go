@@ -197,10 +197,10 @@ func main() {
 		}
 		describeQuery(qi, q, ds.Vocab)
 		stats := resp.Stats
-		fmt.Printf("  %d results in %s (candidates=%d scored=%d box-screened=%d hdr-rejects=%d pages=%d decoded=%dKB decoded-cache hit/miss=%d/%d)\n",
+		fmt.Printf("  %d results in %s (candidates=%d scored=%d box-screened=%d hdr-rejects=%d order-rejected=%d span-rejected=%d pages=%d decoded=%dKB decoded-cache hit/miss=%d/%d)\n",
 			len(resp.Results), elapsed.Round(time.Microsecond), stats.Candidates, stats.Scored,
-			stats.BoxScreened, stats.HeaderOnlyRejects, stats.PageReads, stats.BytesDecoded/1024,
-			stats.CacheHits, stats.CacheMisses)
+			stats.BoxScreened, stats.HeaderOnlyRejects, stats.OrderRejected, stats.SpanRejected,
+			stats.PageReads, stats.BytesDecoded/1024, stats.CacheHits, stats.CacheMisses)
 		printResults(resp.Results, resp.Spans, ds, *verbose)
 	}
 }
@@ -293,9 +293,9 @@ func serveRemote(baseURL string, qs []activitytraj.Query, base server.SearchRequ
 			}
 		}
 		describeQuery(qi, q, ds.Vocab)
-		fmt.Printf("  %d results in %dus server-side (candidates=%d scored=%d box-screened=%d shards=%d+%d skipped)\n",
+		fmt.Printf("  %d results in %dus server-side (candidates=%d scored=%d box-screened=%d order-rejected=%d span-rejected=%d shards=%d+%d skipped)\n",
 			len(results), sr.TookUS, sr.Stats.Candidates, sr.Stats.Scored, sr.Stats.BoxScreened,
-			sr.Stats.ShardsSearched, sr.Stats.ShardsSkipped)
+			sr.Stats.OrderRejected, sr.Stats.SpanRejected, sr.Stats.ShardsSearched, sr.Stats.ShardsSkipped)
 		printResults(results, spans, ds, false)
 	}
 	banner("%d queries answered by %s in %s\n", len(qs), baseURL, time.Since(start).Round(time.Millisecond))

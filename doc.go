@@ -369,7 +369,18 @@
 //     summed distance from the query points to their activities' boxes
 //     already exceeds the pruning threshold is decided at +Inf without a
 //     fetch (SearchStats.BoxScreened) — exactly the candidates the matcher
-//     would abandon, bit for bit.
+//     would abandon, bit for bit. Every query mode screens before the APL
+//     fetch.
+//   - Positions before coordinates. Once a candidate's query-activity
+//     posting lists are decoded, two exact tests read only point indexes:
+//     a greedy order test (ordered queries) decides whether any
+//     order-sensitive match exists, and a k-pointer sweep (subtrajectory
+//     queries) whether any window of the allowed span length holds every
+//     query activity. A candidate failing either is rejected
+//     (SearchStats.OrderRejected, SearchStats.SpanRejected) before its
+//     coordinates are fetched or a dynamic program runs. The order test
+//     replaces the paper's MIB filter, which still runs on the
+//     region-filtered rows of a Region request.
 //   - Blocked APLs. An Activity Posting List segment starts with a header
 //     (activity set + per-activity block-length skip table). Fetches read
 //     only the header pages and hold the header to the in-memory set — a

@@ -104,6 +104,11 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Dynamic, Recovery
 		if man.Version != 1 || man.Snapshot == "" {
 			return nil, ri, fmt.Errorf("delta: unsupported manifest (version %d)", man.Version)
 		}
+		// The snapshot lives in the data directory: a name that is not a
+		// bare file name (a separator, "..") would reach outside it.
+		if !filepath.IsLocal(man.Snapshot) || filepath.Base(man.Snapshot) != man.Snapshot {
+			return nil, ri, fmt.Errorf("delta: manifest names snapshot %q, not a file of the data directory", man.Snapshot)
+		}
 		ds, err = readSnapshot(opts.FS, filepath.Join(opts.Dir, man.Snapshot))
 		if err != nil {
 			return nil, ri, err

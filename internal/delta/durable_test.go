@@ -464,3 +464,60 @@ func TestDurableSyncModes(t *testing.T) {
 		})
 	}
 }
+
+// TestManifestSnapshotStaysInDir: a manifest whose snapshot name is not a
+// bare file name is refused, even when the file it names exists — the
+// snapshot is read from the data directory and nowhere else.
+func TestManifestSnapshotStaysInDir(t *testing.T) {
+	full := laPreset(t)
+	baseN := len(full.Trajs) / 2
+	root := t.TempDir()
+	dir := filepath.Join(root, "data")
+	cfg := Config{CompactThreshold: -1, Durability: Durability{Dir: dir}}
+	d, _, err := OpenOrCreate(prefix(full, baseN), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Insert(trajectory.Trajectory{Pts: full.Trajs[baseN].Pts}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "outside.atrj"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "nested"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "nested", "inside.atrj"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := func(name string) []byte {
+		return []byte(fmt.Sprintf(`{"version":1,"snapshot":%q,"last_seq":1}`, name))
+	}
+	for _, name := range []string{"../outside.atrj", "nested/../../outside.atrj", filepath.Join(root, "outside.atrj"), "nested/inside.atrj", "..", "."} {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if d, _, err := OpenOrCreate(prefix(full, baseN), cfg); err == nil {
+			d.Close()
+			t.Fatalf("snapshot %q: opened", name)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest(snapName(1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err = OpenOrCreate(prefix(full, baseN), cfg)
+	if err != nil {
+		t.Fatalf("the manifest's own snapshot name: %v", err)
+	}
+	d.Close()
+}

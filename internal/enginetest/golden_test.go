@@ -80,15 +80,29 @@ var goldenResults = [5]uint64{0x5e2417e497b92cae, 0xea6fbe565f58e365, 0x193a1360
 // read some of the pages ATSQ no longer warmed for them; every other
 // counter here, goldenResults and goldenDecisions held, and IL (whose
 // screened candidates had all been fetched by its unscreened ATSQ mode
-// already) did not move. A
-// deliberate change to retrieval order or accounting must re-record the
-// engines it touches and say why.
+// already) did not move. Every engine was re-recorded (modes OATSQ to
+// InitialBound) when the test started emptying each engine's pool and
+// decoded caches before every mode, for that cause alone: a mode's
+// PageReads became its own instead of depending on what the modes before
+// it had warmed (GAT's OATSQ 1,867 → 3,361 pages, Region 10 → 1,586,
+// Subtrajectory 1,399 → 5,056; ATSQ, which always ran first, unchanged),
+// and every other counter, goldenResults and goldenDecisions held. Every
+// engine's OATSQ and Subtrajectory were re-recorded when prepare became
+// one pipeline for every mode (box screen, then the APL, then an exact
+// position test on the decoded lists, then coordinates): an OATSQ
+// candidate is screened before its APL fetch, and one with no match of the
+// requested kind at any threshold stops before its coordinate fetch, so
+// PageReads fall (GAT's OATSQ 3,361 → 1,722, Subtrajectory 5,056 → 2,750)
+// and Scored moves as goldenDecisions records. A deliberate change to
+// retrieval order or accounting must re-record the engines it touches and
+// say why; `go test -v -run TestGoldenEngineChecksums` logs the per-mode
+// sums behind each digest.
 var goldenCounters = map[string][5]uint64{
-	"GAT":       {0xc8a0f9d252244ef8, 0x916c4164cc78becc, 0xf0bbf9633e2d76f7, 0x24c347e378abc3b3, 0x725fe578acb904f3},
-	"GAT+delta": {0x5a355cf5a5816024, 0x584df9352e8e868, 0xd3c05f10827ff821, 0x843e6105121dc0e1, 0x8db270b77f17bfa3},
-	"IL":        {0x6270b101dc65d913, 0x30a3fc22e578757d, 0x4efac8e29dc4b23b, 0xf12bad2538e8fca2, 0x717c6be9c4f50827},
-	"RT":        {0x536b0c053a72e56f, 0x6d1edd4ae455c9e4, 0x16bdcc350a4f1df8, 0xa7ee5d6bab2b94bc, 0x76b8b11822fd411d},
-	"IRT":       {0xa1c4513c397f05d8, 0x410f49cc4ec9be7f, 0x941e1337a4c6e081, 0xdc97ec15c615e3ee, 0x05ba16bda2c0aac8},
+	"GAT":       {0xc8a0f9d252244ef8, 0xb181d28363aa5c5e, 0x65947422d67116fa, 0xa9755cb465c21c41, 0xf0da4f9e8c87ef99},
+	"GAT+delta": {0x5a355cf5a5816024, 0x870832be572859d6, 0xa1cfff5e1c92896f, 0x6732e38c97f9477d, 0x53c53c1d483bb6c5},
+	"IL":        {0x6270b101dc65d913, 0x9458fbab7126ae61, 0xc205b64d51b79e82, 0xdecdbf2a56f2620b, 0x425f7a91053da1d1},
+	"RT":        {0x536b0c053a72e56f, 0x351b71ad3f18538a, 0xd279252462f7dcc6, 0xc6c7925cb5bc7040, 0xe02804c5c7fdeafc},
+	"IRT":       {0xa1c4513c397f05d8, 0x1de7906a9510f898, 0x4a47d494557dd2eb, 0x8985c45d80b4cc94, 0xb0ebc223449439cb},
 }
 
 // goldenDecisions pins the responses plus every counter that records a
@@ -113,13 +127,20 @@ var goldenCounters = map[string][5]uint64{
 // it rejected is now rejected by the activity directory (APLRejected, and
 // HeaderOnlyRejects for a base candidate): SketchRejected is hashed as the
 // zero it now always is, every other counter held per mode, and GAT, IL
-// and goldenCounters did not move.
+// and goldenCounters did not move. Every engine's OATSQ and Subtrajectory
+// were re-recorded when the exact position test replaced the MIB filter
+// and the box screen moved ahead of it: order-infeasible candidates (1,232
+// of GAT's 3,011 OATSQ Scored) and span-infeasible ones leave Scored for
+// OrderRejected and SpanRejected, and an order-infeasible candidate the
+// boxes decide first stays Scored. Per engine and mode, Candidates,
+// Batches, PQPops and the rejects before scoring are identical, and
+// Scored + OrderRejected + SpanRejected is conserved.
 var goldenDecisions = map[string][5]uint64{
-	"GAT":       {0xb1d662e44b44b550, 0x8cd3967e70695069, 0xd921fa69aa92bd3b, 0xbb24d9bd9c2398cd, 0xe4ba6b464bd42997},
-	"GAT+delta": {0x25f722a306501f9b, 0xfd1beee97cbfe599, 0x1f413eaba62f6be0, 0xe695a6aa74fe69b1, 0xa5666a1dc7440c38},
-	"IL":        {0xbc0e1ccdc254fb66, 0xb7b71a38e016b6fd, 0x93698d895354febb, 0x1e4b615b66be4122, 0x559cc172636cea67},
-	"RT":        {0xaca869942cfadc16, 0xe260a12f0ad5bf6e, 0x15830f526e6404b8, 0x5916c6ed2876cf21, 0x7a1192a16cc5fdfd},
-	"IRT":       {0x5065140ae8a55e7d, 0x445f88d61a9194b3, 0xeee0dd18bc36c971, 0x7f1c5461cb4cf33b, 0x3d972c91c79322f0},
+	"GAT":       {0xb1d662e44b44b550, 0xfd192b6ebc90cf72, 0xd921fa69aa92bd3b, 0xc2ef6a240c9acb59, 0xe4ba6b464bd42997},
+	"GAT+delta": {0x25f722a306501f9b, 0x486e96d22f76bb94, 0x1f413eaba62f6be0, 0xafa8795c98a34343, 0xa5666a1dc7440c38},
+	"IL":        {0xbc0e1ccdc254fb66, 0x5d88cd4625cae66f, 0x93698d895354febb, 0x7a5e96a5c94fab92, 0x559cc172636cea67},
+	"RT":        {0xaca869942cfadc16, 0x389ad207374eb80a, 0x15830f526e6404b8, 0x83a702257dd11b37, 0x7a1192a16cc5fdfd},
+	"IRT":       {0x5065140ae8a55e7d, 0xdadbb4dace367575, 0xeee0dd18bc36c971, 0x2e24e42718c72503, 0x3d972c91c79322f0},
 }
 
 // leafWalkCandidates is what the GAT engine retrieved over the same workload
@@ -137,7 +158,8 @@ const leafWalkCandidates = 35156
 // TestGoldenEngineChecksums runs every engine family over one LA workload ×
 // goldenModes and compares each digest with the recorded constant. Every
 // engine owns its trajectory store, so one engine's cache traffic cannot
-// perturb another's PageReads.
+// perturb another's PageReads, and starts every mode cold, so one mode's
+// cannot perturb another's.
 func TestGoldenEngineChecksums(t *testing.T) {
 	ds, err := dataset.Generate(dataset.LA(0.03))
 	if err != nil {
@@ -178,17 +200,27 @@ func TestGoldenEngineChecksums(t *testing.T) {
 			t.Fatalf("delete %d: %v", id, err)
 		}
 	}
-	engines := []query.Engine{
-		gat.NewEngine(idx),
-		dyn.NewEngine(),
-		baseline.BuildIL(newStore()),
-		baseline.BuildRT(newStore(), 0, 0),
-		baseline.BuildIRT(newStore(), 0, 0),
+	// Each engine's pool and decoded caches are emptied before every mode,
+	// so a mode's PageReads are its own and not what the modes before it
+	// left warm.
+	gatEng := gat.NewEngine(idx)
+	ilTS, rtTS, irtTS := newStore(), newStore(), newStore()
+	engines := []struct {
+		query.Engine
+		reset func()
+	}{
+		{gatEng, func() { idx.Store().ResetPool(); gatEng.ResetCaches() }},
+		{dyn.NewEngine(), dyn.ResetCaches},
+		{baseline.BuildIL(ilTS), ilTS.ResetPool},
+		{baseline.BuildRT(rtTS, 0, 0), rtTS.ResetPool},
+		{baseline.BuildIRT(irtTS, 0, 0), irtTS.ResetPool},
 	}
 	for _, e := range engines {
 		var results, counters, decisions [5]uint64
 		candidates := 0
 		for mi, mode := range goldenModes {
+			e.reset()
+			var sum query.SearchStats
 			hr, hc, hd := fnv.New64a(), fnv.New64a(), fnv.New64a()
 			both := io.MultiWriter(hr, hc, hd)
 			put := func(w io.Writer, v uint64) {
@@ -207,6 +239,7 @@ func TestGoldenEngineChecksums(t *testing.T) {
 					put(both, math.Float64bits(r.Dist))
 				}
 				st := resp.Stats
+				sum.Add(st)
 				candidates += st.Candidates
 				for _, c := range []int{st.Candidates, st.Batches, st.PQPops, st.NodesVisited, st.PageReads, st.Scored} {
 					put(hc, uint64(c))
@@ -216,6 +249,8 @@ func TestGoldenEngineChecksums(t *testing.T) {
 				}
 			}
 			results[mi], counters[mi], decisions[mi] = hr.Sum64(), hc.Sum64(), hd.Sum64()
+			t.Logf("%-9s %-13s cands=%d batches=%d pops=%d nodes=%d pages=%d scored=%d screened=%d aplrej=%d orderrej=%d spanrej=%d",
+				e.Name(), mode.name, sum.Candidates, sum.Batches, sum.PQPops, sum.NodesVisited, sum.PageReads, sum.Scored, sum.BoxScreened, sum.APLRejected, sum.OrderRejected, sum.SpanRejected)
 		}
 		if results != goldenResults {
 			t.Errorf("%s: RESULTS checksums (modes %s..%s)\n got  %#x\n want %#x", e.Name(), goldenModes[0].name, goldenModes[4].name, results, goldenResults)

@@ -1,7 +1,6 @@
 package evaluate
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 
@@ -41,14 +40,20 @@ const (
 	// Scored: the candidate passed validation and was decided against the
 	// pruning threshold — its distance was computed, or it was abandoned at
 	// +Inf because it exceeded the threshold (on its activity boxes alone,
-	// SearchStats.BoxScreened, or in the matcher), or, for OATSQ, no
-	// order-compliant match exists.
+	// SearchStats.BoxScreened, or in the matcher), or, with a Region, no
+	// match survives the region's filter.
 	Scored Outcome = iota
 	// RejectedAPL: the trajectory's exact activity set (the store's
 	// directory, a delta entry's Acts) is missing a query activity.
 	RejectedAPL
-	// RejectedOrder: the MIB filter proved no order-sensitive match exists.
+	// RejectedOrder: no order-sensitive match exists — decided on the
+	// posting lists (matcher.OrderFeasible), or, with a Region, by the MIB
+	// filter on the region-filtered rows.
 	RejectedOrder
+	// RejectedSpan: no window of the allowed span length holds every query
+	// activity (matcher.RowBuilder.SpanFeasible), so the candidate has no
+	// subtrajectory match.
+	RejectedSpan
 
 	// boxScreened is prepare's report of a Scored candidate whose box lower
 	// bound exceeded the threshold: it has no rows and scores +Inf.
@@ -164,10 +169,12 @@ func (e *Evaluator) ScoreATSQ(q query.Query, id trajectory.TrajID, threshold flo
 }
 
 // ScoreOATSQ is ScoreATSQ for the order-sensitive distance Dmom. prepare
-// applies the MIB order filter of Section VI-B; before the dynamic program
-// comes the Lemma 3 bound: Dmm lower-bounds Dmom, so a candidate whose (much
-// cheaper) minimum match distance already exceeds the pruning threshold
-// cannot enter the top-k and skips Algorithm 4 entirely.
+// has already rejected a candidate without an order-sensitive match (the
+// exact position test that replaces the MIB filter of Section VI-B);
+// before the dynamic program comes the Lemma 3 bound: Dmm lower-bounds
+// Dmom, so a candidate whose (much cheaper) minimum match distance already
+// exceeds the pruning threshold cannot enter the top-k and skips
+// Algorithm 4 entirely.
 func (e *Evaluator) ScoreOATSQ(q query.Query, id trajectory.TrajID, threshold float64, stats *query.SearchStats) (float64, Outcome, error) {
 	rows, n, out, err := e.prepare(q, id, true, threshold, stats)
 	if out, ok := decided(out, err, stats); !ok {
@@ -198,22 +205,24 @@ func decided(out Outcome, err error, stats *query.SearchStats) (Outcome, bool) {
 	return Scored, out == Scored
 }
 
-// prepare runs the shared validation pipeline: exact containment against
-// the candidate's activity set (in memory: a candidate lacking a query
-// activity touches no cache, pool or decoder), the box screen, then APL
-// fetch (cached/disk, header pages only), lazy posting-block decode for the
-// query activities, sparse coordinate fetch (only pages holding needed
-// points), row build. It returns the candidate rows and the trajectory
-// length. The rows alias evaluator scratch and are valid until the next
-// prepare.
+// prepare runs the shared validation pipeline, the same for every mode:
 //
-// The box screen (TrajStore.boxBound) decides a base candidate whose
-// distance lower bound strictly exceeds threshold as boxScreened, before
-// anything is fetched. For ordered scoring the MIB filter runs first, so
-// what it rejects stays RejectedOrder: without a Region the filter reads
-// only each row's first and last position, which the decoded lists give
-// (orderFeasible), so screen and filter both precede the coordinate fetch;
-// a Region moves those positions, so then both wait for the filtered rows.
+//  1. exact containment against the candidate's activity set (in memory: a
+//     candidate lacking a query activity touches no cache, pool or decoder);
+//  2. the box screen: a base candidate whose distance lower bound
+//     (TrajStore.boxBound) strictly exceeds threshold is decided as
+//     boxScreened, before anything is fetched;
+//  3. APL fetch (cached/disk, header pages only) and lazy posting-block
+//     decode for the query activities;
+//  4. the exact position test on the decoded lists (positions): a
+//     candidate with no match of the requested kind at any threshold is
+//     RejectedOrder or RejectedSpan;
+//  5. sparse coordinate fetch (only pages holding needed points) and row
+//     build — and, with a Region, the region filter and the MIB filter on
+//     the filtered rows.
+//
+// It returns the candidate rows and the trajectory length. The rows alias
+// evaluator scratch and are valid until the next prepare.
 //
 // The candidate's activity set — the store's directory entry, or a delta
 // entry's Acts — is resolved against the query's activities once
@@ -237,11 +246,9 @@ func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, ordered bool, t
 		stats.HeaderOnlyRejects++ // rejected without reading a block
 		return nil, 0, RejectedAPL, nil
 	}
-	lb := e.ts.boxBound(id, q.Pts, e.slots, pos)
-	if !ordered {
-		if out := screen(true, lb, threshold, stats); out != Scored {
-			return nil, 0, out, nil
-		}
+	if e.ts.boxBound(id, q.Pts, e.slots, pos) > threshold {
+		stats.BoxScreened++
+		return nil, 0, boxScreened, nil
 	}
 
 	apl, blob, err := e.ts.fetchAPL(id, stats, e.blobBuf)
@@ -256,33 +263,25 @@ func (e *Evaluator) prepare(q query.Query, id trajectory.TrajID, ordered bool, t
 			return nil, 0, Scored, err
 		}
 	}
-	if ordered && e.region == nil {
-		if out := screen(orderFeasible(q.Pts, e.slots, lists), lb, threshold, stats); out != Scored {
-			return nil, 0, out, nil
-		}
+	n := e.ts.NumPoints(id)
+	if out := e.positions(q, n, ordered, lists, stats); out != Scored {
+		return nil, 0, out, nil
 	}
-	e.unionIdx(lists, e.ts.NumPoints(id))
+	e.unionIdx(lists, n)
 	coords, err := e.ts.fetchCoordsSparse(id, e.needIdx, &e.coordsBuf, stats)
 	if err != nil {
 		return nil, 0, Scored, err
 	}
-	rows := e.rb.Build(q.Pts, e.slots, lists, coords)
-	if e.region != nil {
-		e.filterRegion(rows, coords)
-		if ordered {
-			if out := screen(matcher.CheckMIB(rows), lb, threshold, stats); out != Scored {
-				return nil, 0, out, nil
-			}
-		}
-	}
-	return rows, len(coords), Scored, nil
+	rows, out := e.build(q, ordered, lists, coords, stats)
+	return rows, len(coords), out, nil
 }
 
 // prepareDelta is prepare for a delta-resident candidate, built from its
 // in-memory entry with no disk or cache traffic to charge. It takes the
-// same containment check and MIB filter but no box screen: a shard holds
-// at most its compaction threshold of delta trajectories, and they are in
-// memory already, so a screen would save no fetch.
+// same containment check, position test and Region filter but no box
+// screen: a shard holds at most its compaction threshold of delta
+// trajectories, and they are in memory already, so a screen would save no
+// fetch.
 func (e *Evaluator) prepareDelta(q query.Query, ent DeltaEntry, ordered bool, stats *query.SearchStats) ([]matcher.QueryRow, int, Outcome, error) {
 	all := e.allActs
 	pos, lists := e.actPos[:len(all)], e.actLists[:len(all)]
@@ -293,55 +292,47 @@ func (e *Evaluator) prepareDelta(q query.Query, ent DeltaEntry, ordered bool, st
 	for i, p := range pos {
 		lists[i] = ent.Lists[p]
 	}
-	rows := e.rb.Build(q.Pts, e.slots, lists, ent.Coords)
-	if e.region != nil {
-		e.filterRegion(rows, ent.Coords)
+	if out := e.positions(q, len(ent.Coords), ordered, lists, stats); out != Scored {
+		return nil, 0, out, nil
 	}
-	if ordered && !matcher.CheckMIB(rows) {
-		stats.OrderRejected++
-		return nil, 0, RejectedOrder, nil
-	}
-	return rows, len(ent.Coords), Scored, nil
+	rows, out := e.build(q, ordered, lists, ent.Coords, stats)
+	return rows, len(ent.Coords), out, nil
 }
 
-// screen applies, in this order, the MIB verdict mib (true when the filter
-// passes or does not apply) and the box screen: lb strictly above threshold
-// decides the candidate as boxScreened. Scored means it goes on.
-func screen(mib bool, lb, threshold float64, stats *query.SearchStats) Outcome {
-	if !mib {
+// positions is the exact position test of a candidate of n points whose
+// query-activity lists are lists: an ordered candidate without an
+// order-sensitive match is RejectedOrder, and under subtrajectory scoring a
+// candidate with no window of the allowed length holding every query
+// activity is RejectedSpan. Both read postings only, so they run before any
+// coordinate is fetched. A Region only removes points, so a candidate the
+// test rejects has no match inside the region either.
+func (e *Evaluator) positions(q query.Query, n int, ordered bool, lists [][]uint32, stats *query.SearchStats) Outcome {
+	if ordered && !matcher.OrderFeasible(q.Pts, e.slots, lists) {
 		stats.OrderRejected++
 		return RejectedOrder
 	}
-	if lb > threshold {
-		stats.BoxScreened++
-		return boxScreened
+	if e.sub && !e.rb.SpanFeasible(n, e.minSpan, e.maxSpan, lists) {
+		stats.SpanRejected++
+		return RejectedSpan
 	}
 	return Scored
 }
 
-// orderFeasible is matcher.CheckMIB read off a candidate's decoded lists
-// instead of its rows: query point i's row runs from the smallest first
-// posting to the largest last posting of its activities' lists (slots, as
-// in RowBuilder.Build), which is all the filter reads of a row. It holds
-// exactly when every row is non-empty and no earlier row starts after a
-// later one ends.
-func orderFeasible(pts []query.Point, slots []int, lists [][]uint32) bool {
-	maxFirst := int64(-1)
-	for _, p := range pts {
-		first, last := int64(math.MaxInt64), int64(-1)
-		for _, slot := range slots[:len(p.Acts)] {
-			if l := lists[slot]; len(l) > 0 {
-				first = min(first, int64(l[0]))
-				last = max(last, int64(l[len(l)-1]))
-			}
-		}
-		slots = slots[len(p.Acts):]
-		if last < 0 || maxFirst > last {
-			return false
-		}
-		maxFirst = max(maxFirst, first)
+// build makes the candidate's rows from its lists and coordinates. With a
+// Region the rows are filtered to it, and an ordered candidate is then held
+// to the MIB filter on the filtered rows: the position test saw the points
+// the region drops.
+func (e *Evaluator) build(q query.Query, ordered bool, lists [][]uint32, coords []geo.Point, stats *query.SearchStats) ([]matcher.QueryRow, Outcome) {
+	rows := e.rb.Build(q.Pts, e.slots, lists, coords)
+	if e.region == nil {
+		return rows, Scored
 	}
-	return true
+	e.filterRegion(rows, coords)
+	if ordered && !matcher.CheckMIB(rows) {
+		stats.OrderRejected++
+		return nil, RejectedOrder
+	}
+	return rows, Scored
 }
 
 // unionIdx leaves in e.needIdx the ascending union of lists, whose elements

@@ -207,41 +207,3 @@ func TestLocateActsAgreesWithHas(t *testing.T) {
 		check(dir, randomSet(1+rng.Intn(3), 200))
 	}
 }
-
-// TestOrderFeasibleMatchesCheckMIB: the MIB filter read off the decoded
-// lists decides exactly what matcher.CheckMIB decides on the rows built
-// from them — on random lists, with empty lists, query points sharing an
-// activity, and query points without activities.
-func TestOrderFeasibleMatchesCheckMIB(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	var rb matcher.RowBuilder
-	for trial := 0; trial < 20000; trial++ {
-		n := 1 + rng.Intn(12)
-		lists := make([][]uint32, 1+rng.Intn(4))
-		for i := range lists {
-			for p := 0; p < n; p++ {
-				if rng.Intn(4) == 0 {
-					lists[i] = append(lists[i], uint32(p))
-				}
-			}
-		}
-		pts := make([]query.Point, 1+rng.Intn(4))
-		var slots []int
-		for i := range pts {
-			var acts []trajectory.ActivityID
-			for a := range lists {
-				if rng.Intn(3) == 0 {
-					acts = append(acts, trajectory.ActivityID(a))
-				}
-			}
-			pts[i].Acts = trajectory.NewActivitySet(acts...)
-			for _, a := range pts[i].Acts {
-				slots = append(slots, int(a))
-			}
-		}
-		rows := rb.Build(pts, slots, lists, make([]geo.Point, n))
-		if got, want := orderFeasible(pts, slots, lists), matcher.CheckMIB(rows); got != want {
-			t.Fatalf("trial %d: lists %v, query %v: orderFeasible %v, CheckMIB %v", trial, lists, pts, got, want)
-		}
-	}
-}

@@ -7,7 +7,10 @@
 //     points).
 //   - Dmom, the minimum order-sensitive match distance (Algorithm 4, dynamic
 //     programming over sub-query × sub-trajectory prefixes).
-//   - The MIB (matching index bound) order filter of Section VI-B.
+//   - The MIB (matching index bound) order filter of Section VI-B, and the
+//     exact position tests that replace it where they can: whether an
+//     order-sensitive match, or a match inside a span of the allowed
+//     length, exists at all, decided from posting lists alone.
 //
 // Exhaustive reference implementations are provided for property testing.
 //

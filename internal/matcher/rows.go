@@ -40,6 +40,8 @@ type RowBuilder struct {
 	// is set and mask[p] holds point p's coverage while a row is scattered.
 	words []uint64
 	mask  []uint32
+	// heads is SpanFeasible's scratch: one list position per activity.
+	heads []int
 }
 
 // Build builds candidate rows from Activity Posting Lists. lists holds the

@@ -107,8 +107,8 @@ type SearchStats struct {
 	// the /v1/search stats that routers decode from their nodes.
 	SketchRejected  int
 	APLRejected     int // candidates lacking a query activity (exact check; GAT screens base candidates in retrieval)
-	OrderRejected   int // candidates rejected by the MIB order filter (OATSQ)
-	Scored          int // candidates that passed validation and were decided against the threshold (BoxScreened included)
+	OrderRejected   int // OATSQ candidates with no order-sensitive match, decided on their posting lists (with a Region: by the MIB filter on the filtered rows)
+	Scored          int // candidates that passed validation and were decided against the threshold (BoxScreened included; OrderRejected and SpanRejected are not)
 	PQPops          int // priority-queue pops during candidate retrieval
 	Batches         int // λ-batches of Algorithm 1
 	PageReads       int // simulated disk pages read
@@ -128,6 +128,11 @@ type SearchStats struct {
 	// pruning threshold, so they scored +Inf without a cache lookup, a page
 	// read or a decode. It never exceeds Scored.
 	BoxScreened int
+
+	// SpanRejected counts subtrajectory candidates with no window of the
+	// allowed span length holding every query activity, decided on their
+	// posting lists before a coordinate was fetched. They are not Scored.
+	SpanRejected int
 
 	// ShardsSearched counts the shards a sharded engine's router actually
 	// fanned the query out to; ShardsSkipped counts the shards its planner
@@ -170,6 +175,7 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.DeltaCandidates += other.DeltaCandidates
 	s.HeaderOnlyRejects += other.HeaderOnlyRejects
 	s.BoxScreened += other.BoxScreened
+	s.SpanRejected += other.SpanRejected
 	s.ShardsSearched += other.ShardsSearched
 	s.ShardsSkipped += other.ShardsSkipped
 	s.ShardsFailed += other.ShardsFailed

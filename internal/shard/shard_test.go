@@ -433,8 +433,9 @@ func (l *countingLeg) Search(ctx context.Context, req query.Request, shared *que
 	return st, err
 }
 
-// TestRouterBoxScreenedSumsLegs: a sharded search reports as box-screened
-// exactly the candidates its legs screened, summed, and the legs do screen.
+// TestRouterBoxScreenedSumsLegs: a sharded search reports as box-screened,
+// order-rejected and span-rejected exactly the candidates its legs did,
+// summed, and the legs do screen and reject.
 func TestRouterBoxScreenedSumsLegs(t *testing.T) {
 	ds := testDataset(t, 600)
 	r, err := NewRouter(ds, Config{Shards: 4})
@@ -448,13 +449,19 @@ func TestRouterBoxScreenedSumsLegs(t *testing.T) {
 		counting[i] = &countingLeg{Leg: l}
 		legs[i] = counting[i]
 	}
-	total := 0
+	reqs := []query.Request{
+		{K: 5},
+		{K: 5, Ordered: true},
+		{K: 5, Subtrajectory: true, MaxSpanPoints: 3},
+	}
+	var total query.SearchStats
 	for qi, q := range workload(t, ds, 12) {
-		for _, ordered := range []bool{false, true} {
+		for _, req := range reqs {
+			req.Query = q
 			for _, l := range counting {
 				l.st = query.SearchStats{}
 			}
-			resp, err := f.planner.Search(context.Background(), query.Request{Query: q, K: 5, Ordered: ordered}, legs)
+			resp, err := f.planner.Search(context.Background(), req, legs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -462,13 +469,16 @@ func TestRouterBoxScreenedSumsLegs(t *testing.T) {
 			for _, l := range counting {
 				sum.Add(l.st)
 			}
-			if resp.Stats.BoxScreened != sum.BoxScreened || resp.Stats.BoxScreened > resp.Stats.Scored {
-				t.Fatalf("q%d ordered=%v: router BoxScreened %d, legs %d, Scored %d", qi, ordered, resp.Stats.BoxScreened, sum.BoxScreened, resp.Stats.Scored)
+			got := resp.Stats
+			if got.BoxScreened != sum.BoxScreened || got.OrderRejected != sum.OrderRejected || got.SpanRejected != sum.SpanRejected || got.BoxScreened > got.Scored {
+				t.Fatalf("q%d ordered=%v sub=%v: router BoxScreened %d, OrderRejected %d, SpanRejected %d; legs %d, %d, %d; Scored %d",
+					qi, req.Ordered, req.Subtrajectory, got.BoxScreened, got.OrderRejected, got.SpanRejected,
+					sum.BoxScreened, sum.OrderRejected, sum.SpanRejected, got.Scored)
 			}
-			total += sum.BoxScreened
+			total.Add(sum)
 		}
 	}
-	if total == 0 {
-		t.Fatal("no leg box-screened anything")
+	if total.BoxScreened == 0 || total.OrderRejected == 0 || total.SpanRejected == 0 {
+		t.Fatalf("legs box-screened %d, order-rejected %d, span-rejected %d: each must fire", total.BoxScreened, total.OrderRejected, total.SpanRejected)
 	}
 }
