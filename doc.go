@@ -117,14 +117,11 @@
 // (GAT, dynamic, sharded — via query.BatchKeyer) have their batches sorted
 // by that key and cut into groups at grid-ancestor boundaries, so each
 // group is a set of queries about to walk overlapping index regions. A
-// multi-query group gets one superbatch prefetch (query.SuperbatchWarmer)
-// before its searches run: the GAT engine unions the candidate posting
-// lists of every query in the group and issues a single page-ordered
-// header readahead — one elevator pass over the APL segment instead of N
-// interleaved ones. Planning is invisible in the output: responses come
-// back in input order and are byte-identical to serial execution (warming
-// is a buffer-pool hint; SearchStats.PageReads counts logical fetches, so
-// prefetching cannot change stats). SetBatchPlanning(false) disables it.
+// group runs consecutively on one worker, so its later searches find the
+// pages and decoded structures its first one faulted in still resident —
+// nothing is read ahead. Planning is invisible in the output: responses
+// come back in input order and are byte-identical to serial execution.
+// SetBatchPlanning(false) disables it.
 //
 // A ParallelEngine can additionally carry a result cache, and so can the
 // HTTP server (atsqserve -result-cache N):
@@ -361,8 +358,7 @@
 //     keeps every trajectory's exact activity set in memory (4 bytes per
 //     distinct activity): a candidate lacking a query activity — two in
 //     three on the benchmark corpus — reads no page, makes no cache lookup
-//     and decodes nothing (SearchStats.HeaderOnlyRejects); the readahead
-//     skips it too.
+//     and decodes nothing (SearchStats.HeaderOnlyRejects).
 //   - Box before fetch. Beside each activity of that set the store keeps a
 //     4-byte box of the trajectory's points carrying it, rounded outward
 //     onto a 256 × 256 lattice over the store's bounds. A candidate whose
@@ -382,11 +378,11 @@
 //     replaces the paper's MIB filter, which still runs on the
 //     region-filtered rows of a Region request.
 //   - Blocked APLs. An Activity Posting List segment starts with a header
-//     (activity set + per-activity block-length skip table). Fetches read
-//     only the header pages and hold the header to the in-memory set — a
-//     disagreement is a corruption error, never a different answer.
-//     Survivors fault the body in once and decode only the queried
-//     activities' blocks, memoized on the shared cached APL.
+//     (activity set + per-activity block-length skip table). A cache miss
+//     reads the segment once and holds the header to the in-memory set — a
+//     disagreement is a corruption error, never a different answer — and
+//     only the queried activities' blocks are decoded, memoized on the
+//     shared cached APL.
 //   - One resolution per candidate. The query's distinct activities are
 //     resolved against the candidate's activity set in one forward merge —
 //     the first absent activity is the reject — and from then on posting
@@ -410,11 +406,13 @@
 //     invindex.Set — roaring-style sorted-array/bitmap containers with O(1)
 //     dense probes, single-word quad-sibling masks (Mask4), galloping
 //     sparse intersection and whole-container skipping.
-//   - Batched, page-ordered scoring. Each λ-batch of candidates is scored
-//     in APL page order with a buffer-pool readahead hint instead of
-//     heap-pop order; the top-k set under (distance, ID) is
-//     order-independent, so this is free. Under concurrent serving it
-//     stops concurrent searches from thrashing the sharded LRU.
+//   - Demand paging only. Each λ-batch is scored in the order retrieval
+//     hands it over, nearest cells first, so the pruning threshold tightens
+//     as early as it can and the box screen decides more candidates before
+//     any fetch; a page is read only when a candidate that survived the
+//     screens needs it. Nothing is read ahead: on an in-memory pager a
+//     readahead is the same copy made earlier, and most of what it warmed
+//     were candidates the box screen then decided without a fetch.
 //
 // SearchStats.BytesDecoded counts the bytes actually decoded per search;
 // the persisted GAT index format (version 2) stores HICL lists in the

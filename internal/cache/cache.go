@@ -190,17 +190,6 @@ func (c *Sharded[K, V]) put(key K, val V, keep bool) V {
 	return val
 }
 
-// Peek reports whether key is resident without bumping its LRU position or
-// touching the hit/miss counters — a side-effect-free probe for readahead
-// planning.
-func (c *Sharded[K, V]) Peek(key K) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.items[key]
-	return ok
-}
-
 // GetOrFill returns the cached value for key, calling fill to compute and
 // insert it on a miss. Under concurrent misses for the same key fill may run
 // more than once; the first completed fill stays resident and every later

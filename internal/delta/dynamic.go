@@ -772,14 +772,5 @@ func (e *Engine) BatchKey(q query.Query) uint64 {
 	return gen.eng.BatchKey(q)
 }
 
-// WarmSuperbatch implements query.SuperbatchWarmer by forwarding to the
-// current generation's GAT engine, which reads only the immutable base
-// index — no active-layer lock is needed for a pool hint.
-func (e *Engine) WarmSuperbatch(reqs []query.Request) {
-	gen := e.d.acquire()
-	defer gen.release()
-	gen.eng.WarmSuperbatch(reqs)
-}
-
 var _ query.Engine = (*Engine)(nil)
 var _ query.EpochSource = (*Engine)(nil)

@@ -28,11 +28,10 @@ func skewedRequests(t *testing.T, ds *trajectory.Dataset, distinct, total int) [
 }
 
 // TestSuperbatchByteIdentical pins the planner's exactness invariant:
-// SearchAll with cross-query grouping and superbatch warming must answer
-// every request — results, match covers, truncation marker — byte-identical
-// to serial single-query execution on the same engine. Grouping reorders
-// which worker runs which request and pre-warms shared pages; it must never
-// change an answer.
+// SearchAll with cross-query grouping must answer every request — results,
+// match covers, truncation marker — byte-identical to serial single-query
+// execution on the same engine. Grouping reorders which worker runs which
+// request; it must never change an answer.
 func TestSuperbatchByteIdentical(t *testing.T) {
 	ds := testDataset(t)
 	_, engines := buildEngines(t, ds, gatCfgDefault())

@@ -93,16 +93,24 @@ var goldenResults = [5]uint64{0x5e2417e497b92cae, 0xea6fbe565f58e365, 0x193a1360
 // candidate is screened before its APL fetch, and one with no match of the
 // requested kind at any threshold stops before its coordinate fetch, so
 // PageReads fall (GAT's OATSQ 3,361 → 1,722, Subtrajectory 5,056 → 2,750)
-// and Scored moves as goldenDecisions records. A deliberate change to
-// retrieval order or accounting must re-record the engines it touches and
-// say why; `go test -v -run TestGoldenEngineChecksums` logs the per-mode
-// sums behind each digest.
+// and Scored moves as goldenDecisions records. It was re-recorded twice
+// when the readahead went. First GAT and GAT+delta, when a λ-batch stopped
+// being sorted into APL page order and was scored in retrieval order: the
+// nearer candidates come first, the threshold tightens sooner, more
+// candidates are box-screened and fewer are fetched (GAT's ATSQ pages 1,496
+// → 1,350, BoxScreened 1,538 → 1,626). Then every engine, when an APL miss
+// became one read of the whole segment instead of a header read and a body
+// read, each charged its own page span (GAT's ATSQ 1,350 → 995, IL's 5,158
+// → 4,317); only PageReads moved there. A deliberate change to retrieval
+// order or accounting must re-record the engines it touches and say why;
+// `go test -v -run TestGoldenEngineChecksums` logs the per-mode sums behind
+// each digest.
 var goldenCounters = map[string][5]uint64{
-	"GAT":       {0xc8a0f9d252244ef8, 0xb181d28363aa5c5e, 0x65947422d67116fa, 0xa9755cb465c21c41, 0xf0da4f9e8c87ef99},
-	"GAT+delta": {0x5a355cf5a5816024, 0x870832be572859d6, 0xa1cfff5e1c92896f, 0x6732e38c97f9477d, 0x53c53c1d483bb6c5},
-	"IL":        {0x6270b101dc65d913, 0x9458fbab7126ae61, 0xc205b64d51b79e82, 0xdecdbf2a56f2620b, 0x425f7a91053da1d1},
-	"RT":        {0x536b0c053a72e56f, 0x351b71ad3f18538a, 0xd279252462f7dcc6, 0xc6c7925cb5bc7040, 0xe02804c5c7fdeafc},
-	"IRT":       {0xa1c4513c397f05d8, 0x1de7906a9510f898, 0x4a47d494557dd2eb, 0x8985c45d80b4cc94, 0xb0ebc223449439cb},
+	"GAT":       {0x1a56310ff7199a4b, 0xd205e57fc8ed4aeb, 0x5e3170b60d3d81f1, 0x92078f8615a031fb, 0x9b1d7d84610bd8b7},
+	"GAT+delta": {0xa2cb00a734a45f4c, 0xb96aec4882c55bbb, 0xdb3c5dc1bc84b4e5, 0xdfe4a82df896b6b7, 0xe58137ece91f45a6},
+	"IL":        {0xa03b7659458aded4, 0x4a580b6b98f9920, 0xe546e15765f31575, 0x6f6fcda9d5f685f5, 0xd3d826b01434d938},
+	"RT":        {0x214461b53c145651, 0xc2f7930d814900f0, 0x32b67a25af6b5453, 0xc1fe5cdf7b2ee770, 0x4568f0ecd904e6a2},
+	"IRT":       {0xfc8a29e9ebd9ecdd, 0x3c0e0fe8e1d116b8, 0x40776ee0a9437fe3, 0x53c89fdec0dffc49, 0xa36e195960b9ca81},
 }
 
 // goldenDecisions pins the responses plus every counter that records a
@@ -134,10 +142,18 @@ var goldenCounters = map[string][5]uint64{
 // OrderRejected and SpanRejected, and an order-infeasible candidate the
 // boxes decide first stays Scored. Per engine and mode, Candidates,
 // Batches, PQPops and the rejects before scoring are identical, and
-// Scored + OrderRejected + SpanRejected is conserved.
+// Scored + OrderRejected + SpanRejected is conserved. GAT and GAT+delta's
+// OATSQ and Subtrajectory were re-recorded when a λ-batch stopped being
+// sorted into APL page order: in retrieval order the threshold tightens
+// sooner, so the box screen (which counts as Scored) decides more of the
+// order-infeasible candidates before the position test sees them (GAT's
+// OATSQ Scored / OrderRejected 1,779 / 1,232 → 1,905 / 1,106); Candidates,
+// Batches, PQPops, NodesVisited and APLRejected are identical and Scored +
+// OrderRejected + SpanRejected is conserved, per mode. IL, RT and IRT,
+// which never read ahead, did not move.
 var goldenDecisions = map[string][5]uint64{
-	"GAT":       {0xb1d662e44b44b550, 0xfd192b6ebc90cf72, 0xd921fa69aa92bd3b, 0xc2ef6a240c9acb59, 0xe4ba6b464bd42997},
-	"GAT+delta": {0x25f722a306501f9b, 0x486e96d22f76bb94, 0x1f413eaba62f6be0, 0xafa8795c98a34343, 0xa5666a1dc7440c38},
+	"GAT":       {0xb1d662e44b44b550, 0x37bb935f8e117788, 0xd921fa69aa92bd3b, 0x5fb0984f2b498144, 0xe4ba6b464bd42997},
+	"GAT+delta": {0x25f722a306501f9b, 0xef84596af6e69ce3, 0x1f413eaba62f6be0, 0xca5c19dedd477ba4, 0xa5666a1dc7440c38},
 	"IL":        {0xbc0e1ccdc254fb66, 0x5d88cd4625cae66f, 0x93698d895354febb, 0x7a5e96a5c94fab92, 0x559cc172636cea67},
 	"RT":        {0xaca869942cfadc16, 0x389ad207374eb80a, 0x15830f526e6404b8, 0x83a702257dd11b37, 0x7a1192a16cc5fdfd},
 	"IRT":       {0x5065140ae8a55e7d, 0xdadbb4dace367575, 0xeee0dd18bc36c971, 0x2e24e42718c72503, 0x3d972c91c79322f0},

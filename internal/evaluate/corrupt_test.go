@@ -161,7 +161,7 @@ func TestHeaderDirectoryMismatchIsAnError(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "the directory says") || len(resp.Results) != 0 {
 				t.Fatalf("cache=%d try %d: search answered %v from a corrupt header, err = %v", cacheEntries, try, resp.Results, err)
 			}
-			if ts.APLCached(tr.ID) {
+			if ts.aplCache != nil && ts.aplCache.Len() != 0 {
 				t.Fatalf("cache=%d try %d: the failed decode was cached", cacheEntries, try)
 			}
 		}
@@ -250,9 +250,8 @@ func FuzzDecodeAPLHeader(f *testing.F) {
 		}
 		// Set the APL up as fetchAPL does, with whatever follows the header
 		// as its body (possibly short of what the skip table promises).
-		a.ts, a.numPts = ts, ts.numPts[id]
+		a.numPts = ts.numPts[id]
 		a.body = blob[a.hdrLen:]
-		a.hasBody.Store(true)
 		var stats query.SearchStats
 		for i := 0; i < n; i++ {
 			list, err := a.postingsAt(i, &stats)

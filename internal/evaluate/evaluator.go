@@ -100,7 +100,6 @@ type Evaluator struct {
 	actLists  [][]uint32 // per query activity: the candidate's postings (scratch)
 	needBits  []uint64   // union of needed point indexes, as a bitmap (scratch)
 	needIdx   []uint32   // the same union read back ascending (scratch)
-	sortKeys  []uint64   // batch locality sort keys (scratch)
 	// The query plan, memoized for the query whose Pts backing array is
 	// planPts (engines score many candidates against one query): allActs is
 	// q.AllActs(), and slots holds, query point by query point and in the
@@ -212,8 +211,8 @@ func decided(out Outcome, err error, stats *query.SearchStats) (Outcome, bool) {
 //  2. the box screen: a base candidate whose distance lower bound
 //     (TrajStore.boxBound) strictly exceeds threshold is decided as
 //     boxScreened, before anything is fetched;
-//  3. APL fetch (cached/disk, header pages only) and lazy posting-block
-//     decode for the query activities;
+//  3. APL fetch (cached, or one read of the whole segment) and lazy
+//     posting-block decode for the query activities;
 //  4. the exact position test on the decoded lists (positions): a
 //     candidate with no match of the requested kind at any threshold is
 //     RejectedOrder or RejectedSpan;
@@ -383,80 +382,6 @@ func (e *Evaluator) MatchSets(q query.Query, id trajectory.TrajID, ordered bool,
 		_, covers = e.m.MinMatchCover(rows)
 	}
 	return covers, nil
-}
-
-// PrefetchBatch reorders ids in place so candidates are scored in APL page
-// order (delta-resident candidates, which cost no disk, go last in ID
-// order) and warms the buffer pool with the header pages of the APLs not
-// already decoded in the cache — one ascending readahead sweep instead of
-// heap-pop-order point reads. It screens nothing: the GAT searcher hands
-// over only candidates that carry every query activity, and the
-// cross-query superbatch has no single query to screen by. Scoring order
-// does not affect results: the top-k set under (distance, ID) is
-// order-independent, so engines are free to batch for locality. ids may
-// hold duplicates (the superbatch passes the union of several requests'
-// likely candidates); the readahead is purely a pool hint and changes no
-// search's results or accounting.
-func (e *Evaluator) PrefetchBatch(ids []trajectory.TrajID) {
-	if len(ids) > 1 {
-		e.sortByAPLPage(ids)
-	}
-	e.prefetchHeadersSorted(ids)
-}
-
-// sortByAPLPage reorders ids in place into APL page order, with
-// delta-resident candidates (which cost no disk) last in ID order. It
-// reuses the evaluator's sort-key scratch.
-func (e *Evaluator) sortByAPLPage(ids []trajectory.TrajID) {
-	baseN := e.ts.NumTrajs()
-	keys := e.sortKeys[:0]
-	for _, id := range ids {
-		page := ^uint32(0) // delta candidates sort last
-		if int(id) < baseN {
-			page = e.ts.APLPage(id)
-		}
-		keys = append(keys, uint64(page)<<32|uint64(uint32(id)))
-	}
-	e.sortKeys = keys
-	slices.Sort(keys)
-	for i, k := range keys {
-		ids[i] = trajectory.TrajID(uint32(k))
-	}
-}
-
-// prefetchHeadersSorted issues readahead over the header pages of the
-// uncached APLs among ids, which must already be in page order. It
-// coalesces adjacent ranges so the pool sees few, ascending hints.
-func (e *Evaluator) prefetchHeadersSorted(ids []trajectory.TrajID) {
-	baseN := e.ts.NumTrajs()
-	var first, past uint32
-	started := false
-	for _, id := range ids {
-		if int(id) >= baseN {
-			break
-		}
-		if e.ts.APLCached(id) {
-			continue
-		}
-		f, p := e.ts.aplRefs[id].PageRange(0, e.ts.aplHdrLens[id])
-		if p == f {
-			continue // empty segment
-		}
-		switch {
-		case !started:
-			first, past, started = f, p, true
-		case f <= past:
-			if p > past {
-				past = p
-			}
-		default:
-			e.ts.store.Prefetch(first, past)
-			first, past = f, p
-		}
-	}
-	if started {
-		e.ts.store.Prefetch(first, past)
-	}
 }
 
 // queryActs returns q.AllActs() and refreshes the slot plan beside it,

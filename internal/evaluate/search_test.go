@@ -88,7 +88,7 @@ func TestSearchLoop(t *testing.T) {
 		k            int
 		initialBound float64
 		ctx          context.Context
-		corrupt      int // trajectory whose APL header is made unreadable, -1 for none
+		corrupt      int // trajectory whose APL segment is made unreadable, -1 for none
 
 		wantIDs        []trajectory.TrajID
 		wantBatches    int // NextBatch calls
@@ -166,8 +166,8 @@ func TestSearchLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ts.Close()
-			if c.corrupt >= 0 {
-				ts.aplHdrLens[c.corrupt] = ts.aplRefs[c.corrupt].Len + 1
+			if c.corrupt >= 0 { // the APL segment starts past the store's end
+				ts.aplRefs[c.corrupt].Page = ts.store.Pages() + 1
 			}
 			ctx := c.ctx
 			if ctx == nil {

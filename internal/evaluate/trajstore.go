@@ -39,7 +39,7 @@ import (
 // arena — the activity directory: id's ascending set is
 // acts[actOff[id]:actOff[id+1]]. Containment is decided there, so only
 // candidates carrying every query activity are ever fetched; a fetch reads
-// the header pages only, holds the header to the directory (a directory
+// the whole segment once, holds the header to the directory (a directory
 // position is a header position), and decodes blocks lazily per queried
 // activity. Coordinates are fixed-stride, so scoring fetches only the pages
 // holding the point indexes the match actually needs.
@@ -55,7 +55,6 @@ type TrajStore struct {
 	store        *storage.Store
 	coordRefs    []storage.SegRef
 	aplRefs      []storage.SegRef
-	aplHdrLens   []uint32 // byte length of each APL's header prefix
 	numPts       []uint32 // point count per trajectory
 	coordHdrLens []uint8  // uvarint length of each coord segment's count prefix
 	actOff       []uint32
@@ -195,7 +194,6 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		store:        store,
 		coordRefs:    make([]storage.SegRef, len(ds.Trajs)),
 		aplRefs:      make([]storage.SegRef, len(ds.Trajs)),
-		aplHdrLens:   make([]uint32, len(ds.Trajs)),
 		numPts:       make([]uint32, len(ds.Trajs)),
 		coordHdrLens: make([]uint8, len(ds.Trajs)),
 		actOff:       make([]uint32, len(ds.Trajs)+1),
@@ -232,13 +230,11 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		ts.numPts[i] = uint32(len(tr.Pts))
 		ts.coordHdrLens[i] = uint8(uvarintLen(uint64(len(tr.Pts))))
 
-		var hdrLen int
-		buf, hdrLen = encodeAPL(buf[:0], tr)
+		buf, _ = encodeAPL(buf[:0], tr)
 		if ref, err = store.Append(buf); err != nil {
 			return nil, fmt.Errorf("evaluate: write APL of %d: %w", tr.ID, err)
 		}
 		ts.aplRefs[i] = ref
-		ts.aplHdrLens[i] = uint32(hdrLen)
 
 		if err := ts.appendEntry(tr, &sc); err != nil {
 			return nil, err
@@ -472,23 +468,18 @@ func (ts *TrajStore) fetchCoordsSparse(id trajectory.TrajID, idxs []uint32, sc *
 	return cb.pts, nil
 }
 
-// APL is a lazily-decoded Activity Posting List. The header — the sorted
-// activity set plus a block skip table — is always present; the posting
-// blocks are faulted in from disk on first use and decoded one activity at
-// a time, memoized per activity. Cached APLs are shared across goroutines:
-// the lazy state is published through atomics, so concurrent readers are
-// race-free and decode each block at most a handful of times.
+// APL is a lazily-decoded Activity Posting List: the header — the sorted
+// activity set plus a block skip table — decoded, and a copy of the posting
+// blocks' bytes, each block decoded on first use and memoized per activity.
+// Cached APLs are shared across goroutines: the memoized lists are published
+// through atomics, so concurrent readers are race-free and decode each block
+// at most a handful of times.
 type APL struct {
 	acts   []trajectory.ActivityID
 	blocks []blockPair // per-activity skip-table ends and memoized lists
-	ref    storage.SegRef
 	hdrLen uint32
-	numPts uint32     // the trajectory's point count (set with ts)
-	ts     *TrajStore // nil when built from a fully in-memory blob
-
-	mu      sync.Mutex  // serializes the body fault
-	hasBody atomic.Bool // body is set and will not change
-	body    []byte
+	numPts uint32 // every posting must lie below it
+	body   []byte
 }
 
 // blockPair holds the state of the posting blocks at header positions 2j and
@@ -517,7 +508,7 @@ func (a *APL) Has(act trajectory.ActivityID) bool {
 func (a *APL) Activities() []trajectory.ActivityID { return a.acts }
 
 // Postings returns the point indexes for activity a, nil when absent,
-// decoding the activity's block (and faulting in the body) on first use.
+// decoding the activity's block on first use.
 // Decode errors surface as nil; use the TrajStore fetch path for attributed,
 // error-checked access.
 func (a *APL) Postings(act trajectory.ActivityID) []uint32 {
@@ -558,69 +549,38 @@ func locateActs(acts, want []trajectory.ActivityID, pos []int) bool {
 }
 
 // postingsAt decodes (or returns the memoized) block of the activity at
-// header position i, charging page and byte traffic to stats. A freshly
-// decoded list is checked against the trajectory's point count, so every
-// list the evaluator sees indexes inside the trajectory.
+// header position i, charging the decoded bytes to stats. A freshly decoded
+// list is checked against the trajectory's point count, so every list the
+// evaluator sees indexes inside the trajectory.
 func (a *APL) postingsAt(i int, stats *query.SearchStats) ([]uint32, error) {
 	memo := a.blockList(i)
 	if p := memo.Load(); p != nil {
 		return *p, nil
-	}
-	body, err := a.ensureBody(stats)
-	if err != nil {
-		return nil, err
 	}
 	start := uint32(0)
 	if i > 0 {
 		start = a.blockEnd(i - 1)
 	}
 	end := a.blockEnd(i)
-	if int(end) > len(body) || start > end {
-		return nil, fmt.Errorf("evaluate: APL block %d outside body (%d..%d of %d)", i, start, end, len(body))
+	if int(end) > len(a.body) || start > end {
+		return nil, fmt.Errorf("evaluate: APL block %d outside body (%d..%d of %d)", i, start, end, len(a.body))
 	}
-	list, used, err := invindex.DecodePostings(body[start:end])
+	list, used, err := invindex.DecodePostings(a.body[start:end])
 	if err != nil {
 		return nil, fmt.Errorf("evaluate: APL block for activity %d: %w", a.acts[i], err)
 	}
 	if used != int(end-start) {
 		return nil, fmt.Errorf("evaluate: APL block for activity %d has %d trailing bytes", a.acts[i], int(end-start)-used)
 	}
-	if a.ts != nil {
-		for _, idx := range list {
-			if idx >= a.numPts {
-				return nil, fmt.Errorf("evaluate: APL block for activity %d: point index %d outside trajectory (%d points)", a.acts[i], idx, a.numPts)
-			}
+	for _, idx := range list {
+		if idx >= a.numPts {
+			return nil, fmt.Errorf("evaluate: APL block for activity %d: point index %d outside trajectory (%d points)", a.acts[i], idx, a.numPts)
 		}
 	}
 	stats.BytesDecoded += int64(end - start)
 	l := []uint32(list)
 	memo.Store(&l)
 	return l, nil
-}
-
-// ensureBody faults in the posting-block bytes (everything after the
-// header), charging the page span of the partial read to stats.
-func (a *APL) ensureBody(stats *query.SearchStats) ([]byte, error) {
-	if a.hasBody.Load() {
-		return a.body, nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.hasBody.Load() {
-		return a.body, nil
-	}
-	if a.ts == nil {
-		return nil, fmt.Errorf("evaluate: APL body unavailable (no store)")
-	}
-	n := a.ref.Len - a.hdrLen
-	body, err := a.ts.store.ReadSub(a.ref, a.hdrLen, n, nil)
-	if err != nil {
-		return nil, err
-	}
-	stats.PageReads += a.ref.SubSpan(a.hdrLen, n)
-	a.body = body
-	a.hasBody.Store(true)
-	return body, nil
 }
 
 // FetchAPL returns a trajectory's APL (header decoded, blocks lazy),
@@ -633,31 +593,31 @@ func (ts *TrajStore) FetchAPL(id trajectory.TrajID) (*APL, error) {
 }
 
 // fetchAPL is the one APL cache policy: consult the shared cache, fall back
-// to a header-only disk read, insert on miss — attributing cache hits and
-// misses and the page span of actual reads to stats. Two searches missing
-// on one trajectory both decode, but the APL inserted first serves both
-// (cache.GetOrFill), so blocks already memoized on it are not thrown away;
-// a failed decode is not inserted. blob is optional caller scratch for the
-// header bytes; the possibly-grown buffer is returned for reuse. Local
-// attribution (rather than diffing the cache's global counters) keeps
-// per-search accounting exact when many searches share the store.
+// to one read of the whole segment, insert on miss — attributing cache hits
+// and misses and the page span of actual reads to stats. The header is held
+// to the directory (decodeAPLHeader) and the APL keeps a copy of the body
+// bytes only. Two searches missing on one trajectory both read, but the APL
+// inserted first serves both (cache.GetOrFill), so blocks already memoized on
+// it are not thrown away; a failed decode is not inserted. blob is optional
+// caller scratch for the segment bytes; the possibly-grown buffer is returned
+// for reuse. Local attribution (rather than diffing the cache's global
+// counters) keeps per-search accounting exact when many searches share the
+// store.
 func (ts *TrajStore) fetchAPL(id trajectory.TrajID, stats *query.SearchStats, blob []byte) (*APL, []byte, error) {
 	missed := false
 	read := func() (*APL, error) {
 		missed = true
 		ref := ts.aplRefs[id]
-		hdrLen := ts.aplHdrLens[id]
 		var err error
-		if blob, err = ts.store.ReadSub(ref, 0, hdrLen, blob[:0]); err != nil {
+		if blob, err = ts.store.ReadInto(ref, blob[:0]); err != nil {
 			return nil, err
 		}
-		stats.PageReads += ref.SubSpan(0, hdrLen)
+		stats.PageReads += ref.PageSpan()
 		apl, err := decodeAPLHeader(blob, ref.Len, ts.activities(id))
 		if err != nil {
 			return nil, fmt.Errorf("evaluate: APL of %d: %w", id, err)
 		}
-		apl.ref = ref
-		apl.ts = ts
+		apl.body = append([]byte(nil), blob[apl.hdrLen:]...)
 		apl.numPts = ts.numPts[id]
 		return apl, nil
 	}
@@ -673,16 +633,6 @@ func (ts *TrajStore) fetchAPL(id trajectory.TrajID, stats *query.SearchStats, bl
 	}
 	return apl, blob, err
 }
-
-// APLCached reports whether trajectory id's APL is resident in the decoded
-// cache (no LRU effect), for readahead planning.
-func (ts *TrajStore) APLCached(id trajectory.TrajID) bool {
-	return ts.aplCache != nil && ts.aplCache.Peek(id)
-}
-
-// APLPage returns the first page of trajectory id's APL segment — the sort
-// key batched scoring uses to order candidate fetches for page locality.
-func (ts *TrajStore) APLPage(id trajectory.TrajID) uint32 { return ts.aplRefs[id].Page }
 
 // PoolStats exposes the buffer-pool counters for per-search accounting.
 func (ts *TrajStore) PoolStats() storage.PoolStats { return ts.store.Stats() }
@@ -719,9 +669,10 @@ func (ts *TrajStore) ActivityDirBytes() int64 {
 }
 
 // MemBytes returns the in-memory footprint of the store's directories:
-// segment refs, point counts, header lengths and the activity directory.
+// segment refs, point counts, coordinate header lengths and the activity
+// directory.
 func (ts *TrajStore) MemBytes() int64 {
-	return int64(len(ts.coordRefs))*(12+12+4+4+1) + ts.ActivityDirBytes()
+	return int64(len(ts.coordRefs))*(12+12+4+1) + ts.ActivityDirBytes()
 }
 
 // Close releases the underlying pager.
@@ -823,10 +774,10 @@ func encodeAPL(dst []byte, tr *trajectory.Trajectory) ([]byte, int) {
 }
 
 // decodeAPLHeader parses an APL header from blob (which must hold at least
-// the full header) into an APL whose blocks are still on disk. The header
-// must list exactly acts, the trajectory's directory entry, which the APL
-// aliases: containment was decided on the directory and lists are addressed
-// by directory position, so a disagreement is corruption, never a different
+// the full header) into an APL without its body. The header must list
+// exactly acts, the trajectory's directory entry, which the APL aliases:
+// containment was decided on the directory and lists are addressed by
+// directory position, so a disagreement is corruption, never a different
 // answer. segLen is the full segment length, used to validate the skip table.
 func decodeAPLHeader(blob []byte, segLen uint32, acts []trajectory.ActivityID) (*APL, error) {
 	n, used := binary.Uvarint(blob)
@@ -874,15 +825,15 @@ func decodeAPLHeader(blob []byte, segLen uint32, acts []trajectory.ActivityID) (
 
 // decodeAPL eagerly decodes a full APL segment held in memory, whose header
 // must list acts: header plus every posting block (validating all of them).
-// Tests use it; the serving path goes through fetchAPL's lazy header-only
-// route.
+// Tests use it; the serving path goes through fetchAPL, which decodes blocks
+// lazily. An in-memory segment has no point count to hold its lists to.
 func decodeAPL(blob []byte, acts []trajectory.ActivityID) (*APL, error) {
 	a, err := decodeAPLHeader(blob, uint32(len(blob)), acts)
 	if err != nil {
 		return nil, err
 	}
 	a.body = append([]byte(nil), blob[a.hdrLen:]...)
-	a.hasBody.Store(true)
+	a.numPts = math.MaxUint32
 	var discard query.SearchStats
 	for i := range a.acts {
 		if _, err := a.postingsAt(i, &discard); err != nil {

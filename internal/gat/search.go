@@ -506,11 +506,6 @@ func (s *searcher) NextBatch() []trajectory.TrajID {
 	}
 	s.cands = out
 	s.stats.Batches++
-	// Hand the batch over in APL page order with a pool readahead hint: the
-	// candidates arrived in heap-pop (distance) order, which has no page
-	// locality; the top-k set is order-independent, so batching for
-	// locality is free.
-	s.ev.PrefetchBatch(out)
 	return out
 }
 

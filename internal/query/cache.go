@@ -161,6 +161,9 @@ func (rc *ResultCache) Reset() { rc.c.Reset() }
 // rather than comparing loosely).
 func encodeRequestKey(req Request) string {
 	n := 1 + 8 + 8 + 4 // flags, K, InitialBound, point count
+	if req.Subtrajectory {
+		n += 16
+	}
 	if req.Region != nil {
 		n += 32
 	}

@@ -100,6 +100,25 @@ func TestEncodeRequestKeyDistinct(t *testing.T) {
 	}
 }
 
+// TestEncodeRequestKeyAllocs: the key's buffer is sized for every field it
+// appends, so a subtrajectory request's key (16 bytes of span limits more)
+// costs no more allocations than a whole-trajectory one, with or without a
+// Region.
+func TestEncodeRequestKeyAllocs(t *testing.T) {
+	base := cacheReq(1, 5)
+	region := geo.NewRect(0, 0, 1, 1)
+	for _, r := range []*geo.Rect{nil, &region} {
+		whole := Request{Query: base.Query, K: 5, Region: r}
+		sub := whole
+		sub.Subtrajectory, sub.MinSpanPoints, sub.MaxSpanPoints = true, 2, 9
+		w := testing.AllocsPerRun(100, func() { encodeRequestKey(whole) })
+		s := testing.AllocsPerRun(100, func() { encodeRequestKey(sub) })
+		if s != w {
+			t.Errorf("region %v: a subtrajectory key costs %v allocations, a whole-trajectory one %v", r != nil, s, w)
+		}
+	}
+}
+
 // planKeyerFunc adapts a function to BatchKeyer for tests.
 type planKeyerFunc func(q Query) uint64
 

@@ -18,8 +18,7 @@ import (
 //
 // When the engine implements BatchKeyer, SearchAll additionally plans the
 // batch: requests are grouped by spatial locality key and each group runs
-// consecutively on one worker (warmed up front when the engine also
-// implements SuperbatchWarmer), so N co-located queries fault each shared
+// consecutively on one worker, so N co-located queries fault each shared
 // page and decoded structure once instead of N times. Planning only
 // changes which worker answers which request — every request still runs
 // through the engine's ordinary Search, so responses are byte-identical to
@@ -131,15 +130,12 @@ func (p *ParallelEngine) SearchAll(ctx context.Context, reqs []Request) ([]Respo
 		go func(w int) {
 			defer wg.Done()
 			errs[w].qi = -1
-			var warmBuf []Request
 			for !failed.Load() && ctx.Err() == nil {
 				gi := int(cursor.Add(1)) - 1
 				if gi >= len(groups) {
 					break
 				}
-				group := groups[gi]
-				warmBuf = p.warmGroup(reqs, group, warmBuf)
-				for _, qi := range group {
+				for _, qi := range groups[gi] {
 					if failed.Load() || ctx.Err() != nil {
 						break
 					}

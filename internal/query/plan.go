@@ -15,17 +15,6 @@ type BatchKeyer interface {
 	BatchKey(q Query) uint64
 }
 
-// SuperbatchWarmer is implemented by engines that can pre-warm the shared
-// storage layer for a group of co-located requests before the requests
-// execute individually: one coalesced, ascending readahead over the union
-// of the group's likely candidates replaces each query's first-touch
-// scatter of faults. Warming is a hint — it must not change any search's
-// results or its per-request accounting (PageReads charges logical
-// accesses at fetch points, not physical faults).
-type SuperbatchWarmer interface {
-	WarmSuperbatch(reqs []Request)
-}
-
 // planGroupShift is the number of low Z-code bits ignored when cutting
 // sorted requests into groups: requests within the same 4-level ancestor
 // cell (2 bits per level) share a group and therefore a worker, because
@@ -53,25 +42,6 @@ func (p *ParallelEngine) planAll(reqs []Request) [][]int {
 		groups[i] = idx[i : i+1]
 	}
 	return groups
-}
-
-// warmGroup issues the superbatch warm-up hint for a group about to run,
-// reusing buf across groups. Groups of one request gain nothing from
-// warming — the request's own PrefetchBatch already coalesces its faults.
-func (p *ParallelEngine) warmGroup(reqs []Request, group []int, buf []Request) []Request {
-	if len(group) < 2 {
-		return buf
-	}
-	w, ok := p.e.(SuperbatchWarmer)
-	if !ok {
-		return buf
-	}
-	buf = buf[:0]
-	for _, qi := range group {
-		buf = append(buf, reqs[qi])
-	}
-	w.WarmSuperbatch(buf)
-	return buf
 }
 
 // planGroups orders request indexes by their engine-assigned batch key and

@@ -117,10 +117,11 @@ type SearchStats struct {
 	CacheMisses     int // decoded-structure cache misses
 	DeltaCandidates int // candidates served by the dynamic index's delta layer
 
-	// HeaderOnlyRejects counts base candidates rejected without reading a
-	// posting block. The check runs on the store's in-memory activity
-	// directory — the same set the APL header lists — so such a reject reads
-	// no header page and makes no cache lookup either.
+	// HeaderOnlyRejects counts base candidates rejected on the store's
+	// in-memory activity directory — the same set the APL header lists —
+	// before any fetch: such a reject reads no page and makes no cache
+	// lookup. (No header-only read exists; the name is kept for the
+	// benchmark's probes.)
 	HeaderOnlyRejects int
 
 	// BoxScreened counts the Scored base candidates decided on the store's

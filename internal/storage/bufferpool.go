@@ -6,9 +6,11 @@ import (
 )
 
 // PoolStats counts page traffic through a BufferPool. Touched counts every
-// logical page access; Misses counts the subset served by the underlying
-// pager (physical reads). Experiments report Touched as the deterministic
-// "page reads" metric and Misses for cache behaviour.
+// logical page access, Hits the subset served from a resident frame and
+// Misses the rest, served by the underlying pager (physical reads, failed
+// ones included): the pool loads a page only because a reader asked for it,
+// so Hits + Misses == Touched. Experiments report Touched as the
+// deterministic "page reads" metric and Misses for cache behaviour.
 type PoolStats struct {
 	Touched uint64
 	Hits    uint64
@@ -236,28 +238,6 @@ func (bp *BufferPool) evictIfFull(s *poolShard) *frame {
 		return nil
 	}
 	return victim
-}
-
-// Prefetch loads pages [first, past) that are not already resident. It is a
-// readahead hint: loads count as physical reads (Misses) but not as logical
-// accesses (Touched/Hits), so per-fetch accounting stays comparable whether
-// or not a caller prefetches. Read errors are ignored — the subsequent read
-// will surface them.
-func (bp *BufferPool) Prefetch(first, past uint32) {
-	for id := first; id < past; id++ {
-		s := bp.shardFor(id)
-		s.mu.Lock()
-		if s.frames[id] != nil {
-			s.mu.Unlock()
-			continue
-		}
-		_, err := bp.fault(s, id)
-		s.mu.Unlock()
-		if err != nil {
-			return
-		}
-		bp.misses.Add(1)
-	}
 }
 
 // Invalidate drops page id from the cache (used after rewrites).

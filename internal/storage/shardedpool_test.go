@@ -25,7 +25,7 @@ func TestPoolShardCount(t *testing.T) {
 // Under -race this verifies the shard locking and that the slices Get returns
 // are safe to read even after eviction: a frame Get handed out is marked
 // aliased and is the one kind of frame the miss path never reads into again
-// (frames only ReadAt and Prefetch touched are reused on eviction — see
+// (frames only ReadAt touched are reused on eviction — see
 // TestCopyOutStress).
 func TestBufferPoolConcurrent(t *testing.T) {
 	p := NewMemPager()
@@ -72,6 +72,7 @@ func TestBufferPoolConcurrent(t *testing.T) {
 	if st.Evicted == 0 || st.Hits == 0 {
 		t.Fatalf("expected hits and evictions: %+v", st)
 	}
+	checkEveryAccessCounted(t, st)
 	if bp.Resident() > bp.Capacity() {
 		t.Fatalf("resident %d > capacity %d", bp.Resident(), bp.Capacity())
 	}

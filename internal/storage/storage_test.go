@@ -184,106 +184,3 @@ func TestFileStore(t *testing.T) {
 		t.Fatalf("file store round trip failed: %v", err)
 	}
 }
-
-// TestReadSubMatchesFull: every sub-range of a multi-page segment must
-// equal the corresponding slice of the full read, and its page accounting
-// must match SubSpan.
-func TestReadSubMatchesFull(t *testing.T) {
-	s := NewMemStore(64)
-	blob := make([]byte, 3*PageSize+123)
-	for i := range blob {
-		blob[i] = byte(i * 31)
-	}
-	// Offset the segment so it starts mid-page.
-	if _, err := s.Append(make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := s.Append(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.Read(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ from, n uint32 }{
-		{0, 0}, {0, 1}, {0, uint32(len(blob))},
-		{1, PageSize}, {PageSize - 1, 2}, {PageSize, PageSize},
-		{uint32(len(blob)) - 1, 1}, {37, 3 * PageSize},
-	}
-	for _, c := range cases {
-		before := s.Stats().Touched
-		got, err := s.ReadSub(ref, c.from, c.n, nil)
-		if err != nil {
-			t.Fatalf("ReadSub(%d,%d): %v", c.from, c.n, err)
-		}
-		if !bytes.Equal(got, full[c.from:c.from+c.n]) {
-			t.Fatalf("ReadSub(%d,%d) content mismatch", c.from, c.n)
-		}
-		touched := int(s.Stats().Touched - before)
-		if touched != ref.SubSpan(c.from, c.n) {
-			t.Fatalf("ReadSub(%d,%d) touched %d pages, SubSpan says %d",
-				c.from, c.n, touched, ref.SubSpan(c.from, c.n))
-		}
-	}
-	if _, err := s.ReadSub(ref, ref.Len, 1, nil); err == nil {
-		t.Fatal("out-of-segment sub-read accepted")
-	}
-}
-
-// TestPrefetchCountsNoLogicalAccess: prefetched pages must load without
-// touching the logical counters, and the subsequent Get must hit.
-func TestPrefetchCountsNoLogicalAccess(t *testing.T) {
-	pager := NewMemPager()
-	for p := uint32(0); p < 8; p++ {
-		page := make([]byte, PageSize)
-		page[0] = byte(p)
-		if err := pager.WritePage(p, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bp := NewBufferPool(pager, 8)
-	bp.Prefetch(0, 4)
-	st := bp.Stats()
-	if st.Touched != 0 || st.Hits != 0 {
-		t.Fatalf("prefetch counted logical accesses: %+v", st)
-	}
-	if st.Misses != 4 {
-		t.Fatalf("prefetch loaded %d pages, want 4", st.Misses)
-	}
-	for p := uint32(0); p < 4; p++ {
-		if _, err := bp.Get(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st = bp.Stats()
-	if st.Hits != 4 || st.Misses != 4 {
-		t.Fatalf("gets after prefetch: %+v, want 4 hits", st)
-	}
-	// Prefetching resident pages is a no-op.
-	bp.Prefetch(0, 4)
-	if got := bp.Stats().Misses; got != 4 {
-		t.Fatalf("re-prefetch re-read pages: misses %d", got)
-	}
-}
-
-// TestPageRange: the readahead interval must cover exactly the pages a
-// ReadSub touches.
-func TestPageRange(t *testing.T) {
-	ref := SegRef{Page: 3, Off: PageSize - 10, Len: 2 * PageSize}
-	if f, p := ref.PageRange(0, 10); f != 3 || p != 4 {
-		t.Fatalf("tail-of-page range [%d,%d)", f, p)
-	}
-	if f, p := ref.PageRange(0, 11); f != 3 || p != 5 {
-		t.Fatalf("crossing range [%d,%d)", f, p)
-	}
-	if f, p := ref.PageRange(10, 1); f != 4 || p != 5 {
-		t.Fatalf("offset range [%d,%d)", f, p)
-	}
-	if f, p := ref.PageRange(0, 0); f != 3 || p != 3 {
-		t.Fatalf("empty range [%d,%d)", f, p)
-	}
-}

@@ -31,27 +31,6 @@ func (r SegRef) PageSpan() int {
 	return int((r.Off + r.Len + PageSize - 1) / PageSize)
 }
 
-// SubSpan returns the number of pages a ReadSub of bytes [from, from+n) of
-// the segment touches — the page cost of a partial fetch (an APL header, a
-// posting block, a coordinate range).
-func (r SegRef) SubSpan(from, n uint32) int {
-	if n == 0 {
-		return 0
-	}
-	first := (r.Off + from) / PageSize
-	last := (r.Off + from + n - 1) / PageSize
-	return int(last - first + 1)
-}
-
-// PageRange returns the half-open page interval [first, past) a ReadSub of
-// bytes [from, from+n) touches, for readahead planning.
-func (r SegRef) PageRange(from, n uint32) (first, past uint32) {
-	if n == 0 {
-		return r.Page, r.Page
-	}
-	return r.Page + (r.Off+from)/PageSize, r.Page + (r.Off+from+n-1)/PageSize + 1
-}
-
 // Store packs append-only byte segments across fixed-size pages and reads
 // them back through a BufferPool. It is the "hard disk" of the paper's
 // Figure 2: APLs, low HICL levels, and raw trajectories are segments here.
@@ -173,22 +152,6 @@ func (s *Store) ReadInto(ref SegRef, dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// ReadSub is ReadInto restricted to bytes [from, from+n) of the segment:
-// only the pages spanning that sub-range go through the buffer pool, which
-// is what lets partial fetches (APL headers, posting blocks, sparse
-// coordinate ranges) skip the rest of a multi-page segment.
-func (s *Store) ReadSub(ref SegRef, from, n uint32, dst []byte) ([]byte, error) {
-	if from > ref.Len || n > ref.Len-from { // from+n may wrap
-		return nil, fmt.Errorf("storage: sub-read of %d bytes at %d outside segment of %d bytes", n, from, ref.Len)
-	}
-	sub := SegRef{
-		Page: ref.Page + (ref.Off+from)/PageSize,
-		Off:  (ref.Off + from) % PageSize,
-		Len:  n,
-	}
-	return s.ReadInto(sub, dst)
-}
-
 // ReadPage copies the first len(dst) bytes of one page into dst (reading the
 // page through the buffer pool, counting toward PoolStats). Sparse readers
 // use it to fetch exactly the pages that hold the bytes they need.
@@ -199,12 +162,6 @@ func (s *Store) ReadPage(page uint32, dst []byte) error { return s.pool.ReadAt(p
 // the pool can never reuse that frame. The benchmark's page probe is its one
 // caller; everything that serves reads copies out.
 func (s *Store) PageData(page uint32) ([]byte, error) { return s.pool.Get(page) }
-
-// Prefetch hints that pages [first, past) are about to be read: absent
-// pages are loaded into the pool without counting logical accesses, so a
-// batch of segment fetches sorted by page can warm the pool in one
-// ascending sweep before the per-candidate reads hit it.
-func (s *Store) Prefetch(first, past uint32) { s.pool.Prefetch(first, past) }
 
 // Stats returns buffer pool counters.
 func (s *Store) Stats() PoolStats { return s.pool.Stats() }
