@@ -83,7 +83,8 @@ type (
 	// StoreConfig tunes TrajStore construction.
 	StoreConfig = evaluate.TrajStoreConfig
 	// GATConfig tunes the GAT index; the zero value uses the paper's
-	// defaults (256×256 leaf grid, 6 in-memory HICL levels).
+	// defaults (256×256 leaf grid, λ = 32, m = 8 near cells). The HICL is
+	// read off the ITL, so there is no memory budget to set.
 	GATConfig = gat.Config
 	// GATIndex is a built GAT index.
 	GATIndex = gat.Index
@@ -305,14 +306,6 @@ func SaveGATIndex(idx *GATIndex, w io.Writer) (int64, error) { return idx.WriteT
 
 // LoadGATIndex reconstructs an index written by SaveGATIndex.
 func LoadGATIndex(r io.Reader, ts *TrajStore) (*GATIndex, error) { return gat.Load(r, ts) }
-
-// GATMemLevelsForBudget applies the paper's memory-budget rule
-// (h = ⌊log₄(3B/4C + 1)⌋) to choose how many HICL levels to keep in
-// memory for a byte budget and vocabulary size; pass the result as
-// GATConfig.MemLevels.
-func GATMemLevelsForBudget(budgetBytes int64, vocabSize, depth int) int {
-	return gat.MemLevelsForBudget(budgetBytes, vocabSize, depth)
-}
 
 // Raw check-in ingestion: the paper's source data is check-in logs (user,
 // time, venue coordinates, tip text); these helpers turn such logs into a

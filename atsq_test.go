@@ -27,7 +27,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	gatEng, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 6, MemLevels: 4})
+	gatEng, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 6})
 	if err != nil {
 		t.Fatalf("gat: %v", err)
 	}
@@ -88,12 +88,12 @@ func TestIndexBreakdownAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 7, MemLevels: 5})
+	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bd := idx.Breakdown()
-	if bd.Total <= 0 || bd.HICL <= 0 || bd.ITL <= 0 {
+	if bd.Total <= 0 || bd.ITL <= 0 {
 		t.Fatalf("breakdown = %+v", bd)
 	}
 	e := activitytraj.NewEngineForIndex(idx)
@@ -130,7 +130,7 @@ func TestLoadGATIndexForeignStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 6, MemLevels: 4})
+	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,16 +168,14 @@ func TestGATConfigBounds(t *testing.T) {
 	}
 	for _, cfg := range []activitytraj.GATConfig{
 		{NearCells: math.MaxInt},
-		{PoolPages: math.MaxInt},
 		{Lambda: math.MaxInt},
-		{MemLevels: math.MaxInt},
 	} {
 		if _, err := activitytraj.BuildGATIndex(store, cfg); err == nil {
 			t.Fatalf("%+v: built", cfg)
 		}
 	}
 	const limit = 1 << 20
-	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 6, MemLevels: limit, NearCells: limit, Lambda: limit})
+	idx, err := activitytraj.BuildGATIndex(store, activitytraj.GATConfig{Depth: 6, NearCells: limit, Lambda: limit})
 	if err != nil {
 		t.Fatalf("at the bound: %v", err)
 	}

@@ -45,7 +45,7 @@ func ExampleNewGAT() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 5, MemLevels: 5})
+	engine, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,13 +96,4 @@ bob,2012-06-01T13:00:00Z,40.720,-73.980,v3,"shopping spree"
 		st.Trajectories, st.Points, st.DistinctActs)
 	// Output:
 	// 2 trajectories, 4 check-ins, 8 distinct activities
-}
-
-// ExampleGATMemLevelsForBudget applies the paper's HICL memory-budget rule.
-func ExampleGATMemLevelsForBudget() {
-	// 64 MiB budget, 87K-word vocabulary (the paper's LA), depth 8.
-	h := activitytraj.GATMemLevelsForBudget(64<<20, 87567, 8)
-	fmt.Println(h)
-	// Output:
-	// 3
 }

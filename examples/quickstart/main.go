@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("store: %v", err)
 	}
-	engine, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 5, MemLevels: 5})
+	engine, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 5})
 	if err != nil {
 		log.Fatalf("engine: %v", err)
 	}

@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("store: %v", err)
 	}
-	engine, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 6, MemLevels: 6})
+	engine, err := activitytraj.NewGAT(store, activitytraj.GATConfig{Depth: 6})
 	if err != nil {
 		log.Fatalf("engine: %v", err)
 	}

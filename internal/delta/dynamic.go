@@ -550,12 +550,11 @@ func (d *Dynamic) CompactNow() error {
 
 	// Drop the retired generations' caches once every in-flight search on
 	// them has finished (cur and g share the old index and store).
-	go func(a, b *generation, ts *evaluate.TrajStore, idx *gat.Index) {
+	go func(a, b *generation, ts *evaluate.TrajStore) {
 		<-a.drained
 		<-b.drained
-		idx.ResetCache()
 		ts.ResetPool()
-	}(cur, g, cur.ts, cur.idx)
+	}(cur, g, cur.ts)
 
 	// Persist the compaction: snapshot + manifest commit + WAL prune. A
 	// failure here leaves the swapped-in generation serving (memory is
@@ -672,7 +671,6 @@ func (d *Dynamic) Epoch() uint64 { return d.mutEpoch.Load() }
 func (d *Dynamic) ResetCaches() {
 	gen := d.acquire()
 	defer gen.release()
-	gen.idx.ResetCache()
 	gen.ts.ResetPool()
 }
 

@@ -59,7 +59,7 @@ func TestGATCancelledMidSearch(t *testing.T) {
 	ds := testDataset(t)
 	// Lambda 1 maximizes batch boundaries, so the countdown trips well
 	// before the search would naturally finish.
-	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, MemLevels: 4, Lambda: 1})
+	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, Lambda: 1})
 	e := engines[3] // GAT
 	qs := workload(t, ds, 3)
 	for qi, q := range qs {
@@ -126,7 +126,7 @@ func TestShardedCancelledMidSearch(t *testing.T) {
 	ds := testDataset(t)
 	r, err := shard.NewRouter(ds, shard.Config{
 		Shards: 4,
-		Delta:  delta.Config{GAT: gat.Config{Depth: 6, MemLevels: 4, Lambda: 1}},
+		Delta:  delta.Config{GAT: gat.Config{Depth: 6, Lambda: 1}},
 	})
 	if err != nil {
 		t.Fatalf("router: %v", err)
@@ -198,7 +198,7 @@ func TestParallelEngineAbortsBatchOnCancellation(t *testing.T) {
 func TestDynamicEngineCancelled(t *testing.T) {
 	ds := testDataset(t)
 	d, err := delta.NewDynamic(ds, delta.Config{
-		GAT:              gat.Config{Depth: 6, MemLevels: 4, Lambda: 1},
+		GAT:              gat.Config{Depth: 6, Lambda: 1},
 		CompactThreshold: -1,
 	})
 	if err != nil {

@@ -41,7 +41,7 @@ func testDataset(t testing.TB) *trajectory.Dataset {
 	return ds
 }
 
-func gatCfgDefault() gat.Config { return gat.Config{Depth: 6, MemLevels: 4} }
+func gatCfgDefault() gat.Config { return gat.Config{Depth: 6} }
 
 func buildEngines(t testing.TB, ds *trajectory.Dataset, gatCfg gat.Config) (*evaluate.TrajStore, []query.Engine) {
 	t.Helper()
@@ -121,7 +121,7 @@ func sameDists(a, b []float64) bool {
 // return the same top-k distances as the exhaustive IL oracle.
 func TestEnginesAgreeATSQ(t *testing.T) {
 	ds := testDataset(t)
-	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, MemLevels: 4})
+	_, engines := buildEngines(t, ds, gat.Config{Depth: 6})
 	qs := workload(t, ds, 25)
 	for qi, q := range qs {
 		var ref []float64
@@ -142,7 +142,7 @@ func TestEnginesAgreeATSQ(t *testing.T) {
 // TestEnginesAgreeOATSQ repeats the gate for the order-sensitive query.
 func TestEnginesAgreeOATSQ(t *testing.T) {
 	ds := testDataset(t)
-	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, MemLevels: 4})
+	_, engines := buildEngines(t, ds, gat.Config{Depth: 6})
 	qs := workload(t, ds, 25)
 	for qi, q := range qs {
 		var ref []float64
@@ -169,10 +169,10 @@ func TestGATVariantsAgree(t *testing.T) {
 		t.Fatalf("trajstore: %v", err)
 	}
 	cfgs := []gat.Config{
-		{Depth: 6, MemLevels: 4},
-		{Depth: 6, MemLevels: 4, LooseLowerBound: true},
-		{Depth: 5, MemLevels: 5},
-		{Depth: 8, MemLevels: 4, Lambda: 4, NearCells: 2},
+		{Depth: 6},
+		{Depth: 6, LooseLowerBound: true},
+		{Depth: 5},
+		{Depth: 8, Lambda: 4, NearCells: 2},
 	}
 	var engines []query.Engine
 	for _, c := range cfgs {
@@ -201,7 +201,7 @@ func TestGATVariantsAgree(t *testing.T) {
 // results from every engine (and no panic/livelock).
 func TestUnmatchableQuery(t *testing.T) {
 	ds := testDataset(t)
-	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, MemLevels: 4})
+	_, engines := buildEngines(t, ds, gat.Config{Depth: 6})
 	q := query.Query{Pts: []query.Point{
 		{Loc: ds.Trajs[0].Pts[0].Loc, Acts: trajectory.NewActivitySet(trajectory.ActivityID(ds.Vocab.Size() + 5))},
 	}}
@@ -219,7 +219,7 @@ func TestUnmatchableQuery(t *testing.T) {
 // trajectories returns all matches, consistently across engines.
 func TestKLargerThanMatches(t *testing.T) {
 	ds := testDataset(t)
-	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, MemLevels: 4})
+	_, engines := buildEngines(t, ds, gat.Config{Depth: 6})
 	qs := workload(t, ds, 5)
 	for qi, q := range qs {
 		var ref []float64
@@ -239,7 +239,7 @@ func TestKLargerThanMatches(t *testing.T) {
 // least the ATSQ top-1 distance (Dmm lower-bounds Dmom).
 func TestLemma3AcrossEngines(t *testing.T) {
 	ds := testDataset(t)
-	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, MemLevels: 4})
+	_, engines := buildEngines(t, ds, gat.Config{Depth: 6})
 	qs := workload(t, ds, 10)
 	e := engines[3] // GAT
 	for qi, q := range qs {

@@ -225,7 +225,7 @@ func TestGoldenEngineChecksums(t *testing.T) {
 		query.Engine
 		reset func()
 	}{
-		{gatEng, func() { idx.Store().ResetPool(); gatEng.ResetCaches() }},
+		{gatEng, idx.Store().ResetPool},
 		{dyn.NewEngine(), dyn.ResetCaches},
 		{baseline.BuildIL(ilTS), ilTS.ResetPool},
 		{baseline.BuildRT(rtTS, 0, 0), rtTS.ResetPool},

@@ -45,7 +45,7 @@ func (w world) open(t testing.TB) (query.Engine, []trajectory.Trajectory) {
 		ds.Trajs = append(ds.Trajs, trajectory.Trajectory{ID: trajectory.TrajID(len(ds.Trajs)), Pts: tr.Pts})
 	}
 	dyn, err := delta.NewDynamic(ds, delta.Config{
-		GAT:              gat.Config{Depth: w.depth, MemLevels: 1 + w.depth/2},
+		GAT:              gat.Config{Depth: w.depth},
 		CompactThreshold: -1,
 	})
 	if err != nil {

@@ -207,7 +207,7 @@ func TestSubtrajectoryRequestValidation(t *testing.T) {
 // search at a deterministic batch boundary with Truncated set.
 func TestSubtrajectoryCancelledMidSearch(t *testing.T) {
 	ds := testDataset(t)
-	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, MemLevels: 4, Lambda: 1})
+	_, engines := buildEngines(t, ds, gat.Config{Depth: 6, Lambda: 1})
 	e := engines[3] // GAT
 	qs := workload(t, ds, 3)
 	for qi, q := range qs {

@@ -5,8 +5,12 @@
 // The index has the paper's four components:
 //
 //	(i)   HICL — Hierarchical Inverted Cell List: per activity, the cells
-//	      containing it at every grid level; high levels in memory, the
-//	      finest levels on simulated disk.
+//	      containing it at every grid level. Derived, not stored: the
+//	      leaves under a cell are one Z interval and the ITL arena keeps
+//	      an activity's leaves Z-sorted, so "does this cell carry a?" is a
+//	      bisection into a's arena span (see searcher.childMasks). The
+//	      paper's memory-budget rule for the in-memory levels has nothing
+//	      left to budget.
 //	(ii)  ITL — Inverted Trajectory List: per leaf cell and activity, the
 //	      trajectories with a matching point inside the cell (in memory,
 //	      grouped by activity: see itlArena).
@@ -31,7 +35,6 @@ package gat
 import (
 	"fmt"
 
-	"activitytraj/internal/evaluate"
 	"activitytraj/internal/zorder"
 )
 
@@ -40,22 +43,11 @@ type Config struct {
 	// Depth is d: the leaf grid has 2^Depth × 2^Depth cells. The paper's
 	// default is 8 (256×256); Figure 8 sweeps 5..8.
 	Depth int
-	// MemLevels is the number of HICL levels kept in main memory (levels
-	// 1..MemLevels); deeper levels live on disk. The paper keeps levels
-	// 1..6 in memory for d=8. Values >= Depth keep the whole HICL in
-	// memory.
-	MemLevels int
 	// Lambda is the candidate batch size λ of Algorithm 1.
 	Lambda int
 	// NearCells is m: how many nearest unvisited cells per query point
 	// feed the virtual-trajectory lower bound of Algorithm 2.
 	NearCells int
-	// PoolPages is the buffer pool capacity for the HICL disk store.
-	PoolPages int
-	// HICLCacheEntries caps the shared cache of decoded disk-level HICL
-	// posting lists (0 selects DefaultHICLCacheEntries). The cache is
-	// shared by every search over the index.
-	HICLCacheEntries int
 	// LooseLowerBound replaces Algorithm 2 with the "straightforward"
 	// bound — the priority queue's head distance (ablation A1).
 	LooseLowerBound bool
@@ -64,13 +56,8 @@ type Config struct {
 // Defaults mirror Section VII's experimental setup.
 const (
 	DefaultDepth     = 8
-	DefaultMemLevels = 6
 	DefaultLambda    = 32
 	DefaultNearCells = 8
-	// DefaultHICLCacheEntries holds every disk-level list of a depth-8,
-	// multi-thousand-activity index comfortably; each entry is one decoded
-	// posting list.
-	DefaultHICLCacheEntries = 4096
 )
 
 func (c Config) withDefaults() Config {
@@ -80,33 +67,24 @@ func (c Config) withDefaults() Config {
 	if c.Depth > zorder.MaxLevel {
 		c.Depth = zorder.MaxLevel
 	}
-	if c.MemLevels <= 0 {
-		c.MemLevels = DefaultMemLevels
-	}
 	if c.Lambda <= 0 {
 		c.Lambda = DefaultLambda
 	}
 	if c.NearCells <= 0 {
 		c.NearCells = DefaultNearCells
 	}
-	if c.PoolPages <= 0 {
-		c.PoolPages = evaluate.DefaultPoolPages
-	}
-	if c.HICLCacheEntries <= 0 {
-		c.HICLCacheEntries = DefaultHICLCacheEntries
-	}
 	return c
 }
 
-// maxParam bounds the integer parameters: PoolPages sizes the pool's frame
-// tables (default 1024), and the searcher adds one to NearCells.
+// maxParam bounds the integer parameters: the searcher adds one to
+// NearCells.
 const maxParam = 1 << 20
 
 // validate rejects post-default parameters beyond maxParam. It is the one
 // check Build and Load share, so no index builds that its own file would
 // not load.
 func (c Config) validate() error {
-	for _, v := range [...]int{c.Depth, c.MemLevels, c.Lambda, c.NearCells, c.PoolPages} {
+	for _, v := range [...]int{c.Lambda, c.NearCells} {
 		if v > maxParam {
 			return fmt.Errorf("gat: parameter %d exceeds %d (%+v)", v, maxParam, c)
 		}

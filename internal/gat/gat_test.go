@@ -34,55 +34,97 @@ func buildSmall(t testing.TB, cfg Config) (*trajectory.Dataset, *evaluate.TrajSt
 	return ds, ts, idx
 }
 
-// TestHICLHierarchyConsistency: an activity is listed for a cell at level l
-// exactly when it is listed for one of the cell's children at level l+1,
-// and the leaf level must agree with the ITL.
-func TestHICLHierarchyConsistency(t *testing.T) {
-	ds, _, idx := buildSmall(t, Config{Depth: 6, MemLevels: 6}) // all in memory
-	_ = ds
-	for l := 1; l < idx.cfg.Depth; l++ {
-		for a, list := range idx.hiclMem[l] {
-			childList := idx.hiclMem[l+1][a]
-			for _, z := range list.Elements() {
-				found := false
-				for _, cz := range []uint32{z << 2, z<<2 + 1, z<<2 + 2, z<<2 + 3} {
-					if childList.Contains(cz) {
-						found = true
-						break
+// TestChildMasksVsBrute: for random datasets at depths 3..8, the HICL the
+// search reads off the arena agrees with a brute-force scan of the dataset.
+// For every cell the search can pop — the root and every cell above the
+// leaf level that carries an activity, plus a few that carry none — and
+// every activity of the vocabulary, spread over query points 32 at a time,
+// childMasks marks a child for activity a exactly when some point with a
+// lies in one of the child's leaves, and only for activities in the popped
+// mask. This is the parent-iff-child invariant the pruning relies on.
+func TestChildMasksVsBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 12; trial++ {
+		depth := 3 + trial%6
+		vocab := 10 + rng.Intn(150)
+		ds, err := dataset.Generate(dataset.Config{
+			Name: "hicl-prop", Seed: rng.Int63(), NumTrajectories: 20 + rng.Intn(120), NumVenues: 60 + rng.Intn(300),
+			VocabSize: vocab, RegionW: 30, RegionH: 30, Clusters: 1 + rng.Intn(5), TrajLenMean: float64(3 + rng.Intn(12)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := evaluate.BuildTrajStore(ds, evaluate.TrajStoreConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := Build(ts, Config{Depth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// carries[cell] is the set of activities with a point in the cell,
+		// at every level from the leaves up to the root.
+		carries := map[grid.Cell]map[trajectory.ActivityID]bool{}
+		for ti := range ds.Trajs {
+			for _, p := range ds.Trajs[ti].Pts {
+				leaf := idx.g.LeafAt(p.Loc)
+				for l := depth; l >= 0; l-- {
+					c := grid.Cell{Level: uint8(l), Z: leaf.Z >> (2 * uint(depth-l))}
+					if carries[c] == nil {
+						carries[c] = map[trajectory.ActivityID]bool{}
+					}
+					for _, a := range p.Acts {
+						carries[c][a] = true
 					}
 				}
-				if !found {
-					t.Fatalf("level %d act %d cell %d has no child in level %d", l, a, z, l+1)
-				}
 			}
-			for _, cz := range childList.Elements() {
-				if !list.Contains(cz >> 2) {
-					t.Fatalf("level %d act %d cell %d missing parent at level %d", l+1, a, cz, l)
+		}
+		var q query.Query // every activity of the vocabulary and a few past it
+		for a := 0; a < vocab+5; a += 32 {
+			var acts trajectory.ActivitySet
+			for b := a; b < min(a+32, vocab+5); b++ {
+				acts = append(acts, trajectory.ActivityID(b))
+			}
+			q.Pts = append(q.Pts, query.Point{Acts: acts})
+		}
+		s := peekScratch(NewEngine(idx))
+		var stats query.SearchStats
+		s.Begin(query.Request{Query: q}, &stats)
+
+		cells := []grid.Cell{}
+		for c := range carries {
+			if int(c.Level) < depth {
+				cells = append(cells, c)
+			}
+		}
+		for range 20 { // cells carrying nothing
+			l := rng.Intn(depth)
+			cells = append(cells, grid.Cell{Level: uint8(l), Z: uint32(rng.Intn(1 << (2 * l)))})
+		}
+		for _, c := range cells {
+			for qi, qp := range q.Pts {
+				full := uint32(1)<<uint(len(qp.Acts)) - 1
+				for _, mask := range []uint32{full, full & rng.Uint32()} {
+					got := s.childMasks(qi, nearCell{cell: c, mask: mask})
+					for ci, child := range c.Children() {
+						var want uint32
+						for b, a := range qp.Acts {
+							if mask&(1<<uint(b)) != 0 && carries[child][a] {
+								want |= 1 << uint(b)
+							}
+						}
+						if got[ci] != want {
+							t.Fatalf("trial %d (depth %d): cell %v child %v, point %d, mask %#x: arena says %#x, scan says %#x",
+								trial, depth, c, child, qi, mask, got[ci], want)
+						}
+					}
 				}
 			}
 		}
-	}
-	// Leaf level vs ITL: the same (cell, activity) pairs, both ways.
-	leaf := idx.hiclMem[idx.cfg.Depth]
-	pairs := 0
-	for i, a := range idx.itl.acts {
-		for _, z := range idx.itl.entZ[idx.itl.actOff[i]:idx.itl.actOff[i+1]] {
-			pairs++
-			if !leaf[a].Contains(z) {
-				t.Fatalf("leaf HICL missing cell %d for act %d", z, a)
-			}
-		}
-	}
-	for _, set := range leaf {
-		pairs -= set.Len()
-	}
-	if pairs != 0 {
-		t.Fatalf("leaf HICL and ITL disagree by %d (cell, activity) pairs", pairs)
 	}
 }
 
-// TestITLCompleteness: for random datasets at depths 3..8, with the HICL
-// both fully in memory and split across the disk store, every (leaf,
+// TestITLCompleteness: for random datasets at depths 3..8, every (leaf,
 // activity) slice of the arena equals a brute-force scan of the dataset —
 // nothing missing, nothing extra, ascending, no duplicates — the arena
 // holds no list the scan does not, and an activity's entries inside a Z
@@ -91,10 +133,7 @@ func TestITLCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 12; trial++ {
 		depth := 3 + trial%6
-		cfg := Config{Depth: depth, MemLevels: depth}
-		if trial >= 6 {
-			cfg.MemLevels = 1 + rng.Intn(depth-1)
-		}
+		cfg := Config{Depth: depth}
 		ds, err := dataset.Generate(dataset.Config{
 			Name: "itl-prop", Seed: rng.Int63(), NumTrajectories: 20 + rng.Intn(120), NumVenues: 60 + rng.Intn(300),
 			VocabSize: 10 + rng.Intn(150), RegionW: 30, RegionH: 30, Clusters: 1 + rng.Intn(5), TrajLenMean: float64(3 + rng.Intn(12)),
@@ -187,36 +226,11 @@ func TestITLCompleteness(t *testing.T) {
 	}
 }
 
-// TestDiskLevelsUsed: with MemLevels < Depth the deep levels live on disk
-// and are still consulted correctly (results already cross-checked in
-// enginetest; here we assert the directory is populated and readable).
-func TestDiskLevelsUsed(t *testing.T) {
-	_, _, idx := buildSmall(t, Config{Depth: 7, MemLevels: 3})
-	if len(idx.hiclDir) == 0 {
-		t.Fatal("no disk-resident HICL lists despite MemLevels < Depth")
-	}
-	if idx.DiskBytes() <= 0 {
-		t.Fatal("disk bytes must be positive")
-	}
-	for key, ref := range idx.hiclDir {
-		if int(key.level) <= 3 {
-			t.Fatalf("level %d leaked to disk", key.level)
-		}
-		blob, err := idx.hiclStore.Read(ref)
-		if err != nil {
-			t.Fatalf("read %+v: %v", key, err)
-		}
-		if len(blob) == 0 {
-			t.Fatalf("empty HICL segment for %+v", key)
-		}
-	}
-}
-
 // TestTheorem1LowerBoundSoundness: at every batch boundary, the computed
 // Dlb must not exceed the true minimum Dmm over trajectories not yet
 // retrieved (Theorem 1). We instrument a search manually.
 func TestTheorem1LowerBoundSoundness(t *testing.T) {
-	ds, ts, idx := buildSmall(t, Config{Depth: 6, MemLevels: 4, Lambda: 8, NearCells: 3})
+	ds, ts, idx := buildSmall(t, Config{Depth: 6, Lambda: 8, NearCells: 3})
 	e := NewEngine(idx)
 	qs, err := queries.Generate(ds, queries.Config{NumQueries: 5, NumPoints: 2, ActsPerPoint: 2, DiameterKm: 6, Seed: 3})
 	if err != nil {
@@ -267,16 +281,16 @@ func TestTheorem1LowerBoundSoundness(t *testing.T) {
 // TestMemBreakdown: all components are accounted and granularity grows the
 // footprint (the Fig. 8 memory claim).
 func TestMemBreakdown(t *testing.T) {
-	_, ts, coarse := buildSmall(t, Config{Depth: 5, MemLevels: 5})
-	fine, err := Build(ts, Config{Depth: 8, MemLevels: 8})
+	_, ts, coarse := buildSmall(t, Config{Depth: 5})
+	fine, err := Build(ts, Config{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bc, bf := coarse.Breakdown(), fine.Breakdown()
-	if bc.HICL <= 0 || bc.ITL <= 0 || bc.Directories <= 0 {
+	if bc.ITL <= 0 || bc.Directories <= 0 {
 		t.Fatalf("breakdown has zero component: %+v", bc)
 	}
-	if bc.Total != bc.HICL+bc.ITL+bc.Directories {
+	if bc.Total != bc.ITL+bc.Directories {
 		t.Fatalf("total mismatch: %+v", bc)
 	}
 	// The store's directories, the exact activity directory among them,
@@ -284,8 +298,8 @@ func TestMemBreakdown(t *testing.T) {
 	if acts := ts.ActivityDirBytes(); acts <= 0 || ts.MemBytes() <= acts || bc.Directories < ts.MemBytes() {
 		t.Fatalf("store directories (%d B, activities %d B) misplaced: %+v", ts.MemBytes(), acts, bc)
 	}
-	if bf.HICL <= bc.HICL {
-		t.Fatalf("finer grid should cost more HICL memory: %d vs %d", bf.HICL, bc.HICL)
+	if bf.ITL <= bc.ITL {
+		t.Fatalf("finer grid should cost more ITL memory: %d vs %d", bf.ITL, bc.ITL)
 	}
 	if coarse.MemBytes() != bc.Total {
 		t.Fatal("MemBytes != Breakdown().Total")

@@ -2,22 +2,12 @@ package gat
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
-	"activitytraj/internal/cache"
 	"activitytraj/internal/evaluate"
 	"activitytraj/internal/grid"
-	"activitytraj/internal/invindex"
-	"activitytraj/internal/storage"
 	"activitytraj/internal/trajectory"
 )
-
-// hiclKey addresses one on-disk HICL posting list.
-type hiclKey struct {
-	level uint8
-	act   trajectory.ActivityID
-}
 
 // itlArena is the Inverted Trajectory List in compressed-sparse-row form,
 // activity-major: per activity the leaf cells carrying it in ascending Z
@@ -81,38 +71,14 @@ func (t *itlArena) postings(z uint32, a trajectory.ActivityID) []uint32 {
 	return nil
 }
 
-// Index is a built GAT index over a TrajStore.
+// Index is a built GAT index over a TrajStore. Its HICL is the ITL arena
+// read by level: see searcher.childMasks.
 type Index struct {
 	cfg Config
 	ts  *evaluate.TrajStore
 	g   *grid.Grid
-
-	// hiclMem[l] is the level-l inverted cell list for 1 <= l <= MemLevels:
-	// per activity, a hybrid container set of the cells carrying it, so
-	// presence probes and sibling masks are O(1) on dense levels.
-	hiclMem []map[trajectory.ActivityID]*invindex.Set
-	// hiclDir locates the on-disk lists for levels > MemLevels.
-	hiclDir   map[hiclKey]storage.SegRef
-	hiclStore *storage.Store
-	// hicl caches decoded disk-level HICL cell sets across queries and
-	// across every engine sharing this index (concurrency-safe).
-	// Absent lists are cached as nil so repeated probes stay cheap.
-	hicl *cache.Sharded[hiclKey, *invindex.Set]
-	itl  itlArena
+	itl itlArena
 }
-
-func newHICLCache(entries int) *cache.Sharded[hiclKey, *invindex.Set] {
-	return cache.New[hiclKey, *invindex.Set](entries, 0, func(k hiclKey) uint64 {
-		return cache.Uint64Hash(uint64(k.level)<<32 | uint64(uint32(k.act)))
-	})
-}
-
-// CacheStats exposes the HICL decoded-list cache counters.
-func (idx *Index) CacheStats() cache.Stats { return idx.hicl.Stats() }
-
-// ResetCache empties the shared decoded-HICL cache (cold-cache
-// experiments). It affects every engine over this index.
-func (idx *Index) ResetCache() { idx.hicl.Reset() }
 
 // Build constructs the GAT index for the trajectories in ts.
 func Build(ts *evaluate.TrajStore, cfg Config) (*Index, error) {
@@ -126,19 +92,7 @@ func Build(ts *evaluate.TrajStore, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{
-		cfg:       cfg,
-		ts:        ts,
-		g:         g,
-		hiclDir:   make(map[hiclKey]storage.SegRef),
-		hiclStore: storage.NewMemStore(cfg.PoolPages),
-		hicl:      newHICLCache(cfg.HICLCacheEntries),
-		itl:       buildITL(ds, g),
-	}
-	if err := idx.buildHICL(); err != nil {
-		return nil, err
-	}
-	return idx, nil
+	return &Index{cfg: cfg, ts: ts, g: g, itl: buildITL(ds, g)}, nil
 }
 
 // itlTriple is one (activity, leaf cell, trajectory) incidence, keyed so
@@ -201,61 +155,6 @@ func layoutITL(triples []itlTriple) itlArena {
 	return t
 }
 
-// buildHICL derives every HICL level from the ITL, whose entries in arena
-// order are the leaf level grouped by activity with ascending cells; z>>2 of
-// an ascending run is ascending, so each coarser level is the previous one
-// shifted and de-duplicated in place — nothing is ever sorted. Levels above
-// MemLevels go to the disk store in (level, activity) order, so equal inputs
-// build byte-equal indexes.
-func (idx *Index) buildHICL() error {
-	t := &idx.itl
-	pairs := make([]uint64, 0, len(t.entZ)) // activity << 32 | cell Z
-	for i, a := range t.acts {
-		for _, z := range t.entZ[t.actOff[i]:t.actOff[i+1]] {
-			pairs = append(pairs, uint64(a)<<32|uint64(z))
-		}
-	}
-
-	memTop := min(idx.cfg.MemLevels, idx.cfg.Depth)
-	idx.hiclMem = make([]map[trajectory.ActivityID]*invindex.Set, memTop+1)
-	var zs []uint32
-	var buf []byte
-	for l := idx.cfg.Depth; l >= 1; l-- {
-		if l <= memTop {
-			idx.hiclMem[l] = make(map[trajectory.ActivityID]*invindex.Set)
-		}
-		for lo := 0; lo < len(pairs); {
-			a := trajectory.ActivityID(pairs[lo] >> 32)
-			zs = zs[:0]
-			hi := lo
-			for ; hi < len(pairs) && trajectory.ActivityID(pairs[hi]>>32) == a; hi++ {
-				zs = append(zs, uint32(pairs[hi]))
-			}
-			lo = hi
-			set := invindex.SetFromSorted(zs)
-			if l <= memTop {
-				idx.hiclMem[l][a] = set
-				continue
-			}
-			buf = set.AppendEncoded(buf[:0])
-			ref, err := idx.hiclStore.Append(buf)
-			if err != nil {
-				return fmt.Errorf("gat: write HICL level %d: %w", l, err)
-			}
-			idx.hiclDir[hiclKey{level: uint8(l), act: a}] = ref
-		}
-		parents := pairs[:0]
-		for _, p := range pairs {
-			p = p&^0xFFFFFFFF | uint64(uint32(p)>>2)
-			if len(parents) == 0 || parents[len(parents)-1] != p {
-				parents = append(parents, p)
-			}
-		}
-		pairs = parents
-	}
-	return idx.hiclStore.Seal()
-}
-
 // Grid exposes the index's grid (used by tests and the index report tool).
 func (idx *Index) Grid() *grid.Grid { return idx.g }
 
@@ -267,9 +166,8 @@ func (idx *Index) Store() *evaluate.TrajStore { return idx.ts }
 
 // MemBreakdown itemizes the index's main-memory footprint.
 type MemBreakdown struct {
-	HICL        int64 // in-memory levels of the hierarchical inverted cell list
-	ITL         int64 // inverted trajectory lists
-	Directories int64 // HICL segment directory + the TrajStore's segment and exact activity directories
+	ITL         int64 // inverted trajectory lists, which also answer every HICL probe
+	Directories int64 // the TrajStore's segment and exact activity directories
 	Total       int64
 }
 
@@ -278,18 +176,11 @@ func (idx *Index) MemBytes() int64 { return idx.Breakdown().Total }
 
 // Breakdown computes the per-component memory cost reported in Figure 8.
 func (idx *Index) Breakdown() MemBreakdown {
-	var b MemBreakdown
-	for _, m := range idx.hiclMem {
-		for _, s := range m {
-			b.HICL += 16 + s.MemBytes()
-		}
-	}
 	t := &idx.itl // five slices of 4-byte elements
-	b.ITL = 4 * int64(len(t.acts)+len(t.actOff)+len(t.entZ)+len(t.postOff)+len(t.posts))
-	b.Directories = int64(len(idx.hiclDir))*24 + idx.ts.MemBytes()
-	b.Total = b.HICL + b.ITL + b.Directories
+	b := MemBreakdown{
+		ITL:         4 * int64(len(t.acts)+len(t.actOff)+len(t.entZ)+len(t.postOff)+len(t.posts)),
+		Directories: idx.ts.MemBytes(),
+	}
+	b.Total = b.ITL + b.Directories
 	return b
 }
-
-// DiskBytes returns the on-disk footprint of the HICL low levels.
-func (idx *Index) DiskBytes() int64 { return idx.hiclStore.DiskBytes() }

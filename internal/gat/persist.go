@@ -2,7 +2,6 @@ package gat
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,19 +13,19 @@ import (
 	"activitytraj/internal/geo"
 	"activitytraj/internal/grid"
 	"activitytraj/internal/invindex"
-	"activitytraj/internal/storage"
-	"activitytraj/internal/trajectory"
 )
 
 // Index persistence: a built GAT index can be written to a stream and
 // reloaded against the same trajectory store, so production deployments
-// pay the build cost once. The format stores the configuration, grid
-// geometry, in-memory HICL levels, ITL, the disk directory and the raw
-// pages of the HICL disk store; HICL cell lists, in memory and on the pages,
-// are length-prefixed invindex.Set encodings. The ITL section is leaf-major
-// — per occupied leaf its activities, per activity its list — as the arena
-// once was: the arena turned activity-major in memory only, so WriteTo
-// orders its entries by leaf, Load sorts them back, and no byte moved.
+// pay the build cost once. Version 3 stores the configuration, the grid
+// geometry and the ITL; the HICL is the ITL read by level, so there is
+// nothing else to store. Version 2 also carried the HICL (its in-memory
+// levels, a disk directory and the disk store's pages) and two fields it
+// sized; Load rejects it by version, as it does every other. The ITL
+// section is leaf-major — per occupied leaf its activities, per activity
+// its list — as the arena once was: the arena turned activity-major in
+// memory only, so WriteTo orders its entries by leaf and Load sorts them
+// back.
 //
 // A stream is input from outside: Load checks every value against the grid
 // and the store the index is bound to, sizes no allocation from a count
@@ -34,7 +33,7 @@ import (
 // would have chosen, so what loads re-serializes to the bytes it came from.
 const (
 	persistMagic   = "GATX"
-	persistVersion = 2
+	persistVersion = 3
 )
 
 // ErrBadIndexFormat is returned when loading a stream that is not a
@@ -65,25 +64,13 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	if cfg.LooseLowerBound {
 		flags |= 2
 	}
-	putU(uint64(cfg.Depth), uint64(cfg.MemLevels), uint64(cfg.Lambda),
-		uint64(cfg.NearCells), uint64(cfg.PoolPages), flags)
+	putU(uint64(cfg.Depth), uint64(cfg.Lambda), uint64(cfg.NearCells), flags)
 	region := idx.g.Region()
 	for _, f := range []float64{region.MinX, region.MinY, idx.g.Side()} {
 		put(binary.LittleEndian.AppendUint64(scratch[:0], math.Float64bits(f)))
 	}
 
-	// In-memory HICL levels: per activity a length-prefixed Set blob.
-	putU(uint64(len(idx.hiclMem)))
 	var buf []byte
-	for _, level := range idx.hiclMem {
-		putU(uint64(len(level)))
-		for _, a := range sortedActs(level) {
-			buf = level[a].AppendEncoded(buf[:0])
-			putU(uint64(a), uint64(len(buf)))
-			put(buf)
-		}
-	}
-
 	// ITL: the entries ordered by (leaf, entry) — within a leaf, entry order
 	// is activity order, and an entry's activity is the one whose span
 	// starts last at or before it.
@@ -109,21 +96,6 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		put(buf)
 	}
 
-	// HICL disk directory + raw store pages.
-	putU(uint64(len(idx.hiclDir)))
-	for _, k := range sortedHiclKeys(idx.hiclDir) {
-		ref := idx.hiclDir[k]
-		putU(uint64(k.level), uint64(k.act), uint64(ref.Page), uint64(ref.Off), uint64(ref.Len))
-	}
-	pages := idx.hiclStore.Pages()
-	putU(uint64(pages))
-	for p := uint32(0); p < pages; p++ {
-		blob, err := idx.hiclStore.Read(storage.SegRef{Page: p, Off: 0, Len: storage.PageSize})
-		if err != nil {
-			return n, fmt.Errorf("gat: dump page %d: %w", p, err)
-		}
-		put(blob)
-	}
 	return n, bw.Flush()
 }
 
@@ -174,17 +146,16 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	if ver := head[len(persistMagic)]; ver != persistVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadIndexFormat, ver)
 	}
-	var vals [6]uint64
+	var vals [4]uint64
 	for i := range vals {
 		vals[i] = getU()
 	}
+	flags := vals[3]
 	written := Config{
 		Depth:           int(vals[0]),
-		MemLevels:       int(vals[1]),
-		Lambda:          int(vals[2]),
-		NearCells:       int(vals[3]),
-		PoolPages:       int(vals[4]),
-		LooseLowerBound: vals[5]&2 != 0,
+		Lambda:          int(vals[1]),
+		NearCells:       int(vals[2]),
+		LooseLowerBound: flags&2 != 0,
 	}
 	var geom [3]float64 // origin X, origin Y, side
 	for i := range geom {
@@ -192,14 +163,13 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 		get(b[:])
 		geom[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 	}
-	// HICLCacheEntries is a runtime knob, not part of the serialized
-	// geometry; withDefaults re-derives it, and must change nothing else:
-	// the persisted fields are post-default values.
+	// The persisted fields are post-default values: withDefaults must
+	// change none of them.
 	cfg := written.withDefaults()
-	if vals[5]&1 != 0 {
-		bad("flags %d: bit 0, the retired TAS-ablation flag, is no longer accepted", vals[5])
+	if flags&1 != 0 {
+		bad("flags %d: bit 0, the retired TAS-ablation flag, is no longer accepted", flags)
 	}
-	if written.HICLCacheEntries = cfg.HICLCacheEntries; written != cfg || vals[5]&^2 != 0 || cfg.validate() != nil {
+	if written != cfg || flags&^2 != 0 || cfg.validate() != nil {
 		bad("configuration %v", vals)
 	}
 	if rerr != nil {
@@ -209,54 +179,6 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{
-		cfg:       cfg,
-		ts:        ts,
-		g:         g,
-		hiclDir:   make(map[hiclKey]storage.SegRef),
-		hiclStore: storage.NewMemStore(cfg.PoolPages),
-		hicl:      newHICLCache(cfg.HICLCacheEntries),
-	}
-
-	var blob bytes.Buffer // grows as the bytes arrive, whatever the prefix says
-	var enc []byte
-	readSet := func() *invindex.Set {
-		n := getU()
-		if blob.Reset(); rerr == nil {
-			_, rerr = io.CopyN(&blob, br, int64(min(n, math.MaxInt64)))
-		}
-		if rerr != nil {
-			return nil
-		}
-		set, _, err := invindex.DecodeSet(blob.Bytes())
-		if err != nil {
-			bad("%v", err)
-		} else if enc = set.AppendEncoded(enc[:0]); !bytes.Equal(enc, blob.Bytes()) {
-			bad("set of %d bytes re-encodes to %d", blob.Len(), len(enc))
-		}
-		return set
-	}
-	nLevels := getU()
-	if nLevels > uint64(cfg.Depth)+1 {
-		return nil, fmt.Errorf("%w: %d in-memory HICL levels at depth %d", ErrBadIndexFormat, nLevels, cfg.Depth)
-	}
-	idx.hiclMem = make([]map[trajectory.ActivityID]*invindex.Set, nLevels)
-	for l := range idx.hiclMem {
-		nActs := getU()
-		if nActs == 0 {
-			continue // level 0 is the unused slot
-		}
-		m := make(map[trajectory.ActivityID]*invindex.Set)
-		for i, prev := uint64(0), uint32(0); i < nActs && rerr == nil; i++ {
-			a := getU32()
-			if i > 0 && a <= prev {
-				bad("HICL level %d: activity %d out of order", l, a)
-			}
-			m[trajectory.ActivityID(a)], prev = readSet(), a
-		}
-		idx.hiclMem[l] = m
-	}
-
 	// ITL: cells and each cell's activities ascend, and no other order
 	// loads; each list is, as invindex.AppendEncoded wrote it, a count, the
 	// first element, then gaps. It must be a non-empty strictly ascending
@@ -286,59 +208,8 @@ func Load(r io.Reader, ts *evaluate.TrajStore) (*Index, error) {
 			}
 		}
 	}
-	idx.itl = layoutITL(triples)
-
-	nDir := getU()
-	for i, prev := uint64(0), uint64(0); i < nDir && rerr == nil; i++ {
-		level, act := getU(), getU32()
-		key := level<<32 | uint64(act) // meaningful once level <= Depth is known
-		if level > uint64(cfg.Depth) || i > 0 && key <= prev {
-			bad("HICL directory: list (level %d, activity %d) out of order", level, act)
-		}
-		prev = key
-		idx.hiclDir[hiclKey{level: uint8(level), act: trajectory.ActivityID(act)}] = storage.SegRef{Page: getU32(), Off: getU32(), Len: getU32()}
-	}
-	nPages := getU()
-	for k, ref := range idx.hiclDir { // Store.Read allocates ref.Len bytes before it reads one
-		if ref.Off >= storage.PageSize || nPages > math.MaxUint32 ||
-			uint64(ref.Page)*storage.PageSize+uint64(ref.Off)+uint64(ref.Len) > nPages*storage.PageSize {
-			bad("HICL list (level %d, activity %d) lies outside the store's %d pages", k.level, k.act, nPages)
-		}
-	}
-	page := make([]byte, storage.PageSize)
-	for p := uint64(0); p < nPages && rerr == nil; p++ {
-		if get(page); rerr == nil {
-			_, rerr = idx.hiclStore.Append(page)
-		}
-	}
-	if rerr == nil {
-		rerr = idx.hiclStore.Seal()
-	}
 	if rerr != nil {
 		return nil, fmt.Errorf("gat: load index: %w", rerr)
 	}
-	return idx, nil
-}
-
-func sortedActs[V any](m map[trajectory.ActivityID]V) []trajectory.ActivityID {
-	out := make([]trajectory.ActivityID, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func sortedHiclKeys(m map[hiclKey]storage.SegRef) []hiclKey {
-	keys := make([]hiclKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b hiclKey) int {
-		if a.level != b.level {
-			return int(a.level) - int(b.level)
-		}
-		return int(a.act) - int(b.act)
-	})
-	return keys
+	return &Index{cfg: cfg, ts: ts, g: g, itl: layoutITL(triples)}, nil
 }

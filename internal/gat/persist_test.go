@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
@@ -21,7 +22,7 @@ import (
 // TestPersistRoundTrip: a saved and reloaded index must be structurally
 // identical and answer queries identically.
 func TestPersistRoundTrip(t *testing.T) {
-	ds, ts, idx := buildSmall(t, Config{Depth: 7, MemLevels: 4, Lambda: 16, NearCells: 5})
+	ds, ts, idx := buildSmall(t, Config{Depth: 7, Lambda: 16, NearCells: 5})
 	var buf bytes.Buffer
 	n, err := idx.WriteTo(&buf)
 	if err != nil {
@@ -40,12 +41,11 @@ func TestPersistRoundTrip(t *testing.T) {
 	if loaded.g.Region() != idx.g.Region() || loaded.g.Depth() != idx.g.Depth() {
 		t.Fatal("grid mismatch")
 	}
-	if !reflect.DeepEqual(loaded.itl, idx.itl) || len(loaded.hiclDir) != len(idx.hiclDir) {
-		t.Fatalf("structure differs: itl %d/%d lists, dir %d/%d",
-			len(loaded.itl.entZ), len(idx.itl.entZ), len(loaded.hiclDir), len(idx.hiclDir))
+	if !reflect.DeepEqual(loaded.itl, idx.itl) {
+		t.Fatalf("structure differs: itl %d/%d lists", len(loaded.itl.entZ), len(idx.itl.entZ))
 	}
 	bd1, bd2 := idx.Breakdown(), loaded.Breakdown()
-	if bd1.HICL != bd2.HICL || bd1.ITL != bd2.ITL {
+	if bd1 != bd2 {
 		t.Fatalf("memory breakdown differs: %+v vs %+v", bd1, bd2)
 	}
 
@@ -89,30 +89,44 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistGoldenV2 pins the version-2 stream across the change of the
-// in-memory ITL from per-cell maps to the arena. testdata/parent_v2.gatx was
-// written by the last commit with the map ITL (bf4f0db) for buildSmall's
-// dataset; it must load, re-serialize to the same bytes, and answer a fixed
-// query set exactly as a fresh build does — and exactly as that commit did:
-// goldenResults is the FNV-1a over every result's (ID, distance bits),
-// recorded at edc5e10 (the last commit whose descent always reached the
-// leaf level) and never re-recorded; goldenCounters adds each search's
-// PQPops, Candidates and Batches and was re-recorded when the descent
-// became bucketed, which lowers pops and batches on purpose, and by PR 23,
-// which changed the bucket's unit (ITL lists of the popped mask, not
-// occupied leaves) and so lowers them again. The file digest — the
-// re-serialized golden, byte for byte — has never moved: PR 23 turned the
-// arena activity-major in memory and left the stream leaf-major.
+// TestPersistGoldenV2: testdata/parent_v2.gatx is a version-2 stream, which
+// also carried the HICL, written by the last commit with the map ITL
+// (bf4f0db) for buildSmall's dataset. Version 3 dropped the HICL sections,
+// and no data directory persists an index, so there is nothing to migrate:
+// the file is rejected by version, and its bytes stay as they were.
 func TestPersistGoldenV2(t *testing.T) {
-	const (
-		goldenResults  = 0x553e7e1d8a4baa0f
-		goldenCounters = 0x5435225558fd86c1
-	)
 	golden, err := os.ReadFile("testdata/parent_v2.gatx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, ts, fresh := buildSmall(t, Config{Depth: 7, MemLevels: 4, Lambda: 16, NearCells: 5})
+	_, ts, _ := buildSmall(t, Config{Depth: 7, Lambda: 16, NearCells: 5})
+	if _, err := Load(bytes.NewReader(golden), ts); !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-2 golden: err = %v", err)
+	}
+}
+
+// TestPersistGoldenV3 pins the version-3 stream. testdata/v3.gatx was
+// written by the change that made the HICL a view of the ITL, for
+// buildSmall's dataset; it must load, re-serialize to the same bytes, and
+// answer a fixed query set exactly as a fresh build does — and exactly as
+// the version-2 golden did: goldenResults is the FNV-1a over every result's
+// (ID, distance bits), recorded at edc5e10 (the last commit whose descent
+// always reached the leaf level) and never re-recorded; goldenCounters adds
+// each search's PQPops, Candidates and Batches and was re-recorded when the
+// descent became bucketed, which lowers pops and batches on purpose, and by
+// PR 23, which changed the bucket's unit (ITL lists of the popped mask, not
+// occupied leaves) and so lowers them again. Reading the HICL off the arena
+// moved neither.
+func TestPersistGoldenV3(t *testing.T) {
+	const (
+		goldenResults  = 0x553e7e1d8a4baa0f
+		goldenCounters = 0x5435225558fd86c1
+	)
+	golden, err := os.ReadFile("testdata/v3.gatx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, ts, fresh := buildSmall(t, Config{Depth: 7, Lambda: 16, NearCells: 5})
 	loaded, err := Load(bytes.NewReader(golden), ts)
 	if err != nil {
 		t.Fatalf("load golden: %v", err)
@@ -182,7 +196,7 @@ type failingWriter struct{}
 func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	_, ts, idx := buildSmall(t, Config{Depth: 6, MemLevels: 3})
+	_, ts, idx := buildSmall(t, Config{Depth: 6})
 	if _, err := Load(bytes.NewReader([]byte("bogus")), ts); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
@@ -205,15 +219,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := idx.WriteTo(failingWriter{}); !errors.Is(err, errDiskFull) {
 		t.Fatalf("WriteTo on a failing writer: err = %v", err)
 	}
-	// Version 2 is the only format there has ever been a file of.
-	if _, err := Load(strings.NewReader(persistMagic+"\x01"), ts); !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("version-1 header: err = %v", err)
+	// Only the current version loads: version 1 never had a file, and
+	// version 2 (see TestPersistGoldenV2) carried the HICL.
+	for _, v := range []byte{1, 2} {
+		hdr := persistMagic + string([]byte{v})
+		if _, err := Load(strings.NewReader(hdr), ts); !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("version-%d header: err = %v", v, err)
+		}
 	}
 	// Flags bit 0 was the retired TAS ablation: WriteTo never sets it, and
 	// Load refuses a stream that does, naming the flag.
 	retired := bytes.Clone(whole.Bytes())
 	off := len(persistMagic) + 1
-	for range 5 { // depth, mem levels, λ, near cells, pool pages
+	for range 3 { // depth, λ, near cells
 		_, n := binary.Uvarint(retired[off:])
 		off += n
 	}
@@ -299,7 +317,7 @@ var badITLSections = map[string][]byte{
 // TestLoadChecksITL: see badITLSections; and the hand-written section they
 // are all one edit away from does load, search and re-serialize.
 func TestLoadChecksITL(t *testing.T) {
-	ds, ts, idx := buildSmall(t, Config{Depth: 6, MemLevels: 3})
+	ds, ts, idx := buildSmall(t, Config{Depth: 6})
 	if ts.NumTrajs() != 200 {
 		t.Fatalf("store of %d trajectories", ts.NumTrajs())
 	}
@@ -333,35 +351,13 @@ func TestLoadChecksITL(t *testing.T) {
 	}
 }
 
-func TestMemLevelsForBudget(t *testing.T) {
-	// Σ 4^i·C·4bytes: C=1000 → level1: 16KB, +level2: 80KB, +level3: 336KB.
-	cases := []struct {
-		budget int64
-		vocab  int
-		depth  int
-		want   int
-	}{
-		{16_000, 1000, 8, 1},
-		{90_000, 1000, 8, 2},
-		{400_000, 1000, 8, 3},
-		{1 << 40, 1000, 6, 6}, // huge budget clamps to depth
-		{0, 1000, 8, 1},       // always at least one level
-	}
-	for _, c := range cases {
-		if got := MemLevelsForBudget(c.budget, c.vocab, c.depth); got != c.want {
-			t.Errorf("MemLevelsForBudget(%d, %d, %d) = %d, want %d",
-				c.budget, c.vocab, c.depth, got, c.want)
-		}
-	}
-}
-
 // FuzzLoadIndex mutates serialized indexes — two real ones and the
 // hand-written ITL sections above — and loads them against buildSmall's
 // store: Load never panics, and whatever it accepts searches without
 // panicking and re-serializes to the bytes it was loaded from.
 func FuzzLoadIndex(f *testing.F) {
-	ds, ts, idx := buildSmall(f, Config{Depth: 6, MemLevels: 3})
-	other, err := Build(ts, Config{Depth: 4, MemLevels: 4, Lambda: 8, NearCells: 2, LooseLowerBound: true})
+	ds, ts, idx := buildSmall(f, Config{Depth: 6})
+	other, err := Build(ts, Config{Depth: 4, Lambda: 8, NearCells: 2, LooseLowerBound: true})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func peekScratch(e *Engine) *searcher {
 // be invisible in results — searching many different queries on one engine
 // gives exactly what a fresh engine gives for each.
 func TestScratchReuseMatchesFresh(t *testing.T) {
-	ds, _, idx := buildSmall(t, Config{Depth: 6, MemLevels: 4})
+	ds, _, idx := buildSmall(t, Config{Depth: 6})
 	qs, err := queries.Generate(ds, queries.Config{NumQueries: 12, NumPoints: 3, ActsPerPoint: 2, DiameterKm: 8, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 // stamps from ~4 billion searches ago must not alias the new generation —
 // Begin wipes the array and restarts at 1.
 func TestGenerationWraparound(t *testing.T) {
-	ds, _, idx := buildSmall(t, Config{Depth: 6, MemLevels: 4})
+	ds, _, idx := buildSmall(t, Config{Depth: 6})
 	qs, err := queries.Generate(ds, queries.Config{NumQueries: 4, NumPoints: 2, ActsPerPoint: 2, DiameterKm: 8, Seed: 43})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func (o *tombOverlay) AppendOverflow(dst []uint32) []uint32 { return append(dst,
 // points and region filters; the last rounds run across a forced stamp
 // wrap with the stamp array poisoned.
 func TestScreenMatchesDirectory(t *testing.T) {
-	ds, ts, idx := buildSmall(t, Config{Depth: 6, MemLevels: 4})
+	ds, ts, idx := buildSmall(t, Config{Depth: 6})
 	baseN := ts.NumTrajs()
 	var vocab trajectory.ActivitySet
 	for ti := range ds.Trajs {

@@ -59,12 +59,13 @@ func (e *Engine) MemBytes() int64 { return e.idx.MemBytes() }
 //   - seen replaces the per-search map[TrajID]struct{} with a dense
 //     generation-stamped array: seen[id] == gen marks id as retrieved this
 //     search, and bumping gen invalidates the whole array in O(1);
-//   - handles resolves the HICL once per search: entry (query point,
-//     activity bit, level) holds the cell sets — the base list, then one
-//     per delta layer that has any — whose union says which cells of that
-//     level carry the activity. A pop is then table lookups and Mask4
-//     probes; the map lookups and the shared cache's lock, LRU bump and
-//     page decode happen when an entry is first needed, not on every pop;
+//   - spans resolves each query activity's arena span once per search,
+//     and answers the HICL's question for the base — which children of a
+//     popped cell carry the activity — by bisection (see childMasks);
+//   - handles resolves the delta overlay's cell sets once per search:
+//     entry (query point, activity bit, level) holds one set per delta
+//     layer that has any, so a pop is table lookups and Mask4 probes and
+//     the layers' map lookups happen when an entry is first needed;
 //   - elig screens containment once, in retrieval: Begin stamps every base
 //     trajectory carrying all the query's activities (see screen), and
 //     emit drops the others before they reach the evaluator.
@@ -89,17 +90,19 @@ type searcher struct {
 	pqs    []pointQueue
 	seen   []uint32
 	gen    uint32
-	// handles is indexed (actOff[qi]+b)*Depth + level-1; an entry's sets
-	// alias setBuf. Both are wiped by Begin, so no set outlives its search.
-	handles []hiclHandle
-	actOff  []int
-	setBuf  []*invindex.Set
-	// spans is the ITL side of the handle table: entry actOff[qi]+b is the
-	// arena span of query point qi's b-th activity, resolved by Begin so a
-	// pop bisects its own activities' leaves and nothing else. ranges is one
-	// pop's scratch, a range per masked activity: the mask is a uint32.
+	// spans[actOff[qi]+b] is the arena span of query point qi's b-th
+	// activity, resolved by Begin so a pop bisects its own activities'
+	// leaves and nothing else. ranges is one pop's scratch, a range per
+	// masked activity: the mask is a uint32.
+	actOff []int
 	spans  []entRange
 	ranges [32]entRange
+	// handles holds the overlay's cell sets, indexed
+	// (actOff[qi]+b)*Depth + level-1; an entry's sets alias setBuf. Both
+	// are wiped by Begin, so no set outlives its search, and stay empty
+	// when the search has no overlay.
+	handles []overlayHandle
+	setBuf  []*invindex.Set
 	// elig[id] == want marks base trajectory id as carrying every query
 	// activity. Stamps rise monotonically across searches, stamp being the
 	// last one handed out, so no earlier search's stamp can equal want;
@@ -120,8 +123,9 @@ type searcher struct {
 	overflown bool
 }
 
-// hiclHandle is one HICL entry; sets stays empty if no layer has a list.
-type hiclHandle struct {
+// overlayHandle is one entry of the overlay's HICL; sets stays empty if no
+// delta layer has a list.
+type overlayHandle struct {
 	sets     []*invindex.Set
 	resolved bool
 }
@@ -168,8 +172,10 @@ func (s *searcher) Begin(req query.Request, stats *query.SearchStats) {
 			s.spans = append(s.spans, s.e.idx.itl.span(a))
 		}
 	}
-	nActs := len(s.spans)
-	nHandles := nActs * s.e.idx.cfg.Depth
+	nHandles := 0
+	if s.ov != nil {
+		nHandles = len(s.spans) * s.e.idx.cfg.Depth
+	}
 	s.handles = slices.Grow(s.handles[:0], nHandles)[:nHandles]
 	clear(s.handles)
 	clear(s.setBuf)
@@ -326,79 +332,66 @@ func (s *searcher) minQueue() int {
 	return best
 }
 
-// hicl returns the resolved cell sets of query point qi's b-th activity at
-// level, resolving them on first use.
-func (s *searcher) hicl(qi, b, level int) []*invindex.Set {
+// overlayCells returns the delta layers' cell sets of query point qi's b-th
+// activity at level, resolving them on first use. Only a search with an
+// overlay calls it.
+func (s *searcher) overlayCells(qi, b, level int) []*invindex.Set {
 	h := &s.handles[(s.actOff[qi]+b)*s.e.idx.cfg.Depth+level-1]
 	if !h.resolved {
-		a := s.q.Pts[qi].Acts[b]
 		start := len(s.setBuf)
-		if set := s.baseHICL(level, a); set != nil {
-			s.setBuf = append(s.setBuf, set)
-		}
-		if s.ov != nil {
-			s.setBuf = s.ov.AppendCellSets(s.setBuf, level, a)
-		}
+		s.setBuf = s.ov.AppendCellSets(s.setBuf, level, s.q.Pts[qi].Acts[b])
 		h.sets, h.resolved = s.setBuf[start:len(s.setBuf):len(s.setBuf)], true
 	}
 	return h.sets
 }
 
-// baseHICL fetches the index's HICL cell set for (level, act): the
-// in-memory levels are consulted directly; disk-level sets go through the
-// index's shared decoded-set cache, so across queries (concurrent ones
-// included) each set is read and decoded once while resident. Page and cache
-// traffic is charged to the engine's stats at the point of the fetch so
-// per-search accounting stays exact under concurrent serving; absent lists
-// are cached as nil so repeated probes stay cheap.
-func (s *searcher) baseHICL(level int, a trajectory.ActivityID) *invindex.Set {
-	idx := s.e.idx
-	if level <= len(idx.hiclMem)-1 {
-		return idx.hiclMem[level][a]
-	}
-	key := hiclKey{level: uint8(level), act: a}
-	if set, ok := idx.hicl.Get(key); ok {
-		s.stats.CacheHits++
-		return set
-	}
-	s.stats.CacheMisses++
-	// The store is sealed and append-only; a read or decode failure means
-	// corruption, which Build would have surfaced. Treat as absent.
-	var set *invindex.Set
-	if ref, ok := idx.hiclDir[key]; ok {
-		s.stats.PageReads += ref.PageSpan()
-		if blob, err := idx.hiclStore.Read(ref); err == nil {
-			if decoded, _, err := invindex.DecodeSet(blob); err == nil {
-				set = decoded
-				s.stats.BytesDecoded += int64(len(blob))
-			}
-		}
-	}
-	idx.hicl.Put(key, set)
-	return set
-}
-
 // childMasks returns, for each of the four children of c's cell, the
 // bitmask of query point qi's activities present (0 when the child can be
-// pruned). Only the activities in c.mask are probed: every layer lists a
-// cell for an activity exactly when it lists one of its children, so a
-// child cannot carry what its parent lacks. The four siblings share one
-// container (and in bitmap form one word), so each activity costs one
-// Mask4 probe per layer.
+// pruned). Only the activities in c.mask are probed: a cell carries an
+// activity exactly when one of its children does, so a child cannot carry
+// what its parent lacks.
+//
+// The base answers from the ITL arena: the leaves under c are the Z
+// interval [zlo, zlast], each child's a quarter of it, and an activity's
+// leaves are Z-sorted in its span, so one bisection finds its first leaf
+// at or after zlo and one more per child found skips to the next child's
+// quarter. Leaves are distinct, so the entry a child's quarter ends at is
+// at most as many entries on as the quarter has leaves, which bounds each
+// later bisection to the parent's interval. The overlay's layers add their
+// cell sets, one Mask4 probe each.
 func (s *searcher) childMasks(qi int, c nearCell) [4]uint32 {
 	var masks [4]uint32
-	base := c.cell.Z << 2
+	itl := &s.e.idx.itl
 	childLevel := int(c.cell.Level) + 1
+	qshift := 2 * uint(s.e.idx.cfg.Depth-childLevel) // a child's leaves: 1 << qshift
+	zlo := c.cell.Z << (qshift + 2)
+	zlast := zlo | (1<<(qshift+2) - 1)
 	for m := c.mask; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros32(m)
-		var m4 uint32
-		for _, set := range s.hicl(qi, b, childLevel) {
-			m4 |= set.Mask4(base)
-		}
 		bit := uint32(1) << uint(b)
-		for ci := uint32(0); m4 != 0; ci, m4 = ci+1, m4>>1 {
-			if m4&1 != 0 {
-				masks[ci] |= bit
+		sp := s.spans[s.actOff[qi]+b]
+		zs := itl.entZ[sp.lo:sp.hi]
+		i, _ := slices.BinarySearch(zs, zlo)
+		for i < len(zs) && zs[i] <= zlast {
+			ci := (zs[i] - zlo) >> qshift
+			masks[ci] |= bit
+			if ci == 3 {
+				break
+			}
+			next := zlo + (ci+1)<<qshift
+			hi := i + int(min(next-zs[i], uint32(len(zs)-i)))
+			j, _ := slices.BinarySearch(zs[i+1:hi], next)
+			i += 1 + j
+		}
+		if s.ov != nil {
+			var m4 uint32
+			for _, set := range s.overlayCells(qi, b, childLevel) {
+				m4 |= set.Mask4(c.cell.Z << 2)
+			}
+			for ci := uint32(0); m4 != 0; ci, m4 = ci+1, m4>>1 {
+				if m4&1 != 0 {
+					masks[ci] |= bit
+				}
 			}
 		}
 	}
@@ -589,8 +582,3 @@ func (s *searcher) Threshold(kth, bound float64) float64 { return min(kth, bound
 // so every frontier has emptied. A batch whose retrievals were all screened
 // out is empty without being the last.
 func (s *searcher) Exhausted() bool { return s.retrieved == 0 }
-
-// ResetCaches empties the index's shared decoded-HICL cache so cold-cache
-// measurements are fair across engines and workloads (the harness calls
-// this alongside TrajStore.ResetPool).
-func (e *Engine) ResetCaches() { e.idx.ResetCache() }

@@ -247,9 +247,9 @@ func (s *Suite) Granularity(w io.Writer) error {
 		}
 		tab := NewTable(
 			fmt.Sprintf("Fig.8 partition granularity — GAT on %s", dsName),
-			"#partition", "ATSQ ms", "OATSQ ms", "pops/query", "cand/query", "mem MB", "HICL MB", "ITL MB", "dirs MB")
+			"#partition", "ATSQ ms", "OATSQ ms", "pops/query", "cand/query", "mem MB", "ITL MB", "dirs MB")
 		for _, d := range []int{5, 6, 7, 8} {
-			idx, err := gat.Build(ts.TS, gat.Config{Depth: d, MemLevels: 6})
+			idx, err := gat.Build(ts.TS, gat.Config{Depth: d})
 			if err != nil {
 				return err
 			}
@@ -265,7 +265,7 @@ func (s *Suite) Granularity(w io.Writer) error {
 			bd := idx.Breakdown()
 			tab.AddRow(fmt.Sprint(1<<d), ms(a.AvgMs()), ms(o.AvgMs()),
 				cnt(float64(a.Stats.PQPops)/float64(a.Queries)), cnt(a.AvgCandidates()),
-				mb(bd.Total), mb(bd.HICL), mb(bd.ITL), mb(bd.Directories))
+				mb(bd.Total), mb(bd.ITL), mb(bd.Directories))
 		}
 		tab.Write(w)
 	}

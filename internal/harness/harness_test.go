@@ -144,7 +144,7 @@ func TestBuildSetupAblationConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := BuildSetup(ds, gat.Config{Depth: 5, MemLevels: 5})
+	st, err := BuildSetup(ds, gat.Config{Depth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
