@@ -11,9 +11,8 @@
 // With -random N, the tool instead generates N workload queries (Table V
 // parameters) and prints per-query results and statistics. In the
 // statistics line, "decoded-cache hit/miss" counts lookups in the decoded-
-// structure caches: one per APL or coordinate fetch, and one per disk-level
-// HICL list a search resolves — once per search for each (level, query
-// point activity) it reaches, not once per cell popped.
+// structure caches: one per APL or coordinate fetch. The GAT index's HICL
+// is read off its in-memory ITL, so it adds no lookups.
 //
 // With -server URL, queries are not answered locally at all: each one is
 // POSTed to a running atsqserve instance's /v1/search endpoint and the

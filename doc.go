@@ -292,7 +292,7 @@
 //
 // # Cache tuning
 //
-// Four sharded LRU caches serve the read path. Three sit in front of the
+// Three sharded LRU caches serve the read path. Two sit in front of the
 // simulated disk, memoize decoded index structures, and are shared by all
 // searches:
 //
@@ -308,10 +308,11 @@
 //     sparse: only the points queries actually referenced are faulted in,
 //     so a cached trajectory costs memory proportional to what was read,
 //     and repeat candidates cost zero page reads.
-//   - GATConfig.HICLCacheEntries caps the decoded disk-level HICL
-//     cell-set cache in the GAT index (default 4096 entries).
 //
-// The fourth — the result cache (see "Batched execution and the result
+// The GAT index keeps no cache of its own: its HICL is read off the ITL
+// arena in memory (see "Retrieval" below), so there is nothing to decode.
+//
+// The third — the result cache (see "Batched execution and the result
 // cache" above) — sits above the engines and memoizes whole responses.
 // It is opt-in and sized by NewResultCache's entries argument (cap it by
 // working-set: one entry per distinct (query, options) pair you expect to
@@ -320,9 +321,7 @@
 //
 // Decoded-structure cache traffic is reported per search in
 // SearchStats.CacheHits and SearchStats.CacheMisses — one lookup per APL
-// or coordinate fetch and one per disk-level HICL list resolved, which a
-// GAT search does once for each (level, query point activity) it reaches,
-// not once per cell it pops — result-cache traffic
+// or coordinate fetch — result-cache traffic
 // in SearchStats.ResultCacheHits and ResultCacheMisses; simulated page
 // reads in SearchStats.PageReads drop as the caches warm. Engines
 // measured by the experiment harness reset the caches between workloads
@@ -331,7 +330,10 @@
 // # Retrieval: a bucketed best-first descent
 //
 // Algorithm 1 descends the HICL to the leaf level before it reads an ITL
-// list; the GAT searcher stops as soon as what the query asks for below a
+// list. Here the HICL is not stored: the leaves under a cell are one Z
+// interval and an activity's leaves are Z-sorted in the arena, so "which
+// children of this cell carry a?" is a bisection into a's leaves, one per
+// child found. The GAT searcher also stops as soon as what the query asks for below a
 // popped cell is small. The ITL is one arena laid out activity-major — per
 // activity the leaves carrying it in Z order, per (activity, leaf) a list —
 // so the lists of one activity under one cell are a contiguous range, found
@@ -401,8 +403,8 @@
 //     match rows reference, and decodes only those points — memoized in
 //     the sparse coordinate cache so each (trajectory, point) is read from
 //     disk at most once while resident.
-//   - Hybrid posting containers. HICL cell lists (in memory and on disk),
-//     the IL baseline's lists and the delta layer's presence sets use
+//   - Hybrid posting containers. The IL baseline's lists and the delta
+//     layer's presence sets (its in-memory HICL among them) use
 //     invindex.Set — roaring-style sorted-array/bitmap containers with O(1)
 //     dense probes, single-word quad-sibling masks (Mask4), galloping
 //     sparse intersection and whole-container skipping.
@@ -414,7 +416,10 @@
 //     readahead is the same copy made earlier, and most of what it warmed
 //     were candidates the box screen then decided without a fetch.
 //
-// SearchStats.BytesDecoded counts the bytes actually decoded per search;
-// the persisted GAT index format (version 2) stores HICL lists in the
-// container encoding and migrates version-1 streams on load.
+// SearchStats.BytesDecoded counts the bytes actually decoded per search.
+// The persisted GAT index format (version 3) stores the configuration, the
+// grid geometry and the ITL, and nothing else: the HICL is derived from the
+// ITL. Load accepts only version 3; a version-2 stream, which also carried
+// the HICL, is rejected with ErrBadIndexFormat ("version 2"), and there is
+// no migration, because no data directory persists the index.
 package activitytraj

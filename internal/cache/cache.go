@@ -1,6 +1,6 @@
 // Package cache provides a sharded, concurrency-safe LRU cache used for
-// cross-query reuse of decoded index structures: disk-level HICL posting
-// lists (internal/gat) and decoded Activity Posting Lists (internal/evaluate).
+// cross-query reuse of decoded index structures: decoded Activity Posting
+// Lists and coordinates (internal/evaluate).
 // Sharding by key hash keeps lock contention low when many searches run
 // concurrently; each shard is an independent LRU with its own
 // mutex, so the cost of a lookup never scales with the shard count.

@@ -12,10 +12,11 @@ import (
 // itlArena is the Inverted Trajectory List in compressed-sparse-row form,
 // activity-major: per activity the leaf cells carrying it in ascending Z
 // order, and per such (activity, leaf) entry the trajectories having a point
-// with that activity inside the leaf. Algorithm 1 only asks "which
-// trajectories carry activity a under this cell", and the leaves under a
-// cell are a Z interval, so the answer is one contiguous range of a's span:
-// one bisection of that span, and no leaf that lacks a is ever touched.
+// with that activity inside the leaf. Algorithm 1 asks two questions of a
+// cell, "which trajectories carry activity a under it" (the ITL's) and
+// "which of its children carry a" (the HICL's), and the leaves under a cell
+// are a Z interval, so both are answered by bisecting a's span, and no leaf
+// that lacks a is ever touched. The arena is therefore the HICL as well.
 //
 //	acts[i]                           the activities present, ascending
 //	entZ[actOff[i]:actOff[i+1]]       leaf Z codes carrying acts[i], ascending

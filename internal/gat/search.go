@@ -19,8 +19,8 @@ import (
 // query.Engine and is safe for concurrent use: each search checks a
 // searcher — evaluator, matcher and retrieval scratch, reused across
 // searches so the hot path allocates nothing — out of the engine's free
-// list and returns it when done, while the index, its HICL cache, the
-// trajectory store and its APL cache are shared.
+// list and returns it when done, while the index, the trajectory store
+// and its APL cache are shared.
 type Engine struct {
 	idx *Index
 	// ov, when non-nil, merges a mutable delta layer into every search; see
@@ -355,10 +355,10 @@ func (s *searcher) overlayCells(qi, b, level int) []*invindex.Set {
 // interval [zlo, zlast], each child's a quarter of it, and an activity's
 // leaves are Z-sorted in its span, so one bisection finds its first leaf
 // at or after zlo and one more per child found skips to the next child's
-// quarter. Leaves are distinct, so the entry a child's quarter ends at is
-// at most as many entries on as the quarter has leaves, which bounds each
-// later bisection to the parent's interval. The overlay's layers add their
-// cell sets, one Mask4 probe each.
+// quarter. An activity's leaves are distinct, so the first entry past a
+// child's quarter lies at most as many entries on as the quarter has
+// leaves left: each such bisection stays inside the parent's interval. The
+// overlay's layers add their cell sets, one Mask4 probe each.
 func (s *searcher) childMasks(qi int, c nearCell) [4]uint32 {
 	var masks [4]uint32
 	itl := &s.e.idx.itl

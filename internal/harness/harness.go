@@ -97,7 +97,7 @@ func (w WorkloadResult) AvgPageReads() float64 {
 }
 
 // AvgKBDecoded returns the mean kibibytes of segment data decoded per query
-// (posting blocks, coordinate points, HICL lists).
+// (posting blocks, coordinate points).
 func (w WorkloadResult) AvgKBDecoded() float64 {
 	if w.Queries == 0 {
 		return 0
@@ -105,25 +105,12 @@ func (w WorkloadResult) AvgKBDecoded() float64 {
 	return float64(w.Stats.BytesDecoded) / 1024 / float64(w.Queries)
 }
 
-// cacheResetter is implemented by engines holding cross-query caches of
-// their own (beyond the TrajStore's) that cold-cache runs must clear.
-type cacheResetter interface{ ResetCaches() }
-
-// resetCaches puts the shared storage layer and any engine-owned caches in
-// the cold state, so engines are measured identically regardless of run
-// order.
-func resetCaches(ts *evaluate.TrajStore, e query.Engine) {
-	ts.ResetPool()
-	if cr, ok := e.(cacheResetter); ok {
-		cr.ResetCaches()
-	}
-}
-
 // RunWorkload executes qs against e and aggregates timing and statistics.
-// The shared buffer pool and caches are reset first so engines are measured
-// from a cold cache regardless of run order.
+// The shared buffer pool and decoded caches are reset first so engines are
+// measured from a cold cache regardless of run order; no engine keeps a
+// cache of its own.
 func RunWorkload(ts *evaluate.TrajStore, e query.Engine, qs []query.Query, k int, ordered bool) (WorkloadResult, error) {
-	resetCaches(ts, e)
+	ts.ResetPool()
 	ctx := context.Background()
 	res := WorkloadResult{Method: e.Name(), Queries: len(qs)}
 	for qi, q := range qs {

@@ -7,8 +7,7 @@ import (
 )
 
 // Index is an in-memory inverted index from activity ID to a hybrid posting
-// Set. It backs the IL baseline (activity → trajectory IDs) and the
-// in-memory levels of the GAT HICL (activity → cell codes). Pending
+// Set. It backs the IL baseline (activity → trajectory IDs). Pending
 // additions accumulate in flat buffers; Freeze compiles them into Sets.
 type Index struct {
 	pending map[trajectory.ActivityID][]uint32

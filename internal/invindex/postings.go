@@ -5,8 +5,8 @@
 //     and a delta+varint wire codec — the iteration-friendly form used by
 //     ITL trajectory lists and APL point lists;
 //   - Set, a hybrid (roaring-style) container — per 64Ki-ID range either a
-//     sorted uint16 array or a packed bitmap — used by the HICL cell lists,
-//     the IL baseline and the delta layer's presence sets, where dense
+//     sorted uint16 array or a packed bitmap — used by the delta layer's
+//     HICL and presence sets and the IL baseline, where dense
 //     probes, sibling masks and container-skipping intersections dominate.
 //
 // The container threshold is 4096 entries per 64Ki range (the break-even

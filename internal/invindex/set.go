@@ -14,9 +14,8 @@ import (
 // for dense ranges, intersects dense runs with word-wide ANDs, and skips
 // whole 64Ki ranges that the other operand does not touch.
 //
-// Sets are the in-memory form of the GAT HICL levels, the decoded form of
-// the on-disk HICL lists, the IL baseline's per-activity lists, and the
-// delta layer's presence sets. A Set is mutable through Insert; every
+// Sets are the IL baseline's per-activity lists and the delta layer's
+// presence sets, its HICL levels among them. A Set is mutable through Insert; every
 // shared Set in this repository is frozen (no further writes) before it
 // becomes visible to concurrent readers.
 type Set struct {
@@ -506,7 +505,7 @@ func IntersectSets(sets []*Set) PostingList {
 // count, then per container a uvarint key, a mode tag, and either the
 // delta+varint value array or the raw 8 KiB bitmap (with a uvarint
 // cardinality prefix). Dense containers cost at most 8 KiB regardless of
-// cardinality, which is what keeps dense HICL levels compact on disk.
+// cardinality, which is what keeps dense sets compact.
 func (s *Set) AppendEncoded(dst []byte) []byte {
 	if s == nil {
 		return binary.AppendUvarint(dst, 0)

@@ -95,10 +95,7 @@ type Result struct {
 // SearchStats records where a query's work went. Engines reset it per search.
 //
 // CacheHits and CacheMisses count decoded-structure cache lookups: one per
-// APL or coordinate fetch, and one per disk-level HICL list resolved. GAT
-// resolves a list once per search for each (level, query point activity)
-// its expansion reaches and probes the resolved set directly afterwards, so
-// the HICL's share does not scale with PQPops.
+// APL or coordinate fetch.
 type SearchStats struct {
 	Candidates int // distinct trajectories retrieved as candidates
 	// SketchRejected is retired and always 0: it counted rejects by the
@@ -113,7 +110,7 @@ type SearchStats struct {
 	Batches         int // λ-batches of Algorithm 1
 	PageReads       int // simulated disk pages read
 	NodesVisited    int // R-tree / IR-tree nodes visited (baselines)
-	CacheHits       int // decoded-structure cache hits (HICL lists resolved, APLs)
+	CacheHits       int // decoded-structure cache hits (APLs, coordinates)
 	CacheMisses     int // decoded-structure cache misses
 	DeltaCandidates int // candidates served by the dynamic index's delta layer
 
@@ -146,7 +143,7 @@ type SearchStats struct {
 	// from the answer (Response.Partial is then set). Zero everywhere else.
 	ShardsFailed int
 	// BytesDecoded sums the segment bytes actually decoded for this search
-	// (posting blocks, coordinate points, HICL lists) — the work the lazy
+	// (posting blocks, coordinate points) — the work the lazy
 	// blocked layout avoids compared to eagerly decoding whole segments.
 	BytesDecoded int64
 

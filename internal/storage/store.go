@@ -33,7 +33,7 @@ func (r SegRef) PageSpan() int {
 
 // Store packs append-only byte segments across fixed-size pages and reads
 // them back through a BufferPool. It is the "hard disk" of the paper's
-// Figure 2: APLs, low HICL levels, and raw trajectories are segments here.
+// Figure 2: APLs and raw trajectories are segments here.
 type Store struct {
 	mu     sync.Mutex
 	pager  Pager
