@@ -124,6 +124,60 @@ func TestChildMasksVsBrute(t *testing.T) {
 	}
 }
 
+// TestHICLHierarchyConsistency: the HICL the search reads off the arena is
+// consistent with itself and with the ITL. For every cell above the leaves
+// and every activity, childMasks marks a child for the activity exactly
+// when that child, asked in turn, marks one of its own children for it —
+// a listed cell has a listed child and a listed child has a listed
+// parent — and at the leaf level it marks exactly the (leaf, activity)
+// pairs that carry an ITL list, both ways.
+func TestHICLHierarchyConsistency(t *testing.T) {
+	_, _, idx := buildSmall(t, Config{Depth: 6})
+	depth := idx.cfg.Depth
+	var q query.Query // every activity of the arena, 32 to a query point
+	for lo := 0; lo < len(idx.itl.acts); lo += 32 {
+		q.Pts = append(q.Pts, query.Point{Acts: slices.Clone(idx.itl.acts[lo:min(lo+32, len(idx.itl.acts))])})
+	}
+	s := peekScratch(NewEngine(idx))
+	var stats query.SearchStats
+	s.Begin(query.Request{Query: q}, &stats)
+
+	leafPairs := 0
+	for l := 0; l < depth; l++ {
+		for z := uint32(0); z < 1<<(2*uint(l)); z++ {
+			c := grid.Cell{Level: uint8(l), Z: z}
+			for qi, qp := range q.Pts {
+				full := uint32(1)<<uint(len(qp.Acts)) - 1
+				got := s.childMasks(qi, nearCell{cell: c, mask: full})
+				for ci, child := range c.Children() {
+					if l+1 == depth {
+						for b, a := range qp.Acts {
+							listed := got[ci]&(1<<uint(b)) != 0
+							if has := len(idx.itl.postings(child.Z, a)) > 0; listed != has {
+								t.Fatalf("leaf %d act %d: HICL says %v, ITL says %v", child.Z, a, listed, has)
+							}
+							if listed {
+								leafPairs++
+							}
+						}
+						continue
+					}
+					var below uint32
+					for _, m := range s.childMasks(qi, nearCell{cell: child, mask: full}) {
+						below |= m
+					}
+					if below != got[ci] {
+						t.Fatalf("level %d cell %d, point %d: listed for %#x, its children for %#x", child.Level, child.Z, qi, got[ci], below)
+					}
+				}
+			}
+		}
+	}
+	if leafPairs != len(idx.itl.entZ) {
+		t.Fatalf("leaf HICL and ITL disagree: %d (leaf, activity) pairs vs %d lists", leafPairs, len(idx.itl.entZ))
+	}
+}
+
 // TestITLCompleteness: for random datasets at depths 3..8, every (leaf,
 // activity) slice of the arena equals a brute-force scan of the dataset —
 // nothing missing, nothing extra, ascending, no duplicates — the arena
@@ -223,6 +277,60 @@ func TestITLCompleteness(t *testing.T) {
 				t.Fatalf("trial %d: leaves of activity %d not strictly ascending: %v", trial, idx.itl.acts[i], zs)
 			}
 		}
+	}
+}
+
+// TestDiskLevelsUsed: the levels below the top three once lived in a disk
+// store; every level is now read off the ITL arena, and the deep ones must
+// still be consulted correctly. On one store, a depth-7 index ranks every
+// query exactly as a full scan does and as a depth-3 index does, and its
+// descent pops more cells than the depth-3 one — it goes down the deep
+// levels rather than around them.
+func TestDiskLevelsUsed(t *testing.T) {
+	ds, ts, deep := buildSmall(t, Config{Depth: 7})
+	shallow, err := Build(ts, Config{Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := queries.Generate(ds, queries.Config{NumQueries: 8, NumPoints: 2, ActsPerPoint: 2, DiameterKm: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	ev := evaluate.NewEvaluator(ts)
+	deepPops, shallowPops := 0, 0
+	for qi, q := range qs {
+		var scan []float64
+		var stats query.SearchStats
+		for ti := range ds.Trajs {
+			d, out, err := ev.ScoreATSQ(q, ds.Trajs[ti].ID, math.Inf(1), &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out == evaluate.Scored && !math.IsInf(d, 1) {
+				scan = append(scan, d)
+			}
+		}
+		slices.Sort(scan)
+		scan = scan[:min(k, len(scan))]
+		for _, e := range []struct {
+			idx  *Index
+			pops *int
+		}{{deep, &deepPops}, {shallow, &shallowPops}} {
+			resp := mustSearch(t, NewEngine(e.idx), query.Request{Query: q, K: k})
+			*e.pops += resp.Stats.PQPops
+			if len(resp.Results) != len(scan) {
+				t.Fatalf("q%d depth %d: %d results, scan says %d", qi, e.idx.cfg.Depth, len(resp.Results), len(scan))
+			}
+			for i, r := range resp.Results {
+				if r.Dist != scan[i] {
+					t.Fatalf("q%d depth %d: result %d at %v, scan says %v", qi, e.idx.cfg.Depth, i, r.Dist, scan[i])
+				}
+			}
+		}
+	}
+	if deepPops <= shallowPops {
+		t.Fatalf("depth 7 popped %d cells, depth 3 %d: the deep levels were not descended", deepPops, shallowPops)
 	}
 }
 
