@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -404,19 +405,25 @@ func mixedPagesPerSearch(d *delta.Dynamic, stream []trajectory.Trajectory, qs []
 // engine, one request in flight at a time — every search already fans out
 // over 4 shard goroutines, so one search at a time is what a 4-worker budget
 // buys on a constrained runner. The engine is built once, outside the timer;
-// every iteration starts from cold shard caches, so pages/search is the cost
-// of cross-shard candidate exploration — a far shard is not skipped (every
+// every pass starts from cold shard caches, so pages/search is the cost of
+// cross-shard candidate exploration — a far shard is not skipped (every
 // shard's rectangle covers most of the city, so shards/query reads 4; its CI
 // ceiling only says it can never exceed the shard count), it terminates
 // earlier on the shared global bound, and a bound-sharing regression shows
-// up as page inflation. allocs/search is the mean of ten more passes on the
-// now-warm engine: the per-search cost of four legs (goroutines, the shared
-// collector, per-leg requests), to read beside the single index's 20. The
-// legs race, so one pass's count moves by a few allocations a search; the
-// mean of ten holds still enough to gate.
-// cands/search and scored/search, summed over the legs, say how tightly the
-// shared bound held the legs; they depend on how the legs were scheduled,
-// so they are reported and gate nothing.
+// up as page inflation.
+//
+// pages/search, the gated count, is read in one more cold pass under
+// GOMAXPROCS(1): with one P the per-batch yield in Evaluator.Search makes
+// the legs advance round-robin, so the count is deterministic. The timed
+// passes run on all of the run's Ps, where the legs race on the shared bound
+// and the count moves from run to run; their mean is reported as
+// pages-mp/search and gates nothing. allocs/search is the mean of ten more
+// passes on the now-warm engine (testing.AllocsPerRun, itself under one P):
+// the per-search cost of four legs (goroutines, the shared collector,
+// per-leg requests), to read beside the single index's 20.
+// cands/search and scored/search, summed over the legs of the timed passes,
+// say how tightly the shared bound held the legs; they depend on how the
+// legs were scheduled, so they are reported and gate nothing.
 func BenchmarkShardedSearch(b *testing.B) {
 	ds := benchDataset(b, "LA")
 	qs := benchWorkload(b, ds, queries.Config{Seed: 67})
@@ -451,14 +458,41 @@ func BenchmarkShardedSearch(b *testing.B) {
 		scored += float64(stats.Scored) / float64(len(qs))
 	}
 	b.StopTimer()
-	// Averages over iterations: the shared-bound race makes per-run page
-	// counts vary slightly, and the mean is the tighter CI signal.
 	n := float64(b.N)
-	b.ReportMetric(pages/n, "pages/search")
+	prev := runtime.GOMAXPROCS(1)
+	eng.ResetCaches()
+	onePages := float64(run().PageReads) / float64(len(qs))
+	runtime.GOMAXPROCS(prev)
+	b.ReportMetric(onePages, "pages/search")
+	b.ReportMetric(pages/n, "pages-mp/search")
 	b.ReportMetric(hit/n, "shards/query")
 	b.ReportMetric(cands/n, "cands/search")
 	b.ReportMetric(scored/n, "scored/search")
 	b.ReportMetric(testing.AllocsPerRun(10, func() { run() })/float64(len(qs)), "allocs/search")
+}
+
+// BenchmarkRouterBuild measures shard.NewRouter over the LA preset at scale
+// 0.125, the corpus of the repository benchmark, with 4 shards: cutting the
+// sub-datasets, then building every shard's store (its APL encoding
+// included), GAT index and delta layer, the shards side by side. A router
+// start, a replica boot and a reopen pay it before they serve;
+// BenchmarkGATBuild sees neither the store nor the shards' concurrency.
+func BenchmarkRouterBuild(b *testing.B) {
+	ds, err := dataset.Generate(dataset.LA(0.125))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := shard.NewRouter(ds, shard.Config{Shards: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkParallelThroughput compares 1-worker and multi-worker serving of

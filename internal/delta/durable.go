@@ -7,7 +7,10 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"activitytraj/internal/trajectory"
 	"activitytraj/internal/wal"
@@ -88,42 +91,115 @@ type RecoveryInfo = wal.Recovery
 // whose Insert/Delete returned nil under SyncAlways/SyncGroup is present,
 // and recovery never applies a mutation out of order or partially.
 func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Dynamic, RecoveryInfo, error) {
-	var ri RecoveryInfo
+	ds, ris, _, err := OpenOrCreateAll([]*trajectory.Dataset{bootstrap}, []Config{cfg})
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	return ds[0], ris[0], nil
+}
+
+// OpenOrCreateAll opens one index per bootstrap, the ith as
+// OpenOrCreate(bootstraps[i], cfgs[i]) would; a sharded router opens its
+// shards with it. The CPU part of each open — reading the manifest and
+// snapshot and building the base generation — runs concurrently, at most
+// GOMAXPROCS opens at a time. Every durable file operation, the WAL
+// recovery, runs one index after another in index order, so the writes,
+// syncs, creates, renames and removes are those of opening the indexes one
+// by one, in the same order: a fault plan that counts them names the same
+// operation on every run.
+//
+// On failure it returns the lowest failing index and its error — where the
+// one-by-one opens would have stopped — with every index it had opened
+// closed. failed is -1 on success.
+func OpenOrCreateAll(bootstraps []*trajectory.Dataset, cfgs []Config) (ds []*Dynamic, infos []RecoveryInfo, failed int, err error) {
+	n := len(bootstraps)
+	ds, seqs, errs := make([]*Dynamic, n), make([]uint64, n), make([]error, n)
+	open := func(i int) { ds[i], seqs[i], errs[i] = openBase(bootstraps[i], cfgs[i]) }
+	if workers := min(n, runtime.GOMAXPROCS(0)); workers <= 1 {
+		for i := range n {
+			open(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+					open(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	infos = make([]RecoveryInfo, n)
+	for i, d := range ds {
+		err := errs[i]
+		if err == nil {
+			infos[i], err = d.recoverLog(seqs[i])
+		}
+		if err != nil {
+			for _, opened := range ds[:i] {
+				opened.Close()
+			}
+			return nil, nil, i, err
+		}
+	}
+	return ds, infos, -1, nil
+}
+
+// openBase is the CPU part of OpenOrCreate: the base generation from the
+// manifest's snapshot (or bootstrap), and the WAL sequence number the
+// snapshot absorbs. It reads files and writes none.
+func openBase(bootstrap *trajectory.Dataset, cfg Config) (*Dynamic, uint64, error) {
 	if cfg.Durability.Dir == "" {
 		d, err := newDynamicBase(bootstrap, cfg)
-		return d, ri, err
+		return d, 0, err
 	}
 	opts := cfg.Durability.Options()
 	var man manifest
 	found, err := wal.ReadJSON(opts.FS, opts.Dir, manifestName, &man)
 	if err != nil {
-		return nil, ri, fmt.Errorf("delta: read manifest: %w", err)
+		return nil, 0, fmt.Errorf("delta: read manifest: %w", err)
 	}
 	ds := bootstrap
 	if found {
 		if man.Version != 1 || man.Snapshot == "" {
-			return nil, ri, fmt.Errorf("delta: unsupported manifest (version %d)", man.Version)
+			return nil, 0, fmt.Errorf("delta: unsupported manifest (version %d)", man.Version)
 		}
 		// The snapshot lives in the data directory: a name that is not a
 		// bare file name (a separator, "..") would reach outside it.
 		if !filepath.IsLocal(man.Snapshot) || filepath.Base(man.Snapshot) != man.Snapshot {
-			return nil, ri, fmt.Errorf("delta: manifest names snapshot %q, not a file of the data directory", man.Snapshot)
+			return nil, 0, fmt.Errorf("delta: manifest names snapshot %q, not a file of the data directory", man.Snapshot)
 		}
 		ds, err = readSnapshot(opts.FS, filepath.Join(opts.Dir, man.Snapshot))
 		if err != nil {
-			return nil, ri, err
+			return nil, 0, err
 		}
 	}
 	d, err := newDynamicBase(ds, cfg)
-	if err != nil {
-		return nil, ri, err
+	return d, man.LastSeq, err
+}
+
+// recoverLog is the durable part of OpenOrCreate: replay the WAL past the
+// snapshot's lastSeq into d and arm the log for appends. A volatile index
+// has nothing to recover.
+func (d *Dynamic) recoverLog(lastSeq uint64) (RecoveryInfo, error) {
+	if d.cfg.Durability.Dir == "" {
+		return RecoveryInfo{}, nil
 	}
-	d.log, ri, err = wal.Recover(opts, man.LastSeq, d.applyRecord)
+	opts := d.cfg.Durability.Options()
+	var (
+		ri  RecoveryInfo
+		err error
+	)
+	d.log, ri, err = wal.Recover(opts, lastSeq, d.applyRecord)
 	if err != nil {
-		return nil, ri, fmt.Errorf("delta: recover wal: %w", err)
+		return ri, fmt.Errorf("delta: recover wal: %w", err)
 	}
 	d.fsys = opts.FS
-	return d, ri, nil
+	return ri, nil
 }
 
 // applyRecord applies one replayed WAL record without re-logging it.

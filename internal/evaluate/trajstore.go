@@ -230,16 +230,16 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 		ts.numPts[i] = uint32(len(tr.Pts))
 		ts.coordHdrLens[i] = uint8(uvarintLen(uint64(len(tr.Pts))))
 
-		buf, _ = encodeAPL(buf[:0], tr)
-		if ref, err = store.Append(buf); err != nil {
-			return nil, fmt.Errorf("evaluate: write APL of %d: %w", tr.ID, err)
-		}
-		ts.aplRefs[i] = ref
-
 		if err := ts.appendEntry(tr, &sc); err != nil {
 			return nil, err
 		}
 		ts.actOff[i+1] = uint32(len(ts.acts))
+
+		buf, _ = sc.encodeAPL(buf[:0])
+		if ref, err = store.Append(buf); err != nil {
+			return nil, fmt.Errorf("evaluate: write APL of %d: %w", tr.ID, err)
+		}
+		ts.aplRefs[i] = ref
 	}
 	if err := store.Seal(); err != nil {
 		return nil, err
@@ -247,17 +247,24 @@ func BuildTrajStore(ds *trajectory.Dataset, cfg TrajStoreConfig) (*TrajStore, er
 	return ts, nil
 }
 
-// entryScratch is BuildTrajStore's reusable space for appendEntry, so the
-// directory and its boxes cost no allocation per trajectory.
+// entryScratch is BuildTrajStore's reusable space for appendEntry and
+// encodeAPL, so the directory, its boxes and the APL segment cost no
+// allocation per trajectory. appendEntry sorts pairs; encodeAPL encodes the
+// same sorted pairs, through acts, lens, list and body.
 type entryScratch struct {
-	pairs []uint64 // activity<<32 | point index, one per (point, activity)
+	pairs []uint64 // activity<<32 | point index, one per (point, activity), sorted
 	cells []actBox // per point: the one-cell box of its location
+
+	acts []uint32 // the APL's activities, ascending
+	lens []uint32 // per activity: its posting block's byte length
+	list []uint32 // one activity's point indexes, ascending
+	body []byte   // the posting blocks
 }
 
 // appendEntry appends tr's directory entry — its ascending activity set —
 // and the entry's activity boxes. One sort of the (activity, point) pairs
 // gives both: each run of one activity is an entry, and the run's points
-// are what its box must hold. A non-finite location has no cell and no
+// are what its box must hold. The sorted pairs stay in sc for encodeAPL. A non-finite location has no cell and no
 // distance, so it is refused here rather than met by a search.
 func (ts *TrajStore) appendEntry(tr *trajectory.Trajectory, sc *entryScratch) error {
 	l := ts.lat
@@ -721,8 +728,9 @@ func decodeCoordsInto(dst []geo.Point, blob []byte) ([]geo.Point, error) {
 	return dst, nil
 }
 
-// encodeAPL writes the blocked APL segment and returns the extended buffer
-// plus the header length. Layout:
+// encodeAPL writes the blocked APL segment of the trajectory whose sorted
+// (activity, point) pairs appendEntry left in sc, and returns the extended
+// buffer plus the header length. Layout:
 //
 //	header: uvarint activity count
 //	        per activity: uvarint activity-ID delta
@@ -730,47 +738,36 @@ func decodeCoordsInto(dst []geo.Point, blob []byte) ([]geo.Point, error) {
 //	body:   concatenated posting blocks, each the delta+varint
 //	        PostingList encoding (uvarint count, first element, gaps)
 //
-// The skip table locates any activity's block without touching the others —
-// the layout behind lazy per-activity decode; the activity set is checked
-// against the store's in-memory directory on every decode.
-func encodeAPL(dst []byte, tr *trajectory.Trajectory) ([]byte, int) {
-	postings := make(map[trajectory.ActivityID][]uint32)
-	for pi, p := range tr.Pts {
-		for _, a := range p.Acts {
-			postings[a] = append(postings[a], uint32(pi))
-		}
-	}
-	acts := make([]trajectory.ActivityID, 0, len(postings))
-	for a := range postings {
-		acts = append(acts, a)
-	}
-	slices.Sort(acts)
-
+// Each run of one activity in the pairs is a block, its point indexes
+// ascending. The skip table locates any activity's block without touching
+// the others — the layout behind lazy per-activity decode; the activity set
+// is checked against the store's in-memory directory on every decode.
+func (sc *entryScratch) encodeAPL(dst []byte) ([]byte, int) {
 	// Encode the blocks first so the skip table can carry their lengths.
-	var body []byte
-	lens := make([]uint32, len(acts))
-	for i, a := range acts {
-		n := len(body)
-		body = invindex.PostingList(postings[a]).AppendEncoded(body)
-		lens[i] = uint32(len(body) - n)
+	sc.acts, sc.lens, sc.body = sc.acts[:0], sc.lens[:0], sc.body[:0]
+	for i := 0; i < len(sc.pairs); {
+		a := uint32(sc.pairs[i] >> 32)
+		sc.list = sc.list[:0]
+		for ; i < len(sc.pairs) && uint32(sc.pairs[i]>>32) == a; i++ {
+			sc.list = append(sc.list, uint32(sc.pairs[i]))
+		}
+		n := len(sc.body)
+		sc.body = invindex.PostingList(sc.list).AppendEncoded(sc.body)
+		sc.acts, sc.lens = append(sc.acts, a), append(sc.lens, uint32(len(sc.body)-n))
 	}
 
 	hdrStart := len(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(acts)))
+	dst = binary.AppendUvarint(dst, uint64(len(sc.acts)))
 	prev := uint64(0)
-	for i, a := range acts {
-		if i == 0 {
-			dst = binary.AppendUvarint(dst, uint64(a))
-		} else {
-			dst = binary.AppendUvarint(dst, uint64(a)-prev)
-		}
+	for _, a := range sc.acts {
+		dst = binary.AppendUvarint(dst, uint64(a)-prev) // the first delta is the first ID itself
 		prev = uint64(a)
 	}
-	for _, l := range lens {
+	for _, l := range sc.lens {
 		dst = binary.AppendUvarint(dst, uint64(l))
 	}
 	hdrLen := len(dst) - hdrStart
-	return append(dst, body...), hdrLen
+	return append(dst, sc.body...), hdrLen
 }
 
 // decodeAPLHeader parses an APL header from blob (which must hold at least

@@ -1,7 +1,6 @@
 package gat
 
 import (
-	"cmp"
 	"slices"
 
 	"activitytraj/internal/evaluate"
@@ -105,6 +104,9 @@ type itlTriple struct {
 
 // buildITL collects every incidence of the dataset for layoutITL; a
 // trajectory visiting a (cell, activity) twice collapses to one posting.
+// It walks the trajectories in slice order, which is ascending ID order for
+// a dataset that satisfies (*Dataset).Validate (IDs are dense), and that
+// order is layoutITL's precondition.
 func buildITL(ds *trajectory.Dataset, g *grid.Grid) itlArena {
 	n := 0
 	for ti := range ds.Trajs {
@@ -130,30 +132,89 @@ func buildITL(ds *trajectory.Dataset, g *grid.Grid) itlArena {
 
 // layoutITL sorts incidences into arena order and lays their runs out, each
 // offset column closed by a sentinel; the arena is immutable afterwards.
+//
+// Precondition: the triples of any one actCell come in non-decreasing
+// trajectory order. Both emitters hand them over so — buildITL walks the
+// dataset in ID order, and Load reads lists it has checked are strictly
+// ascending — so a stable sort on actCell alone (sortByActCell) is arena
+// order, and equal triples are adjacent for the dedup. A count pass sizes
+// the five columns exactly before they are filled; neither the triples nor
+// the sort's scratch is reachable from the arena afterwards.
 func layoutITL(triples []itlTriple) itlArena {
-	slices.SortFunc(triples, func(a, b itlTriple) int {
-		if c := cmp.Compare(a.actCell, b.actCell); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.traj, b.traj)
-	})
-	var t itlArena
+	triples = sortByActCell(triples)
+	nActs, nEnts, nPosts := 0, 0, 0
 	for i, tp := range triples {
 		if i > 0 && tp == triples[i-1] {
 			continue
 		}
-		a, z := trajectory.ActivityID(tp.actCell>>32), uint32(tp.actCell)
-		newAct := len(t.acts) == 0 || t.acts[len(t.acts)-1] != a
-		if newAct {
-			t.acts, t.actOff = append(t.acts, a), append(t.actOff, uint32(len(t.entZ)))
+		nPosts++
+		if i == 0 || tp.actCell != triples[i-1].actCell {
+			nEnts++
+			if i == 0 || tp.actCell>>32 != triples[i-1].actCell>>32 {
+				nActs++
+			}
 		}
-		if newAct || t.entZ[len(t.entZ)-1] != z {
-			t.entZ, t.postOff = append(t.entZ, z), append(t.postOff, uint32(len(t.posts)))
+	}
+	t := itlArena{
+		acts:    make([]trajectory.ActivityID, 0, nActs),
+		actOff:  make([]uint32, 0, nActs+1),
+		entZ:    make([]uint32, 0, nEnts),
+		postOff: make([]uint32, 0, nEnts+1),
+		posts:   make([]uint32, 0, nPosts),
+	}
+	for i, tp := range triples {
+		if i > 0 && tp == triples[i-1] {
+			continue
+		}
+		if i == 0 || tp.actCell != triples[i-1].actCell {
+			if i == 0 || tp.actCell>>32 != triples[i-1].actCell>>32 {
+				t.acts = append(t.acts, trajectory.ActivityID(tp.actCell>>32))
+				t.actOff = append(t.actOff, uint32(len(t.entZ)))
+			}
+			t.entZ, t.postOff = append(t.entZ, uint32(tp.actCell)), append(t.postOff, uint32(len(t.posts)))
 		}
 		t.posts = append(t.posts, tp.traj)
 	}
 	t.actOff, t.postOff = append(t.actOff, uint32(len(t.entZ))), append(t.postOff, uint32(len(t.posts)))
 	return t
+}
+
+// sortByActCell sorts triples stably by actCell: a least-significant-digit
+// radix sort, one byte per pass, that skips every byte on which all keys
+// agree (the bits where the AND and the OR of the keys differ are the only
+// ones that order anything), so a grid of depth d and a vocabulary of v
+// activities cost about 2d/8 + log256(v) passes, not eight. It returns the
+// sorted run, which is either triples or the one scratch slice it allocates.
+func sortByActCell(triples []itlTriple) []itlTriple {
+	and, or := ^uint64(0), uint64(0)
+	for _, tp := range triples {
+		and, or = and&tp.actCell, or|tp.actCell
+	}
+	varying := and ^ or
+	src, dst := triples, []itlTriple(nil)
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(varying>>shift) == 0 {
+			continue
+		}
+		if dst == nil {
+			dst = make([]itlTriple, len(triples))
+		}
+		var next [256]int
+		for _, tp := range src {
+			next[byte(tp.actCell>>shift)]++
+		}
+		at := 0
+		for b, c := range next {
+			next[b], at = at, at+c
+		}
+		for _, tp := range src {
+			b := byte(tp.actCell >> shift)
+			dst[next[b]] = tp
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Grid exposes the index's grid (used by tests and the index report tool).

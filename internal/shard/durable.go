@@ -131,21 +131,17 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Router, RecoveryI
 	}
 
 	r := &Router{cfg: cfg, nextID: len(bootstrap.Trajs)}
-	openShard := func(si int, sub *trajectory.Dataset) (*delta.Dynamic, error) {
+	ri.Shards, err = r.partition(bootstrap, man, func(si int) delta.Config {
 		dcfg := cfg.Delta
 		dcfg.Durability = cfg.Durability
 		dcfg.Durability.Dir = filepath.Join(dir, shardDirName(si))
-		d, sri, err := delta.OpenOrCreate(sub, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		ri.Shards = append(ri.Shards, sri)
-		ri.Torn = ri.Torn || sri.Torn
-		return d, nil
-	}
-	if err := r.partition(bootstrap, man, openShard); err != nil {
-		r.closeShards()
+		return dcfg
+	})
+	if err != nil {
 		return nil, ri, err
+	}
+	for _, sri := range ri.Shards {
+		ri.Torn = ri.Torn || sri.Torn
 	}
 	if man == nil {
 		if err := writeRouterManifest(fsys, dir, r, len(bootstrap.Trajs)); err != nil {

@@ -141,25 +141,28 @@ func NewRouter(ds *trajectory.Dataset, cfg Config) (*Router, error) {
 	if cfg.Durability.Dir != "" {
 		return nil, fmt.Errorf("shard: durable routers must be opened with OpenOrCreate")
 	}
+	if cfg.Delta.Durability.Dir != "" {
+		return nil, fmt.Errorf("shard: durable shards must be opened with OpenOrCreate")
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid dataset: %w", err)
 	}
 	r := &Router{cfg: cfg, nextID: len(ds.Trajs)}
-	openShard := func(_ int, sub *trajectory.Dataset) (*delta.Dynamic, error) {
-		return delta.NewDynamic(sub, cfg.Delta)
-	}
-	if err := r.partition(ds, nil, openShard); err != nil {
+	if _, err := r.partition(ds, nil, func(int) delta.Config { return cfg.Delta }); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // partition fits the partition grid, cuts the Z curve into cfg.Shards
-// ranges of near-equal trajectory count, and builds the per-shard indexes
-// through openShard. A non-nil manifest supplies a previously persisted
-// grid and cut layout instead of computing one, so a reopened router routes
-// exactly as the original did.
-func (r *Router) partition(ds *trajectory.Dataset, man *routerManifest, openShard func(si int, sub *trajectory.Dataset) (*delta.Dynamic, error)) error {
+// ranges of near-equal trajectory count, and opens the per-shard indexes,
+// shard si with shardCfg(si), through delta.OpenOrCreateAll: the shards are
+// built side by side and their logs recovered in shard order. It returns
+// each shard's recovery in shard order; on failure no shard is left open. A
+// non-nil manifest supplies a previously persisted grid and cut layout
+// instead of computing one, so a reopened router routes exactly as the
+// original did.
+func (r *Router) partition(ds *trajectory.Dataset, man *routerManifest, shardCfg func(si int) delta.Config) ([]delta.RecoveryInfo, error) {
 	var (
 		l   *Layout
 		err error
@@ -167,39 +170,42 @@ func (r *Router) partition(ds *trajectory.Dataset, man *routerManifest, openShar
 	if man != nil {
 		l, err = NewLayout(r.cfg.PartitionDepth, geo.Point{X: man.OriginX, Y: man.OriginY}, man.Side, man.Cuts)
 		if err != nil {
-			return fmt.Errorf("shard: layout from manifest: %w", err)
+			return nil, fmt.Errorf("shard: layout from manifest: %w", err)
 		}
 	} else {
 		l, err = PlanLayout(ds, r.cfg.Shards, r.cfg.PartitionDepth)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if l.NumShards() != r.cfg.Shards {
-		return fmt.Errorf("shard: layout has %d shards, config wants %d", l.NumShards(), r.cfg.Shards)
+		return nil, fmt.Errorf("shard: layout has %d shards, config wants %d", l.NumShards(), r.cfg.Shards)
 	}
-	r.layout = l
 
 	k := r.cfg.Shards
-	r.shards = make([]*Shard, k)
-	r.owners = make([]owner, len(ds.Trajs))
-	for si := 0; si < k; si++ {
+	shards := make([]*Shard, k)
+	owners := make([]owner, len(ds.Trajs))
+	subs, cfgs := make([]*trajectory.Dataset, k), make([]delta.Config, k)
+	for si := range shards {
 		lo, hi := l.ZRange(si)
 		sh := &Shard{zlo: lo, zhi: hi}
 		sub, gids := l.SubDataset(ds, si)
 		sh.globalIDs = gids
 		for li, gid := range gids {
-			r.owners[gid] = owner{shard: int32(si), local: trajectory.TrajID(li)}
+			owners[gid] = owner{shard: int32(si), local: trajectory.TrajID(li)}
 			sh.bounds.Extend(ds.Trajs[gid].Pts)
 		}
-		d, err := openShard(si, sub)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", si, err)
-		}
-		sh.d, sh.eng = d, d.NewEngine()
-		r.shards[si] = sh
+		shards[si], subs[si], cfgs[si] = sh, sub, shardCfg(si)
 	}
-	return nil
+	dyns, infos, failed, err := delta.OpenOrCreateAll(subs, cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("shard %d: %w", failed, err)
+	}
+	for si, d := range dyns {
+		shards[si].d, shards[si].eng = d, d.NewEngine()
+	}
+	r.layout, r.shards, r.owners = l, shards, owners
+	return infos, nil
 }
 
 // Layout returns the router's partition layout (shared with cluster
