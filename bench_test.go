@@ -414,9 +414,10 @@ func mixedPagesPerSearch(d *delta.Dynamic, stream []trajectory.Trajectory, qs []
 //
 // pages/search, the gated count, is read in one more cold pass under
 // GOMAXPROCS(1): with one P the per-batch yield in Evaluator.Search makes
-// the legs advance round-robin, so the count is deterministic. The timed
-// passes run on all of the run's Ps, where the legs race on the shared bound
-// and the count moves from run to run; their mean is reported as
+// the legs advance round-robin, so the count all but holds still (it moves
+// by a page or two in a few runs of ten). The timed passes run on all of
+// the run's Ps, where the legs race on the shared bound and the count moves
+// by tens of pages from run to run; their mean is reported as
 // pages-mp/search and gates nothing. allocs/search is the mean of ten more
 // passes on the now-warm engine (testing.AllocsPerRun, itself under one P):
 // the per-search cost of four legs (goroutines, the shared collector,

@@ -114,36 +114,28 @@ func OpenOrCreate(bootstrap *trajectory.Dataset, cfg Config) (*Dynamic, Recovery
 func OpenOrCreateAll(bootstraps []*trajectory.Dataset, cfgs []Config) (ds []*Dynamic, infos []RecoveryInfo, failed int, err error) {
 	n := len(bootstraps)
 	ds, seqs, errs := make([]*Dynamic, n), make([]uint64, n), make([]error, n)
-	open := func(i int) { ds[i], seqs[i], errs[i] = openBase(bootstraps[i], cfgs[i]) }
-	if workers := min(n, runtime.GOMAXPROCS(0)); workers <= 1 {
-		for i := range n {
-			open(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-					open(i)
-				}
-			}()
-		}
-		wg.Wait()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				ds[i], seqs[i], errs[i] = openBase(bootstraps[i], cfgs[i])
+			}
+		}()
 	}
+	wg.Wait()
 	infos = make([]RecoveryInfo, n)
 	for i, d := range ds {
-		err := errs[i]
-		if err == nil {
-			infos[i], err = d.recoverLog(seqs[i])
+		if errs[i] == nil {
+			infos[i], errs[i] = d.recoverLog(seqs[i])
 		}
-		if err != nil {
+		if errs[i] != nil {
 			for _, opened := range ds[:i] {
-				opened.Close()
+				_ = opened.Close() // the failure to report is errs[i]
 			}
-			return nil, nil, i, err
+			return nil, nil, i, errs[i]
 		}
 	}
 	return ds, infos, -1, nil

@@ -33,9 +33,9 @@ import (
 // the page reads and the varint decode. All read paths are safe for
 // concurrent use.
 //
-// APL segments use a blocked layout (see encodeAPL): a header carrying the
-// activity set and a per-activity block skip table, followed by the posting
-// blocks. The activity sets are also held in memory, exactly, in one CSR
+// APL segments use a blocked layout (see entryScratch.encodeAPL): a header
+// carrying the activity set and a per-activity block skip table, followed by
+// the posting blocks. The activity sets are also held in memory, exactly, in one CSR
 // arena — the activity directory: id's ascending set is
 // acts[actOff[id]:actOff[id+1]]. Containment is decided there, so only
 // candidates carrying every query activity are ever fetched; a fetch reads
@@ -264,8 +264,9 @@ type entryScratch struct {
 // appendEntry appends tr's directory entry — its ascending activity set —
 // and the entry's activity boxes. One sort of the (activity, point) pairs
 // gives both: each run of one activity is an entry, and the run's points
-// are what its box must hold. The sorted pairs stay in sc for encodeAPL. A non-finite location has no cell and no
-// distance, so it is refused here rather than met by a search.
+// are what its box must hold. The sorted pairs stay in sc for encodeAPL. A
+// non-finite location has no cell and no distance, so it is refused here
+// rather than met by a search.
 func (ts *TrajStore) appendEntry(tr *trajectory.Trajectory, sc *entryScratch) error {
 	l := ts.lat
 	sc.pairs, sc.cells = sc.pairs[:0], sc.cells[:0]
